@@ -353,18 +353,6 @@ def _block_diag_report(name: str, op: BlockCirculantOp) -> CheckReport:
 #: dense-oracle checks (SVD, eigensolves, least squares) run only up to here
 _ORACLE_N = 64
 
-_ALTERNATING_CACHE: dict[int, np.ndarray] = {}
-
-
-def _alternating(n: int) -> np.ndarray:
-    """The second kernel vector of the central operator: points +1, averages -1."""
-    if n not in _ALTERNATING_CACHE:
-        v = np.ones(2 * n)
-        v[1::2] = -1.0
-        _ALTERNATING_CACHE[n] = v
-    return _ALTERNATING_CACHE[n]
-
-
 def run_all(
     grid: Grid,
     *,
@@ -442,7 +430,10 @@ def run_all(
 
     if grid.n <= _ORACLE_N:
         one = np.ones(2 * grid.n)
-        reports.append(_nullspace_report("central_d", Dc, 2, [one, _alternating(grid.n)]))
+        # the central operator's second kernel vector: points +1, averages -1
+        alternating = np.ones(2 * grid.n)
+        alternating[1::2] = -1.0
+        reports.append(_nullspace_report("central_d", Dc, 2, [one, alternating]))
         reports.append(_nullspace_report("d_minus", Dm, 1, [one]))
         reports.append(_nullspace_report("d_plus", Dp, 1, [one]))
         if grid.n >= 4:

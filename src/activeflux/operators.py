@@ -18,11 +18,27 @@ parameter expressions in floating point.
 For very small ``n`` distinct signed offsets may alias the same block column
 (e.g. ``-2 == +1 (mod 3)``); all evaluation paths accumulate aliased blocks,
 which preserves symmetry and the operator identities.
+
+``BlockCirculantOp.matvec`` is the one evaluation kernel.  A plan cached on
+the frozen operator holds, per stored block, its transposed block in
+contiguous memory and where its operand window starts in a halo-extended
+copy of the input (the input with ``h`` wrapped cells on each side).  A call
+gathers that copy once with ``np.take(..., mode="wrap")``, adds one
+``(n, 2) @ (2, 2)`` product per block into zeros in block insertion order,
+and multiplies by ``scale`` once.  These are exactly the floating-point
+operations of rolling the operand once per block, so results are bit-for-bit
+those of the rolled kernel.  The relaxed time stepper depends on that: its
+step rescaling divides energy estimates that nearly cancel, so a kernel that
+only reassociates the sums (a CSR matrix, or ``scale`` folded into the
+entries) moves relaxed trajectories by far more than rounding.  Folding
+``scale`` in would also break the exactly-zero integer row sums the
+consistency checks rely on.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Mapping
 
@@ -187,16 +203,40 @@ class BlockCirculantOp:
 
     # -- evaluation --------------------------------------------------------
 
+    @functools.cached_property
+    def _plan(self) -> tuple[int, list[tuple[int, np.ndarray]]]:
+        """Halo width ``h`` and ``(h + r, contiguous A_j^T)`` per block, in insertion order.
+
+        ``r`` is ``j`` moved by a multiple of ``n`` into ``[-n//2, n - n//2)``
+        (same block column), so far-out stored offsets cannot widen the halo;
+        ``h = max |r|``.  O(#blocks): nothing of size O(n) is cached.
+        """
+        n = self.n
+        shifts = [((j + n // 2) % n - n // 2, a) for j, a in self.blocks.items()]
+        h = max((abs(r) for r, _ in shifts), default=0)
+        return h, [(h + r, np.ascontiguousarray(a.T)) for r, a in shifts]
+
     def matvec(self, u: np.ndarray) -> np.ndarray:
+        """``scale * circulant(blocks) @ u`` through one halo-extended operand.
+
+        Bit-exactness contract: the result equals, bit for bit, rolling the
+        operand once per block (``np.roll(x, -j) @ A_j^T``), accumulating
+        into zeros in block insertion order and multiplying by ``scale``
+        once.  Only the operand copy is shared between blocks; each block
+        keeps its own ``(n, 2) @ (2, 2)`` product, and blocks whose offsets
+        alias on tiny rings are never merged.  See the module docstring for
+        why no reassociating kernel (CSR) is used.
+        """
         u = np.asarray(u)
         if u.shape != (2 * self.n,):
             raise ValueError(f"expected shape ({2 * self.n},), got {u.shape}")
-        x = u.reshape(self.n, 2)
-        out = np.zeros(x.shape, dtype=np.result_type(x.dtype, float))
-        for j, a in self.blocks.items():
-            # block row i reads cell i + j, so the operand rolls backwards
-            out += np.roll(x, -j, axis=0) @ a.T
-        return self.scale * out.reshape(-1)
+        h, terms = self._plan
+        x = u.reshape(self.n, 2).take(np.arange(-h, self.n + h), axis=0, mode="wrap")
+        out = np.zeros((self.n, 2), dtype=np.result_type(x.dtype, float))
+        for s, a_t in terms:
+            out += x[s : s + self.n] @ a_t
+        out *= self.scale
+        return out.reshape(-1)
 
     def dense(self) -> np.ndarray:
         """Materialize the full ``2n x 2n`` matrix (guarded by DENSE_LIMIT)."""

@@ -242,6 +242,58 @@ def test_matvec_shape_check():
         ops.central_D(g) @ np.zeros(9)
 
 
+def _rolled_matvec(op, u):
+    """Reference kernel: one rolled operand copy per block, in insertion order."""
+    x = np.asarray(u).reshape(op.n, 2)
+    out = np.zeros(x.shape, dtype=np.result_type(x.dtype, float))
+    for j, a in op.blocks.items():
+        out += np.roll(x, -j, axis=0) @ a.T
+    return op.scale * out.reshape(-1)
+
+
+def _every_builder(g):
+    Dm, Dp, M = ops.upwind_D_minus(g), ops.upwind_D_plus(g), ops.upwind_mass(g)
+    return [
+        ops.central_D(g),
+        Dm,
+        Dp,
+        ops.diagonal_mass(g),
+        ops.banded_mass(g, MassParams(1.0, 0.4, 0.07)),
+        M,
+        ops.scaled_central_mass(g, 1.0, 0.4),
+        ops.extended_mass(g, MassParams(1.0, 1 / 3, 0.0, 0.1, 0.05)),
+        M @ (Dp - Dm),
+        BlockCirculantOp.from_json_dict(
+            {
+                "n": g.n,
+                "dx": g.dx,
+                "scale": -0.3,
+                "blocks": [
+                    {"offset": 7, "rows": [[1.5, -2.0], [0.25, 3.0]]},
+                    {"offset": -(10**12) - 1, "rows": [[0.1, 0.2], [-0.3, 0.7]]},
+                    {"offset": 0, "rows": [[1.0, 0.0], [0.0, 1.0]]},
+                ],
+            }
+        ),
+        BlockCirculantOp(g.n, g.dx, -2.0, {}),
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 64, 1200])
+def test_matvec_is_bit_identical_to_rolled_kernel(n):
+    rng = np.random.default_rng(n)
+    g = ops.build_grid(n)
+    real = rng.normal(size=2 * n)
+    operands = [real, real + 1j * rng.normal(size=2 * n), np.arange(2 * n)]
+    for op in _every_builder(g):
+        for u in operands:
+            got, want = op @ u, _rolled_matvec(op, u)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            # signed zeros too (the empty operator with negative scale gives -0.0)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_norm_inf_matches_dense():
     rng = np.random.default_rng(11)
     A = _random_op(rng, 7, 0.5, scale=-1.7)
