@@ -4,6 +4,11 @@ Each check returns a :class:`CheckReport` whose invariant is
 ``passed == (residual <= tolerance)``; residuals are normalized by operator
 norms (or spectral radii) so tolerances are independent of ``n`` and ``dx``.
 :func:`run_all` bundles the full battery for one grid.
+
+Identities are checked on the 2x2 blocks and Fourier symbols; the mass
+uniqueness recovery is a least-squares system on residual blocks whose size
+does not depend on ``n``.  Dense 2n x 2n matrices appear only as oracles:
+the nullspace SVD, spectrum equivalence and DFT block diagonalization.
 """
 
 from __future__ import annotations
@@ -172,34 +177,25 @@ def _consistency(name: str, D: BlockCirculantOp) -> CheckReport:
     return _report(f"consistency_{name}", residual, 0.0, n=D.n)
 
 
-def _linear_exactness(name: str, grid: Grid, D: BlockCirculantOp) -> CheckReport:
-    # defect normalized by ||D||_inf ||u||_inf, the scale at which the matvec
-    # rounds; this keeps the residual n-independent (the raw defect grows
-    # like 1/dx through cancellation)
-    dofs = ops.coordinate_dofs(grid)
-    w = D @ dofs
-    rows = _interior_block_rows(D)
-    scale = max(D.norm_inf() * float(np.abs(dofs).max()), 1e-300)
-    dev = 0.0
-    if rows.size:
-        dev = max(
-            float(np.abs(w[2 * rows] - 1.0).max()),
-            float(np.abs(w[2 * rows + 1] - 1.0).max()),
-        ) / scale
-    return _report(
-        f"linear_exactness_{name}", dev, 1e-14, n=grid.n, interior_rows=int(rows.size)
-    )
-
-
-def _quadratic_exactness(name: str, grid: Grid, D: BlockCirculantOp) -> CheckReport:
-    dofs, dq = _quadratic_dofs(grid, 1.0, -0.7, 0.3)
-    w = D @ dofs
-    rows = _interior_block_rows(D)
-    scale = max(D.norm_inf() * float(np.abs(dofs).max()), 1e-300)
-    dev = float(np.abs(w[2 * rows] - dq[rows]).max() / scale) if rows.size else 0.0
-    return _report(
-        f"quadratic_exactness_{name}", dev, 1e-14, n=grid.n, interior_rows=int(rows.size)
-    )
+def _exactness(kind: str, derivatives, dofs: np.ndarray, *targets: np.ndarray) -> list[CheckReport]:
+    # targets[p] holds the exact derivative for dof parity p (0 points,
+    # 1 averages) per cell; only interior block rows are compared.  The
+    # defect is normalized by ||D||_inf ||u||_inf, the scale at which the
+    # matvec rounds; this keeps the residual n-independent (the raw defect
+    # grows like 1/dx through cancellation)
+    reports = []
+    for name, D in derivatives:
+        w = (D @ dofs).reshape(-1, 2)
+        rows = _interior_block_rows(D)
+        scale = max(D.norm_inf() * float(np.abs(dofs).max()), 1e-300)
+        dev = 0.0
+        if rows.size:
+            dev = max(float(np.abs(w[rows, p] - t[rows]).max()) for p, t in enumerate(targets))
+            dev /= scale
+        reports.append(_report(
+            f"{kind}_exactness_{name}", dev, 1e-14, n=D.n, interior_rows=int(rows.size)
+        ))
+    return reports
 
 
 def _nullspace_report(
@@ -251,18 +247,45 @@ def _dissipation_spectrum_report(K: BlockCirculantOp) -> CheckReport:
     return _report("dissipation_spectrum", dev, 1e-10, n=n, radius=float(np.abs(f).max()))
 
 
-def _lstsq_mass_recovery(
-    target_maps: list[np.ndarray], inhomogeneous: np.ndarray
-) -> tuple[np.ndarray, int, float]:
-    A = np.column_stack([m.ravel() for m in target_maps])
-    b = -inhomogeneous.ravel()
+#: unit coupling patterns of the symmetric pentadiagonal mass family
+_M_VP = {0: [[0.0, 1.0], [1.0, 0.0]]}
+_M_VP_NEIGHBOR = {1: [[0.0, 0.0], [1.0, 0.0]], -1: [[0.0, 1.0], [0.0, 0.0]]}
+_M_PP = {1: [[1.0, 0.0], [0.0, 0.0]], -1: [[1.0, 0.0], [0.0, 0.0]]}
+
+
+def _mass_recovery_report(
+    name: str, grid: Grid, Dp: BlockCirculantOp, Dm: BlockCirculantOp,
+    fixed: dict, basis: list[dict], expected: list[float],
+) -> CheckReport:
+    """Recover mass coefficients from ``M D_+ + D_-^T M = 0`` by least squares.
+
+    ``M`` is ``fixed`` plus a free multiple of each ``basis`` pattern (all
+    with prefactor dx).  Every block row of the identity states the same
+    equations, one per entry of each residual block, so the system has
+    4 rows per occupied offset and one column per pattern at every ``n``;
+    its rank, solution and residual are those of the full 2n x 2n identity.
+    """
+
+    def residual(blocks: dict) -> dict[int, np.ndarray]:
+        P = BlockCirculantOp(grid.n, grid.dx, grid.dx, blocks)
+        R = P @ Dp + Dm.T @ P
+        return {j: R.scale * a for j, a in R.reduced_blocks().items()}
+
+    residuals = [residual(B) for B in [fixed, *basis]]
+    offsets = sorted(set().union(*residuals))
+    system = np.array(
+        [np.concatenate([r.get(j, np.zeros((2, 2))).ravel() for j in offsets]) for r in residuals]
+    ).T
+    A, b = system[:, 1:], -system[:, 0]
     sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    res = float(np.abs(A @ sol - b).max())
-    return sol, int(rank), res
-
-
-def _pattern_op(grid: Grid, blocks: dict) -> BlockCirculantOp:
-    return BlockCirculantOp(grid.n, grid.dx, grid.dx, blocks)
+    lsq_res = float(np.abs(A @ sol - b).max())
+    entry_max = max(float(np.abs(Dp.scale * a).max()) for a in Dp.reduced_blocks().values())
+    scale = max(1.0, entry_max * grid.dx)
+    dev = 1.0 if rank < len(basis) else max(float(np.abs(sol - expected).max()), lsq_res / scale)
+    return _report(
+        name, dev, 1e-9, rank=int(rank),
+        recovered=[float(s) for s in sol], expected=[float(e) for e in expected],
+    )
 
 
 def _banded_uniqueness_report(grid: Grid, Dc: BlockCirculantOp) -> CheckReport:
@@ -274,27 +297,10 @@ def _banded_uniqueness_report(grid: Grid, Dc: BlockCirculantOp) -> CheckReport:
     uniquely (full-rank least squares), with (m_v, m_p, m_vv) free.
     """
     m_v, m_p, m_vv = 1.0, 0.4, 0.07
-    Dd = Dc.dense()
-
-    def sbp(Md):
-        return Md @ Dd + Dd.T @ Md
-
-    fixed = _pattern_op(
-        grid,
-        {0: [[m_p, 0.0], [0.0, m_v]], -1: [[0.0, 0.0], [0.0, m_vv]], 1: [[0.0, 0.0], [0.0, m_vv]]},
-    ).dense()
-    basis = [
-        _pattern_op(grid, {0: [[0.0, 1.0], [1.0, 0.0]]}).dense(),  # m_vp
-        _pattern_op(grid, {1: [[0.0, 0.0], [1.0, 0.0]], -1: [[0.0, 1.0], [0.0, 0.0]]}).dense(),  # m_vp'
-        _pattern_op(grid, {1: [[1.0, 0.0], [0.0, 0.0]], -1: [[1.0, 0.0], [0.0, 0.0]]}).dense(),  # m_pp
-    ]
-    sol, rank, lsq_res = _lstsq_mass_recovery([sbp(B) for B in basis], sbp(fixed))
-    expected = np.array([(m_v - 3 * m_p) / 2, (m_v - 3 * m_p) / 2, (3 * m_p - m_v + 2 * m_vv) / 6])
-    scale = max(1.0, float(np.abs(Dd).max()) * grid.dx)
-    dev = 1.0 if rank < 3 else max(float(np.abs(sol - expected).max()), lsq_res / scale)
-    return _report(
-        "banded_mass_uniqueness", dev, 1e-9, rank=rank,
-        recovered=[float(s) for s in sol], expected=[float(e) for e in expected],
+    fixed = {0: [[m_p, 0.0], [0.0, m_v]], -1: [[0.0, 0.0], [0.0, m_vv]], 1: [[0.0, 0.0], [0.0, m_vv]]}
+    expected = [(m_v - 3 * m_p) / 2, (m_v - 3 * m_p) / 2, (3 * m_p - m_v + 2 * m_vv) / 6]
+    return _mass_recovery_report(
+        "banded_mass_uniqueness", grid, Dc, Dc, fixed, [_M_VP, _M_VP_NEIGHBOR, _M_PP], expected
     )
 
 
@@ -306,26 +312,11 @@ def _upwind_uniqueness_report(
     With m_v normalized, adjointness ``M D_+ + D_-^T M = 0`` forces
     m_p = 2 m_v/3, m_vp = m_vp' = -m_v/2, m_pp = m_v/6, m_vv = 0.
     """
-    Dpd, Dmd = Dp.dense(), Dm.dense()
-
-    def adj(Md):
-        return Md @ Dpd + Dmd.T @ Md
-
-    fixed = _pattern_op(grid, {0: [[0.0, 0.0], [0.0, 1.0]]}).dense()  # m_v = 1
-    basis = [
-        _pattern_op(grid, {0: [[1.0, 0.0], [0.0, 0.0]]}).dense(),  # m_p
-        _pattern_op(grid, {0: [[0.0, 1.0], [1.0, 0.0]]}).dense(),  # m_vp
-        _pattern_op(grid, {1: [[0.0, 0.0], [1.0, 0.0]], -1: [[0.0, 1.0], [0.0, 0.0]]}).dense(),  # m_vp'
-        _pattern_op(grid, {1: [[1.0, 0.0], [0.0, 0.0]], -1: [[1.0, 0.0], [0.0, 0.0]]}).dense(),  # m_pp
-        _pattern_op(grid, {1: [[0.0, 0.0], [0.0, 1.0]], -1: [[0.0, 0.0], [0.0, 1.0]]}).dense(),  # m_vv
-    ]
-    sol, rank, lsq_res = _lstsq_mass_recovery([adj(B) for B in basis], adj(fixed))
-    expected = np.array([2.0 / 3.0, -0.5, -0.5, 1.0 / 6.0, 0.0])
-    scale = max(1.0, float(np.abs(Dpd).max()) * grid.dx)
-    dev = 1.0 if rank < 5 else max(float(np.abs(sol - expected).max()), lsq_res / scale)
-    return _report(
-        "upwind_mass_uniqueness", dev, 1e-9, rank=rank,
-        recovered=[float(s) for s in sol], expected=[float(e) for e in expected],
+    m_p = {0: [[1.0, 0.0], [0.0, 0.0]]}
+    m_vv = {1: [[0.0, 0.0], [0.0, 1.0]], -1: [[0.0, 0.0], [0.0, 1.0]]}
+    return _mass_recovery_report(
+        "upwind_mass_uniqueness", grid, Dp, Dm, {0: [[0.0, 0.0], [0.0, 1.0]]},  # m_v = 1
+        [m_p, _M_VP, _M_VP_NEIGHBOR, _M_PP, m_vv], [2.0 / 3.0, -0.5, -0.5, 1.0 / 6.0, 0.0],
     )
 
 
@@ -350,7 +341,7 @@ def _block_diag_report(name: str, op: BlockCirculantOp) -> CheckReport:
 # the full battery
 # ---------------------------------------------------------------------------
 
-#: dense-oracle checks (SVD, eigensolves, least squares) run only up to here
+#: dense-oracle checks (SVD, eigensolves) run only up to here
 _ORACLE_N = 64
 
 def run_all(
@@ -364,9 +355,12 @@ def run_all(
 
     Operator overrides exist for fault injection; by default the operators are
     built from the grid.  Structural checks (consistency, exactness, SBP
-    identities, dissipation spectrum, definiteness) run at any ``n``;
-    dense-oracle checks (nullspaces, uniqueness recovery, spectrum
-    equivalence, block diagonalization) run for ``n <= 64``.
+    identities, normalization, dissipation spectrum, definiteness) run at any
+    ``n``; dense-oracle checks (nullspaces, spectrum equivalence, block
+    diagonalization) run for ``n <= 64``.  Uniqueness recovery is block
+    algebra and costs the same at every ``n``; it stays in the ``n <= 64``
+    group (and needs ``n >= 4``) only so that the report set, and with it
+    the ``verify`` output, is unchanged.
     """
     Dc = central_d if central_d is not None else ops.central_D(grid)
     Dp = d_plus if d_plus is not None else ops.upwind_D_plus(grid)
@@ -377,17 +371,12 @@ def run_all(
     upw = ops.upwind_mass(grid, 1.0)
     scaled = ops.scaled_central_mass(grid, 1.0, 0.4)
 
-    reports = [
-        _consistency("central_d", Dc),
-        _consistency("d_minus", Dm),
-        _consistency("d_plus", Dp),
-        _linear_exactness("central_d", grid, Dc),
-        _linear_exactness("d_minus", grid, Dm),
-        _linear_exactness("d_plus", grid, Dp),
-        _quadratic_exactness("central_d", grid, Dc),
-        _quadratic_exactness("d_minus", grid, Dm),
-        _quadratic_exactness("d_plus", grid, Dp),
-    ]
+    derivatives = (("central_d", Dc), ("d_minus", Dm), ("d_plus", Dp))
+    reports = [_consistency(name, D) for name, D in derivatives]
+    # x' = 1 on points and averages; q' on points only.  The O(n) samples
+    # live only for the duration of each call.
+    reports += _exactness("linear", derivatives, ops.coordinate_dofs(grid), *np.ones((2, grid.n)))
+    reports += _exactness("quadratic", derivatives, *_quadratic_dofs(grid, 1.0, -0.7, 0.3))
 
     avg_defect = (0.5 * (Dp + Dm) - Dc).norm_inf() / max(Dc.norm_inf(), 1e-300)
     reports.append(_report("averaging_identity", avg_defect, 1e-14, n=grid.n))
@@ -399,7 +388,9 @@ def run_all(
 
     length = grid.length
     for mass_name, M in (("diagonal_mass", diag), ("scaled_central_mass", scaled)):
-        total = float(np.ones(2 * grid.n) @ (M @ np.ones(2 * grid.n)))
+        # numpy's blocked pairwise sum rounds to about (16 + log2(2n/128)) eps,
+        # below 1e-14 for n up to ~1e10 (a plain dot product grows like n eps)
+        total = float(np.sum(M @ np.ones(2 * grid.n)))
         reports.append(
             _report(
                 f"normalization_{mass_name}",

@@ -99,7 +99,8 @@ def build_grid(n: int, x_min: float = 0.0, x_max: float = 2.0 * math.pi) -> Grid
     """Build a uniform periodic grid with ``n >= 3`` cells.
 
     ``n < 3`` is rejected: the three-cell stencils would make distinct
-    entries collide on the same dof.
+    entries collide on the same dof.  The domain ends and length must be
+    finite.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise TypeError(f"n must be an integer, got {n!r}")
@@ -107,6 +108,8 @@ def build_grid(n: int, x_min: float = 0.0, x_max: float = 2.0 * math.pi) -> Grid
         raise ValueError(f"need at least 3 cells, got n={n}")
     x_min = float(x_min)
     x_max = float(x_max)
+    if not all(map(math.isfinite, (x_min, x_max, x_max - x_min))):
+        raise ValueError(f"domain must be finite: x_min={x_min}, x_max={x_max}")
     if not (x_max > x_min):
         raise ValueError(f"empty domain: x_max={x_max} must exceed x_min={x_min}")
     dx = (x_max - x_min) / n

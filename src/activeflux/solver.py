@@ -342,11 +342,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     final step is clipped so the run lands on ``t_end``.  Raises
     :class:`EnergyBlowUpError` if the energy exceeds 1e3 times its initial
     value (the nominal time step is not checked for stability up front).
+    Non-finite or non-positive ``t_end``/``dt_factor`` and a non-finite
+    advection speed raise :class:`ValueError` before any work is done.
     """
-    if config.t_end <= 0.0:
-        raise ValueError("t_end must be positive")
-    if config.dt_factor <= 0.0:
-        raise ValueError("dt_factor must be positive")
+    for name in ("t_end", "dt_factor"):
+        value = float(getattr(config, name))
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not math.isfinite(config.advection_speed):
+        raise ValueError(f"advection_speed must be finite, got {config.advection_speed}")
     grid = ops.build_grid(config.n, config.x_min, config.x_max)
     scheme = make_scheme(grid, config.variant, config.advection_speed)
     method = resolve_method(config.rk)

@@ -57,11 +57,7 @@ def symbol(op: BlockCirculantOp, k: int) -> Symbol:
     """The symbol ``B_k`` of mode ``k`` (including the operator's scale)."""
     if not 0 <= k < op.n:
         raise ValueError(f"mode index k={k} out of range [0, {op.n})")
-    theta = 2.0 * np.pi * k / op.n
-    entries = np.zeros((2, 2), dtype=complex)
-    for j, a in op.blocks.items():
-        entries += np.exp(1j * (theta * j)) * a
-    return Symbol(entries=op.scale * entries, theta=theta, k=int(k), n=op.n)
+    return Symbol(entries=_all_symbols(op)[k], theta=2.0 * np.pi * k / op.n, k=int(k), n=op.n)
 
 
 def _eig_pairs(B: np.ndarray) -> np.ndarray:

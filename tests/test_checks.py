@@ -17,12 +17,29 @@ def _grid(n, dx=None):
     return ops.build_grid(n, 0.0, n * dx)
 
 
-@pytest.mark.parametrize("n", [4, 6, 17])
+UNIQUENESS_RANKS = {"banded_mass_uniqueness": 3, "upwind_mass_uniqueness": 5}
+
+
+def _uniqueness_details(reports):
+    return {r.name: r.details for r in reports if r.name in UNIQUENESS_RANKS}
+
+
+@pytest.mark.parametrize("n", [4, 6, 17, 64])
 def test_full_battery_passes_on_clean_operators(n):
     reports = checks.run_all(_grid(n))
     assert len(reports) == REPORTS_WITH_ORACLES
     failed = [r.name for r in reports if not r.passed]
     assert failed == []
+    # the recovery system is built from 2x2 blocks, so its rank and its
+    # solution are the same at every n
+    details = _uniqueness_details(reports)
+    reference = _uniqueness_details(checks.run_all(_grid(4)))
+    for name, rank in UNIQUENESS_RANKS.items():
+        assert details[name]["rank"] == rank
+        np.testing.assert_allclose(
+            details[name]["recovered"], details[name]["expected"], rtol=0.0, atol=1e-12
+        )
+        assert details[name]["recovered"] == reference[name]["recovered"]
 
 
 def test_battery_omits_uniqueness_on_three_cell_ring():
@@ -43,6 +60,19 @@ def test_battery_skips_dense_oracles_on_large_grids():
     names = {r.name for r in reports}
     assert not any(name.startswith("nullspace_") for name in names)
     assert not any(name.startswith("spectrum_equivalence_") for name in names)
+
+
+def test_battery_passes_where_plain_dot_normalization_failed():
+    """From n ~ 1.5e4 a plain dot product missed the 1e-14 normalization
+    bound (at n = 15641 with multithreaded BLAS); the pairwise sum does not."""
+    failed = [r.name for r in checks.run_all(ops.build_grid(15641)) if not r.passed]
+    assert failed == []
+
+
+def test_normalization_passes_at_n_100000():
+    reports = {r.name: r for r in checks.run_all(_grid(100_000))}
+    assert reports["normalization_diagonal_mass"].passed
+    assert reports["normalization_scaled_central_mass"].passed
 
 
 def test_report_invariant_and_serialization():

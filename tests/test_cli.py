@@ -264,6 +264,25 @@ def test_mass_scan_rejects_bad_ranges(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--x-min", "nan"),
+        ("verify", "--x-max", "inf"),
+        ("spectrum", "--x-min=-1e308", "--x-max", "1e308"),
+        ("solve", "--t-end", "inf"),
+        ("solve", "--dt-factor", "inf"),
+        ("solve", "--speed", "nan"),
+    ],
+)
+def test_non_finite_inputs_are_rejected_up_front(argv, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 # ---------------------------------------------------------------------------
