@@ -179,7 +179,7 @@ class BlockCirculantOp:
             a = np.asarray(a, dtype=float)
             if a.shape != (2, 2):
                 raise ValueError(f"block at offset {j} has shape {a.shape}, want (2, 2)")
-            if np.any(a != 0.0):
+            if a.any():  # NaN counts as nonzero, -0.0 as zero
                 clean[int(j)] = _frozen(a)
         object.__setattr__(self, "blocks", clean)
 
@@ -415,15 +415,6 @@ def diagonal_mass(grid: Grid) -> BlockCirculantOp:
     return BlockCirculantOp(grid.n, grid.dx, grid.dx, {0: [[0.25, 0.0], [0.0, 0.75]]})
 
 
-def _banded_blocks(p: MassParams) -> dict[int, list]:
-    m_pp, m_vp = p.m_pp, p.m_vp
-    return {
-        -1: [[m_pp, m_vp], [0.0, p.m_vv]],
-        0: [[p.m_p, m_vp], [m_vp, p.m_v]],
-        1: [[m_pp, 0.0], [m_vp, p.m_vv]],
-    }
-
-
 def banded_mass(grid: Grid, params: MassParams) -> BlockCirculantOp:
     """Symmetric pentadiagonal mass matrix family.
 
@@ -440,7 +431,8 @@ def banded_mass(grid: Grid, params: MassParams) -> BlockCirculantOp:
         raise ValueError(
             "banded_mass takes m_vvp = m_vvv = 0; use extended_mass for the seven-band family"
         )
-    return BlockCirculantOp(grid.n, grid.dx, grid.dx, _banded_blocks(params))
+    # rebuilt with m_vvp = +0.0: -0.0 passes the guard but would store signed zeros
+    return extended_mass(grid, MassParams(params.m_v, params.m_p, params.m_vv))
 
 
 def upwind_mass(grid: Grid, m_v: float = 1.0) -> BlockCirculantOp:

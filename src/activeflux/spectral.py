@@ -143,15 +143,6 @@ def block_diagonalize_check(op: BlockCirculantOp) -> float:
     return float(np.abs(transformed - expected).sum(axis=1).max())
 
 
-_KINDS = (
-    "positive_definite",
-    "positive_semidefinite",
-    "indefinite",
-    "negative_semidefinite",
-    "negative_definite",
-)
-
-
 @dataclasses.dataclass(frozen=True)
 class Definiteness:
     """Spectral classification of a symmetric block-circulant operator."""
@@ -162,36 +153,51 @@ class Definiteness:
     max_eigenvalue: float
 
 
-def hermitian_classify(op: BlockCirculantOp, rel_zero_tol: float = 1e-10) -> Definiteness:
+def hermitian_classify(op: BlockCirculantOp) -> Definiteness:
     """Classify a symmetric operator from its (real) symbol eigenvalues.
 
-    Eigenvalues within ``rel_zero_tol * max|lambda|`` of zero count as zero;
-    the tolerance is relative to the spectral radius so the classification is
-    invariant under dx rescaling.
+    Zero is decided per mode: an eigenvalue of mode ``k`` counts as zero when
+    it is within ``16 eps s_k`` of zero, where ``s_k = |a_k| + |d_k| +
+    2 |b_k|`` bounds the spectral radius of that mode's Hermitian symbol
+    ``[[a_k, b_k], [conj(b_k), d_k]]``.  The decision is invariant under dx
+    rescaling and does not depend on the other modes, so small genuine
+    eigenvalues of low-frequency modes are not taken for zeros.  The mass
+    family's smallest genuine eigenvalue shrinks like ``n**-2`` (4.1e-13
+    ``s_k`` at n = 1e6) and meets the bound near n = 1e7.
     """
     defect = (op - op.T).norm_inf()
     if defect > 1e-12 * max(op.norm_inf(), 1e-300):
         raise ValueError(f"operator is not symmetric (defect {defect:.3e})")
+    # a, d and |b| of each mode's Hermitian part [[a, b], [conj(b), d]]
     B = _all_symbols(op)
-    H = 0.5 * (B + np.conj(np.swapaxes(B, 1, 2)))
-    a = H[:, 0, 0].real
-    d = H[:, 1, 1].real
+    a = B[:, 0, 0].real
+    d = B[:, 1, 1].real
+    b = np.abs(0.5 * (B[:, 0, 1] + np.conj(B[:, 1, 0])))
     mean = 0.5 * (a + d)
-    rad = np.sqrt((0.5 * (a - d)) ** 2 + np.abs(H[:, 0, 1]) ** 2)
-    lam = np.concatenate([mean - rad, mean + rad])
-    eps0 = rel_zero_tol * float(np.abs(lam).max(initial=0.0))
-    zeros = int(np.count_nonzero(np.abs(lam) <= eps0))
-    npos = int(np.count_nonzero(lam > eps0))
-    nneg = int(np.count_nonzero(lam < -eps0))
+    rad = np.sqrt((0.5 * (a - d)) ** 2 + b**2)
+    lo, hi = mean - rad, mean + rad
+    # Rounding bound: each Hermitian entry is a sum of at most a few stencil
+    # coefficients times rounded unit phases, accurate to a few eps of s_k
+    # for stencils whose coefficients are of the size of s_k (every mass
+    # matrix here), and by Weyl's inequality the eigenvalues move no more
+    # than the entries do; mean -/+ rad adds about 4 eps s_k (a square, a
+    # sum, a root, a difference).  A true zero thus comes out below about
+    # 8 eps s_k, and 16 eps doubles that.  Measured: true zeros <= 6e-17 s_k
+    # for n from 3 to 1e6.
+    tol = 16.0 * np.finfo(float).eps * (np.abs(a) + np.abs(d) + 2.0 * b)
+    zeros = int(np.count_nonzero(np.abs(lo) <= tol) + np.count_nonzero(np.abs(hi) <= tol))
+    npos = int(np.count_nonzero(lo > tol) + np.count_nonzero(hi > tol))
+    nneg = int(np.count_nonzero(lo < -tol) + np.count_nonzero(hi < -tol))
     if nneg == 0:
         kind = "positive_definite" if zeros == 0 else "positive_semidefinite"
     elif npos == 0:
         kind = "negative_definite" if zeros == 0 else "negative_semidefinite"
     else:
         kind = "indefinite"
+    # lo <= hi in every mode (rad >= 0), so the extremes sit in one branch each
     return Definiteness(
         kind=kind,
         zero_multiplicity=zeros,
-        min_eigenvalue=float(lam.min()),
-        max_eigenvalue=float(lam.max()),
+        min_eigenvalue=float(lo.min()),
+        max_eigenvalue=float(hi.max()),
     )

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, and deterministic output."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -80,6 +81,10 @@ def test_spectrum_default_operator(capsys):
     assert len(data) == 13
     k0 = data[1].split(",")
     assert int(k0[0]) == 0 and float(k0[1]) == 0.0
+    # the theta column is the scalar expression, bit for bit
+    assert [row.split(",")[1] for row in data[1:]] == [
+        "%.17g" % (2.0 * math.pi * k / 12) for k in range(12)
+    ]
 
 
 def test_spectrum_dissipation_matches_closed_form(capsys):
@@ -94,6 +99,20 @@ def test_spectrum_dissipation_matches_closed_form(capsys):
         assert lams[0] == pytest.approx(expected, abs=1e-10)
         assert lams[1] == pytest.approx(0.0, abs=1e-10)
         assert abs(float(row[3])) < 1e-13 and abs(float(row[5])) < 1e-13
+
+
+def test_spectrum_prints_negative_zero_as_zero(tmp_path, capsys):
+    """The n = 16 dissipation spectrum holds a -0.0; the writer prints it as 0."""
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        argv = ("spectrum", "--operator", "dissipation", "--n", "16", "--output", str(path))
+        assert run_cli(*argv) == 0
+    capsys.readouterr()
+    text = paths[0].read_text()
+    assert text == paths[1].read_text()
+    fields = [f for ln in text.splitlines() if not ln.startswith("#") for f in ln.split(",")]
+    assert "0" in fields
+    assert "-0" not in fields
 
 
 def test_spectrum_operator_file_roundtrip(tmp_path, capsys):
@@ -273,6 +292,7 @@ def test_mass_scan_rejects_bad_ranges(capsys):
         ("solve", "--t-end", "inf"),
         ("solve", "--dt-factor", "inf"),
         ("solve", "--speed", "nan"),
+        ("verify", "--x-min", "-inf"),
     ],
 )
 def test_non_finite_inputs_are_rejected_up_front(argv, capsys):
@@ -281,6 +301,20 @@ def test_non_finite_inputs_are_rejected_up_front(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--n", "4", "--x-min", "-1e-3"),
+        ("solve", "--n", "12", "--t-end", "0.3", "--speed", "-1e0"),
+        ("mass-scan", "--mp-min", "-1e-1", "--mp-max", "1", "--steps", "5"),
+    ],
+)
+def test_negative_values_in_exponent_form_are_values(argv, capsys):
+    """A separate ``-1e-3`` after a flag is its value, as ``--flag=-1e-3`` is."""
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,19 @@ def test_hermitian_classify_degenerate_mass():
     assert cls.min_eigenvalue >= -1e-14
 
 
+@pytest.mark.parametrize(
+    "build",
+    [ops.upwind_mass, lambda g: ops.banded_mass(g, MassParams(1.0, 2.0 / 9.0))],
+    ids=["upwind_mass", "window_edge"],
+)
+def test_hermitian_classify_zero_is_decided_per_mode_at_n_1e6(build):
+    """The smallest genuine eigenvalue, ~(2 pi / n)^2 of its mode's scale,
+    stays above that mode's rounding bound; exactly one eigenvalue is zero."""
+    cls = spectral.hermitian_classify(build(ops.build_grid(1_000_000)))
+    assert cls.kind == "positive_semidefinite"
+    assert cls.zero_multiplicity == 1
+
+
 def test_hermitian_classify_negative_and_indefinite():
     g = ops.build_grid(8)
     neg = spectral.hermitian_classify(-1.0 * ops.diagonal_mass(g))
