@@ -6,126 +6,19 @@ interface point values), exposes their per-mode symbols, checks every
 summation-by-parts identity with quantified residuals, and runs the
 energy-conserving / energy-dissipating advection experiment with relaxation
 Runge-Kutta time stepping.
+
+Every name in a module's ``__all__`` is importable from the package itself.
 """
 
-from .operators import (
-    BlockCirculantOp,
-    Grid,
-    MassParams,
-    banded_mass,
-    build_grid,
-    cell_averages,
-    central_D,
-    coordinate_dofs,
-    diagonal_mass,
-    extended_mass,
-    interleave,
-    point_values,
-    scaled_central_mass,
-    upwind_D_minus,
-    upwind_D_plus,
-    upwind_mass,
-)
-from .reconstruction import CellParabola, edge_derivative, reconstruct
-from .spectral import (
-    DefectiveSymbolError,
-    Definiteness,
-    Symbol,
-    block_diagonalize_check,
-    eigenvalues,
-    eigenvector,
-    hermitian_classify,
-    symbol,
-)
-from .symbols import (
-    InadmissibleFamilyError,
-    LaurentPoly,
-    admissible_basis,
-    central_symbol,
-    central_symbol_eigenvalues,
-    mass_family_coefficients,
-    mass_symbol_family,
-    mass_symbol_from_eigvectors,
-)
-from .checks import (
-    CheckReport,
-    check_central_sbp,
-    check_mass_definiteness,
-    check_nullspace,
-    check_upwind_sbp,
-    run_all,
-)
-from .solver import (
-    RK4,
-    SSPRK33,
-    EnergyBlowUpError,
-    EnergyTrace,
-    ExperimentConfig,
-    RKMethod,
-    Scheme,
-    default_initial,
-    make_scheme,
-    project_initial,
-    relaxation_gamma,
-    rk_step,
-    run_experiment,
-)
+from . import checks, operators, reconstruction, solver, spectral, symbols
+from .checks import *
+from .operators import *
+from .reconstruction import *
+from .solver import *
+from .spectral import *
+from .symbols import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockCirculantOp",
-    "CellParabola",
-    "CheckReport",
-    "DefectiveSymbolError",
-    "Definiteness",
-    "EnergyBlowUpError",
-    "EnergyTrace",
-    "ExperimentConfig",
-    "Grid",
-    "InadmissibleFamilyError",
-    "LaurentPoly",
-    "MassParams",
-    "RK4",
-    "RKMethod",
-    "SSPRK33",
-    "Scheme",
-    "Symbol",
-    "admissible_basis",
-    "banded_mass",
-    "block_diagonalize_check",
-    "build_grid",
-    "cell_averages",
-    "central_D",
-    "central_symbol",
-    "central_symbol_eigenvalues",
-    "check_central_sbp",
-    "check_mass_definiteness",
-    "check_nullspace",
-    "check_upwind_sbp",
-    "coordinate_dofs",
-    "default_initial",
-    "diagonal_mass",
-    "edge_derivative",
-    "eigenvalues",
-    "eigenvector",
-    "extended_mass",
-    "hermitian_classify",
-    "interleave",
-    "make_scheme",
-    "mass_family_coefficients",
-    "mass_symbol_family",
-    "mass_symbol_from_eigvectors",
-    "point_values",
-    "project_initial",
-    "reconstruct",
-    "relaxation_gamma",
-    "rk_step",
-    "run_all",
-    "run_experiment",
-    "scaled_central_mass",
-    "upwind_D_minus",
-    "upwind_D_plus",
-    "upwind_mass",
-    "__version__",
-]
+_MODULES = (checks, operators, reconstruction, solver, spectral, symbols)
+__all__ = sorted({name for m in _MODULES for name in m.__all__} | {"__version__"})

@@ -76,6 +76,12 @@ def _write_json(path: Optional[str], config: dict, **body) -> None:
     _emit(_json_text({"schema_version": SCHEMA_VERSION, "config": config, **body}), path)
 
 
+def _config(args) -> dict:
+    """The header configuration: every parsed argument except the output destinations."""
+    skip = ("output", "format", "dump_operator", "final_state")
+    return {key: value for key, value in vars(args).items() if key not in skip}
+
+
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=50, help="number of cells (default 50)")
     p.add_argument("--x-min", type=float, default=0.0, help="left end of the domain")
@@ -136,7 +142,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--final-state", help="write the final dof vector as JSON here")
 
     p_scan = sub.add_parser("mass-scan", help="classify the mass family along m_p")
-    p_scan.add_argument("--mv", type=float, default=1.0, help="average weight m_v")
+    p_scan.add_argument(
+        "--mv", dest="m_v", metavar="MV", type=float, default=1.0, help="average weight m_v"
+    )
     p_scan.add_argument("--mp-min", type=float, required=True)
     p_scan.add_argument("--mp-max", type=float, required=True)
     p_scan.add_argument("--steps", type=int, default=101)
@@ -151,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args) -> int:
     grid = ops.build_grid(args.n, args.x_min, args.x_max)
     reports = checks.run_all(grid)
-    config = {"command": "verify", "n": args.n, "x_min": args.x_min, "x_max": args.x_max}
+    config = _config(args)
 
     width = max(len(r.name) for r in reports)
     for r in reports:
@@ -196,13 +204,7 @@ def _resolve_operator(name: str, grid: ops.Grid) -> ops.BlockCirculantOp:
 def _cmd_spectrum(args) -> int:
     grid = ops.build_grid(args.n, args.x_min, args.x_max)
     op = _resolve_operator(args.operator, grid)
-    config = {
-        "command": "spectrum",
-        "operator": args.operator,
-        "n": op.n,
-        "x_min": args.x_min,
-        "x_max": args.x_max,
-    }
+    config = dict(_config(args), n=op.n)  # a file: operator brings its own n
     pairs = spectral.eigenvalues(op).reshape(op.n, 2)
     k = np.arange(op.n)
     rows = np.column_stack((k, 2.0 * np.pi * k / op.n, pairs.real[:, 0], pairs.imag[:, 0],
@@ -215,31 +217,12 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    config_obj = solver.ExperimentConfig(
-        variant=args.variant,
-        n=args.n,
-        x_min=args.x_min,
-        x_max=args.x_max,
-        t_end=args.t_end,
-        rk=args.rk,
-        relaxation=args.relaxation,
-        dt_factor=args.dt_factor,
-        advection_speed=args.speed,
-    )
-    config = {
-        "command": "solve",
-        "variant": args.variant,
-        "n": args.n,
-        "x_min": args.x_min,
-        "x_max": args.x_max,
-        "t_end": args.t_end,
-        "rk": args.rk,
-        "relaxation": args.relaxation,
-        "dt_factor": args.dt_factor,
-        "speed": args.speed,
-    }
+    config = _config(args)
+    fields = {key: value for key, value in config.items() if key not in ("command", "speed")}
     try:
-        trace, u_final = solver.run_experiment(config_obj)
+        trace, u_final = solver.run_experiment(
+            solver.ExperimentConfig(**fields, advection_speed=args.speed)
+        )
     except RuntimeError as exc:  # blow-up guard, relaxation breakdown, step budget
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -260,19 +243,12 @@ def _cmd_mass_scan(args) -> int:
         raise ValueError("--steps must be at least 1")
     if args.mp_max < args.mp_min:
         raise ValueError("--mp-max must not be below --mp-min")
-    config = {
-        "command": "mass-scan",
-        "m_v": args.mv,
-        "mp_min": args.mp_min,
-        "mp_max": args.mp_max,
-        "steps": args.steps,
-    }
     rows = []
     for m_p in np.linspace(args.mp_min, args.mp_max, args.steps):
-        cls = checks.check_mass_definiteness(args.mv, float(m_p))
-        rows.append((args.mv, m_p, cls.kind, cls.zero_multiplicity, cls.min_eigenvalue))
+        cls = checks.check_mass_definiteness(args.m_v, float(m_p))
+        rows.append((args.m_v, m_p, cls.kind, cls.zero_multiplicity, cls.min_eigenvalue))
     columns = ("m_v", "m_p", "classification", "zero_multiplicity", "min_eigenvalue")
-    _write_csv(args.output, config, columns, rows)
+    _write_csv(args.output, _config(args), columns, rows)
     return 0
 
 

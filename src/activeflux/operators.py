@@ -52,9 +52,13 @@ __all__ = [
     "MassParams",
     "banded_mass",
     "build_grid",
+    "cell_averages",
     "central_D",
+    "coordinate_dofs",
     "diagonal_mass",
     "extended_mass",
+    "interleave",
+    "point_values",
     "scaled_central_mass",
     "upwind_D_minus",
     "upwind_D_plus",

@@ -318,6 +318,81 @@ def test_negative_values_in_exponent_form_are_values(argv, capsys):
 
 
 # ---------------------------------------------------------------------------
+# output headers
+# ---------------------------------------------------------------------------
+
+_TWO_PI = 2.0 * math.pi
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("verify", "--n", "5", "--x-min", "-1", "--output", "{out}"),
+            {"command": "verify", "n": 5, "x_min": -1.0, "x_max": _TWO_PI},
+        ),
+        (
+            ("verify", "--n", "4", "--format", "json", "--output", "{out}"),
+            {"command": "verify", "n": 4, "x_min": 0.0, "x_max": _TWO_PI},
+        ),
+        (
+            ("spectrum", "--n", "12", "--operator", "file:{op}", "--output", "{out}"),
+            {"command": "spectrum", "operator": "file:{op}", "n": 7, "x_min": 0.0,
+             "x_max": _TWO_PI},
+        ),
+        (
+            ("spectrum", "--n", "6", "--x-max", "3", "--operator", "d-plus",
+             "--dump-operator", "{op}", "--output", "{out}"),
+            {"command": "spectrum", "operator": "d-plus", "n": 6, "x_min": 0.0, "x_max": 3.0},
+        ),
+        (
+            ("solve", "--n", "8", "--t-end", "0.3", "--variant", "upwind", "--rk", "rk4",
+             "--no-relaxation", "--dt-factor", "0.25", "--speed", "-2", "--format", "json",
+             "--output", "{out}", "--final-state", "{state}"),
+            {"command": "solve", "variant": "upwind", "n": 8, "x_min": 0.0, "x_max": _TWO_PI,
+             "t_end": 0.3, "rk": "rk4", "relaxation": False, "dt_factor": 0.25, "speed": -2.0},
+        ),
+        (
+            ("solve", "--n", "6", "--t-end", "0.2", "--output", "{out}"),
+            {"command": "solve", "variant": "central", "n": 6, "x_min": 0.0, "x_max": _TWO_PI,
+             "t_end": 0.2, "rk": "rk4x2", "relaxation": True, "dt_factor": 0.5, "speed": 1.0},
+        ),
+        (
+            ("mass-scan", "--mv", "2", "--mp-min", "-1e-1", "--mp-max", "1", "--steps", "5",
+             "--output", "{out}"),
+            {"command": "mass-scan", "m_v": 2.0, "mp_min": -0.1, "mp_max": 1.0, "steps": 5},
+        ),
+    ],
+    ids=["verify_csv", "verify_json", "spectrum_file_n", "spectrum_dump", "solve_json",
+         "solve_defaults", "mass_scan_mv"],
+)
+def test_header_config_is_every_argument_but_the_destinations(argv, expected, tmp_path, capsys):
+    """Each output header holds the full configuration, byte for byte.
+
+    The file: operator holds n = 7, so the spectrum header reports 7 and not
+    the ``--n 12`` given on the command line.
+    """
+    paths = {key: str(tmp_path / f"{key}.dat") for key in ("out", "op", "state")}
+    if "file:{op}" in argv:
+        assert run_cli("spectrum", "--n", "7", "--operator", "upwind-mass",
+                       "--dump-operator", paths["op"], "--output", paths["out"]) == 0
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 0
+    capsys.readouterr()
+    expected = {key: value.format(**paths) if isinstance(value, str) else value
+                for key, value in expected.items()}
+    text = (tmp_path / "out.dat").read_text()
+    if text.startswith("{"):
+        configs = [json.loads(text)["config"]]
+    else:
+        assert text.splitlines()[0] == "# schema_version = 1"
+        configs = [json.loads(text.splitlines()[1].removeprefix("# config = "))]
+    if "{state}" in argv:
+        configs.append(json.loads((tmp_path / "state.dat").read_text())["config"])
+    for config in configs:
+        assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
 # installed entry point
 # ---------------------------------------------------------------------------
 

@@ -309,6 +309,26 @@ def test_final_partial_step_lands_on_t_end():
     assert trace.times[-1] == pytest.approx(t_end, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig(t_end=3.5 * 0.5 * 2 * np.pi / 50),
+        ExperimentConfig(n=24, t_end=0.7, dt_factor=100.0),
+    ],
+    ids=["half_step", "one_clipped_step"],
+)
+def test_relaxed_final_step_ends_at_gamma_times_the_remainder(config):
+    # the clipped last step is relaxed too, so a relaxed run does not land
+    # on t_end; it misses it by |gamma - 1| times the clipped step
+    trace, _ = run_experiment(config)
+    t_prev, gamma = trace.times[-2], trace.gammas[-1]
+    assert trace.times[-1] == t_prev + gamma * (config.t_end - t_prev)
+    assert gamma != 1.0 and trace.times[-1] != config.t_end
+    rounding = 4 * np.finfo(float).eps * config.t_end
+    miss = abs(trace.times[-1] - config.t_end)
+    assert miss <= abs(gamma - 1.0) * (config.t_end - t_prev) + rounding
+
+
 def test_energy_trace_properties():
     tr = EnergyTrace(
         times=np.array([0.0, 1.0, 2.0]),
