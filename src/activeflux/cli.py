@@ -239,6 +239,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_mass_scan(args) -> int:
+    for flag, value in (("--mv", args.m_v), ("--mp-min", args.mp_min), ("--mp-max", args.mp_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
     if args.mp_max < args.mp_min:

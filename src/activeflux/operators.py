@@ -342,9 +342,21 @@ class BlockCirculantOp:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BlockCirculantOp":
+        """Read :meth:`to_json_dict` output; the entry point for outside input.
+
+        ``n`` and the offsets must be integers (a float with a fractional
+        part is refused, not truncated), and ``dx``, ``scale`` and every
+        block entry finite.
+        """
         try:
-            blocks = {int(b["offset"]): np.asarray(b["rows"], dtype=float) for b in data["blocks"]}
-            return cls(int(data["n"]), float(data["dx"]), float(data["scale"]), blocks)
+            n, offsets = data["n"], [b["offset"] for b in data["blocks"]]
+            if any(isinstance(v, float) and not v.is_integer() for v in (n, *offsets)):
+                raise ValueError("n and the block offsets must be integers")
+            dx, scale = float(data["dx"]), float(data["scale"])
+            rows = [np.asarray(b["rows"], dtype=float) for b in data["blocks"]]
+            if not all(np.isfinite(v).all() for v in (dx, scale, *rows)):
+                raise ValueError("dx, scale and the block rows must be finite")
+            return cls(int(n), dx, scale, {int(j): r for j, r in zip(offsets, rows)})
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed operator description: {exc}") from exc
 

@@ -65,6 +65,8 @@ class RKMethod:
         b = tuple(float(x) for x in self.b)
         c = tuple(float(x) for x in self.c)
         s = len(b)
+        if not all(map(math.isfinite, (*b, *c, *(x for row in a for x in row)))):
+            raise ValueError("tableau entries must be finite")
         if len(a) != s or any(len(row) != s for row in a) or len(c) != s:
             raise ValueError("tableau dimensions are inconsistent")
         for i, row in enumerate(a):

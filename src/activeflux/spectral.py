@@ -163,13 +163,16 @@ def hermitian_classify(op: BlockCirculantOp) -> Definiteness:
     rescaling and does not depend on the other modes, so small genuine
     eigenvalues of low-frequency modes are not taken for zeros.  The mass
     family's smallest genuine eigenvalue shrinks like ``n**-2`` (4.1e-13
-    ``s_k`` at n = 1e6) and meets the bound near n = 1e7.
+    ``s_k`` at n = 1e6) and meets the bound near n = 1e7.  A symbol with a
+    non-finite entry raises :class:`ValueError`.
     """
     defect = (op - op.T).norm_inf()
     if defect > 1e-12 * max(op.norm_inf(), 1e-300):
         raise ValueError(f"operator is not symmetric (defect {defect:.3e})")
     # a, d and |b| of each mode's Hermitian part [[a, b], [conj(b), d]]
     B = _all_symbols(op)
+    if not np.isfinite(B).all():
+        raise ValueError("operator symbol has a non-finite entry")
     a = B[:, 0, 0].real
     d = B[:, 1, 1].real
     b = np.abs(0.5 * (B[:, 0, 1] + np.conj(B[:, 1, 0])))

@@ -1,10 +1,13 @@
 """The verification battery: clean operators pass, corrupted ones are caught."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from activeflux import checks
 from activeflux import operators as ops
+from activeflux import spectral
 from activeflux.operators import BlockCirculantOp, MassParams
 
 REPORTS_WITH_ORACLES = 36
@@ -215,3 +218,64 @@ def test_run_all_respects_grid_spacing():
     stretched grid too."""
     reports = checks.run_all(_grid(6, dx=7.3))
     assert all(r.passed for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# the bottleneck matching behind spectrum equivalence
+# ---------------------------------------------------------------------------
+
+
+def _pairings(a, b):
+    """The pair distances of every one-to-one pairing of a with b."""
+    cost = np.abs(a[:, None] - b[None, :])
+    rows = np.arange(len(a))
+    return [cost[rows, list(p)] for p in itertools.permutations(rows)]
+
+
+def test_bottleneck_distance_equals_brute_force_on_small_multisets_with_ties():
+    rng = np.random.default_rng(6)
+    above_lower_bound = 0
+    for _ in range(1000):
+        m = int(rng.integers(1, 7))
+        # points of a 5 x 5 integer lattice, so values and distances repeat
+        a, b = rng.integers(-2, 3, (2, m)) + 1j * rng.integers(-2, 3, (2, m))
+        brute = min(d.max() for d in _pairings(a, b))
+        assert checks._bottleneck_distance(a, b) == brute
+        cost = np.abs(a[:, None] - b[None, :])
+        above_lower_bound += brute > max(cost.min(axis=0).max(), cost.min(axis=1).max())
+    # the binary search, not only the lower bound, is exercised
+    assert above_lower_bound > 100
+
+
+def test_bottleneck_distance_is_below_the_sum_optimal_maximum():
+    """Pairing 0-0 and 2i-2 minimizes the sum (2 sqrt 2) with largest distance
+    2 sqrt 2; pairing 0-2 and 2i-0 has largest distance 2."""
+    a, b = np.array([0.0, 2j]), np.array([0.0, 2.0])
+    sum_optimal = min(_pairings(a, b), key=lambda d: d.sum())
+    assert sum_optimal.max() == pytest.approx(2.0 * np.sqrt(2.0))
+    assert checks._bottleneck_distance(a, b) == 2.0
+
+
+def test_bottleneck_distance_is_at_most_the_assignment_maximum_on_the_battery():
+    """On every spectrum the battery compares, the bottleneck is no larger
+    than the largest distance of scipy's sum-optimal assignment, and it passes."""
+    from scipy.optimize import linear_sum_assignment
+
+    for n in range(3, checks._ORACLE_N + 1):
+        g = _grid(n)
+        Dp, Dm = ops.upwind_D_plus(g), ops.upwind_D_minus(g)
+        upw = ops.upwind_mass(g, 1.0)
+        operators = [
+            ops.central_D(g), Dm, Dp, ops.diagonal_mass(g),
+            ops.banded_mass(g, MassParams(m_v=1.0, m_p=0.4, m_vv=0.07)),
+            ops.extended_mass(g, MassParams(1.0, 1.0 / 3.0, 0.0, 0.1, 0.05)),
+            upw, upw @ (Dp - Dm),
+        ]
+        for op in operators:
+            sym_eigs = spectral.eigenvalues(op)
+            dense_eigs = np.linalg.eigvals(op.dense())
+            cost = np.abs(sym_eigs[:, None] - dense_eigs[None, :])
+            r, c = linear_sum_assignment(cost)
+            bottleneck = checks._bottleneck_distance(sym_eigs, dense_eigs)
+            assert bottleneck <= cost[r, c].max()
+            assert bottleneck <= 1e-9 * np.abs(sym_eigs).max()

@@ -138,6 +138,32 @@ def test_spectrum_operator_file_roundtrip(tmp_path, capsys):
     assert data_a == data_b
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dx", float("nan")),
+        ("scale", float("inf")),
+        ("rows", [[float("nan"), 0.0], [0.0, 1.0]]),
+        ("n", 5.7),
+    ],
+)
+def test_spectrum_rejects_a_non_finite_or_fractional_operator_file(field, value, tmp_path, capsys):
+    """Nothing is printed or dumped: no ``nan`` rows, no ``NaN`` JSON, no n = 5 from 5.7."""
+    op = {"n": 5, "dx": 1.0, "scale": 1.0, "blocks": [{"offset": 0, "rows": [[1.0, 0.0], [0.0, 1.0]]}]}
+    if field == "rows":
+        op["blocks"][0]["rows"] = value
+    else:
+        op[field] = value
+    op_path, dump = tmp_path / "op.json", tmp_path / "dump.json"
+    op_path.write_text(json.dumps(op))
+    argv = ("spectrum", "--operator", f"file:{op_path}", "--dump-operator", str(dump))
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not dump.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed operator description")
+
+
 def test_spectrum_unknown_operator(capsys):
     assert run_cli("spectrum", "--operator", "laplacian") == 2
     assert "error:" in capsys.readouterr().err
@@ -236,6 +262,29 @@ def test_solve_bad_custom_tableau(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "tableau",
+    [
+        {"a": [[0, 0], [1, 0]], "b": [_NAN, _NAN], "c": [0, 1]},
+        {"a": [[0, 0], [_INF, 0]], "b": [0.5, 0.5], "c": [0, _INF]},
+        {"a": [[0, 0], [1, 0]], "b": [0.5, 0.5], "c": [0, _NAN]},
+    ],
+    ids=["b_nan", "a_c_inf", "c_nan"],
+)
+def test_solve_rejects_a_non_finite_custom_tableau_up_front(tableau, tmp_path, capsys):
+    """NaN passes every ``abs(...) > 1e-12`` guard; it must not reach the stepper."""
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tableau))  # writes NaN and Infinity
+    assert run_cli("solve", "--n", "8", "--rk", f"custom:{path}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # mass-scan
 # ---------------------------------------------------------------------------
@@ -293,6 +342,10 @@ def test_mass_scan_rejects_bad_ranges(capsys):
         ("solve", "--dt-factor", "inf"),
         ("solve", "--speed", "nan"),
         ("verify", "--x-min", "-inf"),
+        ("mass-scan", "--mv", "nan", "--mp-min", "0", "--mp-max", "1", "--steps", "2"),
+        ("mass-scan", "--mp-min", "0", "--mp-max", "inf", "--steps", "2"),
+        ("mass-scan", "--mp-min", "-inf", "--mp-max", "0"),
+        ("mass-scan", "--mp-min", "nan", "--mp-max", "nan", "--steps", "1"),
     ],
 )
 def test_non_finite_inputs_are_rejected_up_front(argv, capsys):
@@ -405,3 +458,26 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "36/36 checks passed" in proc.stdout
+
+
+def test_verify_runs_with_scipy_blocked_and_never_imports_it():
+    """numpy is the only runtime dependency, the dense-oracle path (n <= 64) included."""
+    blocked = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        "from activeflux import cli\n"
+        "sys.exit(cli.main(['verify', '--n', '50']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", blocked], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "36/36 checks passed" in proc.stdout
+    loaded = (
+        "import sys\n"
+        "import activeflux.cli\n"
+        "from activeflux import build_grid, run_all\n"
+        "assert all(r.passed for r in run_all(build_grid(50)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", loaded], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

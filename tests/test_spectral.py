@@ -167,6 +167,14 @@ def test_hermitian_classify_matches_dense_eigensolver():
     assert cls.max_eigenvalue == pytest.approx(w.max(), rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("params", [MassParams(float("nan"), 0.4), MassParams(1.0, float("inf"))])
+def test_hermitian_classify_rejects_a_non_finite_symbol(params):
+    """A NaN eigenvalue is neither negative nor zero; it must not be classified."""
+    M = ops.banded_mass(ops.build_grid(8), params)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        spectral.hermitian_classify(M)
+
+
 def test_hermitian_classify_rejects_asymmetric():
     g = ops.build_grid(5)
     with pytest.raises(ValueError):
