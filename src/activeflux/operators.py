@@ -23,7 +23,8 @@ which preserves symmetry and the operator identities.
 the frozen operator holds, per stored block, its transposed block in
 contiguous memory and where its operand window starts in a halo-extended
 copy of the input (the input with ``h`` wrapped cells on each side).  A call
-gathers that copy once with ``np.take(..., mode="wrap")``, adds one
+builds that copy once by concatenating the last ``h`` cells, the input and the
+first ``h`` cells (no copy at all when ``h = 0``), adds one
 ``(n, 2) @ (2, 2)`` product per block into zeros in block insertion order,
 and multiplies by ``scale`` once.  These are exactly the floating-point
 operations of rolling the operand once per block, so results are bit-for-bit
@@ -238,7 +239,8 @@ class BlockCirculantOp:
         if u.shape != (2 * self.n,):
             raise ValueError(f"expected shape ({2 * self.n},), got {u.shape}")
         h, terms = self._plan
-        x = u.reshape(self.n, 2).take(np.arange(-h, self.n + h), axis=0, mode="wrap")
+        u2 = u.reshape(self.n, 2)
+        x = np.concatenate((u2[self.n - h :], u2, u2[:h])) if h else u2
         out = np.zeros((self.n, 2), dtype=np.result_type(x.dtype, float))
         for s, a_t in terms:
             out += x[s : s + self.n] @ a_t

@@ -6,6 +6,12 @@ inner product.  A relaxation parameter gamma rescales each RK update so the
 discrete energy change matches the inner-product estimate of the true change,
 which makes the central scheme conserve energy to rounding and keeps the
 upwind scheme monotone.
+
+For the central scheme the estimate is zero by construction: the SBP
+identity ``M D + D^T M = 0`` makes every stage term ``<y_i, M f_i>``
+vanish.  :func:`run_experiment` reads that off the operators once per run
+and then relaxes towards zero change without evaluating the estimate,
+which saves one matvec per stage (rk4x2: 10 instead of 18 per step).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import operators as ops
+from . import spectral
 from .operators import BlockCirculantOp, Grid
 
 __all__ = [
@@ -254,8 +261,10 @@ def relaxation_gamma(
 
     Solves ``E(u + gamma d) - E(u) = gamma * e`` for the nontrivial root,
     where ``d = u_next - u`` and ``e = 2 dt sum_i b_i <y_i, f_i>_M`` is the
-    inner-product estimate of the energy change.  Returns 1 when the update
-    is too small for the quadratic to be meaningful.
+    inner-product estimate of the energy change.  Empty ``stage_data`` means
+    ``e = 0``, which a caller passes when ``M D + D^T M = 0`` makes every
+    stage term vanish; it saves the ``M f_i`` products.  Returns 1 when the
+    update is too small for the quadratic to be meaningful.
     """
     d = u_next - u
     Md = M @ d
@@ -267,6 +276,64 @@ def relaxation_gamma(
         e += st.b * float(st.y @ (M @ st.f))
     e *= 2.0 * dt
     return (e - 2.0 * float(u @ Md)) / d2
+
+
+def _estimate_vanishes(scheme: Scheme) -> bool:
+    """True when ``M D + D^T M`` has no blocks, so ``<y, M D y> = 0`` for every y.
+
+    The blocks of the two terms cancel exactly or not at all: the central
+    pair cancels, the upwind pairs leave their dissipation.
+    """
+    MD = scheme.M_energy @ scheme.D_effective
+    return not (MD + MD.T).blocks
+
+
+def _stability_coefficients(method: RKMethod) -> list[float]:
+    """Coefficients ``[1, b.1, b.A1, ..., b.A^(s-1)1]`` of ``R(z)``, constant term first."""
+    A, v = np.array(method.a), np.ones(method.stages)
+    coeffs = [1.0]
+    for _ in range(method.stages):
+        coeffs.append(float(np.dot(method.b, v)))
+        v = A @ v
+    return coeffs
+
+
+def _amplification_symbols(
+    scheme: Scheme, method: RKMethod, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode step matrices ``P_k = R(Z_k)``, ``Z_k = -a dt B_k(D)``, and their size bounds.
+
+    One unrelaxed step maps the mode coefficients ``fft(u.reshape(n, 2),
+    axis=0)[k]`` to ``P_k`` times them.  ``P`` has shape ``(n, 2, 2)`` and
+    comes from Horner's rule on the stacked 2x2 matrices, O(n s); the bound
+    ``p(|Z_k|) = sum_j |c_j| |Z_k|^j`` (the infinity norm of ``Z_k``) runs
+    through the same recursion and scales the rounding of ``P_k``.
+    """
+    Z = (-scheme.advection_speed * dt) * spectral._all_symbols(scheme.D_effective)
+    znorm = np.abs(Z).sum(axis=2).max(axis=1)
+    coeffs = _stability_coefficients(method)
+    eye = np.eye(2)
+    P, bound = np.broadcast_to(coeffs[-1] * eye, Z.shape), np.full_like(znorm, abs(coeffs[-1]))
+    for c in reversed(coeffs[:-1]):
+        P, bound = P @ Z + c * eye, bound * znorm + abs(c)
+    return P, bound
+
+
+def _amplification_radius(scheme: Scheme, method: RKMethod, dt: float) -> tuple[float, float]:
+    """``rho = max_k rho(P_k)`` and the rounding tolerance of ``rho <= 1``.
+
+    Horner's rule computes ``P_k`` to about ``3 s eps p(|Z_k|)`` (each of
+    the ``s`` steps is a 2-term product and a sum); the symbols of D and the
+    closed-form eigenvalues add a few eps more.  The tolerance
+    ``16 s eps max_k p(|Z_k|)`` leaves room for the eigenvector
+    conditioning, sqrt(3) for the central symbols, which are skew in the
+    ``M_k`` inner product.  Measured on the stable pairs at n = 16 to 1200,
+    dt = dx/4 and dx/2: ``rho - 1 <= 2.2e-16`` against tolerances of 5e-14
+    to 8e-12; the unstable ones sit at ``rho - 1 >= 0.19``.
+    """
+    P, bound = _amplification_symbols(scheme, method, dt)
+    rho = float(np.abs(spectral._eig_pairs(P)).max())
+    return rho, 16.0 * method.stages * np.finfo(float).eps * float(bound.max())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -348,11 +415,19 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     floating point, so a relaxed run misses ``t_end`` by up to
     ``|gamma - 1| * dt`` (cf. relaxation RK, Ranocha et al. 2020): 2.0e-9
     past it for the default central run, 3.5e-4 for n = 24 with
-    ``dt_factor = 100``.  Raises
-    :class:`EnergyBlowUpError` if the energy exceeds 1e3 times its initial
-    value (the nominal time step is not checked for stability up front).
-    Non-finite or non-positive ``t_end``/``dt_factor`` and a non-finite
-    advection speed raise :class:`ValueError` before any work is done.
+    ``dt_factor = 100``.
+
+    Relaxed steps skip the stage energy estimate (``e = 0``, no ``M f_i``
+    products) when the operators satisfy ``M D + D^T M = 0`` and the
+    nominal step is linearly stable, ``rho = max_k rho(P_k) <= 1`` up to
+    rounding, with ``P_k`` the per-mode step matrices.  Both are decided once
+    per run.  ``rho`` only selects the estimate: an unstable step (relaxed
+    central ssprk33 at ``dt_factor = 0.5`` has ``rho = 1.2``) keeps it and
+    is not refused, so its chaotic trajectory stays that of the full
+    estimate.  Raises :class:`EnergyBlowUpError` if the energy exceeds 1e3
+    times its initial value.  Non-finite or non-positive
+    ``t_end``/``dt_factor`` and a non-finite advection speed raise
+    :class:`ValueError` before any work is done.
     """
     for name in ("t_end", "dt_factor"):
         value = float(getattr(config, name))
@@ -367,6 +442,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     u = project_initial(grid, f0)
 
     dt_nominal = config.dt_factor * grid.dx
+    skip_estimate = False
+    if config.relaxation and _estimate_vanishes(scheme):
+        rho, tol = _amplification_radius(scheme, method, dt_nominal)
+        skip_estimate = rho <= 1.0 + tol
     e0 = scheme.energy(u)
     times = [0.0]
     energies = [e0]
@@ -386,7 +465,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
         dt = min(dt_nominal, t_end - t)
         u_next, stage_data = rk_step(scheme, method, u, dt)
         if config.relaxation and dt > 1e-4 * dt_nominal:
-            gamma = relaxation_gamma(u, u_next, stage_data, scheme.M_energy, dt)
+            estimate_data = () if skip_estimate else stage_data
+            gamma = relaxation_gamma(u, u_next, estimate_data, scheme.M_energy, dt)
             if gamma <= 0.0:
                 raise EnergyBlowUpError(
                     f"relaxation parameter became non-positive ({gamma:.3g}) at "

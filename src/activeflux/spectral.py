@@ -164,10 +164,25 @@ def hermitian_classify(op: BlockCirculantOp) -> Definiteness:
     eigenvalues of low-frequency modes are not taken for zeros.  The mass
     family's smallest genuine eigenvalue shrinks like ``n**-2`` (4.1e-13
     ``s_k`` at n = 1e6) and meets the bound near n = 1e7.  A symbol with a
-    non-finite entry raises :class:`ValueError`.
+    non-finite entry raises :class:`ValueError`.  Finite but huge or tiny
+    operators classify as their unit-scale copies do.
     """
+    with np.errstate(over="ignore"):  # a norm past the float range reads as inf
+        norm = op.norm_inf()
+    e = 0
+    if not 2.0**-300 < norm < 2.0**300:
+        # Divide by 2**e, a power of two near the largest entry: that is
+        # exact, so every decision below is that of op and the eigenvalues
+        # scale back exactly, while no norm, square or sum of op / 2**e can
+        # overflow or underflow (m_v = 1e308 or 1e-300 in the mass family).
+        m, es = np.frexp(op.scale)
+        eb = max((int(np.frexp(np.abs(a).max())[1]) for a in op.blocks.values()), default=0)
+        e = int(es) + eb
+        blocks = {j: np.ldexp(a, -eb) for j, a in op.blocks.items()}
+        op = BlockCirculantOp(op.n, op.dx, float(m), blocks)
+        norm = op.norm_inf()
     defect = (op - op.T).norm_inf()
-    if defect > 1e-12 * max(op.norm_inf(), 1e-300):
+    if defect > 1e-12 * max(norm, 1e-300):
         raise ValueError(f"operator is not symmetric (defect {defect:.3e})")
     # a, d and |b| of each mode's Hermitian part [[a, b], [conj(b), d]]
     B = _all_symbols(op)
@@ -198,9 +213,11 @@ def hermitian_classify(op: BlockCirculantOp) -> Definiteness:
     else:
         kind = "indefinite"
     # lo <= hi in every mode (rad >= 0), so the extremes sit in one branch each
+    with np.errstate(over="ignore"):  # an eigenvalue past the float range reads as +-inf
+        lo_min, hi_max = np.ldexp([lo.min(), hi.max()], e)
     return Definiteness(
         kind=kind,
         zero_multiplicity=zeros,
-        min_eigenvalue=float(lo.min()),
-        max_eigenvalue=float(hi.max()),
+        min_eigenvalue=float(lo_min),
+        max_eigenvalue=float(hi_max),
     )

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -324,6 +325,41 @@ def test_mass_scan_endpoint_semidefinite(capsys):
     row = [ln for ln in out.splitlines() if not ln.startswith("#")][1].split(",")
     assert row[2] == "positive_semidefinite"
     assert int(row[3]) == 1
+
+
+def _scan_rows(capsys, *argv):
+    """Data rows of a mass-scan printed to stdout, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("mass-scan", *argv) == 0
+    out = capsys.readouterr().out
+    return [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")][1:]
+
+
+@pytest.mark.parametrize(
+    "huge, unit",
+    [
+        # m_p / m_v = 0 and 1e-308
+        (("--mv", "1e308", "--mp-min", "0", "--mp-max", "1", "--steps", "2"),
+         ("--mv", "1", "--mp-min", "0", "--mp-max", "1e-308", "--steps", "2")),
+        # 2**1020 times the window sweep, both edges included: an exact rescaling
+        (("--mv", repr(2.0**1020), "--mp-min", "0", "--mp-max", repr(2.0**1020), "--steps", "10"),
+         ("--mv", "1", "--mp-min", "0", "--mp-max", "1", "--steps", "10")),
+        # tiny weights, whose squares used to underflow to zero
+        (("--mv", "1e-300", "--mp-min", "0", "--mp-max", "1e-300", "--steps", "7"),
+         ("--mv", "1", "--mp-min", "0", "--mp-max", "1", "--steps", "7")),
+    ],
+    ids=["mv_1e308", "mv_2_to_1020", "mv_1e-300"],
+)
+def test_mass_scan_of_extreme_finite_weights_is_scale_free(capsys, huge, unit):
+    """Finite but huge or tiny weights neither overflow nor change the classification."""
+    big, ref = _scan_rows(capsys, *huge), _scan_rows(capsys, *unit)
+    assert [r[2:4] for r in big] == [r[2:4] for r in ref]
+    assert all(math.isfinite(float(r[4])) for r in big)
+    scale = float(huge[1])
+    zero_tol = 16 * np.finfo(float).eps * scale  # the classification's zero bound
+    for r, q in zip(big, ref):
+        assert float(r[4]) == pytest.approx(scale * float(q[4]), rel=1e-14, abs=zero_tol)
 
 
 def test_mass_scan_rejects_bad_ranges(capsys):

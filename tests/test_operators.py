@@ -279,7 +279,7 @@ def _every_builder(g):
     ]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 64, 1200])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 64, 1200])
 def test_matvec_is_bit_identical_to_rolled_kernel(n):
     rng = np.random.default_rng(n)
     g = ops.build_grid(n)
@@ -292,6 +292,22 @@ def test_matvec_is_bit_identical_to_rolled_kernel(n):
             np.testing.assert_array_equal(got, want)
             # signed zeros too (the empty operator with negative scale gives -0.0)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_matvec_without_a_halo_reads_the_operand_in_place(n):
+    """Offsets that reduce to 0 need no halo copy; the result is still the
+    rolled kernel's, and the operand is left untouched."""
+    g = ops.build_grid(n)
+    blocks = {0: [[1.0, 2.0], [3.0, 4.0]], n: [[0.5, 0.0], [0.0, -1.0]]}
+    op = BlockCirculantOp(n, g.dx, -1.5, blocks)
+    assert op._plan[0] == 0
+    u = np.random.default_rng(n).normal(size=2 * n)
+    before = u.copy()
+    got = op @ u
+    assert got.tobytes() == _rolled_matvec(op, u).tobytes()
+    np.testing.assert_array_equal(u, before)
+    assert not np.shares_memory(got, u)
 
 
 def test_norm_inf_matches_dense():

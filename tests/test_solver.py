@@ -347,3 +347,152 @@ def test_reversed_wind_still_dissipates():
     )
     assert trace.total_change < 0.0
     assert trace.max_increment <= 1e-13 * trace.initial_energy
+
+
+# ---------------------------------------------------------------------------
+# relaxation from the SBP identity: the central estimate is structurally zero
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [3, 4, 16])
+def test_estimate_vanishes_for_central_and_not_for_upwind(n):
+    g = ops.build_grid(n)
+    assert solver._estimate_vanishes(make_scheme(g, "central", 1.0))
+    for a in (1.0, -1.0):
+        assert not solver._estimate_vanishes(make_scheme(g, "upwind", a))
+
+
+def _full_estimate_run(config):
+    """The time loop of ``run_experiment``, always passing the stage data."""
+    g = ops.build_grid(config.n, config.x_min, config.x_max)
+    s = make_scheme(g, config.variant, config.advection_speed)
+    method = resolve_method(config.rk)
+    u = project_initial(g, solver.default_initial)
+    dt_nominal, t, steps = config.dt_factor * g.dx, 0.0, 0
+    while config.t_end - t > 1e-9 * dt_nominal:
+        dt = min(dt_nominal, config.t_end - t)
+        u_next, stages = rk_step(s, method, u, dt)
+        gamma = 1.0
+        if config.relaxation and dt > 1e-4 * dt_nominal:
+            gamma = relaxation_gamma(u, u_next, stages, s.M_energy, dt)
+        u, t, steps = u + gamma * (u_next - u), t + gamma * dt, steps + 1
+    return u, t, steps
+
+
+@pytest.mark.parametrize(
+    "variant, rk, per_step",
+    [
+        ("central", "rk4x2", 10),
+        ("central", "rk4", 6),
+        ("upwind", "rk4x2", 18),
+        ("central", "ssprk33", 8),
+    ],
+)
+def test_relaxed_matvecs_per_step(monkeypatch, variant, rk, per_step):
+    """Stages + one M d + one energy; plus one M f_i per stage where the
+    estimate is kept (upwind, and the linearly unstable central ssprk33)."""
+    calls = []
+    matvec = ops.BlockCirculantOp.matvec
+    def counted(op, u):
+        calls.append(1)
+        return matvec(op, u)
+
+    monkeypatch.setattr(ops.BlockCirculantOp, "matvec", counted)
+    trace, _ = run_experiment(ExperimentConfig(variant=variant, rk=rk, n=16))
+    steps = len(trace.times) - 1
+    assert np.all(trace.gammas[1:] != 1.0)  # every step was relaxed
+    assert len(calls) == 1 + per_step * steps  # one initial energy
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0])
+@pytest.mark.parametrize("n", [3, 16, 128])
+@pytest.mark.parametrize("rk", ["rk4", "rk4x2"])
+def test_skipped_estimate_agrees_with_the_full_estimate(rk, n, a):
+    """``e = 0`` replaces a float64 sum of rounding errors (zero in exact
+    arithmetic), so each step's gamma moves at rounding level; over a
+    non-expanding map the states part by at most a few eps per step
+    (measured: 0.52 steps eps)."""
+    config = ExperimentConfig(rk=rk, n=n, advection_speed=a)
+    trace, u = run_experiment(config)
+    want, t_want, steps = _full_estimate_run(config)
+    assert len(trace.times) == steps + 1
+    assert np.abs(u - want).max() <= 4 * steps * EPS * np.abs(want).max()
+    assert abs(trace.times[-1] - t_want) <= 4 * steps * EPS * config.t_end
+    assert trace.max_drift <= 2 * n * EPS * trace.initial_energy
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0])
+@pytest.mark.parametrize("n", [16, 32])
+def test_unstable_central_ssprk33_keeps_the_full_estimate(n, a):
+    """rho = 1.2 at dt = dx/2 makes the run chaotic; it keeps its estimate,
+    so its states are those of the full-estimate loop, bit for bit."""
+    config = ExperimentConfig(rk="ssprk33", n=n, advection_speed=a)
+    trace, u = run_experiment(config)
+    want, t_want, _ = _full_estimate_run(config)
+    np.testing.assert_array_equal(u, want)
+    assert trace.times[-1] == t_want
+
+
+# ---------------------------------------------------------------------------
+# amplification symbols: one step per mode is P_k = R(-a dt B_k(D))
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 17, 64])
+@pytest.mark.parametrize("rk", ["rk4", "ssprk33", "rk4x2"])
+@pytest.mark.parametrize("variant", ["central", "upwind"])
+def test_unrelaxed_run_equals_powers_of_the_amplification_symbols(variant, rk, n, a):
+    config = ExperimentConfig(
+        variant=variant, rk=rk, n=n, advection_speed=a, relaxation=False, dt_factor=0.25, t_end=1.0
+    )
+    _, u = run_experiment(config)
+    g = ops.build_grid(n)
+    s, method = make_scheme(g, variant, a), resolve_method(rk)
+    dt_nominal = config.dt_factor * g.dx
+    full, t = 0, 0.0
+    while config.t_end - t > 1e-9 * dt_nominal and dt_nominal <= config.t_end - t:
+        full, t = full + 1, t + dt_nominal
+    P, _ = solver._amplification_symbols(s, method, dt_nominal)
+    step = np.linalg.matrix_power(P, full)
+    if config.t_end - t > 1e-9 * dt_nominal:  # the clipped last step
+        step = solver._amplification_symbols(s, method, config.t_end - t)[0] @ step
+        full += 1
+    u0 = project_initial(g, solver.default_initial)
+    uhat = np.fft.fft(u0.reshape(n, 2), axis=0)
+    want = np.fft.ifft((step @ uhat[:, :, None])[:, :, 0], axis=0).real.reshape(-1)
+    # each step and each matrix product rounds at a few eps per stage, with
+    # no growth (rho <= 1 at dt = dx/4); the FFTs add O(log n) eps
+    tol = 4 * method.stages * (full + np.log2(n)) * EPS * np.abs(want).max()
+    assert np.abs(u - want).max() <= tol
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "variant, rk, lo, hi",
+    [("central", "ssprk33", 0.19, 0.21), ("upwind", "rk4", 0.375 - 1e-9, 0.375 + 1e-9),
+     ("upwind", "ssprk33", 0.99, 1.01)],
+)
+def test_amplification_radius_of_the_unstable_pairs_at_half_cfl(variant, rk, lo, hi, a):
+    for n in (16, 128, 1200):
+        g = ops.build_grid(n)
+        scheme = make_scheme(g, variant, a)
+        rho, _ = solver._amplification_radius(scheme, resolve_method(rk), 0.5 * g.dx)
+        assert lo <= rho - 1.0 <= hi
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "variant, rk, dt_factor",
+    [(v, rk, 0.25) for v in ("central", "upwind") for rk in ("rk4", "ssprk33", "rk4x2")]
+    + [("central", "rk4", 0.5), ("central", "rk4x2", 0.5), ("upwind", "rk4x2", 0.5)],
+)
+def test_amplification_radius_of_the_stable_pairs(variant, rk, dt_factor, a):
+    for n in (16, 128, 1200):
+        g = ops.build_grid(n)
+        scheme = make_scheme(g, variant, a)
+        rho, tol = solver._amplification_radius(scheme, resolve_method(rk), dt_factor * g.dx)
+        assert 1.0 <= rho + tol and rho <= 1.0 + tol  # mode k = 0 has rho = 1
+        assert tol < 1e-10

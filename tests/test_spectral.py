@@ -167,6 +167,31 @@ def test_hermitian_classify_matches_dense_eigensolver():
     assert cls.max_eigenvalue == pytest.approx(w.max(), rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [-900, -600, 600, 1020])
+@pytest.mark.parametrize("ratio", [0.1, 2.0 / 9.0, 0.4, 2.0 / 3.0])
+def test_hermitian_classify_is_exact_under_power_of_two_scaling(k, ratio):
+    """Scaling by 2**k changes nothing but the eigenvalues, which scale exactly,
+    even where the entries' squares and row sums leave the float range."""
+    g = ops.build_grid(24, 0.0, 24.0)
+    base = ops.banded_mass(g, MassParams(1.0, ratio))
+    scaled = BlockCirculantOp(g.n, g.dx, g.dx, {j: np.ldexp(a, k) for j, a in base.blocks.items()})
+    with np.errstate(all="raise"):
+        want, got = spectral.hermitian_classify(base), spectral.hermitian_classify(scaled)
+    assert (got.kind, got.zero_multiplicity) == (want.kind, want.zero_multiplicity)
+    assert got.min_eigenvalue == np.ldexp(want.min_eigenvalue, k)
+    assert got.max_eigenvalue == np.ldexp(want.max_eigenvalue, k)
+
+
+def test_hermitian_classify_reports_an_eigenvalue_past_the_float_range_as_inf():
+    # every symbol is [[1, 1], [1, 1]] * 1e308: eigenvalues 0 and 2e308
+    op = BlockCirculantOp(8, 1.0, 1e308, {0: [[1.0, 1.0], [1.0, 1.0]]})
+    with np.errstate(all="raise"):
+        cls = spectral.hermitian_classify(op)
+    assert (cls.kind, cls.zero_multiplicity) == ("positive_semidefinite", 8)
+    assert cls.min_eigenvalue == 0.0
+    assert cls.max_eigenvalue == np.inf
+
+
 @pytest.mark.parametrize("params", [MassParams(float("nan"), 0.4), MassParams(1.0, float("inf"))])
 def test_hermitian_classify_rejects_a_non_finite_symbol(params):
     """A NaN eigenvalue is neither negative nor zero; it must not be classified."""
@@ -179,6 +204,15 @@ def test_hermitian_classify_rejects_asymmetric():
     g = ops.build_grid(5)
     with pytest.raises(ValueError):
         spectral.hermitian_classify(ops.central_D(g))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e308], ids=["unit", "norm_past_float_range"])
+def test_hermitian_classify_rejects_a_slightly_asymmetric_mass(scale):
+    g = ops.build_grid(16)
+    blocks = dict(ops.upwind_mass(g).blocks)
+    blocks[1] = blocks[1] + np.array([[0.0, 1e-9], [0.0, 0.0]])
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="not symmetric"):
+        spectral.hermitian_classify(BlockCirculantOp(g.n, g.dx, scale, blocks))
 
 
 def test_dissipation_operator_spectrum_closed_form():
