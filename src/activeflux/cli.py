@@ -29,6 +29,9 @@ SCHEMA_VERSION = 1
 
 _TWO_PI = 2.0 * math.pi
 
+#: rows of a 2-D float array formatted by one ``%`` operation
+_CSV_CHUNK = 1024
+
 
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
@@ -56,15 +59,18 @@ def _write_csv(path: Optional[str], config: dict, columns, rows) -> None:
     String cells pass through.  Numbers print with 17 significant digits
     (integers as themselves below 2**53), after ``+ 0.0``, which turns -0.0
     into 0.0 and leaves every other value alone.  A 2-D float array is
-    printed with one ``%`` format per line: faster than a call per cell,
-    and it makes no Python object per cell (``tolist()`` would hold about
-    28 MB more for a spectrum at n = 1e5).
+    printed in chunks of ``_CSV_CHUNK`` rows, with one ``%`` format over each
+    chunk's ``tolist()``: faster than a format per line, while the Python
+    floats alive at a time stay few (a whole-table ``tolist()`` would hold
+    about 28 MB more for a spectrum at n = 1e5).
     """
     config_json = json.dumps(config, sort_keys=True, default=_json_default)
     lines = [f"# schema_version = {SCHEMA_VERSION}", f"# config = {config_json}", ",".join(columns)]
     if isinstance(rows, np.ndarray):
         line = ",".join(["%.17g"] * rows.shape[1])
-        lines += [line % tuple(row) for row in rows + 0.0]
+        for start in range(0, rows.shape[0], _CSV_CHUNK):
+            chunk = rows[start : start + _CSV_CHUNK] + 0.0
+            lines.append("\n".join([line] * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
     else:
         for row in rows:
             cells = (c if isinstance(c, str) else "%.17g" % (float(c) + 0.0) for c in row)
@@ -246,6 +252,19 @@ def _cmd_mass_scan(args) -> int:
         raise ValueError("--steps must be at least 1")
     if args.mp_max < args.mp_min:
         raise ValueError("--mp-max must not be below --mp-min")
+    # the derived couplings are monotone in m_p: finite at both ends, finite between
+    for flag, m_p in (("--mp-min", args.mp_min), ("--mp-max", args.mp_max)):
+        params = ops.MassParams(m_v=args.m_v, m_p=m_p)
+        derived = {
+            "m_pp = (3 m_p - m_v) / 6": params.m_pp,
+            "m_vp = (m_v - 3 m_p) / 2": params.m_vp,
+        }
+        bad = [f"{name} = {value}" for name, value in derived.items() if not math.isfinite(value)]
+        if bad:
+            raise ValueError(
+                f"mass coefficients overflow at m_v = {args.m_v!r} (--mv), "
+                f"m_p = {m_p!r} ({flag}): {', '.join(bad)}"
+            )
     rows = []
     for m_p in np.linspace(args.mp_min, args.mp_max, args.steps):
         cls = checks.check_mass_definiteness(args.m_v, float(m_p))

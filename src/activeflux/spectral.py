@@ -8,11 +8,29 @@ the DFT: mode ``k`` sees the 2x2 symbol
 and the union of the symbol eigenvalues over all modes is the full spectrum.
 Everything here works mode-wise (O(n) total) with dense materialization only
 as a cross-check oracle.
+
+One kernel, ``_half_symbols``, evaluates the symbols, and only for the modes
+``k = 0..n//2``.  It reduces each stored offset into ``[-n/2, n/2)`` (the
+reduction ``BlockCirculantOp._plan`` makes, so far-out offsets lose no
+phase), merges the blocks at ``+-s`` and accumulates, in real arrays,
+
+    Re B_k = scale * sum_s cos(s theta_k) (A_s + A_-s),
+    Im B_k = scale * sum_s sin(s theta_k) (A_s - A_-s),
+
+with one cosine and one sine per offset distance ``s``, each taken of the
+exactly reduced phase ``2 pi ((s k) mod n) / n``.  Every stored block is
+real, so ``B_{n-k} = conj(B_k)`` holds exactly, and the modes past ``n/2``
+are mirrored, not evaluated: ``_all_symbols`` conjugates the matrices and
+:func:`eigenvalues` the eigenvalue pairs.  :func:`hermitian_classify` never
+forms the mirror; it weights each evaluated mode by the number of modes it
+stands for.  Both of them run the kernel on ``_CHUNK`` modes at a time, so
+that their per-mode temporaries stay cache-sized at large n.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -44,13 +62,93 @@ class Symbol:
     n: int
 
 
-def _all_symbols(op: BlockCirculantOp) -> np.ndarray:
-    """Symbols of every mode, shape ``(n, 2, 2)`` complex."""
-    theta = 2.0 * np.pi * np.arange(op.n) / op.n
-    out = np.zeros((op.n, 2, 2), dtype=complex)
+#: modes per pass in eigenvalues and hermitian_classify: the temporaries of
+#: a pass stay in cache instead of streaming arrays of length n
+_CHUNK = 16384
+
+
+@functools.lru_cache(maxsize=8)
+def _waves(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cos`` and ``sin`` of ``s theta_k`` for ``k = 0..n//2``, from the exact phase.
+
+    The phase is ``2 pi ((s k) mod n) / n`` with the reduction done in
+    integers, and ``sin`` is exactly 0 where the phase is pi, so ``B_{n/2}``
+    is real, as its own mirror.  Cached: the checks classify several
+    operators on one ring, and ``mass-scan`` classifies hundreds.
+    """
+    k = np.arange(n // 2 + 1)
+    turns = s * k % n
+    phase = 2.0 * np.pi * turns / n
+    cos, sin = np.cos(phase), np.sin(phase)
+    sin[2 * turns == n] = 0.0
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return cos, sin
+
+
+def _half_symbols(
+    op: BlockCirculantOp, modes: slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of ``B_k`` for ``k`` in ``modes`` of ``0..n//2``.
+
+    Each part has shape ``(2, 2, number of modes)``: entry-major, so that
+    each entry's row over the modes is contiguous.  Blocks reducing to the
+    same offset are summed in insertion order, and zero entries of a merged
+    block are skipped.
+    """
+    n = op.n
+    k0, k1, _ = modes.indices(n // 2 + 1)
+    merged: dict[int, list] = {}  # s -> [A_s, A_-s]
     for j, a in op.blocks.items():
-        out += np.exp(1j * (theta * j))[:, None, None] * a
-    return op.scale * out
+        r = (j + n // 2) % n - n // 2
+        pair, side = merged.setdefault(abs(r), [0.0, 0.0]), int(r < 0)
+        pair[side] = pair[side] + a
+    re = np.zeros((2, 2, k1 - k0))
+    im = np.zeros_like(re)
+    for s, (plus, minus) in merged.items():
+        if s == 0:
+            re += plus[:, :, None]
+            continue
+        cos, sin = (w[k0:k1] for w in _waves(n, s))
+        for part, block, wave in ((re, plus + minus, cos), (im, plus - minus, sin)):
+            for (row, col), v in np.ndenumerate(block):
+                if v:
+                    part[row, col] += v * wave
+    re *= op.scale
+    im *= op.scale
+    return re, im
+
+
+def _stacked(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The half-mode symbols as complex 2x2 matrices, ``(modes, 2, 2)``.
+
+    A view of entry-major storage, so that ``B[:, r, c]`` stays contiguous.
+    """
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out.transpose(2, 0, 1)
+
+
+def _mirror(out: np.ndarray) -> np.ndarray:
+    """Fill modes ``k > n//2`` of per-mode data in place by ``x_{n-k} = conj(x_k)``."""
+    n = out.shape[0]
+    m = n // 2 + 1
+    np.conjugate(out[1 : n - m + 1][::-1], out=out[m:])
+    return out
+
+
+def _all_symbols(op: BlockCirculantOp) -> np.ndarray:
+    """Symbols of every mode, shape ``(n, 2, 2)`` complex.
+
+    Modes ``0..n//2`` come from ``_half_symbols``; mode ``n - k`` is
+    ``conj(B_k)``.  The mirror is exact, not a rounding of it: the blocks
+    and the scale are real, so ``conj(sum_j A_j r**(j k)) = sum_j A_j
+    r**(-j k) = B_{n-k}``, and conjugation itself rounds nothing.
+    """
+    out = np.empty((op.n, 2, 2), dtype=complex)
+    out[: op.n // 2 + 1] = _stacked(*_half_symbols(op))
+    return _mirror(out)
 
 
 def symbol(op: BlockCirculantOp, k: int) -> Symbol:
@@ -69,7 +167,7 @@ def _eig_pairs(B: np.ndarray) -> np.ndarray:
     """
     t = B[..., 0, 0] + B[..., 1, 1]
     d = B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]
-    s = np.sqrt((t * t - 4.0 * d).astype(complex))
+    s = np.sqrt((t * t - 4.0 * d).astype(complex, copy=False))
     s = np.where(np.real(np.conj(t) * s) < 0.0, -s, s)
     lam1 = 0.5 * (t + s)
     safe = np.where(lam1 == 0.0, 1.0, lam1)
@@ -86,9 +184,20 @@ def eigenvalues(op: BlockCirculantOp) -> np.ndarray:
     """All ``2n`` eigenvalues: the symbol pairs concatenated for ``k = 0..n-1``.
 
     Within a mode the pair is ordered by (real, imaginary); the multiset
-    equals the dense-matrix spectrum.
+    equals the dense-matrix spectrum.  The pairs are solved for
+    ``k = 0..n//2``, ``_CHUNK`` modes at a time; mode ``n - k`` takes the
+    conjugates of mode ``k``, re-sorted, since ``B_{n-k} = conj(B_k)``.
     """
-    return _eig_pairs(_all_symbols(op)).reshape(-1)
+    n, m = op.n, op.n // 2 + 1
+    pairs = np.empty((n, 2), dtype=complex)
+    for start in range(0, m, _CHUNK):
+        modes = slice(start, min(start + _CHUNK, m))
+        pairs[modes] = _eig_pairs(_stacked(*_half_symbols(op, modes)))
+    # conj keeps the real parts: only pairs with equal real parts lose their order
+    lo, hi = _mirror(pairs)[m:].T
+    swap = (lo.real == hi.real) & (lo.imag > hi.imag)
+    pairs[m:][swap] = pairs[m:][swap, ::-1]
+    return pairs.reshape(-1)
 
 
 def eigenvector(op: BlockCirculantOp, k: int, which: int) -> np.ndarray:
@@ -166,6 +275,13 @@ def hermitian_classify(op: BlockCirculantOp) -> Definiteness:
     ``s_k`` at n = 1e6) and meets the bound near n = 1e7.  A symbol with a
     non-finite entry raises :class:`ValueError`.  Finite but huge or tiny
     operators classify as their unit-scale copies do.
+
+    ``a_k``, ``d_k`` and ``|b_k|`` are read from the half-mode kernel's real
+    and imaginary parts for ``k = 0..n//2`` only.  Mode ``n - k`` has the
+    conjugate symbol, hence the same ``a``, ``d``, ``|b|`` and eigenvalues,
+    so each evaluated mode counts twice in the multiplicities, except
+    ``k = 0`` and, for even ``n``, ``k = n/2``, which are their own mirrors
+    and count once.
     """
     with np.errstate(over="ignore"):  # a norm past the float range reads as inf
         norm = op.norm_inf()
@@ -184,40 +300,50 @@ def hermitian_classify(op: BlockCirculantOp) -> Definiteness:
     defect = (op - op.T).norm_inf()
     if defect > 1e-12 * max(norm, 1e-300):
         raise ValueError(f"operator is not symmetric (defect {defect:.3e})")
-    # a, d and |b| of each mode's Hermitian part [[a, b], [conj(b), d]]
-    B = _all_symbols(op)
-    if not np.isfinite(B).all():
+    # a finite norm below 2**300 bounds every symbol entry by 2**301
+    if not (np.isfinite(norm) and np.isfinite(op.scale)):
         raise ValueError("operator symbol has a non-finite entry")
-    a = B[:, 0, 0].real
-    d = B[:, 1, 1].real
-    b = np.abs(0.5 * (B[:, 0, 1] + np.conj(B[:, 1, 0])))
-    mean = 0.5 * (a + d)
-    rad = np.sqrt((0.5 * (a - d)) ** 2 + b**2)
-    lo, hi = mean - rad, mean + rad
-    # Rounding bound: each Hermitian entry is a sum of at most a few stencil
-    # coefficients times rounded unit phases, accurate to a few eps of s_k
-    # for stencils whose coefficients are of the size of s_k (every mass
-    # matrix here), and by Weyl's inequality the eigenvalues move no more
-    # than the entries do; mean -/+ rad adds about 4 eps s_k (a square, a
-    # sum, a root, a difference).  A true zero thus comes out below about
-    # 8 eps s_k, and 16 eps doubles that.  Measured: true zeros <= 6e-17 s_k
-    # for n from 3 to 1e6.
-    tol = 16.0 * np.finfo(float).eps * (np.abs(a) + np.abs(d) + 2.0 * b)
-    zeros = int(np.count_nonzero(np.abs(lo) <= tol) + np.count_nonzero(np.abs(hi) <= tol))
-    npos = int(np.count_nonzero(lo > tol) + np.count_nonzero(hi > tol))
-    nneg = int(np.count_nonzero(lo < -tol) + np.count_nonzero(hi < -tol))
-    if nneg == 0:
+    # each mode is its own mirror only at k = 0 and, for even n, k = n/2
+    n = op.n
+    own = {0, n // 2} if n % 2 == 0 else {0}
+    zeros, negative, positive = 0, False, False
+    lo_min, hi_max = np.inf, -np.inf
+    for start in range(0, n // 2 + 1, _CHUNK):
+        # a, d and |b| of each mode's Hermitian part [[a, b], [conj(b), d]]
+        re, im = _half_symbols(op, slice(start, start + _CHUNK))
+        a, d = re[0, 0], re[1, 1]
+        b = np.hypot(0.5 * (re[0, 1] + re[1, 0]), 0.5 * (im[0, 1] - im[1, 0]))
+        mean = 0.5 * (a + d)
+        rad = np.sqrt((0.5 * (a - d)) ** 2 + b**2)
+        lo, hi = mean - rad, mean + rad
+        # Rounding bound: each Hermitian entry is a sum of at most a few stencil
+        # coefficients times rounded unit phases, accurate to a few eps of s_k
+        # for stencils whose coefficients are of the size of s_k (every mass
+        # matrix here), and by Weyl's inequality the eigenvalues move no more
+        # than the entries do; mean -/+ rad adds about 4 eps s_k (a square, a
+        # sum, a root, a difference).  A true zero thus comes out below about
+        # 8 eps s_k, and 16 eps doubles that.  Measured: true zeros <= 6e-17 s_k
+        # for n from 3 to 1e6.
+        tol = 16.0 * np.finfo(float).eps * (np.abs(a) + np.abs(d) + 2.0 * b)
+        single = [k - start for k in own if start <= k < start + a.size]
+        for mask in (np.abs(lo) <= tol, np.abs(hi) <= tol):
+            zeros += 2 * np.count_nonzero(mask) - np.count_nonzero(mask[single])
+        # lo <= hi in every mode (rad >= 0): lo decides negatives, hi positives,
+        # and the extremes sit in one branch each
+        negative = negative or bool((lo < -tol).any())
+        positive = positive or bool((hi > tol).any())
+        lo_min, hi_max = min(lo_min, lo.min()), max(hi_max, hi.max())
+    if not negative:
         kind = "positive_definite" if zeros == 0 else "positive_semidefinite"
-    elif npos == 0:
+    elif not positive:
         kind = "negative_definite" if zeros == 0 else "negative_semidefinite"
     else:
         kind = "indefinite"
-    # lo <= hi in every mode (rad >= 0), so the extremes sit in one branch each
     with np.errstate(over="ignore"):  # an eigenvalue past the float range reads as +-inf
-        lo_min, hi_max = np.ldexp([lo.min(), hi.max()], e)
+        lo_min, hi_max = np.ldexp([lo_min, hi_max], e)
     return Definiteness(
         kind=kind,
-        zero_multiplicity=zeros,
+        zero_multiplicity=int(zeros),
         min_eigenvalue=float(lo_min),
         max_eigenvalue=float(hi_max),
     )

@@ -362,6 +362,38 @@ def test_mass_scan_of_extreme_finite_weights_is_scale_free(capsys, huge, unit):
         assert float(r[4]) == pytest.approx(scale * float(q[4]), rel=1e-14, abs=zero_tol)
 
 
+@pytest.mark.parametrize(
+    "argv, flag, m_p",
+    [
+        (("--mv", "1e308", "--mp-min", "0", "--mp-max", "1e308", "--steps", "10"),
+         "--mp-max", "1e+308"),
+        (("--mv", "1e308", "--mp-min", "-3e307", "--mp-max", "0"), "--mp-min", "-3e+307"),
+        (("--mv", "-1e308", "--mp-min", "0", "--mp-max", "3e307"), "--mp-max", "3e+307"),
+    ],
+    ids=["3_mp_overflows", "3_mp_minus_mv_overflows", "negative_mv"],
+)
+def test_mass_scan_rejects_overflowing_mass_coefficients_up_front(argv, flag, m_p, capsys):
+    """Finite flags whose derived m_pp and m_vp overflow: exit 2, no warning, named cause."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("mass-scan", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: mass coefficients overflow")
+    assert f"m_p = {m_p} ({flag})" in lines[0]
+    assert "m_pp = (3 m_p - m_v) / 6 = " in lines[0] and "m_vp = (m_v - 3 m_p) / 2 = " in lines[0]
+
+
+def test_mass_scan_just_below_the_overflow_runs_without_warnings(capsys):
+    argv = ("--mv", "1e308", "--mp-min", "-2.5e307", "--mp-max", "5e307", "--steps", "4")
+    rows = _scan_rows(capsys, *argv)
+    assert [r[2] for r in rows] == ["indefinite"] * 2 + ["positive_definite"] * 2
+    # the first row's true minimum eigenvalue lies past the float range
+    assert float(rows[0][4]) == -math.inf
+    assert all(math.isfinite(float(r[4])) for r in rows[1:])
+
+
 def test_mass_scan_rejects_bad_ranges(capsys):
     assert run_cli("mass-scan", "--mp-min", "0.5", "--mp-max", "0.2") == 2
     assert run_cli("mass-scan", "--mp-min", "0.2", "--mp-max", "0.5", "--steps", "0") == 2
