@@ -271,17 +271,17 @@ def _mass_recovery_report(
     def residual(blocks: dict) -> dict[int, np.ndarray]:
         P = BlockCirculantOp(grid.n, grid.dx, grid.dx, blocks)
         R = P @ Dp + Dm.T @ P
-        return {j: R.scale * a for j, a in R.reduced_blocks().items()}
+        return {j: R.scale * a for j, a in R.blocks.items()}
 
     residuals = [residual(B) for B in [fixed, *basis]]
-    offsets = sorted(set().union(*residuals))
+    offsets = sorted(set().union(*residuals), key=lambda j: j % grid.n)
     system = np.array(
         [np.concatenate([r.get(j, np.zeros((2, 2))).ravel() for j in offsets]) for r in residuals]
     ).T
     A, b = system[:, 1:], -system[:, 0]
     sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
     lsq_res = float(np.abs(A @ sol - b).max())
-    entry_max = max(float(np.abs(Dp.scale * a).max()) for a in Dp.reduced_blocks().values())
+    entry_max = max(float(np.abs(Dp.scale * a).max()) for a in Dp.blocks.values())
     scale = max(1.0, entry_max * grid.dx)
     dev = 1.0 if rank < len(basis) else max(float(np.abs(sol - expected).max()), lsq_res / scale)
     return _report(

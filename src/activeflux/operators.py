@@ -15,9 +15,11 @@ together with a single scalar prefactor (``1/dx`` for derivatives, ``dx`` for
 mass matrices) so that stencil entries stay exact integers or exact
 parameter expressions in floating point.
 
-For very small ``n`` distinct signed offsets may alias the same block column
-(e.g. ``-2 == +1 (mod 3)``); all evaluation paths accumulate aliased blocks,
-which preserves symmetry and the operator identities.
+An operator is built into one normal form, which every reader takes as
+stored: each offset moves by a multiple of ``n`` into ``[-n//2, n - n//2)``,
+blocks landing on one offset (e.g. ``-2`` and ``+1`` at ``n = 3``) are summed
+in insertion order, and zero blocks are dropped, so an operator without
+blocks is exactly the zero operator.
 
 ``BlockCirculantOp.matvec`` is the one evaluation kernel.  A plan cached on
 the frozen operator holds, per stored block, its transposed block in
@@ -166,9 +168,8 @@ class BlockCirculantOp:
     """Operator on interleaved dof vectors, given by a ring of 2x2 blocks.
 
     ``blocks[j]`` acts on cell ``i + j`` from block row ``i`` and is stored
-    unscaled; the effective matrix is ``scale * circulant(blocks)``.  Offsets
-    are kept as given (signed, possibly outside ``range(n)``) and reduced
-    mod ``n`` only when the operator is evaluated.
+    unscaled, in the normal form of the module docstring; the effective
+    matrix is ``scale * circulant(blocks)``.
     """
 
     n: int
@@ -177,15 +178,18 @@ class BlockCirculantOp:
     blocks: Mapping[int, np.ndarray]
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"need n >= 3, got {self.n}")
-        clean = {}
+        n = self.n
+        if n < 3:
+            raise ValueError(f"need n >= 3, got {n}")
+        merged: dict[int, np.ndarray] = {}
         for j, a in self.blocks.items():
             a = np.asarray(a, dtype=float)
             if a.shape != (2, 2):
                 raise ValueError(f"block at offset {j} has shape {a.shape}, want (2, 2)")
-            if a.any():  # NaN counts as nonzero, -0.0 as zero
-                clean[int(j)] = _frozen(a)
+            r = (int(j) + n // 2) % n - n // 2
+            merged[r] = merged[r] + a if r in merged else a
+        # NaN counts as nonzero, -0.0 as zero
+        clean = {r: _frozen(a) for r, a in merged.items() if np.count_nonzero(a)}
         object.__setattr__(self, "blocks", clean)
 
     # -- structure ---------------------------------------------------------
@@ -197,32 +201,16 @@ class BlockCirculantOp:
     def offsets(self) -> list[int]:
         return sorted(self.blocks)
 
-    def block(self, j: int) -> np.ndarray:
-        """The stored block at signed offset ``j`` (zeros if absent)."""
-        return self.blocks.get(int(j), _ZERO_BLOCK)
-
-    def reduced_blocks(self) -> dict[int, np.ndarray]:
-        """Blocks accumulated onto canonical offsets ``0..n-1``."""
-        red: dict[int, np.ndarray] = {}
-        for j, a in self.blocks.items():
-            r = j % self.n
-            red[r] = red[r] + a if r in red else a.copy()
-        return red
-
     # -- evaluation --------------------------------------------------------
 
     @functools.cached_property
     def _plan(self) -> tuple[int, list[tuple[int, np.ndarray]]]:
-        """Halo width ``h`` and ``(h + r, contiguous A_j^T)`` per block, in insertion order.
+        """Halo width ``h = max |j|`` and ``(h + j, contiguous A_j^T)`` per block.
 
-        ``r`` is ``j`` moved by a multiple of ``n`` into ``[-n//2, n - n//2)``
-        (same block column), so far-out stored offsets cannot widen the halo;
-        ``h = max |r|``.  O(#blocks): nothing of size O(n) is cached.
+        In block insertion order; O(#blocks): nothing of size O(n) is cached.
         """
-        n = self.n
-        shifts = [((j + n // 2) % n - n // 2, a) for j, a in self.blocks.items()]
-        h = max((abs(r) for r, _ in shifts), default=0)
-        return h, [(h + r, np.ascontiguousarray(a.T)) for r, a in shifts]
+        h = max(map(abs, self.blocks), default=0)
+        return h, [(h + j, np.ascontiguousarray(a.T)) for j, a in self.blocks.items()]
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """``scale * circulant(blocks) @ u`` through one halo-extended operand.
@@ -231,9 +219,8 @@ class BlockCirculantOp:
         operand once per block (``np.roll(x, -j) @ A_j^T``), accumulating
         into zeros in block insertion order and multiplying by ``scale``
         once.  Only the operand copy is shared between blocks; each block
-        keeps its own ``(n, 2) @ (2, 2)`` product, and blocks whose offsets
-        alias on tiny rings are never merged.  See the module docstring for
-        why no reassociating kernel (CSR) is used.
+        keeps its own ``(n, 2) @ (2, 2)`` product.  See the module docstring
+        for why no reassociating kernel (CSR) is used.
         """
         u = np.asarray(u)
         if u.shape != (2 * self.n,):
@@ -252,19 +239,17 @@ class BlockCirculantOp:
         if self.n > DENSE_LIMIT:
             raise ValueError(f"n={self.n} exceeds the dense limit {DENSE_LIMIT}")
         out = np.zeros(self.shape)
+        cells = out.reshape(self.n, 2, self.n, 2)
         rows = np.arange(self.n)
-        for j, a in self.reduced_blocks().items():
-            cols = (rows + j) % self.n
-            for r in range(2):
-                for c in range(2):
-                    out[2 * rows + r, 2 * cols + c] += self.scale * a[r, c]
+        for j, a in self.blocks.items():
+            # each block is written once; adding to zeros keeps +0.0 for 0 * scale
+            cells[rows, :, (rows + j) % self.n, :] += self.scale * a
         return out
 
     def norm_inf(self) -> float:
         """Matrix infinity norm (maximum absolute row sum)."""
-        red = self.reduced_blocks()
         row = np.zeros(2)
-        for a in red.values():
+        for a in self.blocks.values():
             row += np.abs(self.scale * a).sum(axis=1)
         return float(row.max(initial=0.0))
 
@@ -361,9 +346,6 @@ class BlockCirculantOp:
             return cls(int(n), dx, scale, {int(j): r for j, r in zip(offsets, rows)})
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed operator description: {exc}") from exc
-
-
-_ZERO_BLOCK = _frozen(np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +478,17 @@ def extended_mass(grid: Grid, params: MassParams) -> BlockCirculantOp:
     and average rows ``(0, m_vvv, m_vvp, m_vv, m_vp, m_v, m_vp, m_vv, m_vvp,
     m_vvv) * dx`` with ``y = (3 m_p - m_v + 2 m_vv - 2 m_vvp)/6``.  Reduces to
     :func:`banded_mass` at ``m_vvp = m_vvv = 0`` and skew-symmetrizes the
-    central derivative operator for every parameter choice.
+    central derivative operator for every parameter choice.  Every mass
+    builder that takes coefficients passes through here, and a non-finite
+    primary or derived coefficient is refused by name.
     """
-    p = params
-    m_vp, y = p.m_vp, p.y
-    far = (p.m_vvv - p.m_vvp) / 3.0
+    # Python floats overflow to inf without the warning numpy scalars give
+    p = MassParams(*map(float, (params.m_v, params.m_p, params.m_vv, params.m_vvp, params.m_vvv)))
+    m_vp, y, far = p.m_vp, p.y, (p.m_vvv - p.m_vvp) / 3.0
+    coeffs = {**vars(p), "m_pp": p.m_pp, "m_vp": m_vp, "y": y, "(m_vvv - m_vvp)/3": far}
+    bad = ", ".join(f"{k} = {v}" for k, v in coeffs.items() if not math.isfinite(v))
+    if bad:
+        raise ValueError(f"mass coefficients must be finite, got {bad} for {p}")
     blocks = {
         -2: [[far, p.m_vvp], [0.0, p.m_vvv]],
         -1: [[y, m_vp], [p.m_vvp, p.m_vv]],

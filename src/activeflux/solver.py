@@ -281,8 +281,11 @@ def relaxation_gamma(
 def _estimate_vanishes(scheme: Scheme) -> bool:
     """True when ``M D + D^T M`` has no blocks, so ``<y, M D y> = 0`` for every y.
 
-    The blocks of the two terms cancel exactly or not at all: the central
-    pair cancels, the upwind pairs leave their dissipation.
+    Operators are stored in normal form (offsets reduced mod ``n``, aliased
+    blocks summed, zero blocks dropped), so no blocks means the zero
+    operator however the offsets of ``D`` were written.  The blocks of the
+    two terms cancel exactly or not at all: the central pair cancels, the
+    upwind pairs leave their dissipation.
     """
     MD = scheme.M_energy @ scheme.D_effective
     return not (MD + MD.T).blocks

@@ -10,9 +10,9 @@ Everything here works mode-wise (O(n) total) with dense materialization only
 as a cross-check oracle.
 
 One kernel, ``_half_symbols``, evaluates the symbols, and only for the modes
-``k = 0..n//2``.  It reduces each stored offset into ``[-n/2, n/2)`` (the
-reduction ``BlockCirculantOp._plan`` makes, so far-out offsets lose no
-phase), merges the blocks at ``+-s`` and accumulates, in real arrays,
+``k = 0..n//2``.  It pairs the blocks at ``+-s`` (stored offsets lie in
+``[-n//2, n - n//2)``, so far-out offsets lose no phase) and accumulates, in
+real arrays,
 
     Re B_k = scale * sum_s cos(s theta_k) (A_s + A_-s),
     Im B_k = scale * sum_s sin(s theta_k) (A_s - A_-s),
@@ -92,20 +92,17 @@ def _half_symbols(
     """Real and imaginary parts of ``B_k`` for ``k`` in ``modes`` of ``0..n//2``.
 
     Each part has shape ``(2, 2, number of modes)``: entry-major, so that
-    each entry's row over the modes is contiguous.  Blocks reducing to the
-    same offset are summed in insertion order, and zero entries of a merged
-    block are skipped.
+    each entry's row over the modes is contiguous.  Zero entries of a
+    paired block are skipped.
     """
     n = op.n
     k0, k1, _ = modes.indices(n // 2 + 1)
-    merged: dict[int, list] = {}  # s -> [A_s, A_-s]
+    paired: dict[int, list] = {}  # s -> [A_s, A_-s]
     for j, a in op.blocks.items():
-        r = (j + n // 2) % n - n // 2
-        pair, side = merged.setdefault(abs(r), [0.0, 0.0]), int(r < 0)
-        pair[side] = pair[side] + a
+        paired.setdefault(abs(j), [0.0, 0.0])[int(j < 0)] = a
     re = np.zeros((2, 2, k1 - k0))
     im = np.zeros_like(re)
-    for s, (plus, minus) in merged.items():
+    for s, (plus, minus) in paired.items():
         if s == 0:
             re += plus[:, :, None]
             continue

@@ -1,6 +1,7 @@
 """The verification battery: clean operators pass, corrupted ones are caught."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,15 @@ def test_check_mass_definiteness_window(m_p, kind, mult):
     assert cls.zero_multiplicity == mult
 
 
+def test_check_mass_definiteness_refuses_overflowing_couplings():
+    """m_v = m_p = 1e308 are finite, but 3 m_p is not: the mass builder names
+    the couplings instead of classifying a symbol full of NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="m_pp = inf, m_vp = -inf"):
+            checks.check_mass_definiteness(1e308, 1e308)
+
+
 def test_check_nullspace_dimensions():
     g = _grid(7)
     dim_c, basis_c = checks.check_nullspace(ops.central_D(g))
@@ -201,6 +211,25 @@ def test_fault_injection_corrupt_d_minus_average_row():
     bad = _corrupt(ops.upwind_D_minus(g), 0, (1, 0))
     reports = checks.run_all(g, d_minus=bad)
     assert {r.name for r in reports if not r.passed} == D_MINUS_FAIL
+
+
+def test_fault_injection_at_a_far_out_offset_fails_as_at_the_near_one():
+    """A corrupted +1 block stored at 1 + 16 * 10**6 (the same column on 16
+    cells) is the same operator, so the battery reports exactly what it
+    reports for the near copy: both exactness checks fail on n - 2 rows."""
+    g = _grid(16)
+    near = _corrupt(ops.central_D(g), 1, (0, 0))
+    blocks = dict(near.blocks)
+    blocks[1 + 16 * 10**6] = blocks.pop(1)
+    far = BlockCirculantOp(g.n, g.dx, near.scale, blocks)
+    reports = checks.run_all(g, central_d=far)
+    assert [r.to_json_dict() for r in reports] == [
+        r.to_json_dict() for r in checks.run_all(g, central_d=near)
+    ]
+    for kind in ("linear", "quadratic"):
+        (rep,) = [r for r in reports if r.name == f"{kind}_exactness_central_d"]
+        assert not rep.passed
+        assert rep.details["interior_rows"] == g.n - 2
 
 
 def test_fault_injection_never_triggers_structural_false_positives():

@@ -3,8 +3,10 @@
 Every tolerance is a rounding bound: ``eps`` times the number of rounded
 terms times a magnitude bound of the operands.  For an operator ``A`` the
 magnitude bound is ``|A| = |scale| * sum_j ||A_j||_inf`` over its stored
-(unreduced) blocks, which bounds every symbol entry and every row sum of
-the dense matrix whatever the offsets alias to.
+blocks, which bounds every symbol entry and every row sum of the dense
+matrix.  Blocks whose offsets alias are summed when an operator is built,
+so every evaluation of a built operator reads the same stored blocks, and
+a merge's rounding belongs to the operator, not to its evaluation.
 """
 
 import math
@@ -37,9 +39,9 @@ def operators(draw, n, count=2, max_blocks=4, alias=False):
     """``count`` compatible operators on ``n`` cells; offsets in ``[-3n, 3n]``.
 
     Hypothesis draws the structure (block count, offsets, scale) and a seed
-    for the block entries.  With ``alias`` each operator also holds a block
-    ``q * n`` away from its first one (``q != 0``), so two stored offsets
-    reduce to one column.
+    for the block entries.  With ``alias`` each operator is also given a
+    block ``q * n`` away from its first one (``q != 0``), so two given
+    offsets reduce to one column.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     out = []
@@ -119,7 +121,11 @@ def test_aliased_offsets_on_tiny_rings_match_dense(data):
     n = data.draw(st.sampled_from((3, 4)))
     (A,) = data.draw(operators(n, count=1, alias=True))
     u = data.draw(_vector(n))
-    # matvec keeps aliased blocks apart, dense() adds them first: both sum
-    # the same 2 * #blocks products per entry in different orders
+    # the aliased blocks were merged when A was built: stored offsets are
+    # distinct mod n and lie in [-n//2, n - n//2)
+    assert len({j % n for j in A.blocks}) == len(A.blocks)
+    assert all(-(n // 2) <= j < n - n // 2 for j in A.blocks)
+    # matvec and dense() read the same stored blocks: both sum the same
+    # 2 * #blocks products per entry, in different orders
     tol = 4 * EPS * (2 * len(A.blocks) + 2) * _size(A) * np.abs(u).max()
     assert np.abs(A.matvec(u) - A.dense() @ u).max() <= tol

@@ -1,6 +1,8 @@
 """Grid, dof layout, block-circulant algebra, and operator stencils."""
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +208,30 @@ def test_extended_mass_symmetric_with_five_bands():
     assert (M - M.T).norm_inf() == 0.0
 
 
+@pytest.mark.parametrize(
+    "params, named",
+    [
+        (MassParams(1.0, float("inf")), "m_p = inf"),
+        (MassParams(float("nan"), 0.4), "m_v = nan"),
+        (MassParams(1e308, 1e308), "m_pp = inf, m_vp = -inf"),
+        (MassParams(np.float64(1e308), np.float64(1e308)), "m_pp = inf, m_vp = -inf"),
+        (MassParams(1.0, 0.4, 0.0, -1e308, 1e308), "y = inf, (m_vvv - m_vvp)/3 = inf"),
+    ],
+    ids=["primary_inf", "primary_nan", "couplings_overflow", "numpy_scalars", "far_band_overflows"],
+)
+def test_mass_builders_refuse_non_finite_coefficients_by_name(params, named):
+    """Every mass builder passes through extended_mass, which names the
+    non-finite coefficients; numpy scalars overflow without a warning."""
+    g = ops.build_grid(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(named)):
+            ops.extended_mass(g, params)
+        if params.m_vvp == 0.0:
+            with pytest.raises(ValueError, match=re.escape(named)):
+                ops.banded_mass(g, params)
+
+
 # ---------------------------------------------------------------------------
 # block-circulant algebra
 # ---------------------------------------------------------------------------
@@ -388,4 +414,4 @@ def test_operator_blocks_are_read_only():
     g = ops.build_grid(4)
     D = ops.central_D(g)
     with pytest.raises(ValueError):
-        D.block(0)[0, 0] = 5.0
+        D.blocks[0][0, 0] = 5.0

@@ -1,5 +1,6 @@
 """Time integration: tableaux, relaxation, and the energy experiment."""
 
+import dataclasses
 import json
 import math
 import types
@@ -359,7 +360,14 @@ EPS = np.finfo(float).eps
 @pytest.mark.parametrize("n", [3, 4, 16])
 def test_estimate_vanishes_for_central_and_not_for_upwind(n):
     g = ops.build_grid(n)
-    assert solver._estimate_vanishes(make_scheme(g, "central", 1.0))
+    central = make_scheme(g, "central", 1.0)
+    assert solver._estimate_vanishes(central)
+    # offsets shifted by q n name the same columns, and are stored reduced
+    D = central.D_effective
+    for q in (-2, -1, 1, 2):
+        blocks = {j + q * n: a for j, a in D.blocks.items()}
+        shifted = ops.BlockCirculantOp(n, D.dx, D.scale, blocks)
+        assert solver._estimate_vanishes(dataclasses.replace(central, D_effective=shifted))
     for a in (1.0, -1.0):
         assert not solver._estimate_vanishes(make_scheme(g, "upwind", a))
 
