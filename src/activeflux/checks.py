@@ -38,6 +38,9 @@ __all__ = [
 #: special parameter values lie at theta = +-pi/2).
 _CLASSIFY_N = 360
 
+#: The reference grid itself; grids are immutable, so every call shares it.
+_CLASSIFY_GRID = ops.build_grid(_CLASSIFY_N, 0.0, float(_CLASSIFY_N))
+
 
 @dataclasses.dataclass(frozen=True)
 class CheckReport:
@@ -129,8 +132,7 @@ def check_mass_definiteness(m_v: float, m_p: float) -> spectral.Definiteness:
     mode set contains theta = 0 and +-pi/2 exactly, where the family's zero
     eigenvalues occur.
     """
-    grid = ops.build_grid(_CLASSIFY_N, 0.0, float(_CLASSIFY_N))
-    M = ops.banded_mass(grid, MassParams(m_v=float(m_v), m_p=float(m_p)))
+    M = ops.banded_mass(_CLASSIFY_GRID, MassParams(m_v=float(m_v), m_p=float(m_p)))
     return spectral.hermitian_classify(M)
 
 

@@ -22,20 +22,28 @@ in insertion order, and zero blocks are dropped, so an operator without
 blocks is exactly the zero operator.
 
 ``BlockCirculantOp.matvec`` is the one evaluation kernel.  A plan cached on
-the frozen operator holds, per stored block, its transposed block in
-contiguous memory and where its operand window starts in a halo-extended
-copy of the input (the input with ``h`` wrapped cells on each side).  A call
-builds that copy once by concatenating the last ``h`` cells, the input and the
-first ``h`` cells (no copy at all when ``h = 0``), adds one
-``(n, 2) @ (2, 2)`` product per block into zeros in block insertion order,
-and multiplies by ``scale`` once.  These are exactly the floating-point
-operations of rolling the operand once per block, so results are bit-for-bit
-those of the rolled kernel.  The relaxed time stepper depends on that: its
-step rescaling divides energy estimates that nearly cancel, so a kernel that
-only reassociates the sums (a CSR matrix, or ``scale`` folded into the
-entries) moves relaxed trajectories by far more than rounding.  Folding
-``scale`` in would also break the exactly-zero integer row sums the
-consistency checks rely on.
+the frozen operator holds the halo width ``h = max |j|``, the transposed
+blocks stacked in insertion order, and which windows of a halo-extended copy
+of the input (the input with ``h`` wrapped cells on each side) they read.  A
+call builds that copy once (no copy at all when ``h = 0``) and views its
+``2h + 1`` windows of ``n`` cells as one strided ``(2h + 1, n, 2)`` array
+without copying.  One batched ``matmul`` then forms every block's
+``(cells, 2) @ (2, 2)`` product, ``np.add.reduce`` sums the products over
+the blocks, in insertion order and starting from ``+0.0``, and the sum is
+multiplied by ``scale`` once.  Each product row is the two-term dot product
+a per-block product computes, and a reduction over the outermost axis adds
+the products one after another, so results are bit-for-bit those of
+rolling the operand once per block and accumulating into zeros.  Cells go
+through in chunks of ``_CHUNK`` (the last one may take one cell more), so
+the stacked products hold at most ``#blocks * (_CHUNK + 1)`` cells whatever
+``n`` is, and a large operand needs no per-block temporary of its size.
+
+The relaxed time stepper depends on that exactness: its step rescaling
+divides energy estimates that nearly cancel, so a kernel that only
+reassociates the sums (a CSR matrix, or ``scale`` folded into the entries)
+moves relaxed trajectories by far more than rounding.  Folding ``scale`` in
+would also break the exactly-zero integer row sums the consistency checks
+rely on.
 """
 
 from __future__ import annotations
@@ -74,6 +82,12 @@ DofVector = np.ndarray
 #: Largest n for which dense materialization is permitted (oracle cross-checks
 #: only; everything structural runs on blocks and Fourier symbols).
 DENSE_LIMIT = 2048
+
+#: Cells per stacked block product in ``BlockCirculantOp.matvec``.  A power
+#: of two, so chunk edges fall where the row blocks of a BLAS product over
+#: all ``n`` cells end too, and small enough that the ``(#blocks, _CHUNK, 2)``
+#: products stay in cache.
+_CHUNK = 8192
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -204,33 +218,61 @@ class BlockCirculantOp:
     # -- evaluation --------------------------------------------------------
 
     @functools.cached_property
-    def _plan(self) -> tuple[int, list[tuple[int, np.ndarray]]]:
-        """Halo width ``h = max |j|`` and ``(h + j, contiguous A_j^T)`` per block.
+    def _plan(self) -> tuple[int, slice | np.ndarray, np.ndarray]:
+        """Halo width ``h = max |j|``, window selector and stacked ``A_j^T``.
 
-        In block insertion order; O(#blocks): nothing of size O(n) is cached.
+        Block ``i`` in insertion order reads the operand window that starts
+        at cell ``h + j_i`` of the halo-extended copy.  The selector picks
+        those windows: a slice when the starts are consecutive (every
+        builder's blocks are inserted by increasing offset), an index array
+        otherwise.  The transposed blocks are stacked in the same order into
+        one contiguous ``(#blocks, 2, 2)`` array.  O(#blocks): nothing of
+        size O(n) is cached.
         """
         h = max(map(abs, self.blocks), default=0)
-        return h, [(h + j, np.ascontiguousarray(a.T)) for j, a in self.blocks.items()]
+        starts = [h + j for j in self.blocks]
+        first = starts[0] if starts else 0
+        consecutive = starts == list(range(first, first + len(starts)))
+        select = slice(first, first + len(starts)) if consecutive else np.array(starts)
+        a_t = np.array([a.T for a in self.blocks.values()]).reshape(-1, 2, 2)
+        return h, select, a_t
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """``scale * circulant(blocks) @ u`` through one halo-extended operand.
+        """``scale * circulant(blocks) @ u`` as one stacked product per chunk.
 
         Bit-exactness contract: the result equals, bit for bit, rolling the
         operand once per block (``np.roll(x, -j) @ A_j^T``), accumulating
         into zeros in block insertion order and multiplying by ``scale``
-        once.  Only the operand copy is shared between blocks; each block
-        keeps its own ``(n, 2) @ (2, 2)`` product.  See the module docstring
-        for why no reassociating kernel (CSR) is used.
+        once.  The halo copy is made once and its windows are a strided
+        view; per chunk of ``_CHUNK`` cells, one batched ``matmul`` forms
+        every block's product and ``np.add.reduce`` over the block axis,
+        from ``initial=0.0``, adds them in insertion order (the ``+0.0``
+        start turns a ``-0.0`` first product into ``+0.0``, as zeros do).
+        See the module docstring for why no reassociating kernel (CSR) is
+        used.
         """
         u = np.asarray(u)
-        if u.shape != (2 * self.n,):
-            raise ValueError(f"expected shape ({2 * self.n},), got {u.shape}")
-        h, terms = self._plan
-        u2 = u.reshape(self.n, 2)
-        x = np.concatenate((u2[self.n - h :], u2, u2[:h])) if h else u2
-        out = np.zeros((self.n, 2), dtype=np.result_type(x.dtype, float))
-        for s, a_t in terms:
-            out += x[s : s + self.n] @ a_t
+        n = self.n
+        if u.shape != (2 * n,):
+            raise ValueError(f"expected shape ({2 * n},), got {u.shape}")
+        h, select, a_t = self._plan
+        u2 = u.reshape(n, 2)
+        if h:
+            x = np.concatenate((u2[n - h :], u2, u2[:h]))
+            # window s is x[s : s + n]: consecutive windows overlap, one cell apart
+            windows = np.ndarray(
+                (2 * h + 1, n, 2), x.dtype, buffer=x, strides=(x.strides[0], *x.strides)
+            )
+        else:
+            windows = u2[np.newaxis]
+        out = np.empty((n, 2), dtype=np.promote_types(u.dtype, float))
+        # no one-cell chunk: numpy sends a one-row product to BLAS's vector
+        # kernel, which rounds complex products differently; the last chunk
+        # takes that cell instead
+        edges = [*range(0, n - 1, _CHUNK), n]
+        for c, stop in zip(edges, edges[1:]):
+            products = windows[select, c:stop] @ a_t
+            np.add.reduce(products, axis=0, initial=0.0, out=out[c:stop])
         out *= self.scale
         return out.reshape(-1)
 

@@ -305,19 +305,50 @@ def _every_builder(g):
     ]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 64, 1200])
+_C = ops._CHUNK
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 64, 1200, _C - 1, _C, _C + 1, 2 * _C + 1])
 def test_matvec_is_bit_identical_to_rolled_kernel(n):
+    """Across the chunk edges too: at n = _CHUNK + 1 a one-cell last chunk
+    would round complex operands differently."""
     rng = np.random.default_rng(n)
     g = ops.build_grid(n)
     real = rng.normal(size=2 * n)
-    operands = [real, real + 1j * rng.normal(size=2 * n), np.arange(2 * n)]
+    signed_zeros = np.where(rng.random(2 * n) < 0.5, -0.0, 0.0)
+    special = real.copy()
+    special[rng.choice(2 * n, size=3, replace=False)] = [np.nan, np.inf, -np.inf]
+    operands = [
+        real,
+        real + 1j * rng.normal(size=2 * n),
+        np.arange(2 * n),
+        signed_zeros,
+        signed_zeros + 1j * signed_zeros[::-1],
+        special,
+    ]
     for op in _every_builder(g):
         for u in operands:
-            got, want = op @ u, _rolled_matvec(op, u)
+            with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf give NaN
+                got, want = op @ u, _rolled_matvec(op, u)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-            # signed zeros too (the empty operator with negative scale gives -0.0)
+            # signed zeros and NaN bits too (the empty operator with
+            # negative scale gives -0.0)
             assert got.tobytes() == want.tobytes()
+
+
+def test_matvec_selects_windows_by_slice_or_by_index():
+    """Offsets inserted in increasing order read their windows through a
+    slice; any other order through an index array, in insertion order."""
+    g = ops.build_grid(9)
+    a, b = [[1.0, 2.0], [3.0, 4.0]], [[-0.5, 0.0], [0.25, 1.0]]
+    consecutive = BlockCirculantOp(g.n, g.dx, 0.5, {-1: a, 0: b, 1: a})
+    scattered = BlockCirculantOp(g.n, g.dx, 0.5, {2: a, -1: b, 0: a})
+    assert consecutive._plan[1] == slice(0, 3)
+    assert scattered._plan[1].tolist() == [4, 1, 2]
+    u = np.random.default_rng(9).normal(size=2 * g.n)
+    for op in (consecutive, scattered):
+        assert (op @ u).tobytes() == _rolled_matvec(op, u).tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])

@@ -504,3 +504,90 @@ def test_amplification_radius_of_the_stable_pairs(variant, rk, dt_factor, a):
         rho, tol = solver._amplification_radius(scheme, resolve_method(rk), dt_factor * g.dx)
         assert 1.0 <= rho + tol and rho <= 1.0 + tol  # mode k = 0 has rho = 1
         assert tol < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# shared stage sums
+# ---------------------------------------------------------------------------
+
+
+def _reference_rk_step(scheme, method, u, dt):
+    """Every stage state and the update folded into a fresh copy of ``u``,
+    one term at a time, with the right-hand side scaled out of place."""
+    k, stage_data = [], []
+    for i in range(method.stages):
+        y = u.copy()
+        for j in range(i):
+            if method.a[i][j] != 0.0:
+                y += (dt * method.a[i][j]) * k[j]
+        f = -scheme.advection_speed * (scheme.D_effective @ y)
+        k.append(f)
+        stage_data.append(solver.Stage(b=method.b[i], y=y, f=f))
+    u_next = u.copy()
+    for i in range(method.stages):
+        if method.b[i] != 0.0:
+            u_next += (dt * method.b[i]) * k[i]
+    return u_next, stage_data
+
+
+#: Stage 3 continues from stage 2's state, stage 4 from the partial sum
+#: after stage 2's first term, and the update from stage 3's state.
+_SHARED_PREFIXES = RKMethod(
+    name="shared-prefixes",
+    a=(
+        (0.0, 0.0, 0.0, 0.0, 0.0),
+        (0.5, 0.0, 0.0, 0.0, 0.0),
+        (0.3, 0.2, 0.0, 0.0, 0.0),
+        (0.3, 0.2, 0.1, 0.0, 0.0),
+        (0.3, 0.25, 0.0, 0.4, 0.0),
+    ),
+    b=(0.3, 0.2, 0.1, 0.0, 0.4),
+    c=(0.0, 0.5, 0.5, 0.6, 0.95),
+)
+
+
+@pytest.mark.parametrize(
+    "method, terms",
+    [(RK4, 7), (SSPRK33, 6), (RK4X2, 14), (_SHARED_PREFIXES, 7)],
+    ids=lambda m: getattr(m, "name", None),
+)
+def test_shared_prefixes_are_summed_once(method, terms):
+    """rk4x2 sums its first half step once, for stages 5-8 and the update."""
+    assert sum(len(steps) for _, steps in method._folds) == terms
+
+
+@pytest.mark.parametrize("variant, a", [("central", 1.0), ("upwind", -1.0)])
+@pytest.mark.parametrize("method", [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES], ids=lambda m: m.name)
+def test_rk_step_is_bit_identical_to_the_naive_folds(method, variant, a):
+    g = ops.build_grid(17)
+    scheme = make_scheme(g, variant, a)
+    rng = np.random.default_rng(17)
+    real = rng.normal(size=2 * g.n)
+    for u in (real, real + 1j * rng.normal(size=2 * g.n)):
+        before = u.copy()
+        u.setflags(write=False)  # an in-place write to u would raise
+        u_next, stages = rk_step(scheme, method, u, 0.37 * g.dx)
+        want_next, want_stages = _reference_rk_step(scheme, method, u, 0.37 * g.dx)
+        assert u.tobytes() == before.tobytes()
+        assert u_next.dtype == want_next.dtype
+        assert u_next.tobytes() == want_next.tobytes()
+        assert len(stages) == len(want_stages)
+        for got, want in zip(stages, want_stages):
+            assert got.b == want.b
+            assert got.y.tobytes() == want.y.tobytes()
+            assert got.f.tobytes() == want.f.tobytes()
+
+
+@pytest.mark.parametrize(
+    "variant, rk", [("central", "rk4x2"), ("upwind", "rk4x2"), ("central", "ssprk33")]
+)
+def test_relaxed_run_is_bit_identical_with_the_naive_folds(monkeypatch, variant, rk):
+    """Relaxation divides nearly cancelling energy terms, so any change of
+    rounding in the stages would show in the trajectory."""
+    config = ExperimentConfig(variant=variant, rk=rk, n=24, t_end=2.0)
+    trace, u = run_experiment(config)
+    monkeypatch.setattr(solver, "rk_step", _reference_rk_step)
+    want_trace, want_u = run_experiment(config)
+    assert u.tobytes() == want_u.tobytes()
+    for name in ("times", "energies", "gammas"):
+        assert getattr(trace, name).tobytes() == getattr(want_trace, name).tobytes()

@@ -204,6 +204,27 @@ def test_hermitian_classify_rejects_a_non_finite_symbol(params):
         spectral.hermitian_classify(M)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9])
+def test_symmetry_defect_is_that_of_the_difference_operator(n):
+    """Read off the stored blocks, bit for bit as ``(op - op.T).norm_inf()``,
+    at offsets that are their own mirror (0 and, for even n, -n/2) too."""
+    g = ops.build_grid(n)
+    rng = np.random.default_rng(n)
+    Dm, Dp = ops.upwind_D_minus(g), ops.upwind_D_plus(g)
+    random_blocks = {j: rng.normal(size=(2, 2)) for j in (-(n // 2), -1, 0, 2)}
+    for op in (
+        ops.upwind_mass(g),
+        ops.extended_mass(g, MassParams(1.0, 1 / 3, 0.0, 0.1, 0.05)),
+        ops.central_D(g),
+        Dp,
+        ops.upwind_mass(g) @ (Dp - Dm),
+        BlockCirculantOp(n, g.dx, -0.7, random_blocks),
+        BlockCirculantOp(n, g.dx, 2.0, {}),
+    ):
+        want = (op - op.T).norm_inf()
+        assert np.float64(spectral._symmetry_defect(op)).tobytes() == np.float64(want).tobytes()
+
+
 def test_hermitian_classify_rejects_asymmetric():
     g = ops.build_grid(5)
     with pytest.raises(ValueError):
