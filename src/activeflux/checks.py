@@ -16,7 +16,7 @@ bottleneck matching, the pairing whose largest distance is smallest.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -125,15 +125,28 @@ def check_upwind_sbp(
     )
 
 
-def check_mass_definiteness(m_v: float, m_p: float) -> spectral.Definiteness:
+def check_mass_definiteness(
+    m_v: float, m_p: float | Sequence[float]
+) -> spectral.Definiteness | list[spectral.Definiteness]:
     """Classify the pentadiagonal mass family (``m_vv = 0``) at (m_v, m_p).
 
     Delegates to :func:`spectral.hermitian_classify` on a reference grid whose
     mode set contains theta = 0 and +-pi/2 exactly, where the family's zero
-    eigenvalues occur.
+    eigenvalues occur.  A number ``m_p`` gives one
+    :class:`spectral.Definiteness`.  A sequence of values (a whole sweep)
+    gives a list, one per value: the matrices are built by
+    :func:`operators.banded_mass` one pass at a time, 90 per pass on the
+    reference grid (``_CHUNK // (n//2 + 1)`` in :mod:`spectral`), and each
+    pass is classified as one stack.  Each result is bit for bit that of the
+    call with that one value: a stacked matrix only adds zero terms to sums
+    that start at ``+0.0``, which leaves them unchanged (see :mod:`spectral`).
     """
-    M = ops.banded_mass(_CLASSIFY_GRID, MassParams(m_v=float(m_v), m_p=float(m_p)))
-    return spectral.hermitian_classify(M)
+    def mass(p) -> BlockCirculantOp:
+        return ops.banded_mass(_CLASSIFY_GRID, MassParams(m_v=float(m_v), m_p=float(p)))
+
+    if np.ndim(m_p) == 0:
+        return spectral.hermitian_classify(mass(m_p))
+    return spectral.hermitian_classify(mass(p) for p in m_p)
 
 
 def check_nullspace(D: BlockCirculantOp) -> tuple[int, list[np.ndarray]]:

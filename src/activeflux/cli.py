@@ -13,6 +13,7 @@ parameters outside their admissible range).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -96,7 +97,9 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` does not change it."""
     parser = argparse.ArgumentParser(
         prog="activeflux",
         description="Active Flux operators: verification, spectra, advection runs.",
@@ -265,10 +268,11 @@ def _cmd_mass_scan(args) -> int:
                 f"mass coefficients overflow at m_v = {args.m_v!r} (--mv), "
                 f"m_p = {m_p!r} ({flag}): {', '.join(bad)}"
             )
-    rows = []
-    for m_p in np.linspace(args.mp_min, args.mp_max, args.steps):
-        cls = checks.check_mass_definiteness(args.m_v, float(m_p))
-        rows.append((args.m_v, m_p, cls.kind, cls.zero_multiplicity, cls.min_eigenvalue))
+    sweep = np.linspace(args.mp_min, args.mp_max, args.steps)
+    rows = (
+        (args.m_v, m_p, cls.kind, cls.zero_multiplicity, cls.min_eigenvalue)
+        for m_p, cls in zip(sweep, checks.check_mass_definiteness(args.m_v, sweep))
+    )
     columns = ("m_v", "m_p", "classification", "zero_multiplicity", "min_eigenvalue")
     _write_csv(args.output, _config(args), columns, rows)
     return 0

@@ -304,6 +304,8 @@ def relaxation_gamma(
     stage_data: Sequence[Stage],
     M: BlockCirculantOp,
     dt: float,
+    *,
+    d: Optional[np.ndarray] = None,
 ) -> float:
     """Step scaling that matches the energy change to the stage estimate.
 
@@ -312,9 +314,12 @@ def relaxation_gamma(
     inner-product estimate of the energy change.  Empty ``stage_data`` means
     ``e = 0``, which a caller passes when ``M D + D^T M = 0`` makes every
     stage term vanish; it saves the ``M f_i`` products.  Returns 1 when the
-    update is too small for the quadratic to be meaningful.
+    update is too small for the quadratic to be meaningful.  A caller that
+    has formed ``u_next - u`` for its own update passes it as ``d``, and it
+    is not formed again.
     """
-    d = u_next - u
+    if d is None:
+        d = u_next - u
     Md = M @ d
     d2 = float(d @ Md)
     if d2 < 1e-30:
@@ -517,13 +522,14 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
         u_next, stage_data = rk_step(scheme, method, u, dt)
         if config.relaxation and dt > 1e-4 * dt_nominal:
             estimate_data = () if skip_estimate else stage_data
-            gamma = relaxation_gamma(u, u_next, estimate_data, scheme.M_energy, dt)
+            d = u_next - u
+            gamma = relaxation_gamma(u, u_next, estimate_data, scheme.M_energy, dt, d=d)
             if gamma <= 0.0:
                 raise EnergyBlowUpError(
                     f"relaxation parameter became non-positive ({gamma:.3g}) at "
                     f"t = {t:.6g}; the step is likely outside the RK stability region"
                 )
-            u = u + gamma * (u_next - u)
+            u = u + gamma * d
             t += gamma * dt
         else:
             gamma = 1.0

@@ -10,9 +10,11 @@ Everything here works mode-wise (O(n) total) with dense materialization only
 as a cross-check oracle.
 
 One kernel, ``_half_symbols``, evaluates the symbols, and only for the modes
-``k = 0..n//2``.  It pairs the blocks at ``+-s`` (stored offsets lie in
-``[-n//2, n - n//2)``, so far-out offsets lose no phase) and accumulates, in
-real arrays,
+``k = 0..n//2``.  It runs over a stack of operators on one ring, one or
+many (``_Stack``: each operator's blocks stacked per offset, a zero block
+where an operator has none, and the scales side by side).  It pairs the
+blocks at ``+-s`` (stored offsets lie in ``[-n//2, n - n//2)``, so far-out
+offsets lose no phase) and accumulates, in real arrays,
 
     Re B_k = scale * sum_s cos(s theta_k) (A_s + A_-s),
     Im B_k = scale * sum_s sin(s theta_k) (A_s - A_-s),
@@ -25,12 +27,36 @@ are mirrored, not evaluated: ``_all_symbols`` conjugates the matrices and
 forms the mirror; it weights each evaluated mode by the number of modes it
 stands for.  Both of them run the kernel on ``_CHUNK`` modes at a time, so
 that their per-mode temporaries stay cache-sized at large n.
+
+:func:`hermitian_classify` classifies one operator or a whole sequence of
+them (``mass-scan`` classifies hundreds of mass matrices on one ring).  A
+sequence goes through in passes of ``B`` operators with ``B (n//2 + 1) <=
+_CHUNK``, at least one, so a pass holds no more per-mode data than one
+operator's chunk does, however long the sequence.  Each pass takes every
+step of the classification with the operators along a leading array axis:
+the norm, the symmetry defect, the power-of-two rescale, the symbols and
+the per-mode tests.
+
+Every operator of a stack gets the result it gets alone, bit for bit: each
+of its elements goes through the same floating-point operations in the same
+order.  The stack only adds terms that the one-operator case skips because
+they are zero: the padded zero blocks, and block entries that are zero in
+some operators of a stack but not in all.  Each such term adds ``+-0`` to a
+running sum.  Every such sum starts at ``+0.0`` and so is never ``-0.0``
+(``x + y`` is ``-0.0`` only when both are), and ``x + (+-0) = x`` for
+every ``x`` but ``-0.0``, so the extra terms change nothing.  The sums of
+absolute values in the norm and the defect are never ``-0.0`` either.  The
+order of the terms that are not zero is kept by stacking only operators
+whose stored offsets are one template with some pairs ``+-s`` left out
+whole (``_fits``); other operators go into a stack of their own.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
+from typing import Iterable
 
 import numpy as np
 
@@ -86,45 +112,157 @@ def _waves(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _half_symbols(
-    op: BlockCirculantOp, modes: slice = slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
+def _fits(keys: tuple, template: tuple) -> bool:
+    """Whether stored offsets ``keys`` are ``template`` with some pairs ``+-s`` left out whole.
+
+    ``keys`` must keep ``template``'s order and, for each ``|j|`` it has,
+    every offset of ``template`` with that ``|j|``.  A stack ordered by
+    ``template`` then meets an operator's nonzero terms in the operator's
+    own order: in the norm (offset order), in the symbols (order of first
+    appearance of ``|j|``) and in the defect, whose terms pair ``j`` with
+    its mirror offset, of the same ``|j|``.
+    """
+    rest = iter(template)
+    if not all(j in rest for j in keys):
+        return False
+    kept = {abs(j) for j in keys}
+    return all(j in keys for j in template if abs(j) in kept)
+
+
+def _norm_inf(parts: np.ndarray) -> np.ndarray:
+    """Largest absolute row sum of each operator with scaled blocks ``parts[:, b]``.
+
+    The rows of the blocks are added in block order from ``+0.0``, as
+    ``BlockCirculantOp.norm_inf`` adds them.
+    """
+    row = np.zeros(parts.shape[1:3])
+    for r in np.abs(parts).sum(axis=3):
+        row += r
+    return row.max(axis=1, initial=0.0)
+
+
+class _Stack:
+    """Operators on one ring, their blocks stacked per offset.
+
+    ``blocks[i]`` holds every operator's block at ``offsets[i]``, shape
+    ``(B, 2, 2)``, with a zero block where an operator has none, and
+    ``scale`` holds the ``B`` prefactors.  Each operator's stored offsets
+    must fit ``offsets`` (see ``_fits``).
+    """
+
+    def __init__(self, n: int, offsets: tuple, blocks: np.ndarray, scale: np.ndarray):
+        self.n, self.offsets, self.blocks, self.scale = n, offsets, blocks, scale
+
+    @classmethod
+    def of(cls, ops: list, offsets: tuple | None = None) -> "_Stack":
+        """Stack ``ops`` by ``offsets``, by default the first operator's own."""
+        offsets = tuple(ops[0].blocks) if offsets is None else offsets
+        zero = np.zeros((2, 2))
+        blocks = np.array([[op.blocks.get(j, zero) for op in ops] for j in offsets])
+        scale = np.array([op.scale for op in ops], dtype=float)
+        return cls(ops[0].n, offsets, blocks.reshape(len(offsets), len(ops), 2, 2), scale)
+
+    @functools.cached_property
+    def _terms(self) -> list:
+        """Per offset distance ``s``, in order of first appearance: the terms of ``B_k``.
+
+        ``s = 0`` brings its stacked block, as ``(2, 2, B, 1)``.  Every other
+        ``s`` brings the entries of ``A_s + A_-s`` (the cosine part) and of
+        ``A_s - A_-s`` (the sine part) that are nonzero in some operator, as
+        ``(row, col, (B, 1) column)``.
+        """
+        paired: dict[int, list] = {}  # s -> [A_s, A_-s]
+        for j, a in zip(self.offsets, self.blocks):
+            paired.setdefault(abs(j), [0.0, 0.0])[int(j < 0)] = a
+        terms = []
+        for s, (plus, minus) in paired.items():
+            if s == 0:
+                terms.append((0, plus.transpose(1, 2, 0)[..., None], ()))
+                continue
+            parts = []
+            for v in (plus + minus, plus - minus):
+                nonzero = v.any(axis=0).tolist()
+                parts.append(
+                    [(r, c, v[:, r, c, None]) for r in (0, 1) for c in (0, 1) if nonzero[r][c]]
+                )
+            terms.append((s, *parts))
+        return terms
+
+    def norms(self) -> np.ndarray:
+        """``norm_inf`` of each operator, bit for bit."""
+        return _norm_inf(self.scale[:, None, None] * self.blocks)
+
+    def defects(self) -> np.ndarray:
+        """``(op - op.T).norm_inf()`` of each operator, bit for bit, from the stored blocks.
+
+        With ``s = op.scale``, ``op - op.T`` stores ``s A_j - s A_{-j}^T`` at
+        each offset ``j`` of ``op`` (just ``s A_j`` when ``-j``, reduced, has no
+        block), then ``-s A_j^T`` at each reduced ``-j`` that ``op`` lacks, and
+        its ``norm_inf`` sums their absolute rows in that order.  The operators
+        themselves are not built.  (At ``s = 0`` the difference would sum the
+        blocks before scaling; both defects are then 0 or NaN and pass the test.)
+        """
+        n, s = self.n, self.scale[:, None, None]
+        at = {j: a for j, a in zip(self.offsets, self.blocks)}
+        mirrors = [(at[j], at.get((n // 2 - j) % n - n // 2)) for j in self.offsets]
+        parts = [s * a if m is None else s * a - s * m.transpose(0, 2, 1) for a, m in mirrors]
+        parts += [-s * a.transpose(0, 2, 1) for a, m in mirrors if m is None]
+        return _norm_inf(np.array(parts).reshape(-1, self.scale.size, 2, 2))
+
+    def rescaled(self, rows: np.ndarray) -> tuple["_Stack", np.ndarray]:
+        """The operators in ``rows`` divided by ``2**e``, with ``e``; ``e = 0`` elsewhere.
+
+        ``e`` is the scale's binary exponent plus that of the largest stored
+        entry.  Dividing by ``2**e`` is exact, so every decision of the
+        classification is kept and the eigenvalues scale back exactly, while
+        no norm, square or sum of the quotient can overflow or underflow
+        (``m_v = 1e308`` or ``1e-300`` in the mass family).  A stored block
+        whose entries all underflow stays in the stack as a zero block.
+        """
+        m, es = np.frexp(self.scale)
+        stored = (self.blocks != 0).any(axis=(2, 3))  # NaN counts as nonzero
+        top = np.frexp(np.abs(self.blocks).max(axis=(2, 3)))[1]
+        eb = np.max(top, axis=0, where=stored, initial=np.iinfo(top.dtype).min)
+        eb = np.where(stored.any(axis=0), eb, 0)
+        blocks = self.blocks.copy()
+        blocks[:, rows] = np.ldexp(blocks[:, rows], -eb[rows, None, None])
+        scaled = _Stack(self.n, self.offsets, blocks, np.where(rows, m, self.scale))
+        return scaled, np.where(rows, es + eb, 0)
+
+
+def _half_symbols(stack: _Stack, modes: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of ``B_k`` for ``k`` in ``modes`` of ``0..n//2``.
 
-    Each part has shape ``(2, 2, number of modes)``: entry-major, so that
-    each entry's row over the modes is contiguous.  Zero entries of a
-    paired block are skipped.
+    Each part has shape ``(2, 2, B, number of modes)``: entry-major, so that
+    each entry's row over the modes is contiguous.  An entry of a paired
+    block that is zero in every operator of the stack is skipped.
     """
-    n = op.n
+    n = stack.n
     k0, k1, _ = modes.indices(n // 2 + 1)
-    paired: dict[int, list] = {}  # s -> [A_s, A_-s]
-    for j, a in op.blocks.items():
-        paired.setdefault(abs(j), [0.0, 0.0])[int(j < 0)] = a
-    re = np.zeros((2, 2, k1 - k0))
-    im = np.zeros_like(re)
-    for s, (plus, minus) in paired.items():
+    re = np.zeros((2, 2, stack.scale.size, k1 - k0))
+    im = np.zeros(re.shape)
+    for s, even, odd in stack._terms:
         if s == 0:
-            re += plus[:, :, None]
+            re += even
             continue
         cos, sin = (w[k0:k1] for w in _waves(n, s))
-        for part, block, wave in ((re, plus + minus, cos), (im, plus - minus, sin)):
-            for (row, col), v in np.ndenumerate(block):
-                if v:
-                    part[row, col] += v * wave
-    re *= op.scale
-    im *= op.scale
+        for part, wave, entries in ((re, cos, even), (im, sin, odd)):
+            for row, col, v in entries:
+                part[row, col] += v * wave
+    re *= stack.scale[:, None]
+    im *= stack.scale[:, None]
     return re, im
 
 
 def _stacked(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The half-mode symbols as complex 2x2 matrices, ``(modes, 2, 2)``.
+    """The half-mode symbols as complex 2x2 matrices, ``(B, modes, 2, 2)``.
 
-    A view of entry-major storage, so that ``B[:, r, c]`` stays contiguous.
+    A view of entry-major storage, so that ``B[..., r, c]`` stays contiguous.
     """
     out = np.empty(re.shape, dtype=complex)
     out.real = re
     out.imag = im
-    return out.transpose(2, 0, 1)
+    return out.transpose(2, 3, 0, 1)
 
 
 def _mirror(out: np.ndarray) -> np.ndarray:
@@ -144,7 +282,7 @@ def _all_symbols(op: BlockCirculantOp) -> np.ndarray:
     r**(-j k) = B_{n-k}``, and conjugation itself rounds nothing.
     """
     out = np.empty((op.n, 2, 2), dtype=complex)
-    out[: op.n // 2 + 1] = _stacked(*_half_symbols(op))
+    out[: op.n // 2 + 1] = _stacked(*_half_symbols(_Stack.of([op])))[0]
     return _mirror(out)
 
 
@@ -186,10 +324,11 @@ def eigenvalues(op: BlockCirculantOp) -> np.ndarray:
     conjugates of mode ``k``, re-sorted, since ``B_{n-k} = conj(B_k)``.
     """
     n, m = op.n, op.n // 2 + 1
+    stack = _Stack.of([op])
     pairs = np.empty((n, 2), dtype=complex)
     for start in range(0, m, _CHUNK):
         modes = slice(start, min(start + _CHUNK, m))
-        pairs[modes] = _eig_pairs(_stacked(*_half_symbols(op, modes)))
+        pairs[modes] = _eig_pairs(_stacked(*_half_symbols(stack, modes))[0])
     # conj keeps the real parts: only pairs with equal real parts lose their order
     lo, hi = _mirror(pairs)[m:].T
     swap = (lo.real == hi.real) & (lo.imag > hi.imag)
@@ -249,7 +388,7 @@ def block_diagonalize_check(op: BlockCirculantOp) -> float:
     return float(np.abs(transformed - expected).sum(axis=1).max())
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Definiteness:
     """Spectral classification of a symmetric block-circulant operator."""
 
@@ -259,78 +398,40 @@ class Definiteness:
     max_eigenvalue: float
 
 
-def _symmetry_defect(op: BlockCirculantOp) -> float:
-    """``(op - op.T).norm_inf()``, bit for bit, read off the stored blocks.
+def _families(ops: list[BlockCirculantOp]) -> list[list]:
+    """``[offset order, indices]`` of the groups of ``ops`` that stack exactly.
 
-    With ``s = op.scale``, ``op - op.T`` stores ``s A_j - s A_{-j}^T`` at
-    each offset ``j`` of ``op`` (just ``s A_j`` when ``-j``, reduced, has no
-    block), then ``-s A_j^T`` at each reduced ``-j`` that ``op`` lacks, and
-    its ``norm_inf`` sums their absolute rows in that order.  The operators
-    themselves are not built.  (At ``s = 0`` the difference would sum the
-    blocks before scaling; both defects are then 0 or NaN and pass the test.)
+    A group's order is one of its members' stored offsets, which every other
+    member fits (see ``_fits``); fitting is transitive, so a group may move
+    to a wider member's order.
     """
-    s, n, blocks = op.scale, op.n, op.blocks
-    mirror = {j: (n // 2 - j) % n - n // 2 for j in blocks}
-    parts = [
-        s * a - s * blocks[mirror[j]].T if mirror[j] in blocks else s * a
-        for j, a in blocks.items()
-    ]
-    parts += [-s * a.T for j, a in blocks.items() if mirror[j] not in blocks]
-    row = np.zeros(2)
-    for p in parts:
-        row += np.abs(p).sum(axis=1)
-    return float(row.max(initial=0.0))
+    same: dict[tuple, list[int]] = {}
+    for i, op in enumerate(ops):
+        same.setdefault(tuple(op.blocks), []).append(i)
+    families: list[list] = []
+    for keys, idx in same.items():
+        for family in families:
+            if _fits(family[0], keys):
+                family[0] = keys
+            if _fits(keys, family[0]):
+                family[1] += idx
+                break
+        else:
+            families.append([keys, idx])
+    return families
 
 
-def hermitian_classify(op: BlockCirculantOp) -> Definiteness:
-    """Classify a symmetric operator from its (real) symbol eigenvalues.
-
-    Zero is decided per mode: an eigenvalue of mode ``k`` counts as zero when
-    it is within ``16 eps s_k`` of zero, where ``s_k = |a_k| + |d_k| +
-    2 |b_k|`` bounds the spectral radius of that mode's Hermitian symbol
-    ``[[a_k, b_k], [conj(b_k), d_k]]``.  The decision is invariant under dx
-    rescaling and does not depend on the other modes, so small genuine
-    eigenvalues of low-frequency modes are not taken for zeros.  The mass
-    family's smallest genuine eigenvalue shrinks like ``n**-2`` (4.1e-13
-    ``s_k`` at n = 1e6) and meets the bound near n = 1e7.  A symbol with a
-    non-finite entry raises :class:`ValueError`.  Finite but huge or tiny
-    operators classify as their unit-scale copies do.
-
-    ``a_k``, ``d_k`` and ``|b_k|`` are read from the half-mode kernel's real
-    and imaginary parts for ``k = 0..n//2`` only.  Mode ``n - k`` has the
-    conjugate symbol, hence the same ``a``, ``d``, ``|b|`` and eigenvalues,
-    so each evaluated mode counts twice in the multiplicities, except
-    ``k = 0`` and, for even ``n``, ``k = n/2``, which are their own mirrors
-    and count once.
-    """
-    with np.errstate(over="ignore"):  # a norm past the float range reads as inf
-        norm = op.norm_inf()
-    e = 0
-    if not 2.0**-300 < norm < 2.0**300:
-        # Divide by 2**e, a power of two near the largest entry: that is
-        # exact, so every decision below is that of op and the eigenvalues
-        # scale back exactly, while no norm, square or sum of op / 2**e can
-        # overflow or underflow (m_v = 1e308 or 1e-300 in the mass family).
-        m, es = np.frexp(op.scale)
-        eb = max((int(np.frexp(np.abs(a).max())[1]) for a in op.blocks.values()), default=0)
-        e = int(es) + eb
-        blocks = {j: np.ldexp(a, -eb) for j, a in op.blocks.items()}
-        op = BlockCirculantOp(op.n, op.dx, float(m), blocks)
-        norm = op.norm_inf()
-    defect = _symmetry_defect(op)
-    if defect > 1e-12 * max(norm, 1e-300):
-        raise ValueError(f"operator is not symmetric (defect {defect:.3e})")
-    # a finite norm below 2**300 bounds every symbol entry by 2**301
-    if not (np.isfinite(norm) and np.isfinite(op.scale)):
-        raise ValueError("operator symbol has a non-finite entry")
+def _classify_stack(stack: _Stack, e: np.ndarray) -> list[Definiteness]:
+    """Classify the checked operators of ``stack``, scaled back by ``2**e``."""
+    n, size = stack.n, stack.scale.size
     # each mode is its own mirror only at k = 0 and, for even n, k = n/2
-    n = op.n
     own = {0, n // 2} if n % 2 == 0 else {0}
-    zeros, negative, positive = 0, False, False
-    lo_min, hi_max = np.inf, -np.inf
+    zeros = np.zeros(size, dtype=np.int64)
+    negative, positive = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+    lo_min, hi_max = np.full(size, np.inf), np.full(size, -np.inf)
     for start in range(0, n // 2 + 1, _CHUNK):
         # a, d and |b| of each mode's Hermitian part [[a, b], [conj(b), d]]
-        re, im = _half_symbols(op, slice(start, start + _CHUNK))
+        re, im = _half_symbols(stack, slice(start, start + _CHUNK))
         a, d = re[0, 0], re[1, 1]
         b = np.hypot(0.5 * (re[0, 1] + re[1, 0]), 0.5 * (im[0, 1] - im[1, 0]))
         mean = 0.5 * (a + d)
@@ -345,25 +446,111 @@ def hermitian_classify(op: BlockCirculantOp) -> Definiteness:
         # 8 eps s_k, and 16 eps doubles that.  Measured: true zeros <= 6e-17 s_k
         # for n from 3 to 1e6.
         tol = 16.0 * np.finfo(float).eps * (np.abs(a) + np.abs(d) + 2.0 * b)
-        single = [k - start for k in own if start <= k < start + a.size]
+        single = [k - start for k in own if start <= k < start + a.shape[1]]
         for mask in (np.abs(lo) <= tol, np.abs(hi) <= tol):
-            zeros += 2 * np.count_nonzero(mask) - np.count_nonzero(mask[single])
+            if mask.any():  # zeros are rare, and one test is cheaper than the row counts
+                zeros += 2 * mask.sum(axis=1) - mask[:, single].sum(axis=1)
         # lo <= hi in every mode (rad >= 0): lo decides negatives, hi positives,
         # and the extremes sit in one branch each
-        negative = negative or bool((lo < -tol).any())
-        positive = positive or bool((hi > tol).any())
-        lo_min, hi_max = min(lo_min, lo.min()), max(hi_max, hi.max())
-    if not negative:
-        kind = "positive_definite" if zeros == 0 else "positive_semidefinite"
-    elif not positive:
-        kind = "negative_definite" if zeros == 0 else "negative_semidefinite"
-    else:
-        kind = "indefinite"
+        negative |= (lo < -tol).any(axis=1)
+        positive |= (hi > tol).any(axis=1)
+        # a tie (+0 against -0) keeps the earlier chunk's value
+        lo_c, hi_c = lo.min(axis=1), hi.max(axis=1)
+        lo_min = np.where(lo_c < lo_min, lo_c, lo_min)
+        hi_max = np.where(hi_c > hi_max, hi_c, hi_max)
     with np.errstate(over="ignore"):  # an eigenvalue past the float range reads as +-inf
-        lo_min, hi_max = np.ldexp([lo_min, hi_max], e)
-    return Definiteness(
-        kind=kind,
-        zero_multiplicity=int(zeros),
-        min_eigenvalue=float(lo_min),
-        max_eigenvalue=float(hi_max),
-    )
+        lo_min, hi_max = np.ldexp(lo_min, e), np.ldexp(hi_max, e)
+    out = []
+    for z, neg, pos, lo, hi in zip(*(v.tolist() for v in (zeros, negative, positive, lo_min, hi_max))):
+        if not neg:
+            kind = "positive_definite" if z == 0 else "positive_semidefinite"
+        elif not pos:
+            kind = "negative_definite" if z == 0 else "negative_semidefinite"
+        else:
+            kind = "indefinite"
+        out.append(Definiteness(kind, z, lo, hi))
+    return out
+
+
+def _classify_pass(ops: list[BlockCirculantOp]) -> list[Definiteness]:
+    """Check and classify ``ops``, one stack per family; raise for the first one that fails."""
+    checked, failures = [], []
+    for offsets, idx in _families(ops):
+        stack = _Stack.of([ops[i] for i in idx], offsets)
+        with np.errstate(over="ignore"):  # a norm past the float range reads as inf
+            norm = stack.norms()
+        e = np.zeros(len(idx), dtype=int)
+        rescale = ~((2.0**-300 < norm) & (norm < 2.0**300))
+        if rescale.any():
+            stack, e = stack.rescaled(rescale)
+            norm = stack.norms()
+        defect = stack.defects()
+        asymmetric = defect > 1e-12 * np.maximum(norm, 1e-300)
+        # a finite norm below 2**300 bounds every symbol entry by 2**301
+        finite = np.isfinite(norm) & np.isfinite(stack.scale)
+        for b in np.flatnonzero(asymmetric | ~finite):
+            failures.append((idx[b], (
+                f"operator is not symmetric (defect {defect[b]:.3e})" if asymmetric[b]
+                else "operator symbol has a non-finite entry"
+            )))
+        checked.append((idx, stack, e))
+    if failures:
+        raise ValueError(min(failures)[1])
+    out: list = [None] * len(ops)
+    for idx, stack, e in checked:
+        for i, result in zip(idx, _classify_stack(stack, e)):
+            out[i] = result
+    return out
+
+
+def hermitian_classify(
+    op: BlockCirculantOp | Iterable[BlockCirculantOp],
+) -> Definiteness | list[Definiteness]:
+    """Classify a symmetric operator from its (real) symbol eigenvalues.
+
+    Zero is decided per mode: an eigenvalue of mode ``k`` counts as zero when
+    it is within ``16 eps s_k`` of zero, where ``s_k = |a_k| + |d_k| +
+    2 |b_k|`` bounds the spectral radius of that mode's Hermitian symbol
+    ``[[a_k, b_k], [conj(b_k), d_k]]``.  The decision is invariant under dx
+    rescaling and does not depend on the other modes, so small genuine
+    eigenvalues of low-frequency modes are not taken for zeros.  The mass
+    family's smallest genuine eigenvalue shrinks like ``n**-2`` (4.1e-13
+    ``s_k`` at n = 1e6) and meets the bound near n = 1e7.  An operator whose
+    symmetry defect ``(op - op.T).norm_inf()`` exceeds ``1e-12`` of its norm,
+    or whose symbol has a non-finite entry, raises :class:`ValueError`.
+    Finite but huge or tiny operators classify as their unit-scale copies
+    do: an operator whose norm lies outside ``(2**-300, 2**300)`` is first
+    divided by an exact power of two.
+
+    ``a_k``, ``d_k`` and ``|b_k|`` are read from the half-mode kernel's real
+    and imaginary parts for ``k = 0..n//2`` only.  Mode ``n - k`` has the
+    conjugate symbol, hence the same ``a``, ``d``, ``|b|`` and eigenvalues,
+    so each evaluated mode counts twice in the multiplicities, except
+    ``k = 0`` and, for even ``n``, ``k = n/2``, which are their own mirrors
+    and count once.
+
+    One operator gives one :class:`Definiteness`.  An iterable of operators
+    on one ring (same ``n`` and ``dx``) gives a list, one per operator, each
+    bit for bit the result of classifying that operator alone.  It is read
+    in passes of ``max(1, _CHUNK // (n//2 + 1))`` operators, and each pass
+    is classified as one stack, so memory does not grow with the length of
+    the sequence.  A stack adds to each operator's sums only terms that are
+    zero for it, and each such sum starts at ``+0.0``, so the terms change
+    nothing (the module docstring gives the argument).  The first operator
+    that fails the checks raises the error it raises alone.  The
+    one-operator call is the stack of one.
+    """
+    if isinstance(op, BlockCirculantOp):
+        return _classify_pass([op])[0]
+    ops = iter(op)
+    first = next(ops, None)
+    if first is None:
+        return []
+    per_pass = max(1, _CHUNK // (first.n // 2 + 1))
+    ops = itertools.chain([first], ops)
+    out: list[Definiteness] = []
+    while batch := list(itertools.islice(ops, per_pass)):
+        for other in batch:
+            first._require_compatible(other)
+        out += _classify_pass(batch)
+    return out

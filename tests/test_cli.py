@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from activeflux import cli
+from activeflux import checks, cli, spectral
 
 
 def run_cli(*argv):
@@ -360,6 +360,24 @@ def test_mass_scan_of_extreme_finite_weights_is_scale_free(capsys, huge, unit):
     zero_tol = 16 * np.finfo(float).eps * scale  # the classification's zero bound
     for r, q in zip(big, ref):
         assert float(r[4]) == pytest.approx(scale * float(q[4]), rel=1e-14, abs=zero_tol)
+
+
+@pytest.mark.parametrize(
+    "m_v, lo, hi, steps",
+    [(1.0, -0.25, 1.25, 200), (1e-300, 0.0, 1e-300, 95)],
+    ids=["unit_weight", "rescaled_weight"],
+)
+def test_mass_scan_rows_match_scalar_calls_across_passes(capsys, m_v, lo, hi, steps):
+    """Rows classified in stacked passes print as the one-value calls do."""
+    assert steps > spectral._CHUNK // (checks._CLASSIFY_N // 2 + 1)  # more than one pass
+    rows = _scan_rows(capsys, "--mv", repr(m_v), "--mp-min", repr(lo), "--mp-max", repr(hi),
+                      "--steps", str(steps))
+    want = []
+    for m_p in np.linspace(lo, hi, steps):
+        c = checks.check_mass_definiteness(m_v, float(m_p))
+        cells = (m_v, m_p, c.kind, c.zero_multiplicity, c.min_eigenvalue)
+        want.append([x if isinstance(x, str) else "%.17g" % (float(x) + 0.0) for x in cells])
+    assert rows == want
 
 
 @pytest.mark.parametrize(

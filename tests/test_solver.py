@@ -185,6 +185,7 @@ def _one_step(variant, rk=RK4X2, n=24):
 def test_relaxation_matches_energy_to_stage_estimate():
     s, u0, u1, stages, dt = _one_step("upwind")
     gamma = relaxation_gamma(u0, u1, stages, s.M_energy, dt)
+    assert relaxation_gamma(u0, u1, stages, s.M_energy, dt, d=u1 - u0) == gamma
     e = 2.0 * dt * sum(st.b * float(st.y @ (s.M_energy @ st.f)) for st in stages)
     relaxed = u0 + gamma * (u1 - u0)
     assert s.energy(relaxed) - s.energy(u0) == pytest.approx(gamma * e, rel=1e-10)

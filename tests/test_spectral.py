@@ -204,15 +204,86 @@ def test_hermitian_classify_rejects_a_non_finite_symbol(params):
         spectral.hermitian_classify(M)
 
 
+def _bits(cls):
+    return (
+        cls.kind,
+        cls.zero_multiplicity,
+        np.float64(cls.min_eigenvalue).tobytes(),
+        np.float64(cls.max_eigenvalue).tobytes(),
+    )
+
+
+def _mixed_mass_stack(g, size):
+    """``size`` mass matrices cycling through window edges and +-3 ulps, m_p = -0.0,
+    m_p = m_v/3 (no +-1 blocks), rescaled weights and negated copies, shuffled."""
+    params = []
+    for m_v in (1.0, 0.75, 1e-300, 2.0**1020, 1e308):
+        # (2/3) 1e308 is refused: 3 m_p overflows
+        edges = (m_v / 4.5,) if m_v == 1e308 else (m_v / 4.5, m_v / 1.5)
+        points = [-0.0, m_v / 3.0, 0.1 * m_v]
+        for edge in edges:
+            below = above = edge
+            points.append(edge)
+            for _ in range(3):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                points += [below, above]
+        params += [(m_v, float(m_p)) for m_p in points]
+    rows = [ops.banded_mass(g, MassParams(m_v, m_p)) for m_v, m_p in params]
+    rows += [-1.0 * ops.banded_mass(g, MassParams(1.0, m_p)) for m_p in (0.4, 1.0 / 3.0, 2.0 / 9.0)]
+    order = np.random.default_rng(size).permutation(size)
+    return [rows[i % len(rows)] for i in order]
+
+
+@pytest.mark.parametrize("n", [359, 360])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_stacked_classification_is_that_of_each_operator_alone(n, extra):
+    """One mixed stack of the pass budget - 1, the budget and + 1 operators:
+    each result equals the one-operator call bit for bit."""
+    g = ops.build_grid(n, 0.0, float(n))
+    budget = spectral._CHUNK // (n // 2 + 1)
+    stack = _mixed_mass_stack(g, budget + extra)
+    assert any(tuple(op.blocks) == (0,) for op in stack)  # m_p = m_v/3 drops the +-1 blocks
+    alone = [_bits(spectral.hermitian_classify(op)) for op in stack]
+    assert [_bits(c) for c in spectral.hermitian_classify(stack)] == alone
+    assert [_bits(c) for c in spectral.hermitian_classify(iter(stack))] == alone
+    assert spectral.hermitian_classify([]) == []
+
+
+@pytest.mark.parametrize("where", [0, 7, "second pass"])
+def test_a_failing_operator_in_a_stack_raises_its_own_error(where):
+    g = ops.build_grid(64)
+    budget = spectral._CHUNK // (g.n // 2 + 1)
+    good = [ops.banded_mass(g, MassParams(1.0, m_p)) for m_p in np.linspace(-0.2, 1.2, budget + 20)]
+    at = budget + 5 if where == "second pass" else where
+    skewed = dict(ops.upwind_mass(g).blocks)
+    skewed[1] = skewed[1] + np.array([[0.0, 1e-9], [0.0, 0.0]])
+    failing = [
+        BlockCirculantOp(g.n, g.dx, g.dx, skewed),
+        ops.central_D(g),
+        ops.upwind_D_plus(g),  # offsets (0, 1): a stack of its own
+        BlockCirculantOp(g.n, g.dx, g.dx, {0: [[np.nan, 0.5], [0.5, 1.0]]}),
+    ]
+    with np.errstate(invalid="ignore"):
+        for bad in failing:
+            with pytest.raises(ValueError) as alone:
+                spectral.hermitian_classify(bad)
+            with pytest.raises(ValueError) as stacked:
+                spectral.hermitian_classify(good[:at] + [bad] + good[at:] + failing)
+            assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ValueError, match="incompatible operators"):
+        spectral.hermitian_classify([good[0], ops.upwind_mass(ops.build_grid(65))])
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 9])
 def test_symmetry_defect_is_that_of_the_difference_operator(n):
     """Read off the stored blocks, bit for bit as ``(op - op.T).norm_inf()``,
-    at offsets that are their own mirror (0 and, for even n, -n/2) too."""
+    at offsets that are their own mirror (0 and, for even n, -n/2) too, for
+    each operator alone and inside the stacks its family shares."""
     g = ops.build_grid(n)
     rng = np.random.default_rng(n)
     Dm, Dp = ops.upwind_D_minus(g), ops.upwind_D_plus(g)
     random_blocks = {j: rng.normal(size=(2, 2)) for j in (-(n // 2), -1, 0, 2)}
-    for op in (
+    operators = [
         ops.upwind_mass(g),
         ops.extended_mass(g, MassParams(1.0, 1 / 3, 0.0, 0.1, 0.05)),
         ops.central_D(g),
@@ -220,9 +291,12 @@ def test_symmetry_defect_is_that_of_the_difference_operator(n):
         ops.upwind_mass(g) @ (Dp - Dm),
         BlockCirculantOp(n, g.dx, -0.7, random_blocks),
         BlockCirculantOp(n, g.dx, 2.0, {}),
-    ):
-        want = (op - op.T).norm_inf()
-        assert np.float64(spectral._symmetry_defect(op)).tobytes() == np.float64(want).tobytes()
+    ]
+    want = [np.float64((op - op.T).norm_inf()).tobytes() for op in operators]
+    assert [spectral._Stack.of([op]).defects()[0].tobytes() for op in operators] == want
+    for offsets, idx in spectral._families(operators):
+        stacked = spectral._Stack.of([operators[i] for i in idx], offsets).defects()
+        assert [d.tobytes() for d in stacked] == [want[i] for i in idx]
 
 
 def test_hermitian_classify_rejects_asymmetric():
