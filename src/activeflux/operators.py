@@ -25,18 +25,28 @@ blocks is exactly the zero operator.
 the frozen operator holds the halo width ``h = max |j|``, the transposed
 blocks stacked in insertion order, and which windows of a halo-extended copy
 of the input (the input with ``h`` wrapped cells on each side) they read.  A
-call builds that copy once (no copy at all when ``h = 0``) and views its
-``2h + 1`` windows of ``n`` cells as one strided ``(2h + 1, n, 2)`` array
-without copying.  One batched ``matmul`` then forms every block's
-``(cells, 2) @ (2, 2)`` product, ``np.add.reduce`` sums the products over
+call copies the input into a halo buffer (no copy at all when ``h = 0``),
+whose ``2h + 1`` windows of ``n`` cells are one strided ``(2h + 1, n, 2)``
+view.  One batched ``matmul`` then forms every block's ``(cells, 2) @ (2,
+2)`` product into a product stack, ``np.add.reduce`` sums the products over
 the blocks, in insertion order and starting from ``+0.0``, and the sum is
 multiplied by ``scale`` once.  Each product row is the two-term dot product
 a per-block product computes, and a reduction over the outermost axis adds
 the products one after another, so results are bit-for-bit those of
 rolling the operand once per block and accumulating into zeros.  Cells go
 through in chunks of ``_CHUNK`` (the last one may take one cell more), so
-the stacked products hold at most ``#blocks * (_CHUNK + 1)`` cells whatever
+the product stack holds at most ``#blocks * (_CHUNK + 1)`` cells whatever
 ``n`` is, and a large operand needs no per-block temporary of its size.
+
+The halo buffer, its window view and the product stack are one
+``MatvecBuffers`` (``BlockCirculantOp.buffers``).  A caller that applies
+operators of one shape many times, like the time loop, makes them once and
+passes them in together with an ``out`` array; a call without them makes
+its own.  Both run the same kernel on the same operands, so they give the
+same bits: the 2x2 products go to BLAS either way, because every operand
+and output view keeps unit stride in its last axis and at least two rows
+(OpenBLAS rounds with fused multiply-adds, which an elementwise product or
+numpy's fallback loop would not).
 
 The relaxed time stepper depends on that exactness: its step rescaling
 divides energy estimates that nearly cancel, so a kernel that only
@@ -51,7 +61,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -61,6 +71,7 @@ __all__ = [
     "DofVector",
     "Grid",
     "MassParams",
+    "MatvecBuffers",
     "banded_mass",
     "build_grid",
     "cell_averages",
@@ -177,6 +188,26 @@ class MassParams:
         return (3.0 * self.m_p - self.m_v + 2.0 * self.m_vv - 2.0 * self.m_vvp) / 6.0
 
 
+class MatvecBuffers(NamedTuple):
+    """Scratch arrays of :meth:`BlockCirculantOp.matvec`, reusable across calls.
+
+    ``key`` is ``(n, h, #blocks, operand dtype)``.  The flat halo-extended
+    operand, ``2 (n + 2h)`` entries, is written through ``halo``, its views
+    of the ``n`` cells and of the ``h`` wrapped cells before and after them,
+    and read through ``windows``, its ``(2h + 1, n, 2)`` strided view (both
+    ``None`` when ``h = 0``).
+    ``chunks`` lists each chunk's first and end cell with two views of the
+    ``(#blocks, min(n, _CHUNK + 1), 2)`` product stack: the chunk's
+    ``(#blocks, cells, 2)`` products, and the same memory as ``(#blocks,
+    2 cells)`` rows, which sum straight into the flat result.
+    """
+
+    key: tuple
+    halo: Optional[tuple]
+    windows: Optional[np.ndarray]
+    chunks: tuple
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class BlockCirculantOp:
     """Operator on interleaved dof vectors, given by a ring of 2x2 blocks.
@@ -195,16 +226,30 @@ class BlockCirculantOp:
         n = self.n
         if n < 3:
             raise ValueError(f"need n >= 3, got {n}")
-        merged: dict[int, np.ndarray] = {}
-        for j, a in self.blocks.items():
-            a = np.asarray(a, dtype=float)
-            if a.shape != (2, 2):
-                raise ValueError(f"block at offset {j} has shape {a.shape}, want (2, 2)")
-            r = (int(j) + n // 2) % n - n // 2
-            merged[r] = merged[r] + a if r in merged else a
-        # NaN counts as nonzero, -0.0 as zero
-        clean = {r: _frozen(a) for r, a in merged.items() if np.count_nonzero(a)}
-        object.__setattr__(self, "blocks", clean)
+        # one conversion for all blocks; one at a time only to name a bad block
+        try:
+            stack = np.array([*self.blocks.values()], dtype=float)
+        except (TypeError, ValueError):
+            stack = None
+        if stack is None or stack.shape != (len(self.blocks), 2, 2):
+            converted = []
+            for j, a in self.blocks.items():
+                a = np.asarray(a, dtype=float)
+                if a.shape != (2, 2):
+                    raise ValueError(f"block at offset {j} has shape {a.shape}, want (2, 2)")
+                converted.append(a)
+            stack = np.array(converted).reshape(-1, 2, 2)
+        offsets = [(int(j) + n // 2) % n - n // 2 for j in self.blocks]
+        if len(set(offsets)) < len(offsets):  # aliased offsets (n = 3, 4)
+            merged: dict[int, np.ndarray] = {}
+            for r, a in zip(offsets, stack):
+                merged[r] = merged[r] + a if r in merged else a
+            offsets, stack = [*merged], np.array([*merged.values()])
+        # the blocks are read-only views of one array; any() counts NaN as
+        # nonzero and -0.0 as zero
+        keep = [i for i, row in enumerate(stack.reshape(-1, 4).tolist()) if any(row)]
+        stack.setflags(write=False)
+        object.__setattr__(self, "blocks", {offsets[i]: stack[i] for i in keep})
 
     # -- structure ---------------------------------------------------------
 
@@ -237,44 +282,96 @@ class BlockCirculantOp:
         a_t = np.array([a.T for a in self.blocks.values()]).reshape(-1, 2, 2)
         return h, select, a_t
 
-    def matvec(self, u: np.ndarray) -> np.ndarray:
+    def buffers(self, dtype=float) -> "MatvecBuffers":
+        """Scratch arrays for :meth:`matvec` on operands of ``dtype``.
+
+        Any operator with the same ``n``, halo width and number of blocks
+        can use them; :meth:`matvec` refuses them for any other operator or
+        operand dtype.
+        """
+        h, _, a_t = self._plan
+        n, dtype = self.n, np.dtype(dtype)
+        halo = windows = None
+        if h:
+            x = np.empty(2 * (n + 2 * h), dtype)
+            halo = (x[2 * h : 2 * (n + h)], x[: 2 * h], x[2 * (n + h) :])
+            # window s is cells s .. s + n - 1 of the halo: consecutive windows
+            # overlap, one cell apart
+            cell = 2 * dtype.itemsize
+            windows = np.ndarray(
+                (2 * h + 1, n, 2), dtype, buffer=x, strides=(cell, cell, dtype.itemsize)
+            )
+        blocks = len(a_t)
+        products = np.empty((blocks, min(n, _CHUNK + 1), 2), np.promote_types(dtype, float))
+        # no one-cell chunk: numpy sends a one-row product to BLAS's vector
+        # kernel, which rounds complex products differently; the last chunk
+        # takes that cell instead
+        edges = [*range(0, n - 1, _CHUNK), n]
+        chunks = []
+        for c, stop in zip(edges, edges[1:]):
+            part = products[:, : stop - c]
+            chunks.append((c, stop, part, part.reshape(blocks, 2 * (stop - c))))
+        return MatvecBuffers((n, h, blocks, dtype), halo, windows, tuple(chunks))
+
+    def matvec(
+        self,
+        u: np.ndarray,
+        out: Optional[np.ndarray] = None,
+        buffers: Optional["MatvecBuffers"] = None,
+    ) -> np.ndarray:
         """``scale * circulant(blocks) @ u`` as one stacked product per chunk.
 
         Bit-exactness contract: the result equals, bit for bit, rolling the
         operand once per block (``np.roll(x, -j) @ A_j^T``), accumulating
         into zeros in block insertion order and multiplying by ``scale``
-        once.  The halo copy is made once and its windows are a strided
-        view; per chunk of ``_CHUNK`` cells, one batched ``matmul`` forms
-        every block's product and ``np.add.reduce`` over the block axis,
-        from ``initial=0.0``, adds them in insertion order (the ``+0.0``
-        start turns a ``-0.0`` first product into ``+0.0``, as zeros do).
-        See the module docstring for why no reassociating kernel (CSR) is
-        used.
+        once.  The operand is copied once into the halo buffer, whose
+        windows are a strided view; per chunk of ``_CHUNK`` cells, one
+        batched ``matmul`` forms every block's product into the product
+        stack and ``np.add.reduce`` over the block axis, from
+        ``initial=0.0``, adds them in insertion order (the ``+0.0`` start
+        turns a ``-0.0`` first product into ``+0.0``, as zeros do).  See
+        the module docstring for why no reassociating kernel (CSR) is used.
+
+        ``out`` (shape ``(2n,)``, of the result dtype) receives the result
+        and is returned; it may be ``u`` itself.  ``buffers``
+        (from :meth:`buffers` with ``u``'s dtype) are reused scratch space.
+        Without them a call makes its own and returns a new array.  Either
+        argument that does not fit raises :class:`ValueError`.
         """
         u = np.asarray(u)
         n = self.n
         if u.shape != (2 * n,):
             raise ValueError(f"expected shape ({2 * n},), got {u.shape}")
         h, select, a_t = self._plan
-        u2 = u.reshape(n, 2)
-        if h:
-            x = np.concatenate((u2[n - h :], u2, u2[:h]))
-            # window s is x[s : s + n]: consecutive windows overlap, one cell apart
-            windows = np.ndarray(
-                (2 * h + 1, n, 2), x.dtype, buffer=x, strides=(x.strides[0], *x.strides)
+        dtype = np.promote_types(u.dtype, float)
+        # the result before the scratch arrays: it outlives them, and large
+        # scratch arrays freed above it leave the heap less fragmented
+        if out is None:
+            out = np.empty(2 * n, dtype)
+        elif out.shape != (2 * n,) or out.dtype != dtype:
+            raise ValueError(
+                f"out must be a ({2 * n},) array of {dtype}, got {out.shape} {out.dtype}"
             )
-        else:
-            windows = u2[np.newaxis]
-        out = np.empty((n, 2), dtype=np.promote_types(u.dtype, float))
-        # no one-cell chunk: numpy sends a one-row product to BLAS's vector
-        # kernel, which rounds complex products differently; the last chunk
-        # takes that cell instead
-        edges = [*range(0, n - 1, _CHUNK), n]
-        for c, stop in zip(edges, edges[1:]):
-            products = windows[select, c:stop] @ a_t
-            np.add.reduce(products, axis=0, initial=0.0, out=out[c:stop])
+        if buffers is None:
+            buffers = self.buffers(u.dtype)
+        elif buffers.key != (n, h, len(a_t), u.dtype):
+            raise ValueError(
+                f"buffers for (n, halo, blocks, dtype) = {buffers.key} do not fit "
+                f"{(n, h, len(a_t), u.dtype)}"
+            )
+        if h:
+            cells, before, after = buffers.halo
+            cells[...] = u
+            before[...] = u[2 * (n - h) :]
+            after[...] = u[: 2 * h]
+            windows = buffers.windows
+        else:  # one block at offset 0: each chunk is read before it is written
+            windows = u.reshape(1, n, 2)
+        for c, stop, products, rows in buffers.chunks:
+            np.matmul(windows[select, c:stop], a_t, out=products)
+            np.add.reduce(rows, axis=0, initial=0.0, out=out[2 * c : 2 * stop])
         out *= self.scale
-        return out.reshape(-1)
+        return out
 
     def dense(self) -> np.ndarray:
         """Materialize the full ``2n x 2n`` matrix (guarded by DENSE_LIMIT)."""

@@ -21,6 +21,17 @@ which has the same bits as summing again from ``u``.  In ``rk4x2`` stages 5
 to 8 and the update all start with the first half step, so a step makes 14
 multiply-adds instead of 30.  Each method works out its shared prefixes once,
 for any tableau.
+
+:func:`run_experiment` allocates one :class:`Workspace` per run, and every
+array operation of its time loop writes into it: the matvecs (their halo,
+window and product buffers included), the scaled terms and partial sums of
+the folds, the stage derivatives, ``d = u_next - u`` and the products with
+``M``; each new state overwrites the old one.  The steps allocate no array
+of the state's size.  Each operation is the one a call without a workspace
+makes, on the same operands in the same order, so trajectories are the
+same bits; only where results live changes.  Called without a workspace,
+:func:`rk_step`, :func:`relaxation_gamma` and :meth:`Scheme.energy` return
+new arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ import numpy as np
 
 from . import operators as ops
 from . import spectral
-from .operators import BlockCirculantOp, Grid
+from .operators import BlockCirculantOp, Grid, MatvecBuffers
 
 __all__ = [
     "RKMethod",
@@ -50,6 +61,7 @@ __all__ = [
     "relaxation_gamma",
     "EnergyTrace",
     "ExperimentConfig",
+    "Workspace",
     "EnergyBlowUpError",
     "project_initial",
     "default_initial",
@@ -107,11 +119,12 @@ class RKMethod:
 
         One entry per fold: the prefix whose partial sum it continues from
         (``()`` for ``u``) and its remaining terms ``(j, coefficient,
-        in_place, save)``.  A fold starts from the longest prefix of its
+        target, save)``.  A fold starts from the longest prefix of its
         nonzero (j, coefficient) list that an earlier fold has summed.
         Such a partial sum is saved under its prefix when it is formed and
-        never written to afterwards: a term adds in place only into an
-        array its own fold made and has not saved.
+        never written to afterwards: a term adds in place (``target`` is
+        ``None``) only into an array its own fold made and has not saved,
+        and otherwise forms array number ``target`` of the step.
         """
         folds = [tuple((j, c) for j, c in enumerate(row) if c != 0.0) for row in (*self.a, self.b)]
         known: set[tuple] = set()
@@ -122,12 +135,14 @@ class RKMethod:
             known.update(terms[:m] for m in range(start + 1, len(terms) + 1))
         saved = {terms[:start] for terms, start in zip(folds, starts)}
         plan = []
+        arrays = 0
         for terms, start in zip(folds, starts):
             steps = []
             for m in range(start, len(terms)):
                 in_place = m > start and terms[:m] not in saved
                 save = terms[: m + 1] if terms[: m + 1] in saved else None
-                steps.append((*terms[m], in_place, save))
+                steps.append((*terms[m], None if in_place else arrays, save))
+                arrays += not in_place
             plan.append((terms[:start], tuple(steps)))
         return tuple(plan)
 
@@ -234,13 +249,22 @@ class Scheme:
     D_effective: BlockCirculantOp
     M_energy: BlockCirculantOp
 
-    def rhs(self, u: np.ndarray) -> np.ndarray:
-        f = self.D_effective @ u
+    def rhs(
+        self,
+        u: np.ndarray,
+        out: Optional[np.ndarray] = None,
+        buffers: Optional[MatvecBuffers] = None,
+    ) -> np.ndarray:
+        """``-a D u``, into ``out`` with the matvec ``buffers`` when given."""
+        f = self.D_effective.matvec(u, out, buffers)
         f *= -self.advection_speed
         return f
 
-    def energy(self, u: np.ndarray) -> float:
-        return float(u @ (self.M_energy @ u))
+    def energy(self, u: np.ndarray, workspace: Optional["Workspace"] = None) -> float:
+        """``u^T M u``; with a workspace, ``M u`` goes into its ``Mu`` buffer."""
+        if workspace is None:
+            return float(u @ (self.M_energy @ u))
+        return float(u @ self.M_energy.matvec(u, workspace.Mu, workspace.M))
 
 
 def make_scheme(grid: Grid, variant: str, advection_speed: float = 1.0) -> Scheme:
@@ -264,8 +288,53 @@ def make_scheme(grid: Grid, variant: str, advection_speed: float = 1.0) -> Schem
     return Scheme(variant=variant, advection_speed=a, grid=grid, D_effective=D, M_energy=M)
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class Workspace:
+    """Every array one run's time loop writes, allocated once per run.
+
+    ``k`` holds the stage derivatives and ``folds`` the arrays the stage
+    folds form (numbered by ``RKMethod._folds``); ``tmp`` holds one scaled
+    term, ``(dt c) k_j`` or ``gamma d``, before it is added.  ``d``,
+    ``Md``, ``Mu`` and ``Mf`` take the update difference and the products
+    ``M d``, ``M u`` and ``M f_i``.  ``D`` and ``M`` are the matvec
+    buffers of the scheme's derivative and mass operators.
+    """
+
+    k: tuple
+    folds: tuple
+    tmp: np.ndarray
+    d: np.ndarray
+    Md: np.ndarray
+    Mu: np.ndarray
+    Mf: np.ndarray
+    D: MatvecBuffers
+    M: MatvecBuffers
+
+    @classmethod
+    def allocate(cls, scheme: Scheme, method: RKMethod) -> "Workspace":
+        """Buffers for real states of ``scheme`` stepped by ``method``."""
+        size = 2 * scheme.grid.n
+        arrays = sum(target is not None for _, steps in method._folds for _, _, target, _ in steps)
+        new = functools.partial(np.empty, size)
+        return cls(
+            k=tuple(new() for _ in range(method.stages)),
+            folds=tuple(new() for _ in range(arrays)),
+            tmp=new(),
+            d=new(),
+            Md=new(),
+            Mu=new(),
+            Mf=new(),
+            D=scheme.D_effective.buffers(),
+            M=scheme.M_energy.buffers(),
+        )
+
+
 def rk_step(
-    scheme: Scheme, method: RKMethod, u: np.ndarray, dt: float
+    scheme: Scheme,
+    method: RKMethod,
+    u: np.ndarray,
+    dt: float,
+    workspace: Optional[Workspace] = None,
 ) -> tuple[np.ndarray, list[Stage]]:
     """One explicit RK step; returns the update and per-stage data.
 
@@ -277,22 +346,31 @@ def rk_step(
     written to, but the returned arrays may share memory with it and with
     each other (the first stage state is ``u`` itself), so treat them as
     read-only.
+
+    Without a workspace every returned array is new.  With one, the update
+    and the stage states other than ``u`` are its ``folds`` buffers and the
+    stage derivatives its ``k`` buffers: the next call with the same
+    workspace overwrites all of them, so ``u`` must not be one of them.
+    The values are the same bits either way.
     """
+    ws = workspace
+    tmp = None if ws is None else ws.tmp
     k: list[np.ndarray] = []
     stage_data: list[Stage] = []
     saved: dict[tuple, np.ndarray] = {(): u}
     last = method.stages
     for i, (source, terms) in enumerate(method._folds):
         y = saved[source]
-        for j, c, in_place, save in terms:
-            if in_place:
-                y += (dt * c) * k[j]
+        for j, c, target, save in terms:
+            term = np.multiply(dt * c, k[j], out=tmp)
+            if target is None:
+                y += term
             else:
-                y = y + (dt * c) * k[j]
+                y = np.add(y, term, out=None if ws is None else ws.folds[target])
             if save is not None:
                 saved[save] = y
         if i < last:  # a stage; the last fold is the update
-            f = scheme.rhs(y)
+            f = scheme.rhs(y) if ws is None else scheme.rhs(y, ws.k[i], ws.D)
             k.append(f)
             stage_data.append(Stage(b=method.b[i], y=y, f=f))
     return y, stage_data
@@ -306,6 +384,7 @@ def relaxation_gamma(
     dt: float,
     *,
     d: Optional[np.ndarray] = None,
+    workspace: Optional[Workspace] = None,
 ) -> float:
     """Step scaling that matches the energy change to the stage estimate.
 
@@ -316,17 +395,20 @@ def relaxation_gamma(
     stage term vanish; it saves the ``M f_i`` products.  Returns 1 when the
     update is too small for the quadratic to be meaningful.  A caller that
     has formed ``u_next - u`` for its own update passes it as ``d``, and it
-    is not formed again.
+    is not formed again.  With a workspace, ``d`` (when formed here) and
+    the products with ``M`` go into its ``d``, ``Md`` and ``Mf`` buffers.
     """
+    ws = workspace
     if d is None:
-        d = u_next - u
-    Md = M @ d
+        d = np.subtract(u_next, u, out=None if ws is None else ws.d)
+    Md = M @ d if ws is None else M.matvec(d, ws.Md, ws.M)
     d2 = float(d @ Md)
     if d2 < 1e-30:
         return 1.0
     e = 0.0
     for st in stage_data:
-        e += st.b * float(st.y @ (M @ st.f))
+        Mf = M @ st.f if ws is None else M.matvec(st.f, ws.Mf, ws.M)
+        e += st.b * float(st.y @ Mf)
     e *= 2.0 * dt
     return (e - 2.0 * float(u @ Md)) / d2
 
@@ -502,7 +584,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     if config.relaxation and _estimate_vanishes(scheme):
         rho, tol = _amplification_radius(scheme, method, dt_nominal)
         skip_estimate = rho <= 1.0 + tol
-    e0 = scheme.energy(u)
+    ws = Workspace.allocate(scheme, method)
+    e0 = scheme.energy(u, ws)
     times = [0.0]
     energies = [e0]
     gammas = [1.0]
@@ -519,23 +602,27 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     # while a plain micro-step perturbs the energy only at O(dt).
     while t_end - t > 1e-9 * dt_nominal:
         dt = min(dt_nominal, t_end - t)
-        u_next, stage_data = rk_step(scheme, method, u, dt)
+        u_next, stage_data = rk_step(scheme, method, u, dt, ws)
+        # each new state overwrites the old one, which nothing reads after it
         if config.relaxation and dt > 1e-4 * dt_nominal:
             estimate_data = () if skip_estimate else stage_data
-            d = u_next - u
-            gamma = relaxation_gamma(u, u_next, estimate_data, scheme.M_energy, dt, d=d)
+            d = np.subtract(u_next, u, out=ws.d)
+            gamma = relaxation_gamma(
+                u, u_next, estimate_data, scheme.M_energy, dt, d=d, workspace=ws
+            )
             if gamma <= 0.0:
                 raise EnergyBlowUpError(
                     f"relaxation parameter became non-positive ({gamma:.3g}) at "
                     f"t = {t:.6g}; the step is likely outside the RK stability region"
                 )
-            u = u + gamma * d
+            np.add(u, np.multiply(gamma, d, out=ws.tmp), out=u)
             t += gamma * dt
         else:
             gamma = 1.0
-            u = u_next
+            # u_next belongs to the workspace, which the next step writes again
+            np.copyto(u, u_next)
             t += dt
-        energy = scheme.energy(u)
+        energy = scheme.energy(u, ws)
         times.append(t)
         energies.append(energy)
         gammas.append(gamma)

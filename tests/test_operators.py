@@ -367,6 +367,52 @@ def test_matvec_without_a_halo_reads_the_operand_in_place(n):
     assert not np.shares_memory(got, u)
 
 
+@pytest.mark.parametrize("n", [3, 4, _C, _C + 1, _C + 2, 20000])
+def test_matvec_into_caller_buffers_is_bit_identical(n):
+    """``out`` and reused buffers give the bits of a plain call, in the one
+    chunk of n <= _CHUNK + 1 and across chunk edges, also when ``out`` is
+    the operand itself."""
+    rng = np.random.default_rng(n)
+    real = rng.normal(size=2 * n)
+    for op in _every_builder(ops.build_grid(n)):
+        for u in (real, real + 1j * rng.normal(size=2 * n)):
+            want = op.matvec(u)
+            buffers = op.buffers(u.dtype)
+            out = np.full(2 * n, np.nan, dtype=want.dtype)
+            for _ in range(2):
+                assert op.matvec(u, out=out, buffers=buffers) is out
+                assert out.tobytes() == want.tobytes()
+            v = u.copy()
+            assert op.matvec(v, out=v, buffers=buffers) is v
+            assert v.tobytes() == want.tobytes()
+            v = u.copy()
+            assert op.matvec(v, out=v) is v
+            assert v.tobytes() == want.tobytes()
+
+
+def test_matvec_refuses_buffers_and_out_that_do_not_fit():
+    g = ops.build_grid(16)
+    D, u = ops.central_D(g), np.ones(32)
+    for other in (
+        ops.central_D(ops.build_grid(17)).buffers(),  # another n
+        ops.extended_mass(g, MassParams(1.0, 0.4, 0.0, 0.1, 0.05)).buffers(),  # halo 2
+        ops.upwind_D_plus(g).buffers(),  # two blocks, not three
+        D.buffers(complex),  # another operand dtype
+    ):
+        with pytest.raises(ValueError, match="do not fit"):
+            D.matvec(u, buffers=other)
+    with pytest.raises(ValueError, match="do not fit"):
+        D.matvec(u + 0j, buffers=D.buffers())
+    for out in (np.empty(31), np.empty(32, complex), np.empty((16, 2))):
+        with pytest.raises(ValueError, match="out must be"):
+            D.matvec(u, out=out)
+    strided = np.empty(64)[::2]
+    assert D.matvec(u, out=strided).tobytes() == D.matvec(u).tobytes()
+    # buffers are scratch space: another operator of the same shape may use them
+    Dm = ops.upwind_D_minus(g)
+    assert Dm.matvec(u, buffers=D.buffers()).tobytes() == Dm.matvec(u).tobytes()
+
+
 def test_norm_inf_matches_dense():
     rng = np.random.default_rng(11)
     A = _random_op(rng, 7, 0.5, scale=-1.7)
@@ -439,6 +485,57 @@ def test_json_round_trip():
 def test_from_json_dict_rejects_malformed(doc):
     with pytest.raises(ValueError):
         BlockCirculantOp.from_json_dict(doc)
+
+
+def _normal_form_block_by_block(n, blocks):
+    """Reference normal form: each block converted, checked and reduced on
+    its own, aliased offsets summed in insertion order, zero blocks dropped."""
+    merged = {}
+    for j, a in blocks.items():
+        a = np.asarray(a, dtype=float)
+        if a.shape != (2, 2):
+            raise ValueError(f"block at offset {j} has shape {a.shape}, want (2, 2)")
+        r = (int(j) + n // 2) % n - n // 2
+        merged[r] = merged[r] + a if r in merged else a
+    return {r: a for r, a in merged.items() if np.count_nonzero(a)}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 360])
+def test_normal_form_is_that_of_one_block_at_a_time(n):
+    """Same offsets in the same order and the same bits; NaN counts as
+    nonzero, -0.0 as zero, and signed zeros inside a kept block stay."""
+    rng = np.random.default_rng(n)
+    cases = [
+        {-2: rng.normal(size=(2, 2)), 1: rng.normal(size=(2, 2)), n + 1: [[1.0, -0.0], [0, 2]]},
+        {0: [[-0.0, 0.0], [0.0, -0.0]], 1: [[np.nan, 0.0], [0.0, 0.0]], -1: np.eye(2, dtype=int)},
+        {5 * n: [[0.0, -0.0], [1.0, 0.0]], -5 * n - 1: rng.normal(size=(2, 2)), 2: np.zeros((2, 2))},
+        {j: rng.normal(size=(2, 2)) for j in (2, -1, 0, 1, -2)},
+        {},
+    ]
+    for blocks in cases:
+        op = BlockCirculantOp(n, 1.0, 1.0, blocks)
+        want = _normal_form_block_by_block(n, blocks)
+        assert list(op.blocks) == list(want)
+        for j, a in op.blocks.items():
+            assert a.tobytes() == want[j].tobytes()
+            assert not a.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        {0: np.eye(2), 1: [1.0, 2.0], 2: np.eye(3)},
+        {1: [[1.0, 2.0], [3.0]], 0: np.eye(2)},
+        {0: np.eye(2), -1: "a"},
+        {0: [1, 2, 3, 4]},
+    ],
+)
+def test_a_block_that_is_not_2x2_raises_its_own_error(blocks):
+    with pytest.raises(ValueError) as want:
+        _normal_form_block_by_block(5, blocks)
+    with pytest.raises(ValueError) as got:
+        BlockCirculantOp(5, 1.0, 1.0, blocks)
+    assert str(got.value) == str(want.value)
 
 
 def test_operator_blocks_are_read_only():

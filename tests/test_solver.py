@@ -404,9 +404,9 @@ def test_relaxed_matvecs_per_step(monkeypatch, variant, rk, per_step):
     estimate is kept (upwind, and the linearly unstable central ssprk33)."""
     calls = []
     matvec = ops.BlockCirculantOp.matvec
-    def counted(op, u):
+    def counted(op, u, *args, **kwargs):
         calls.append(1)
-        return matvec(op, u)
+        return matvec(op, u, *args, **kwargs)
 
     monkeypatch.setattr(ops.BlockCirculantOp, "matvec", counted)
     trace, _ = run_experiment(ExperimentConfig(variant=variant, rk=rk, n=16))
@@ -512,9 +512,10 @@ def test_amplification_radius_of_the_stable_pairs(variant, rk, dt_factor, a):
 # ---------------------------------------------------------------------------
 
 
-def _reference_rk_step(scheme, method, u, dt):
+def _reference_rk_step(scheme, method, u, dt, workspace=None):
     """Every stage state and the update folded into a fresh copy of ``u``,
-    one term at a time, with the right-hand side scaled out of place."""
+    one term at a time, with the right-hand side scaled out of place (a
+    workspace is accepted and left unused)."""
     k, stage_data = [], []
     for i in range(method.stages):
         y = u.copy()
@@ -592,3 +593,139 @@ def test_relaxed_run_is_bit_identical_with_the_naive_folds(monkeypatch, variant,
     assert u.tobytes() == want_u.tobytes()
     for name in ("times", "energies", "gammas"):
         assert getattr(trace, name).tobytes() == getattr(want_trace, name).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the run's workspace: same bits as fresh arrays
+# ---------------------------------------------------------------------------
+
+
+def _fresh_array_run(config):
+    """The time loop of ``run_experiment`` with no workspace: every step,
+    gamma and energy makes new arrays.  Raises what the run raises."""
+    g = ops.build_grid(config.n, config.x_min, config.x_max)
+    s = make_scheme(g, config.variant, config.advection_speed)
+    method = resolve_method(config.rk)
+    u = project_initial(g, solver.default_initial)
+    dt_nominal = config.dt_factor * g.dx
+    skip = False
+    if config.relaxation and solver._estimate_vanishes(s):
+        rho, tol = solver._amplification_radius(s, method, dt_nominal)
+        skip = rho <= 1.0 + tol
+    e0 = s.energy(u)
+    times, energies, gammas, t = [0.0], [e0], [1.0], 0.0
+    while config.t_end - t > 1e-9 * dt_nominal:
+        dt = min(dt_nominal, config.t_end - t)
+        u_next, stages = rk_step(s, method, u, dt)
+        gamma = 1.0
+        if config.relaxation and dt > 1e-4 * dt_nominal:
+            gamma = relaxation_gamma(u, u_next, () if skip else stages, s.M_energy, dt)
+            if gamma <= 0.0:
+                raise EnergyBlowUpError(
+                    f"relaxation parameter became non-positive ({gamma:.3g}) at "
+                    f"t = {t:.6g}; the step is likely outside the RK stability region"
+                )
+            u, t = u + gamma * (u_next - u), t + gamma * dt
+        else:
+            u, t = u_next, t + dt
+        energy = s.energy(u)
+        times.append(t)
+        energies.append(energy)
+        gammas.append(gamma)
+        if not math.isfinite(energy) or energy > 1e3 * max(e0, 1e-300):
+            raise EnergyBlowUpError(
+                f"energy {energy:.6g} exceeded 1e3 x initial {e0:.6g} at t = {t:.6g}"
+            )
+    return EnergyTrace(np.array(times), np.array(energies), np.array(gammas)), u
+
+
+@pytest.mark.parametrize(
+    "n, t_end", [(3, 1.0), (4, 1.0), (16, 1.0), (16, 2 * math.pi), (8193, 0.01), (8200, 0.01)]
+)
+@pytest.mark.parametrize("a", [1.0, -1.0, 2.5])
+@pytest.mark.parametrize("relaxation", [True, False], ids=["relaxed", "plain"])
+@pytest.mark.parametrize("variant", ["central", "upwind"])
+@pytest.mark.parametrize("rk", ["rk4", "ssprk33", "rk4x2"])
+def test_run_is_bit_identical_to_the_fresh_array_loop(rk, variant, relaxation, a, n, t_end):
+    """Every t_end here ends on a clipped step.  A pair that blows up
+    (unstable by design, or at the CFL number 1.25 of a = 2.5) must blow up
+    at the same step with the same message."""
+    config = ExperimentConfig(
+        variant=variant, rk=rk, relaxation=relaxation, advection_speed=a, n=n, t_end=t_end
+    )
+    _assert_run_matches_the_fresh_array_loop(config)
+
+
+#: b equals the last row of A, so the update is stage 3's state and no fold
+#: of its own forms it.
+_UPDATE_IS_A_STAGE = RKMethod(
+    name="update-is-a-stage",
+    a=((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.25, 0.75, 0.0)),
+    b=(0.25, 0.75, 0.0),
+    c=(0.0, 0.5, 1.0),
+)
+
+
+@pytest.mark.parametrize("relaxation", [True, False], ids=["relaxed", "plain"])
+@pytest.mark.parametrize("variant", ["central", "upwind"])
+@pytest.mark.parametrize("method", [_SHARED_PREFIXES, _UPDATE_IS_A_STAGE], ids=lambda m: m.name)
+def test_custom_tableau_run_is_bit_identical_to_the_fresh_array_loop(method, variant, relaxation):
+    """The update may be a partial sum of another fold: its buffer then
+    holds the next step's u and is written again during that step."""
+    if method is _UPDATE_IS_A_STAGE:
+        assert _UPDATE_IS_A_STAGE._folds[-1][1] == ()  # the update adds no term
+    config = ExperimentConfig(
+        variant=variant, rk=method, relaxation=relaxation, n=16, t_end=0.5, dt_factor=0.1
+    )
+    _assert_run_matches_the_fresh_array_loop(config)
+
+
+def _assert_run_matches_the_fresh_array_loop(config):
+    try:
+        want_trace, want_u = _fresh_array_run(config)
+    except EnergyBlowUpError as exc:
+        with pytest.raises(EnergyBlowUpError) as got:
+            run_experiment(config)
+        assert str(got.value) == str(exc)
+        return
+    trace, u = run_experiment(config)
+    assert u.tobytes() == want_u.tobytes()
+    for name in ("times", "energies", "gammas"):
+        assert getattr(trace, name).tobytes() == getattr(want_trace, name).tobytes()
+    assert config.t_end - trace.times[-2] < config.dt_factor * 2 * math.pi / config.n  # clipped
+
+
+@pytest.mark.parametrize("method", [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES], ids=lambda m: m.name)
+def test_rk_step_without_a_workspace_returns_arrays_no_later_call_writes(method):
+    g = ops.build_grid(16)
+    s = make_scheme(g, "upwind", 1.0)
+    u = project_initial(g, solver.default_initial)
+    u1, stages = rk_step(s, method, u, 0.3 * g.dx)
+    arrays = [u1, *(a for st in stages for a in (st.y, st.f))]
+    before = [a.tobytes() for a in arrays]
+    rk_step(s, method, u1, 0.3 * g.dx)
+    rk_step(s, method, u, 0.1 * g.dx)
+    assert [a.tobytes() for a in arrays] == before
+
+
+@pytest.mark.parametrize("method", [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES], ids=lambda m: m.name)
+def test_rk_step_with_a_workspace_writes_its_buffers(method):
+    """The update and the stage states other than u are fold buffers, the
+    stage derivatives k buffers; the bits are those of fresh arrays."""
+    g = ops.build_grid(17)
+    s = make_scheme(g, "upwind", -1.0)
+    ws = solver.Workspace.allocate(s, method)
+    u = project_initial(g, solver.default_initial)
+    u1, stages = rk_step(s, method, u, 0.3 * g.dx, ws)
+    want, want_stages = rk_step(s, method, u, 0.3 * g.dx)
+    assert u1.tobytes() == want.tobytes()
+    assert any(u1 is f for f in ws.folds)
+    assert stages[0].y is u
+    for st, k, want_st in zip(stages, ws.k, want_stages):
+        assert st.f is k
+        assert st.y is u or any(st.y is f for f in ws.folds)
+        assert (st.y.tobytes(), st.f.tobytes()) == (want_st.y.tobytes(), want_st.f.tobytes())
+    M = s.M_energy
+    gamma = relaxation_gamma(u, u1, stages, M, 0.3 * g.dx, workspace=ws)
+    assert gamma == relaxation_gamma(u, want, want_stages, M, 0.3 * g.dx)
+    assert s.energy(u1, ws) == s.energy(want)
