@@ -130,23 +130,25 @@ def check_mass_definiteness(
 ) -> spectral.Definiteness | list[spectral.Definiteness]:
     """Classify the pentadiagonal mass family (``m_vv = 0``) at (m_v, m_p).
 
-    Delegates to :func:`spectral.hermitian_classify` on a reference grid whose
-    mode set contains theta = 0 and +-pi/2 exactly, where the family's zero
+    Classifies :func:`operators.banded_mass` on a reference grid whose mode
+    set contains theta = 0 and +-pi/2 exactly, where the family's zero
     eigenvalues occur.  A number ``m_p`` gives one
-    :class:`spectral.Definiteness`.  A sequence of values (a whole sweep)
-    gives a list, one per value: the matrices are built by
-    :func:`operators.banded_mass` one pass at a time, 90 per pass on the
-    reference grid (``_CHUNK // (n//2 + 1)`` in :mod:`spectral`), and each
-    pass is classified as one stack.  Each result is bit for bit that of the
-    call with that one value: a stacked matrix only adds zero terms to sums
-    that start at ``+0.0``, which leaves them unchanged (see :mod:`spectral`).
+    :class:`spectral.Definiteness`, a sequence (a whole sweep) a list, one
+    per value; a number is the sweep of length one.  Each pass of
+    :func:`spectral.operators_per_pass` values (90 on the reference grid) is
+    built as one block stack straight from the coefficients
+    (:func:`operators.banded_mass_stack`, no operator per value) and
+    classified by :func:`spectral.classify_stack`, bit for bit as
+    :func:`spectral.hermitian_classify` classifies each matrix alone.
     """
-    def mass(p) -> BlockCirculantOp:
-        return ops.banded_mass(_CLASSIFY_GRID, MassParams(m_v=float(m_v), m_p=float(p)))
-
-    if np.ndim(m_p) == 0:
-        return spectral.hermitian_classify(mass(m_p))
-    return spectral.hermitian_classify(mass(p) for p in m_p)
+    grid = _CLASSIFY_GRID
+    values = np.asarray(m_p, dtype=float).reshape(-1)
+    per_pass = spectral.operators_per_pass(grid.n)
+    out: list[spectral.Definiteness] = []
+    for start in range(0, values.size, per_pass):
+        offsets, blocks = ops.banded_mass_stack(grid, m_v, values[start : start + per_pass])
+        out += spectral.classify_stack(grid.n, grid.dx, offsets, blocks)
+    return out[0] if np.ndim(m_p) == 0 else out
 
 
 def check_nullspace(D: BlockCirculantOp) -> tuple[int, list[np.ndarray]]:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -30,7 +31,7 @@ SCHEMA_VERSION = 1
 
 _TWO_PI = 2.0 * math.pi
 
-#: rows of a 2-D float array formatted by one ``%`` operation
+#: rows formatted and written at a time (for a 2-D float array, by one ``%``)
 _CSV_CHUNK = 1024
 
 
@@ -46,41 +47,45 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], path: Optional[str]) -> None:
+    """Write the strings of ``chunks`` in order to ``path``, or to stdout for None or ``-``."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _write_csv(path: Optional[str], config: dict, columns, rows) -> None:
-    """``#`` header lines, the column line, one line per row.
+def _csv_chunks(config: dict, columns, rows) -> Iterator[str]:
+    """``#`` header lines, the column line, one line per row, in chunks of ``_CSV_CHUNK`` rows.
 
     String cells pass through.  Numbers print with 17 significant digits
     (integers as themselves below 2**53), after ``+ 0.0``, which turns -0.0
-    into 0.0 and leaves every other value alone.  A 2-D float array is
-    printed in chunks of ``_CSV_CHUNK`` rows, with one ``%`` format over each
-    chunk's ``tolist()``: faster than a format per line, while the Python
-    floats alive at a time stay few (a whole-table ``tolist()`` would hold
-    about 28 MB more for a spectrum at n = 1e5).
+    into 0.0 and leaves every other value alone.  A 2-D float array gets one
+    ``%`` format over each chunk's ``tolist()``: faster than a format per
+    line.  Only one chunk's text and Python floats are alive at a time, so
+    the memory of writing a table does not grow with its length.
     """
     config_json = json.dumps(config, sort_keys=True, default=_json_default)
-    lines = [f"# schema_version = {SCHEMA_VERSION}", f"# config = {config_json}", ",".join(columns)]
+    yield f"# schema_version = {SCHEMA_VERSION}\n# config = {config_json}\n{','.join(columns)}\n"
     if isinstance(rows, np.ndarray):
-        line = ",".join(["%.17g"] * rows.shape[1])
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
         for start in range(0, rows.shape[0], _CSV_CHUNK):
             chunk = rows[start : start + _CSV_CHUNK] + 0.0
-            lines.append("\n".join([line] * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
-    else:
-        for row in rows:
-            cells = (c if isinstance(c, str) else "%.17g" % (float(c) + 0.0) for c in row)
-            lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", path)
+            yield (line * chunk.shape[0]) % tuple(chunk.ravel().tolist())
+        return
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
+        cells = ((c if isinstance(c, str) else "%.17g" % (float(c) + 0.0) for c in row) for row in chunk)
+        yield "\n".join(map(",".join, cells)) + "\n"
+
+
+def _write_csv(path: Optional[str], config: dict, columns, rows) -> None:
+    _emit(_csv_chunks(config, columns, rows), path)
 
 
 def _write_json(path: Optional[str], config: dict, **body) -> None:
-    _emit(_json_text({"schema_version": SCHEMA_VERSION, "config": config, **body}), path)
+    _emit([_json_text({"schema_version": SCHEMA_VERSION, "config": config, **body})], path)
 
 
 def _config(args) -> dict:
@@ -221,7 +226,7 @@ def _cmd_spectrum(args) -> int:
     columns = ("k", "theta", "re_lambda_1", "im_lambda_1", "re_lambda_2", "im_lambda_2")
     _write_csv(args.output, config, columns, rows)
     if args.dump_operator:
-        _emit(_json_text(op.to_json_dict()), args.dump_operator)
+        _emit([_json_text(op.to_json_dict())], args.dump_operator)
     return 0
 
 

@@ -61,7 +61,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -73,6 +73,7 @@ __all__ = [
     "MassParams",
     "MatvecBuffers",
     "banded_mass",
+    "banded_mass_stack",
     "build_grid",
     "cell_averages",
     "central_D",
@@ -607,6 +608,24 @@ def scaled_central_mass(grid: Grid, m_v: float, m_p: float) -> BlockCirculantOp:
     return factor * banded_mass(grid, MassParams(m_v=m_v, m_p=m_p))
 
 
+def _mass_family(p: MassParams) -> tuple[dict, dict]:
+    """The seven-band family at ``p``: every coefficient by name, and the blocks at -2..2.
+
+    ``p``'s fields may be floats or arrays; each array entry goes through
+    the same operations, in the same order, as a float.
+    """
+    m_vp, y, far = p.m_vp, p.y, (p.m_vvv - p.m_vvp) / 3.0
+    coeffs = {**vars(p), "m_pp": p.m_pp, "m_vp": m_vp, "y": y, "(m_vvv - m_vvp)/3": far}
+    blocks = {
+        -2: [[far, p.m_vvp], [0.0, p.m_vvv]],
+        -1: [[y, m_vp], [p.m_vvp, p.m_vv]],
+        0: [[p.m_p, m_vp], [m_vp, p.m_v]],
+        1: [[y, p.m_vvp], [m_vp, p.m_vv]],
+        2: [[far, 0.0], [p.m_vvp, p.m_vvv]],
+    }
+    return coeffs, blocks
+
+
 def extended_mass(grid: Grid, params: MassParams) -> BlockCirculantOp:
     """Symmetric seven-band mass matrix family.
 
@@ -623,19 +642,44 @@ def extended_mass(grid: Grid, params: MassParams) -> BlockCirculantOp:
     """
     # Python floats overflow to inf without the warning numpy scalars give
     p = MassParams(*map(float, (params.m_v, params.m_p, params.m_vv, params.m_vvp, params.m_vvv)))
-    m_vp, y, far = p.m_vp, p.y, (p.m_vvv - p.m_vvp) / 3.0
-    coeffs = {**vars(p), "m_pp": p.m_pp, "m_vp": m_vp, "y": y, "(m_vvv - m_vvp)/3": far}
+    coeffs, blocks = _mass_family(p)
     bad = ", ".join(f"{k} = {v}" for k, v in coeffs.items() if not math.isfinite(v))
     if bad:
         raise ValueError(f"mass coefficients must be finite, got {bad} for {p}")
-    blocks = {
-        -2: [[far, p.m_vvp], [0.0, p.m_vvv]],
-        -1: [[y, m_vp], [p.m_vvp, p.m_vv]],
-        0: [[p.m_p, m_vp], [m_vp, p.m_v]],
-        1: [[y, p.m_vvp], [m_vp, p.m_vv]],
-        2: [[far, 0.0], [p.m_vvp, p.m_vvv]],
-    }
     return BlockCirculantOp(grid.n, grid.dx, grid.dx, blocks)
+
+
+def banded_mass_stack(
+    grid: Grid, m_v: float, m_p: Sequence[float]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """The blocks ``banded_mass(grid, MassParams(m_v, m))`` stores for each ``m`` in ``m_p``, stacked.
+
+    Returns the offsets and a ``(#offsets, len(m_p), 2, 2)`` array: bit for
+    bit each value's stored blocks, zeros where a value stores none, and no
+    offset at which every value's block is zero.  No operator is built:
+    ``_mass_family`` applies the formulas to arrays.  The scale is
+    ``grid.dx``.  The first value :func:`banded_mass` refuses raises its
+    error.  Needs ``n >= 5``, where the offsets -2..2 are already reduced.
+    """
+    if grid.n < 5:
+        raise ValueError(f"the stacked mass family needs n >= 5, got n={grid.n}")
+    m_v, m_p = float(m_v), np.asarray(m_p, dtype=float)
+    # arrays warn on overflow where floats do not; the refusal below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, blocks = _mass_family(MassParams(m_v, m_p))
+    finite = np.ones(m_p.shape, dtype=bool)
+    for v in coeffs.values():
+        finite &= np.isfinite(v)
+    if not finite.all():
+        banded_mass(grid, MassParams(m_v, float(m_p[np.argmin(finite)])))
+    stack = np.empty((len(blocks), 2, 2, m_p.size))
+    entries = (e for block in blocks.values() for row in block for e in row)
+    for cell, e in zip(stack.reshape(-1, m_p.size), entries):
+        cell[:] = e
+    stack = stack.transpose(0, 3, 1, 2)
+    # an offset where every value's block is zero (-0.0 counts) is dropped
+    kept = stack.any(axis=(1, 2, 3))
+    return tuple(j for j, k in zip(blocks, kept) if k), stack[kept]
 
 
 # ---------------------------------------------------------------------------

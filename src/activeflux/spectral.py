@@ -29,18 +29,23 @@ stands for.  Both of them run the kernel on ``_CHUNK`` modes at a time, so
 that their per-mode temporaries stay cache-sized at large n.
 
 :func:`hermitian_classify` classifies one operator or a whole sequence of
-them (``mass-scan`` classifies hundreds of mass matrices on one ring).  A
-sequence goes through in passes of ``B`` operators with ``B (n//2 + 1) <=
-_CHUNK``, at least one, so a pass holds no more per-mode data than one
-operator's chunk does, however long the sequence.  Each pass takes every
-step of the classification with the operators along a leading array axis:
-the norm, the symmetry defect, the power-of-two rescale, the symbols and
-the per-mode tests.
+them.  A sequence goes through in passes of ``B`` operators with ``B (n//2
++ 1) <= _CHUNK``, at least one (:func:`operators_per_pass`), so a pass
+holds no more per-mode data than one operator's chunk does, however long
+the sequence.  A pass groups its operators into stacks (``_families``,
+``_Stack.of``); :func:`classify_stack` takes a stack that is already one,
+as ``mass-scan`` builds each pass of its sweep straight from the mass
+family's coefficients (``operators.banded_mass_stack``) without building
+the operators.  Either way one step checks the stack (``_checked``: the
+norm, the symmetry defect, the power-of-two rescale) and one kernel
+classifies it (``_classify_stack``: the symbols and the per-mode tests),
+with the operators along a leading array axis.
 
 Every operator of a stack gets the result it gets alone, bit for bit: each
 of its elements goes through the same floating-point operations in the same
 order.  The stack only adds terms that the one-operator case skips because
-they are zero: the padded zero blocks, and block entries that are zero in
+they are zero: the padded zero blocks (``+0.0``, or zeros of either sign
+in a stack built from coefficients), and block entries that are zero in
 some operators of a stack but not in all.  Each such term adds ``+-0`` to a
 running sum.  Every such sum starts at ``+0.0`` and so is never ``-0.0``
 (``x + y`` is ``-0.0`` only when both are), and ``x + (+-0) = x`` for
@@ -67,9 +72,11 @@ __all__ = [
     "Definiteness",
     "Symbol",
     "block_diagonalize_check",
+    "classify_stack",
     "eigenvalues",
     "eigenvector",
     "hermitian_classify",
+    "operators_per_pass",
     "symbol",
 ]
 
@@ -472,27 +479,37 @@ def _classify_stack(stack: _Stack, e: np.ndarray) -> list[Definiteness]:
     return out
 
 
+def _checked(stack: _Stack) -> tuple[_Stack, np.ndarray, list]:
+    """Norm, symmetry defect and power-of-two rescale of every operator of ``stack``.
+
+    Returns the stack to classify, the exponents to scale its results back
+    by, and ``(position, message)`` for each operator that fails, in order.
+    """
+    with np.errstate(over="ignore"):  # a norm past the float range reads as inf
+        norm = stack.norms()
+    e = np.zeros(stack.scale.size, dtype=int)
+    rescale = ~((2.0**-300 < norm) & (norm < 2.0**300))
+    if rescale.any():
+        stack, e = stack.rescaled(rescale)
+        norm = stack.norms()
+    defect = stack.defects()
+    asymmetric = defect > 1e-12 * np.maximum(norm, 1e-300)
+    # a finite norm below 2**300 bounds every symbol entry by 2**301
+    finite = np.isfinite(norm) & np.isfinite(stack.scale)
+    failures = [
+        (b, f"operator is not symmetric (defect {defect[b]:.3e})" if asymmetric[b]
+         else "operator symbol has a non-finite entry")
+        for b in np.flatnonzero(asymmetric | ~finite).tolist()
+    ]
+    return stack, e, failures
+
+
 def _classify_pass(ops: list[BlockCirculantOp]) -> list[Definiteness]:
     """Check and classify ``ops``, one stack per family; raise for the first one that fails."""
     checked, failures = [], []
     for offsets, idx in _families(ops):
-        stack = _Stack.of([ops[i] for i in idx], offsets)
-        with np.errstate(over="ignore"):  # a norm past the float range reads as inf
-            norm = stack.norms()
-        e = np.zeros(len(idx), dtype=int)
-        rescale = ~((2.0**-300 < norm) & (norm < 2.0**300))
-        if rescale.any():
-            stack, e = stack.rescaled(rescale)
-            norm = stack.norms()
-        defect = stack.defects()
-        asymmetric = defect > 1e-12 * np.maximum(norm, 1e-300)
-        # a finite norm below 2**300 bounds every symbol entry by 2**301
-        finite = np.isfinite(norm) & np.isfinite(stack.scale)
-        for b in np.flatnonzero(asymmetric | ~finite):
-            failures.append((idx[b], (
-                f"operator is not symmetric (defect {defect[b]:.3e})" if asymmetric[b]
-                else "operator symbol has a non-finite entry"
-            )))
+        stack, e, failed = _checked(_Stack.of([ops[i] for i in idx], offsets))
+        failures += [(idx[b], message) for b, message in failed]
         checked.append((idx, stack, e))
     if failures:
         raise ValueError(min(failures)[1])
@@ -501,6 +518,28 @@ def _classify_pass(ops: list[BlockCirculantOp]) -> list[Definiteness]:
         for i, result in zip(idx, _classify_stack(stack, e)):
             out[i] = result
     return out
+
+
+def classify_stack(n: int, scale: float, offsets: tuple, blocks: np.ndarray) -> list[Definiteness]:
+    """Classify each operator of one block stack bit for bit as :func:`hermitian_classify` does.
+
+    ``blocks[i, b]`` is operator ``b``'s block at ``offsets[i]`` on the
+    ``n``-cell ring (zeros, of either sign, where it stores none); every
+    prefactor is ``scale``.  Each operator's stored offsets must fit
+    ``offsets`` (see ``_fits``).  The first operator that fails the checks
+    raises the error it raises alone.  Per-mode memory grows with the
+    stack: a long sequence goes in stacks of :func:`operators_per_pass`.
+    """
+    stack = _Stack(n, offsets, blocks, np.full(blocks.shape[1], float(scale)))
+    stack, e, failures = _checked(stack)
+    if failures:
+        raise ValueError(failures[0][1])
+    return _classify_stack(stack, e)
+
+
+def operators_per_pass(n: int) -> int:
+    """Operators per stacked pass on the ``n``-cell ring: a pass holds about one chunk of modes."""
+    return max(1, _CHUNK // (n // 2 + 1))
 
 
 def hermitian_classify(
@@ -532,13 +571,13 @@ def hermitian_classify(
     One operator gives one :class:`Definiteness`.  An iterable of operators
     on one ring (same ``n`` and ``dx``) gives a list, one per operator, each
     bit for bit the result of classifying that operator alone.  It is read
-    in passes of ``max(1, _CHUNK // (n//2 + 1))`` operators, and each pass
-    is classified as one stack, so memory does not grow with the length of
-    the sequence.  A stack adds to each operator's sums only terms that are
-    zero for it, and each such sum starts at ``+0.0``, so the terms change
-    nothing (the module docstring gives the argument).  The first operator
-    that fails the checks raises the error it raises alone.  The
-    one-operator call is the stack of one.
+    in passes of :func:`operators_per_pass` operators, and each pass is
+    classified one stack per family of stored offsets, so memory does not
+    grow with the length of the sequence.  A stack adds to each operator's
+    sums only terms that are zero for it, and each such sum starts at
+    ``+0.0``, so the terms change nothing (the module docstring gives the
+    argument).  The first operator that fails the checks raises the error
+    it raises alone.  The one-operator call is the stack of one.
     """
     if isinstance(op, BlockCirculantOp):
         return _classify_pass([op])[0]
@@ -546,7 +585,7 @@ def hermitian_classify(
     first = next(ops, None)
     if first is None:
         return []
-    per_pass = max(1, _CHUNK // (first.n // 2 + 1))
+    per_pass = operators_per_pass(first.n)
     ops = itertools.chain([first], ops)
     out: list[Definiteness] = []
     while batch := list(itertools.islice(ops, per_pass)):

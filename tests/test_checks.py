@@ -137,6 +137,90 @@ def test_check_mass_definiteness_refuses_overflowing_couplings():
             checks.check_mass_definiteness(1e308, 1e308)
 
 
+def _bits(cls):
+    return (
+        cls.kind,
+        cls.zero_multiplicity,
+        np.float64(cls.min_eigenvalue).tobytes(),
+        np.float64(cls.max_eigenvalue).tobytes(),
+    )
+
+
+def _edge_values(m_v):
+    """m_p = m_v/3 (the +-1 blocks vanish), both window edges and their
+    neighbouring floats, +-0.0 and negative m_p."""
+    points = [m_v / 3.0, 2.0 * m_v / 9.0, 2.0 * m_v / 3.0, 0.0, -0.0, -abs(m_v), 0.4 * m_v]
+    for edge in (2.0 * m_v / 9.0, 2.0 * m_v / 3.0):
+        points += [np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+    return [float(p) for p in points]
+
+
+@pytest.mark.parametrize(
+    "m_v, length",
+    [(1.0, length) for length in (0, 1, 89, 90, 91, 181)]
+    + [(m_v, 91) for m_v in (0.75, 9.0, 1e-300, 1e300, -1.0, -0.0)],
+)
+def test_mass_sweep_is_the_one_value_calls_bit_for_bit(m_v, length):
+    """Every row of a sweep, in every pass of 90, equals the one-value call and
+    the classification of the built matrix: kind, multiplicity and the bytes
+    of both eigenvalues.  m_v = 1e-300 and 1e300 go through the rescale."""
+    pool = _edge_values(m_v)
+    if length > len(pool):
+        pool += list(np.linspace(-0.25, 1.25, length - len(pool)) * m_v)
+    values = [pool[i] for i in np.random.default_rng(length).permutation(length)]
+    if length > 90:  # a last pass whose stack stores only the offset 0
+        values[90:] = [m_v / 3.0] * (length - 90)
+    grid = checks._CLASSIFY_GRID
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        swept = checks.check_mass_definiteness(m_v, values)
+        assert [_bits(c) for c in checks.check_mass_definiteness(m_v, np.array(values))] == [
+            _bits(c) for c in swept
+        ]
+        alone = [checks.check_mass_definiteness(m_v, m_p) for m_p in values]
+        built = [
+            spectral.hermitian_classify(ops.banded_mass(grid, MassParams(m_v, m_p)))
+            for m_p in values
+        ]
+    assert isinstance(swept, list) and len(swept) == length
+    assert [_bits(c) for c in swept] == [_bits(c) for c in alone] == [_bits(c) for c in built]
+
+
+def test_mass_sweep_builds_its_block_stacks_one_pass_at_a_time(monkeypatch):
+    sizes, build = [], ops.banded_mass_stack
+
+    def recorded(grid, m_v, m_p):
+        sizes.append(len(m_p))
+        return build(grid, m_v, m_p)
+
+    monkeypatch.setattr(checks.ops, "banded_mass_stack", recorded)
+    checks.check_mass_definiteness(1.0, np.linspace(0.0, 1.0, 181))
+    assert sizes == [90, 90, 1] == [spectral.operators_per_pass(checks._CLASSIFY_N)] * 2 + [1]
+
+
+@pytest.mark.parametrize("at", [0, 89, 90, 150])
+@pytest.mark.parametrize("bad", [1e308, -1e308, float("inf"), float("nan")])
+def test_mass_sweep_raises_the_one_value_error_of_its_first_refused_value(at, bad):
+    """Also when the first refused value sits in the second pass, and
+    without a RuntimeWarning from the array arithmetic."""
+    values = list(np.linspace(-0.25, 1.25, 181))
+    values[at] = bad
+    values[-1] = -float("inf")  # refused too, but later
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as alone:
+            checks.check_mass_definiteness(1.0, bad)
+        with pytest.raises(ValueError) as swept:
+            checks.check_mass_definiteness(1.0, values)
+        assert str(swept.value) == str(alone.value)
+        for m_v in (float("inf"), float("nan")):
+            with pytest.raises(ValueError) as alone:
+                checks.check_mass_definiteness(m_v, values[0])
+            with pytest.raises(ValueError) as swept:
+                checks.check_mass_definiteness(m_v, values)
+            assert str(swept.value) == str(alone.value)
+
+
 def test_check_nullspace_dimensions():
     g = _grid(7)
     dim_c, basis_c = checks.check_nullspace(ops.central_D(g))

@@ -286,6 +286,31 @@ def test_solve_rejects_a_non_finite_custom_tableau_up_front(tableau, tmp_path, c
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("count", [0, 1, cli._CSV_CHUNK, cli._CSV_CHUNK + 1, 2 * cli._CSV_CHUNK + 1])
+def test_csv_written_chunk_by_chunk_is_the_text_of_one_join(tmp_path, capsys, count):
+    """To a file and to stdout, from a float array and from rows of mixed cells."""
+    rng = np.random.default_rng(count)
+    table = rng.normal(size=(count, 3)) * 10.0 ** rng.integers(-300, 300, size=(count, 3))
+    table[::7, 1] = -0.0
+    rows = [("x", i, *r) for i, r in enumerate(table.tolist())]
+    config = {"n": count}
+
+    def one_join(columns, cells):
+        lines = [f"# schema_version = {cli.SCHEMA_VERSION}", f"# config = {json.dumps(config)}"]
+        lines.append(",".join(columns))
+        for row in cells:
+            lines.append(",".join(c if isinstance(c, str) else "%.17g" % (float(c) + 0.0) for c in row))
+        return "\n".join(lines) + "\n"
+
+    path = tmp_path / "table.csv"
+    for columns, data, cells in ((("a", "b", "c"), table, table.tolist()), (tuple("sabcd"), rows, rows)):
+        want = one_join(columns, cells)
+        cli._write_csv(str(path), config, columns, data)
+        assert path.read_text() == want
+        cli._write_csv(None, config, columns, data if isinstance(data, np.ndarray) else iter(data))
+        assert capsys.readouterr().out == want
+
+
 # ---------------------------------------------------------------------------
 # mass-scan
 # ---------------------------------------------------------------------------

@@ -201,6 +201,28 @@ def test_scaled_central_mass_rejects_outside_open_window(m_p):
         ops.scaled_central_mass(g, 1.0, m_p)
 
 
+@pytest.mark.parametrize("m_v", [1.0, 9.0, -0.0, 1e-300])
+def test_banded_mass_stack_holds_each_values_stored_blocks(m_v):
+    """Bit for bit the blocks banded_mass stores, zeros elsewhere, and only
+    offsets some value stores: {0} at m_p = m_v/3, none for the zero matrix."""
+    g = ops.build_grid(360, 0.0, 360.0)
+    values = [m_v / 3.0, 0.0, -0.0, 2.0 * m_v / 9.0, -m_v, 0.4 * m_v, np.nextafter(m_v / 3.0, 1.0)]
+    built = [ops.banded_mass(g, MassParams(m_v, m_p)) for m_p in values]
+    for size in (1, 3, len(values)):
+        offsets, stack = ops.banded_mass_stack(g, m_v, values[:size])
+        assert stack.shape == (len(offsets), size, 2, 2)
+        stored = [j for j in range(-2, 3) if any(j in op.blocks for op in built[:size])]
+        assert offsets == tuple(stored)
+        for b, op in enumerate(built[:size]):
+            for i, j in enumerate(offsets):
+                if j in op.blocks:
+                    assert stack[i, b].tobytes() == op.blocks[j].tobytes()
+                else:
+                    assert not stack[i, b].any()
+    with pytest.raises(ValueError, match="n >= 5"):
+        ops.banded_mass_stack(ops.build_grid(4), 1.0, [0.4])
+
+
 def test_extended_mass_symmetric_with_five_bands():
     g = ops.build_grid(9)
     M = ops.extended_mass(g, MassParams(1.0, 1 / 3, 0.0, 0.1, 0.05))

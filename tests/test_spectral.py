@@ -249,6 +249,17 @@ def test_stacked_classification_is_that_of_each_operator_alone(n, extra):
     assert spectral.hermitian_classify([]) == []
 
 
+@pytest.mark.parametrize("n", [5, 64, 359])
+def test_classify_stack_is_that_of_each_built_matrix(n):
+    """A stack built from the mass family's coefficients, on a ring whose
+    scale dx is not 1, classifies each matrix as the built operator does."""
+    g = ops.build_grid(n)
+    values = [1 / 3, 2 / 9, 2 / 3, 0.4, -0.0, -1.0, np.nextafter(2 / 9, 1.0)]
+    offsets, blocks = ops.banded_mass_stack(g, 1.0, values)
+    alone = [_bits(spectral.hermitian_classify(ops.banded_mass(g, MassParams(1.0, m)))) for m in values]
+    assert [_bits(c) for c in spectral.classify_stack(n, g.dx, offsets, blocks)] == alone
+
+
 @pytest.mark.parametrize("where", [0, 7, "second pass"])
 def test_a_failing_operator_in_a_stack_raises_its_own_error(where):
     g = ops.build_grid(64)
