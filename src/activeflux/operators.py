@@ -28,7 +28,8 @@ of the input (the input with ``h`` wrapped cells on each side) they read.  A
 call copies the input into a halo buffer (no copy at all when ``h = 0``),
 whose ``2h + 1`` windows of ``n`` cells are one strided ``(2h + 1, n, 2)``
 view.  One batched ``matmul`` then forms every block's ``(cells, 2) @ (2,
-2)`` product into a product stack, ``np.add.reduce`` sums the products over
+2)`` product into a product stack (one ``matmul`` per block where the
+windows are not consecutive), ``np.add.reduce`` sums the products over
 the blocks, in insertion order and starting from ``+0.0``, and the sum is
 multiplied by ``scale`` once.  Each product row is the two-term dot product
 a per-block product computes, and a reduction over the outermost axis adds
@@ -48,12 +49,26 @@ and output view keeps unit stride in its last axis and at least two rows
 (OpenBLAS rounds with fused multiply-adds, which an elementwise product or
 numpy's fallback loop would not).
 
+A call's set-up (checking the operand, ``out`` and the buffers, and making
+the halo copies' and the windows' views) can be done once:
+``BlockCirculantOp.bind(u, out, buffers)`` returns the buffers together
+with those views for that operator, operand and ``out``.  A call with all
+three the same objects (``is``) skips the checks and replays the views;
+any other call treats them as plain buffers.  Both paths then run the one
+kernel body, so a bound call gives the bits of an unbound one.
+
 The relaxed time stepper depends on that exactness: its step rescaling
 divides energy estimates that nearly cancel, so a kernel that only
 reassociates the sums (a CSR matrix, or ``scale`` folded into the entries)
 moves relaxed trajectories by far more than rounding.  Folding ``scale`` in
 would also break the exactly-zero integer row sums the consistency checks
-rely on.
+rely on.  A factor applied after the matvec is another matter:
+``(x * scale) * c`` and ``x * (scale * c)`` are the same bits whenever
+multiplying by ``c`` is exact.  At ``c = -1`` it always is, since rounding
+is symmetric, so the solver folds ``-a`` into the scale at ``|a| = 1``.  At
+other powers of two it is exact only while nothing is subnormal: a
+subnormal ``x * scale`` has already lost bits that ``x * (2 scale)``
+keeps, so there both roundings stay.
 """
 
 from __future__ import annotations
@@ -133,7 +148,7 @@ def build_grid(n: int, x_min: float = 0.0, x_max: float = 2.0 * math.pi) -> Grid
 
     ``n < 3`` is rejected: the three-cell stencils would make distinct
     entries collide on the same dof.  The domain ends and length must be
-    finite.
+    finite, and so must the derivative scale ``1/dx``.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise TypeError(f"n must be an integer, got {n!r}")
@@ -146,6 +161,10 @@ def build_grid(n: int, x_min: float = 0.0, x_max: float = 2.0 * math.pi) -> Grid
     if not (x_max > x_min):
         raise ValueError(f"empty domain: x_max={x_max} must exceed x_min={x_min}")
     dx = (x_max - x_min) / n
+    if dx == 0.0 or not math.isfinite(1.0 / dx):
+        raise ValueError(
+            f"cells too small: dx = {dx} on [{x_min}, {x_max}] with n={n}, so 1/dx is not finite"
+        )
     i = np.arange(n)
     return Grid(
         n=int(n),
@@ -201,12 +220,17 @@ class MatvecBuffers(NamedTuple):
     ``(#blocks, min(n, _CHUNK + 1), 2)`` product stack: the chunk's
     ``(#blocks, cells, 2)`` products, and the same memory as ``(#blocks,
     2 cells)`` rows, which sum straight into the flat result.
+
+    ``bound`` is ``None``, or ``(op, u, out, copies, steps)`` for buffers
+    from :meth:`BlockCirculantOp.bind`: a call of ``op`` on that ``u`` and
+    ``out`` runs the prebuilt halo copies and product steps.
     """
 
     key: tuple
     halo: Optional[tuple]
     windows: Optional[np.ndarray]
     chunks: tuple
+    bound: Optional[tuple] = None
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -314,30 +338,34 @@ class BlockCirculantOp:
             chunks.append((c, stop, part, part.reshape(blocks, 2 * (stop - c))))
         return MatvecBuffers((n, h, blocks, dtype), halo, windows, tuple(chunks))
 
-    def matvec(
+    def bind(
         self,
         u: np.ndarray,
-        out: Optional[np.ndarray] = None,
+        out: np.ndarray,
         buffers: Optional["MatvecBuffers"] = None,
-    ) -> np.ndarray:
-        """``scale * circulant(blocks) @ u`` as one stacked product per chunk.
+    ) -> "MatvecBuffers":
+        """Buffers whose :meth:`matvec` calls on ``u`` into ``out`` skip the set-up.
 
-        Bit-exactness contract: the result equals, bit for bit, rolling the
-        operand once per block (``np.roll(x, -j) @ A_j^T``), accumulating
-        into zeros in block insertion order and multiplying by ``scale``
-        once.  The operand is copied once into the halo buffer, whose
-        windows are a strided view; per chunk of ``_CHUNK`` cells, one
-        batched ``matmul`` forms every block's product into the product
-        stack and ``np.add.reduce`` over the block axis, from
-        ``initial=0.0``, adds them in insertion order (the ``+0.0`` start
-        turns a ``-0.0`` first product into ``+0.0``, as zeros do).  See
-        the module docstring for why no reassociating kernel (CSR) is used.
+        The arguments are checked as a call checks them, and the call's
+        steps are built, once.  A call of this operator with this very
+        ``u`` and ``out`` (``is``, not equality) replays the steps, reading
+        whatever ``u`` holds then; any other call takes the result as plain
+        ``buffers``.
+        """
+        u, out, buffers, copies, steps = self._program(u, out, buffers)
+        return buffers._replace(bound=(self, u, out, copies, tuple(steps)))
 
-        ``out`` (shape ``(2n,)``, of the result dtype) receives the result
-        and is returned; it may be ``u`` itself.  ``buffers``
-        (from :meth:`buffers` with ``u``'s dtype) are reused scratch space.
-        Without them a call makes its own and returns a new array.  Either
-        argument that does not fit raises :class:`ValueError`.
+    def _program(self, u, out, buffers) -> tuple:
+        """``u`` as an array, ``out`` and ``buffers`` checked or made, and the call's steps.
+
+        The steps are the halo copies, ``(cells, u, before, tail, after,
+        head)`` or ``()`` when ``h = 0``, and the product steps ``(windows,
+        A^T, products, rows, part)``; the last product step of
+        a chunk also sums its ``rows`` into ``part`` of ``out`` (the others
+        carry ``None``).  All of them are views, valid as long as ``u``,
+        ``out`` and the buffers are.  Windows selected by a slice make one
+        batched product per chunk; by an index array, one product per
+        block, since a gathered copy would not see the next operand.
         """
         u = np.asarray(u)
         n = self.n
@@ -362,15 +390,65 @@ class BlockCirculantOp:
             )
         if h:
             cells, before, after = buffers.halo
-            cells[...] = u
-            before[...] = u[2 * (n - h) :]
-            after[...] = u[: 2 * h]
+            copies = (cells, u, before, u[2 * (n - h) :], after, u[: 2 * h])
             windows = buffers.windows
         else:  # one block at offset 0: each chunk is read before it is written
-            windows = u.reshape(1, n, 2)
+            copies, windows = (), u.reshape(1, n, 2)
+        steps = []
         for c, stop, products, rows in buffers.chunks:
-            np.matmul(windows[select, c:stop], a_t, out=products)
-            np.add.reduce(rows, axis=0, initial=0.0, out=out[2 * c : 2 * stop])
+            part = out[2 * c : 2 * stop]
+            if isinstance(select, slice):
+                steps.append((windows[select, c:stop], a_t, products, rows, part))
+                continue
+            for s, a, p in zip(select.tolist(), a_t, products):
+                steps.append((windows[s, c:stop], a, p, None, None))
+            steps[-1] = (*steps[-1][:3], rows, part)
+        return u, out, buffers, copies, steps
+
+    def matvec(
+        self,
+        u: np.ndarray,
+        out: Optional[np.ndarray] = None,
+        buffers: Optional["MatvecBuffers"] = None,
+    ) -> np.ndarray:
+        """``scale * circulant(blocks) @ u``, one stacked product per chunk.
+
+        Bit-exactness contract: the result equals, bit for bit, rolling the
+        operand once per block (``np.roll(x, -j) @ A_j^T``), accumulating
+        into zeros in block insertion order and multiplying by ``scale``
+        once.  The operand is copied once into the halo buffer, whose
+        windows are a strided view; per chunk of ``_CHUNK`` cells, one
+        batched ``matmul`` forms every block's product into the product
+        stack and ``np.add.reduce`` over the block axis, from
+        ``initial=0.0``, adds them in insertion order (the ``+0.0`` start
+        turns a ``-0.0`` first product into ``+0.0``, as zeros do).  See
+        the module docstring for why no reassociating kernel (CSR) is used.
+        Windows that are not consecutive in insertion order are multiplied
+        block by block, with the same 2x2 products.
+
+        ``out`` (shape ``(2n,)``, of the result dtype) receives the result
+        and is returned; it may be ``u`` itself.  ``buffers``
+        (from :meth:`buffers` with ``u``'s dtype) are reused scratch space.
+        Without them a call makes its own and returns a new array.  Either
+        argument that does not fit raises :class:`ValueError`.  Buffers
+        from :meth:`bind` for this operator, ``u`` and ``out`` skip the
+        checks and reuse their views; the kernel is the same.
+        """
+        bound = None if buffers is None else buffers.bound
+        if bound is not None and bound[0] is self and bound[1] is u and bound[2] is out:
+            copies, steps = bound[3], bound[4]
+        else:
+            u, out, _, copies, steps = self._program(u, out, buffers)
+        if copies:
+            cells, operand, before, tail, after, head = copies
+            cells[...] = operand
+            before[...] = tail
+            after[...] = head
+        # positional out: the same ufunc loops, with less argument parsing
+        for windows, a_t, products, rows, part in steps:
+            np.matmul(windows, a_t, products)
+            if rows is not None:
+                np.add.reduce(rows, 0, None, part, False, 0.0)
         out *= self.scale
         return out
 

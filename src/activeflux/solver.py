@@ -32,6 +32,21 @@ makes, on the same operands in the same order, so trajectories are the
 same bits; only where results live changes.  Called without a workspace,
 :func:`rk_step`, :func:`relaxation_gamma` and :meth:`Scheme.energy` return
 new arrays.
+
+The workspace also does each step's set-up once per run.  Allocated for
+the run's state array ``u``, it binds a step program: every fold's terms
+as (coefficient, ``k_j``, operand, ``out``), the stage list, and one matvec
+binding (:meth:`~activeflux.operators.BlockCirculantOp.bind`) per stage
+state and derivative pair.  :func:`rk_step` replays it on that ``u`` and
+forms the coefficients ``dt c`` again only when ``dt`` changes; on any
+other operand it takes the general path.  ``M u``, ``M d`` and each
+``M f_i`` are bound the same way.  Each call still goes through
+:func:`rk_step`, :func:`relaxation_gamma`, :meth:`Scheme.energy` and
+``BlockCirculantOp.matvec``.
+
+At ``|a| = 1`` the right-hand side ``-a D u`` folds ``-a`` into the scale
+of ``D``, which is exact (:attr:`Scheme.rhs_operator`): one scaling pass
+instead of two.
 """
 
 from __future__ import annotations
@@ -249,6 +264,20 @@ class Scheme:
     D_effective: BlockCirculantOp
     M_energy: BlockCirculantOp
 
+    @functools.cached_property
+    def rhs_operator(self) -> tuple[BlockCirculantOp, float]:
+        """The operator :meth:`rhs` applies, and the factor it then multiplies by.
+
+        At ``|a| = 1`` the factor ``-a`` only sets the sign, and rounding
+        is symmetric, so ``x * (-a scale)`` rounds to ``(x * scale) * -a``
+        in every range: ``-a`` goes into the operator's scale, and the
+        factor is 1.  At any other speed both roundings stay.
+        """
+        D, a = self.D_effective, self.advection_speed
+        if abs(a) == 1.0:
+            return BlockCirculantOp(D.n, D.dx, -a * D.scale, D.blocks), 1.0
+        return D, -a
+
     def rhs(
         self,
         u: np.ndarray,
@@ -256,15 +285,17 @@ class Scheme:
         buffers: Optional[MatvecBuffers] = None,
     ) -> np.ndarray:
         """``-a D u``, into ``out`` with the matvec ``buffers`` when given."""
-        f = self.D_effective.matvec(u, out, buffers)
-        f *= -self.advection_speed
+        op, factor = self.rhs_operator
+        f = op.matvec(u, out, buffers)
+        if factor != 1.0:
+            f *= factor
         return f
 
     def energy(self, u: np.ndarray, workspace: Optional["Workspace"] = None) -> float:
         """``u^T M u``; with a workspace, ``M u`` goes into its ``Mu`` buffer."""
         if workspace is None:
             return float(u @ (self.M_energy @ u))
-        return float(u @ self.M_energy.matvec(u, workspace.Mu, workspace.M))
+        return float(u @ self.M_energy.matvec(u, workspace.Mu, workspace.M_u))
 
 
 def make_scheme(grid: Grid, variant: str, advection_speed: float = 1.0) -> Scheme:
@@ -288,6 +319,63 @@ def make_scheme(grid: Grid, variant: str, advection_speed: float = 1.0) -> Schem
     return Scheme(variant=variant, advection_speed=a, grid=grid, D_effective=D, M_energy=M)
 
 
+class _StepProgram:
+    """:func:`rk_step` on one workspace and one operand ``u``, resolved once.
+
+    ``plan`` holds one entry per fold: its terms ``(c, k_j, y, out)``, for
+    ``out = y + (dt c) k_j``, and for a stage its state, derivative and
+    the matvec binding of that pair (``None`` for the update).  ``folds``
+    is ``plan`` with ``dt c`` in place of ``c``, for the ``dt`` it was last
+    formed for.
+    """
+
+    __slots__ = ("scheme", "method", "u", "tmp", "plan", "update", "stages", "dt", "folds")
+
+    def __init__(
+        self,
+        scheme: Scheme,
+        method: RKMethod,
+        u: np.ndarray,
+        k: tuple,
+        folds: tuple,
+        tmp: np.ndarray,
+        buffers: MatvecBuffers,
+    ):
+        op = scheme.rhs_operator[0]
+        saved = {(): u}
+        plan = []
+        for i, (source, terms) in enumerate(method._folds):
+            y = saved[source]
+            resolved = []
+            for j, c, target, save in terms:
+                out = y if target is None else folds[target]
+                resolved.append((c, k[j], y, out))
+                y = out
+                if save is not None:
+                    saved[save] = y
+            f = k[i] if i < method.stages else None
+            plan.append((tuple(resolved), y, f, None if f is None else op.bind(y, f, buffers)))
+        self.scheme, self.method, self.u, self.tmp = scheme, method, u, tmp
+        self.plan, self.update = tuple(plan), plan[-1][1]
+        self.stages = [Stage(b=b, y=y, f=f) for b, (_, y, f, _) in zip(method.b, plan)]
+        self.dt = self.folds = None
+
+    def run(self, dt: float) -> tuple[np.ndarray, list[Stage]]:
+        if dt != self.dt:
+            self.dt = dt
+            self.folds = tuple(
+                (tuple((dt * c, k, y, out) for c, k, y, out in terms), *rest)
+                for terms, *rest in self.plan
+            )
+        rhs, tmp = self.scheme.rhs, self.tmp
+        for terms, y, f, binding in self.folds:
+            for dtc, k, src, out in terms:
+                np.add(src, np.multiply(dtc, k, tmp), out)
+            if f is not None:
+                rhs(y, f, binding)
+        return self.update, self.stages
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class Workspace:
     """Every array one run's time loop writes, allocated once per run.
@@ -297,7 +385,13 @@ class Workspace:
     term, ``(dt c) k_j`` or ``gamma d``, before it is added.  ``d``,
     ``Md``, ``Mu`` and ``Mf`` take the update difference and the products
     ``M d``, ``M u`` and ``M f_i``.  ``D`` and ``M`` are the matvec
-    buffers of the scheme's derivative and mass operators.
+    buffers of the scheme's right-hand side and mass operators.
+
+    ``M_d`` and ``M_f`` (one per stage) bind ``M`` to ``d`` and to each
+    ``k_i`` with their outputs.  Given the run's state ``u``,
+    :meth:`allocate` also binds ``M_u`` to it and makes ``step``, the
+    program :func:`rk_step` replays on ``u``; otherwise ``M_u`` is ``M``
+    and ``step`` is ``None``.
     """
 
     k: tuple
@@ -309,23 +403,37 @@ class Workspace:
     Mf: np.ndarray
     D: MatvecBuffers
     M: MatvecBuffers
+    M_u: MatvecBuffers
+    M_d: MatvecBuffers
+    M_f: tuple
+    step: Optional[_StepProgram]
 
     @classmethod
-    def allocate(cls, scheme: Scheme, method: RKMethod) -> "Workspace":
-        """Buffers for real states of ``scheme`` stepped by ``method``."""
+    def allocate(
+        cls, scheme: Scheme, method: RKMethod, u: Optional[np.ndarray] = None
+    ) -> "Workspace":
+        """Buffers for real states of ``scheme`` stepped by ``method``, bound to ``u`` if given."""
         size = 2 * scheme.grid.n
         arrays = sum(target is not None for _, steps in method._folds for _, _, target, _ in steps)
         new = functools.partial(np.empty, size)
+        k, folds = tuple(new() for _ in range(method.stages)), tuple(new() for _ in range(arrays))
+        tmp, d, Md, Mu, Mf = new(), new(), new(), new(), new()
+        D, M = scheme.rhs_operator[0].buffers(), scheme.M_energy.buffers()
+        bind = scheme.M_energy.bind
         return cls(
-            k=tuple(new() for _ in range(method.stages)),
-            folds=tuple(new() for _ in range(arrays)),
-            tmp=new(),
-            d=new(),
-            Md=new(),
-            Mu=new(),
-            Mf=new(),
-            D=scheme.D_effective.buffers(),
-            M=scheme.M_energy.buffers(),
+            k=k,
+            folds=folds,
+            tmp=tmp,
+            d=d,
+            Md=Md,
+            Mu=Mu,
+            Mf=Mf,
+            D=D,
+            M=M,
+            M_u=M if u is None else bind(u, Mu, M),
+            M_d=bind(d, Md, M),
+            M_f=tuple(bind(f, Mf, M) for f in k),
+            step=None if u is None else _StepProgram(scheme, method, u, k, folds, tmp, D),
         )
 
 
@@ -351,9 +459,15 @@ def rk_step(
     and the stage states other than ``u`` are its ``folds`` buffers and the
     stage derivatives its ``k`` buffers: the next call with the same
     workspace overwrites all of them, so ``u`` must not be one of them.
-    The values are the same bits either way.
+    On the ``scheme``, ``method`` and ``u`` its step program was bound to,
+    the call replays that program, and the stage list is the program's own,
+    the same list every call.  The values are the same bits either way.
     """
     ws = workspace
+    program = None if ws is None else ws.step
+    bound = program is not None and program.u is u
+    if bound and program.scheme is scheme and program.method is method:
+        return program.run(dt)
     tmp = None if ws is None else ws.tmp
     k: list[np.ndarray] = []
     stage_data: list[Stage] = []
@@ -396,18 +510,23 @@ def relaxation_gamma(
     update is too small for the quadratic to be meaningful.  A caller that
     has formed ``u_next - u`` for its own update passes it as ``d``, and it
     is not formed again.  With a workspace, ``d`` (when formed here) and
-    the products with ``M`` go into its ``d``, ``Md`` and ``Mf`` buffers.
+    the products with ``M`` go into its ``d``, ``Md`` and ``Mf`` buffers;
+    ``M d`` and ``M f_i`` replay its bindings when ``d`` and ``f_i`` are
+    its own ``d`` and ``k_i``.
     """
     ws = workspace
     if d is None:
         d = np.subtract(u_next, u, out=None if ws is None else ws.d)
-    Md = M @ d if ws is None else M.matvec(d, ws.Md, ws.M)
+    Md = M @ d if ws is None else M.matvec(d, ws.Md, ws.M_d)
     d2 = float(d @ Md)
     if d2 < 1e-30:
         return 1.0
     e = 0.0
-    for st in stage_data:
-        Mf = M @ st.f if ws is None else M.matvec(st.f, ws.Mf, ws.M)
+    for i, st in enumerate(stage_data):
+        if ws is None:
+            Mf = M @ st.f
+        else:
+            Mf = M.matvec(st.f, ws.Mf, ws.M_f[i] if i < len(ws.M_f) else ws.M)
         e += st.b * float(st.y @ Mf)
     e *= 2.0 * dt
     return (e - 2.0 * float(u @ Md)) / d2
@@ -564,7 +683,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     is not refused, so its chaotic trajectory stays that of the full
     estimate.  Raises :class:`EnergyBlowUpError` if the energy exceeds 1e3
     times its initial value.  Non-finite or non-positive
-    ``t_end``/``dt_factor`` and a non-finite advection speed raise
+    ``t_end``/``dt_factor``, a non-finite advection speed, and a nominal
+    step that is zero or makes ``t_end / dt`` overflow raise
     :class:`ValueError` before any work is done.
     """
     for name in ("t_end", "dt_factor"):
@@ -574,17 +694,23 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     if not math.isfinite(config.advection_speed):
         raise ValueError(f"advection_speed must be finite, got {config.advection_speed}")
     grid = ops.build_grid(config.n, config.x_min, config.x_max)
+    t_end = float(config.t_end)
+    dt_nominal = config.dt_factor * grid.dx
+    if dt_nominal == 0.0 or not math.isfinite(t_end / dt_nominal):
+        raise ValueError(
+            f"time step dt = dt_factor * dx = {dt_nominal} is too small for t_end = {t_end}: "
+            "the step count t_end / dt is not finite"
+        )
     scheme = make_scheme(grid, config.variant, config.advection_speed)
     method = resolve_method(config.rk)
     f0 = config.initial if config.initial is not None else default_initial
     u = project_initial(grid, f0)
 
-    dt_nominal = config.dt_factor * grid.dx
     skip_estimate = False
     if config.relaxation and _estimate_vanishes(scheme):
         rho, tol = _amplification_radius(scheme, method, dt_nominal)
         skip_estimate = rho <= 1.0 + tol
-    ws = Workspace.allocate(scheme, method)
+    ws = Workspace.allocate(scheme, method, u)
     e0 = scheme.energy(u, ws)
     times = [0.0]
     energies = [e0]
@@ -592,7 +718,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     guard = 1e3 * max(e0, 1e-300)
 
     t = 0.0
-    t_end = float(config.t_end)
     max_steps = 10 * int(math.ceil(t_end / dt_nominal)) + 1000
     steps = 0
     # Relaxed steps advance time by gamma*dt, so the loop usually ends with a

@@ -446,6 +446,31 @@ def test_mass_scan_rejects_bad_ranges(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("solve", "--n", "8", "--dt-factor", "1e-320"),
+        ("solve", "--n", "8", "--t-end", "1e300", "--x-max", "1e-300"),
+        ("solve", "--n", "50", "--dt-factor", "5e-324"),
+        ("solve", "--n", "8", "--x-max", "1e-320"),
+        ("spectrum", "--n", "8", "--x-max", "1e-320"),
+        ("verify", "--n", "8", "--x-max", "1e-320"),
+    ],
+)
+def test_steps_and_cells_too_small_for_float_are_rejected_up_front(argv, tmp_path, capsys):
+    """A step count t_end / dt or a scale 1/dx that overflows exits 2, with
+    no traceback, no warning and no output file."""
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--output", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "not finite" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("verify", "--x-min", "nan"),
         ("verify", "--x-max", "inf"),
         ("spectrum", "--x-min=-1e308", "--x-max", "1e308"),

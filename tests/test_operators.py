@@ -4,6 +4,8 @@ import json
 import re
 import warnings
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,18 @@ def test_build_grid_empty_domain():
         ops.build_grid(4, 1.0, 1.0)
     with pytest.raises(ValueError):
         ops.build_grid(4, 2.0, -1.0)
+
+
+@pytest.mark.parametrize("n, x_max", [(8, 1e-320), (3, 5e-324), (4, 4 * 2.0**-1024)])
+def test_build_grid_refuses_cells_whose_reciprocal_overflows(n, x_max):
+    """dx = 0 or 1/dx = inf would put inf (then NaN) into every derivative."""
+    with pytest.raises(ValueError, match="1/dx is not finite"):
+        ops.build_grid(n, 0.0, x_max)
+
+
+def test_build_grid_accepts_the_smallest_cells_with_a_finite_reciprocal():
+    g = ops.build_grid(4, 0.0, 4 * 2.0**-1023)
+    assert g.dx == 2.0**-1023 and math.isfinite(1.0 / g.dx)
 
 
 def test_grid_arrays_are_read_only():
@@ -410,6 +424,53 @@ def test_matvec_into_caller_buffers_is_bit_identical(n):
             v = u.copy()
             assert op.matvec(v, out=v) is v
             assert v.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 16, _C + 1, 2 * _C + 1])
+def test_bound_matvec_reads_the_operand_of_each_call(n):
+    """A binding replays its views only for its own operator, operand and
+    ``out`` (identity, not equality); any other call takes the general
+    path through the same scratch arrays, and no call sees stale data."""
+    rng = np.random.default_rng(n)
+    for op in _every_builder(ops.build_grid(n)):
+        for dtype in (float, complex):
+            u = rng.normal(size=2 * n).astype(dtype)
+            out = np.empty(2 * n, np.promote_types(dtype, float))
+            bound = op.bind(u, out)
+            assert all(a is b for a, b in zip(bound.bound, (op, u, out)))
+            for _ in range(2):
+                want = op.matvec(u.copy())
+                assert op.matvec(u, out, bound) is out
+                assert out.tobytes() == want.tobytes()
+                u *= -1.5  # in place: the next bound call reads the new values
+            v, other = u.copy(), np.empty_like(out)
+            u += 0.5  # the copy keeps the old values
+            assert op.matvec(v, out, bound) is out  # another operand: general path
+            assert out.tobytes() == op.matvec(v.copy()).tobytes()
+            assert op.matvec(u, other, bound) is other  # another out
+            assert other.tobytes() == op.matvec(u).tobytes()
+            u[:] = rng.normal(size=2 * n)
+            assert op.matvec(u, out, bound).tobytes() == op.matvec(u.copy()).tobytes()
+            # another operator of the same shape uses the binding as buffers
+            twin = BlockCirculantOp(n, op.dx, 2.0 * op.scale, op.blocks)
+            assert twin.matvec(u, out, bound).tobytes() == twin.matvec(u).tobytes()
+
+
+def test_bound_matvec_refuses_what_a_call_refuses():
+    g = ops.build_grid(16)
+    D, u, out = ops.central_D(g), np.ones(32), np.empty(32)
+    with pytest.raises(ValueError, match="expected shape"):
+        D.bind(np.ones(31), out)
+    with pytest.raises(ValueError, match="out must be"):
+        D.bind(u, np.empty(32, complex))
+    with pytest.raises(ValueError, match="do not fit"):
+        D.bind(u, out, ops.upwind_D_plus(g).buffers())
+    bound = D.bind(u, out)
+    for other in (ops.extended_mass(g, MassParams(1.0, 0.4, 0.0, 0.1, 0.05)), ops.upwind_D_plus(g)):
+        with pytest.raises(ValueError, match="do not fit"):
+            other.matvec(u, out, bound)
+    with pytest.raises(ValueError, match="do not fit"):
+        D.matvec(u + 0j, np.empty(32, complex), bound)
 
 
 def test_matvec_refuses_buffers_and_out_that_do_not_fit():

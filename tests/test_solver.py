@@ -300,6 +300,20 @@ def test_config_validation():
         run_experiment(ExperimentConfig(dt_factor=-0.5))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n": 8, "dt_factor": 1e-320},  # t_end / dt overflows
+        {"n": 8, "t_end": 1e300, "x_max": 1e-300},
+        {"n": 50, "dt_factor": 5e-324},  # dt_factor * dx rounds to zero
+    ],
+)
+def test_a_step_count_that_overflows_is_refused_up_front(monkeypatch, kwargs):
+    monkeypatch.setattr(solver, "project_initial", None)  # no work before the refusal
+    with pytest.raises(ValueError, match="t_end / dt is not finite"):
+        run_experiment(ExperimentConfig(**kwargs))
+
+
 def test_final_partial_step_lands_on_t_end():
     g_dx = 2 * np.pi / 50
     dt = 0.5 * g_dx
@@ -606,7 +620,7 @@ def _fresh_array_run(config):
     g = ops.build_grid(config.n, config.x_min, config.x_max)
     s = make_scheme(g, config.variant, config.advection_speed)
     method = resolve_method(config.rk)
-    u = project_initial(g, solver.default_initial)
+    u = project_initial(g, config.initial or solver.default_initial)
     dt_nominal = config.dt_factor * g.dx
     skip = False
     if config.relaxation and solver._estimate_vanishes(s):
@@ -642,14 +656,15 @@ def _fresh_array_run(config):
 @pytest.mark.parametrize(
     "n, t_end", [(3, 1.0), (4, 1.0), (16, 1.0), (16, 2 * math.pi), (8193, 0.01), (8200, 0.01)]
 )
-@pytest.mark.parametrize("a", [1.0, -1.0, 2.5])
+@pytest.mark.parametrize("a", [1.0, -1.0, 2.5, 0.5, -2.0, 0.7, 1e-3])
 @pytest.mark.parametrize("relaxation", [True, False], ids=["relaxed", "plain"])
 @pytest.mark.parametrize("variant", ["central", "upwind"])
 @pytest.mark.parametrize("rk", ["rk4", "ssprk33", "rk4x2"])
 def test_run_is_bit_identical_to_the_fresh_array_loop(rk, variant, relaxation, a, n, t_end):
     """Every t_end here ends on a clipped step.  A pair that blows up
-    (unstable by design, or at the CFL number 1.25 of a = 2.5) must blow up
-    at the same step with the same message."""
+    (unstable by design, or at the CFL numbers 1 and 1.25 of a = -2 and
+    2.5) must blow up at the same step with the same message.  At a = +-1
+    the right-hand side makes one scaling pass, elsewhere two."""
     config = ExperimentConfig(
         variant=variant, rk=rk, relaxation=relaxation, advection_speed=a, n=n, t_end=t_end
     )
@@ -729,3 +744,125 @@ def test_rk_step_with_a_workspace_writes_its_buffers(method):
     gamma = relaxation_gamma(u, u1, stages, M, 0.3 * g.dx, workspace=ws)
     assert gamma == relaxation_gamma(u, want, want_stages, M, 0.3 * g.dx)
     assert s.energy(u1, ws) == s.energy(want)
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0, 2.0, 0.5, -2.0])
+@pytest.mark.parametrize("variant", ["central", "upwind"])
+def test_run_with_subnormal_derivatives_is_bit_identical(monkeypatch, variant, a):
+    """Where ``D u`` is subnormal, ``(x * scale) * -a`` and ``x * (-a scale)``
+    round apart at a power of two other than +-1 (two roundings, then one):
+    only +-1 may go into the scale.  The naive folds scale out of place."""
+    config = ExperimentConfig(
+        variant=variant,
+        advection_speed=a,
+        n=24,
+        t_end=0.5,
+        initial=lambda x: 1e-310 * np.exp(np.sin(x)),
+    )
+    g = ops.build_grid(config.n)
+    f = make_scheme(g, variant, a).D_effective @ project_initial(g, config.initial)
+    assert np.count_nonzero((f != 0.0) & (np.abs(f) < np.finfo(float).tiny)) > 0
+    _assert_run_matches_the_fresh_array_loop(config)
+    trace, u = run_experiment(config)
+    monkeypatch.setattr(solver, "rk_step", _reference_rk_step)
+    want_trace, want_u = run_experiment(config)
+    assert u.tobytes() == want_u.tobytes()
+    for name in ("times", "energies", "gammas"):
+        assert getattr(trace, name).tobytes() == getattr(want_trace, name).tobytes()
+
+
+@pytest.mark.parametrize(
+    "variant, a",
+    [(v, a) for v in ("central", "upwind") for a in (1.0, -1.0, 2.5, -0.7, 2.0)] + [("central", 0.0)],
+)
+def test_rhs_folds_the_speed_into_the_scale_only_at_unit_speed(variant, a):
+    g = ops.build_grid(16)
+    s = make_scheme(g, variant, a)
+    op, factor = s.rhs_operator
+    D = s.D_effective
+    if abs(a) == 1.0:
+        assert (op.scale, factor) == (-a * D.scale, 1.0)
+        assert op.blocks.keys() == D.blocks.keys()
+    else:
+        assert (op, factor) == (D, -a)
+    u = np.random.default_rng(16).normal(size=2 * g.n)
+    want = D @ u
+    want *= -a
+    assert s.rhs(u).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant, a", [("central", 1.0), ("upwind", -1.0), ("central", 0.7)])
+@pytest.mark.parametrize(
+    "method", [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES, _UPDATE_IS_A_STAGE], ids=lambda m: m.name
+)
+def test_rk_step_alternating_operands_on_one_workspace(method, variant, a):
+    """The step program is bound to one operand: calls on it replay the
+    program, calls on another array (an equal copy too) take the general
+    path through the same buffers, and each gives the fresh-array bits."""
+    g = ops.build_grid(17)
+    s = make_scheme(g, variant, a)
+    bound = project_initial(g, solver.default_initial)
+    other = bound.copy()
+    ws = solver.Workspace.allocate(s, method, bound)
+    assert ws.step is not None and ws.step.u is bound
+    calls = [(bound, 0.3), (other, 0.3), (bound, 0.3), (other, 0.1), (bound, 0.1), (bound, 0.3)]
+    for i, (u, dt) in enumerate(calls):
+        if i % 3 == 2:
+            u += 0.125 * np.sin(u)  # the bound operand's new values are read
+        u_next, stages = rk_step(s, method, u, dt * g.dx, ws)
+        want, want_stages = rk_step(s, method, u.copy(), dt * g.dx)
+        assert (stages is ws.step.stages) == (u is bound)
+        assert stages[0].y is u
+        assert u_next.tobytes() == want.tobytes()
+        for st, want_st in zip(stages, want_stages, strict=True):
+            assert st.b == want_st.b
+            assert (st.y.tobytes(), st.f.tobytes()) == (want_st.y.tobytes(), want_st.f.tobytes())
+        gamma = relaxation_gamma(u, u_next, stages, s.M_energy, dt * g.dx, workspace=ws)
+        assert gamma == relaxation_gamma(u, want, want_stages, s.M_energy, dt * g.dx)
+        assert s.energy(u, ws) == s.energy(u.copy())
+    # another scheme or method on the bound operand: the general path
+    twin = RKMethod(method.name, method.a, method.b, method.c)
+    for scheme, m in ((make_scheme(g, variant, a), method), (s, twin)):
+        u_next, stages = rk_step(scheme, m, bound, 0.3 * g.dx, ws)
+        assert stages is not ws.step.stages
+        assert u_next.tobytes() == rk_step(s, method, bound.copy(), 0.3 * g.dx)[0].tobytes()
+
+
+def test_workspace_without_an_operand_binds_no_step():
+    g = ops.build_grid(16)
+    s = make_scheme(g, "central", 1.0)
+    ws = solver.Workspace.allocate(s, RK4X2)
+    assert ws.step is None and ws.M_u is ws.M
+    assert ws.M_d.bound[1] is ws.d and ws.M_d.bound[2] is ws.Md
+    assert all(b.bound[1] is k and b.bound[2] is ws.Mf for b, k in zip(ws.M_f, ws.k, strict=True))
+
+
+@pytest.mark.parametrize(
+    "variant, rk, relaxation",
+    [
+        ("central", "rk4x2", True),
+        ("upwind", "rk4x2", True),
+        ("central", "ssprk33", True),
+        ("upwind", "rk4", False),
+    ],
+)
+def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, relaxation):
+    """Every matvec of a run replays a binding made when its workspace is
+    allocated: the set-up runs once per binding (a stage's derivative, then
+    M u, M d and each M f_i), however many steps the run takes."""
+    programs = []
+    program = ops.BlockCirculantOp._program
+
+    def counted(op, *args):
+        programs.append(op)
+        return program(op, *args)
+
+    monkeypatch.setattr(ops.BlockCirculantOp, "_program", counted)
+    stages = resolve_method(rk).stages
+    for t_end in (1.0, 3.0):
+        programs.clear()
+        trace, _ = run_experiment(
+            ExperimentConfig(variant=variant, rk=rk, relaxation=relaxation, n=16, t_end=t_end)
+        )
+        assert len(trace.times) > 5
+        assert len(programs) == 2 * stages + 2
