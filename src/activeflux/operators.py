@@ -152,6 +152,7 @@ def build_grid(n: int, x_min: float = 0.0, x_max: float = 2.0 * math.pi) -> Grid
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise TypeError(f"n must be an integer, got {n!r}")
+    n = int(n)
     if n < 3:
         raise ValueError(f"need at least 3 cells, got n={n}")
     x_min = float(x_min)
@@ -167,7 +168,7 @@ def build_grid(n: int, x_min: float = 0.0, x_max: float = 2.0 * math.pi) -> Grid
         )
     i = np.arange(n)
     return Grid(
-        n=int(n),
+        n=n,
         x_min=x_min,
         x_max=x_max,
         dx=dx,

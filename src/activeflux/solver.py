@@ -38,9 +38,10 @@ the run's state array ``u``, it binds a step program: every fold's terms
 as (coefficient, ``k_j``, operand, ``out``), the stage list, and one matvec
 binding (:meth:`~activeflux.operators.BlockCirculantOp.bind`) per stage
 state and derivative pair.  :func:`rk_step` replays it on that ``u`` and
-forms the coefficients ``dt c`` again only when ``dt`` changes; on any
-other operand it takes the general path.  ``M u``, ``M d`` and each
-``M f_i`` are bound the same way.  Each call still goes through
+forms the coefficients ``dt c`` again only when ``dt`` changes.  On any
+other operand, or without a workspace, it builds the same program for the
+one call, with plain matvec buffers.  ``M u``, ``M d`` and each ``M f_i``
+are bound the same way as the stages.  Each call still goes through
 :func:`rk_step`, :func:`relaxation_gamma`, :meth:`Scheme.energy` and
 ``BlockCirculantOp.matvec``.
 
@@ -319,29 +320,37 @@ def make_scheme(grid: Grid, variant: str, advection_speed: float = 1.0) -> Schem
     return Scheme(variant=variant, advection_speed=a, grid=grid, D_effective=D, M_energy=M)
 
 
+def _step_arrays(method: RKMethod, shape, dtype=float) -> tuple:
+    """New ``k``, ``folds`` and ``tmp`` arrays for the steps of ``method``."""
+    arrays = sum(target is not None for _, terms in method._folds for _, _, target, _ in terms)
+    new = functools.partial(np.empty, shape, dtype)
+    return tuple(new() for _ in range(method.stages)), tuple(new() for _ in range(arrays)), new()
+
+
 class _StepProgram:
-    """:func:`rk_step` on one workspace and one operand ``u``, resolved once.
+    """:func:`rk_step` on one operand ``u`` and one set of arrays, resolved once.
 
     ``plan`` holds one entry per fold: its terms ``(c, k_j, y, out)``, for
     ``out = y + (dt c) k_j``, and for a stage its state, derivative and
-    the matvec binding of that pair (``None`` for the update).  ``folds``
-    is ``plan`` with ``dt c`` in place of ``c``, for the ``dt`` it was last
-    formed for.
+    the matvec buffers of that pair; with ``bind``, the buffers are bound
+    to the pair.  ``folds`` is ``plan`` with ``dt c`` in place of ``c``,
+    for the ``dt`` it was last formed for.  A stage calls ``rhs(y, f,
+    buffers)``, by default ``scheme.rhs``, to write ``f``.
     """
 
-    __slots__ = ("scheme", "method", "u", "tmp", "plan", "update", "stages", "dt", "folds")
+    __slots__ = ("scheme", "method", "u", "tmp", "rhs", "plan", "update", "stages", "dt", "folds")
 
     def __init__(
         self,
         scheme: Scheme,
         method: RKMethod,
         u: np.ndarray,
-        k: tuple,
-        folds: tuple,
-        tmp: np.ndarray,
-        buffers: MatvecBuffers,
+        arrays: tuple,
+        buffers: Optional[MatvecBuffers],
+        bind: bool,
+        rhs: Optional[Callable] = None,
     ):
-        op = scheme.rhs_operator[0]
+        k, folds, tmp = arrays
         saved = {(): u}
         plan = []
         for i, (source, terms) in enumerate(method._folds):
@@ -354,8 +363,12 @@ class _StepProgram:
                 if save is not None:
                     saved[save] = y
             f = k[i] if i < method.stages else None
-            plan.append((tuple(resolved), y, f, None if f is None else op.bind(y, f, buffers)))
+            binding = buffers
+            if bind and f is not None:
+                binding = scheme.rhs_operator[0].bind(y, f, buffers)
+            plan.append((tuple(resolved), y, f, binding))
         self.scheme, self.method, self.u, self.tmp = scheme, method, u, tmp
+        self.rhs = scheme.rhs if rhs is None else rhs
         self.plan, self.update = tuple(plan), plan[-1][1]
         self.stages = [Stage(b=b, y=y, f=f) for b, (_, y, f, _) in zip(method.b, plan)]
         self.dt = self.folds = None
@@ -367,12 +380,12 @@ class _StepProgram:
                 (tuple((dt * c, k, y, out) for c, k, y, out in terms), *rest)
                 for terms, *rest in self.plan
             )
-        rhs, tmp = self.scheme.rhs, self.tmp
-        for terms, y, f, binding in self.folds:
+        rhs, tmp = self.rhs, self.tmp
+        for terms, y, f, buffers in self.folds:
             for dtc, k, src, out in terms:
                 np.add(src, np.multiply(dtc, k, tmp), out)
             if f is not None:
-                rhs(y, f, binding)
+                rhs(y, f, buffers)
         return self.update, self.stages
 
 
@@ -387,11 +400,10 @@ class Workspace:
     ``M d``, ``M u`` and ``M f_i``.  ``D`` and ``M`` are the matvec
     buffers of the scheme's right-hand side and mass operators.
 
-    ``M_d`` and ``M_f`` (one per stage) bind ``M`` to ``d`` and to each
-    ``k_i`` with their outputs.  Given the run's state ``u``,
-    :meth:`allocate` also binds ``M_u`` to it and makes ``step``, the
-    program :func:`rk_step` replays on ``u``; otherwise ``M_u`` is ``M``
-    and ``step`` is ``None``.
+    The workspace is allocated for the run's state array ``u``.  ``M_u``,
+    ``M_d`` and ``M_f`` (one per stage) bind ``M`` to ``u``, ``d`` and
+    each ``k_i`` with their outputs, and ``step`` is the program
+    :func:`rk_step` replays on ``u``.
     """
 
     k: tuple
@@ -406,34 +418,29 @@ class Workspace:
     M_u: MatvecBuffers
     M_d: MatvecBuffers
     M_f: tuple
-    step: Optional[_StepProgram]
+    step: _StepProgram
 
     @classmethod
-    def allocate(
-        cls, scheme: Scheme, method: RKMethod, u: Optional[np.ndarray] = None
-    ) -> "Workspace":
-        """Buffers for real states of ``scheme`` stepped by ``method``, bound to ``u`` if given."""
+    def allocate(cls, scheme: Scheme, method: RKMethod, u: np.ndarray) -> "Workspace":
+        """Buffers for real states of ``scheme`` stepped by ``method``, bound to ``u``."""
         size = 2 * scheme.grid.n
-        arrays = sum(target is not None for _, steps in method._folds for _, _, target, _ in steps)
+        arrays = _step_arrays(method, size)
         new = functools.partial(np.empty, size)
-        k, folds = tuple(new() for _ in range(method.stages)), tuple(new() for _ in range(arrays))
-        tmp, d, Md, Mu, Mf = new(), new(), new(), new(), new()
+        d, Md, Mu, Mf = new(), new(), new(), new()
         D, M = scheme.rhs_operator[0].buffers(), scheme.M_energy.buffers()
         bind = scheme.M_energy.bind
         return cls(
-            k=k,
-            folds=folds,
-            tmp=tmp,
+            *arrays,
             d=d,
             Md=Md,
             Mu=Mu,
             Mf=Mf,
             D=D,
             M=M,
-            M_u=M if u is None else bind(u, Mu, M),
+            M_u=bind(u, Mu, M),
             M_d=bind(d, Md, M),
-            M_f=tuple(bind(f, Mf, M) for f in k),
-            step=None if u is None else _StepProgram(scheme, method, u, k, folds, tmp, D),
+            M_f=tuple(bind(f, Mf, M) for f in arrays[0]),
+            step=_StepProgram(scheme, method, u, arrays, D, bind=True),
         )
 
 
@@ -455,39 +462,31 @@ def rk_step(
     each other (the first stage state is ``u`` itself), so treat them as
     read-only.
 
-    Without a workspace every returned array is new.  With one, the update
+    Without a workspace every returned array is new, and ``scheme`` needs
+    only ``rhs(y)``: its results are copied into arrays of ``u``'s dtype,
+    promoted to float.  With one, the update
     and the stage states other than ``u`` are its ``folds`` buffers and the
     stage derivatives its ``k`` buffers: the next call with the same
     workspace overwrites all of them, so ``u`` must not be one of them.
     On the ``scheme``, ``method`` and ``u`` its step program was bound to,
     the call replays that program, and the stage list is the program's own,
-    the same list every call.  The values are the same bits either way.
+    the same list every call.  Any other call builds the same program,
+    unbound, on new arrays or the workspace's, and runs it once.  The
+    values are the same bits either way.
     """
     ws = workspace
-    program = None if ws is None else ws.step
-    bound = program is not None and program.u is u
-    if bound and program.scheme is scheme and program.method is method:
-        return program.run(dt)
-    tmp = None if ws is None else ws.tmp
-    k: list[np.ndarray] = []
-    stage_data: list[Stage] = []
-    saved: dict[tuple, np.ndarray] = {(): u}
-    last = method.stages
-    for i, (source, terms) in enumerate(method._folds):
-        y = saved[source]
-        for j, c, target, save in terms:
-            term = np.multiply(dt * c, k[j], out=tmp)
-            if target is None:
-                y += term
-            else:
-                y = np.add(y, term, out=None if ws is None else ws.folds[target])
-            if save is not None:
-                saved[save] = y
-        if i < last:  # a stage; the last fold is the update
-            f = scheme.rhs(y) if ws is None else scheme.rhs(y, ws.k[i], ws.D)
-            k.append(f)
-            stage_data.append(Stage(b=method.b[i], y=y, f=f))
-    return y, stage_data
+    if ws is None:  # any scheme with rhs(y); each derivative is copied into a new array
+
+        def rhs(y, f, buffers):
+            np.copyto(f, scheme.rhs(y))
+
+        arrays = _step_arrays(method, np.shape(u), np.promote_types(np.asarray(u).dtype, float))
+        program = _StepProgram(scheme, method, u, arrays, None, bind=False, rhs=rhs)
+    elif ws.step.u is u and ws.step.scheme is scheme and ws.step.method is method:
+        program = ws.step
+    else:
+        program = _StepProgram(scheme, method, u, (ws.k, ws.folds, ws.tmp), ws.D, bind=False)
+    return program.run(dt)
 
 
 def relaxation_gamma(

@@ -1,10 +1,9 @@
 """Grid, dof layout, block-circulant algebra, and operator stencils."""
 
 import json
+import math
 import re
 import warnings
-
-import math
 
 import numpy as np
 import pytest
@@ -47,11 +46,16 @@ def test_build_grid_empty_domain():
         ops.build_grid(4, 2.0, -1.0)
 
 
-@pytest.mark.parametrize("n, x_max", [(8, 1e-320), (3, 5e-324), (4, 4 * 2.0**-1024)])
+@pytest.mark.parametrize(
+    "n, x_max", [(8, 1e-320), (np.int64(8), 1e-320), (3, 5e-324), (4, 4 * 2.0**-1024)]
+)
 def test_build_grid_refuses_cells_whose_reciprocal_overflows(n, x_max):
-    """dx = 0 or 1/dx = inf would put inf (then NaN) into every derivative."""
-    with pytest.raises(ValueError, match="1/dx is not finite"):
-        ops.build_grid(n, 0.0, x_max)
+    """dx = 0 or 1/dx = inf would put inf (then NaN) into every derivative;
+    a numpy integer n is refused the same way, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="1/dx is not finite"):
+            ops.build_grid(n, 0.0, x_max)
 
 
 def test_build_grid_accepts_the_smallest_cells_with_a_finite_reciprocal():

@@ -729,8 +729,8 @@ def test_rk_step_with_a_workspace_writes_its_buffers(method):
     stage derivatives k buffers; the bits are those of fresh arrays."""
     g = ops.build_grid(17)
     s = make_scheme(g, "upwind", -1.0)
-    ws = solver.Workspace.allocate(s, method)
     u = project_initial(g, solver.default_initial)
+    ws = solver.Workspace.allocate(s, method, u)
     u1, stages = rk_step(s, method, u, 0.3 * g.dx, ws)
     want, want_stages = rk_step(s, method, u, 0.3 * g.dx)
     assert u1.tobytes() == want.tobytes()
@@ -804,7 +804,7 @@ def test_rk_step_alternating_operands_on_one_workspace(method, variant, a):
     bound = project_initial(g, solver.default_initial)
     other = bound.copy()
     ws = solver.Workspace.allocate(s, method, bound)
-    assert ws.step is not None and ws.step.u is bound
+    assert ws.step.u is bound
     calls = [(bound, 0.3), (other, 0.3), (bound, 0.3), (other, 0.1), (bound, 0.1), (bound, 0.3)]
     for i, (u, dt) in enumerate(calls):
         if i % 3 == 2:
@@ -828,11 +828,12 @@ def test_rk_step_alternating_operands_on_one_workspace(method, variant, a):
         assert u_next.tobytes() == rk_step(s, method, bound.copy(), 0.3 * g.dx)[0].tobytes()
 
 
-def test_workspace_without_an_operand_binds_no_step():
+def test_workspace_binds_its_step_and_mass_matvecs():
     g = ops.build_grid(16)
     s = make_scheme(g, "central", 1.0)
-    ws = solver.Workspace.allocate(s, RK4X2)
-    assert ws.step is None and ws.M_u is ws.M
+    u = project_initial(g, solver.default_initial)
+    ws = solver.Workspace.allocate(s, RK4X2, u)
+    assert ws.step.u is u and ws.M_u.bound[1] is u and ws.M_u.bound[2] is ws.Mu
     assert ws.M_d.bound[1] is ws.d and ws.M_d.bound[2] is ws.Md
     assert all(b.bound[1] is k and b.bound[2] is ws.Mf for b, k in zip(ws.M_f, ws.k, strict=True))
 
