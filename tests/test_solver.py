@@ -797,8 +797,8 @@ def test_rhs_folds_the_speed_into_the_scale_only_at_unit_speed(variant, a):
 )
 def test_rk_step_alternating_operands_on_one_workspace(method, variant, a):
     """The step program is bound to one operand: calls on it replay the
-    program, calls on another array (an equal copy too) take the general
-    path through the same buffers, and each gives the fresh-array bits."""
+    program, calls on another array (an equal copy too) run a one-shot
+    program on the same buffers, and each gives the fresh-array bits."""
     g = ops.build_grid(17)
     s = make_scheme(g, variant, a)
     bound = project_initial(g, solver.default_initial)
@@ -820,7 +820,7 @@ def test_rk_step_alternating_operands_on_one_workspace(method, variant, a):
         gamma = relaxation_gamma(u, u_next, stages, s.M_energy, dt * g.dx, workspace=ws)
         assert gamma == relaxation_gamma(u, want, want_stages, s.M_energy, dt * g.dx)
         assert s.energy(u, ws) == s.energy(u.copy())
-    # another scheme or method on the bound operand: the general path
+    # another scheme or method on the bound operand: a one-shot program
     twin = RKMethod(method.name, method.a, method.b, method.c)
     for scheme, m in ((make_scheme(g, variant, a), method), (s, twin)):
         u_next, stages = rk_step(scheme, m, bound, 0.3 * g.dx, ws)
