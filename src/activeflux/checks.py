@@ -138,8 +138,8 @@ def check_mass_definiteness(
     :func:`spectral.operators_per_pass` values (90 on the reference grid) is
     built as one block stack straight from the coefficients
     (:func:`operators.banded_mass_stack`, no operator per value) and
-    classified by :func:`spectral.classify_stack`, bit for bit as
-    :func:`spectral.hermitian_classify` classifies each matrix alone.
+    classified by :func:`spectral.classify_stack`, bit for bit as its stack
+    of one, :func:`spectral.hermitian_classify`, classifies each matrix.
     """
     grid = _CLASSIFY_GRID
     values = np.asarray(m_p, dtype=float).reshape(-1)

@@ -148,7 +148,11 @@ def build_grid(n: int, x_min: float = 0.0, x_max: float = 2.0 * math.pi) -> Grid
 
     ``n < 3`` is rejected: the three-cell stencils would make distinct
     entries collide on the same dof.  The domain ends and length must be
-    finite, and so must the derivative scale ``1/dx``.
+    finite, and so must ``32/dx``: a sum of operators whose prefactors
+    differ folds ``+-1/dx`` into its blocks, and the largest row sum the
+    battery and the spectra form, of ``D_+ - D_-``, is ``|-2| + |6| + |-8|
+    + |6| + |-2| = 24`` over ``dx``.  32 is a power of two, so ``32/dx``
+    overflows exactly when ``32 * (1/dx)`` does.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise TypeError(f"n must be an integer, got {n!r}")
@@ -162,9 +166,9 @@ def build_grid(n: int, x_min: float = 0.0, x_max: float = 2.0 * math.pi) -> Grid
     if not (x_max > x_min):
         raise ValueError(f"empty domain: x_max={x_max} must exceed x_min={x_min}")
     dx = (x_max - x_min) / n
-    if dx == 0.0 or not math.isfinite(1.0 / dx):
+    if dx == 0.0 or not math.isfinite(32.0 / dx):
         raise ValueError(
-            f"cells too small: dx = {dx} on [{x_min}, {x_max}] with n={n}, so 1/dx is not finite"
+            f"cells too small: dx = {dx} on [{x_min}, {x_max}] with n={n}, so 32/dx is not finite"
         )
     i = np.arange(n)
     return Grid(

@@ -10,11 +10,11 @@ Everything here works mode-wise (O(n) total) with dense materialization only
 as a cross-check oracle.
 
 One kernel, ``_half_symbols``, evaluates the symbols, and only for the modes
-``k = 0..n//2``.  It runs over a stack of operators on one ring, one or
-many (``_Stack``: each operator's blocks stacked per offset, a zero block
-where an operator has none, and the scales side by side).  It pairs the
-blocks at ``+-s`` (stored offsets lie in ``[-n//2, n - n//2)``, so far-out
-offsets lose no phase) and accumulates, in real arrays,
+``k = 0..n//2``.  It runs over a stack of operators on one ring (``_Stack``:
+each operator's blocks stacked per offset, a zero block where an operator
+has none, and the scales side by side), most often a stack of one.  It
+pairs the blocks at ``+-s`` (stored offsets lie in ``[-n//2, n - n//2)``,
+so far-out offsets lose no phase) and accumulates, in real arrays,
 
     Re B_k = scale * sum_s cos(s theta_k) (A_s + A_-s),
     Im B_k = scale * sum_s sin(s theta_k) (A_s - A_-s),
@@ -23,45 +23,47 @@ with one cosine and one sine per offset distance ``s``, each taken of the
 exactly reduced phase ``2 pi ((s k) mod n) / n``.  Every stored block is
 real, so ``B_{n-k} = conj(B_k)`` holds exactly, and the modes past ``n/2``
 are mirrored, not evaluated: ``_all_symbols`` conjugates the matrices and
-:func:`eigenvalues` the eigenvalue pairs.  :func:`hermitian_classify` never
-forms the mirror; it weights each evaluated mode by the number of modes it
-stands for.  Both of them run the kernel on ``_CHUNK`` modes at a time, so
-that their per-mode temporaries stay cache-sized at large n.
+:func:`eigenvalues` the eigenvalue pairs.  The classification never forms
+the mirror; it weights each evaluated mode by the number of modes it stands
+for.  Both of them run the kernel on ``_CHUNK`` modes at a time, so that
+their per-mode temporaries stay cache-sized at large n.
 
-:func:`hermitian_classify` classifies one operator or a whole sequence of
-them.  A sequence goes through in passes of ``B`` operators with ``B (n//2
-+ 1) <= _CHUNK``, at least one (:func:`operators_per_pass`), so a pass
-holds no more per-mode data than one operator's chunk does, however long
-the sequence.  A pass groups its operators into stacks (``_families``,
-``_Stack.of``); :func:`classify_stack` takes a stack that is already one,
-as ``mass-scan`` builds each pass of its sweep straight from the mass
-family's coefficients (``operators.banded_mass_stack``) without building
-the operators.  Either way one step checks the stack (``_checked``: the
-norm, the symmetry defect, the power-of-two rescale) and one kernel
-classifies it (``_classify_stack``: the symbols and the per-mode tests),
-with the operators along a leading array axis.
+Spectra and classification share one scale rule (``_in_range``): an
+operator whose norm leaves ``(2**-300, 2**300)`` is divided by an exact
+power of two ``2**e`` first, so that no square, product or sum of its
+symbols overflows or underflows, and its eigenvalues are multiplied back by
+``2**e``, again exactly.  An operator inside the range is left alone.
 
-Every operator of a stack gets the result it gets alone, bit for bit: each
-of its elements goes through the same floating-point operations in the same
-order.  The stack only adds terms that the one-operator case skips because
-they are zero: the padded zero blocks (``+0.0``, or zeros of either sign
-in a stack built from coefficients), and block entries that are zero in
-some operators of a stack but not in all.  Each such term adds ``+-0`` to a
-running sum.  Every such sum starts at ``+0.0`` and so is never ``-0.0``
-(``x + y`` is ``-0.0`` only when both are), and ``x + (+-0) = x`` for
-every ``x`` but ``-0.0``, so the extra terms change nothing.  The sums of
+Classification has one entry, :func:`classify_stack`: one step checks the
+stack (``_checked``: the norm, the symmetry defect, the rescale) and one
+kernel classifies it (``_classify_stack``: the symbols and the per-mode
+tests), with the operators along a leading array axis.
+:func:`hermitian_classify` is that entry on one operator's stack of one;
+``mass-scan`` builds each pass of its sweep as one stack straight from the
+mass family's coefficients (``operators.banded_mass_stack``) without
+building the operators.
+
+Every operator of such a stack gets the result it gets alone, bit for bit:
+each of its elements goes through the same floating-point operations in the
+same order.  The stack only adds terms that the one-operator case skips
+because they are zero: the padded zero blocks (``+0.0``, or zeros of either
+sign in a stack built from coefficients), and block entries that are zero
+in some operators of a stack but not in all.  Each such term adds ``+-0``
+to a running sum.  Every such sum starts at ``+0.0`` and so is never
+``-0.0`` (``x + y`` is ``-0.0`` only when both are), and ``x + (+-0) = x``
+for every ``x`` but ``-0.0``, so the extra terms change nothing.  The sums of
 absolute values in the norm and the defect are never ``-0.0`` either.  The
-order of the terms that are not zero is kept by stacking only operators
-whose stored offsets are one template with some pairs ``+-s`` left out
-whole (``_fits``); other operators go into a stack of their own.
+order of the terms that are not zero is kept as long as each operator's
+stored offsets are the stack's, in the same order, with some pairs ``+-s``
+left out whole: the norm adds in offset order, the symbols in order of
+first appearance of ``|j|``, and the defect pairs ``j`` with its mirror
+offset, of the same ``|j|``.  The mass family's stacks are of that kind.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
-from typing import Iterable
 
 import numpy as np
 
@@ -119,23 +121,6 @@ def _waves(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _fits(keys: tuple, template: tuple) -> bool:
-    """Whether stored offsets ``keys`` are ``template`` with some pairs ``+-s`` left out whole.
-
-    ``keys`` must keep ``template``'s order and, for each ``|j|`` it has,
-    every offset of ``template`` with that ``|j|``.  A stack ordered by
-    ``template`` then meets an operator's nonzero terms in the operator's
-    own order: in the norm (offset order), in the symbols (order of first
-    appearance of ``|j|``) and in the defect, whose terms pair ``j`` with
-    its mirror offset, of the same ``|j|``.
-    """
-    rest = iter(template)
-    if not all(j in rest for j in keys):
-        return False
-    kept = {abs(j) for j in keys}
-    return all(j in keys for j in template if abs(j) in kept)
-
-
 def _norm_inf(parts: np.ndarray) -> np.ndarray:
     """Largest absolute row sum of each operator with scaled blocks ``parts[:, b]``.
 
@@ -154,20 +139,19 @@ class _Stack:
     ``blocks[i]`` holds every operator's block at ``offsets[i]``, shape
     ``(B, 2, 2)``, with a zero block where an operator has none, and
     ``scale`` holds the ``B`` prefactors.  Each operator's stored offsets
-    must fit ``offsets`` (see ``_fits``).
+    must be ``offsets`` in order, with some pairs ``+-s`` left out whole
+    (see the module docstring).
     """
 
     def __init__(self, n: int, offsets: tuple, blocks: np.ndarray, scale: np.ndarray):
         self.n, self.offsets, self.blocks, self.scale = n, offsets, blocks, scale
 
     @classmethod
-    def of(cls, ops: list, offsets: tuple | None = None) -> "_Stack":
-        """Stack ``ops`` by ``offsets``, by default the first operator's own."""
-        offsets = tuple(ops[0].blocks) if offsets is None else offsets
-        zero = np.zeros((2, 2))
-        blocks = np.array([[op.blocks.get(j, zero) for op in ops] for j in offsets])
-        scale = np.array([op.scale for op in ops], dtype=float)
-        return cls(ops[0].n, offsets, blocks.reshape(len(offsets), len(ops), 2, 2), scale)
+    def of(cls, op: BlockCirculantOp) -> "_Stack":
+        """The stack of one operator, by its own stored offsets."""
+        offsets = tuple(op.blocks)
+        blocks = np.array([op.blocks[j] for j in offsets]).reshape(len(offsets), 1, 2, 2)
+        return cls(op.n, offsets, blocks, np.array([op.scale], dtype=float))
 
     @functools.cached_property
     def _terms(self) -> list:
@@ -237,6 +221,19 @@ class _Stack:
         return scaled, np.where(rows, es + eb, 0)
 
 
+def _in_range(stack: _Stack) -> tuple[_Stack, np.ndarray, np.ndarray]:
+    """``stack`` with each operator whose norm leaves ``(2**-300, 2**300)``
+    divided by ``2**e`` (``_Stack.rescaled``), its norms, and ``e`` (0 elsewhere)."""
+    with np.errstate(over="ignore"):  # a norm past the float range reads as inf
+        norm = stack.norms()
+    e = np.zeros(stack.scale.size, dtype=int)
+    rescale = ~((2.0**-300 < norm) & (norm < 2.0**300))
+    if rescale.any():
+        stack, e = stack.rescaled(rescale)
+        norm = stack.norms()
+    return stack, norm, e
+
+
 def _half_symbols(stack: _Stack, modes: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of ``B_k`` for ``k`` in ``modes`` of ``0..n//2``.
 
@@ -289,7 +286,7 @@ def _all_symbols(op: BlockCirculantOp) -> np.ndarray:
     r**(-j k) = B_{n-k}``, and conjugation itself rounds nothing.
     """
     out = np.empty((op.n, 2, 2), dtype=complex)
-    out[: op.n // 2 + 1] = _stacked(*_half_symbols(_Stack.of([op])))[0]
+    out[: op.n // 2 + 1] = _stacked(*_half_symbols(_Stack.of(op)))[0]
     return _mirror(out)
 
 
@@ -329,9 +326,13 @@ def eigenvalues(op: BlockCirculantOp) -> np.ndarray:
     equals the dense-matrix spectrum.  The pairs are solved for
     ``k = 0..n//2``, ``_CHUNK`` modes at a time; mode ``n - k`` takes the
     conjugates of mode ``k``, re-sorted, since ``B_{n-k} = conj(B_k)``.
+    An operator that ``_in_range`` divides by ``2**e`` has the real and
+    imaginary parts of its pairs multiplied back each by ``ldexp`` (a
+    complex product would turn ``-0.0`` into ``+0.0``), past the float range
+    to ``+-inf``.
     """
     n, m = op.n, op.n // 2 + 1
-    stack = _Stack.of([op])
+    stack, _, (e,) = _in_range(_Stack.of(op))
     pairs = np.empty((n, 2), dtype=complex)
     for start in range(0, m, _CHUNK):
         modes = slice(start, min(start + _CHUNK, m))
@@ -340,6 +341,10 @@ def eigenvalues(op: BlockCirculantOp) -> np.ndarray:
     lo, hi = _mirror(pairs)[m:].T
     swap = (lo.real == hi.real) & (lo.imag > hi.imag)
     pairs[m:][swap] = pairs[m:][swap, ::-1]
+    if e:
+        with np.errstate(over="ignore"):
+            for part in (pairs.real, pairs.imag):
+                np.ldexp(part, e, out=part)
     return pairs.reshape(-1)
 
 
@@ -405,29 +410,6 @@ class Definiteness:
     max_eigenvalue: float
 
 
-def _families(ops: list[BlockCirculantOp]) -> list[list]:
-    """``[offset order, indices]`` of the groups of ``ops`` that stack exactly.
-
-    A group's order is one of its members' stored offsets, which every other
-    member fits (see ``_fits``); fitting is transitive, so a group may move
-    to a wider member's order.
-    """
-    same: dict[tuple, list[int]] = {}
-    for i, op in enumerate(ops):
-        same.setdefault(tuple(op.blocks), []).append(i)
-    families: list[list] = []
-    for keys, idx in same.items():
-        for family in families:
-            if _fits(family[0], keys):
-                family[0] = keys
-            if _fits(keys, family[0]):
-                family[1] += idx
-                break
-        else:
-            families.append([keys, idx])
-    return families
-
-
 def _classify_stack(stack: _Stack, e: np.ndarray) -> list[Definiteness]:
     """Classify the checked operators of ``stack``, scaled back by ``2**e``."""
     n, size = stack.n, stack.scale.size
@@ -479,45 +461,23 @@ def _classify_stack(stack: _Stack, e: np.ndarray) -> list[Definiteness]:
     return out
 
 
-def _checked(stack: _Stack) -> tuple[_Stack, np.ndarray, list]:
+def _checked(stack: _Stack) -> tuple[_Stack, np.ndarray]:
     """Norm, symmetry defect and power-of-two rescale of every operator of ``stack``.
 
-    Returns the stack to classify, the exponents to scale its results back
-    by, and ``(position, message)`` for each operator that fails, in order.
+    Returns the stack to classify and the exponents to scale its results
+    back by; raises for the first operator that fails.
     """
-    with np.errstate(over="ignore"):  # a norm past the float range reads as inf
-        norm = stack.norms()
-    e = np.zeros(stack.scale.size, dtype=int)
-    rescale = ~((2.0**-300 < norm) & (norm < 2.0**300))
-    if rescale.any():
-        stack, e = stack.rescaled(rescale)
-        norm = stack.norms()
+    stack, norm, e = _in_range(stack)
     defect = stack.defects()
     asymmetric = defect > 1e-12 * np.maximum(norm, 1e-300)
     # a finite norm below 2**300 bounds every symbol entry by 2**301
-    finite = np.isfinite(norm) & np.isfinite(stack.scale)
-    failures = [
-        (b, f"operator is not symmetric (defect {defect[b]:.3e})" if asymmetric[b]
-         else "operator symbol has a non-finite entry")
-        for b in np.flatnonzero(asymmetric | ~finite).tolist()
-    ]
-    return stack, e, failures
-
-
-def _classify_pass(ops: list[BlockCirculantOp]) -> list[Definiteness]:
-    """Check and classify ``ops``, one stack per family; raise for the first one that fails."""
-    checked, failures = [], []
-    for offsets, idx in _families(ops):
-        stack, e, failed = _checked(_Stack.of([ops[i] for i in idx], offsets))
-        failures += [(idx[b], message) for b, message in failed]
-        checked.append((idx, stack, e))
-    if failures:
-        raise ValueError(min(failures)[1])
-    out: list = [None] * len(ops)
-    for idx, stack, e in checked:
-        for i, result in zip(idx, _classify_stack(stack, e)):
-            out[i] = result
-    return out
+    failing = asymmetric | ~(np.isfinite(norm) & np.isfinite(stack.scale))
+    if failing.any():
+        b = int(np.argmax(failing))
+        if asymmetric[b]:
+            raise ValueError(f"operator is not symmetric (defect {defect[b]:.3e})")
+        raise ValueError("operator symbol has a non-finite entry")
+    return stack, e
 
 
 def classify_stack(n: int, scale: float, offsets: tuple, blocks: np.ndarray) -> list[Definiteness]:
@@ -525,16 +485,14 @@ def classify_stack(n: int, scale: float, offsets: tuple, blocks: np.ndarray) -> 
 
     ``blocks[i, b]`` is operator ``b``'s block at ``offsets[i]`` on the
     ``n``-cell ring (zeros, of either sign, where it stores none); every
-    prefactor is ``scale``.  Each operator's stored offsets must fit
-    ``offsets`` (see ``_fits``).  The first operator that fails the checks
-    raises the error it raises alone.  Per-mode memory grows with the
-    stack: a long sequence goes in stacks of :func:`operators_per_pass`.
+    prefactor is ``scale``.  Each operator's stored offsets must be
+    ``offsets`` in order, with some pairs ``+-s`` left out whole (see the
+    module docstring).  The first operator that fails the checks raises the
+    error it raises alone.  Per-mode memory grows with the stack: a long
+    sequence goes in stacks of :func:`operators_per_pass`.
     """
     stack = _Stack(n, offsets, blocks, np.full(blocks.shape[1], float(scale)))
-    stack, e, failures = _checked(stack)
-    if failures:
-        raise ValueError(failures[0][1])
-    return _classify_stack(stack, e)
+    return _classify_stack(*_checked(stack))
 
 
 def operators_per_pass(n: int) -> int:
@@ -542,10 +500,8 @@ def operators_per_pass(n: int) -> int:
     return max(1, _CHUNK // (n // 2 + 1))
 
 
-def hermitian_classify(
-    op: BlockCirculantOp | Iterable[BlockCirculantOp],
-) -> Definiteness | list[Definiteness]:
-    """Classify a symmetric operator from its (real) symbol eigenvalues.
+def hermitian_classify(op: BlockCirculantOp) -> Definiteness:
+    """Classify one symmetric operator from its (real) symbol eigenvalues.
 
     Zero is decided per mode: an eigenvalue of mode ``k`` counts as zero when
     it is within ``16 eps s_k`` of zero, where ``s_k = |a_k| + |d_k| +
@@ -559,7 +515,7 @@ def hermitian_classify(
     or whose symbol has a non-finite entry, raises :class:`ValueError`.
     Finite but huge or tiny operators classify as their unit-scale copies
     do: an operator whose norm lies outside ``(2**-300, 2**300)`` is first
-    divided by an exact power of two.
+    divided by an exact power of two, as for :func:`eigenvalues`.
 
     ``a_k``, ``d_k`` and ``|b_k|`` are read from the half-mode kernel's real
     and imaginary parts for ``k = 0..n//2`` only.  Mode ``n - k`` has the
@@ -568,28 +524,8 @@ def hermitian_classify(
     ``k = 0`` and, for even ``n``, ``k = n/2``, which are their own mirrors
     and count once.
 
-    One operator gives one :class:`Definiteness`.  An iterable of operators
-    on one ring (same ``n`` and ``dx``) gives a list, one per operator, each
-    bit for bit the result of classifying that operator alone.  It is read
-    in passes of :func:`operators_per_pass` operators, and each pass is
-    classified one stack per family of stored offsets, so memory does not
-    grow with the length of the sequence.  A stack adds to each operator's
-    sums only terms that are zero for it, and each such sum starts at
-    ``+0.0``, so the terms change nothing (the module docstring gives the
-    argument).  The first operator that fails the checks raises the error
-    it raises alone.  The one-operator call is the stack of one.
+    This is :func:`classify_stack` on the operator's stack of one, by its
+    own stored offsets.
     """
-    if isinstance(op, BlockCirculantOp):
-        return _classify_pass([op])[0]
-    ops = iter(op)
-    first = next(ops, None)
-    if first is None:
-        return []
-    per_pass = operators_per_pass(first.n)
-    ops = itertools.chain([first], ops)
-    out: list[Definiteness] = []
-    while batch := list(itertools.islice(ops, per_pass)):
-        for other in batch:
-            first._require_compatible(other)
-        out += _classify_pass(batch)
-    return out
+    stack = _Stack.of(op)
+    return classify_stack(op.n, op.scale, stack.offsets, stack.blocks)[0]

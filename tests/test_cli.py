@@ -452,10 +452,16 @@ def test_mass_scan_rejects_bad_ranges(capsys):
         ("solve", "--n", "8", "--x-max", "1e-320"),
         ("spectrum", "--n", "8", "--x-max", "1e-320"),
         ("verify", "--n", "8", "--x-max", "1e-320"),
+        # dx = 2**-1023: 1/dx is finite, the folded stencil sums are not
+        ("spectrum", "--n", "4", "--x-max", "4.450147717014403e-308"),
+        # dx = 2**-1019, one float past the smallest accepted cells
+        ("solve", "--n", "4", "--x-max", "7.120236347223045e-307", "--t-end", "7.120236347223045e-307"),
+        ("spectrum", "--n", "4", "--x-max", "7.120236347223045e-307"),
+        ("verify", "--n", "4", "--x-max", "7.120236347223045e-307"),
     ],
 )
 def test_steps_and_cells_too_small_for_float_are_rejected_up_front(argv, tmp_path, capsys):
-    """A step count t_end / dt or a scale 1/dx that overflows exits 2, with
+    """A step count t_end / dt or a scale 32/dx that overflows exits 2, with
     no traceback, no warning and no output file."""
     out = tmp_path / "out.csv"
     with warnings.catch_warnings():
@@ -466,6 +472,35 @@ def test_steps_and_cells_too_small_for_float_are_rejected_up_front(argv, tmp_pat
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "not finite" in lines[0]
+
+
+#: 4 * (one float above 2**-1019): the smallest cells build_grid accepts at n = 4
+_EDGE = "7.120236347223046e-307"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--n", "99999", "--x-max", "1e-150", "--operator", "central-d"),
+        ("spectrum", "--n", "8", "--x-max", "1e250", "--operator", "diagonal-mass"),
+        ("verify", "--n", "8", "--x-max", "1e-160"),
+        ("verify", "--n", "64", "--x-max", "1e-300"),
+        ("verify", "--n", "4", "--x-max", _EDGE),
+        ("spectrum", "--n", "4", "--x-max", _EDGE, "--operator", "dissipation"),
+        ("spectrum", "--n", "4", "--x-max", _EDGE, "--operator", "d-plus"),
+        ("solve", "--n", "4", "--x-max", _EDGE, "--t-end", _EDGE),
+    ],
+)
+def test_extreme_grids_run_cleanly(argv, tmp_path, capsys):
+    """Symbols far outside 2**+-300, up to the smallest accepted cells: exit
+    0, no warning, and no NaN or inf in the output."""
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--output", str(out)) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    text = out.read_text().lower()
+    assert "nan" not in text and "inf" not in text
 
 
 @pytest.mark.parametrize(

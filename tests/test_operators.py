@@ -47,20 +47,31 @@ def test_build_grid_empty_domain():
 
 
 @pytest.mark.parametrize(
-    "n, x_max", [(8, 1e-320), (np.int64(8), 1e-320), (3, 5e-324), (4, 4 * 2.0**-1024)]
+    "n, x_max",
+    [
+        (8, 1e-320),
+        (np.int64(8), 1e-320),
+        (3, 5e-324),
+        (4, 4 * 2.0**-1024),
+        (4, 4 * 2.0**-1023),
+        (4, 4 * 2.0**-1019),
+    ],
 )
 def test_build_grid_refuses_cells_whose_reciprocal_overflows(n, x_max):
-    """dx = 0 or 1/dx = inf would put inf (then NaN) into every derivative;
-    a numpy integer n is refused the same way, without a warning."""
+    """dx = 0 or 1/dx = inf would put inf (then NaN) into every derivative,
+    and so would a finite 1/dx whose folded stencil sums, up to 24/dx, are
+    not; a numpy integer n is refused the same way, without a warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="1/dx is not finite"):
+        with pytest.raises(ValueError, match="32/dx is not finite"):
             ops.build_grid(n, 0.0, x_max)
 
 
 def test_build_grid_accepts_the_smallest_cells_with_a_finite_reciprocal():
-    g = ops.build_grid(4, 0.0, 4 * 2.0**-1023)
-    assert g.dx == 2.0**-1023 and math.isfinite(1.0 / g.dx)
+    """The edge is exact: 32/dx is finite one float above dx = 2**-1019."""
+    dx = float(np.nextafter(2.0**-1019, 1.0))
+    g = ops.build_grid(4, 0.0, 4 * dx)
+    assert g.dx == dx and math.isfinite(32 / dx) and 32 / 2.0**-1019 == math.inf
 
 
 def test_grid_arrays_are_read_only():

@@ -65,6 +65,30 @@ def test_eigenvalues_match_dense_solver(n):
         assert _match_multisets(lam, dense_lam) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("k", [400, 900, -700])
+@pytest.mark.parametrize("n", [7, 16])
+def test_eigenvalues_are_exact_under_power_of_two_scaling(n, k):
+    """Scaling an operator by 2**k scales every eigenvalue by 2**k bit for bit,
+    the signs of zero parts included, though squares of its symbols' entries
+    leave the float range."""
+    g = ops.build_grid(n)
+    rng = np.random.default_rng(n)
+    Dm, Dp = ops.upwind_D_minus(g), ops.upwind_D_plus(g)
+    candidates = [
+        ops.central_D(g),
+        Dp,
+        ops.upwind_mass(g) @ (Dp - Dm),
+        ops.extended_mass(g, MassParams(1.0, 1 / 3, 0.0, 0.1, 0.05)),
+        BlockCirculantOp(n, g.dx, 1.0, {j: rng.normal(size=(2, 2)) for j in (-1, 0, 2)}),
+    ]
+    for op in candidates:
+        scaled = BlockCirculantOp(n, g.dx, op.scale, {j: np.ldexp(a, k) for j, a in op.blocks.items()})
+        with np.errstate(all="raise"):
+            want, got = spectral.eigenvalues(op), spectral.eigenvalues(scaled)
+        for part in ("real", "imag"):
+            assert np.ldexp(getattr(want, part), k).tobytes() == getattr(got, part).tobytes()
+
+
 def test_eigenvalues_are_ordered_per_mode():
     g = ops.build_grid(6)
     lam = spectral.eigenvalues(ops.upwind_mass(g)).reshape(6, 2)
@@ -213,9 +237,19 @@ def _bits(cls):
     )
 
 
+def _hand_stack(operators, offsets):
+    """The blocks of ``operators`` stacked per offset of ``offsets``, +0.0 where one has none."""
+    zero = np.zeros((2, 2))
+    blocks = np.array([[op.blocks.get(j, zero) for op in operators] for j in offsets])
+    return blocks.reshape(len(offsets), len(operators), 2, 2)
+
+
 def _mixed_mass_stack(g, size):
     """``size`` mass matrices cycling through window edges and +-3 ulps, m_p = -0.0,
-    m_p = m_v/3 (no +-1 blocks), rescaled weights and negated copies, shuffled."""
+    m_p = m_v/3 (no +-1 blocks), rescaled weights and negated copies, shuffled.
+
+    Every one has the prefactor ``g.dx``: a negated copy negates its
+    coefficients, which negates every stored entry exactly."""
     params = []
     for m_v in (1.0, 0.75, 1e-300, 2.0**1020, 1e308):
         # (2/3) 1e308 is refused: 3 m_p overflows
@@ -228,8 +262,8 @@ def _mixed_mass_stack(g, size):
                 below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
                 points += [below, above]
         params += [(m_v, float(m_p)) for m_p in points]
+    params += [(-1.0, -m_p) for m_p in (0.4, 1.0 / 3.0, 2.0 / 9.0)]
     rows = [ops.banded_mass(g, MassParams(m_v, m_p)) for m_v, m_p in params]
-    rows += [-1.0 * ops.banded_mass(g, MassParams(1.0, m_p)) for m_p in (0.4, 1.0 / 3.0, 2.0 / 9.0)]
     order = np.random.default_rng(size).permutation(size)
     return [rows[i % len(rows)] for i in order]
 
@@ -237,16 +271,19 @@ def _mixed_mass_stack(g, size):
 @pytest.mark.parametrize("n", [359, 360])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_stacked_classification_is_that_of_each_operator_alone(n, extra):
-    """One mixed stack of the pass budget - 1, the budget and + 1 operators:
-    each result equals the one-operator call bit for bit."""
+    """One mixed stack of the pass budget - 1, the budget and + 1 operators,
+    stacked by hand: each result equals the one-operator call bit for bit."""
     g = ops.build_grid(n, 0.0, float(n))
-    budget = spectral._CHUNK // (n // 2 + 1)
+    budget = spectral.operators_per_pass(n)
     stack = _mixed_mass_stack(g, budget + extra)
     assert any(tuple(op.blocks) == (0,) for op in stack)  # m_p = m_v/3 drops the +-1 blocks
-    alone = [_bits(spectral.hermitian_classify(op)) for op in stack]
-    assert [_bits(c) for c in spectral.hermitian_classify(stack)] == alone
-    assert [_bits(c) for c in spectral.hermitian_classify(iter(stack))] == alone
-    assert spectral.hermitian_classify([]) == []
+    offsets = (-1, 0, 1)
+    assert all(tuple(op.blocks) in (offsets, (0,)) for op in stack)
+    alone = [spectral.hermitian_classify(op) for op in stack]
+    assert any(c.kind.startswith("negative") for c in alone)
+    alone = [_bits(c) for c in alone]
+    stacked = spectral.classify_stack(n, g.dx, offsets, _hand_stack(stack, offsets))
+    assert [_bits(c) for c in stacked] == alone
 
 
 @pytest.mark.parametrize("n", [5, 64, 359])
@@ -260,36 +297,37 @@ def test_classify_stack_is_that_of_each_built_matrix(n):
     assert [_bits(c) for c in spectral.classify_stack(n, g.dx, offsets, blocks)] == alone
 
 
-@pytest.mark.parametrize("where", [0, 7, "second pass"])
+@pytest.mark.parametrize("where", [0, 7, "past the pass budget"])
 def test_a_failing_operator_in_a_stack_raises_its_own_error(where):
-    g = ops.build_grid(64)
-    budget = spectral._CHUNK // (g.n // 2 + 1)
+    """Each failing operator raises the error it raises alone, wherever it
+    sits in a stack; dx = 1, so that the derivative shares the masses' prefactor."""
+    g = ops.build_grid(64, 0.0, 64.0)
+    budget = spectral.operators_per_pass(g.n)
     good = [ops.banded_mass(g, MassParams(1.0, m_p)) for m_p in np.linspace(-0.2, 1.2, budget + 20)]
-    at = budget + 5 if where == "second pass" else where
+    at = budget + 5 if where == "past the pass budget" else where
     skewed = dict(ops.upwind_mass(g).blocks)
     skewed[1] = skewed[1] + np.array([[0.0, 1e-9], [0.0, 0.0]])
     failing = [
         BlockCirculantOp(g.n, g.dx, g.dx, skewed),
         ops.central_D(g),
-        ops.upwind_D_plus(g),  # offsets (0, 1): a stack of its own
-        BlockCirculantOp(g.n, g.dx, g.dx, {0: [[np.nan, 0.5], [0.5, 1.0]]}),
+        BlockCirculantOp(g.n, g.dx, g.dx, {0: [[np.nan, 0.5], [0.5, 1.0]]}),  # offsets (0,)
     ]
+    offsets = (-1, 0, 1)
     with np.errstate(invalid="ignore"):
         for bad in failing:
             with pytest.raises(ValueError) as alone:
                 spectral.hermitian_classify(bad)
+            stack = _hand_stack(good[:at] + [bad] + good[at:] + failing, offsets)
             with pytest.raises(ValueError) as stacked:
-                spectral.hermitian_classify(good[:at] + [bad] + good[at:] + failing)
+                spectral.classify_stack(g.n, g.dx, offsets, stack)
             assert str(stacked.value) == str(alone.value)
-    with pytest.raises(ValueError, match="incompatible operators"):
-        spectral.hermitian_classify([good[0], ops.upwind_mass(ops.build_grid(65))])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 9])
 def test_symmetry_defect_is_that_of_the_difference_operator(n):
     """Read off the stored blocks, bit for bit as ``(op - op.T).norm_inf()``,
     at offsets that are their own mirror (0 and, for even n, -n/2) too, for
-    each operator alone and inside the stacks its family shares."""
+    each operator alone and inside a stack with mixed prefactors."""
     g = ops.build_grid(n)
     rng = np.random.default_rng(n)
     Dm, Dp = ops.upwind_D_minus(g), ops.upwind_D_plus(g)
@@ -304,10 +342,16 @@ def test_symmetry_defect_is_that_of_the_difference_operator(n):
         BlockCirculantOp(n, g.dx, 2.0, {}),
     ]
     want = [np.float64((op - op.T).norm_inf()).tobytes() for op in operators]
-    assert [spectral._Stack.of([op]).defects()[0].tobytes() for op in operators] == want
-    for offsets, idx in spectral._families(operators):
-        stacked = spectral._Stack.of([operators[i] for i in idx], offsets).defects()
-        assert [d.tobytes() for d in stacked] == [want[i] for i in idx]
+    assert [spectral._Stack.of(op).defects()[0].tobytes() for op in operators] == want
+    # the extended mass's offsets hold the upwind mass's and the empty
+    # operator's in order; the central ones (-1, 0, 1) only from n = 4, since
+    # on the 3-cell ring the mass family stores them as (1, -1, 0)
+    offsets = tuple(operators[1].blocks)
+    members = [0, 1, 6] + [2] * (n > 3)
+    stack = [operators[i] for i in members]
+    scale = np.array([op.scale for op in stack])
+    stacked = spectral._Stack(n, offsets, _hand_stack(stack, offsets), scale).defects()
+    assert [d.tobytes() for d in stacked] == [want[i] for i in members]
 
 
 def test_hermitian_classify_rejects_asymmetric():
