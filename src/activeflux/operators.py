@@ -32,12 +32,26 @@ view.  One batched ``matmul`` then forms every block's ``(cells, 2) @ (2,
 windows are not consecutive), ``np.add.reduce`` sums the products over
 the blocks, in insertion order and starting from ``+0.0``, and the sum is
 multiplied by ``scale`` once.  Each product row is the two-term dot product
-a per-block product computes, and a reduction over the outermost axis adds
-the products one after another, so results are bit-for-bit those of
-rolling the operand once per block and accumulating into zeros.  Cells go
-through in chunks of ``_CHUNK`` (the last one may take one cell more), so
-the product stack holds at most ``#blocks * (_CHUNK + 1)`` cells whatever
-``n`` is, and a large operand needs no per-block temporary of its size.
+a per-block product computes, and a reduction over the block axis adds the
+products one after another, so results are bit-for-bit those of rolling
+the operand once per block and accumulating into zeros.  Cells go through
+in chunks of ``_CHUNK`` (the last one may take one cell more), so the
+product stack holds at most ``#blocks * (_CHUNK + 1)`` cells whatever ``n``
+is, and a large operand needs no per-block temporary of its size.
+
+The operand may also be a stack of ``rows`` operands, shape ``(rows,
+2n)``, and the kernel is the same with one more leading axis: a ``(rows,
+n + 2h, 2)`` halo filled by the same three copies, a ``(rows, 2h + 1, n,
+2)`` window view, one batched ``matmul`` per chunk into a ``(rows,
+#blocks, cells, 2)`` product stack, one reduction over its block axis and
+one scaling.  Each row goes through the 2x2 products and the sums of a
+single-operand call, so it gets that call's bits.  The chunk shrinks by
+powers of two as ``rows`` grows, to the largest whose stack stays within
+``#blocks * (_CHUNK + 1)`` cells (never below two cells), so its edges
+still fall where a BLAS product over all ``n`` cells ends its row blocks.
+A 1-D operand is a stack of one, and a stack of one runs without the
+leading axis.  The relaxed time stepper forms ``M d`` and every ``M f_i``
+in one such call.
 
 The halo buffer, its window view and the product stack are one
 ``MatvecBuffers`` (``BlockCirculantOp.buffers``).  A caller that applies
@@ -216,15 +230,16 @@ class MassParams:
 class MatvecBuffers(NamedTuple):
     """Scratch arrays of :meth:`BlockCirculantOp.matvec`, reusable across calls.
 
-    ``key`` is ``(n, h, #blocks, operand dtype)``.  The flat halo-extended
-    operand, ``2 (n + 2h)`` entries, is written through ``halo``, its views
-    of the ``n`` cells and of the ``h`` wrapped cells before and after them,
-    and read through ``windows``, its ``(2h + 1, n, 2)`` strided view (both
-    ``None`` when ``h = 0``).
-    ``chunks`` lists each chunk's first and end cell with two views of the
-    ``(#blocks, min(n, _CHUNK + 1), 2)`` product stack: the chunk's
-    ``(#blocks, cells, 2)`` products, and the same memory as ``(#blocks,
-    2 cells)`` rows, which sum straight into the flat result.
+    ``key`` is ``(rows, n, h, #blocks, operand dtype)``.  Every array below
+    has a leading axis of ``rows`` operands, except for a single operand.
+    The flat halo-extended operand, ``2 (n + 2h)`` entries, is written
+    through ``halo``, its views of the ``n`` cells and of the ``h`` wrapped
+    cells before and after them, and read through ``windows``, its ``(2h +
+    1, n, 2)`` strided view (both ``None`` when ``h = 0``).  ``chunks``
+    lists each chunk's first and end cell with two views of the ``(#blocks,
+    min(n, chunk + 1), 2)`` product stack: the chunk's ``(#blocks, cells,
+    2)`` products, and the same memory as ``(#blocks, 2 cells)`` rows,
+    which sum straight into the flat result.
 
     ``bound`` is ``None``, or ``(op, u, out, copies, steps)`` for buffers
     from :meth:`BlockCirculantOp.bind`: a call of ``op`` on that ``u`` and
@@ -312,36 +327,48 @@ class BlockCirculantOp:
         a_t = np.array([a.T for a in self.blocks.values()]).reshape(-1, 2, 2)
         return h, select, a_t
 
-    def buffers(self, dtype=float) -> "MatvecBuffers":
-        """Scratch arrays for :meth:`matvec` on operands of ``dtype``.
+    def buffers(self, dtype=float, rows: int = 1) -> "MatvecBuffers":
+        """Scratch arrays for :meth:`matvec` on a stack of ``rows`` operands of ``dtype``.
 
         Any operator with the same ``n``, halo width and number of blocks
-        can use them; :meth:`matvec` refuses them for any other operator or
-        operand dtype.
+        can use them; :meth:`matvec` refuses them for any other operator,
+        operand dtype or number of rows.  A 1-D operand is a stack of one.
         """
         h, _, a_t = self._plan
         n, dtype = self.n, np.dtype(dtype)
+        if rows < 1:
+            raise ValueError(f"need at least one operand row, got {rows}")
+        stack = (rows,) if rows > 1 else ()  # a stack of one runs as its 1-D row
         halo = windows = None
         if h:
-            x = np.empty(2 * (n + 2 * h), dtype)
-            halo = (x[2 * h : 2 * (n + h)], x[: 2 * h], x[2 * (n + h) :])
-            # window s is cells s .. s + n - 1 of the halo: consecutive windows
-            # overlap, one cell apart
+            x = np.empty((*stack, 2 * (n + 2 * h)), dtype)
+            halo = (x[..., 2 * h : 2 * (n + h)], x[..., : 2 * h], x[..., 2 * (n + h) :])
+            # window s of a row is its cells s .. s + n - 1 of the halo:
+            # consecutive windows overlap, one cell apart
             cell = 2 * dtype.itemsize
             windows = np.ndarray(
-                (2 * h + 1, n, 2), dtype, buffer=x, strides=(cell, cell, dtype.itemsize)
+                (*stack, 2 * h + 1, n, 2),
+                dtype,
+                buffer=x,
+                strides=(*x.strides[:-1], cell, cell, dtype.itemsize),
             )
         blocks = len(a_t)
-        products = np.empty((blocks, min(n, _CHUNK + 1), 2), np.promote_types(dtype, float))
+        # the largest power of two whose chunks, the last one's lone cell
+        # included, keep the stack within #blocks * (_CHUNK + 1) cells, but
+        # never a one-cell chunk (see below)
+        chunk = _CHUNK
+        while chunk > 2 and rows * (chunk + 1) > _CHUNK + 1:
+            chunk //= 2
+        products = np.empty((*stack, blocks, min(n, chunk + 1), 2), np.promote_types(dtype, float))
         # no one-cell chunk: numpy sends a one-row product to BLAS's vector
         # kernel, which rounds complex products differently; the last chunk
         # takes that cell instead
-        edges = [*range(0, n - 1, _CHUNK), n]
+        edges = [*range(0, n - 1, chunk), n]
         chunks = []
         for c, stop in zip(edges, edges[1:]):
-            part = products[:, : stop - c]
-            chunks.append((c, stop, part, part.reshape(blocks, 2 * (stop - c))))
-        return MatvecBuffers((n, h, blocks, dtype), halo, windows, tuple(chunks))
+            part = products[..., : stop - c, :]
+            chunks.append((c, stop, part, part.reshape(*stack, blocks, 2 * (stop - c))))
+        return MatvecBuffers((rows, n, h, blocks, dtype), halo, windows, tuple(chunks))
 
     def bind(
         self,
@@ -365,49 +392,55 @@ class BlockCirculantOp:
 
         The steps are the halo copies, ``(cells, u, before, tail, after,
         head)`` or ``()`` when ``h = 0``, and the product steps ``(windows,
-        A^T, products, rows, part)``; the last product step of
-        a chunk also sums its ``rows`` into ``part`` of ``out`` (the others
-        carry ``None``).  All of them are views, valid as long as ``u``,
-        ``out`` and the buffers are.  Windows selected by a slice make one
-        batched product per chunk; by an index array, one product per
-        block, since a gathered copy would not see the next operand.
+        A^T, products, sums, part)``; the last product step of a chunk also
+        sums the products, as ``sums``, into ``part`` of ``out`` (the others
+        carry ``None``).  For a stack, each view holds every operand row
+        along a leading axis; a stack of one runs as its 1-D row.  All of
+        them are views, valid as long as ``u``, ``out`` and the buffers are.
+        Windows selected by a slice make one batched product per chunk; by
+        an index array, one product per block, since a gathered copy would
+        not see the next operand.
         """
         u = np.asarray(u)
         n = self.n
-        if u.shape != (2 * n,):
-            raise ValueError(f"expected shape ({2 * n},), got {u.shape}")
+        if u.shape != (2 * n,) and (u.ndim != 2 or u.shape[1] != 2 * n or not len(u)):
+            raise ValueError(f"expected shape ({2 * n},) or (rows, {2 * n}), got {u.shape}")
+        rows = len(u) if u.ndim == 2 else 1
         h, select, a_t = self._plan
         dtype = np.promote_types(u.dtype, float)
         # the result before the scratch arrays: it outlives them, and large
         # scratch arrays freed above it leave the heap less fragmented
         if out is None:
-            out = np.empty(2 * n, dtype)
-        elif out.shape != (2 * n,) or out.dtype != dtype:
+            out = np.empty(u.shape, dtype)
+        elif out.shape != u.shape or out.dtype != dtype:
             raise ValueError(
-                f"out must be a ({2 * n},) array of {dtype}, got {out.shape} {out.dtype}"
+                f"out must be a {u.shape} array of {dtype}, got {out.shape} {out.dtype}"
             )
         if buffers is None:
-            buffers = self.buffers(u.dtype)
-        elif buffers.key != (n, h, len(a_t), u.dtype):
+            buffers = self.buffers(u.dtype, rows)
+        elif buffers.key != (rows, n, h, len(a_t), u.dtype):
             raise ValueError(
-                f"buffers for (n, halo, blocks, dtype) = {buffers.key} do not fit "
-                f"{(n, h, len(a_t), u.dtype)}"
+                f"buffers for (rows, n, halo, blocks, dtype) = {buffers.key} do not fit "
+                f"{(rows, n, h, len(a_t), u.dtype)}"
             )
+        # a stack of one runs as its 1-D row, like the buffers
+        operand, result = (u[0], out[0]) if u.ndim == 2 and rows == 1 else (u, out)
         if h:
             cells, before, after = buffers.halo
-            copies = (cells, u, before, u[2 * (n - h) :], after, u[: 2 * h])
+            tail, head = operand[..., 2 * (n - h) :], operand[..., : 2 * h]
+            copies = (cells, operand, before, tail, after, head)
             windows = buffers.windows
         else:  # one block at offset 0: each chunk is read before it is written
-            copies, windows = (), u.reshape(1, n, 2)
+            copies, windows = (), operand.reshape(*operand.shape[:-1], 1, n, 2)
         steps = []
-        for c, stop, products, rows in buffers.chunks:
-            part = out[2 * c : 2 * stop]
+        for c, stop, products, sums in buffers.chunks:
+            part = result[..., 2 * c : 2 * stop]
             if isinstance(select, slice):
-                steps.append((windows[select, c:stop], a_t, products, rows, part))
+                steps.append((windows[..., select, c:stop, :], a_t, products, sums, part))
                 continue
-            for s, a, p in zip(select.tolist(), a_t, products):
-                steps.append((windows[s, c:stop], a, p, None, None))
-            steps[-1] = (*steps[-1][:3], rows, part)
+            for i, s in enumerate(select.tolist()):
+                steps.append((windows[..., s, c:stop, :], a_t[i], products[..., i, :, :], None, None))
+            steps[-1] = (*steps[-1][:3], sums, part)
         return u, out, buffers, copies, steps
 
     def matvec(
@@ -431,13 +464,19 @@ class BlockCirculantOp:
         Windows that are not consecutive in insertion order are multiplied
         block by block, with the same 2x2 products.
 
-        ``out`` (shape ``(2n,)``, of the result dtype) receives the result
-        and is returned; it may be ``u`` itself.  ``buffers``
-        (from :meth:`buffers` with ``u``'s dtype) are reused scratch space.
-        Without them a call makes its own and returns a new array.  Either
-        argument that does not fit raises :class:`ValueError`.  Buffers
-        from :meth:`bind` for this operator, ``u`` and ``out`` skip the
-        checks and reuse their views; the kernel is the same.
+        ``u`` may be a stack of operands, shape ``(rows, 2n)``: the result
+        has its shape, and each row is the call on that row alone, bit for
+        bit, with chunks of ``_CHUNK`` halved until ``rows`` of them fit in
+        one chunk's product stack (see the module docstring).
+
+        ``out`` (of ``u``'s shape and the result dtype) receives the result
+        and is returned; it may be ``u`` itself.  ``buffers`` (from
+        :meth:`buffers` with ``u``'s dtype and number of rows) are reused
+        scratch space.  Without them a call makes its own and returns a new
+        array.  An operand, ``out`` or ``buffers`` that does not fit raises
+        :class:`ValueError`.  Buffers from :meth:`bind` for this operator,
+        ``u`` and ``out`` skip the checks and reuse their views; the kernel
+        is the same.
         """
         bound = None if buffers is None else buffers.bound
         if bound is not None and bound[0] is self and bound[1] is u and bound[2] is out:
@@ -450,10 +489,10 @@ class BlockCirculantOp:
             before[...] = tail
             after[...] = head
         # positional out: the same ufunc loops, with less argument parsing
-        for windows, a_t, products, rows, part in steps:
+        for windows, a_t, products, sums, part in steps:
             np.matmul(windows, a_t, products)
-            if rows is not None:
-                np.add.reduce(rows, 0, None, part, False, 0.0)
+            if sums is not None:
+                np.add.reduce(sums, -2, None, part, False, 0.0)
         out *= self.scale
         return out
 

@@ -7,11 +7,17 @@ discrete energy change matches the inner-product estimate of the true change,
 which makes the central scheme conserve energy to rounding and keeps the
 upwind scheme monotone.
 
-For the central scheme the estimate is zero by construction: the SBP
-identity ``M D + D^T M = 0`` makes every stage term ``<y_i, M f_i>``
-vanish.  :func:`run_experiment` reads that off the operators once per run
-and then relaxes towards zero change without evaluating the estimate,
-which saves one matvec per stage (rk4x2: 10 instead of 18 per step).
+The estimate needs ``M f_i`` for every stage and the rescaling needs
+``M d``: :func:`relaxation_gamma` forms all of them in one matvec call on
+the stack of the stage derivatives and ``d`` (each row has the bits of its
+own call).  For the central scheme the estimate is zero by construction:
+the SBP identity ``M D + D^T M = 0`` makes every stage term ``<y_i, M
+f_i>`` vanish.  :func:`run_experiment` reads that off the operators once
+per run and then relaxes towards zero change without evaluating the
+estimate, which leaves ``M d`` alone in that call.  A relaxed step thus
+makes ``s + 2`` matvec calls, the energy's included, whether it keeps the
+estimate or not: 10 for rk4x2 and 5 for ssprk33, where one call per
+product made 18 and 8.
 
 :func:`rk_step` builds each stage state ``y_i = u + (dt a_i1) k_1 + ...``
 and the update ``u + (dt b_1) k_1 + ...`` as left folds over their nonzero
@@ -40,10 +46,10 @@ binding (:meth:`~activeflux.operators.BlockCirculantOp.bind`) per stage
 state and derivative pair.  :func:`rk_step` replays it on that ``u`` and
 forms the coefficients ``dt c`` again only when ``dt`` changes.  On any
 other operand, or without a workspace, it builds the same program for the
-one call, with plain matvec buffers.  ``M u``, ``M d`` and each ``M f_i``
-are bound the same way as the stages.  Each call still goes through
-:func:`rk_step`, :func:`relaxation_gamma`, :meth:`Scheme.energy` and
-``BlockCirculantOp.matvec``.
+one call, with plain matvec buffers.  ``M u``, ``M d`` and the stack of
+``M f_i`` and ``M d`` are bound the same way as the stages.  Each call
+still goes through :func:`rk_step`, :func:`relaxation_gamma`,
+:meth:`Scheme.energy` and ``BlockCirculantOp.matvec``.
 
 At ``|a| = 1`` the right-hand side ``-a D u`` folds ``-a`` into the scale
 of ``D``, which is exact (:attr:`Scheme.rhs_operator`): one scaling pass
@@ -79,6 +85,7 @@ __all__ = [
     "ExperimentConfig",
     "Workspace",
     "EnergyBlowUpError",
+    "MAX_STEPS",
     "project_initial",
     "default_initial",
     "run_experiment",
@@ -320,11 +327,11 @@ def make_scheme(grid: Grid, variant: str, advection_speed: float = 1.0) -> Schem
     return Scheme(variant=variant, advection_speed=a, grid=grid, D_effective=D, M_energy=M)
 
 
-def _step_arrays(method: RKMethod, shape, dtype=float) -> tuple:
-    """New ``k``, ``folds`` and ``tmp`` arrays for the steps of ``method``."""
+def _fold_arrays(method: RKMethod, shape, dtype=float) -> tuple:
+    """New ``folds`` and ``tmp`` arrays for the steps of ``method``."""
     arrays = sum(target is not None for _, terms in method._folds for _, _, target, _ in terms)
     new = functools.partial(np.empty, shape, dtype)
-    return tuple(new() for _ in range(method.stages)), tuple(new() for _ in range(arrays)), new()
+    return tuple(new() for _ in range(arrays)), new()
 
 
 class _StepProgram:
@@ -393,54 +400,58 @@ class _StepProgram:
 class Workspace:
     """Every array one run's time loop writes, allocated once per run.
 
-    ``k`` holds the stage derivatives and ``folds`` the arrays the stage
-    folds form (numbered by ``RKMethod._folds``); ``tmp`` holds one scaled
-    term, ``(dt c) k_j`` or ``gamma d``, before it is added.  ``d``,
-    ``Md``, ``Mu`` and ``Mf`` take the update difference and the products
-    ``M d``, ``M u`` and ``M f_i``.  ``D`` and ``M`` are the matvec
-    buffers of the scheme's right-hand side and mass operators.
+    ``kd`` holds the stage derivatives and then the update difference ``d``
+    as the rows of one ``(s + 1, 2n)`` array; ``k`` and ``d`` are those
+    rows.  ``folds`` holds the arrays the stage folds form (numbered by
+    ``RKMethod._folds``), and ``tmp`` one scaled term, ``(dt c) k_j`` or
+    ``gamma d``, before it is added.  ``Mkd`` takes the products of ``M``
+    with the rows of ``kd``, the ``M f_i`` and then ``Md``, and ``Mu``
+    takes ``M u``.  ``D`` is the matvec buffers of the
+    scheme's right-hand side.
 
-    The workspace is allocated for the run's state array ``u``.  ``M_u``,
-    ``M_d`` and ``M_f`` (one per stage) bind ``M`` to ``u``, ``d`` and
-    each ``k_i`` with their outputs, and ``step`` is the program
-    :func:`rk_step` replays on ``u``.
+    The workspace is allocated for the run's state array ``u``.  ``M_u``
+    and ``M_d`` bind ``M`` to ``u`` and ``d`` with their outputs, ``M_kd``
+    to the whole stack, and ``step`` is the program :func:`rk_step` replays
+    on ``u``.
     """
 
     k: tuple
     folds: tuple
     tmp: np.ndarray
+    kd: np.ndarray
     d: np.ndarray
+    Mkd: np.ndarray
     Md: np.ndarray
     Mu: np.ndarray
-    Mf: np.ndarray
     D: MatvecBuffers
-    M: MatvecBuffers
     M_u: MatvecBuffers
     M_d: MatvecBuffers
-    M_f: tuple
+    M_kd: MatvecBuffers
     step: _StepProgram
 
     @classmethod
     def allocate(cls, scheme: Scheme, method: RKMethod, u: np.ndarray) -> "Workspace":
         """Buffers for real states of ``scheme`` stepped by ``method``, bound to ``u``."""
-        size = 2 * scheme.grid.n
-        arrays = _step_arrays(method, size)
-        new = functools.partial(np.empty, size)
-        d, Md, Mu, Mf = new(), new(), new(), new()
-        D, M = scheme.rhs_operator[0].buffers(), scheme.M_energy.buffers()
-        bind = scheme.M_energy.bind
+        size, s = 2 * scheme.grid.n, method.stages
+        kd, Mkd, Mu = np.empty((s + 1, size)), np.empty((s + 1, size)), np.empty(size)
+        k, d, Md = tuple(kd[:s]), kd[s], Mkd[s]
+        folds, tmp = _fold_arrays(method, size)
+        D, M = scheme.rhs_operator[0].buffers(), scheme.M_energy
+        one = M.buffers()
         return cls(
-            *arrays,
+            k=k,
+            folds=folds,
+            tmp=tmp,
+            kd=kd,
             d=d,
+            Mkd=Mkd,
             Md=Md,
             Mu=Mu,
-            Mf=Mf,
             D=D,
-            M=M,
-            M_u=bind(u, Mu, M),
-            M_d=bind(d, Md, M),
-            M_f=tuple(bind(f, Mf, M) for f in arrays[0]),
-            step=_StepProgram(scheme, method, u, arrays, D, bind=True),
+            M_u=M.bind(u, Mu, one),
+            M_d=M.bind(d, Md, one),
+            M_kd=M.bind(kd, Mkd),
+            step=_StepProgram(scheme, method, u, (k, folds, tmp), D, bind=True),
         )
 
 
@@ -480,7 +491,9 @@ def rk_step(
         def rhs(y, f, buffers):
             np.copyto(f, scheme.rhs(y))
 
-        arrays = _step_arrays(method, np.shape(u), np.promote_types(np.asarray(u).dtype, float))
+        shape, dtype = np.shape(u), np.promote_types(np.asarray(u).dtype, float)
+        k = tuple(np.empty(shape, dtype) for _ in range(method.stages))
+        arrays = (k, *_fold_arrays(method, shape, dtype))
         program = _StepProgram(scheme, method, u, arrays, None, bind=False, rhs=rhs)
     elif ws.step.u is u and ws.step.scheme is scheme and ws.step.method is method:
         program = ws.step
@@ -508,25 +521,39 @@ def relaxation_gamma(
     stage term vanish; it saves the ``M f_i`` products.  Returns 1 when the
     update is too small for the quadratic to be meaningful.  A caller that
     has formed ``u_next - u`` for its own update passes it as ``d``, and it
-    is not formed again.  With a workspace, ``d`` (when formed here) and
-    the products with ``M`` go into its ``d``, ``Md`` and ``Mf`` buffers;
-    ``M d`` and ``M f_i`` replay its bindings when ``d`` and ``f_i`` are
-    its own ``d`` and ``k_i``.
+    is not formed again.
+
+    ``M d`` and every ``M f_i`` come from one matvec call on the stack
+    ``[f_1, ..., f_s, d]``; without stage data, from a call on ``d``
+    alone.  Each row has the bits of its own call, and the dot products
+    follow in a fixed order: ``d M d``, then ``y_i M f_i`` stage by stage,
+    then ``u M d``.  With a workspace, ``d`` (when formed here) goes into
+    its ``d`` row, and the products into its ``Mkd`` stack; when ``d`` and
+    the ``f_i`` are its own rows, the call replays its binding, ``M_kd``
+    or ``M_d``.  Otherwise, and without a workspace, the call runs on
+    ``np.stack([f_1, ..., f_s, d])``.
     """
     ws = workspace
     if d is None:
         d = np.subtract(u_next, u, out=None if ws is None else ws.d)
-    Md = M @ d if ws is None else M.matvec(d, ws.Md, ws.M_d)
+    if not stage_data:
+        Mf, Md = (), (M @ d if ws is None else M.matvec(d, ws.Md, ws.M_d))
+    elif (
+        ws is not None
+        and d is ws.d
+        and len(stage_data) == len(ws.k)
+        and all(st.f is k for st, k in zip(stage_data, ws.k))
+    ):
+        Mf, Md = M.matvec(ws.kd, ws.Mkd, ws.M_kd), ws.Md
+    else:
+        Mf = M @ np.stack([*(st.f for st in stage_data), d])
+        Md = Mf[-1]
     d2 = float(d @ Md)
     if d2 < 1e-30:
         return 1.0
     e = 0.0
-    for i, st in enumerate(stage_data):
-        if ws is None:
-            Mf = M @ st.f
-        else:
-            Mf = M.matvec(st.f, ws.Mf, ws.M_f[i] if i < len(ws.M_f) else ws.M)
-        e += st.b * float(st.y @ Mf)
+    for st, Mf_i in zip(stage_data, Mf):  # stops before M d, the last row
+        e += st.b * float(st.y @ Mf_i)
     e *= 2.0 * dt
     return (e - 2.0 * float(u @ Md)) / d2
 
@@ -662,6 +689,14 @@ def project_initial(grid: Grid, f: Callable) -> np.ndarray:
     return ops.interleave(points, averages)
 
 
+#: Largest nominal step count ``ceil(t_end / dt)`` that :func:`run_experiment`
+#: accepts; a run past it is refused up front.  With the step budget of
+#: ``10 ceil(t_end / dt) + 1000``, no accepted run takes more than about 1e8
+#: steps.  The tests, the CI and ``perfbench`` take at most 2400 (n = 1200
+#: for one period at dt = dx/2), and one period at n = 1e6 takes 2e6.
+MAX_STEPS = 10**7
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     """Advect the initial profile to ``t_end`` and trace the discrete energy.
 
@@ -682,9 +717,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     is not refused, so its chaotic trajectory stays that of the full
     estimate.  Raises :class:`EnergyBlowUpError` if the energy exceeds 1e3
     times its initial value.  Non-finite or non-positive
-    ``t_end``/``dt_factor``, a non-finite advection speed, and a nominal
-    step that is zero or makes ``t_end / dt`` overflow raise
-    :class:`ValueError` before any work is done.
+    ``t_end``/``dt_factor``, a non-finite advection speed, a nominal step
+    that is zero or makes ``t_end / dt`` overflow, and a step count
+    ``ceil(t_end / dt)`` past :data:`MAX_STEPS` raise :class:`ValueError`
+    before any work is done.
     """
     for name in ("t_end", "dt_factor"):
         value = float(getattr(config, name))
@@ -699,6 +735,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
         raise ValueError(
             f"time step dt = dt_factor * dx = {dt_nominal} is too small for t_end = {t_end}: "
             "the step count t_end / dt is not finite"
+        )
+    steps_nominal = math.ceil(t_end / dt_nominal)
+    if steps_nominal > MAX_STEPS:
+        raise ValueError(
+            f"t_end = {t_end} takes {t_end / dt_nominal:.6g} steps of dt = dt_factor * dx = "
+            f"{dt_nominal}, past the cap MAX_STEPS = {MAX_STEPS}"
         )
     scheme = make_scheme(grid, config.variant, config.advection_speed)
     method = resolve_method(config.rk)
@@ -717,7 +759,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     guard = 1e3 * max(e0, 1e-300)
 
     t = 0.0
-    max_steps = 10 * int(math.ceil(t_end / dt_nominal)) + 1000
+    max_steps = 10 * steps_nominal + 1000
     steps = 0
     # Relaxed steps advance time by gamma*dt, so the loop usually ends with a
     # clipped partial step.  Remainders below 1e-9 of the nominal step are

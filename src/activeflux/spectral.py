@@ -290,11 +290,22 @@ def _all_symbols(op: BlockCirculantOp) -> np.ndarray:
     return _mirror(out)
 
 
+def _mode_symbol(stack: _Stack, k: int) -> np.ndarray:
+    """``B_k`` of a stack of one, the bits of ``_all_symbols``' row ``k``.
+
+    Only mode ``min(k, n - k)`` is evaluated; past ``n/2`` it is conjugated.
+    """
+    if not 0 <= k < stack.n:
+        raise ValueError(f"mode index k={k} out of range [0, {stack.n})")
+    m = min(k, stack.n - k)
+    B = _stacked(*_half_symbols(stack, slice(m, m + 1)))[0, 0]
+    return B if m == k else np.conjugate(B)
+
+
 def symbol(op: BlockCirculantOp, k: int) -> Symbol:
     """The symbol ``B_k`` of mode ``k`` (including the operator's scale)."""
-    if not 0 <= k < op.n:
-        raise ValueError(f"mode index k={k} out of range [0, {op.n})")
-    return Symbol(entries=_all_symbols(op)[k], theta=2.0 * np.pi * k / op.n, k=int(k), n=op.n)
+    B = _mode_symbol(_Stack.of(op), k)
+    return Symbol(entries=B, theta=2.0 * np.pi * k / op.n, k=int(k), n=op.n)
 
 
 def _eig_pairs(B: np.ndarray) -> np.ndarray:
@@ -357,11 +368,16 @@ def eigenvector(op: BlockCirculantOp, k: int, which: int) -> np.ndarray:
     ``(1, -1)/sqrt(2)`` makes the ``k = 0`` branches of a consistent operator
     the constant state and the alternating point/average state.  A genuinely
     defective symbol raises :class:`DefectiveSymbolError`.
+
+    The symbol comes from ``_in_range``'s stack, like the eigenvalues: an
+    operator whose norm leaves ``(2**-300, 2**300)`` is divided by ``2**e``
+    first.  That is exact, and ``v`` does not depend on the scale, so the
+    result is the eigenvector of any exact power-of-two rescale of ``op``
+    inside the range, bit for bit.
     """
     if which not in (0, 1):
         raise ValueError(f"which must be 0 or 1, got {which}")
-    sym = symbol(op, k)
-    B = sym.entries
+    B = _mode_symbol(_in_range(_Stack.of(op))[0], k)
     pair = _eig_pairs(B[None])[0]
     lam = pair[which]
     bnorm = float(np.abs(B).max())
@@ -372,7 +388,7 @@ def eigenvector(op: BlockCirculantOp, k: int, which: int) -> np.ndarray:
             v = np.array([1.0, 1.0 - 2.0 * which]) / np.sqrt(2.0)
         else:
             raise DefectiveSymbolError(
-                f"symbol of mode k={k} (theta={sym.theta:.6g}) has a double "
+                f"symbol of mode k={k} (theta={2.0 * np.pi * k / op.n:.6g}) has a double "
                 f"eigenvalue {lam:.6g} with a one-dimensional eigenspace"
             )
     else:

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from activeflux import checks, cli, spectral
+from activeflux import checks, cli, solver, spectral
 
 
 def run_cli(*argv):
@@ -463,6 +463,24 @@ def test_mass_scan_rejects_bad_ranges(capsys):
 def test_steps_and_cells_too_small_for_float_are_rejected_up_front(argv, tmp_path, capsys):
     """A step count t_end / dt or a scale 32/dx that overflows exits 2, with
     no traceback, no warning and no output file."""
+    assert "not finite" in _refusal(argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--n", "8", "--t-end", "1e300"),
+        ("solve", "--n", "8", "--x-max", "1e-300"),
+    ],
+)
+def test_step_counts_past_the_cap_are_rejected_up_front(argv, tmp_path, capsys):
+    """Finite step counts of about 2.5e300 and 1e302, which would run without
+    end, exit 2 before the first step."""
+    assert f"past the cap MAX_STEPS = {solver.MAX_STEPS}" in _refusal(argv, tmp_path, capsys)
+
+
+def _refusal(argv, tmp_path, capsys) -> str:
+    """The one ``error:`` line of a call that exits 2 with no warning and no output."""
     out = tmp_path / "out.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -471,7 +489,7 @@ def test_steps_and_cells_too_small_for_float_are_rejected_up_front(argv, tmp_pat
     assert captured.out == "" and not out.exists()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "not finite" in lines[0]
+    return lines[0]
 
 
 #: 4 * (one float above 2**-1019): the smallest cells build_grid accepts at n = 4

@@ -471,6 +471,107 @@ def test_bound_matvec_reads_the_operand_of_each_call(n):
             assert twin.matvec(u, out, bound).tobytes() == twin.matvec(u).tobytes()
 
 
+def _stack_operands(rng, n, rows):
+    """``rows`` operand rows: normal entries, then rows of signed zeros and
+    of subnormals, and normal rows with some entries of each kind."""
+    normal = rng.normal(size=(rows, 2 * n))
+    zeros = np.where(rng.random((rows, 2 * n)) < 0.5, -0.0, 0.0)
+    tiny = 5e-324 * rng.integers(-(2**20), 2**20, size=(rows, 2 * n))
+    mixed = normal.copy()
+    mixed[rng.random(mixed.shape) < 0.2] = -0.0
+    mixed[rng.random(mixed.shape) < 0.2] = 1e-310
+    return np.concatenate([normal, zeros, tiny, mixed])[rng.permutation(4 * rows)[:rows]]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 17, _C + 1, _C + 8])
+def test_every_row_of_a_stacked_matvec_is_the_call_on_that_row(n):
+    """A ``(rows, 2n)`` stack of 1-9 operands, unbound or bound, with or
+    without ``out``: every row is the single-operand call on that row, bit
+    for bit.  The operators read their windows by slice and by index array
+    (offsets 7 and -10**12 - 1), without a halo (h = 0), on the aliased
+    rings n = 3, 4, and past one chunk, where the last chunk of a
+    single-operand call takes a lone cell (n = 8193) or eight (n = 8200).
+    There, products of subnormals are slow, so three stack sizes stand for
+    the chunk sizes 8192, 2048 and 512."""
+    rng = np.random.default_rng(n)
+    operators = _every_builder(ops.build_grid(n))
+    assert any(isinstance(op._plan[1], np.ndarray) for op in operators)
+    assert any(op._plan[0] == 0 for op in operators)
+    for rows in range(1, 10) if n < _C else (1, 3, 9):
+        stack = _stack_operands(rng, n, rows)
+        if rows == 4:
+            stack = stack + 1j * _stack_operands(rng, n, rows)
+        for op in operators:
+            want = [op.matvec(row.copy()) for row in stack]
+            out = np.full(stack.shape, np.nan, dtype=want[0].dtype)
+            bound = op.bind(stack, out)
+            got = [
+                op.matvec(stack),
+                op.matvec(stack, out=np.full_like(out, np.nan)),
+                op.matvec(stack, np.full_like(out, np.nan), op.buffers(stack.dtype, rows)),
+                op.matvec(stack, out, bound).copy(),
+            ]
+            for result in got:
+                assert result.shape == stack.shape
+                for r, w in zip(result, want, strict=True):
+                    assert r.tobytes() == w.tobytes()
+            # the binding reads the stack's new values
+            stack[::2] *= -1.5
+            assert op.matvec(stack, out, bound) is out
+            for r, row in zip(out, stack, strict=True):
+                assert r.tobytes() == op.matvec(row.copy()).tobytes()
+            stack[::2] /= -1.5
+
+
+def test_stacked_matvec_chunks_keep_the_product_stack_to_one_chunk():
+    """The chunk shrinks by powers of two as the rows grow, so the product
+    stack never holds more than #blocks * (_CHUNK + 1) cells, down to two
+    cells: no chunk is a lone cell."""
+    op = ops.upwind_mass(ops.build_grid(_C + 8))
+    for rows in (1, 2, 3, 9, 100):
+        buffers = op.buffers(float, rows)
+        cells = [stop - c for c, stop, _, _ in buffers.chunks]
+        chunk = cells[0]
+        assert chunk & (chunk - 1) == 0 and rows * (chunk + 1) <= _C + 1 < rows * (2 * chunk + 1)
+        assert sum(cells) == op.n and min(cells) > 1
+        products = buffers.chunks[0][2]
+        assert products.base.size <= len(op.blocks) * (_C + 1) * 2
+    # past (_CHUNK + 1) / 3 rows the chunk stops at two cells
+    small = ops.upwind_mass(ops.build_grid(9))
+    assert [stop - c for c, stop, _, _ in small.buffers(float, 4000).chunks] == [2, 2, 2, 3]
+    stack = np.random.default_rng(9).normal(size=(4000, 18))
+    for got, row in zip(small.matvec(stack), stack, strict=True):
+        assert got.tobytes() == small.matvec(row.copy()).tobytes()
+
+
+def test_stacked_matvec_refuses_what_does_not_fit():
+    g = ops.build_grid(16)
+    D = ops.central_D(g)
+    stack, out = np.ones((3, 32)), np.empty((3, 32))
+    for bad in (np.ones((3, 31)), np.ones((0, 32)), np.ones((1, 3, 32)), np.ones(()), np.ones(64)):
+        with pytest.raises(ValueError, match="expected shape"):
+            D.matvec(bad)
+        with pytest.raises(ValueError, match="expected shape"):
+            D.bind(bad, out)
+    for bad_out in (np.empty((2, 32)), np.empty(32), np.empty((3, 32), complex), np.empty((1, 3, 32))):
+        with pytest.raises(ValueError, match="out must be"):
+            D.matvec(stack, out=bad_out)
+    with pytest.raises(ValueError, match="out must be"):
+        D.matvec(np.ones(32), out=np.empty((1, 32)))
+    for rows in (1, 2, 4):  # buffers for another number of rows
+        with pytest.raises(ValueError, match="do not fit"):
+            D.matvec(stack, out, D.buffers(float, rows))
+    with pytest.raises(ValueError, match="do not fit"):
+        D.matvec(np.ones(32), buffers=D.buffers(float, 3))
+    with pytest.raises(ValueError, match="do not fit"):
+        D.matvec(stack + 0j, buffers=D.buffers(float, 3))
+    with pytest.raises(ValueError, match="at least one"):
+        D.buffers(float, 0)
+    # a stack of one shares the buffers of a 1-D operand
+    one = D.buffers()
+    assert D.matvec(stack[:1], buffers=one).tobytes() == D.matvec(stack[0]).tobytes()
+
+
 def test_bound_matvec_refuses_what_a_call_refuses():
     g = ops.build_grid(16)
     D, u, out = ops.central_D(g), np.ones(32), np.empty(32)

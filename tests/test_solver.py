@@ -293,6 +293,19 @@ def test_oversized_step_trips_energy_guard():
         )
 
 
+def test_step_counts_past_the_cap_are_refused_before_any_work(monkeypatch):
+    """``ceil(t_end / dt)`` may reach MAX_STEPS, not pass it (checked here
+    against a cap of 5), and a refused run builds no scheme."""
+    dt = 0.5 * 2 * np.pi / 16
+    monkeypatch.setattr(solver, "MAX_STEPS", 5)
+    trace, _ = run_experiment(ExperimentConfig(n=16, t_end=5 * dt, relaxation=False))
+    assert len(trace.times) == 6
+    monkeypatch.setattr(solver, "make_scheme", None)  # any work would raise TypeError
+    for t_end in (np.nextafter(5 * dt, np.inf), 6 * dt, 1e300):
+        with pytest.raises(ValueError, match="past the cap MAX_STEPS = 5"):
+            run_experiment(ExperimentConfig(n=16, t_end=t_end))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(t_end=0.0))
@@ -387,6 +400,22 @@ def test_estimate_vanishes_for_central_and_not_for_upwind(n):
         assert not solver._estimate_vanishes(make_scheme(g, "upwind", a))
 
 
+def _reference_gamma(u, u_next, stages, M, dt):
+    """``relaxation_gamma`` from fresh arrays: one plain ``M @ x`` per stage
+    derivative and for ``d``, not the stacked product the solver makes, so
+    that the fast path is compared with something other than itself."""
+    d = u_next - u
+    Md = M @ d
+    d2 = float(d @ Md)
+    if d2 < 1e-30:
+        return 1.0
+    e = 0.0
+    for st in stages:
+        e += st.b * float(st.y @ (M @ st.f))
+    e *= 2.0 * dt
+    return (e - 2.0 * float(u @ Md)) / d2
+
+
 def _full_estimate_run(config):
     """The time loop of ``run_experiment``, always passing the stage data."""
     g = ops.build_grid(config.n, config.x_min, config.x_max)
@@ -399,7 +428,7 @@ def _full_estimate_run(config):
         u_next, stages = rk_step(s, method, u, dt)
         gamma = 1.0
         if config.relaxation and dt > 1e-4 * dt_nominal:
-            gamma = relaxation_gamma(u, u_next, stages, s.M_energy, dt)
+            gamma = _reference_gamma(u, u_next, stages, s.M_energy, dt)
         u, t, steps = u + gamma * (u_next - u), t + gamma * dt, steps + 1
     return u, t, steps
 
@@ -409,13 +438,14 @@ def _full_estimate_run(config):
     [
         ("central", "rk4x2", 10),
         ("central", "rk4", 6),
-        ("upwind", "rk4x2", 18),
-        ("central", "ssprk33", 8),
+        ("upwind", "rk4x2", 10),
+        ("central", "ssprk33", 5),
     ],
 )
 def test_relaxed_matvecs_per_step(monkeypatch, variant, rk, per_step):
-    """Stages + one M d + one energy; plus one M f_i per stage where the
-    estimate is kept (upwind, and the linearly unstable central ssprk33)."""
+    """Stages + one mass product + one energy.  The mass product is M d
+    alone, or M d stacked with every M f_i where the estimate is kept
+    (upwind, and the linearly unstable central ssprk33)."""
     calls = []
     matvec = ops.BlockCirculantOp.matvec
     def counted(op, u, *args, **kwargs):
@@ -633,7 +663,7 @@ def _fresh_array_run(config):
         u_next, stages = rk_step(s, method, u, dt)
         gamma = 1.0
         if config.relaxation and dt > 1e-4 * dt_nominal:
-            gamma = relaxation_gamma(u, u_next, () if skip else stages, s.M_energy, dt)
+            gamma = _reference_gamma(u, u_next, () if skip else stages, s.M_energy, dt)
             if gamma <= 0.0:
                 raise EnergyBlowUpError(
                     f"relaxation parameter became non-positive ({gamma:.3g}) at "
@@ -743,6 +773,15 @@ def test_rk_step_with_a_workspace_writes_its_buffers(method):
     M = s.M_energy
     gamma = relaxation_gamma(u, u1, stages, M, 0.3 * g.dx, workspace=ws)
     assert gamma == relaxation_gamma(u, want, want_stages, M, 0.3 * g.dx)
+    assert gamma == _reference_gamma(u, want, want_stages, M, 0.3 * g.dx)
+    # stage data that is not the workspace's takes the unbound stacked call
+    assert gamma == relaxation_gamma(u, want, want_stages, M, 0.3 * g.dx, workspace=ws)
+    skipped = relaxation_gamma(u, u1, (), M, 0.3 * g.dx, workspace=ws)
+    assert skipped == _reference_gamma(u, want, (), M, 0.3 * g.dx)
+    # one stage more than the workspace holds: unbound as well
+    extra = solver.Stage(b=0.5, y=want, f=np.sin(want))
+    longer = relaxation_gamma(u, u1, [*stages, extra], M, 0.3 * g.dx, workspace=ws)
+    assert longer == _reference_gamma(u, want, [*want_stages, extra], M, 0.3 * g.dx)
     assert s.energy(u1, ws) == s.energy(want)
 
 
@@ -819,6 +858,7 @@ def test_rk_step_alternating_operands_on_one_workspace(method, variant, a):
             assert (st.y.tobytes(), st.f.tobytes()) == (want_st.y.tobytes(), want_st.f.tobytes())
         gamma = relaxation_gamma(u, u_next, stages, s.M_energy, dt * g.dx, workspace=ws)
         assert gamma == relaxation_gamma(u, want, want_stages, s.M_energy, dt * g.dx)
+        assert gamma == _reference_gamma(u, want, want_stages, s.M_energy, dt * g.dx)
         assert s.energy(u, ws) == s.energy(u.copy())
     # another scheme or method on the bound operand: a one-shot program
     twin = RKMethod(method.name, method.a, method.b, method.c)
@@ -835,7 +875,12 @@ def test_workspace_binds_its_step_and_mass_matvecs():
     ws = solver.Workspace.allocate(s, RK4X2, u)
     assert ws.step.u is u and ws.M_u.bound[1] is u and ws.M_u.bound[2] is ws.Mu
     assert ws.M_d.bound[1] is ws.d and ws.M_d.bound[2] is ws.Md
-    assert all(b.bound[1] is k and b.bound[2] is ws.Mf for b, k in zip(ws.M_f, ws.k, strict=True))
+    assert ws.M_kd.bound[1] is ws.kd and ws.M_kd.bound[2] is ws.Mkd
+    # k_1..k_s and d are the rows of one stack, and so are their products
+    assert ws.kd.shape == ws.Mkd.shape == (RK4X2.stages + 1, 2 * g.n)
+    for row, want in zip((*ws.k, ws.d), ws.kd, strict=True):
+        assert row.base is ws.kd and row.ctypes.data == want.ctypes.data
+    assert ws.Md.base is ws.Mkd and ws.Md.ctypes.data == ws.Mkd[-1].ctypes.data
 
 
 @pytest.mark.parametrize(
@@ -850,7 +895,8 @@ def test_workspace_binds_its_step_and_mass_matvecs():
 def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, relaxation):
     """Every matvec of a run replays a binding made when its workspace is
     allocated: the set-up runs once per binding (a stage's derivative, then
-    M u, M d and each M f_i), however many steps the run takes."""
+    M u, M d and the stacked M k_i and M d), however many steps the run
+    takes."""
     programs = []
     program = ops.BlockCirculantOp._program
 
@@ -866,4 +912,4 @@ def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, re
             ExperimentConfig(variant=variant, rk=rk, relaxation=relaxation, n=16, t_end=t_end)
         )
         assert len(trace.times) > 5
-        assert len(programs) == 2 * stages + 2
+        assert len(programs) == stages + 3

@@ -110,6 +110,39 @@ def test_eigenvector_satisfies_eigen_equation():
                 assert np.linalg.norm(r) < 1e-10 * max(1.0, op.norm_inf())
 
 
+@pytest.mark.parametrize("x_max", [1e-160, 1e160])
+def test_eigenvector_is_that_of_the_exactly_rescaled_operator(x_max):
+    """On cells so small or so large that the symbols' squares leave the
+    float range, the eigenvector is finite and, bit for bit, that of the
+    operator divided by the power of two of its scale."""
+    g = ops.build_grid(8, 0.0, x_max)
+    Dm, Dp = ops.upwind_D_minus(g), ops.upwind_D_plus(g)
+    candidates = [ops.central_D(g), Dm, Dp, ops.diagonal_mass(g), ops.upwind_mass(g), Dp - Dm]
+    for op in candidates:
+        scaled = op * float(np.ldexp(1.0, -np.frexp(op.scale)[1]))
+        assert 0.5 <= scaled.scale < 1.0
+        for k in range(g.n):
+            for which in (0, 1):
+                try:
+                    want = spectral.eigenvector(scaled, k, which)
+                except DefectiveSymbolError:
+                    with pytest.raises(DefectiveSymbolError):
+                        spectral.eigenvector(op, k, which)
+                    continue
+                with np.errstate(all="raise"):
+                    got = spectral.eigenvector(op, k, which)
+                assert np.isfinite(got).all()
+                assert got.tobytes() == want.tobytes()
+
+
+def test_symbol_of_one_mode_is_that_mode_of_every_symbol():
+    g = ops.build_grid(9)
+    for op in (ops.central_D(g), ops.upwind_D_plus(g), ops.upwind_mass(g)):
+        every = spectral._all_symbols(op)
+        for k in range(g.n):
+            assert spectral.symbol(op, k).entries.tobytes() == every[k].tobytes()
+
+
 def test_eigenvector_k0_of_central_d_spans_constants():
     """At k = 0 the central symbol vanishes; the canonical basis is the
     all-ones vector and the point/average alternating vector."""
