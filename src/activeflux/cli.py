@@ -1,9 +1,14 @@
 """Command-line front end: verify, spectrum, solve, mass-scan.
 
-All file output is byte-deterministic: floats are printed with 17 significant
-digits, JSON keys are sorted, lines end with ``\n``, and no timestamps or
-environment data are written.  Each output starts with ``#`` header lines
-carrying the schema version and the exact configuration that produced it.
+All file output is byte-deterministic: CSV numbers print as
+``'%.17g' % (x + 0.0)`` (17 significant digits, -0.0 as ``0``), JSON numbers
+as ``json.dumps`` prints them (Python's shortest round-trip ``repr``, -0.0
+as ``-0.0``), so both read back bit-exactly.  JSON keys are sorted, lines end
+with ``\n``, and no timestamps or environment data are written.  Each output
+starts with ``#`` header lines (CSV) or a ``config`` object (JSON) carrying
+the schema version and the exact configuration that produced it.  A float
+table (``spectrum``, the ``solve`` trace) is formatted in numpy with the
+bytes of ``'%.17g'`` (:mod:`activeflux.floattext`).
 
 Exit codes: 0 success / all checks passed; 1 a check failed or the energy
 blew up; 2 usage or configuration errors (bad flags, malformed files,
@@ -22,7 +27,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import checks, solver, spectral
+from . import checks, floattext, solver, spectral
 from . import operators as ops
 
 __all__ = ["main", "console_main"]
@@ -31,7 +36,7 @@ SCHEMA_VERSION = 1
 
 _TWO_PI = 2.0 * math.pi
 
-#: rows formatted and written at a time (for a 2-D float array, by one ``%``)
+#: rows formatted and written at a time
 _CSV_CHUNK = 1024
 
 
@@ -59,24 +64,22 @@ def _emit(chunks: Iterable[str], path: Optional[str]) -> None:
 def _csv_chunks(config: dict, columns, rows) -> Iterator[str]:
     """``#`` header lines, the column line, one line per row, in chunks of ``_CSV_CHUNK`` rows.
 
-    String cells pass through.  Numbers print with 17 significant digits
-    (integers as themselves below 2**53), after ``+ 0.0``, which turns -0.0
-    into 0.0 and leaves every other value alone.  A 2-D float array gets one
-    ``%`` format over each chunk's ``tolist()``: faster than a format per
-    line.  Only one chunk's text and Python floats are alive at a time, so
-    the memory of writing a table does not grow with its length.
+    String cells pass through.  Numbers print as ``'%.17g' % (x + 0.0)``:
+    17 significant digits (integers as themselves below 2**53), and
+    ``+ 0.0`` turns -0.0 into 0.0 and leaves every other value alone.  A
+    2-D float array is formatted in numpy, a chunk at a time, by
+    :func:`floattext.lines`, with the same bytes.  Only one chunk's text is
+    alive at a time, so the memory of writing a table does not grow with
+    its length.
     """
     config_json = json.dumps(config, sort_keys=True, default=_json_default)
     yield f"# schema_version = {SCHEMA_VERSION}\n# config = {config_json}\n{','.join(columns)}\n"
-    if isinstance(rows, np.ndarray):
-        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        for start in range(0, rows.shape[0], _CSV_CHUNK):
-            chunk = rows[start : start + _CSV_CHUNK] + 0.0
-            yield (line * chunk.shape[0]) % tuple(chunk.ravel().tolist())
+    if isinstance(rows, np.ndarray) and rows.size:
+        yield from floattext.lines(rows, _CSV_CHUNK)
         return
     rows = iter(rows)
     while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
-        cells = ((c if isinstance(c, str) else "%.17g" % (float(c) + 0.0) for c in row) for row in chunk)
+        cells = ((c if isinstance(c, str) else floattext.number(c) for c in row) for row in chunk)
         yield "\n".join(map(",".join, cells)) + "\n"
 
 

@@ -46,8 +46,9 @@ binding (:meth:`~activeflux.operators.BlockCirculantOp.bind`) per stage
 state and derivative pair.  :func:`rk_step` replays it on that ``u`` and
 forms the coefficients ``dt c`` again only when ``dt`` changes.  On any
 other operand, or without a workspace, it builds the same program for the
-one call, with plain matvec buffers.  ``M u``, ``M d`` and the stack of
-``M f_i`` and ``M d`` are bound the same way as the stages.  Each call
+one call, with plain matvec buffers.  ``M u``, ``M d`` and, for a relaxed
+run that keeps the stage estimate, the stack of ``M f_i`` and ``M d`` are
+bound the same way as the stages; other runs allocate no stack.  Each call
 still goes through :func:`rk_step`, :func:`relaxation_gamma`,
 :meth:`Scheme.energy` and ``BlockCirculantOp.matvec``.
 
@@ -412,7 +413,9 @@ class Workspace:
     The workspace is allocated for the run's state array ``u``.  ``M_u``
     and ``M_d`` bind ``M`` to ``u`` and ``d`` with their outputs, ``M_kd``
     to the whole stack, and ``step`` is the program :func:`rk_step` replays
-    on ``u``.
+    on ``u``.  A workspace allocated without the stage estimate has no
+    stack of products: ``Mkd`` and ``M_kd`` are None and ``Md`` stands
+    alone.
     """
 
     k: tuple
@@ -420,21 +423,28 @@ class Workspace:
     tmp: np.ndarray
     kd: np.ndarray
     d: np.ndarray
-    Mkd: np.ndarray
+    Mkd: Optional[np.ndarray]
     Md: np.ndarray
     Mu: np.ndarray
     D: MatvecBuffers
     M_u: MatvecBuffers
     M_d: MatvecBuffers
-    M_kd: MatvecBuffers
+    M_kd: Optional[MatvecBuffers]
     step: _StepProgram
 
     @classmethod
-    def allocate(cls, scheme: Scheme, method: RKMethod, u: np.ndarray) -> "Workspace":
-        """Buffers for real states of ``scheme`` stepped by ``method``, bound to ``u``."""
+    def allocate(
+        cls, scheme: Scheme, method: RKMethod, u: np.ndarray, *, estimate: bool = True
+    ) -> "Workspace":
+        """Buffers for real states of ``scheme`` stepped by ``method``, bound to ``u``.
+
+        ``estimate=False`` leaves out the stack of products, which only
+        relaxed steps that keep the stage estimate use.
+        """
         size, s = 2 * scheme.grid.n, method.stages
-        kd, Mkd, Mu = np.empty((s + 1, size)), np.empty((s + 1, size)), np.empty(size)
-        k, d, Md = tuple(kd[:s]), kd[s], Mkd[s]
+        kd, Mu = np.empty((s + 1, size)), np.empty(size)
+        Mkd = np.empty((s + 1, size)) if estimate else None
+        k, d, Md = tuple(kd[:s]), kd[s], (Mkd[s] if estimate else np.empty(size))
         folds, tmp = _fold_arrays(method, size)
         D, M = scheme.rhs_operator[0].buffers(), scheme.M_energy
         one = M.buffers()
@@ -450,7 +460,7 @@ class Workspace:
             D=D,
             M_u=M.bind(u, Mu, one),
             M_d=M.bind(d, Md, one),
-            M_kd=M.bind(kd, Mkd),
+            M_kd=M.bind(kd, Mkd) if estimate else None,
             step=_StepProgram(scheme, method, u, (k, folds, tmp), D, bind=True),
         )
 
@@ -528,9 +538,10 @@ def relaxation_gamma(
     alone.  Each row has the bits of its own call, and the dot products
     follow in a fixed order: ``d M d``, then ``y_i M f_i`` stage by stage,
     then ``u M d``.  With a workspace, ``d`` (when formed here) goes into
-    its ``d`` row, and the products into its ``Mkd`` stack; when ``d`` and
-    the ``f_i`` are its own rows, the call replays its binding, ``M_kd``
-    or ``M_d``.  Otherwise, and without a workspace, the call runs on
+    its ``d`` row, and the products into its ``Mkd`` stack, or ``M d``
+    alone into ``Md``; when ``d`` and the ``f_i`` are its own rows, the
+    call replays its binding, ``M_kd`` or ``M_d``.  Otherwise, and with
+    stage data but no stack or no workspace, the call runs on
     ``np.stack([f_1, ..., f_s, d])``.
     """
     ws = workspace
@@ -540,6 +551,7 @@ def relaxation_gamma(
         Mf, Md = (), (M @ d if ws is None else M.matvec(d, ws.Md, ws.M_d))
     elif (
         ws is not None
+        and ws.M_kd is not None
         and d is ws.d
         and len(stage_data) == len(ws.k)
         and all(st.f is k for st, k in zip(stage_data, ws.k))
@@ -751,7 +763,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     if config.relaxation and _estimate_vanishes(scheme):
         rho, tol = _amplification_radius(scheme, method, dt_nominal)
         skip_estimate = rho <= 1.0 + tol
-    ws = Workspace.allocate(scheme, method, u)
+    ws = Workspace.allocate(scheme, method, u, estimate=config.relaxation and not skip_estimate)
     e0 = scheme.energy(u, ws)
     times = [0.0]
     energies = [e0]
