@@ -53,23 +53,21 @@ A 1-D operand is a stack of one, and a stack of one runs without the
 leading axis.  The relaxed time stepper forms ``M d`` and every ``M f_i``
 in one such call.
 
-The halo buffer, its window view and the product stack are one
-``MatvecBuffers`` (``BlockCirculantOp.buffers``).  A caller that applies
-operators of one shape many times, like the time loop, makes them once and
-passes them in together with an ``out`` array; a call without them makes
-its own.  Both run the same kernel on the same operands, so they give the
-same bits: the 2x2 products go to BLAS either way, because every operand
-and output view keeps unit stride in its last axis and at least two rows
-(OpenBLAS rounds with fused multiply-adds, which an elementwise product or
-numpy's fallback loop would not).
-
-A call's set-up (checking the operand, ``out`` and the buffers, and making
-the halo copies' and the windows' views) can be done once:
-``BlockCirculantOp.bind(u, out, buffers)`` returns the buffers together
-with those views for that operator, operand and ``out``.  A call with all
-three the same objects (``is``) skips the checks and replays the views;
-any other call treats them as plain buffers.  Both paths then run the one
-kernel body, so a bound call gives the bits of an unbound one.
+A one-shot call makes its own scratch arrays: the halo buffer, its window
+view and the product stack.  A caller that applies an operator to the same
+arrays many times, like the time loop, binds the call once instead:
+``BlockCirculantOp.bind(u, out)`` checks the operand and ``out``, makes the
+scratch arrays and the views of the halo copies and the windows, and
+returns them as a ``MatvecBinding``.  ``matvec(u, out, binding)`` on that
+very operator, ``u`` and ``out`` (``is``) replays the views, reading
+whatever ``u`` holds then; a binding made for any other call raises.
+Bindings whose calls never overlap can share one set of scratch arrays
+(``bind(u, out, share=other)``), whose fit is checked when binding.  Both
+modes run one kernel body on the same operands, so a bound call gives the
+bits of a one-shot call: the 2x2 products go to BLAS either way, because
+every operand and output view keeps unit stride in its last axis and at
+least two rows (OpenBLAS rounds with fused multiply-adds, which an
+elementwise product or numpy's fallback loop would not).
 
 The relaxed time stepper depends on that exactness: its step rescaling
 divides energy estimates that nearly cancel, so a kernel that only
@@ -100,7 +98,7 @@ __all__ = [
     "DofVector",
     "Grid",
     "MassParams",
-    "MatvecBuffers",
+    "MatvecBinding",
     "banded_mass",
     "banded_mass_stack",
     "build_grid",
@@ -227,30 +225,21 @@ class MassParams:
         return (3.0 * self.m_p - self.m_v + 2.0 * self.m_vv - 2.0 * self.m_vvp) / 6.0
 
 
-class MatvecBuffers(NamedTuple):
-    """Scratch arrays of :meth:`BlockCirculantOp.matvec`, reusable across calls.
+class MatvecBinding(NamedTuple):
+    """One :meth:`BlockCirculantOp.matvec` call's set-up, from :meth:`BlockCirculantOp.bind`.
 
-    ``key`` is ``(rows, n, h, #blocks, operand dtype)``.  Every array below
-    has a leading axis of ``rows`` operands, except for a single operand.
-    The flat halo-extended operand, ``2 (n + 2h)`` entries, is written
-    through ``halo``, its views of the ``n`` cells and of the ``h`` wrapped
-    cells before and after them, and read through ``windows``, its ``(2h +
-    1, n, 2)`` strided view (both ``None`` when ``h = 0``).  ``chunks``
-    lists each chunk's first and end cell with two views of the ``(#blocks,
-    min(n, chunk + 1), 2)`` product stack: the chunk's ``(#blocks, cells,
-    2)`` products, and the same memory as ``(#blocks, 2 cells)`` rows,
-    which sum straight into the flat result.
-
-    ``bound`` is ``None``, or ``(op, u, out, copies, steps)`` for buffers
-    from :meth:`BlockCirculantOp.bind`: a call of ``op`` on that ``u`` and
-    ``out`` runs the prebuilt halo copies and product steps.
+    A call replays ``copies`` and ``steps`` (see
+    ``BlockCirculantOp._program``) through ``scratch`` (see
+    ``BlockCirculantOp._scratch``) only when it is a call of ``op`` on
+    ``u`` into ``out``, all three the very objects bound.
     """
 
-    key: tuple
-    halo: Optional[tuple]
-    windows: Optional[np.ndarray]
-    chunks: tuple
-    bound: Optional[tuple] = None
+    op: "BlockCirculantOp"
+    u: np.ndarray
+    out: np.ndarray
+    scratch: tuple
+    copies: tuple
+    steps: tuple
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -327,17 +316,24 @@ class BlockCirculantOp:
         a_t = np.array([a.T for a in self.blocks.values()]).reshape(-1, 2, 2)
         return h, select, a_t
 
-    def buffers(self, dtype=float, rows: int = 1) -> "MatvecBuffers":
-        """Scratch arrays for :meth:`matvec` on a stack of ``rows`` operands of ``dtype``.
+    def _scratch(self, dtype: np.dtype, rows: int) -> tuple:
+        """Scratch arrays for a call on a stack of ``rows`` operands of ``dtype``.
 
-        Any operator with the same ``n``, halo width and number of blocks
-        can use them; :meth:`matvec` refuses them for any other operator,
-        operand dtype or number of rows.  A 1-D operand is a stack of one.
+        Returns ``(key, halo, windows, chunks)``.  ``key`` is ``(rows, n,
+        h, #blocks, operand dtype)``.  Every array below has a leading axis
+        of ``rows`` operands, except for a single operand (a 1-D operand is
+        a stack of one).  The flat halo-extended operand, ``2 (n + 2h)``
+        entries, is written through ``halo``, its views of the ``n`` cells
+        and of the ``h`` wrapped cells before and after them, and read
+        through ``windows``, its ``(2h + 1, n, 2)`` strided view (both
+        ``None`` when ``h = 0``).  ``chunks`` lists each chunk's first and
+        end cell with two views of the ``(#blocks, min(n, chunk + 1), 2)``
+        product stack: the chunk's ``(#blocks, cells, 2)`` products, and
+        the same memory as ``(#blocks, 2 cells)`` rows, which sum straight
+        into the flat result.
         """
         h, _, a_t = self._plan
-        n, dtype = self.n, np.dtype(dtype)
-        if rows < 1:
-            raise ValueError(f"need at least one operand row, got {rows}")
+        n = self.n
         stack = (rows,) if rows > 1 else ()  # a stack of one runs as its 1-D row
         halo = windows = None
         if h:
@@ -368,27 +364,30 @@ class BlockCirculantOp:
         for c, stop in zip(edges, edges[1:]):
             part = products[..., : stop - c, :]
             chunks.append((c, stop, part, part.reshape(*stack, blocks, 2 * (stop - c))))
-        return MatvecBuffers((rows, n, h, blocks, dtype), halo, windows, tuple(chunks))
+        return (rows, n, h, blocks, dtype), halo, windows, tuple(chunks)
 
     def bind(
         self,
         u: np.ndarray,
         out: np.ndarray,
-        buffers: Optional["MatvecBuffers"] = None,
-    ) -> "MatvecBuffers":
-        """Buffers whose :meth:`matvec` calls on ``u`` into ``out`` skip the set-up.
+        share: Optional[MatvecBinding] = None,
+    ) -> MatvecBinding:
+        """The set-up of a :meth:`matvec` call on ``u`` into ``out``, done once.
 
-        The arguments are checked as a call checks them, and the call's
-        steps are built, once.  A call of this operator with this very
-        ``u`` and ``out`` (``is``, not equality) replays the steps, reading
-        whatever ``u`` holds then; any other call takes the result as plain
-        ``buffers``.
+        ``u`` and ``out`` are checked as a call checks them, and the call's
+        scratch arrays and steps are made.  A call of this operator with
+        the binding and this very ``u`` and ``out`` (``is``, not equality)
+        replays the steps, reading whatever ``u`` holds then.  ``share``, a
+        binding whose calls never overlap this one's, lends its scratch
+        arrays instead; they must fit this call (the same number of operand
+        rows, ``n``, halo width, number of blocks and operand dtype), or
+        :class:`ValueError` is raised.
         """
-        u, out, buffers, copies, steps = self._program(u, out, buffers)
-        return buffers._replace(bound=(self, u, out, copies, tuple(steps)))
+        u, out, scratch, copies, steps = self._program(u, out, None if share is None else share.scratch)
+        return MatvecBinding(self, u, out, scratch, copies, tuple(steps))
 
-    def _program(self, u, out, buffers) -> tuple:
-        """``u`` as an array, ``out`` and ``buffers`` checked or made, and the call's steps.
+    def _program(self, u, out, scratch: Optional[tuple]) -> tuple:
+        """``u`` as an array, ``out`` and ``scratch`` checked or made, and the call's steps.
 
         The steps are the halo copies, ``(cells, u, before, tail, after,
         head)`` or ``()`` when ``h = 0``, and the product steps ``(windows,
@@ -396,10 +395,10 @@ class BlockCirculantOp:
         sums the products, as ``sums``, into ``part`` of ``out`` (the others
         carry ``None``).  For a stack, each view holds every operand row
         along a leading axis; a stack of one runs as its 1-D row.  All of
-        them are views, valid as long as ``u``, ``out`` and the buffers are.
-        Windows selected by a slice make one batched product per chunk; by
-        an index array, one product per block, since a gathered copy would
-        not see the next operand.
+        them are views, valid as long as ``u``, ``out`` and the scratch
+        arrays are.  Windows selected by a slice make one batched product
+        per chunk; by an index array, one product per block, since a
+        gathered copy would not see the next operand.
         """
         u = np.asarray(u)
         n = self.n
@@ -416,24 +415,24 @@ class BlockCirculantOp:
             raise ValueError(
                 f"out must be a {u.shape} array of {dtype}, got {out.shape} {out.dtype}"
             )
-        if buffers is None:
-            buffers = self.buffers(u.dtype, rows)
-        elif buffers.key != (rows, n, h, len(a_t), u.dtype):
+        if scratch is None:
+            scratch = self._scratch(u.dtype, rows)
+        elif scratch[0] != (rows, n, h, len(a_t), u.dtype):
             raise ValueError(
-                f"buffers for (rows, n, halo, blocks, dtype) = {buffers.key} do not fit "
-                f"{(rows, n, h, len(a_t), u.dtype)}"
+                f"shared scratch for (rows, n, halo, blocks, dtype) = {scratch[0]} does not "
+                f"fit {(rows, n, h, len(a_t), u.dtype)}"
             )
-        # a stack of one runs as its 1-D row, like the buffers
+        _, halo, windows, chunks = scratch
+        # a stack of one runs as its 1-D row, like the scratch arrays
         operand, result = (u[0], out[0]) if u.ndim == 2 and rows == 1 else (u, out)
         if h:
-            cells, before, after = buffers.halo
+            cells, before, after = halo
             tail, head = operand[..., 2 * (n - h) :], operand[..., : 2 * h]
             copies = (cells, operand, before, tail, after, head)
-            windows = buffers.windows
         else:  # one block at offset 0: each chunk is read before it is written
             copies, windows = (), operand.reshape(*operand.shape[:-1], 1, n, 2)
         steps = []
-        for c, stop, products, sums in buffers.chunks:
+        for c, stop, products, sums in chunks:
             part = result[..., 2 * c : 2 * stop]
             if isinstance(select, slice):
                 steps.append((windows[..., select, c:stop, :], a_t, products, sums, part))
@@ -441,13 +440,13 @@ class BlockCirculantOp:
             for i, s in enumerate(select.tolist()):
                 steps.append((windows[..., s, c:stop, :], a_t[i], products[..., i, :, :], None, None))
             steps[-1] = (*steps[-1][:3], sums, part)
-        return u, out, buffers, copies, steps
+        return u, out, scratch, copies, steps
 
     def matvec(
         self,
         u: np.ndarray,
         out: Optional[np.ndarray] = None,
-        buffers: Optional["MatvecBuffers"] = None,
+        binding: Optional[MatvecBinding] = None,
     ) -> np.ndarray:
         """``scale * circulant(blocks) @ u``, one stacked product per chunk.
 
@@ -470,19 +469,20 @@ class BlockCirculantOp:
         one chunk's product stack (see the module docstring).
 
         ``out`` (of ``u``'s shape and the result dtype) receives the result
-        and is returned; it may be ``u`` itself.  ``buffers`` (from
-        :meth:`buffers` with ``u``'s dtype and number of rows) are reused
-        scratch space.  Without them a call makes its own and returns a new
-        array.  An operand, ``out`` or ``buffers`` that does not fit raises
-        :class:`ValueError`.  Buffers from :meth:`bind` for this operator,
-        ``u`` and ``out`` skip the checks and reuse their views; the kernel
-        is the same.
+        and is returned; it may be ``u`` itself.  Without ``binding`` the
+        call is one-shot: it checks ``u`` and ``out``, makes its scratch
+        arrays, and returns a new array when ``out`` is None.  With a
+        ``binding`` from :meth:`bind` for this operator, ``u`` and ``out``,
+        it replays the bound set-up; the kernel is the same.  An operand or
+        ``out`` that does not fit, or a binding made for another call,
+        raises :class:`ValueError`.
         """
-        bound = None if buffers is None else buffers.bound
-        if bound is not None and bound[0] is self and bound[1] is u and bound[2] is out:
-            copies, steps = bound[3], bound[4]
+        if binding is None:
+            u, out, _, copies, steps = self._program(u, out, None)
         else:
-            u, out, _, copies, steps = self._program(u, out, buffers)
+            op, bound_u, bound_out, _, copies, steps = binding
+            if op is not self or bound_u is not u or bound_out is not out:
+                raise ValueError("the binding was made for another operator, operand or out")
         if copies:
             cells, operand, before, tail, after, head = copies
             cells[...] = operand
@@ -594,13 +594,14 @@ class BlockCirculantOp:
         """Read :meth:`to_json_dict` output; the entry point for outside input.
 
         ``n`` and the offsets must be integers (a float with a fractional
-        part is refused, not truncated), and ``dx``, ``scale`` and every
-        block entry finite.
+        part is refused, not truncated, and so is a boolean), and ``dx``,
+        ``scale`` and every block entry finite.
         """
         try:
             n, offsets = data["n"], [b["offset"] for b in data["blocks"]]
-            if any(isinstance(v, float) and not v.is_integer() for v in (n, *offsets)):
-                raise ValueError("n and the block offsets must be integers")
+            for v in (n, *offsets):
+                if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+                    raise ValueError("n and the block offsets must be integers")
             dx, scale = float(data["dx"]), float(data["scale"])
             rows = [np.asarray(b["rows"], dtype=float) for b in data["blocks"]]
             if not all(np.isfinite(v).all() for v in (dx, scale, *rows)):

@@ -35,22 +35,23 @@ the folds, the stage derivatives, ``d = u_next - u`` and the products with
 ``M``; each new state overwrites the old one.  The steps allocate no array
 of the state's size.  Each operation is the one a call without a workspace
 makes, on the same operands in the same order, so trajectories are the
-same bits; only where results live changes.  Called without a workspace,
-:func:`rk_step`, :func:`relaxation_gamma` and :meth:`Scheme.energy` return
-new arrays.
+same bits; only where results live changes.
 
 The workspace also does each step's set-up once per run.  Allocated for
-the run's state array ``u``, it binds a step program: every fold's terms
-as (coefficient, ``k_j``, operand, ``out``), the stage list, and one matvec
-binding (:meth:`~activeflux.operators.BlockCirculantOp.bind`) per stage
-state and derivative pair.  :func:`rk_step` replays it on that ``u`` and
-forms the coefficients ``dt c`` again only when ``dt`` changes.  On any
-other operand, or without a workspace, it builds the same program for the
-one call, with plain matvec buffers.  ``M u``, ``M d`` and, for a relaxed
-run that keeps the stage estimate, the stack of ``M f_i`` and ``M d`` are
-bound the same way as the stages; other runs allocate no stack.  Each call
-still goes through :func:`rk_step`, :func:`relaxation_gamma`,
-:meth:`Scheme.energy` and ``BlockCirculantOp.matvec``.
+the run's state array ``u``, scheme and method, it holds a step program:
+every fold's terms as (coefficient, ``k_j``, operand, ``out``), the stage
+list, and one matvec binding
+(:meth:`~activeflux.operators.BlockCirculantOp.bind`) per stage state and
+derivative pair.  ``M u``, ``M d`` and, for a relaxed run that keeps the
+stage estimate, the stack of ``M f_i`` and ``M d`` are bound the same way;
+other runs allocate no stack.  :func:`rk_step`, :func:`relaxation_gamma`
+and :meth:`Scheme.energy` each have two paths.  Without a workspace they
+run one-shot on new arrays.  With one, they replay its bindings, and take
+only the workspace's own state ``u``, scheme, method and stage list:
+anything else raises :class:`ValueError`.  :func:`rk_step` forms the
+coefficients ``dt c`` again only when ``dt`` changes.  Each step still
+calls :func:`rk_step`, :func:`relaxation_gamma`, :meth:`Scheme.energy`
+and ``BlockCirculantOp.matvec``, which are where its time is measured.
 
 At ``|a| = 1`` the right-hand side ``-a D u`` folds ``-a`` into the scale
 of ``D``, which is exact (:attr:`Scheme.rhs_operator`): one scaling pass
@@ -69,7 +70,7 @@ import numpy as np
 
 from . import operators as ops
 from . import spectral
-from .operators import BlockCirculantOp, Grid, MatvecBuffers
+from .operators import BlockCirculantOp, Grid, MatvecBinding
 
 __all__ = [
     "RKMethod",
@@ -143,12 +144,12 @@ class RKMethod:
 
         One entry per fold: the prefix whose partial sum it continues from
         (``()`` for ``u``) and its remaining terms ``(j, coefficient,
-        target, save)``.  A fold starts from the longest prefix of its
+        in_place, save)``.  A fold starts from the longest prefix of its
         nonzero (j, coefficient) list that an earlier fold has summed.
         Such a partial sum is saved under its prefix when it is formed and
-        never written to afterwards: a term adds in place (``target`` is
-        ``None``) only into an array its own fold made and has not saved,
-        and otherwise forms array number ``target`` of the step.
+        never written to afterwards: a term adds in place only into an
+        array its own fold made and has not saved, and otherwise forms a
+        new array of the step.
         """
         folds = [tuple((j, c) for j, c in enumerate(row) if c != 0.0) for row in (*self.a, self.b)]
         known: set[tuple] = set()
@@ -159,14 +160,12 @@ class RKMethod:
             known.update(terms[:m] for m in range(start + 1, len(terms) + 1))
         saved = {terms[:start] for terms, start in zip(folds, starts)}
         plan = []
-        arrays = 0
         for terms, start in zip(folds, starts):
             steps = []
             for m in range(start, len(terms)):
                 in_place = m > start and terms[:m] not in saved
                 save = terms[: m + 1] if terms[: m + 1] in saved else None
-                steps.append((*terms[m], None if in_place else arrays, save))
-                arrays += not in_place
+                steps.append((*terms[m], in_place, save))
             plan.append((terms[:start], tuple(steps)))
         return tuple(plan)
 
@@ -183,10 +182,13 @@ class RKMethod:
             raise ValueError(f"cannot read Butcher tableau {path!r}: {exc}") from exc
         if not isinstance(data, dict) or not all(k in data for k in ("a", "b", "c")):
             raise ValueError("Butcher tableau JSON must contain keys 'a', 'b', 'c'")
-        order = data.get("order")
-        if order is not None:
-            order = int(order)
         try:
+            order = data.get("order")
+            if order is not None:
+                integral = isinstance(order, int) or isinstance(order, float) and order.is_integer()
+                if isinstance(order, bool) or not integral or order < 1:
+                    raise ValueError(f"order must be an integer >= 1, got {order!r}")
+                order = int(order)
             return cls(
                 name=str(data.get("name", "custom")),
                 a=data["a"],
@@ -291,17 +293,21 @@ class Scheme:
         self,
         u: np.ndarray,
         out: Optional[np.ndarray] = None,
-        buffers: Optional[MatvecBuffers] = None,
+        binding: Optional[MatvecBinding] = None,
     ) -> np.ndarray:
-        """``-a D u``, into ``out`` with the matvec ``buffers`` when given."""
+        """``-a D u``, into ``out`` through the matvec ``binding`` when given."""
         op, factor = self.rhs_operator
-        f = op.matvec(u, out, buffers)
+        f = op.matvec(u, out, binding)
         if factor != 1.0:
             f *= factor
         return f
 
     def energy(self, u: np.ndarray, workspace: Optional["Workspace"] = None) -> float:
-        """``u^T M u``; with a workspace, ``M u`` goes into its ``Mu`` buffer."""
+        """``u^T M u``; with a workspace, ``M u`` goes into its ``Mu`` buffer.
+
+        A workspace takes only its own state ``u``: the binding of ``M u``
+        refuses any other array with :class:`ValueError`.
+        """
         if workspace is None:
             return float(u @ (self.M_energy @ u))
         return float(u @ self.M_energy.matvec(u, workspace.Mu, workspace.M_u))
@@ -328,55 +334,40 @@ def make_scheme(grid: Grid, variant: str, advection_speed: float = 1.0) -> Schem
     return Scheme(variant=variant, advection_speed=a, grid=grid, D_effective=D, M_energy=M)
 
 
-def _fold_arrays(method: RKMethod, shape, dtype=float) -> tuple:
-    """New ``folds`` and ``tmp`` arrays for the steps of ``method``."""
-    arrays = sum(target is not None for _, terms in method._folds for _, _, target, _ in terms)
-    new = functools.partial(np.empty, shape, dtype)
-    return tuple(new() for _ in range(arrays)), new()
-
-
 class _StepProgram:
-    """:func:`rk_step` on one operand ``u`` and one set of arrays, resolved once.
+    """:func:`rk_step` on one operand ``u``, resolved once.
 
     ``plan`` holds one entry per fold: its terms ``(c, k_j, y, out)``, for
-    ``out = y + (dt c) k_j``, and for a stage its state, derivative and
-    the matvec buffers of that pair; with ``bind``, the buffers are bound
-    to the pair.  ``folds`` is ``plan`` with ``dt c`` in place of ``c``,
-    for the ``dt`` it was last formed for.  A stage calls ``rhs(y, f,
-    buffers)``, by default ``scheme.rhs``, to write ``f``.
+    ``out = y + (dt c) k_j``, and for a stage its state ``y``, its
+    derivative ``k_i`` and, with ``bind``, the binding of the scheme's
+    right-hand side operator to that pair (the bindings share one set of
+    scratch arrays).  Without ``bind`` the derivative is copied from
+    ``scheme.rhs(y)``, so the scheme needs nothing else.  The arrays the
+    folds form, and ``tmp`` for one scaled term before it is added, are the
+    program's own, made like ``k[0]``.  ``folds`` is ``plan`` with ``dt c``
+    in place of ``c``, for the ``dt`` it was last formed for.
     """
 
-    __slots__ = ("scheme", "method", "u", "tmp", "rhs", "plan", "update", "stages", "dt", "folds")
+    __slots__ = ("scheme", "method", "u", "tmp", "plan", "update", "stages", "dt", "folds")
 
-    def __init__(
-        self,
-        scheme: Scheme,
-        method: RKMethod,
-        u: np.ndarray,
-        arrays: tuple,
-        buffers: Optional[MatvecBuffers],
-        bind: bool,
-        rhs: Optional[Callable] = None,
-    ):
-        k, folds, tmp = arrays
-        saved = {(): u}
-        plan = []
+    def __init__(self, scheme, method: RKMethod, u: np.ndarray, k: Sequence[np.ndarray], bind: bool):
+        new = functools.partial(np.empty_like, k[0])
+        saved, plan, share = {(): u}, [], None
         for i, (source, terms) in enumerate(method._folds):
             y = saved[source]
             resolved = []
-            for j, c, target, save in terms:
-                out = y if target is None else folds[target]
+            for j, c, in_place, save in terms:
+                out = y if in_place else new()
                 resolved.append((c, k[j], y, out))
                 y = out
                 if save is not None:
                     saved[save] = y
             f = k[i] if i < method.stages else None
-            binding = buffers
+            binding = None
             if bind and f is not None:
-                binding = scheme.rhs_operator[0].bind(y, f, buffers)
+                binding = share = scheme.rhs_operator[0].bind(y, f, share)
             plan.append((tuple(resolved), y, f, binding))
-        self.scheme, self.method, self.u, self.tmp = scheme, method, u, tmp
-        self.rhs = scheme.rhs if rhs is None else rhs
+        self.scheme, self.method, self.u, self.tmp = scheme, method, u, new()
         self.plan, self.update = tuple(plan), plan[-1][1]
         self.stages = [Stage(b=b, y=y, f=f) for b, (_, y, f, _) in zip(method.b, plan)]
         self.dt = self.folds = None
@@ -388,12 +379,14 @@ class _StepProgram:
                 (tuple((dt * c, k, y, out) for c, k, y, out in terms), *rest)
                 for terms, *rest in self.plan
             )
-        rhs, tmp = self.rhs, self.tmp
-        for terms, y, f, buffers in self.folds:
+        scheme, tmp = self.scheme, self.tmp
+        for terms, y, f, binding in self.folds:
             for dtc, k, src, out in terms:
                 np.add(src, np.multiply(dtc, k, tmp), out)
-            if f is not None:
-                rhs(y, f, buffers)
+            if binding is not None:
+                scheme.rhs(y, f, binding)
+            elif f is not None:
+                np.copyto(f, scheme.rhs(y))
         return self.update, self.stages
 
 
@@ -402,34 +395,29 @@ class Workspace:
     """Every array one run's time loop writes, allocated once per run.
 
     ``kd`` holds the stage derivatives and then the update difference ``d``
-    as the rows of one ``(s + 1, 2n)`` array; ``k`` and ``d`` are those
-    rows.  ``folds`` holds the arrays the stage folds form (numbered by
-    ``RKMethod._folds``), and ``tmp`` one scaled term, ``(dt c) k_j`` or
-    ``gamma d``, before it is added.  ``Mkd`` takes the products of ``M``
-    with the rows of ``kd``, the ``M f_i`` and then ``Md``, and ``Mu``
-    takes ``M u``.  ``D`` is the matvec buffers of the
-    scheme's right-hand side.
+    as the rows of one ``(s + 1, 2n)`` array; ``d`` is its last row.
+    ``tmp`` holds one scaled term, ``(dt c) k_j`` or ``gamma d``, before it
+    is added.  ``Mkd`` takes the products of ``M`` with the rows of ``kd``,
+    the ``M f_i`` and then ``Md``, and ``Mu`` takes ``M u``.
 
-    The workspace is allocated for the run's state array ``u``.  ``M_u``
-    and ``M_d`` bind ``M`` to ``u`` and ``d`` with their outputs, ``M_kd``
-    to the whole stack, and ``step`` is the program :func:`rk_step` replays
-    on ``u``.  A workspace allocated without the stage estimate has no
-    stack of products: ``Mkd`` and ``M_kd`` are None and ``Md`` stands
-    alone.
+    The workspace is allocated for the run's state array ``u``, scheme and
+    method.  ``M_u`` and ``M_d`` bind ``M`` to ``u`` and ``d`` with their
+    outputs, sharing one set of scratch arrays, ``M_kd`` to the whole
+    stack, and ``step`` is the program :func:`rk_step` replays on ``u``:
+    the arrays its folds form and ``tmp`` are its own.  A workspace
+    allocated without the stage estimate has no stack of products:
+    ``Mkd`` and ``M_kd`` are None and ``Md`` stands alone.
     """
 
-    k: tuple
-    folds: tuple
     tmp: np.ndarray
     kd: np.ndarray
     d: np.ndarray
     Mkd: Optional[np.ndarray]
     Md: np.ndarray
     Mu: np.ndarray
-    D: MatvecBuffers
-    M_u: MatvecBuffers
-    M_d: MatvecBuffers
-    M_kd: Optional[MatvecBuffers]
+    M_u: MatvecBinding
+    M_d: MatvecBinding
+    M_kd: Optional[MatvecBinding]
     step: _StepProgram
 
     @classmethod
@@ -441,27 +429,23 @@ class Workspace:
         ``estimate=False`` leaves out the stack of products, which only
         relaxed steps that keep the stage estimate use.
         """
-        size, s = 2 * scheme.grid.n, method.stages
+        size, s, M = 2 * scheme.grid.n, method.stages, scheme.M_energy
         kd, Mu = np.empty((s + 1, size)), np.empty(size)
         Mkd = np.empty((s + 1, size)) if estimate else None
-        k, d, Md = tuple(kd[:s]), kd[s], (Mkd[s] if estimate else np.empty(size))
-        folds, tmp = _fold_arrays(method, size)
-        D, M = scheme.rhs_operator[0].buffers(), scheme.M_energy
-        one = M.buffers()
+        d, Md = kd[s], (Mkd[s] if estimate else np.empty(size))
+        step = _StepProgram(scheme, method, u, tuple(kd[:s]), bind=True)
+        M_u = M.bind(u, Mu)
         return cls(
-            k=k,
-            folds=folds,
-            tmp=tmp,
+            tmp=step.tmp,
             kd=kd,
             d=d,
             Mkd=Mkd,
             Md=Md,
             Mu=Mu,
-            D=D,
-            M_u=M.bind(u, Mu, one),
-            M_d=M.bind(d, Md, one),
+            M_u=M_u,
+            M_d=M.bind(d, Md, M_u),
             M_kd=M.bind(kd, Mkd) if estimate else None,
-            step=_StepProgram(scheme, method, u, (k, folds, tmp), D, bind=True),
+            step=step,
         )
 
 
@@ -485,31 +469,24 @@ def rk_step(
 
     Without a workspace every returned array is new, and ``scheme`` needs
     only ``rhs(y)``: its results are copied into arrays of ``u``'s dtype,
-    promoted to float.  With one, the update
-    and the stage states other than ``u`` are its ``folds`` buffers and the
-    stage derivatives its ``k`` buffers: the next call with the same
-    workspace overwrites all of them, so ``u`` must not be one of them.
-    On the ``scheme``, ``method`` and ``u`` its step program was bound to,
-    the call replays that program, and the stage list is the program's own,
-    the same list every call.  Any other call builds the same program,
-    unbound, on new arrays or the workspace's, and runs it once.  The
-    values are the same bits either way.
+    promoted to float.  With one, the call replays the workspace's step
+    program, which must be the one allocated for this ``scheme``,
+    ``method`` and ``u`` (``is``); any other raises :class:`ValueError`.
+    The update and the stage states other than ``u`` are then the
+    program's arrays and the stage derivatives rows of the workspace's
+    ``kd``, and the stage list is the program's own, the same list every
+    call: the next call overwrites all of them.  The values are the same
+    bits either way.
     """
     ws = workspace
-    if ws is None:  # any scheme with rhs(y); each derivative is copied into a new array
-
-        def rhs(y, f, buffers):
-            np.copyto(f, scheme.rhs(y))
-
+    if ws is None:
         shape, dtype = np.shape(u), np.promote_types(np.asarray(u).dtype, float)
-        k = tuple(np.empty(shape, dtype) for _ in range(method.stages))
-        arrays = (k, *_fold_arrays(method, shape, dtype))
-        program = _StepProgram(scheme, method, u, arrays, None, bind=False, rhs=rhs)
-    elif ws.step.u is u and ws.step.scheme is scheme and ws.step.method is method:
-        program = ws.step
-    else:
-        program = _StepProgram(scheme, method, u, (ws.k, ws.folds, ws.tmp), ws.D, bind=False)
-    return program.run(dt)
+        k = [np.empty(shape, dtype) for _ in range(method.stages)]
+        return _StepProgram(scheme, method, u, k, bind=False).run(dt)
+    step = ws.step
+    if step.u is not u or step.scheme is not scheme or step.method is not method:
+        raise ValueError("the workspace was allocated for another state, scheme or method")
+    return step.run(dt)
 
 
 def relaxation_gamma(
@@ -519,7 +496,6 @@ def relaxation_gamma(
     M: BlockCirculantOp,
     dt: float,
     *,
-    d: Optional[np.ndarray] = None,
     workspace: Optional[Workspace] = None,
 ) -> float:
     """Step scaling that matches the energy change to the stage estimate.
@@ -529,37 +505,35 @@ def relaxation_gamma(
     inner-product estimate of the energy change.  Empty ``stage_data`` means
     ``e = 0``, which a caller passes when ``M D + D^T M = 0`` makes every
     stage term vanish; it saves the ``M f_i`` products.  Returns 1 when the
-    update is too small for the quadratic to be meaningful.  A caller that
-    has formed ``u_next - u`` for its own update passes it as ``d``, and it
-    is not formed again.
+    update is too small for the quadratic to be meaningful.
 
     ``M d`` and every ``M f_i`` come from one matvec call on the stack
-    ``[f_1, ..., f_s, d]``; without stage data, from a call on ``d``
-    alone.  Each row has the bits of its own call, and the dot products
+    ``[f_1, ..., f_s, d]`` (a stack of one, ``d`` alone, without stage
+    data).  Each row has the bits of its own call, and the dot products
     follow in a fixed order: ``d M d``, then ``y_i M f_i`` stage by stage,
-    then ``u M d``.  With a workspace, ``d`` (when formed here) goes into
-    its ``d`` row, and the products into its ``Mkd`` stack, or ``M d``
-    alone into ``Md``; when ``d`` and the ``f_i`` are its own rows, the
-    call replays its binding, ``M_kd`` or ``M_d``.  Otherwise, and with
-    stage data but no stack or no workspace, the call runs on
-    ``np.stack([f_1, ..., f_s, d])``.
+    then ``u M d``.  Without a workspace, ``d`` and the products are new
+    arrays.  With one, ``d`` goes into its ``d`` row, and the call replays
+    its binding: ``M_d`` into ``Md`` without stage data, ``M_kd`` into the
+    ``Mkd`` stack with its step program's own stage list.  Any other stage
+    data, a workspace without the stack, or another ``M`` raises
+    :class:`ValueError`.
     """
     ws = workspace
-    if d is None:
-        d = np.subtract(u_next, u, out=None if ws is None else ws.d)
-    if not stage_data:
-        Mf, Md = (), (M @ d if ws is None else M.matvec(d, ws.Md, ws.M_d))
-    elif (
-        ws is not None
-        and ws.M_kd is not None
-        and d is ws.d
-        and len(stage_data) == len(ws.k)
-        and all(st.f is k for st, k in zip(stage_data, ws.k))
-    ):
-        Mf, Md = M.matvec(ws.kd, ws.Mkd, ws.M_kd), ws.Md
-    else:
+    if ws is None:
+        d = u_next - u
         Mf = M @ np.stack([*(st.f for st in stage_data), d])
         Md = Mf[-1]
+    else:
+        d = np.subtract(u_next, u, out=ws.d)
+        if not stage_data:
+            Mf, Md = (), M.matvec(d, ws.Md, ws.M_d)
+        elif stage_data is ws.step.stages and ws.M_kd is not None:
+            Mf, Md = M.matvec(ws.kd, ws.Mkd, ws.M_kd), ws.Md
+        else:
+            raise ValueError(
+                "a workspace takes no stage data or its own step's stage list, "
+                "and that only when it holds the stack of products"
+            )
     d2 = float(d @ Md)
     if d2 < 1e-30:
         return 1.0
@@ -784,16 +758,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
         # each new state overwrites the old one, which nothing reads after it
         if config.relaxation and dt > 1e-4 * dt_nominal:
             estimate_data = () if skip_estimate else stage_data
-            d = np.subtract(u_next, u, out=ws.d)
-            gamma = relaxation_gamma(
-                u, u_next, estimate_data, scheme.M_energy, dt, d=d, workspace=ws
-            )
+            gamma = relaxation_gamma(u, u_next, estimate_data, scheme.M_energy, dt, workspace=ws)
             if gamma <= 0.0:
                 raise EnergyBlowUpError(
                     f"relaxation parameter became non-positive ({gamma:.3g}) at "
                     f"t = {t:.6g}; the step is likely outside the RK stability region"
                 )
-            np.add(u, np.multiply(gamma, d, out=ws.tmp), out=u)
+            np.add(u, np.multiply(gamma, ws.d, out=ws.tmp), out=u)
             t += gamma * dt
         else:
             gamma = 1.0

@@ -266,6 +266,19 @@ def test_solve_bad_custom_tableau(tmp_path, capsys):
 _NAN, _INF = float("nan"), float("inf")
 
 
+@pytest.mark.parametrize("order", [_INF, [4], {"a": 1}, 4.7, True], ids=str)
+def test_solve_refuses_a_custom_tableau_order_that_is_not_a_positive_integer(order, tmp_path, capsys):
+    """``order`` is validated with the tableau: no traceback, no truncation
+    of 4.7 to 4, no ``true`` read as 1."""
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"a": [[0, 0], [1, 0]], "b": [0.5, 0.5], "c": [0, 1], "order": order}))
+    assert run_cli("solve", "--n", "8", "--rk", f"custom:{path}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "order" in lines[0]
+
+
 @pytest.mark.parametrize(
     "tableau",
     [

@@ -419,8 +419,8 @@ def test_matvec_without_a_halo_reads_the_operand_in_place(n):
 
 
 @pytest.mark.parametrize("n", [3, 4, _C, _C + 1, _C + 2, 20000])
-def test_matvec_into_caller_buffers_is_bit_identical(n):
-    """``out`` and reused buffers give the bits of a plain call, in the one
+def test_matvec_into_out_is_bit_identical(n):
+    """``out``, one-shot or bound, gets the bits of a plain call, in the one
     chunk of n <= _CHUNK + 1 and across chunk edges, also when ``out`` is
     the operand itself."""
     rng = np.random.default_rng(n)
@@ -428,47 +428,51 @@ def test_matvec_into_caller_buffers_is_bit_identical(n):
     for op in _every_builder(ops.build_grid(n)):
         for u in (real, real + 1j * rng.normal(size=2 * n)):
             want = op.matvec(u)
-            buffers = op.buffers(u.dtype)
             out = np.full(2 * n, np.nan, dtype=want.dtype)
+            assert op.matvec(u, out=out) is out
+            assert out.tobytes() == want.tobytes()
+            bound = op.bind(u, out)
             for _ in range(2):
-                assert op.matvec(u, out=out, buffers=buffers) is out
+                out[:] = np.nan
+                assert op.matvec(u, out, bound) is out
                 assert out.tobytes() == want.tobytes()
             v = u.copy()
-            assert op.matvec(v, out=v, buffers=buffers) is v
-            assert v.tobytes() == want.tobytes()
-            v = u.copy()
             assert op.matvec(v, out=v) is v
+            assert v.tobytes() == want.tobytes()
+            bound = op.bind(v, v)
+            v[:] = u
+            assert op.matvec(v, v, bound) is v
             assert v.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 16, _C + 1, 2 * _C + 1])
 def test_bound_matvec_reads_the_operand_of_each_call(n):
-    """A binding replays its views only for its own operator, operand and
-    ``out`` (identity, not equality); any other call takes the general
-    path through the same scratch arrays, and no call sees stale data."""
+    """A binding replays its views for its own operator, operand and
+    ``out`` (identity, not equality), and no call sees stale data; a call
+    with anything else raises."""
     rng = np.random.default_rng(n)
     for op in _every_builder(ops.build_grid(n)):
         for dtype in (float, complex):
             u = rng.normal(size=2 * n).astype(dtype)
             out = np.empty(2 * n, np.promote_types(dtype, float))
             bound = op.bind(u, out)
-            assert all(a is b for a, b in zip(bound.bound, (op, u, out)))
+            assert bound.op is op and bound.u is u and bound.out is out
             for _ in range(2):
                 want = op.matvec(u.copy())
                 assert op.matvec(u, out, bound) is out
                 assert out.tobytes() == want.tobytes()
                 u *= -1.5  # in place: the next bound call reads the new values
-            v, other = u.copy(), np.empty_like(out)
-            u += 0.5  # the copy keeps the old values
-            assert op.matvec(v, out, bound) is out  # another operand: general path
-            assert out.tobytes() == op.matvec(v.copy()).tobytes()
-            assert op.matvec(u, other, bound) is other  # another out
-            assert other.tobytes() == op.matvec(u).tobytes()
             u[:] = rng.normal(size=2 * n)
             assert op.matvec(u, out, bound).tobytes() == op.matvec(u.copy()).tobytes()
-            # another operator of the same shape uses the binding as buffers
             twin = BlockCirculantOp(n, op.dx, 2.0 * op.scale, op.blocks)
-            assert twin.matvec(u, out, bound).tobytes() == twin.matvec(u).tobytes()
+            for call in (
+                lambda: op.matvec(u.copy(), out, bound),  # an equal operand
+                lambda: op.matvec(u, np.empty_like(out), bound),  # another out
+                lambda: op.matvec(u, None, bound),
+                lambda: twin.matvec(u, out, bound),  # an operator of the same shape
+            ):
+                with pytest.raises(ValueError, match="another operator, operand or out"):
+                    call()
 
 
 def _stack_operands(rng, n, rows):
@@ -508,7 +512,6 @@ def test_every_row_of_a_stacked_matvec_is_the_call_on_that_row(n):
             got = [
                 op.matvec(stack),
                 op.matvec(stack, out=np.full_like(out, np.nan)),
-                op.matvec(stack, np.full_like(out, np.nan), op.buffers(stack.dtype, rows)),
                 op.matvec(stack, out, bound).copy(),
             ]
             for result in got:
@@ -529,16 +532,16 @@ def test_stacked_matvec_chunks_keep_the_product_stack_to_one_chunk():
     cells: no chunk is a lone cell."""
     op = ops.upwind_mass(ops.build_grid(_C + 8))
     for rows in (1, 2, 3, 9, 100):
-        buffers = op.buffers(float, rows)
-        cells = [stop - c for c, stop, _, _ in buffers.chunks]
+        chunks = op._scratch(np.dtype(float), rows)[3]
+        cells = [stop - c for c, stop, _, _ in chunks]
         chunk = cells[0]
         assert chunk & (chunk - 1) == 0 and rows * (chunk + 1) <= _C + 1 < rows * (2 * chunk + 1)
         assert sum(cells) == op.n and min(cells) > 1
-        products = buffers.chunks[0][2]
+        products = chunks[0][2]
         assert products.base.size <= len(op.blocks) * (_C + 1) * 2
     # past (_CHUNK + 1) / 3 rows the chunk stops at two cells
     small = ops.upwind_mass(ops.build_grid(9))
-    assert [stop - c for c, stop, _, _ in small.buffers(float, 4000).chunks] == [2, 2, 2, 3]
+    assert [stop - c for c, stop, _, _ in small._scratch(np.dtype(float), 4000)[3]] == [2, 2, 2, 3]
     stack = np.random.default_rng(9).normal(size=(4000, 18))
     for got, row in zip(small.matvec(stack), stack, strict=True):
         assert got.tobytes() == small.matvec(row.copy()).tobytes()
@@ -558,18 +561,19 @@ def test_stacked_matvec_refuses_what_does_not_fit():
             D.matvec(stack, out=bad_out)
     with pytest.raises(ValueError, match="out must be"):
         D.matvec(np.ones(32), out=np.empty((1, 32)))
-    for rows in (1, 2, 4):  # buffers for another number of rows
-        with pytest.raises(ValueError, match="do not fit"):
-            D.matvec(stack, out, D.buffers(float, rows))
-    with pytest.raises(ValueError, match="do not fit"):
-        D.matvec(np.ones(32), buffers=D.buffers(float, 3))
-    with pytest.raises(ValueError, match="do not fit"):
-        D.matvec(stack + 0j, buffers=D.buffers(float, 3))
-    with pytest.raises(ValueError, match="at least one"):
-        D.buffers(float, 0)
-    # a stack of one shares the buffers of a 1-D operand
-    one = D.buffers()
-    assert D.matvec(stack[:1], buffers=one).tobytes() == D.matvec(stack[0]).tobytes()
+    for rows in (1, 2, 4):  # scratch for another number of rows
+        other = D.bind(np.ones((rows, 32)), np.empty((rows, 32)))
+        with pytest.raises(ValueError, match="does not fit"):
+            D.bind(stack, out, other)
+    three = D.bind(stack, out)
+    with pytest.raises(ValueError, match="does not fit"):
+        D.bind(np.ones(32), np.empty(32), three)
+    with pytest.raises(ValueError, match="does not fit"):
+        D.bind(stack + 0j, np.empty((3, 32), complex), three)
+    # a stack of one shares the scratch of a 1-D operand
+    one, one_out = stack[:1], np.empty((1, 32))
+    bound = D.bind(one, one_out, D.bind(stack[0], np.empty(32)))
+    assert D.matvec(one, one_out, bound).tobytes() == D.matvec(stack[0]).tobytes()
 
 
 def test_bound_matvec_refuses_what_a_call_refuses():
@@ -579,37 +583,37 @@ def test_bound_matvec_refuses_what_a_call_refuses():
         D.bind(np.ones(31), out)
     with pytest.raises(ValueError, match="out must be"):
         D.bind(u, np.empty(32, complex))
-    with pytest.raises(ValueError, match="do not fit"):
-        D.bind(u, out, ops.upwind_D_plus(g).buffers())
+    with pytest.raises(ValueError, match="does not fit"):
+        D.bind(u, out, ops.upwind_D_plus(g).bind(u, np.empty(32)))
     bound = D.bind(u, out)
     for other in (ops.extended_mass(g, MassParams(1.0, 0.4, 0.0, 0.1, 0.05)), ops.upwind_D_plus(g)):
-        with pytest.raises(ValueError, match="do not fit"):
+        with pytest.raises(ValueError, match="another operator"):
             other.matvec(u, out, bound)
-    with pytest.raises(ValueError, match="do not fit"):
+    with pytest.raises(ValueError, match="another operator"):
         D.matvec(u + 0j, np.empty(32, complex), bound)
 
 
-def test_matvec_refuses_buffers_and_out_that_do_not_fit():
+def test_matvec_refuses_out_and_shared_scratch_that_do_not_fit():
     g = ops.build_grid(16)
     D, u = ops.central_D(g), np.ones(32)
-    for other in (
-        ops.central_D(ops.build_grid(17)).buffers(),  # another n
-        ops.extended_mass(g, MassParams(1.0, 0.4, 0.0, 0.1, 0.05)).buffers(),  # halo 2
-        ops.upwind_D_plus(g).buffers(),  # two blocks, not three
-        D.buffers(complex),  # another operand dtype
+    for other, operand in (
+        (ops.central_D(ops.build_grid(17)), np.ones(34)),  # another n
+        (ops.extended_mass(g, MassParams(1.0, 0.4, 0.0, 0.1, 0.05)), u),  # halo 2
+        (ops.upwind_D_plus(g), u),  # two blocks, not three
+        (D, u + 0j),  # another operand dtype
     ):
-        with pytest.raises(ValueError, match="do not fit"):
-            D.matvec(u, buffers=other)
-    with pytest.raises(ValueError, match="do not fit"):
-        D.matvec(u + 0j, buffers=D.buffers())
+        share = other.bind(operand, None)
+        with pytest.raises(ValueError, match="does not fit"):
+            D.bind(u, np.empty(32), share)
     for out in (np.empty(31), np.empty(32, complex), np.empty((16, 2))):
         with pytest.raises(ValueError, match="out must be"):
             D.matvec(u, out=out)
     strided = np.empty(64)[::2]
     assert D.matvec(u, out=strided).tobytes() == D.matvec(u).tobytes()
-    # buffers are scratch space: another operator of the same shape may use them
-    Dm = ops.upwind_D_minus(g)
-    assert Dm.matvec(u, buffers=D.buffers()).tobytes() == Dm.matvec(u).tobytes()
+    # scratch is only scratch: another operator of the same shape may share it
+    Dm, out = ops.upwind_D_minus(g), np.empty(32)
+    bound = Dm.bind(u, out, D.bind(u, np.empty(32)))
+    assert Dm.matvec(u, out, bound).tobytes() == Dm.matvec(u).tobytes()
 
 
 def test_norm_inf_matches_dense():
@@ -679,6 +683,8 @@ def test_json_round_trip():
         {"n": 5, "dx": 1.0, "scale": 1.0, "blocks": [{"offset": 0}]},
         {"n": 5, "dx": 1.0, "scale": 1.0, "blocks": [{"offset": 0, "rows": [[1, 2]]}]},
         {"n": "five", "dx": 1.0, "scale": 1.0, "blocks": []},
+        {"n": 5, "dx": 1.0, "scale": 1.0, "blocks": [{"offset": True, "rows": [[1, 0], [0, 1]]}]},
+        {"n": 5, "dx": 1.0, "scale": 1.0, "blocks": [{"offset": False, "rows": [[1, 0], [0, 1]]}]},
     ],
 )
 def test_from_json_dict_rejects_malformed(doc):

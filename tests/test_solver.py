@@ -1,5 +1,6 @@
 """Time integration: tableaux, relaxation, and the energy experiment."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -185,7 +186,6 @@ def _one_step(variant, rk=RK4X2, n=24):
 def test_relaxation_matches_energy_to_stage_estimate():
     s, u0, u1, stages, dt = _one_step("upwind")
     gamma = relaxation_gamma(u0, u1, stages, s.M_energy, dt)
-    assert relaxation_gamma(u0, u1, stages, s.M_energy, dt, d=u1 - u0) == gamma
     e = 2.0 * dt * sum(st.b * float(st.y @ (s.M_energy @ st.f)) for st in stages)
     relaxed = u0 + gamma * (u1 - u0)
     assert s.energy(relaxed) - s.energy(u0) == pytest.approx(gamma * e, rel=1e-10)
@@ -459,6 +459,51 @@ def test_relaxed_matvecs_per_step(monkeypatch, variant, rk, per_step):
     assert len(calls) == 1 + per_step * steps  # one initial energy
 
 
+@pytest.mark.parametrize("relaxation", [True, False], ids=["relaxed", "plain"])
+@pytest.mark.parametrize(
+    "variant, rk", [("central", "rk4x2"), ("upwind", "rk4x2"), ("central", "ssprk33")]
+)
+def test_time_loop_enters_each_traced_boundary_once_per_step(monkeypatch, variant, rk, relaxation):
+    """``perfbench/tracer.py`` times a run by wrapping the module-level
+    ``solver.rk_step`` and ``solver.relaxation_gamma``, ``Scheme.energy``
+    and ``BlockCirculantOp.matvec``; a loop that went around them would
+    zero its per-layer metrics without failing.  Per step: one ``rk_step``
+    making the s stage products, one ``relaxation_gamma`` making one
+    (relaxed steps only) and one ``energy`` making one, plus one energy at
+    set-up, and every product is a ``matvec`` call."""
+    calls, inside = [], []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, inside[-1] if inside else None))
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    for owner, name in ((solver, "rk_step"), (solver, "relaxation_gamma"), (solver.Scheme, "energy")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    monkeypatch.setattr(
+        ops.BlockCirculantOp, "matvec", counted("matvec", ops.BlockCirculantOp.matvec)
+    )
+    config = ExperimentConfig(variant=variant, rk=rk, relaxation=relaxation, n=16, t_end=1.0)
+    trace, _ = run_experiment(config)
+    steps = len(trace.times) - 1
+    relaxed = steps if relaxation else 0
+    assert steps > 3
+    assert collections.Counter(calls) == collections.Counter({
+        ("rk_step", None): steps,
+        ("matvec", "rk_step"): resolve_method(rk).stages * steps,
+        ("relaxation_gamma", None): relaxed,
+        ("matvec", "relaxation_gamma"): relaxed,
+        ("energy", None): steps + 1,
+        ("matvec", "energy"): steps + 1,
+    })
+
+
 @pytest.mark.parametrize("a", [1.0, -1.0])
 @pytest.mark.parametrize("n", [3, 16, 128])
 @pytest.mark.parametrize("rk", ["rk4", "rk4x2"])
@@ -627,16 +672,11 @@ def test_rk_step_is_bit_identical_to_the_naive_folds(method, variant, a):
 @pytest.mark.parametrize(
     "variant, rk", [("central", "rk4x2"), ("upwind", "rk4x2"), ("central", "ssprk33")]
 )
-def test_relaxed_run_is_bit_identical_with_the_naive_folds(monkeypatch, variant, rk):
+def test_relaxed_run_is_bit_identical_with_the_naive_folds(variant, rk):
     """Relaxation divides nearly cancelling energy terms, so any change of
     rounding in the stages would show in the trajectory."""
     config = ExperimentConfig(variant=variant, rk=rk, n=24, t_end=2.0)
-    trace, u = run_experiment(config)
-    monkeypatch.setattr(solver, "rk_step", _reference_rk_step)
-    want_trace, want_u = run_experiment(config)
-    assert u.tobytes() == want_u.tobytes()
-    for name in ("times", "energies", "gammas"):
-        assert getattr(trace, name).tobytes() == getattr(want_trace, name).tobytes()
+    _assert_run_matches_the_fresh_array_loop(config, _reference_rk_step)
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +684,10 @@ def test_relaxed_run_is_bit_identical_with_the_naive_folds(monkeypatch, variant,
 # ---------------------------------------------------------------------------
 
 
-def _fresh_array_run(config):
+def _fresh_array_run(config, step=rk_step):
     """The time loop of ``run_experiment`` with no workspace: every step,
-    gamma and energy makes new arrays.  Raises what the run raises."""
+    gamma and energy makes new arrays, and ``step`` takes the place of
+    ``rk_step``.  Raises what the run raises."""
     g = ops.build_grid(config.n, config.x_min, config.x_max)
     s = make_scheme(g, config.variant, config.advection_speed)
     method = resolve_method(config.rk)
@@ -660,7 +701,7 @@ def _fresh_array_run(config):
     times, energies, gammas, t = [0.0], [e0], [1.0], 0.0
     while config.t_end - t > 1e-9 * dt_nominal:
         dt = min(dt_nominal, config.t_end - t)
-        u_next, stages = rk_step(s, method, u, dt)
+        u_next, stages = step(s, method, u, dt)
         gamma = 1.0
         if config.relaxation and dt > 1e-4 * dt_nominal:
             gamma = _reference_gamma(u, u_next, () if skip else stages, s.M_energy, dt)
@@ -725,9 +766,9 @@ def test_custom_tableau_run_is_bit_identical_to_the_fresh_array_loop(method, var
     _assert_run_matches_the_fresh_array_loop(config)
 
 
-def _assert_run_matches_the_fresh_array_loop(config):
+def _assert_run_matches_the_fresh_array_loop(config, step=rk_step):
     try:
-        want_trace, want_u = _fresh_array_run(config)
+        want_trace, want_u = _fresh_array_run(config, step)
     except EnergyBlowUpError as exc:
         with pytest.raises(EnergyBlowUpError) as got:
             run_experiment(config)
@@ -755,8 +796,9 @@ def test_rk_step_without_a_workspace_returns_arrays_no_later_call_writes(method)
 
 @pytest.mark.parametrize("method", [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES], ids=lambda m: m.name)
 def test_rk_step_with_a_workspace_writes_its_buffers(method):
-    """The update and the stage states other than u are fold buffers, the
-    stage derivatives k buffers; the bits are those of fresh arrays."""
+    """The update and the stage states other than u are the step program's
+    arrays, the stage derivatives rows of ``kd``; the bits are those of
+    fresh arrays."""
     g = ops.build_grid(17)
     s = make_scheme(g, "upwind", -1.0)
     u = project_initial(g, solver.default_initial)
@@ -764,30 +806,48 @@ def test_rk_step_with_a_workspace_writes_its_buffers(method):
     u1, stages = rk_step(s, method, u, 0.3 * g.dx, ws)
     want, want_stages = rk_step(s, method, u, 0.3 * g.dx)
     assert u1.tobytes() == want.tobytes()
-    assert any(u1 is f for f in ws.folds)
+    assert u1 is ws.step.update and stages is ws.step.stages
     assert stages[0].y is u
-    for st, k, want_st in zip(stages, ws.k, want_stages):
-        assert st.f is k
-        assert st.y is u or any(st.y is f for f in ws.folds)
+    for st, row, want_st in zip(stages, ws.kd, want_stages):
+        assert st.f.base is ws.kd and st.f.ctypes.data == row.ctypes.data
+        assert st.y is u or not np.shares_memory(st.y, u)
         assert (st.y.tobytes(), st.f.tobytes()) == (want_st.y.tobytes(), want_st.f.tobytes())
     M = s.M_energy
     gamma = relaxation_gamma(u, u1, stages, M, 0.3 * g.dx, workspace=ws)
     assert gamma == relaxation_gamma(u, want, want_stages, M, 0.3 * g.dx)
     assert gamma == _reference_gamma(u, want, want_stages, M, 0.3 * g.dx)
-    # stage data that is not the workspace's takes the unbound stacked call
-    assert gamma == relaxation_gamma(u, want, want_stages, M, 0.3 * g.dx, workspace=ws)
     skipped = relaxation_gamma(u, u1, (), M, 0.3 * g.dx, workspace=ws)
     assert skipped == _reference_gamma(u, want, (), M, 0.3 * g.dx)
-    # one stage more than the workspace holds: unbound as well
+    assert s.energy(u, ws) == s.energy(u.copy())
+
+
+@pytest.mark.parametrize("method", [RK4, SSPRK33, RK4X2], ids=lambda m: m.name)
+def test_a_workspace_refuses_what_it_was_not_allocated_for(method):
+    """A workspace steps only its own state, scheme and method, takes only
+    its own stage list and mass operator, and measures only its own state."""
+    g = ops.build_grid(17)
+    s = make_scheme(g, "upwind", -1.0)
+    u = project_initial(g, solver.default_initial)
+    ws = solver.Workspace.allocate(s, method, u)
+    twin = RKMethod(method.name, method.a, method.b, method.c)
+    for scheme, m, v in ((s, method, u.copy()), (make_scheme(g, "upwind", -1.0), method, u), (s, twin, u)):
+        with pytest.raises(ValueError, match="allocated for another"):
+            rk_step(scheme, m, v, 0.3 * g.dx, ws)
+    u1, stages = rk_step(s, method, u, 0.3 * g.dx, ws)
+    want, want_stages = rk_step(s, method, u, 0.3 * g.dx)
     extra = solver.Stage(b=0.5, y=want, f=np.sin(want))
-    longer = relaxation_gamma(u, u1, [*stages, extra], M, 0.3 * g.dx, workspace=ws)
-    assert longer == _reference_gamma(u, want, [*want_stages, extra], M, 0.3 * g.dx)
-    assert s.energy(u1, ws) == s.energy(want)
+    for data in (want_stages, list(stages), [*stages, extra]):
+        with pytest.raises(ValueError, match="its own step's stage list"):
+            relaxation_gamma(u, u1, data, s.M_energy, 0.3 * g.dx, workspace=ws)
+    with pytest.raises(ValueError, match="another operator"):
+        relaxation_gamma(u, u1, stages, ops.upwind_mass(g), 0.3 * g.dx, workspace=ws)
+    with pytest.raises(ValueError, match="another operator, operand or out"):
+        s.energy(u1, ws)
 
 
 @pytest.mark.parametrize("a", [1.0, -1.0, 2.0, 0.5, -2.0])
 @pytest.mark.parametrize("variant", ["central", "upwind"])
-def test_run_with_subnormal_derivatives_is_bit_identical(monkeypatch, variant, a):
+def test_run_with_subnormal_derivatives_is_bit_identical(variant, a):
     """Where ``D u`` is subnormal, ``(x * scale) * -a`` and ``x * (-a scale)``
     round apart at a power of two other than +-1 (two roundings, then one):
     only +-1 may go into the scale.  The naive folds scale out of place."""
@@ -802,12 +862,7 @@ def test_run_with_subnormal_derivatives_is_bit_identical(monkeypatch, variant, a
     f = make_scheme(g, variant, a).D_effective @ project_initial(g, config.initial)
     assert np.count_nonzero((f != 0.0) & (np.abs(f) < np.finfo(float).tiny)) > 0
     _assert_run_matches_the_fresh_array_loop(config)
-    trace, u = run_experiment(config)
-    monkeypatch.setattr(solver, "rk_step", _reference_rk_step)
-    want_trace, want_u = run_experiment(config)
-    assert u.tobytes() == want_u.tobytes()
-    for name in ("times", "energies", "gammas"):
-        assert getattr(trace, name).tobytes() == getattr(want_trace, name).tobytes()
+    _assert_run_matches_the_fresh_array_loop(config, _reference_rk_step)
 
 
 @pytest.mark.parametrize(
@@ -834,24 +889,20 @@ def test_rhs_folds_the_speed_into_the_scale_only_at_unit_speed(variant, a):
 @pytest.mark.parametrize(
     "method", [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES, _UPDATE_IS_A_STAGE], ids=lambda m: m.name
 )
-def test_rk_step_alternating_operands_on_one_workspace(method, variant, a):
-    """The step program is bound to one operand: calls on it replay the
-    program, calls on another array (an equal copy too) run a one-shot
-    program on the same buffers, and each gives the fresh-array bits."""
+def test_rk_step_replays_its_program_on_new_values_and_time_steps(method, variant, a):
+    """The step program reads the bound operand's values of each call and
+    forms ``dt c`` again when dt changes; each call gives the fresh-array
+    bits."""
     g = ops.build_grid(17)
     s = make_scheme(g, variant, a)
-    bound = project_initial(g, solver.default_initial)
-    other = bound.copy()
-    ws = solver.Workspace.allocate(s, method, bound)
-    assert ws.step.u is bound
-    calls = [(bound, 0.3), (other, 0.3), (bound, 0.3), (other, 0.1), (bound, 0.1), (bound, 0.3)]
-    for i, (u, dt) in enumerate(calls):
-        if i % 3 == 2:
-            u += 0.125 * np.sin(u)  # the bound operand's new values are read
+    u = project_initial(g, solver.default_initial)
+    ws = solver.Workspace.allocate(s, method, u)
+    for i, dt in enumerate((0.3, 0.3, 0.1, 0.1, 0.3)):
+        if i % 2:
+            u += 0.125 * np.sin(u)
         u_next, stages = rk_step(s, method, u, dt * g.dx, ws)
         want, want_stages = rk_step(s, method, u.copy(), dt * g.dx)
-        assert (stages is ws.step.stages) == (u is bound)
-        assert stages[0].y is u
+        assert stages is ws.step.stages and stages[0].y is u
         assert u_next.tobytes() == want.tobytes()
         for st, want_st in zip(stages, want_stages, strict=True):
             assert st.b == want_st.b
@@ -860,12 +911,6 @@ def test_rk_step_alternating_operands_on_one_workspace(method, variant, a):
         assert gamma == relaxation_gamma(u, want, want_stages, s.M_energy, dt * g.dx)
         assert gamma == _reference_gamma(u, want, want_stages, s.M_energy, dt * g.dx)
         assert s.energy(u, ws) == s.energy(u.copy())
-    # another scheme or method on the bound operand: a one-shot program
-    twin = RKMethod(method.name, method.a, method.b, method.c)
-    for scheme, m in ((make_scheme(g, variant, a), method), (s, twin)):
-        u_next, stages = rk_step(scheme, m, bound, 0.3 * g.dx, ws)
-        assert stages is not ws.step.stages
-        assert u_next.tobytes() == rk_step(s, method, bound.copy(), 0.3 * g.dx)[0].tobytes()
 
 
 def test_workspace_binds_its_step_and_mass_matvecs():
@@ -873,12 +918,13 @@ def test_workspace_binds_its_step_and_mass_matvecs():
     s = make_scheme(g, "central", 1.0)
     u = project_initial(g, solver.default_initial)
     ws = solver.Workspace.allocate(s, RK4X2, u)
-    assert ws.step.u is u and ws.M_u.bound[1] is u and ws.M_u.bound[2] is ws.Mu
-    assert ws.M_d.bound[1] is ws.d and ws.M_d.bound[2] is ws.Md
-    assert ws.M_kd.bound[1] is ws.kd and ws.M_kd.bound[2] is ws.Mkd
+    assert ws.step.u is u and ws.M_u.u is u and ws.M_u.out is ws.Mu
+    assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md
+    assert ws.M_kd.u is ws.kd and ws.M_kd.out is ws.Mkd
+    assert ws.M_d.scratch is ws.M_u.scratch  # M u and M d share scratch arrays
     # k_1..k_s and d are the rows of one stack, and so are their products
     assert ws.kd.shape == ws.Mkd.shape == (RK4X2.stages + 1, 2 * g.n)
-    for row, want in zip((*ws.k, ws.d), ws.kd, strict=True):
+    for row, want in zip((*(st.f for st in ws.step.stages), ws.d), ws.kd, strict=True):
         assert row.base is ws.kd and row.ctypes.data == want.ctypes.data
     assert ws.Md.base is ws.Mkd and ws.Md.ctypes.data == ws.Mkd[-1].ctypes.data
 
@@ -886,25 +932,26 @@ def test_workspace_binds_its_step_and_mass_matvecs():
 @pytest.mark.parametrize("variant", ["central", "upwind"])
 def test_workspace_without_the_estimate_has_no_product_stack(variant):
     """Without the stage estimate only M u and M d are bound, M d into an
-    array of its own; stage data then takes the unbound stacked call, and
-    every gamma has the bits of a workspace that has the stack."""
+    array of its own: its gamma without stage data has the bits of a
+    workspace that has the stack, and stage data raises."""
     g = ops.build_grid(16)
     s = make_scheme(g, variant, 1.0)
     u = project_initial(g, solver.default_initial)
     ws = solver.Workspace.allocate(s, RK4X2, u, estimate=False)
     assert ws.Mkd is None and ws.M_kd is None
     assert ws.Md.base is None and ws.Md.shape == (2 * g.n,)
-    assert ws.M_d.bound[1] is ws.d and ws.M_d.bound[2] is ws.Md
+    assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md
     assert ws.kd.shape == (RK4X2.stages + 1, 2 * g.n)
     v, dt, M = u.copy(), 0.3 * g.dx, s.M_energy
     full = solver.Workspace.allocate(s, RK4X2, v)
     u1, stages = rk_step(s, RK4X2, u, dt, ws)
     want, want_stages = rk_step(s, RK4X2, v, dt, full)
     assert u1.tobytes() == want.tobytes()
-    for data, want_data in (((), ()), (stages, want_stages)):
-        gamma = relaxation_gamma(u, u1, data, M, dt, workspace=ws)
-        assert gamma == relaxation_gamma(v, want, want_data, M, dt, workspace=full)
-        assert gamma == _reference_gamma(u, want, want_data, M, dt)
+    gamma = relaxation_gamma(u, u1, (), M, dt, workspace=ws)
+    assert gamma == relaxation_gamma(v, want, (), M, dt, workspace=full)
+    assert gamma == _reference_gamma(u, want, (), M, dt)
+    with pytest.raises(ValueError, match="stack of products"):
+        relaxation_gamma(u, u1, stages, M, dt, workspace=ws)
 
 
 @pytest.mark.parametrize(
