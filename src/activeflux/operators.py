@@ -25,24 +25,31 @@ blocks is exactly the zero operator.
 the frozen operator holds the halo width ``h = max |j|``, the transposed
 blocks stacked in insertion order, and which windows of a halo-extended copy
 of the input (the input with ``h`` wrapped cells on each side) they read.  A
-call copies the input into a halo buffer (no copy at all when ``h = 0``),
-whose ``2h + 1`` windows of ``n`` cells are one strided ``(2h + 1, n, 2)``
-view.  One batched ``matmul`` then forms every block's ``(cells, 2) @ (2,
-2)`` product into a product stack (one ``matmul`` per block where the
-windows are not consecutive), ``np.add.reduce`` sums the products over
-the blocks, in insertion order and starting from ``+0.0``, and the sum is
-multiplied by ``scale`` once.  Each product row is the two-term dot product
-a per-block product computes, and a reduction over the block axis adds the
-products one after another, so results are bit-for-bit those of rolling
-the operand once per block and accumulating into zeros.  Cells go through
+bound call copies the input into a halo buffer (no copy at all when ``h =
+0``), whose ``2h + 1`` windows of ``n`` cells are one strided ``(2h + 1, n,
+2)`` view.  A one-shot call reads the windows of each chunk of cells (see
+below) that does not wrap across the seam straight from the input, through
+the same kind of view, and copies a halo only for the chunks that wrap: at
+three chunks or more, the first and the last.  It copies the whole halo
+when ``out`` shares memory with the input, whose cells the results would
+overwrite before later chunks read them, or when the input is not
+C-contiguous (a strided view, which BLAS would not take as it is).  One batched ``matmul`` then
+forms every block's ``(cells, 2) @ (2, 2)`` product into a product stack
+(one ``matmul`` per block where the windows are not consecutive),
+``np.add.reduce`` sums the products over the blocks, in insertion order
+and starting from ``+0.0``, and the sum is multiplied by ``scale`` once.
+Each product row is the two-term dot product a per-block product
+computes, and a reduction over the block axis adds the products one after
+another, so results are bit-for-bit those of rolling the operand once per
+block and accumulating into zeros.  Cells go through
 in chunks of ``_CHUNK`` (the last one may take one cell more), so the
 product stack holds at most ``#blocks * (_CHUNK + 1)`` cells whatever ``n``
 is, and a large operand needs no per-block temporary of its size.
 
 The operand may also be a stack of ``rows`` operands, shape ``(rows,
-2n)``, and the kernel is the same with one more leading axis: a ``(rows,
-n + 2h, 2)`` halo filled by the same three copies, a ``(rows, 2h + 1, n,
-2)`` window view, one batched ``matmul`` per chunk into a ``(rows,
+2n)``, and the kernel is the same with one more leading axis: ``(rows,
+cells + 2h, 2)`` halos filled by the same copies, ``(rows, 2h + 1, cells,
+2)`` window views, one batched ``matmul`` per chunk into a ``(rows,
 #blocks, cells, 2)`` product stack, one reduction over its block axis and
 one scaling.  Each row goes through the 2x2 products and the sums of a
 single-operand call, so it gets that call's bits.  The chunk shrinks by
@@ -53,12 +60,12 @@ A 1-D operand is a stack of one, and a stack of one runs without the
 leading axis.  The relaxed time stepper forms ``M d`` and every ``M f_i``
 in one such call.
 
-A one-shot call makes its own scratch arrays: the halo buffer, its window
-view and the product stack.  A caller that applies an operator to the same
-arrays many times, like the time loop, binds the call once instead:
-``BlockCirculantOp.bind(u, out)`` checks the operand and ``out``, makes the
-scratch arrays and the views of the halo copies and the windows, and
-returns them as a ``MatvecBinding``.  ``matvec(u, out, binding)`` on that
+A one-shot call makes its own scratch arrays: the halo buffers, their
+window views and the product stack.  A caller that applies an operator to
+the same arrays many times, like the time loop, binds the call once
+instead: ``BlockCirculantOp.bind(u, out)`` checks the operand and ``out``,
+makes the scratch arrays and the views of the halo copies and the windows,
+and returns them as a ``MatvecBinding``.  ``matvec(u, out, binding)`` on that
 very operator, ``u`` and ``out`` (``is``) replays the views, reading
 whatever ``u`` holds then; a binding made for any other call raises.
 Bindings whose calls never overlap can share one set of scratch arrays
@@ -88,6 +95,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -109,6 +117,7 @@ __all__ = [
     "extended_mass",
     "interleave",
     "point_values",
+    "read_number",
     "scaled_central_mass",
     "upwind_D_minus",
     "upwind_D_plus",
@@ -127,6 +136,19 @@ DENSE_LIMIT = 2048
 #: all ``n`` cells end too, and small enough that the ``(#blocks, _CHUNK, 2)``
 #: products stay in cache.
 _CHUNK = 8192
+
+
+def _windows(x: np.ndarray, cells: int, h: int) -> np.ndarray:
+    """The ``2h + 1`` windows of ``cells`` cells of flat interleaved ``x``, a strided view.
+
+    Window ``s`` is cells ``s .. s + cells - 1`` of each row of ``x``.  At
+    ``h > 0`` ``x`` must be C-contiguous.
+    """
+    if not h:
+        return x.reshape(*x.shape[:-1], 1, cells, 2)
+    item = x.itemsize
+    shape, strides = (*x.shape[:-1], 2 * h + 1, cells, 2), (*x.strides[:-1], 2 * item, 2 * item, item)
+    return np.ndarray(shape, x.dtype, buffer=x, strides=strides)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -316,38 +338,27 @@ class BlockCirculantOp:
         a_t = np.array([a.T for a in self.blocks.values()]).reshape(-1, 2, 2)
         return h, select, a_t
 
-    def _scratch(self, dtype: np.dtype, rows: int) -> tuple:
+    def _scratch(self, dtype: np.dtype, rows: int, direct: bool = False) -> tuple:
         """Scratch arrays for a call on a stack of ``rows`` operands of ``dtype``.
 
-        Returns ``(key, halo, windows, chunks)``.  ``key`` is ``(rows, n,
-        h, #blocks, operand dtype)``.  Every array below has a leading axis
-        of ``rows`` operands, except for a single operand (a 1-D operand is
-        a stack of one).  The flat halo-extended operand, ``2 (n + 2h)``
-        entries, is written through ``halo``, its views of the ``n`` cells
-        and of the ``h`` wrapped cells before and after them, and read
-        through ``windows``, its ``(2h + 1, n, 2)`` strided view (both
-        ``None`` when ``h = 0``).  ``chunks`` lists each chunk's first and
-        end cell with two views of the ``(#blocks, min(n, chunk + 1), 2)``
-        product stack: the chunk's ``(#blocks, cells, 2)`` products, and
-        the same memory as ``(#blocks, 2 cells)`` rows, which sum straight
-        into the flat result.
+        Returns ``(key, halos, chunks)``.  ``key`` is ``(rows, n, h,
+        #blocks, operand dtype)``.  Every array below has a leading axis of
+        ``rows`` operands, except for a single operand (a 1-D operand is a
+        stack of one).  ``chunks`` lists each chunk's first and end cell
+        with two views of the ``(#blocks, min(n, chunk + 1), 2)`` product
+        stack: the chunk's ``(#blocks, cells, 2)`` products, and the same
+        memory as ``(#blocks, 2 cells)`` rows, which sum straight into the
+        flat result.  ``halos`` lists the halo copies ``(first, end, x)``:
+        ``x`` holds cells ``first - h .. end + h - 1`` of the operand
+        (mod n), for the chunks from cell ``first`` to ``end``.  Without
+        ``direct`` one copy serves every chunk (none when ``h = 0``); with
+        ``direct``, a chunk whose windows lie inside the operand reads them
+        there, and only runs of chunks whose windows wrap across the seam
+        get a copy.
         """
         h, _, a_t = self._plan
         n = self.n
         stack = (rows,) if rows > 1 else ()  # a stack of one runs as its 1-D row
-        halo = windows = None
-        if h:
-            x = np.empty((*stack, 2 * (n + 2 * h)), dtype)
-            halo = (x[..., 2 * h : 2 * (n + h)], x[..., : 2 * h], x[..., 2 * (n + h) :])
-            # window s of a row is its cells s .. s + n - 1 of the halo:
-            # consecutive windows overlap, one cell apart
-            cell = 2 * dtype.itemsize
-            windows = np.ndarray(
-                (*stack, 2 * h + 1, n, 2),
-                dtype,
-                buffer=x,
-                strides=(*x.strides[:-1], cell, cell, dtype.itemsize),
-            )
         blocks = len(a_t)
         # the largest power of two whose chunks, the last one's lone cell
         # included, keep the stack within #blocks * (_CHUNK + 1) cells, but
@@ -360,11 +371,17 @@ class BlockCirculantOp:
         # kernel, which rounds complex products differently; the last chunk
         # takes that cell instead
         edges = [*range(0, n - 1, chunk), n]
-        chunks = []
+        chunks, spans = [], []
         for c, stop in zip(edges, edges[1:]):
             part = products[..., : stop - c, :]
             chunks.append((c, stop, part, part.reshape(*stack, blocks, 2 * (stop - c))))
-        return (rows, n, h, blocks, dtype), halo, windows, tuple(chunks)
+            if h and not (direct and h <= c and stop + h <= n):
+                if spans and spans[-1][1] == c:
+                    spans[-1][1] = stop
+                else:
+                    spans.append([c, stop])
+        halos = tuple((c, stop, np.empty((*stack, 2 * (stop - c + 2 * h)), dtype)) for c, stop in spans)
+        return (rows, n, h, blocks, dtype), halos, tuple(chunks)
 
     def bind(
         self,
@@ -386,19 +403,24 @@ class BlockCirculantOp:
         u, out, scratch, copies, steps = self._program(u, out, None if share is None else share.scratch)
         return MatvecBinding(self, u, out, scratch, copies, tuple(steps))
 
-    def _program(self, u, out, scratch: Optional[tuple]) -> tuple:
+    def _program(self, u, out, scratch: Optional[tuple], direct: bool = False) -> tuple:
         """``u`` as an array, ``out`` and ``scratch`` checked or made, and the call's steps.
 
-        The steps are the halo copies, ``(cells, u, before, tail, after,
-        head)`` or ``()`` when ``h = 0``, and the product steps ``(windows,
-        A^T, products, sums, part)``; the last product step of a chunk also
-        sums the products, as ``sums``, into ``part`` of ``out`` (the others
-        carry ``None``).  For a stack, each view holds every operand row
-        along a leading axis; a stack of one runs as its 1-D row.  All of
-        them are views, valid as long as ``u``, ``out`` and the scratch
-        arrays are.  Windows selected by a slice make one batched product
-        per chunk; by an index array, one product per block, since a
-        gathered copy would not see the next operand.
+        The steps are the halo copies, ``(destination, source)`` pairs of
+        views, and the product steps ``(windows, A^T, products, sums,
+        part)``; the last product step of a chunk also sums the products,
+        as ``sums``, into ``part`` of ``out`` (the others carry ``None``).
+        A chunk's windows are a strided view of the halo copy that holds
+        it, or of the operand itself (``_scratch``): ``direct`` asks for
+        the latter where the windows do not wrap, granted when ``out``
+        shares no memory with ``u`` and ``u`` is C-contiguous (BLAS then
+        multiplies these windows as it does a copy's).  For a stack,
+        each view holds every operand row along a leading axis; a stack of
+        one runs as its 1-D row.  All of them are views, valid as long as
+        ``u``, ``out`` and the scratch arrays are.  Windows selected by a
+        slice make one batched product per chunk; by an index array, one
+        product per block, since a gathered copy would not see the next
+        operand.
         """
         u = np.asarray(u)
         n = self.n
@@ -415,32 +437,48 @@ class BlockCirculantOp:
             raise ValueError(
                 f"out must be a {u.shape} array of {dtype}, got {out.shape} {out.dtype}"
             )
+        elif direct:
+            direct = not np.may_share_memory(u, out)
+        # a stack of one runs as its 1-D row, like the scratch arrays
+        operand, result = (u[0], out[0]) if u.ndim == 2 and rows == 1 else (u, out)
         if scratch is None:
-            scratch = self._scratch(u.dtype, rows)
+            scratch = self._scratch(u.dtype, rows, direct and u.flags.c_contiguous)
         elif scratch[0] != (rows, n, h, len(a_t), u.dtype):
             raise ValueError(
                 f"shared scratch for (rows, n, halo, blocks, dtype) = {scratch[0]} does not "
                 f"fit {(rows, n, h, len(a_t), u.dtype)}"
             )
-        _, halo, windows, chunks = scratch
-        # a stack of one runs as its 1-D row, like the scratch arrays
-        operand, result = (u[0], out[0]) if u.ndim == 2 and rows == 1 else (u, out)
-        if h:
-            cells, before, after = halo
-            tail, head = operand[..., 2 * (n - h) :], operand[..., : 2 * h]
-            copies = (cells, operand, before, tail, after, head)
-        else:  # one block at offset 0: each chunk is read before it is written
-            copies, windows = (), operand.reshape(*operand.shape[:-1], 1, n, 2)
+        _, halos, chunks = scratch
+        # the windows of the chunks from cell first to end, (first, end,
+        # windows): chunk c:stop reads windows[..., c - first : stop - first]
+        copies, sources, held = [], [], 0
+        for c0, stop0, x in halos:
+            # x holds cells lo .. hi - 1 of the operand, mod n: the wrapped
+            # cells before 0, the cells inside, the wrapped cells from n on
+            lo, hi = c0 - h, stop0 + h
+            pieces = ((lo, min(hi, 0), n), (max(lo, 0), min(hi, n), 0), (max(lo, n), hi, -n))
+            for start, stop, shift in pieces:
+                if start < stop:
+                    cells = operand[..., 2 * (start + shift) : 2 * (stop + shift)]
+                    copies.append((x[..., 2 * (start - lo) : 2 * (stop - lo)], cells))
+            sources.append((c0, stop0, _windows(x, stop0 - c0, h)))
+            held += stop0 - c0
+        if held < n:  # the chunks that no halo holds read the operand
+            sources.append((h, n - h, _windows(operand, n - 2 * h, h)))
         steps = []
         for c, stop, products, sums in chunks:
+            for c0, stop0, windows in sources:
+                if c0 <= c and stop <= stop0:
+                    break
+            cells = slice(c - c0, stop - c0)
             part = result[..., 2 * c : 2 * stop]
             if isinstance(select, slice):
-                steps.append((windows[..., select, c:stop, :], a_t, products, sums, part))
+                steps.append((windows[..., select, cells, :], a_t, products, sums, part))
                 continue
             for i, s in enumerate(select.tolist()):
-                steps.append((windows[..., s, c:stop, :], a_t[i], products[..., i, :, :], None, None))
+                steps.append((windows[..., s, cells, :], a_t[i], products[..., i, :, :], None, None))
             steps[-1] = (*steps[-1][:3], sums, part)
-        return u, out, scratch, copies, steps
+        return u, out, scratch, tuple(copies), steps
 
     def matvec(
         self,
@@ -453,8 +491,9 @@ class BlockCirculantOp:
         Bit-exactness contract: the result equals, bit for bit, rolling the
         operand once per block (``np.roll(x, -j) @ A_j^T``), accumulating
         into zeros in block insertion order and multiplying by ``scale``
-        once.  The operand is copied once into the halo buffer, whose
-        windows are a strided view; per chunk of ``_CHUNK`` cells, one
+        once.  The windows of the operand are a strided view of it, or of a
+        halo copy where they wrap (see the module docstring); per chunk of
+        ``_CHUNK`` cells, one
         batched ``matmul`` forms every block's product into the product
         stack and ``np.add.reduce`` over the block axis, from
         ``initial=0.0``, adds them in insertion order (the ``+0.0`` start
@@ -478,16 +517,13 @@ class BlockCirculantOp:
         raises :class:`ValueError`.
         """
         if binding is None:
-            u, out, _, copies, steps = self._program(u, out, None)
+            u, out, _, copies, steps = self._program(u, out, None, direct=True)
         else:
             op, bound_u, bound_out, _, copies, steps = binding
             if op is not self or bound_u is not u or bound_out is not out:
                 raise ValueError("the binding was made for another operator, operand or out")
-        if copies:
-            cells, operand, before, tail, after, head = copies
-            cells[...] = operand
-            before[...] = tail
-            after[...] = head
+        for halo, cells in copies:
+            halo[...] = cells
         # positional out: the same ufunc loops, with less argument parsing
         for windows, a_t, products, sums, part in steps:
             np.matmul(windows, a_t, products)
@@ -593,22 +629,46 @@ class BlockCirculantOp:
     def from_json_dict(cls, data: dict) -> "BlockCirculantOp":
         """Read :meth:`to_json_dict` output; the entry point for outside input.
 
-        ``n`` and the offsets must be integers (a float with a fractional
-        part is refused, not truncated, and so is a boolean), and ``dx``,
-        ``scale`` and every block entry finite.
+        Every value goes through :func:`read_number`: ``n`` and the offsets
+        must be integers (a float with a fractional part is refused, not
+        truncated), ``dx``, ``scale`` and every block entry numbers, and
+        none of them a boolean or a string.  ``dx``, ``scale`` and the
+        entries must also be finite.
         """
         try:
-            n, offsets = data["n"], [b["offset"] for b in data["blocks"]]
-            for v in (n, *offsets):
-                if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
-                    raise ValueError("n and the block offsets must be integers")
-            dx, scale = float(data["dx"]), float(data["scale"])
-            rows = [np.asarray(b["rows"], dtype=float) for b in data["blocks"]]
+            n = read_number(data["n"], "n", integer=True)
+            offsets = [read_number(b["offset"], "a block offset", integer=True) for b in data["blocks"]]
+            dx, scale = (read_number(data[key], key) for key in ("dx", "scale"))
+            rows = [
+                np.array([[read_number(v, "a block entry") for v in row] for row in b["rows"]])
+                for b in data["blocks"]
+            ]
             if not all(np.isfinite(v).all() for v in (dx, scale, *rows)):
                 raise ValueError("dx, scale and the block rows must be finite")
-            return cls(int(n), dx, scale, {int(j): r for j, r in zip(offsets, rows)})
+            return cls(n, dx, scale, dict(zip(offsets, rows)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed operator description: {exc}") from exc
+
+
+def read_number(value, what: str, *, integer: bool = False) -> float | int:
+    """``value`` from outside input as a float, or with ``integer`` as an int.
+
+    Only real numbers pass: a boolean or a string raises
+    :class:`ValueError` (JSON ``true`` is not 1, ``"0.5"`` is not 0.5),
+    and so does an integer past the float range and, with ``integer``, a
+    number with a fractional part (it is not truncated).  ``what`` names
+    the value in the message.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if integer:
+        if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is past the float range: {value!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,10 @@ class RKMethod:
     order: Optional[int] = None
 
     def __post_init__(self):
-        a = tuple(tuple(float(x) for x in row) for row in self.a)
-        b = tuple(float(x) for x in self.b)
-        c = tuple(float(x) for x in self.c)
+        # a tableau may come from a custom JSON file: no booleans, no strings
+        a = tuple(tuple(ops.read_number(x, "a tableau entry") for x in row) for row in self.a)
+        b = tuple(ops.read_number(x, "a tableau entry") for x in self.b)
+        c = tuple(ops.read_number(x, "a tableau entry") for x in self.c)
         s = len(b)
         if not all(map(math.isfinite, (*b, *c, *(x for row in a for x in row)))):
             raise ValueError("tableau entries must be finite")
@@ -185,10 +186,9 @@ class RKMethod:
         try:
             order = data.get("order")
             if order is not None:
-                integral = isinstance(order, int) or isinstance(order, float) and order.is_integer()
-                if isinstance(order, bool) or not integral or order < 1:
+                order = ops.read_number(order, "order", integer=True)
+                if order < 1:
                     raise ValueError(f"order must be an integer >= 1, got {order!r}")
-                order = int(order)
             return cls(
                 name=str(data.get("name", "custom")),
                 a=data["a"],

@@ -23,10 +23,12 @@ with one cosine and one sine per offset distance ``s``, each taken of the
 exactly reduced phase ``2 pi ((s k) mod n) / n``.  Every stored block is
 real, so ``B_{n-k} = conj(B_k)`` holds exactly, and the modes past ``n/2``
 are mirrored, not evaluated: ``_all_symbols`` conjugates the matrices and
-:func:`eigenvalues` the eigenvalue pairs.  The classification never forms
-the mirror; it weights each evaluated mode by the number of modes it stands
-for.  Both of them run the kernel on ``_CHUNK`` modes at a time, so that
-their per-mode temporaries stay cache-sized at large n.
+:func:`eigenvalues` the eigenvalue pairs of ``_half_pairs``, which the
+checks' dissipation spectrum also reads without the mirror.  The
+classification never forms the mirror; it weights each evaluated mode by
+the number of modes it stands for.  Both of them run the kernel on
+``_CHUNK`` modes at a time, so that their per-mode temporaries stay
+cache-sized at large n.
 
 Spectra and classification share one scale rule (``_in_range``): an
 operator whose norm leaves ``(2**-300, 2**300)`` is divided by an exact
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from typing import Iterator
 
 import numpy as np
 
@@ -111,11 +114,16 @@ def _waves(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     is real, as its own mirror.  Cached: the checks classify several
     operators on one ring, and ``mass-scan`` classifies hundreds.
     """
-    k = np.arange(n // 2 + 1)
-    turns = s * k % n
-    phase = 2.0 * np.pi * turns / n
-    cos, sin = np.cos(phase), np.sin(phase)
-    sin[2 * turns == n] = 0.0
+    # in place, by the operations of 2.0 * np.pi * (s * k % n) / n
+    turns = np.arange(n // 2 + 1)
+    turns *= s
+    turns %= n
+    phase = np.multiply(2.0 * np.pi, turns)
+    phase /= n
+    cos = np.cos(phase)
+    sin = np.sin(phase, out=phase)
+    turns *= 2
+    sin[turns == n] = 0.0
     cos.setflags(write=False)
     sin.setflags(write=False)
     return cos, sin
@@ -330,33 +338,57 @@ def _eig_pairs(B: np.ndarray) -> np.ndarray:
     return np.stack([lo, hi], axis=-1)
 
 
-def eigenvalues(op: BlockCirculantOp) -> np.ndarray:
-    """All ``2n`` eigenvalues: the symbol pairs concatenated for ``k = 0..n-1``.
+def _half_pairs(op: BlockCirculantOp) -> tuple[int, Iterator[tuple[slice, np.ndarray]]]:
+    """The eigenvalue pairs of modes ``k = 0..n//2``, ``_CHUNK`` modes at a time.
 
-    Within a mode the pair is ordered by (real, imaginary); the multiset
-    equals the dense-matrix spectrum.  The pairs are solved for
-    ``k = 0..n//2``, ``_CHUNK`` modes at a time; mode ``n - k`` takes the
-    conjugates of mode ``k``, re-sorted, since ``B_{n-k} = conj(B_k)``.
-    An operator that ``_in_range`` divides by ``2**e`` has the real and
-    imaginary parts of its pairs multiplied back each by ``ldexp`` (a
-    complex product would turn ``-0.0`` into ``+0.0``), past the float range
-    to ``+-inf``.
+    Returns ``e`` and the chunks ``(modes, pairs)``: ``pairs`` is a
+    ``(modes, 2)`` complex array, each pair ordered by (real, imaginary),
+    of the operator that ``_in_range`` divides by ``2**e`` (``e = 0`` for
+    an operator inside the range); ``_scale_back`` multiplies it back.
+    Mode ``n - k`` has the conjugate pair of mode ``k``, so these chunks
+    hold the whole spectrum: its real parts, each in its place (the
+    conjugate pair sorts alike but where the real parts tie), and its
+    imaginary parts up to sign.
     """
-    n, m = op.n, op.n // 2 + 1
     stack, _, (e,) = _in_range(_Stack.of(op))
-    pairs = np.empty((n, 2), dtype=complex)
-    for start in range(0, m, _CHUNK):
-        modes = slice(start, min(start + _CHUNK, m))
-        pairs[modes] = _eig_pairs(_stacked(*_half_symbols(stack, modes))[0])
-    # conj keeps the real parts: only pairs with equal real parts lose their order
-    lo, hi = _mirror(pairs)[m:].T
-    swap = (lo.real == hi.real) & (lo.imag > hi.imag)
-    pairs[m:][swap] = pairs[m:][swap, ::-1]
+    m = op.n // 2 + 1
+    chunks = (slice(start, min(start + _CHUNK, m)) for start in range(0, m, _CHUNK))
+    return int(e), ((modes, _eig_pairs(_stacked(*_half_symbols(stack, modes))[0])) for modes in chunks)
+
+
+def _scale_back(pairs: np.ndarray, e: int) -> np.ndarray:
+    """Multiply complex ``pairs`` by ``2**e`` in place, past the float range to ``+-inf``.
+
+    The real and imaginary parts go through ``ldexp`` each (a complex
+    product would turn ``-0.0`` into ``+0.0``).
+    """
     if e:
         with np.errstate(over="ignore"):
             for part in (pairs.real, pairs.imag):
                 np.ldexp(part, e, out=part)
-    return pairs.reshape(-1)
+    return pairs
+
+
+def eigenvalues(op: BlockCirculantOp) -> np.ndarray:
+    """All ``2n`` eigenvalues: the symbol pairs concatenated for ``k = 0..n-1``.
+
+    Within a mode the pair is ordered by (real, imaginary); the multiset
+    equals the dense-matrix spectrum.  The pairs of ``k = 0..n//2`` come
+    from ``_half_pairs``; mode ``n - k`` takes the conjugates of mode
+    ``k``, re-sorted, since ``B_{n-k} = conj(B_k)``.  An operator that
+    ``_in_range`` divides by ``2**e`` is multiplied back by
+    ``_scale_back`` after the mirror.
+    """
+    n, m = op.n, op.n // 2 + 1
+    e, chunks = _half_pairs(op)
+    pairs = np.empty((n, 2), dtype=complex)
+    for modes, half in chunks:
+        pairs[modes] = half
+    # conj keeps the real parts: only pairs with equal real parts lose their order
+    lo, hi = _mirror(pairs)[m:].T
+    swap = (lo.real == hi.real) & (lo.imag > hi.imag)
+    pairs[m:][swap] = pairs[m:][swap, ::-1]
+    return _scale_back(pairs, e).reshape(-1)
 
 
 def eigenvector(op: BlockCirculantOp, k: int, which: int) -> np.ndarray:

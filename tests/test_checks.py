@@ -392,3 +392,159 @@ def test_bottleneck_distance_is_at_most_the_assignment_maximum_on_the_battery():
             bottleneck = checks._bottleneck_distance(sym_eigs, dense_eigs)
             assert bottleneck <= cost[r, c].max()
             assert bottleneck <= 1e-9 * np.abs(sym_eigs).max()
+
+
+# ---------------------------------------------------------------------------
+# the O(n) checks against their one-shot formulas
+# ---------------------------------------------------------------------------
+
+_BIT_N = [4, 17, 8193, 16385, 100_003]
+
+
+def _float_bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _noisy(op: BlockCirculantOp, rng) -> BlockCirculantOp:
+    """``op`` with 1e-3 N(0, 1) added to every stored entry."""
+    blocks = {j: a + 1e-3 * rng.normal(size=(2, 2)) for j, a in op.blocks.items()}
+    return BlockCirculantOp(op.n, op.dx, op.scale, blocks)
+
+
+def _exactness_reference(D, dofs, targets) -> float:
+    """The one-shot exactness residual: ``D @ dofs`` against ``targets[p]``
+    on the dofs of parity p, interior block rows only."""
+    w = (D @ dofs).reshape(-1, 2)
+    rows = checks._interior_block_rows(D)
+    if not rows.size:
+        return 0.0
+    inner = slice(rows[0], rows[-1] + 1)
+    dev = max(float(np.abs(w[inner, p] - t[inner]).max()) for p, t in enumerate(targets))
+    return dev / max(D.norm_inf() * float(np.abs(dofs).max()), 1e-300)
+
+
+def _dissipation_reference(K) -> tuple[float, float]:
+    """The residual and radius of the dissipation spectrum from all ``2n`` eigenvalues."""
+    n = K.n
+    pairs = spectral.eigenvalues(K).reshape(n, 2)
+    theta = 2.0 * np.pi * np.arange(n) / n
+    f = -(2.0 / 3.0) * (18.0 + 17.0 * np.cos(theta) + np.cos(2.0 * theta))
+    dev = max(
+        float(np.abs(pairs[:, 0].real - f).max()),
+        float(np.abs(pairs[:, 1].real).max()),
+        float(np.abs(pairs.imag).max()),
+    )
+    return dev, float(np.abs(f).max())
+
+
+@pytest.mark.parametrize("n", _BIT_N)
+def test_o_n_checks_are_their_one_shot_formulas_bit_for_bit(n):
+    """Consistency, exactness, dissipation spectrum and definiteness, for the
+    built-in derivatives and for overrides corrupted in one entry or
+    perturbed in every entry: each report holds the bits of the formula on
+    full-size vectors and all 2n eigenvalues, and the classifications of
+    one hermitian_classify call per mass."""
+    g = _grid(n)
+    rng = np.random.default_rng(n)
+    built = {
+        "central_d": ops.central_D(g), "d_minus": ops.upwind_D_minus(g), "d_plus": ops.upwind_D_plus(g)
+    }
+    overrides = [{}]
+    for name, D in built.items():
+        overrides += [{name: _corrupt(D, 0, (0, 1))}, {name: _noisy(D, rng)}]
+    x, dx = g.interfaces, g.dx
+    a, b, c = 1.0, -0.7, 0.3
+    quadratic = ops.interleave(
+        a * x**2 + b * x + c, a * (x**2 + x * dx + dx**2 / 3.0) + b * (x + dx / 2.0) + c
+    )
+    upw = ops.upwind_mass(g)
+    masses = {
+        "inside_window": ops.banded_mass(g, MassParams(1.0, 0.4, 0.07)),
+        "window_edge": ops.banded_mass(g, MassParams(1.0, 2.0 / 9.0)),
+        "upwind_mass": upw,
+    }
+    classes = {name: spectral.hermitian_classify(M) for name, M in masses.items()}
+    for override in overrides:
+        derivatives = {**built, **override}
+        reports = {r.name: r for r in checks.run_all(g, **override)}
+        for name, D in derivatives.items():
+            want = np.abs(D @ np.ones(2 * n)).max()
+            assert _float_bits(reports[f"consistency_{name}"].residual) == _float_bits(want)
+            want = _exactness_reference(D, ops.coordinate_dofs(g), np.ones((2, n)))
+            assert _float_bits(reports[f"linear_exactness_{name}"].residual) == _float_bits(want)
+            want = _exactness_reference(D, quadratic, [2.0 * a * x + b])
+            assert _float_bits(reports[f"quadratic_exactness_{name}"].residual) == _float_bits(want)
+        rep = reports["dissipation_spectrum"]
+        dev, radius = _dissipation_reference(upw @ (derivatives["d_plus"] - derivatives["d_minus"]))
+        got = (_float_bits(rep.residual), _float_bits(rep.details["radius"]))
+        assert got == (_float_bits(dev), _float_bits(radius))
+        for name, cls in classes.items():
+            details = reports[f"definiteness_{name}"].details
+            found = (details["found_kind"], details["zero_multiplicity"])
+            assert found == (cls.kind, cls.zero_multiplicity)
+
+
+@pytest.mark.parametrize("n", _BIT_N)
+def test_normalization_is_the_sum_of_the_full_mass_product_bit_for_bit(n):
+    """The tiled block row of ``M @ ones`` sums, pairwise, to the bits of
+    ``np.sum(M @ ones(2n))``: the battery's masses, the seven-band mass,
+    whose +-2 blocks would alias on a ring of 2h cells, and perturbed
+    copies."""
+    g = _grid(n)
+    rng = np.random.default_rng(n)
+    diag, scaled = ops.diagonal_mass(g), ops.scaled_central_mass(g, 1.0, 0.4)
+    reports = {r.name: r for r in checks.run_all(g)}
+    for name, M in (("diagonal_mass", diag), ("scaled_central_mass", scaled)):
+        want = np.sum(M @ np.ones(2 * n))
+        assert _float_bits(reports[f"normalization_{name}"].details["total"]) == _float_bits(want)
+    extended = ops.extended_mass(g, MassParams(1.0, 1.0 / 3.0, 0.0, 0.1, 0.05))  # h = 2
+    for M in (diag, scaled, ops.upwind_mass(g), extended):
+        for op in (M, _noisy(M, rng), _noisy(M, rng)):
+            tiled = np.tile(checks._ring_row(op), n)
+            assert _float_bits(np.sum(tiled)) == _float_bits(np.sum(op @ np.ones(2 * n)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 17, 8193])
+@pytest.mark.parametrize("power", [0, -1000, 1000])
+def test_dissipation_spectrum_from_half_modes_is_the_full_spectrum_residual(n, power):
+    """Also for operators that the spectra divide by 2**e first (1e-301 and
+    1e301 times the unit-scale norm), and for a perturbed, non-symmetric
+    dissipation operator with complex eigenvalues."""
+    g = _grid(n)
+    rng = np.random.default_rng(n)
+    upw, Dp, Dm = ops.upwind_mass(g), ops.upwind_D_plus(g), ops.upwind_D_minus(g)
+    for K in (upw @ (Dp - Dm), upw @ (_noisy(Dp, rng) - Dm)):
+        K = 2.0**power * K
+        rep = checks._dissipation_spectrum_report(K, np.empty(2 * n))
+        dev, radius = _dissipation_reference(K)
+        got = (_float_bits(rep.residual), _float_bits(rep.details["radius"]))
+        assert got == (_float_bits(dev), _float_bits(radius))
+
+
+def test_battery_memory_grows_by_its_shared_arrays_only():
+    """The tracemalloc peak of ``run_all`` grows by at most 48 bytes per cell
+    from n = 2e5 to n = 4e5.
+
+    Of its arrays of O(n) size the battery keeps the operand ``u`` and the
+    result ``w`` of 2n floats each (32 bytes per cell) and the cached cos
+    and sin of ``s theta`` for s = 1, 2 over the n/2 + 1 half modes (16
+    bytes per cell), never all of them at once.  Everything else lives per
+    chunk of at most 16384 modes or 8192 cells, whose memory does not grow
+    with n: the difference of two peaks cancels it.  The grids are built
+    before tracing starts.  The one-shot battery, with full-size vectors of
+    ones, halo copies and the full spectrum, grew by about 88 bytes per
+    cell."""
+    import tracemalloc
+
+    checks.run_all(_grid(5))  # lazy imports and caches of any n
+    peaks = []
+    for n in (200_000, 400_000):
+        g = _grid(n)
+        spectral._waves.cache_clear()
+        tracemalloc.start()
+        try:
+            checks.run_all(g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 48 * 200_000

@@ -146,13 +146,20 @@ def test_spectrum_operator_file_roundtrip(tmp_path, capsys):
         ("scale", float("inf")),
         ("rows", [[float("nan"), 0.0], [0.0, 1.0]]),
         ("n", 5.7),
+        ("n", "5"),
+        ("offset", "1"),
+        ("dx", True),
+        ("scale", True),
+        ("rows", [[True, 0.0], [0.0, 1.0]]),
+        ("rows", [["1", 0.0], [0.0, 1.0]]),
     ],
 )
 def test_spectrum_rejects_a_non_finite_or_fractional_operator_file(field, value, tmp_path, capsys):
-    """Nothing is printed or dumped: no ``nan`` rows, no ``NaN`` JSON, no n = 5 from 5.7."""
+    """Nothing is printed or dumped: no ``nan`` rows, no ``NaN`` JSON, no n = 5
+    from 5.7, and no JSON string or boolean read as a number."""
     op = {"n": 5, "dx": 1.0, "scale": 1.0, "blocks": [{"offset": 0, "rows": [[1.0, 0.0], [0.0, 1.0]]}]}
-    if field == "rows":
-        op["blocks"][0]["rows"] = value
+    if field in ("rows", "offset"):
+        op["blocks"][0][field] = value
     else:
         op[field] = value
     op_path, dump = tmp_path / "op.json", tmp_path / "dump.json"
@@ -285,11 +292,15 @@ def test_solve_refuses_a_custom_tableau_order_that_is_not_a_positive_integer(ord
         {"a": [[0, 0], [1, 0]], "b": [_NAN, _NAN], "c": [0, 1]},
         {"a": [[0, 0], [_INF, 0]], "b": [0.5, 0.5], "c": [0, _INF]},
         {"a": [[0, 0], [1, 0]], "b": [0.5, 0.5], "c": [0, _NAN]},
+        {"a": [[0, 0], [True, 0]], "b": [0.5, 0.5], "c": [0, True]},
+        {"a": [[0, 0], [1, 0]], "b": ["0.5", 0.5], "c": [0, 1]},
+        {"a": [[0, 0], ["1", 0]], "b": [0.5, 0.5], "c": [0, 1]},
     ],
-    ids=["b_nan", "a_c_inf", "c_nan"],
+    ids=["b_nan", "a_c_inf", "c_nan", "a_c_bool", "b_string", "a_string"],
 )
 def test_solve_rejects_a_non_finite_custom_tableau_up_front(tableau, tmp_path, capsys):
-    """NaN passes every ``abs(...) > 1e-12`` guard; it must not reach the stepper."""
+    """NaN passes every ``abs(...) > 1e-12`` guard; it must not reach the
+    stepper.  Neither may a JSON boolean or string read as a number."""
     path = tmp_path / "t.json"
     path.write_text(json.dumps(tableau))  # writes NaN and Infinity
     assert run_cli("solve", "--n", "8", "--rk", f"custom:{path}") == 2
@@ -492,6 +503,26 @@ def test_step_counts_past_the_cap_are_rejected_up_front(argv, tmp_path, capsys):
     assert f"past the cap MAX_STEPS = {solver.MAX_STEPS}" in _refusal(argv, tmp_path, capsys)
 
 
+#: one float either side of the largest n = 8 domain [0, x_max] that verify accepts
+_QUADRATIC_EDGE, _PAST_QUADRATIC_EDGE = "2.9795128733205766e+153", "2.979512873320577e+153"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--n", "8", "--x-max", _PAST_QUADRATIC_EDGE),
+        ("verify", "--n", "8", "--x-max", "1e160"),
+        ("verify", "--n", "100", "--x-max", "1e155"),
+        ("verify", "--n", "8", "--x-min=-1e200", "--x-max", "0"),
+        ("verify", "--n", "8", "--x-max", "1e160", "--format", "json"),
+    ],
+)
+def test_verify_refuses_domains_whose_quadratic_samples_overflow(argv, tmp_path, capsys):
+    """Samples of x**2 past the float range, or derivative stencil sums of
+    them, would end in an OverflowError traceback or NaN rows: exit 2."""
+    assert "too large for the quadratic exactness checks" in _refusal(argv, tmp_path, capsys)
+
+
 def _refusal(argv, tmp_path, capsys) -> str:
     """The one ``error:`` line of a call that exits 2 with no warning and no output."""
     out = tmp_path / "out.csv"
@@ -517,6 +548,7 @@ _EDGE = "7.120236347223046e-307"
         ("verify", "--n", "8", "--x-max", "1e-160"),
         ("verify", "--n", "64", "--x-max", "1e-300"),
         ("verify", "--n", "4", "--x-max", _EDGE),
+        ("verify", "--n", "8", "--x-max", _QUADRATIC_EDGE),
         ("spectrum", "--n", "4", "--x-max", _EDGE, "--operator", "dissipation"),
         ("spectrum", "--n", "4", "--x-max", _EDGE, "--operator", "d-plus"),
         ("solve", "--n", "4", "--x-max", _EDGE, "--t-end", _EDGE),

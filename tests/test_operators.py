@@ -475,6 +475,38 @@ def test_bound_matvec_reads_the_operand_of_each_call(n):
                     call()
 
 
+@pytest.mark.parametrize("n", [3 * _C, 3 * _C + 1, 4 * _C + 5])
+def test_one_shot_matvec_reads_interior_windows_from_the_operand(n):
+    """At three chunks or more a one-shot call copies only the halos of the
+    two chunks whose windows wrap across the seam, and reads every other
+    chunk's windows from the operand: the rolled kernel's bits, for single
+    operands, read-only operands and stacks.  An ``out`` that overlaps the
+    operand, and an operand with a non-unit stride, go through one full
+    halo copy instead, with the same bits."""
+    rng = np.random.default_rng(n)
+    real = rng.normal(size=2 * n)
+    for op in _every_builder(ops.build_grid(n)):
+        h = op._plan[0]
+        halos = op._scratch(np.dtype(float), 1, direct=True)[1]
+        if 0 < h < _C:
+            (first, first_end, _), (last, last_end, _) = halos
+            assert (first, first_end, last_end) == (0, _C, n) and last - first_end >= _C
+        for u in (real, real + 1j * rng.normal(size=2 * n)):
+            want = _rolled_matvec(op, u)
+            assert op.matvec(u).tobytes() == want.tobytes()
+            v = u.copy()
+            assert op.matvec(v, out=v).tobytes() == want.tobytes()
+            spread = np.repeat(u, 2)[::2]  # the operand with stride 2
+            assert op.matvec(spread).tobytes() == want.tobytes()
+            frozen = u.copy()
+            frozen.setflags(write=False)
+            assert op.matvec(frozen).tobytes() == want.tobytes()
+        stack = _stack_operands(rng, n, 3)
+        got = op.matvec(stack)
+        for r, row in zip(got, stack, strict=True):
+            assert r.tobytes() == _rolled_matvec(op, row).tobytes()
+
+
 def _stack_operands(rng, n, rows):
     """``rows`` operand rows: normal entries, then rows of signed zeros and
     of subnormals, and normal rows with some entries of each kind."""
@@ -532,7 +564,7 @@ def test_stacked_matvec_chunks_keep_the_product_stack_to_one_chunk():
     cells: no chunk is a lone cell."""
     op = ops.upwind_mass(ops.build_grid(_C + 8))
     for rows in (1, 2, 3, 9, 100):
-        chunks = op._scratch(np.dtype(float), rows)[3]
+        chunks = op._scratch(np.dtype(float), rows)[2]
         cells = [stop - c for c, stop, _, _ in chunks]
         chunk = cells[0]
         assert chunk & (chunk - 1) == 0 and rows * (chunk + 1) <= _C + 1 < rows * (2 * chunk + 1)
@@ -541,7 +573,7 @@ def test_stacked_matvec_chunks_keep_the_product_stack_to_one_chunk():
         assert products.base.size <= len(op.blocks) * (_C + 1) * 2
     # past (_CHUNK + 1) / 3 rows the chunk stops at two cells
     small = ops.upwind_mass(ops.build_grid(9))
-    assert [stop - c for c, stop, _, _ in small._scratch(np.dtype(float), 4000)[3]] == [2, 2, 2, 3]
+    assert [stop - c for c, stop, _, _ in small._scratch(np.dtype(float), 4000)[2]] == [2, 2, 2, 3]
     stack = np.random.default_rng(9).normal(size=(4000, 18))
     for got, row in zip(small.matvec(stack), stack, strict=True):
         assert got.tobytes() == small.matvec(row.copy()).tobytes()
