@@ -69,7 +69,13 @@ and returns them as a ``MatvecBinding``.  ``matvec(u, out, binding)`` on that
 very operator, ``u`` and ``out`` (``is``) replays the views, reading
 whatever ``u`` holds then; a binding made for any other call raises.
 Bindings whose calls never overlap can share one set of scratch arrays
-(``bind(u, out, share=other)``), whose fit is checked when binding.  Both
+(``bind(u, out, share=other)``), whose fit is checked when binding.  A
+binding that shares one of the same operator, for an operand and ``out``
+of the same shapes and dtypes, also takes its layout (the halo copies'
+destinations and the window views) and makes only the views of its own
+operand and ``out``: the time stepper's stage bindings share the first
+stage's.  The kernel's scalars, the ``+0.0`` of the sums and ``scale``,
+are numpy scalars made once, which spares each call a conversion.  Both
 modes run one kernel body on the same operands, so a bound call gives the
 bits of a one-shot call: the 2x2 products go to BLAS either way, because
 every operand and output view keeps unit stride in its last axis and at
@@ -137,6 +143,10 @@ DENSE_LIMIT = 2048
 #: products stay in cache.
 _CHUNK = 8192
 
+#: The ``+0.0`` every block sum starts from, as a numpy scalar: a Python
+#: float ``initial`` costs ``np.add.reduce`` a conversion on every call.
+_ZERO = np.float64(0.0)
+
 
 def _windows(x: np.ndarray, cells: int, h: int) -> np.ndarray:
     """The ``2h + 1`` windows of ``cells`` cells of flat interleaved ``x``, a strided view.
@@ -152,9 +162,9 @@ def _windows(x: np.ndarray, cells: int, h: int) -> np.ndarray:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+    """``a`` itself, made read-only: the grid owns the arrays it is built from."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -204,14 +214,20 @@ def build_grid(n: int, x_min: float = 0.0, x_max: float = 2.0 * math.pi) -> Grid
         raise ValueError(
             f"cells too small: dx = {dx} on [{x_min}, {x_max}] with n={n}, so 32/dx is not finite"
         )
+    # x_min + i dx and x_min + (i + 0.5) dx, formed in place (addition commutes)
     i = np.arange(n)
+    interfaces = i * dx
+    interfaces += x_min
+    centers = i + 0.5
+    centers *= dx
+    centers += x_min
     return Grid(
         n=n,
         x_min=x_min,
         x_max=x_max,
         dx=dx,
-        interfaces=_frozen(x_min + i * dx),
-        centers=_frozen(x_min + (i + 0.5) * dx),
+        interfaces=_frozen(interfaces),
+        centers=_frozen(centers),
     )
 
 
@@ -253,13 +269,17 @@ class MatvecBinding(NamedTuple):
     A call replays ``copies`` and ``steps`` (see
     ``BlockCirculantOp._program``) through ``scratch`` (see
     ``BlockCirculantOp._scratch``) only when it is a call of ``op`` on
-    ``u`` into ``out``, all three the very objects bound.
+    ``u`` into ``out``, all three the very objects bound.  ``layout`` is
+    the part of the steps that holds no view of ``u`` or ``out`` (see
+    ``BlockCirculantOp._layout``), which a binding sharing this one's
+    scratch for the same operator takes as it is.
     """
 
     op: "BlockCirculantOp"
     u: np.ndarray
     out: np.ndarray
     scratch: tuple
+    layout: tuple
     copies: tuple
     steps: tuple
 
@@ -317,6 +337,14 @@ class BlockCirculantOp:
         return sorted(self.blocks)
 
     # -- evaluation --------------------------------------------------------
+
+    @functools.cached_property
+    def _scale(self) -> np.ndarray:
+        """``scale`` as a read-only 0-d array, the same value: a multiply by
+        it skips the conversion a Python float costs on every call."""
+        scale = np.array(self.scale)
+        scale.setflags(write=False)
+        return scale
 
     @functools.cached_property
     def _plan(self) -> tuple[int, slice | np.ndarray, np.ndarray]:
@@ -398,36 +426,111 @@ class BlockCirculantOp:
         binding whose calls never overlap this one's, lends its scratch
         arrays instead; they must fit this call (the same number of operand
         rows, ``n``, halo width, number of blocks and operand dtype), or
-        :class:`ValueError` is raised.
+        :class:`ValueError` is raised.  A ``share`` of this very operator
+        also lends its layout: the halo copies' destinations and the window
+        views, so that only the views of ``u`` and ``out`` are made again.
         """
-        u, out, scratch, copies, steps = self._program(u, out, None if share is None else share.scratch)
-        return MatvecBinding(self, u, out, scratch, copies, tuple(steps))
+        if (
+            share is not None
+            and share.op is self
+            and type(u) is type(out) is np.ndarray
+            and (u.shape, u.dtype, out.shape, out.dtype)
+            == (share.u.shape, share.u.dtype, share.out.shape, share.out.dtype)
+        ):
+            # share's checks, scratch and layout hold for this call as they are
+            copies, steps = self._views(share.layout, u, out)
+            return MatvecBinding(self, u, out, share.scratch, share.layout, copies, steps)
+        return MatvecBinding(self, *self._program(u, out, None if share is None else share.scratch))
+
+    def _layout(self, scratch: tuple) -> tuple:
+        """The steps of a call through ``scratch`` that hold no view of its operand or result.
+
+        Returns ``(pieces, steps)``.  ``pieces`` are the halo copies ``(x,
+        entries)``: the ``entries`` (a slice) of the operand's rows go into
+        ``x``, a view of a halo copy.  ``steps`` are the product steps
+        ``(windows, A^T, products, sums, span)``.  ``windows`` is a strided
+        view of the halo copy that holds the chunk, or ``(select, cells)``
+        where the chunk reads the operand's own windows
+        (``BlockCirculantOp._scratch``).  The last product step of a chunk
+        also sums the products, as ``sums``, into the result's entries
+        ``span``, a slice (the others carry ``None``).  Windows selected by a slice
+        make one batched product per chunk; by an index array, one product
+        per block, since a gathered copy would not see the next operand.
+        """
+        h, select, a_t = self._plan
+        n = self.n
+        _, halos, chunks = scratch
+        pieces, sources, held = [], [], 0
+        for c0, stop0, x in halos:
+            # x holds cells lo .. hi - 1 of the operand, mod n: the wrapped
+            # cells before 0, the cells inside, the wrapped cells from n on
+            lo, hi = c0 - h, stop0 + h
+            for start, stop, shift in ((lo, min(hi, 0), n), (max(lo, 0), min(hi, n), 0), (max(lo, n), hi, -n)):
+                if start < stop:
+                    dest = x[..., 2 * (start - lo) : 2 * (stop - lo)]
+                    pieces.append((dest, slice(2 * (start + shift), 2 * (stop + shift))))
+            sources.append((c0, stop0, _windows(x, stop0 - c0, h)))
+            held += stop0 - c0
+        if held < n:  # the chunks that no halo holds read the operand
+            sources.append((h, n - h, None))
+        steps = []
+        for c, stop, products, sums in chunks:
+            for c0, stop0, windows in sources:
+                if c0 <= c and stop <= stop0:
+                    break
+            cells, span = slice(c - c0, stop - c0), slice(2 * c, 2 * stop)
+            if isinstance(select, slice):
+                view = (select, cells) if windows is None else windows[..., select, cells, :]
+                steps.append((view, a_t, products, sums, span))
+                continue
+            for i, s in enumerate(select.tolist()):
+                view = (s, cells) if windows is None else windows[..., s, cells, :]
+                steps.append((view, a_t[i], products[..., i, :, :], None, None))
+            steps[-1] = (*steps[-1][:3], sums, span)
+        return tuple(pieces), tuple(steps)
+
+    def _views(self, layout: tuple, u: np.ndarray, out: np.ndarray) -> tuple:
+        """The copies and steps of a call on ``u`` into ``out`` through ``layout``.
+
+        The copies are ``(destination, source)`` pairs of views, and the
+        steps ``(windows, A^T, products, sums, part)``: ``_layout``'s steps
+        with the operand's windows and, as ``part``, the chunk's part of
+        ``out`` put in.  A stack of one runs as its 1-D row.
+        """
+        n, h = self.n, self._plan[0]
+        operand, result = (u[0], out[0]) if u.ndim == 2 and len(u) == 1 else (u, out)
+        pieces, steps = layout
+        copies = tuple([(x, operand[..., cells]) for x, cells in pieces])
+        own, placed = None, []
+        for windows, a, products, sums, span in steps:
+            if type(windows) is tuple:
+                if own is None:
+                    own = _windows(operand, n - 2 * h, h)
+                windows = own[..., windows[0], windows[1], :]
+            placed.append((windows, a, products, sums, None if span is None else result[..., span]))
+        return copies, tuple(placed)
 
     def _program(self, u, out, scratch: Optional[tuple], direct: bool = False) -> tuple:
-        """``u`` as an array, ``out`` and ``scratch`` checked or made, and the call's steps.
+        """``u`` as an array, ``out``, the scratch and layout, and the call's copies and steps.
 
-        The steps are the halo copies, ``(destination, source)`` pairs of
-        views, and the product steps ``(windows, A^T, products, sums,
-        part)``; the last product step of a chunk also sums the products,
-        as ``sums``, into ``part`` of ``out`` (the others carry ``None``).
-        A chunk's windows are a strided view of the halo copy that holds
-        it, or of the operand itself (``_scratch``): ``direct`` asks for
-        the latter where the windows do not wrap, granted when ``out``
-        shares no memory with ``u`` and ``u`` is C-contiguous (BLAS then
-        multiplies these windows as it does a copy's).  For a stack,
-        each view holds every operand row along a leading axis; a stack of
-        one runs as its 1-D row.  All of them are views, valid as long as
-        ``u``, ``out`` and the scratch arrays are.  Windows selected by a
-        slice make one batched product per chunk; by an index array, one
-        product per block, since a gathered copy would not see the next
-        operand.
+        ``scratch`` is made unless given, and must then fit the call; the
+        layout (``_layout``) is made for it, and the copies and steps
+        (``_views``) for ``u`` and ``out``.  A chunk's windows are a
+        strided view of the halo copy that holds it, or of the operand
+        itself (``_scratch``): ``direct`` asks for the latter where the
+        windows do not wrap, granted when ``out`` shares no memory with
+        ``u`` and ``u`` is C-contiguous (BLAS then multiplies these windows
+        as it does a copy's).  For a stack, each view holds every operand
+        row along a leading axis; a stack of one runs as its 1-D row.  All
+        of them are views, valid as long as ``u``, ``out`` and the scratch
+        arrays are.
         """
         u = np.asarray(u)
         n = self.n
         if u.shape != (2 * n,) and (u.ndim != 2 or u.shape[1] != 2 * n or not len(u)):
             raise ValueError(f"expected shape ({2 * n},) or (rows, {2 * n}), got {u.shape}")
         rows = len(u) if u.ndim == 2 else 1
-        h, select, a_t = self._plan
+        h, _, a_t = self._plan
         dtype = np.promote_types(u.dtype, float)
         # the result before the scratch arrays: it outlives them, and large
         # scratch arrays freed above it leave the heap less fragmented
@@ -439,8 +542,6 @@ class BlockCirculantOp:
             )
         elif direct:
             direct = not np.may_share_memory(u, out)
-        # a stack of one runs as its 1-D row, like the scratch arrays
-        operand, result = (u[0], out[0]) if u.ndim == 2 and rows == 1 else (u, out)
         if scratch is None:
             scratch = self._scratch(u.dtype, rows, direct and u.flags.c_contiguous)
         elif scratch[0] != (rows, n, h, len(a_t), u.dtype):
@@ -448,37 +549,8 @@ class BlockCirculantOp:
                 f"shared scratch for (rows, n, halo, blocks, dtype) = {scratch[0]} does not "
                 f"fit {(rows, n, h, len(a_t), u.dtype)}"
             )
-        _, halos, chunks = scratch
-        # the windows of the chunks from cell first to end, (first, end,
-        # windows): chunk c:stop reads windows[..., c - first : stop - first]
-        copies, sources, held = [], [], 0
-        for c0, stop0, x in halos:
-            # x holds cells lo .. hi - 1 of the operand, mod n: the wrapped
-            # cells before 0, the cells inside, the wrapped cells from n on
-            lo, hi = c0 - h, stop0 + h
-            pieces = ((lo, min(hi, 0), n), (max(lo, 0), min(hi, n), 0), (max(lo, n), hi, -n))
-            for start, stop, shift in pieces:
-                if start < stop:
-                    cells = operand[..., 2 * (start + shift) : 2 * (stop + shift)]
-                    copies.append((x[..., 2 * (start - lo) : 2 * (stop - lo)], cells))
-            sources.append((c0, stop0, _windows(x, stop0 - c0, h)))
-            held += stop0 - c0
-        if held < n:  # the chunks that no halo holds read the operand
-            sources.append((h, n - h, _windows(operand, n - 2 * h, h)))
-        steps = []
-        for c, stop, products, sums in chunks:
-            for c0, stop0, windows in sources:
-                if c0 <= c and stop <= stop0:
-                    break
-            cells = slice(c - c0, stop - c0)
-            part = result[..., 2 * c : 2 * stop]
-            if isinstance(select, slice):
-                steps.append((windows[..., select, cells, :], a_t, products, sums, part))
-                continue
-            for i, s in enumerate(select.tolist()):
-                steps.append((windows[..., s, cells, :], a_t[i], products[..., i, :, :], None, None))
-            steps[-1] = (*steps[-1][:3], sums, part)
-        return u, out, scratch, tuple(copies), steps
+        layout = self._layout(scratch)
+        return u, out, scratch, layout, *self._views(layout, u, out)
 
     def matvec(
         self,
@@ -517,9 +589,9 @@ class BlockCirculantOp:
         raises :class:`ValueError`.
         """
         if binding is None:
-            u, out, _, copies, steps = self._program(u, out, None, direct=True)
+            u, out, _, _, copies, steps = self._program(u, out, None, direct=True)
         else:
-            op, bound_u, bound_out, _, copies, steps = binding
+            op, bound_u, bound_out, _, _, copies, steps = binding
             if op is not self or bound_u is not u or bound_out is not out:
                 raise ValueError("the binding was made for another operator, operand or out")
         for halo, cells in copies:
@@ -528,8 +600,8 @@ class BlockCirculantOp:
         for windows, a_t, products, sums, part in steps:
             np.matmul(windows, a_t, products)
             if sums is not None:
-                np.add.reduce(sums, -2, None, part, False, 0.0)
-        out *= self.scale
+                np.add.reduce(sums, -2, None, part, False, _ZERO)
+        np.multiply(out, self._scale, out)
         return out
 
     def dense(self) -> np.ndarray:

@@ -19,39 +19,76 @@ makes ``s + 2`` matvec calls, the energy's included, whether it keeps the
 estimate or not: 10 for rk4x2 and 5 for ssprk33, where one call per
 product made 18 and 8.
 
-:func:`rk_step` builds each stage state ``y_i = u + (dt a_i1) k_1 + ...``
-and the update ``u + (dt b_1) k_1 + ...`` as left folds over their nonzero
-coefficients.  Where a fold's (j, coefficient) list starts with the terms of
-a sum already formed in the same step, it continues from that partial sum,
-which has the same bits as summing again from ``u``.  In ``rk4x2`` stages 5
-to 8 and the update all start with the first half step, so a step makes 14
-multiply-adds instead of 30.  Each method works out its shared prefixes once,
-for any tableau.
+:func:`rk_step` forms each stage state ``y_i = u + (dt a_i1) k_1 + ...``
+and the update ``u + (dt b_1) k_1 + ...`` with the bits of folding their
+nonzero terms into a copy of ``u`` one at a time; :attr:`RKMethod._folds`
+plans the folds once per tableau.  A fold that is an earlier fold of the
+step plus one term continues from that fold's result: one multiply, one
+add.  A fold of two terms or more is one product and one reduction: one
+``np.multiply`` of its column of ``dt`` coefficients by consecutive rows of
+the stage derivatives, into rows ``1..m`` of a product stack whose row 0
+holds ``u``, then one ``np.add.reduce`` over the stack's first ``m + 1``
+rows.  A reduction over the outer axis adds the rows one after another,
+the fold's own order.  Rows that still hold an earlier fold's products are
+kept: ``rk4x2``'s update multiplies only its second half step's four
+terms, and its reduction adds the first half's four products again.  A
+step's folds make 16 numpy calls for ``rk4x2`` (28 as one multiply and one
+add per term), 8 for ``rk4`` (14) and 6 for ``ssprk33`` (12).  A lone
+term's coefficient is a 0-d view of the ``dt c`` array, which numpy takes
+without the conversion a Python float costs on every call.
 
-:func:`run_experiment` allocates one :class:`Workspace` per run, and every
-array operation of its time loop writes into it: the matvecs (their halo,
-window and product buffers included), the scaled terms and partial sums of
-the folds, the stage derivatives, ``d = u_next - u`` and the products with
-``M``; each new state overwrites the old one.  The steps allocate no array
-of the state's size.  Each operation is the one a call without a workspace
-makes, on the same operands in the same order, so trajectories are the
-same bits; only where results live changes.
+At the benchmark's sizes (n = 16 to 128) a step's time is mostly the fixed
+cost of its numpy calls, not their arithmetic.  A stage matvec of a
+derivative (halo width 1) makes six: three halo copies, one batched
+``matmul`` (one BLAS ``dgemm`` per block), one reduction and one scaling;
+one of the diagonal mass makes three.  A relaxed central ``rk4x2`` step
+makes 76 numpy calls (88 with one multiply and one add per fold term): 16
+folds, 48 in the stage matvecs, 6 in :func:`relaxation_gamma` (``d``, ``M
+d`` and two dots), 2 for the relaxed update and 4 for the energy.  The
+stage estimate's dots ``y_i M f_i`` of stages 2..s are one batched
+``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n, 1)``, which numpy takes
+row by row to the same ``cblas_ddot``, so a relaxed upwind ``rk4x2`` step
+makes 84 numpy calls instead of 102.  The BLAS calls under them are the
+same.
 
-The workspace also does each step's set-up once per run.  Allocated for
-the run's state array ``u``, scheme and method, it holds a step program:
-every fold's terms as (coefficient, ``k_j``, operand, ``out``), the stage
-list, and one matvec binding
-(:meth:`~activeflux.operators.BlockCirculantOp.bind`) per stage state and
-derivative pair.  ``M u``, ``M d`` and, for a relaxed run that keeps the
-stage estimate, the stack of ``M f_i`` and ``M d`` are bound the same way;
-other runs allocate no stack.  :func:`rk_step`, :func:`relaxation_gamma`
-and :meth:`Scheme.energy` each have two paths.  Without a workspace they
-run one-shot on new arrays.  With one, they replay its bindings, and take
-only the workspace's own state ``u``, scheme, method and stage list:
-anything else raises :class:`ValueError`.  :func:`rk_step` forms the
-coefficients ``dt c`` again only when ``dt`` changes.  Each step still
-calls :func:`rk_step`, :func:`relaxation_gamma`, :meth:`Scheme.energy`
-and ``BlockCirculantOp.matvec``, which are where its time is measured.
+:func:`run_experiment` allocates one :class:`Workspace` per run, which
+holds the run's state ``u``, and every array operation of its time loop
+writes into it: the matvecs (their halo, window and product buffers
+included), the scaled terms and products of the folds, the stage states
+and derivatives, ``d = u_next - u`` and the products with ``M``; each new
+state overwrites the old one.  The steps allocate no array of the state's
+size.  Each operation is the one a call without a workspace makes, on the
+same operands in the same order, so trajectories are the same bits; only
+where results live changes.
+
+The workspace also does each step's set-up once per run.  It holds a step
+program (the folds' numpy calls with their arrays, the stage list, and
+one matvec binding, :meth:`~activeflux.operators.BlockCirculantOp.bind`,
+per stage state and derivative pair), and the bindings of ``M u``, ``M d``
+and, for a relaxed run that keeps the stage estimate, the stack of ``M
+f_i`` and ``M d``; other runs allocate no stack.  The first stage's
+binding and that of ``M u`` make their scratch arrays and layout; the
+other stages and ``M d`` take them and make only their own views.
+:func:`rk_step`, :func:`relaxation_gamma` and :meth:`Scheme.energy` each
+have two paths.  Without a workspace they run one-shot on new arrays.
+With one, they replay its bindings, and take only the workspace's own
+state ``u``, scheme, method and stage list: anything else raises
+:class:`ValueError`.  :func:`rk_step` forms the coefficients ``dt c``
+again only when ``dt`` changes.  Each step still calls :func:`rk_step`,
+:func:`relaxation_gamma`, :meth:`Scheme.energy` and
+``BlockCirculantOp.matvec``, which are where its time is measured.
+
+Before its first step a run builds its grid, scheme and initial state,
+refuses non-finite initial data, allocates its workspace and measures the
+initial energy.  A relaxed run also checks ``M D + D^T M = 0``
+(``_estimate_vanishes``), and a relaxed central run computes the
+amplification radius (``_amplification_radius``) on modes ``0..n//2``
+from closed-form eigenvalues, with no 2x2 matrix product.  Measured in
+process at n = 32 and 128 (medians, shared 2-vCPU host): the radius takes
+80-90 us where one BLAS product per 2x2 matrix and stage on all n modes
+took 280-680 us, the workspace 90-125 us (125-175 us when every binding
+made its own layout), and the whole set-up of a relaxed central ``rk4x2``
+run, one step included, 470-490 us (850-1080 us).
 
 At ``|a| = 1`` the right-hand side ``-a D u`` folds ``-a`` into the scale
 of ``D``, which is exact (:attr:`Scheme.rhs_operator`): one scaling pass
@@ -141,34 +178,59 @@ class RKMethod:
 
     @functools.cached_property
     def _folds(self) -> tuple:
-        """How :func:`rk_step` forms the stage states, then the update.
+        """How :func:`rk_step` forms stage states 2..s, then the update.
 
-        One entry per fold: the prefix whose partial sum it continues from
-        (``()`` for ``u``) and its remaining terms ``(j, coefficient,
-        in_place, save)``.  A fold starts from the longest prefix of its
-        nonzero (j, coefficient) list that an earlier fold has summed.
-        Such a partial sum is saved under its prefix when it is formed and
-        never written to afterwards: a term adds in place only into an
-        array its own fold made and has not saved, and otherwise forms a
-        new array of the step.
+        Returns ``(coefficients, plan)``.  Fold ``i`` is stage ``i``'s state
+        for ``i < s`` and the update for ``i = s``; fold 0 is ``u`` itself.
+        ``plan[i - 1]`` lists fold ``i``'s calls, on fold numbers and rows:
+
+        - ``("copy", g)``: its terms are fold ``g``'s, so it copies that
+          result (the update instead takes fold ``g``'s array);
+        - ``("axpy", g, p, j)``: one term more than fold ``g``, the longest
+          earlier fold whose terms start its own, added as
+          ``(dt coefficients[p]) k_j`` through one scaled term;
+        - ``("mul", p, j, w, r)`` calls then ``("sum", m)``: two terms or
+          more.  Rows ``1..m`` of the product stack, whose row 0 holds
+          ``u``, take the fold's ``m`` products: per run of ``w``
+          consecutive ``j``, rows ``r..r + w - 1`` are ``dt
+          coefficients[p..p + w - 1]`` times ``k_j..k_{j + w - 1}``, in one
+          multiply.  Rows that still hold the same products from an earlier
+          fold of the step are kept.  One reduction over the stack's first
+          ``m + 1`` rows then sums them from ``u`` in row order.
+
+        Every path adds the same terms to ``u`` one after another, so each
+        result has the bits of folding its terms into a copy of ``u``.
         """
         folds = [tuple((j, c) for j, c in enumerate(row) if c != 0.0) for row in (*self.a, self.b)]
-        known: set[tuple] = set()
-        starts = []
-        for terms in folds:
-            start = max((m for m in range(1, len(terms) + 1) if terms[:m] in known), default=0)
-            starts.append(start)
-            known.update(terms[:m] for m in range(start + 1, len(terms) + 1))
-        saved = {terms[:start] for terms, start in zip(folds, starts)}
-        plan = []
-        for terms, start in zip(folds, starts):
-            steps = []
-            for m in range(start, len(terms)):
-                in_place = m > start and terms[:m] not in saved
-                save = terms[: m + 1] if terms[: m + 1] in saved else None
-                steps.append((*terms[m], in_place, save))
-            plan.append((terms[:start], tuple(steps)))
-        return tuple(plan)
+        coefficients, plan, rows = [], [], []
+        for i, terms in enumerate(folds[1:], 1):
+            g = max(
+                (g for g in range(i) if terms[: len(folds[g])] == folds[g]),
+                key=lambda g: len(folds[g]),
+            )
+            extra = terms[len(folds[g]) :]
+            if not extra:
+                plan.append((("copy", g),))
+                continue
+            if len(extra) == 1:
+                coefficients.append(extra[0][1])
+                plan.append((("axpy", g, len(coefficients) - 1, extra[0][0]),))
+                continue
+            keep = 0
+            while keep < min(len(rows), len(terms)) and rows[keep] == terms[keep]:
+                keep += 1
+            calls = []
+            for r in range(keep, len(terms)):
+                j, c = terms[r]
+                coefficients.append(c)
+                if r > keep and terms[r - 1][0] == j - 1:  # the run goes on
+                    _, p, j0, w, r0 = calls[-1]
+                    calls[-1] = ("mul", p, j0, w + 1, r0)
+                else:
+                    calls.append(("mul", len(coefficients) - 1, j, 1, r + 1))
+            rows[: len(terms)] = terms
+            plan.append((*calls, ("sum", len(terms))))
+        return tuple(coefficients), tuple(plan)
 
     @classmethod
     def from_butcher_json(cls, path: str) -> "RKMethod":
@@ -289,15 +351,10 @@ class Scheme:
             return BlockCirculantOp(D.n, D.dx, -a * D.scale, D.blocks), 1.0
         return D, -a
 
-    def rhs(
-        self,
-        u: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        binding: Optional[MatvecBinding] = None,
-    ) -> np.ndarray:
-        """``-a D u``, into ``out`` through the matvec ``binding`` when given."""
+    def rhs(self, u: np.ndarray) -> np.ndarray:
+        """``-a D u`` as a new array; the time loop's stages bind the same product."""
         op, factor = self.rhs_operator
-        f = op.matvec(u, out, binding)
+        f = op.matvec(u)
         if factor != 1.0:
             f *= factor
         return f
@@ -310,7 +367,7 @@ class Scheme:
         """
         if workspace is None:
             return float(u @ (self.M_energy @ u))
-        return float(u @ self.M_energy.matvec(u, workspace.Mu, workspace.M_u))
+        return float(self.M_energy.matvec(u, workspace.Mu, workspace.M_u).dot(u))
 
 
 def make_scheme(grid: Grid, variant: str, advection_speed: float = 1.0) -> Scheme:
@@ -335,56 +392,86 @@ def make_scheme(grid: Grid, variant: str, advection_speed: float = 1.0) -> Schem
 
 
 class _StepProgram:
-    """:func:`rk_step` on one operand ``u``, resolved once.
+    """:func:`rk_step` for one method, with its arrays and numpy calls resolved once.
 
-    ``plan`` holds one entry per fold: its terms ``(c, k_j, y, out)``, for
-    ``out = y + (dt c) k_j``, and for a stage its state ``y``, its
-    derivative ``k_i`` and, with ``bind``, the binding of the scheme's
-    right-hand side operator to that pair (the bindings share one set of
-    scratch arrays).  Without ``bind`` the derivative is copied from
-    ``scheme.rhs(y)``, so the scheme needs nothing else.  The arrays the
-    folds form, and ``tmp`` for one scaled term before it is added, are the
-    program's own, made like ``k[0]``.  ``folds`` is ``plan`` with ``dt c``
-    in place of ``c``, for the ``dt`` it was last formed for.
+    ``stack`` is the product stack of :attr:`RKMethod._folds`, whose row
+    0 holds the state.  Stage states 2..s are the rows of ``Y``, the
+    update is an array of its own (or the array of the fold it repeats),
+    and ``tmp`` holds one scaled term before it is added.  ``dtc`` holds
+    ``dt`` times the method's coefficients for the ``dt`` it was last
+    formed for.  ``plan`` holds one entry per stage and one for the update:
+    its calls ``(function, arguments)``, and for a stage its state ``y`` and
+    its derivative ``k_i`` (a row of ``kd``).
+
+    Without ``u`` the program owns its state ``u``, row 0 of the stack, and
+    a stage entry also holds the binding of the scheme's right-hand side
+    operator to its pair (the bindings share the first one's scratch and
+    layout).  With ``u``, the one-shot path, each run first copies ``u``
+    into row 0, and each derivative is copied from ``scheme.rhs(y)``, so
+    the scheme needs nothing else.
     """
 
-    __slots__ = ("scheme", "method", "u", "tmp", "plan", "update", "stages", "dt", "folds")
+    __slots__ = (
+        "scheme", "method", "u", "stack", "Y", "tmp", "coefficients", "dtc", "dt",
+        "load", "plan", "update", "stages", "op", "factor",
+    )
 
-    def __init__(self, scheme, method: RKMethod, u: np.ndarray, k: Sequence[np.ndarray], bind: bool):
-        new = functools.partial(np.empty_like, k[0])
-        saved, plan, share = {(): u}, [], None
-        for i, (source, terms) in enumerate(method._folds):
-            y = saved[source]
-            resolved = []
-            for j, c, in_place, save in terms:
-                out = y if in_place else new()
-                resolved.append((c, k[j], y, out))
-                y = out
-                if save is not None:
-                    saved[save] = y
-            f = k[i] if i < method.stages else None
-            binding = None
+    def __init__(self, scheme, method: RKMethod, kd: np.ndarray, u=None):
+        coefficients, folds = method._folds
+        s, size, dtype = method.stages, kd.shape[1], kd.dtype
+        rows = max((call[1] for calls in folds for call in calls if call[0] == "sum"), default=0)
+        stack = np.empty((rows + 1, size), dtype)
+        Y = np.empty((s - 1, size), dtype)
+        self.tmp, self.coefficients = np.empty(size, dtype), np.array(coefficients)
+        self.dtc = np.empty_like(self.coefficients)
+        self.load = None if u is None else (stack[0], u)
+        state = stack[0] if u is None else u
+        results = [state, *Y, np.empty(size, dtype)]
+        k = tuple(kd[:s])
+        bind = u is None
+        self.op, self.factor = scheme.rhs_operator if bind else (None, 1.0)
+        plan, share = [], None
+        for i in range(s + 1):
+            calls = []
+            for call in folds[i - 1] if i else ():
+                kind = call[0]
+                if kind == "copy" and i == s:
+                    results[s] = results[call[1]]
+                elif kind == "copy":
+                    calls.append((np.copyto, (results[i], results[call[1]])))
+                elif kind == "axpy":
+                    _, g, p, j = call
+                    calls.append((np.multiply, (self.dtc[p, ...], k[j], self.tmp)))
+                    calls.append((np.add, (results[g], self.tmp, results[i])))
+                elif kind == "mul":
+                    _, p, j, w, r = call
+                    column = self.dtc[p : p + w, None]
+                    calls.append((np.multiply, (column, kd[j : j + w], stack[r : r + w])))
+                else:
+                    calls.append((np.add.reduce, (stack[: call[1] + 1], 0, None, results[i])))
+            y, f, binding = (results[i], k[i], None) if i < s else (None, None, None)
             if bind and f is not None:
-                binding = share = scheme.rhs_operator[0].bind(y, f, share)
-            plan.append((tuple(resolved), y, f, binding))
-        self.scheme, self.method, self.u, self.tmp = scheme, method, u, new()
-        self.plan, self.update = tuple(plan), plan[-1][1]
+                binding = share = self.op.bind(y, f, share)
+            plan.append((tuple(calls), y, f, binding))
+        self.scheme, self.method, self.u, self.stack, self.Y = scheme, method, state, stack, Y
+        self.plan, self.update = tuple(plan), results[s]
         self.stages = [Stage(b=b, y=y, f=f) for b, (_, y, f, _) in zip(method.b, plan)]
-        self.dt = self.folds = None
+        self.dt = None
 
     def run(self, dt: float) -> tuple[np.ndarray, list[Stage]]:
         if dt != self.dt:
+            np.multiply(dt, self.coefficients, self.dtc)
             self.dt = dt
-            self.folds = tuple(
-                (tuple((dt * c, k, y, out) for c, k, y, out in terms), *rest)
-                for terms, *rest in self.plan
-            )
-        scheme, tmp = self.scheme, self.tmp
-        for terms, y, f, binding in self.folds:
-            for dtc, k, src, out in terms:
-                np.add(src, np.multiply(dtc, k, tmp), out)
+        if self.load is not None:
+            np.copyto(*self.load)
+        op, factor, scheme = self.op, self.factor, self.scheme
+        for calls, y, f, binding in self.plan:
+            for function, args in calls:
+                function(*args)
             if binding is not None:
-                scheme.rhs(y, f, binding)
+                op.matvec(y, f, binding)
+                if factor != 1.0:
+                    f *= factor
             elif f is not None:
                 np.copyto(f, scheme.rhs(y))
         return self.update, self.stages
@@ -394,21 +481,24 @@ class _StepProgram:
 class Workspace:
     """Every array one run's time loop writes, allocated once per run.
 
-    ``kd`` holds the stage derivatives and then the update difference ``d``
-    as the rows of one ``(s + 1, 2n)`` array; ``d`` is its last row.
+    ``u`` is the run's state, row 0 of the step program's product stack.
+    ``kd`` holds the stage derivatives and then the update difference
+    ``d`` as the rows of one ``(s + 1, 2n)`` array; ``d`` is its last row.
     ``tmp`` holds one scaled term, ``(dt c) k_j`` or ``gamma d``, before it
     is added.  ``Mkd`` takes the products of ``M`` with the rows of ``kd``,
     the ``M f_i`` and then ``Md``, and ``Mu`` takes ``M u``.
 
-    The workspace is allocated for the run's state array ``u``, scheme and
-    method.  ``M_u`` and ``M_d`` bind ``M`` to ``u`` and ``d`` with their
-    outputs, sharing one set of scratch arrays, ``M_kd`` to the whole
-    stack, and ``step`` is the program :func:`rk_step` replays on ``u``:
-    the arrays its folds form and ``tmp`` are its own.  A workspace
-    allocated without the stage estimate has no stack of products:
-    ``Mkd`` and ``M_kd`` are None and ``Md`` stands alone.
+    ``M_u`` and ``M_d`` bind ``M`` to ``u`` and ``d`` with their outputs,
+    sharing one set of scratch arrays, ``M_kd`` to the whole stack, and
+    ``step`` is the program :func:`rk_step` replays on ``u``.  ``dots``
+    holds the batched views of the stage estimate: stage states 2..s
+    against their products ``M f_i``, and a ``(s - 1, 1, 1)`` result.  A
+    workspace allocated without the stage estimate has no stack of
+    products: ``Mkd``, ``M_kd`` and ``dots`` are None and ``Md`` stands
+    alone.
     """
 
+    u: np.ndarray
     tmp: np.ndarray
     kd: np.ndarray
     d: np.ndarray
@@ -418,14 +508,16 @@ class Workspace:
     M_u: MatvecBinding
     M_d: MatvecBinding
     M_kd: Optional[MatvecBinding]
+    dots: Optional[tuple]
     step: _StepProgram
 
     @classmethod
     def allocate(
-        cls, scheme: Scheme, method: RKMethod, u: np.ndarray, *, estimate: bool = True
+        cls, scheme: Scheme, method: RKMethod, u0: np.ndarray, *, estimate: bool = True
     ) -> "Workspace":
-        """Buffers for real states of ``scheme`` stepped by ``method``, bound to ``u``.
+        """Buffers for real states of ``scheme`` stepped by ``method``, starting from ``u0``.
 
+        The workspace's own state ``u`` holds a copy of ``u0``.
         ``estimate=False`` leaves out the stack of products, which only
         relaxed steps that keep the stage estimate use.
         """
@@ -433,9 +525,15 @@ class Workspace:
         kd, Mu = np.empty((s + 1, size)), np.empty(size)
         Mkd = np.empty((s + 1, size)) if estimate else None
         d, Md = kd[s], (Mkd[s] if estimate else np.empty(size))
-        step = _StepProgram(scheme, method, u, tuple(kd[:s]), bind=True)
+        step = _StepProgram(scheme, method, kd)
+        u = step.u
+        np.copyto(u, u0)
         M_u = M.bind(u, Mu)
+        dots = None
+        if estimate:
+            dots = (step.Y[:, None, :], Mkd[1:s, :, None], np.empty((s - 1, 1, 1)), Mkd[0])
         return cls(
+            u=u,
             tmp=step.tmp,
             kd=kd,
             d=d,
@@ -445,6 +543,7 @@ class Workspace:
             M_u=M_u,
             M_d=M.bind(d, Md, M_u),
             M_kd=M.bind(kd, Mkd) if estimate else None,
+            dots=dots,
             step=step,
         )
 
@@ -461,28 +560,26 @@ def rk_step(
     The stage data (weights, stage states, stage derivatives) is exactly what
     :func:`relaxation_gamma` needs, so a caller can rescale the update without
     recomputing any right-hand sides.  The sums are those of folding each
-    stage's terms into a copy of ``u`` one at a time, bit for bit; shared
-    prefixes are summed once (see the module docstring).  ``u`` is not
-    written to, but the returned arrays may share memory with it and with
-    each other (the first stage state is ``u`` itself), so treat them as
-    read-only.
+    stage's terms into a copy of ``u`` one at a time, bit for bit (see the
+    module docstring).  ``u`` is not written to, but the returned arrays
+    may share memory with it and with each other (the first stage state is
+    ``u`` itself), so treat them as read-only.
 
     Without a workspace every returned array is new, and ``scheme`` needs
     only ``rhs(y)``: its results are copied into arrays of ``u``'s dtype,
-    promoted to float.  With one, the call replays the workspace's step
-    program, which must be the one allocated for this ``scheme``,
-    ``method`` and ``u`` (``is``); any other raises :class:`ValueError`.
-    The update and the stage states other than ``u`` are then the
-    program's arrays and the stage derivatives rows of the workspace's
-    ``kd``, and the stage list is the program's own, the same list every
-    call: the next call overwrites all of them.  The values are the same
-    bits either way.
+    promoted to float.  With one, ``u`` must be the workspace's own state
+    and ``scheme`` and ``method`` those it was allocated for (``is``); any
+    other raises :class:`ValueError`.  The call replays the workspace's step
+    program: the update and the stage states other than ``u`` are the
+    program's arrays, the stage derivatives rows of the workspace's ``kd``,
+    and the stage list is the program's own, the same list every call: the
+    next call overwrites all of them.  The values are the same bits either
+    way.
     """
     ws = workspace
     if ws is None:
-        shape, dtype = np.shape(u), np.promote_types(np.asarray(u).dtype, float)
-        k = [np.empty(shape, dtype) for _ in range(method.stages)]
-        return _StepProgram(scheme, method, u, k, bind=False).run(dt)
+        kd = np.empty((method.stages, np.size(u)), np.promote_types(np.asarray(u).dtype, float))
+        return _StepProgram(scheme, method, kd, u).run(dt)
     step = ws.step
     if step.u is not u or step.scheme is not scheme or step.method is not method:
         raise ValueError("the workspace was allocated for another state, scheme or method")
@@ -509,12 +606,14 @@ def relaxation_gamma(
 
     ``M d`` and every ``M f_i`` come from one matvec call on the stack
     ``[f_1, ..., f_s, d]`` (a stack of one, ``d`` alone, without stage
-    data).  Each row has the bits of its own call, and the dot products
-    follow in a fixed order: ``d M d``, then ``y_i M f_i`` stage by stage,
-    then ``u M d``.  Without a workspace, ``d`` and the products are new
-    arrays.  With one, ``d`` goes into its ``d`` row, and the call replays
-    its binding: ``M_d`` into ``Md`` without stage data, ``M_kd`` into the
-    ``Mkd`` stack with its step program's own stage list.  Any other stage
+    data).  Each row has the bits of its own call, and each dot product is
+    one ``cblas_ddot`` of its two rows, summed into ``e`` stage by stage.
+    Without a workspace, ``d`` and the products are new arrays.  With one,
+    ``d`` goes into its ``d`` row, and the call replays its binding: ``M_d``
+    into ``Md`` without stage data, ``M_kd`` into the ``Mkd`` stack with
+    its step program's own stage list.  Stages 2..s then go through one
+    batched ``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n, 1)``, which
+    numpy takes row by row to the same ``cblas_ddot``.  Any other stage
     data, a workspace without the stack, or another ``M`` raises
     :class:`ValueError`.
     """
@@ -524,24 +623,32 @@ def relaxation_gamma(
         Mf = M @ np.stack([*(st.f for st in stage_data), d])
         Md = Mf[-1]
     else:
-        d = np.subtract(u_next, u, out=ws.d)
+        d = np.subtract(u_next, u, ws.d)
         if not stage_data:
-            Mf, Md = (), M.matvec(d, ws.Md, ws.M_d)
+            Md = M.matvec(d, ws.Md, ws.M_d)
         elif stage_data is ws.step.stages and ws.M_kd is not None:
-            Mf, Md = M.matvec(ws.kd, ws.Mkd, ws.M_kd), ws.Md
+            M.matvec(ws.kd, ws.Mkd, ws.M_kd)
+            Md = ws.Md
         else:
             raise ValueError(
                 "a workspace takes no stage data or its own step's stage list, "
                 "and that only when it holds the stack of products"
             )
-    d2 = float(d @ Md)
+    d2 = float(d.dot(Md))
     if d2 < 1e-30:
         return 1.0
+    if not stage_data:
+        dots = ()
+    elif ws is None:
+        dots = [float(st.y @ Mf_i) for st, Mf_i in zip(stage_data, Mf)]  # stops before M d
+    else:
+        left, right, out, Mf_1 = ws.dots
+        dots = [float(Mf_1.dot(u)), *np.matmul(left, right, out).ravel().tolist()]
     e = 0.0
-    for st, Mf_i in zip(stage_data, Mf):  # stops before M d, the last row
-        e += st.b * float(st.y @ Mf_i)
+    for st, dot in zip(stage_data, dots):
+        e += st.b * dot
     e *= 2.0 * dt
-    return (e - 2.0 * float(u @ Md)) / d2
+    return (e - 2.0 * float(Md.dot(u))) / d2
 
 
 def _estimate_vanishes(scheme: Scheme) -> bool:
@@ -557,52 +664,58 @@ def _estimate_vanishes(scheme: Scheme) -> bool:
     return not (MD + MD.T).blocks
 
 
-def _stability_coefficients(method: RKMethod) -> list[float]:
-    """Coefficients ``[1, b.1, b.A1, ..., b.A^(s-1)1]`` of ``R(z)``, constant term first."""
+@functools.lru_cache(maxsize=16)
+def _stability_coefficients(method: RKMethod) -> tuple[float, ...]:
+    """Coefficients ``(1, b.1, b.A1, ..., b.A^(s-1)1)`` of ``R(z)``, constant term first.
+
+    Cached per tableau (equal tableaux have equal coefficients).
+    """
     A, v = np.array(method.a), np.ones(method.stages)
     coeffs = [1.0]
     for _ in range(method.stages):
         coeffs.append(float(np.dot(method.b, v)))
         v = A @ v
-    return coeffs
-
-
-def _amplification_symbols(
-    scheme: Scheme, method: RKMethod, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode step matrices ``P_k = R(Z_k)``, ``Z_k = -a dt B_k(D)``, and their size bounds.
-
-    One unrelaxed step maps the mode coefficients ``fft(u.reshape(n, 2),
-    axis=0)[k]`` to ``P_k`` times them.  ``P`` has shape ``(n, 2, 2)`` and
-    comes from Horner's rule on the stacked 2x2 matrices, O(n s); the bound
-    ``p(|Z_k|) = sum_j |c_j| |Z_k|^j`` (the infinity norm of ``Z_k``) runs
-    through the same recursion and scales the rounding of ``P_k``.
-    """
-    Z = (-scheme.advection_speed * dt) * spectral._all_symbols(scheme.D_effective)
-    znorm = np.abs(Z).sum(axis=2).max(axis=1)
-    coeffs = _stability_coefficients(method)
-    eye = np.eye(2)
-    P, bound = np.broadcast_to(coeffs[-1] * eye, Z.shape), np.full_like(znorm, abs(coeffs[-1]))
-    for c in reversed(coeffs[:-1]):
-        P, bound = P @ Z + c * eye, bound * znorm + abs(c)
-    return P, bound
+    return tuple(coeffs)
 
 
 def _amplification_radius(scheme: Scheme, method: RKMethod, dt: float) -> tuple[float, float]:
-    """``rho = max_k rho(P_k)`` and the rounding tolerance of ``rho <= 1``.
+    """``rho = max_k rho(P_k)`` over the per-mode step matrices, and the tolerance of ``rho <= 1``.
 
-    Horner's rule computes ``P_k`` to about ``3 s eps p(|Z_k|)`` (each of
-    the ``s`` steps is a 2-term product and a sum); the symbols of D and the
-    closed-form eigenvalues add a few eps more.  The tolerance
-    ``16 s eps max_k p(|Z_k|)`` leaves room for the eigenvector
-    conditioning, sqrt(3) for the central symbols, which are skew in the
-    ``M_k`` inner product.  Measured on the stable pairs at n = 16 to 1200,
-    dt = dx/4 and dx/2: ``rho - 1 <= 2.2e-16`` against tolerances of 5e-14
-    to 8e-12; the unstable ones sit at ``rho - 1 >= 0.19``.
+    One unrelaxed step maps the mode coefficients ``fft(u.reshape(n, 2),
+    axis=0)[k]`` to ``P_k = R(Z_k)`` times them, with ``Z_k = -a dt
+    B_k(D)``.  By the spectral mapping theorem the eigenvalues of ``P_k``
+    are ``R(lambda)`` for the eigenvalues ``lambda`` of ``Z_k``, so no
+    matrix is formed: the closed-form roots of ``spectral._eig_roots`` go
+    through Horner's rule for ``R`` as complex numbers.  Only the modes
+    ``k = 0..n//2`` are evaluated: ``Z_{n-k} = conj(Z_k)`` (the blocks are
+    real), whose eigenvalues are the conjugates, and ``R`` has real
+    coefficients, so mode ``n - k`` has the same radius.
+
+    Tolerance ``16 s eps p(max_k |Z_k|)``, with ``p(x) = sum_j |c_j| x^j``
+    and ``|Z_k|`` the infinity norm.  The symbols and the closed form give
+    each ``lambda`` to a few eps times ``|Z_k|`` times the conditioning of
+    its eigenvector basis (sqrt(3) for the central symbols, which are skew
+    in the ``M_k`` inner product); an error ``delta`` in ``lambda`` moves
+    ``R(lambda)`` by at most ``p'(|Z_k|) delta``, and ``x p'(x) <= s
+    p(x)``.  Horner's rule adds about ``2 s eps p(|lambda|)``, with
+    ``|lambda| <= |Z_k|``.  ``p`` is increasing, so its value at the
+    largest norm bounds every mode.  Measured on the stable pairs at n = 16
+    to 1200, dt = dx/4 and dx/2: ``rho - 1 <= 2.2e-16`` against tolerances
+    of 5e-14 to 8e-12; the unstable ones sit at ``rho - 1 >= 0.19``.
     """
-    P, bound = _amplification_symbols(scheme, method, dt)
-    rho = float(np.abs(spectral._eig_pairs(P)).max())
-    return rho, 16.0 * method.stages * np.finfo(float).eps * float(bound.max())
+    stack = spectral._Stack.of(scheme.D_effective)
+    Z = spectral._stacked(*spectral._half_symbols(stack))[0]
+    Z *= -scheme.advection_speed * dt
+    znorm = float(np.abs(Z).sum(axis=2).max())
+    lam = np.stack(spectral._eig_roots(Z))
+    coeffs = _stability_coefficients(method)
+    R, bound = np.full_like(lam, coeffs[-1]), abs(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        R *= lam
+        R += c
+        bound = bound * znorm + abs(c)
+    rho = float(np.abs(R).max())
+    return rho, 16.0 * method.stages * np.finfo(float).eps * bound
 
 
 @dataclasses.dataclass(frozen=True)
@@ -706,7 +819,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     ``t_end``/``dt_factor``, a non-finite advection speed, a nominal step
     that is zero or makes ``t_end / dt`` overflow, and a step count
     ``ceil(t_end / dt)`` past :data:`MAX_STEPS` raise :class:`ValueError`
-    before any work is done.
+    before any work is done; so do initial data whose projection holds NaN
+    or infinity and initial data whose energy overflows, before the first
+    step.  The returned state is the run's workspace state.
     """
     for name in ("t_end", "dt_factor"):
         value = float(getattr(config, name))
@@ -731,14 +846,28 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     scheme = make_scheme(grid, config.variant, config.advection_speed)
     method = resolve_method(config.rk)
     f0 = config.initial if config.initial is not None else default_initial
-    u = project_initial(grid, f0)
+    u0 = project_initial(grid, f0)
+    finite = np.isfinite(u0)
+    if not finite.all():
+        raise ValueError(
+            f"initial data must be finite: the projected state has "
+            f"{u0.size - np.count_nonzero(finite)} non-finite values, the first at dof "
+            f"{int(np.argmin(finite))} of {u0.size}"
+        )
 
     skip_estimate = False
     if config.relaxation and _estimate_vanishes(scheme):
         rho, tol = _amplification_radius(scheme, method, dt_nominal)
         skip_estimate = rho <= 1.0 + tol
-    ws = Workspace.allocate(scheme, method, u, estimate=config.relaxation and not skip_estimate)
-    e0 = scheme.energy(u, ws)
+    ws = Workspace.allocate(scheme, method, u0, estimate=config.relaxation and not skip_estimate)
+    u = ws.u
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        e0 = scheme.energy(u, ws)
+    if not math.isfinite(e0):
+        raise ValueError(
+            f"initial energy u^T M u = {e0} is not finite: the initial data is too large "
+            "for float64 (scale it down)"
+        )
     times = [0.0]
     energies = [e0]
     gammas = [1.0]
@@ -747,24 +876,26 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     t = 0.0
     max_steps = 10 * steps_nominal + 1000
     steps = 0
+    relaxation, M, d, tmp = config.relaxation, scheme.M_energy, ws.d, ws.tmp
+    stop, shortest_relaxed = 1e-9 * dt_nominal, 1e-4 * dt_nominal
     # Relaxed steps advance time by gamma*dt, so the loop usually ends with a
     # clipped partial step.  Remainders below 1e-9 of the nominal step are
     # dropped, and relaxation is skipped on steps below 1e-4 of it: there the
     # gamma quadratic is a ratio of O(dt^2) quantities swamped by rounding,
     # while a plain micro-step perturbs the energy only at O(dt).
-    while t_end - t > 1e-9 * dt_nominal:
+    while t_end - t > stop:
         dt = min(dt_nominal, t_end - t)
         u_next, stage_data = rk_step(scheme, method, u, dt, ws)
         # each new state overwrites the old one, which nothing reads after it
-        if config.relaxation and dt > 1e-4 * dt_nominal:
+        if relaxation and dt > shortest_relaxed:
             estimate_data = () if skip_estimate else stage_data
-            gamma = relaxation_gamma(u, u_next, estimate_data, scheme.M_energy, dt, workspace=ws)
+            gamma = relaxation_gamma(u, u_next, estimate_data, M, dt, workspace=ws)
             if gamma <= 0.0:
                 raise EnergyBlowUpError(
                     f"relaxation parameter became non-positive ({gamma:.3g}) at "
                     f"t = {t:.6g}; the step is likely outside the RK stability region"
                 )
-            np.add(u, np.multiply(gamma, ws.d, out=ws.tmp), out=u)
+            np.add(u, np.multiply(gamma, d, tmp), u)
             t += gamma * dt
         else:
             gamma = 1.0

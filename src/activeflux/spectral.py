@@ -316,8 +316,8 @@ def symbol(op: BlockCirculantOp, k: int) -> Symbol:
     return Symbol(entries=B, theta=2.0 * np.pi * k / op.n, k=int(k), n=op.n)
 
 
-def _eig_pairs(B: np.ndarray) -> np.ndarray:
-    """Eigenvalue pairs of stacked 2x2 matrices, each pair sorted by (re, im).
+def _eig_roots(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two eigenvalues of stacked 2x2 matrices, unordered.
 
     Uses the closed-form quadratic with a cancellation-safe discriminant: the
     square root is oriented along the trace, and the second eigenvalue comes
@@ -330,6 +330,12 @@ def _eig_pairs(B: np.ndarray) -> np.ndarray:
     lam1 = 0.5 * (t + s)
     safe = np.where(lam1 == 0.0, 1.0, lam1)
     lam2 = np.where(lam1 == 0.0, 0.5 * (t - s), d / safe)
+    return lam1, lam2
+
+
+def _eig_pairs(B: np.ndarray) -> np.ndarray:
+    """Eigenvalue pairs of stacked 2x2 matrices (``_eig_roots``), each pair sorted by (re, im)."""
+    lam1, lam2 = _eig_roots(B)
     first = (np.real(lam1) < np.real(lam2)) | (
         (np.real(lam1) == np.real(lam2)) & (np.imag(lam1) <= np.imag(lam2))
     )

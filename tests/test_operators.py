@@ -446,6 +446,28 @@ def test_matvec_into_out_is_bit_identical(n):
 
 
 @pytest.mark.parametrize("n", [3, 16, _C + 1, 2 * _C + 1])
+def test_a_binding_that_shares_one_of_its_operator_takes_its_layout(n):
+    """Sharing a binding of the same operator lends its scratch and its
+    layout (halo destinations, window views): only the views of the new
+    operand and ``out`` are made, and calls keep the bits of a one-shot
+    call, for single operands, stacks of one and stacks of rows."""
+    rng = np.random.default_rng(n)
+    for op in _every_builder(ops.build_grid(n)):
+        for shape in ((2 * n,), (1, 2 * n), (3, 2 * n)):
+            for dtype in (float, complex):
+                first = op.bind(np.zeros(shape, dtype), np.empty(shape, np.promote_types(dtype, float)))
+                u = rng.normal(size=shape).astype(dtype)
+                out = np.full(shape, np.nan, np.promote_types(dtype, float))
+                bound = op.bind(u, out, first)
+                assert bound.layout is first.layout and bound.scratch is first.scratch
+                assert bound.u is u and bound.out is out
+                assert op.matvec(u, out, bound) is out
+                assert out.tobytes() == op.matvec(u.copy()).tobytes()
+                u *= -0.5  # the next call reads the new values
+                assert op.matvec(u, out, bound).tobytes() == op.matvec(u.copy()).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 16, _C + 1, 2 * _C + 1])
 def test_bound_matvec_reads_the_operand_of_each_call(n):
     """A binding replays its views for its own operator, operand and
     ``out`` (identity, not equality), and no call sees stale data; a call

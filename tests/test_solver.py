@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from activeflux import operators as ops
-from activeflux import solver
+from activeflux import solver, spectral
 from activeflux.solver import (
     RK4,
     RK4X2,
@@ -313,6 +313,28 @@ def test_config_validation():
         run_experiment(ExperimentConfig(dt_factor=-0.5))
 
 
+@pytest.mark.parametrize("relaxation", [True, False], ids=["relaxed", "plain"])
+@pytest.mark.parametrize("variant", ["central", "upwind"])
+@pytest.mark.parametrize(
+    "initial, match",
+    [
+        (lambda x: np.where(x > 3.0, np.nan, np.sin(x)), "initial data must be finite"),
+        (lambda x: np.full_like(x, np.inf), "initial data must be finite"),
+        (lambda x: 1e200 * np.exp(np.sin(x)), "initial energy .* is not finite"),
+    ],
+    ids=["nan", "inf", "energy-overflow"],
+)
+def test_non_finite_initial_data_is_refused_before_the_first_step(
+    monkeypatch, initial, match, variant, relaxation
+):
+    """NaN, infinite values and data whose energy overflows raise
+    ValueError up front, not EnergyBlowUpError after one step."""
+    monkeypatch.setattr(solver, "rk_step", None)  # no step is taken
+    config = ExperimentConfig(variant=variant, relaxation=relaxation, n=16, initial=initial)
+    with pytest.raises(ValueError, match=match):
+        run_experiment(config)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -538,6 +560,29 @@ def test_unstable_central_ssprk33_keeps_the_full_estimate(n, a):
 # ---------------------------------------------------------------------------
 
 
+def _amplification_symbols(scheme, method, dt):
+    """Per-mode step matrices ``P_k = R(Z_k)``, ``Z_k = -a dt B_k(D)``, for all
+    n modes, by Horner's rule on the stacked 2x2 matrices, and the bound
+    ``p(|Z_k|)`` of each: the oracle of the unrelaxed runs and of the
+    half-mode radius."""
+    Z = (-scheme.advection_speed * dt) * spectral._all_symbols(scheme.D_effective)
+    znorm = np.abs(Z).sum(axis=2).max(axis=1)
+    coeffs = solver._stability_coefficients(method)
+    eye = np.eye(2)
+    P, bound = np.broadcast_to(coeffs[-1] * eye, Z.shape), np.full_like(znorm, abs(coeffs[-1]))
+    for c in reversed(coeffs[:-1]):
+        P, bound = P @ Z + c * eye, bound * znorm + abs(c)
+    return P, bound
+
+
+def _all_mode_radius(scheme, method, dt):
+    """The radius and tolerance from every mode's step matrix, ``16 s eps
+    max_k p(|Z_k|)``: the decision the half-mode radius must reproduce."""
+    P, bound = _amplification_symbols(scheme, method, dt)
+    rho = float(np.abs(spectral._eig_pairs(P)).max())
+    return rho, 16.0 * method.stages * EPS * float(bound.max())
+
+
 @pytest.mark.parametrize("a", [1.0, -1.0])
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 17, 64])
 @pytest.mark.parametrize("rk", ["rk4", "ssprk33", "rk4x2"])
@@ -553,10 +598,10 @@ def test_unrelaxed_run_equals_powers_of_the_amplification_symbols(variant, rk, n
     full, t = 0, 0.0
     while config.t_end - t > 1e-9 * dt_nominal and dt_nominal <= config.t_end - t:
         full, t = full + 1, t + dt_nominal
-    P, _ = solver._amplification_symbols(s, method, dt_nominal)
+    P, _ = _amplification_symbols(s, method, dt_nominal)
     step = np.linalg.matrix_power(P, full)
     if config.t_end - t > 1e-9 * dt_nominal:  # the clipped last step
-        step = solver._amplification_symbols(s, method, config.t_end - t)[0] @ step
+        step = _amplification_symbols(s, method, config.t_end - t)[0] @ step
         full += 1
     u0 = project_initial(g, solver.default_initial)
     uhat = np.fft.fft(u0.reshape(n, 2), axis=0)
@@ -594,6 +639,41 @@ def test_amplification_radius_of_the_stable_pairs(variant, rk, dt_factor, a):
         rho, tol = solver._amplification_radius(scheme, resolve_method(rk), dt_factor * g.dx)
         assert 1.0 <= rho + tol and rho <= 1.0 + tol  # mode k = 0 has rho = 1
         assert tol < 1e-10
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0, 2.5])
+@pytest.mark.parametrize("dt_factor", [0.25, 0.5])
+@pytest.mark.parametrize("rk", ["rk4", "ssprk33", "rk4x2"])
+@pytest.mark.parametrize("variant", ["central", "upwind"])
+@pytest.mark.parametrize("n", [3, 4, 5, 16, 17, 64])
+def test_half_mode_radius_agrees_with_the_dense_step_matrix(n, variant, rk, dt_factor, a):
+    """The spectral radius of the dense one-step matrix ``R(-a dt D)``,
+    from LAPACK, is the half-mode radius within its tolerance."""
+    g = ops.build_grid(n)
+    scheme, method = make_scheme(g, variant, a), resolve_method(rk)
+    dt = dt_factor * g.dx
+    rho, tol = solver._amplification_radius(scheme, method, dt)
+    Z = (-a * dt) * scheme.D_effective.dense()
+    P = np.zeros_like(Z)
+    for c in reversed(solver._stability_coefficients(method)):
+        P = P @ Z + c * np.eye(2 * n)
+    assert abs(rho - np.abs(np.linalg.eigvals(P)).max()) <= tol
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0])
+@pytest.mark.parametrize("dt_factor", [0.25, 0.5])
+@pytest.mark.parametrize("n", [16, 24, 32, 48, 64, 96, 128, 1200])
+def test_half_mode_radius_keeps_the_all_mode_skip_decision(n, dt_factor, a):
+    """For every (variant, tableau) the benchmark mixes, ``rho <= 1 + tol``
+    reads the same from the half modes as from every mode's matrix."""
+    g = ops.build_grid(n)
+    for variant, rk in [("central", "rk4x2"), ("central", "rk4"), ("central", "ssprk33"),
+                        ("upwind", "rk4x2")]:
+        scheme, method = make_scheme(g, variant, a), resolve_method(rk)
+        rho, tol = solver._amplification_radius(scheme, method, dt_factor * g.dx)
+        want_rho, want_tol = _all_mode_radius(scheme, method, dt_factor * g.dx)
+        assert (rho <= 1.0 + tol) == (want_rho <= 1.0 + want_tol)
+        assert abs(rho - want_rho) <= tol and tol == want_tol
 
 
 # ---------------------------------------------------------------------------
@@ -637,27 +717,65 @@ _SHARED_PREFIXES = RKMethod(
 )
 
 
+#: b equals the last row of A, so the update is stage 3's state and no fold
+#: of its own forms it.
+_UPDATE_IS_A_STAGE = RKMethod(
+    name="update-is-a-stage",
+    a=((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.25, 0.75, 0.0)),
+    b=(0.25, 0.75, 0.0),
+    c=(0.0, 0.5, 1.0),
+)
+
+#: Stage 2 has no term, so its state is a copy of u.
+_A_STAGE_IS_U = RKMethod(
+    name="a-stage-is-u",
+    a=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.5, 0.5, 0.0)),
+    b=(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
+    c=(0.0, 0.0, 1.0),
+)
+
+
 @pytest.mark.parametrize(
-    "method, terms",
-    [(RK4, 7), (SSPRK33, 6), (RK4X2, 14), (_SHARED_PREFIXES, 7)],
+    "method, calls",
+    [(RK4, 8), (SSPRK33, 6), (RK4X2, 16), (_SHARED_PREFIXES, 11), (_UPDATE_IS_A_STAGE, 4),
+     (_A_STAGE_IS_U, 5)],
     ids=lambda m: getattr(m, "name", None),
 )
-def test_shared_prefixes_are_summed_once(method, terms):
-    """rk4x2 sums its first half step once, for stages 5-8 and the update."""
-    assert sum(len(steps) for _, steps in method._folds) == terms
+def test_shared_prefixes_are_summed_once(method, calls):
+    """numpy calls of one step's folds: one multiply and one add per lone
+    term, one multiply per run of consecutive products and one reduction
+    per longer fold.  rk4x2 sums its first half step once: stages 6-8
+    continue from it, and the update's stack keeps its four products.
+    _SHARED_PREFIXES continues stage 4 and the update from stage 3's and
+    stage 4's states; its stage 5 keeps the stack's first product and
+    multiplies two runs.  _A_STAGE_IS_U copies u into its second stage."""
+    g = ops.build_grid(16)
+    ws = solver.Workspace.allocate(make_scheme(g, "central", 1.0), method, np.zeros(2 * g.n))
+    assert sum(len(fold_calls) for fold_calls, *_ in ws.step.plan) == calls
 
 
-@pytest.mark.parametrize("variant, a", [("central", 1.0), ("upwind", -1.0)])
-@pytest.mark.parametrize("method", [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES], ids=lambda m: m.name)
-def test_rk_step_is_bit_identical_to_the_naive_folds(method, variant, a):
-    g = ops.build_grid(17)
+@pytest.mark.parametrize("n", [3, 17, 1200])
+@pytest.mark.parametrize("variant, a", [("central", 1.0), ("upwind", -1.0), ("central", 0.7)])
+@pytest.mark.parametrize(
+    "method",
+    [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES, _UPDATE_IS_A_STAGE, _A_STAGE_IS_U],
+    ids=lambda m: m.name,
+)
+def test_rk_step_is_bit_identical_to_the_naive_folds(method, variant, a, n):
+    """The stacked folds (one multiply per run of products, one reduction
+    over up to nine rows for rk4x2's update) and the single-term folds
+    give the bits of folding every term into a copy of u, one at a time,
+    with and without a workspace."""
+    g = ops.build_grid(n)
     scheme = make_scheme(g, variant, a)
-    rng = np.random.default_rng(17)
+    rng = np.random.default_rng(n)
     real = rng.normal(size=2 * g.n)
-    for u in (real, real + 1j * rng.normal(size=2 * g.n)):
+    ws = solver.Workspace.allocate(scheme, method, real)
+    for u, workspace in ((real, None), (real + 1j * rng.normal(size=2 * g.n), None), (ws.u, ws)):
         before = u.copy()
-        u.setflags(write=False)  # an in-place write to u would raise
-        u_next, stages = rk_step(scheme, method, u, 0.37 * g.dx)
+        if workspace is None:
+            u.setflags(write=False)  # an in-place write to u would raise
+        u_next, stages = rk_step(scheme, method, u, 0.37 * g.dx, workspace)
         want_next, want_stages = _reference_rk_step(scheme, method, u, 0.37 * g.dx)
         assert u.tobytes() == before.tobytes()
         assert u_next.dtype == want_next.dtype
@@ -667,6 +785,30 @@ def test_rk_step_is_bit_identical_to_the_naive_folds(method, variant, a):
             assert got.b == want.b
             assert got.y.tobytes() == want.y.tobytes()
             assert got.f.tobytes() == want.f.tobytes()
+
+
+def _chain(s):
+    """An s-stage tableau, each stage half a step from the one before."""
+    a = tuple(tuple(0.5 if j == i - 1 else 0.0 for j in range(s)) for i in range(s))
+    return RKMethod(f"chain{s}", a, (1.0 / s,) * s, (0.0,) + (0.5,) * (s - 1))
+
+
+@pytest.mark.parametrize("stages", [2, 4, 10])
+@pytest.mark.parametrize("n", [16, 1200, 8200])
+def test_batched_stage_dots_are_the_per_row_dots(n, stages):
+    """The workspace's batched ``matmul`` of ``(rows, 1, 2n)`` by ``(rows,
+    2n, 1)`` gives each row the bits of ``float(y @ f)`` at 2n = 32, 2400
+    and 16400, for stacks of 1, 3 and 9 rows (stages 2..s)."""
+    g = ops.build_grid(n)
+    rng = np.random.default_rng(n + stages)
+    ws = solver.Workspace.allocate(make_scheme(g, "upwind", 1.0), _chain(stages), np.zeros(2 * n))
+    left, right, out, _ = ws.dots
+    assert out.shape == (stages - 1, 1, 1)
+    ws.step.Y[...] = rng.normal(size=ws.step.Y.shape)
+    ws.Mkd[...] = rng.normal(size=ws.Mkd.shape)
+    got = np.matmul(left, right, out).ravel().tolist()
+    want = [float(y @ f) for y, f in zip(ws.step.Y, ws.Mkd[1:stages], strict=True)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -742,24 +884,16 @@ def test_run_is_bit_identical_to_the_fresh_array_loop(rk, variant, relaxation, a
     _assert_run_matches_the_fresh_array_loop(config)
 
 
-#: b equals the last row of A, so the update is stage 3's state and no fold
-#: of its own forms it.
-_UPDATE_IS_A_STAGE = RKMethod(
-    name="update-is-a-stage",
-    a=((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.25, 0.75, 0.0)),
-    b=(0.25, 0.75, 0.0),
-    c=(0.0, 0.5, 1.0),
-)
-
-
 @pytest.mark.parametrize("relaxation", [True, False], ids=["relaxed", "plain"])
 @pytest.mark.parametrize("variant", ["central", "upwind"])
-@pytest.mark.parametrize("method", [_SHARED_PREFIXES, _UPDATE_IS_A_STAGE], ids=lambda m: m.name)
+@pytest.mark.parametrize(
+    "method", [_SHARED_PREFIXES, _UPDATE_IS_A_STAGE, _A_STAGE_IS_U], ids=lambda m: m.name
+)
 def test_custom_tableau_run_is_bit_identical_to_the_fresh_array_loop(method, variant, relaxation):
     """The update may be a partial sum of another fold: its buffer then
     holds the next step's u and is written again during that step."""
     if method is _UPDATE_IS_A_STAGE:
-        assert _UPDATE_IS_A_STAGE._folds[-1][1] == ()  # the update adds no term
+        assert _UPDATE_IS_A_STAGE._folds[1][-1] == (("copy", 2),)  # the update adds no term
     config = ExperimentConfig(
         variant=variant, rk=method, relaxation=relaxation, n=16, t_end=0.5, dt_factor=0.1
     )
@@ -796,13 +930,15 @@ def test_rk_step_without_a_workspace_returns_arrays_no_later_call_writes(method)
 
 @pytest.mark.parametrize("method", [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES], ids=lambda m: m.name)
 def test_rk_step_with_a_workspace_writes_its_buffers(method):
-    """The update and the stage states other than u are the step program's
-    arrays, the stage derivatives rows of ``kd``; the bits are those of
-    fresh arrays."""
+    """The state is row 0 of the step program's product stack, the update
+    and the stage states other than u are the program's arrays (the stage
+    states rows of ``Y``), the stage derivatives rows of ``kd``; the bits
+    are those of fresh arrays."""
     g = ops.build_grid(17)
     s = make_scheme(g, "upwind", -1.0)
-    u = project_initial(g, solver.default_initial)
-    ws = solver.Workspace.allocate(s, method, u)
+    ws = solver.Workspace.allocate(s, method, project_initial(g, solver.default_initial))
+    u = ws.u
+    assert u.base is ws.step.stack and u.ctypes.data == ws.step.stack.ctypes.data
     u1, stages = rk_step(s, method, u, 0.3 * g.dx, ws)
     want, want_stages = rk_step(s, method, u, 0.3 * g.dx)
     assert u1.tobytes() == want.tobytes()
@@ -810,7 +946,7 @@ def test_rk_step_with_a_workspace_writes_its_buffers(method):
     assert stages[0].y is u
     for st, row, want_st in zip(stages, ws.kd, want_stages):
         assert st.f.base is ws.kd and st.f.ctypes.data == row.ctypes.data
-        assert st.y is u or not np.shares_memory(st.y, u)
+        assert st.y is u or st.y.base is ws.step.Y
         assert (st.y.tobytes(), st.f.tobytes()) == (want_st.y.tobytes(), want_st.f.tobytes())
     M = s.M_energy
     gamma = relaxation_gamma(u, u1, stages, M, 0.3 * g.dx, workspace=ws)
@@ -827,8 +963,11 @@ def test_a_workspace_refuses_what_it_was_not_allocated_for(method):
     its own stage list and mass operator, and measures only its own state."""
     g = ops.build_grid(17)
     s = make_scheme(g, "upwind", -1.0)
-    u = project_initial(g, solver.default_initial)
-    ws = solver.Workspace.allocate(s, method, u)
+    u0 = project_initial(g, solver.default_initial)
+    ws = solver.Workspace.allocate(s, method, u0)
+    u = ws.u
+    with pytest.raises(ValueError, match="allocated for another"):
+        rk_step(s, method, u0, 0.3 * g.dx, ws)  # the values it started from
     twin = RKMethod(method.name, method.a, method.b, method.c)
     for scheme, m, v in ((s, method, u.copy()), (make_scheme(g, "upwind", -1.0), method, u), (s, twin, u)):
         with pytest.raises(ValueError, match="allocated for another"):
@@ -895,8 +1034,8 @@ def test_rk_step_replays_its_program_on_new_values_and_time_steps(method, varian
     bits."""
     g = ops.build_grid(17)
     s = make_scheme(g, variant, a)
-    u = project_initial(g, solver.default_initial)
-    ws = solver.Workspace.allocate(s, method, u)
+    ws = solver.Workspace.allocate(s, method, project_initial(g, solver.default_initial))
+    u = ws.u
     for i, dt in enumerate((0.3, 0.3, 0.1, 0.1, 0.3)):
         if i % 2:
             u += 0.125 * np.sin(u)
@@ -916,8 +1055,10 @@ def test_rk_step_replays_its_program_on_new_values_and_time_steps(method, varian
 def test_workspace_binds_its_step_and_mass_matvecs():
     g = ops.build_grid(16)
     s = make_scheme(g, "central", 1.0)
-    u = project_initial(g, solver.default_initial)
-    ws = solver.Workspace.allocate(s, RK4X2, u)
+    u0 = project_initial(g, solver.default_initial)
+    ws = solver.Workspace.allocate(s, RK4X2, u0)
+    u = ws.u  # the workspace's own state, a copy of u0
+    assert u is not u0 and u.tobytes() == u0.tobytes()
     assert ws.step.u is u and ws.M_u.u is u and ws.M_u.out is ws.Mu
     assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md
     assert ws.M_kd.u is ws.kd and ws.M_kd.out is ws.Mkd
@@ -927,6 +1068,12 @@ def test_workspace_binds_its_step_and_mass_matvecs():
     for row, want in zip((*(st.f for st in ws.step.stages), ws.d), ws.kd, strict=True):
         assert row.base is ws.kd and row.ctypes.data == want.ctypes.data
     assert ws.Md.base is ws.Mkd and ws.Md.ctypes.data == ws.Mkd[-1].ctypes.data
+    # the stage estimate's batched dots: stage states 2..s against M f_2..M f_s
+    left, right, out, Mf_1 = ws.dots
+    assert left.shape == (RK4X2.stages - 1, 1, 2 * g.n) and left.base is ws.step.Y
+    assert right.shape == (RK4X2.stages - 1, 2 * g.n, 1) and right.base is ws.Mkd
+    assert right.ctypes.data == ws.Mkd[1].ctypes.data and Mf_1.ctypes.data == ws.Mkd.ctypes.data
+    assert out.shape == (RK4X2.stages - 1, 1, 1)
 
 
 @pytest.mark.parametrize("variant", ["central", "upwind"])
@@ -936,14 +1083,14 @@ def test_workspace_without_the_estimate_has_no_product_stack(variant):
     workspace that has the stack, and stage data raises."""
     g = ops.build_grid(16)
     s = make_scheme(g, variant, 1.0)
-    u = project_initial(g, solver.default_initial)
-    ws = solver.Workspace.allocate(s, RK4X2, u, estimate=False)
-    assert ws.Mkd is None and ws.M_kd is None
+    u0 = project_initial(g, solver.default_initial)
+    ws = solver.Workspace.allocate(s, RK4X2, u0, estimate=False)
+    assert ws.Mkd is None and ws.M_kd is None and ws.dots is None
     assert ws.Md.base is None and ws.Md.shape == (2 * g.n,)
     assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md
     assert ws.kd.shape == (RK4X2.stages + 1, 2 * g.n)
-    v, dt, M = u.copy(), 0.3 * g.dx, s.M_energy
-    full = solver.Workspace.allocate(s, RK4X2, v)
+    full = solver.Workspace.allocate(s, RK4X2, u0)
+    u, v, dt, M = ws.u, full.u, 0.3 * g.dx, s.M_energy
     u1, stages = rk_step(s, RK4X2, u, dt, ws)
     want, want_stages = rk_step(s, RK4X2, v, dt, full)
     assert u1.tobytes() == want.tobytes()
@@ -965,25 +1112,35 @@ def test_workspace_without_the_estimate_has_no_product_stack(variant):
 )
 def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, relaxation):
     """Every matvec of a run replays a binding made when its workspace is
-    allocated: the set-up runs once per binding (a stage's derivative, then
-    M u, M d and, for relaxed runs that keep the stage estimate, the
-    stacked M k_i and M d), however many steps the run takes."""
+    allocated: one binding per stage derivative, then M u, M d and, for
+    relaxed runs that keep the stage estimate, the stacked M k_i and M d,
+    however many steps the run takes.  The full set-up (checks, scratch
+    and layout) runs for the first stage's binding, M u and the stack;
+    the other stages share the first one's and M d shares M u's, and make
+    only their views."""
     # relaxed central rk4x2 is stable at dt = dx/2 and M D + D^T M = 0: no
     # estimate; central ssprk33 (rho > 1 there) and upwind runs keep it
     stacked = relaxation and (variant, rk) != ("central", "rk4x2")
-    programs = []
-    program = ops.BlockCirculantOp._program
+    binds, programs = [], []
+    bind, program = ops.BlockCirculantOp.bind, ops.BlockCirculantOp._program
 
-    def counted(op, *args):
+    def counted_bind(op, *args):
+        binds.append(op)
+        return bind(op, *args)
+
+    def counted_program(op, *args):
         programs.append(op)
         return program(op, *args)
 
-    monkeypatch.setattr(ops.BlockCirculantOp, "_program", counted)
+    monkeypatch.setattr(ops.BlockCirculantOp, "bind", counted_bind)
+    monkeypatch.setattr(ops.BlockCirculantOp, "_program", counted_program)
     stages = resolve_method(rk).stages
     for t_end in (1.0, 3.0):
+        binds.clear()
         programs.clear()
         trace, _ = run_experiment(
             ExperimentConfig(variant=variant, rk=rk, relaxation=relaxation, n=16, t_end=t_end)
         )
         assert len(trace.times) > 5
-        assert len(programs) == stages + 2 + stacked
+        assert len(binds) == stages + 2 + stacked
+        assert len(programs) == 2 + stacked
