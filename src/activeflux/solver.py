@@ -7,17 +7,42 @@ discrete energy change matches the inner-product estimate of the true change,
 which makes the central scheme conserve energy to rounding and keeps the
 upwind scheme monotone.
 
-The estimate needs ``M f_i`` for every stage and the rescaling needs
-``M d``: :func:`relaxation_gamma` forms all of them in one matvec call on
-the stack of the stage derivatives and ``d`` (each row has the bits of its
-own call).  For the central scheme the estimate is zero by construction:
-the SBP identity ``M D + D^T M = 0`` makes every stage term ``<y_i, M
-f_i>`` vanish.  :func:`run_experiment` reads that off the operators once
-per run and then relaxes towards zero change without evaluating the
-estimate, which leaves ``M d`` alone in that call.  A relaxed step thus
-makes ``s + 2`` matvec calls, the energy's included, whether it keeps the
-estimate or not: 10 for rk4x2 and 5 for ssprk33, where one call per
-product made 18 and 8.
+The scheme is linear and its operators are block circulant, so one RK step
+is a fixed polynomial of ``Z = -a dt D``: ``u_next = R(Z) u`` with ``R(z) =
+sum_j c_j z^j`` (:func:`_stability_coefficients`).  A run whose loop reads
+no stage data -- every unrelaxed run, and a relaxed one whose stage
+estimate vanishes at a linearly stable step -- composes its steps: it
+forms the difference ``d = R(Z) u - u = Z Q(Z) u`` in two matvecs, ``d = D
+(Q u)``, with ``Q = -a dt sum_(j < s) c_(j+1) z^j D^^j``, ``D^`` the
+derivative's exact integer stencil and ``z = -a dt / dx``.  The powers
+``D^^j`` are formed once per run (:func:`_stencil_powers`); each step size
+re-weights them into one operator (:func:`_composed_factor`), so a clipped
+last step forms no new powers.  ``d`` is written as it is, never as
+``u_next - u``, which cancels to an error of eps ``|u|`` and, for small
+steps, moves the relaxation parameter far past rounding.  A composed step
+makes 4 matvec calls relaxed (``Q u``, ``D (Q u)``, ``M d`` and the energy's
+``M u``) and 3 unrelaxed, where the stages made ``s + 2`` and ``s + 1``: 10
+and 9 for ``rk4x2``.
+
+``D`` stays a factor of its own, with its own ``1/dx`` scale.  Rounding
+``Q``'s entries perturbs ``Q`` by a few eps relative, and the exact stencil
+annihilates the constant part of that perturbation on the point rows and
+the average rows alike, so the errors do not pile up from step to step.
+One rounded ``P - I = sum_(j >= 1) c_j Z^j`` of 17 blocks lets them pile
+up: over one period of relaxed central ``rk4x2`` at n = 1200 it lands
+2.3-3.8e-13 from an 80-bit run (two ways of forming it), where the split
+form lands 1.3-1.4e-14 (the stage loop 3.1-3.7e-14).
+
+A run that keeps the stage estimate -- relaxed upwind runs, and relaxed
+central runs whose step is not linearly stable -- steps through the
+stages.  The estimate needs ``M f_i`` for every stage and the rescaling
+needs ``M d``: :func:`relaxation_gamma` forms all of them in one matvec
+call on the stack of the stage derivatives and ``d`` (each row has the
+bits of its own call), so such a step makes ``s + 2`` matvec calls, the
+energy's included: 10 for ``rk4x2`` and 5 for ``ssprk33``.  For the
+central scheme the estimate is zero by construction: the SBP identity ``M
+D + D^T M = 0`` makes every stage term ``<y_i, M f_i>`` vanish, which
+:func:`run_experiment` reads off the operators once per run.
 
 :func:`rk_step` forms each stage state ``y_i = u + (dt a_i1) k_1 + ...``
 and the update ``u + (dt b_1) k_1 + ...`` with the bits of folding their
@@ -38,43 +63,50 @@ term's coefficient is a 0-d view of the ``dt c`` array, which numpy takes
 without the conversion a Python float costs on every call.
 
 At the benchmark's sizes (n = 16 to 128) a step's time is mostly the fixed
-cost of its numpy calls, not their arithmetic.  A stage matvec of a
-derivative (halo width 1) makes six: three halo copies, one batched
+cost of its numpy calls, not their arithmetic.  A bound matvec of a
+derivative or of ``Q`` makes six: three halo copies, one batched
 ``matmul`` (one BLAS ``dgemm`` per block), one reduction and one scaling;
-one of the diagonal mass makes three.  A relaxed central ``rk4x2`` step
-makes 76 numpy calls (88 with one multiply and one add per fold term): 16
-folds, 48 in the stage matvecs, 6 in :func:`relaxation_gamma` (``d``, ``M
-d`` and two dots), 2 for the relaxed update and 4 for the energy.  The
-stage estimate's dots ``y_i M f_i`` of stages 2..s are one batched
-``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n, 1)``, which numpy takes
-row by row to the same ``cblas_ddot``, so a relaxed upwind ``rk4x2`` step
-makes 84 numpy calls instead of 102.  The BLAS calls under them are the
-same.
+one of the diagonal mass makes three.  A relaxed composed step makes 24
+numpy calls: 12 in ``Q u`` and ``D (Q u)``, 1 for ``u + d``, 5 in
+:func:`relaxation_gamma` (``M d`` and two dots), 2 for the relaxed update
+and 4 for the energy.  A relaxed stage step of ``rk4x2`` makes 76 (88 with
+one multiply and one add per fold term): 16 folds, 48 in the stage
+matvecs, 6 in :func:`relaxation_gamma`, 2 for the update and 4 for the
+energy.  The stage estimate's dots ``y_i M f_i`` of stages 2..s are one
+batched ``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n, 1)``, which
+numpy takes row by row to the same ``cblas_ddot``, so a relaxed upwind
+``rk4x2`` step makes 84 numpy calls instead of 102.  Measured in process
+(shared 2-vCPU host, one BLAS thread), a relaxed central ``rk4x2`` run
+takes 237-265 ms instead of 545-580 ms at n = 1200 (one period), and
+8-10 ms instead of 25-29 ms at n = 128.
 
 :func:`run_experiment` allocates one :class:`Workspace` per run, which
 holds the run's state ``u``, and every array operation of its time loop
 writes into it: the matvecs (their halo, window and product buffers
-included), the scaled terms and products of the folds, the stage states
-and derivatives, ``d = u_next - u`` and the products with ``M``; each new
-state overwrites the old one.  The steps allocate no array of the state's
-size.  Each operation is the one a call without a workspace makes, on the
-same operands in the same order, so trajectories are the same bits; only
-where results live changes.
+included), ``Q u`` and ``d`` of a composed step, the scaled terms and
+products of the folds, the stage states and derivatives of a stage step,
+``d`` and the products with ``M``; each new state overwrites the old one.
+The steps allocate no array of the state's size.  A stage workspace runs
+each operation as a call without a workspace does, on the same operands
+in the same order, so its trajectories are the same bits as fresh arrays;
+a composed one has the bits of one-shot ``Q`` and ``D`` matvecs.
 
-The workspace also does each step's set-up once per run.  It holds a step
-program (the folds' numpy calls with their arrays, the stage list, and
-one matvec binding, :meth:`~activeflux.operators.BlockCirculantOp.bind`,
-per stage state and derivative pair), and the bindings of ``M u``, ``M d``
-and, for a relaxed run that keeps the stage estimate, the stack of ``M
-f_i`` and ``M d``; other runs allocate no stack.  The first stage's
-binding and that of ``M u`` make their scratch arrays and layout; the
-other stages and ``M d`` take them and make only their own views.
+The workspace also does each step's set-up once per run.  A stage
+workspace holds a step program (the folds' numpy calls with their arrays,
+the stage list, and one matvec binding,
+:meth:`~activeflux.operators.BlockCirculantOp.bind`, per stage state and
+derivative pair), and the bindings of ``M u`` and of the stack of ``M
+f_i`` and ``M d``.  The first stage's binding and that of ``M u`` make
+their scratch arrays and layout; the other stages take them and make only
+their own views.  A composed workspace holds the stencil powers, ``Q``
+with its binding (made again when ``dt`` changes), and the bindings of
+``D (Q u)``, ``M u`` and ``M d``, which takes ``M u``'s scratch and layout.
 :func:`rk_step`, :func:`relaxation_gamma` and :meth:`Scheme.energy` each
-have two paths.  Without a workspace they run one-shot on new arrays.
+have two paths.  Without a workspace they run one-shot on new arrays, and
+:func:`rk_step` steps through the stages: the oracle of the composed step.
 With one, they replay its bindings, and take only the workspace's own
-state ``u``, scheme, method and stage list: anything else raises
-:class:`ValueError`.  :func:`rk_step` forms the coefficients ``dt c``
-again only when ``dt`` changes.  Each step still calls :func:`rk_step`,
+state ``u``, scheme, method, stage list and update: anything else raises
+:class:`ValueError`.  Each step still calls :func:`rk_step`,
 :func:`relaxation_gamma`, :meth:`Scheme.energy` and
 ``BlockCirculantOp.matvec``, which are where its time is measured.
 
@@ -85,10 +117,9 @@ initial energy.  A relaxed run also checks ``M D + D^T M = 0``
 amplification radius (``_amplification_radius``) on modes ``0..n//2``
 from closed-form eigenvalues, with no 2x2 matrix product.  Measured in
 process at n = 32 and 128 (medians, shared 2-vCPU host): the radius takes
-80-90 us where one BLAS product per 2x2 matrix and stage on all n modes
-took 280-680 us, the workspace 90-125 us (125-175 us when every binding
-made its own layout), and the whole set-up of a relaxed central ``rk4x2``
-run, one step included, 470-490 us (850-1080 us).
+80-90 us, a stage workspace 120 us and a composed one 180-190 us, of
+which the stencil powers take about 100 us; forming ``Q`` for a step size
+takes about 35 us and binding it 15 us.
 
 At ``|a| = 1`` the right-hand side ``-a D u`` folds ``-a`` into the scale
 of ``D``, which is exact (:attr:`Scheme.rhs_operator`): one scaling pass
@@ -477,75 +508,157 @@ class _StepProgram:
         return self.update, self.stages
 
 
+def _stencil_powers(D: BlockCirculantOp, count: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The powers ``D^0 .. D^(count - 1)`` of the unscaled stencil of ``D``, on shared offsets.
+
+    Returns the offsets, reduced into the normal form's range and
+    increasing, and a ``(count, #offsets, 2, 2)`` stack whose row ``j``
+    holds the blocks of ``D^j`` (zeros where it has none).  Power ``j`` is
+    power ``j - 1`` times the stencil: per block of ``D``, one ``matmul``
+    over all offsets of power ``j - 1``.  Offsets that alias mod ``n`` are
+    summed after that.  An integer
+    stencil thus has exact integer powers while their entries stay below
+    2**53 (row sums of at most 8**(count - 1) for the Active Flux
+    derivatives).  The powers do not depend on ``dt``: a run forms them
+    once and re-weights them for each step size (:func:`_composed_factor`).
+    """
+    shifts, blocks = list(D.blocks), np.array([*D.blocks.values()]).reshape(-1, 2, 2)
+    lo, hi = min([0, *shifts]), max([0, *shifts])
+    first = (count - 1) * lo
+    powers = np.zeros((count, (count - 1) * (hi - lo) + 1, 2, 2))
+    powers[0, -first] = np.eye(2)
+    products = np.empty_like(powers[0])
+    for j in range(1, count):
+        # the blocks of D^(j - 1) lie at offsets (j - 1) lo .. (j - 1) hi
+        start, stop = (j - 1) * lo - first, (j - 1) * hi - first + 1
+        for shift, block in zip(shifts, blocks):
+            part = np.matmul(powers[j - 1, start:stop], block, products[: stop - start])
+            powers[j, start + shift : stop + shift] += part
+    n = D.n
+    reduced = (np.arange(first, first + powers.shape[1]) + n // 2) % n - n // 2
+    offsets, where = np.unique(reduced, return_inverse=True)
+    merged = np.zeros((count, len(offsets), 2, 2))
+    np.add.at(merged, (slice(None), where), powers)  # sums offsets that alias (small n)
+    return tuple(offsets.tolist()), merged
+
+
+def _composed_factor(scheme: Scheme, method: RKMethod, dt: float, powers: tuple) -> BlockCirculantOp:
+    """``Q`` of one step ``d = D (Q u)`` of size ``dt``: ``sum_j c_(j+1) Z^j``, scaled by ``-a dt``.
+
+    With ``Z = -a dt D = z D^`` (``D^`` the unscaled stencil, ``z = -a dt
+    / dx``) and ``R(z) = sum_j c_j z^j`` (:func:`_stability_coefficients`),
+    one step's difference is ``R(Z) u - u = Z Q(Z) u = D (-a dt Q^ u)``
+    with ``Q^ = sum_(j < s) c_(j+1) z^j D^^j``.  The blocks are the stencil
+    ``powers`` (:func:`_stencil_powers`) times the weights ``c_(j+1)
+    z^j``, summed over ``j`` in order, and ``-a dt`` is the operator's
+    scale, which its matvec applies once.
+    """
+    D = scheme.D_effective
+    scale = -scheme.advection_speed * dt
+    z, zj, weights = scale * D.scale, 1.0, []
+    for c in _stability_coefficients(method)[1:]:
+        weights.append(c * zj)
+        zj *= z
+    offsets, stack = powers
+    blocks = np.add.reduce(np.multiply(np.array(weights)[:, None, None, None], stack), 0)
+    return BlockCirculantOp(D.n, D.dx, scale, dict(zip(offsets, blocks)))
+
+
+class _ComposedStep:
+    """:func:`rk_step` on a composed workspace: ``d = D (Q u)``, then ``u + d``.
+
+    ``Q`` comes from :func:`_composed_factor` and ``D`` is the scheme's
+    derivative with its own ``1/dx`` scale, a second matvec.  ``u`` is the
+    run's state, ``q`` takes ``Q u``, ``d`` the step's difference and
+    ``update`` the state ``u + d``.  ``powers`` are the run's stencil
+    powers; ``Q`` and its binding to ``u`` and ``q`` are made again only
+    when ``dt`` changes (a run's clipped last step).  No stage is formed,
+    so the stage list it returns is empty.
+    """
+
+    __slots__ = ("scheme", "method", "u", "q", "d", "update", "tmp", "powers", "D_q", "dt", "Q", "Q_u")
+
+    def __init__(self, scheme: Scheme, method: RKMethod, d: np.ndarray):
+        size = d.size
+        self.scheme, self.method, self.d = scheme, method, d
+        self.u, self.q, self.update, self.tmp = (np.empty(size) for _ in range(4))
+        self.powers = _stencil_powers(scheme.D_effective, method.stages)
+        self.D_q = scheme.D_effective.bind(self.q, d)
+        self.dt = self.Q = self.Q_u = None
+
+    def run(self, dt: float) -> tuple[np.ndarray, tuple]:
+        if dt != self.dt:
+            self.Q = _composed_factor(self.scheme, self.method, dt, self.powers)
+            self.Q_u = self.Q.bind(self.u, self.q)
+            self.dt = dt
+        self.Q.matvec(self.u, self.q, self.Q_u)
+        self.scheme.D_effective.matvec(self.q, self.d, self.D_q)
+        return np.add(self.u, self.d, self.update), ()
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class Workspace:
     """Every array one run's time loop writes, allocated once per run.
 
-    ``u`` is the run's state, row 0 of the step program's product stack.
-    ``kd`` holds the stage derivatives and then the update difference
-    ``d`` as the rows of one ``(s + 1, 2n)`` array; ``d`` is its last row.
-    ``tmp`` holds one scaled term, ``(dt c) k_j`` or ``gamma d``, before it
-    is added.  ``Mkd`` takes the products of ``M`` with the rows of ``kd``,
-    the ``M f_i`` and then ``Md``, and ``Mu`` takes ``M u``.
+    ``u`` is the run's state, ``d`` the update difference and ``Md`` its
+    product with ``M``.  ``tmp`` holds one scaled term, ``(dt c) k_j`` or
+    ``gamma d``, before it is added, and ``Mu`` takes ``M u``, through the
+    binding ``M_u``.  ``step`` is what :func:`rk_step` replays on ``u``.
 
-    ``M_u`` and ``M_d`` bind ``M`` to ``u`` and ``d`` with their outputs,
-    sharing one set of scratch arrays, ``M_kd`` to the whole stack, and
-    ``step`` is the program :func:`rk_step` replays on ``u``.  ``dots``
-    holds the batched views of the stage estimate: stage states 2..s
-    against their products ``M f_i``, and a ``(s - 1, 1, 1)`` result.  A
-    workspace allocated without the stage estimate has no stack of
-    products: ``Mkd``, ``M_kd`` and ``dots`` are None and ``Md`` stands
-    alone.
+    A stage workspace steps through the stages (:class:`_StepProgram`);
+    ``u`` is row 0 of its product stack.  ``kd`` holds the stage
+    derivatives and then ``d`` as the rows of one ``(s + 1, 2n)`` array,
+    and ``Mkd`` their products with ``M``, the ``M f_i`` and then ``Md``,
+    through the binding ``M_kd``.  ``dots`` holds the batched views of the
+    stage estimate: stage states 2..s against their products ``M f_i``,
+    and a ``(s - 1, 1, 1)`` result.
+
+    A composed workspace forms ``d`` in two matvecs (:class:`_ComposedStep`)
+    and binds ``M`` to ``d`` as ``M_d``, which shares ``M_u``'s scratch;
+    ``kd``, ``Mkd``, ``M_kd`` and ``dots`` are None.  A stage workspace has
+    no ``M_d``.
     """
 
     u: np.ndarray
     tmp: np.ndarray
-    kd: np.ndarray
     d: np.ndarray
-    Mkd: Optional[np.ndarray]
     Md: np.ndarray
     Mu: np.ndarray
     M_u: MatvecBinding
-    M_d: MatvecBinding
-    M_kd: Optional[MatvecBinding]
-    dots: Optional[tuple]
-    step: _StepProgram
+    step: Union[_StepProgram, _ComposedStep]
+    kd: Optional[np.ndarray] = None
+    Mkd: Optional[np.ndarray] = None
+    M_kd: Optional[MatvecBinding] = None
+    M_d: Optional[MatvecBinding] = None
+    dots: Optional[tuple] = None
 
     @classmethod
     def allocate(
-        cls, scheme: Scheme, method: RKMethod, u0: np.ndarray, *, estimate: bool = True
+        cls, scheme: Scheme, method: RKMethod, u0: np.ndarray, *, composed: bool = False
     ) -> "Workspace":
         """Buffers for real states of ``scheme`` stepped by ``method``, starting from ``u0``.
 
-        The workspace's own state ``u`` holds a copy of ``u0``.
-        ``estimate=False`` leaves out the stack of products, which only
-        relaxed steps that keep the stage estimate use.
+        The workspace's own state ``u`` holds a copy of ``u0``.  A stage
+        workspace (the default) holds the stage data and the stack of
+        products of the stage estimate; ``composed=True`` allocates a
+        composed one.
         """
         size, s, M = 2 * scheme.grid.n, method.stages, scheme.M_energy
-        kd, Mu = np.empty((s + 1, size)), np.empty(size)
-        Mkd = np.empty((s + 1, size)) if estimate else None
-        d, Md = kd[s], (Mkd[s] if estimate else np.empty(size))
+        Mu = np.empty(size)
+        if composed:
+            d, Md = np.empty(size), np.empty(size)
+            step = _ComposedStep(scheme, method, d)
+            np.copyto(step.u, u0)
+            M_u = M.bind(step.u, Mu)
+            return cls(step.u, step.tmp, d, Md, Mu, M_u, step, M_d=M.bind(d, Md, M_u))
+        kd, Mkd = np.empty((s + 1, size)), np.empty((s + 1, size))
         step = _StepProgram(scheme, method, kd)
-        u = step.u
-        np.copyto(u, u0)
-        M_u = M.bind(u, Mu)
-        dots = None
-        if estimate:
-            dots = (step.Y[:, None, :], Mkd[1:s, :, None], np.empty((s - 1, 1, 1)), Mkd[0])
+        np.copyto(step.u, u0)
+        dots = (step.Y[:, None, :], Mkd[1:s, :, None], np.empty((s - 1, 1, 1)), Mkd[0])
         return cls(
-            u=u,
-            tmp=step.tmp,
-            kd=kd,
-            d=d,
-            Mkd=Mkd,
-            Md=Md,
-            Mu=Mu,
-            M_u=M_u,
-            M_d=M.bind(d, Md, M_u),
-            M_kd=M.bind(kd, Mkd) if estimate else None,
-            dots=dots,
-            step=step,
-        )
+            step.u, step.tmp, kd[s], Mkd[s], Mu, M.bind(step.u, Mu), step,
+            kd=kd, Mkd=Mkd, M_kd=M.bind(kd, Mkd), dots=dots,
+        )  # fmt: skip
 
 
 def rk_step(
@@ -567,14 +680,18 @@ def rk_step(
 
     Without a workspace every returned array is new, and ``scheme`` needs
     only ``rhs(y)``: its results are copied into arrays of ``u``'s dtype,
-    promoted to float.  With one, ``u`` must be the workspace's own state
-    and ``scheme`` and ``method`` those it was allocated for (``is``); any
-    other raises :class:`ValueError`.  The call replays the workspace's step
+    promoted to float.  This stage-by-stage path is the oracle of the
+    composed one.  With a workspace, ``u`` must be its own state and
+    ``scheme`` and ``method`` those it was allocated for (``is``); any
+    other raises :class:`ValueError`.  A stage workspace replays its step
     program: the update and the stage states other than ``u`` are the
     program's arrays, the stage derivatives rows of the workspace's ``kd``,
     and the stage list is the program's own, the same list every call: the
-    next call overwrites all of them.  The values are the same bits either
-    way.
+    next call overwrites all of them.  The values are the bits of the
+    path without a workspace.  A composed workspace writes ``d = D (Q u)``
+    into its ``d`` (:class:`_ComposedStep`) and returns its update ``u +
+    d`` with an empty stage list; its values agree with the stages' to
+    rounding, not bit for bit.
     """
     ws = workspace
     if ws is None:
@@ -600,40 +717,40 @@ def relaxation_gamma(
     Solves ``E(u + gamma d) - E(u) = gamma * e`` for the nontrivial root,
     where ``d = u_next - u`` and ``e = 2 dt sum_i b_i <y_i, f_i>_M`` is the
     inner-product estimate of the energy change.  Empty ``stage_data`` means
-    ``e = 0``, which a caller passes when ``M D + D^T M = 0`` makes every
-    stage term vanish; it saves the ``M f_i`` products.  Returns 1 when the
-    update is too small for the quadratic to be meaningful.
+    ``e = 0``, which holds when ``M D + D^T M = 0`` makes every stage term
+    vanish.  Returns 1 when the update is too small for the quadratic to be
+    meaningful.
 
     ``M d`` and every ``M f_i`` come from one matvec call on the stack
     ``[f_1, ..., f_s, d]`` (a stack of one, ``d`` alone, without stage
     data).  Each row has the bits of its own call, and each dot product is
     one ``cblas_ddot`` of its two rows, summed into ``e`` stage by stage.
-    Without a workspace, ``d`` and the products are new arrays.  With one,
-    ``d`` goes into its ``d`` row, and the call replays its binding: ``M_d``
-    into ``Md`` without stage data, ``M_kd`` into the ``Mkd`` stack with
-    its step program's own stage list.  Stages 2..s then go through one
-    batched ``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n, 1)``, which
-    numpy takes row by row to the same ``cblas_ddot``.  Any other stage
-    data, a workspace without the stack, or another ``M`` raises
-    :class:`ValueError`.
+    Without a workspace, ``d`` and the products are new arrays.  A stage
+    workspace takes its step program's own stage list: ``d`` goes into its
+    ``d`` row and the call replays ``M_kd`` into the ``Mkd`` stack.
+    Stages 2..s then go through one batched ``matmul`` of ``(s - 1, 1,
+    2n)`` by ``(s - 1, 2n, 1)``, which numpy takes row by row to the same
+    ``cblas_ddot``.  A composed workspace takes no stage data and its own
+    update as ``u_next``: ``d`` is the one :func:`rk_step` formed, never
+    ``u_next - u``, and ``M d`` replays ``M_d``.  Any other stage data or
+    update, or another ``M``, raises :class:`ValueError`.
     """
     ws = workspace
     if ws is None:
         d = u_next - u
         Mf = M @ np.stack([*(st.f for st in stage_data), d])
         Md = Mf[-1]
-    else:
+    elif ws.M_d is not None:
+        if stage_data or u_next is not ws.step.update:
+            raise ValueError("a composed workspace takes no stage data and its own update")
+        d = ws.d
+        Md = M.matvec(d, ws.Md, ws.M_d)
+    elif stage_data is ws.step.stages:
         d = np.subtract(u_next, u, ws.d)
-        if not stage_data:
-            Md = M.matvec(d, ws.Md, ws.M_d)
-        elif stage_data is ws.step.stages and ws.M_kd is not None:
-            M.matvec(ws.kd, ws.Mkd, ws.M_kd)
-            Md = ws.Md
-        else:
-            raise ValueError(
-                "a workspace takes no stage data or its own step's stage list, "
-                "and that only when it holds the stack of products"
-            )
+        M.matvec(ws.kd, ws.Mkd, ws.M_kd)
+        Md = ws.Md
+    else:
+        raise ValueError("a stage workspace takes its own step's stage list")
     d2 = float(d.dot(Md))
     if d2 < 1e-30:
         return 1.0
@@ -804,18 +921,22 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     last step ends at ``t + gamma * (t_end - t)``, exactly as computed in
     floating point, so a relaxed run misses ``t_end`` by up to
     ``|gamma - 1| * dt`` (cf. relaxation RK, Ranocha et al. 2020): 2.0e-9
-    past it for the default central run, 3.5e-4 for n = 24 with
-    ``dt_factor = 100``.
+    past it for the default central run (its last gamma is 1 + 3.2e-8, the
+    method's, not rounding), 3.5e-4 for n = 24 with ``dt_factor = 100``.
+    Relaxed central ``rk4x2`` at n = 50 over 200 steps of ``dt_factor`` 1e-5
+    to 1e-8 keeps gamma within 1 +- 1.1e-6 and lands within 1.4e-16 of
+    ``t_end``.
 
-    Relaxed steps skip the stage energy estimate (``e = 0``, no ``M f_i``
-    products) when the operators satisfy ``M D + D^T M = 0`` and the
-    nominal step is linearly stable, ``rho = max_k rho(P_k) <= 1`` up to
-    rounding, with ``P_k`` the per-mode step matrices.  Both are decided once
-    per run.  ``rho`` only selects the estimate: an unstable step (relaxed
-    central ssprk33 at ``dt_factor = 0.5`` has ``rho = 1.2``) keeps it and
-    is not refused, so its chaotic trajectory stays that of the full
-    estimate.  Raises :class:`EnergyBlowUpError` if the energy exceeds 1e3
-    times its initial value.  Non-finite or non-positive
+    Unrelaxed runs compose their steps (see the module docstring).  Relaxed
+    runs do too, with ``e = 0`` and no stage data, when the operators
+    satisfy ``M D + D^T M = 0`` and the nominal step is linearly stable,
+    ``rho = max_k rho(P_k) <= 1`` up to rounding, with ``P_k`` the per-mode
+    step matrices.  Both are decided once per run.  ``rho`` only selects
+    the path: an unstable step (relaxed central ssprk33 at ``dt_factor =
+    0.5`` has ``rho = 1.2``) keeps the stage estimate and is not refused,
+    so its chaotic trajectory stays that of the full estimate.  Raises
+    :class:`EnergyBlowUpError` if the energy exceeds 1e3 times its initial
+    value.  Non-finite or non-positive
     ``t_end``/``dt_factor``, a non-finite advection speed, a nominal step
     that is zero or makes ``t_end / dt`` overflow, and a step count
     ``ceil(t_end / dt)`` past :data:`MAX_STEPS` raise :class:`ValueError`
@@ -855,11 +976,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
             f"{int(np.argmin(finite))} of {u0.size}"
         )
 
-    skip_estimate = False
+    # a run that reads no stage data composes its steps: every unrelaxed
+    # run, and a relaxed one whose estimate vanishes at a stable step
+    composed = not config.relaxation
     if config.relaxation and _estimate_vanishes(scheme):
         rho, tol = _amplification_radius(scheme, method, dt_nominal)
-        skip_estimate = rho <= 1.0 + tol
-    ws = Workspace.allocate(scheme, method, u0, estimate=config.relaxation and not skip_estimate)
+        composed = rho <= 1.0 + tol
+    ws = Workspace.allocate(scheme, method, u0, composed=composed)
     u = ws.u
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         e0 = scheme.energy(u, ws)
@@ -888,8 +1011,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
         u_next, stage_data = rk_step(scheme, method, u, dt, ws)
         # each new state overwrites the old one, which nothing reads after it
         if relaxation and dt > shortest_relaxed:
-            estimate_data = () if skip_estimate else stage_data
-            gamma = relaxation_gamma(u, u_next, estimate_data, M, dt, workspace=ws)
+            gamma = relaxation_gamma(u, u_next, stage_data, M, dt, workspace=ws)
             if gamma <= 0.0:
                 raise EnergyBlowUpError(
                     f"relaxation parameter became non-positive ({gamma:.3g}) at "

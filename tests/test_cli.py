@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from activeflux import checks, cli, solver, spectral
+from activeflux import operators as ops
 
 
 def run_cli(*argv):
@@ -204,12 +205,47 @@ def test_solve_writes_energy_trace(tmp_path, capsys):
     assert np.abs(e - e[0]).max() <= 1e-12 * e[0]
 
 
-def test_solve_output_is_deterministic(tmp_path, capsys):
+@pytest.mark.parametrize("dt_factor", ["1e-5", "1e-6", "1e-8"])
+def test_solve_with_tiny_relaxed_steps_conserves_energy_and_lands_on_t_end(dt_factor, tmp_path, capsys):
+    """Relaxed central rk4x2 at n = 50 over 200 steps of dt_factor * dx.
+
+    The composed step forms d itself, never as u_next - u, so gamma =
+    -2 u.Md / d.Md stays within its rounding of 1.  Its dot products round
+    it by up to ``4n eps |u|_M / |d|_M`` (Higham, Thm. 3.1, and
+    Cauchy-Schwarz for the diagonal M); d's own rounding, a few eps of
+    ``|Q u|`` left after the difference stencil's cancellation, adds about
+    as much again, so the bound is ``8n eps |u|_M / |d|_M``, with ``|d|_M``
+    about ``dt |D u0|_M``.  A relaxed step ends at ``t + gamma dt``, so
+    the run misses t_end by at most that bound times dt, or by a dropped
+    remainder below 1e-9 dt, plus the rounding of t.  Before, d = u_next -
+    u cancelled to eps |u|: the run ended 1.37e-6 past t_end with gamma =
+    8025.6 at 1e-5, and was refused mid-run at 1e-6 and 1e-8."""
+    n, eps = 50, np.finfo(float).eps
+    grid = ops.build_grid(n)
+    dt = float(dt_factor) * grid.dx
+    t_end = 200 * dt
+    path = tmp_path / "trace.csv"
+    argv = ["solve", "--relaxation", "--n", str(n), "--dt-factor", dt_factor]
+    assert run_cli(*argv, "--t-end", repr(t_end), "--output", str(path)) == 0
+    capsys.readouterr()
+    rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")][1:]
+    t, energy, gamma = np.array([[float(x) for x in ln.split(",")] for ln in rows]).T
+    assert len(rows) >= 201
+    assert np.abs(energy - energy[0]).max() <= 2 * n * eps * energy[0]
+    scheme = solver.make_scheme(grid, "central", 1.0)
+    u0 = solver.project_initial(grid, solver.default_initial)
+    bound = 8 * n * eps * math.sqrt(scheme.energy(u0) / scheme.energy(scheme.rhs(u0))) / dt
+    assert np.abs(gamma - 1.0).max() <= bound < 1e-3
+    assert abs(t[-1] - t_end) <= max(bound, 1e-9) * dt + 4 * eps * t_end
+
+
+@pytest.mark.parametrize("variant", ["upwind", "central"])  # stage and composed steps
+def test_solve_output_is_deterministic(variant, tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
         assert (
             run_cli(
-                "solve", "--variant", "upwind", "--n", "20", "--t-end", "0.8",
+                "solve", "--variant", variant, "--n", "20", "--t-end", "0.8",
                 "--output", str(path),
             )
             == 0

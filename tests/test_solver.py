@@ -2,8 +2,10 @@
 
 import collections
 import dataclasses
+import functools
 import json
 import math
+import operator
 import types
 
 import numpy as np
@@ -422,11 +424,13 @@ def test_estimate_vanishes_for_central_and_not_for_upwind(n):
         assert not solver._estimate_vanishes(make_scheme(g, "upwind", a))
 
 
-def _reference_gamma(u, u_next, stages, M, dt):
+def _reference_gamma(u, u_next, stages, M, dt, d=None):
     """``relaxation_gamma`` from fresh arrays: one plain ``M @ x`` per stage
     derivative and for ``d``, not the stacked product the solver makes, so
-    that the fast path is compared with something other than itself."""
-    d = u_next - u
+    that the fast path is compared with something other than itself.
+    ``d`` defaults to ``u_next - u``; a composed step passes its own."""
+    if d is None:
+        d = u_next - u
     Md = M @ d
     d2 = float(d @ Md)
     if d2 < 1e-30:
@@ -458,16 +462,17 @@ def _full_estimate_run(config):
 @pytest.mark.parametrize(
     "variant, rk, per_step",
     [
-        ("central", "rk4x2", 10),
-        ("central", "rk4", 6),
+        ("central", "rk4x2", 4),
+        ("central", "rk4", 4),
         ("upwind", "rk4x2", 10),
         ("central", "ssprk33", 5),
     ],
 )
 def test_relaxed_matvecs_per_step(monkeypatch, variant, rk, per_step):
-    """Stages + one mass product + one energy.  The mass product is M d
-    alone, or M d stacked with every M f_i where the estimate is kept
-    (upwind, and the linearly unstable central ssprk33)."""
+    """A composed step makes Q u, D (Q u), M d and the energy's M u, for
+    any tableau.  A step that keeps the estimate (upwind, and the linearly
+    unstable central ssprk33) makes its stages, M d stacked with every M
+    f_i, and the energy."""
     calls = []
     matvec = ops.BlockCirculantOp.matvec
     def counted(op, u, *args, **kwargs):
@@ -490,9 +495,11 @@ def test_time_loop_enters_each_traced_boundary_once_per_step(monkeypatch, varian
     ``solver.rk_step`` and ``solver.relaxation_gamma``, ``Scheme.energy``
     and ``BlockCirculantOp.matvec``; a loop that went around them would
     zero its per-layer metrics without failing.  Per step: one ``rk_step``
-    making the s stage products, one ``relaxation_gamma`` making one
-    (relaxed steps only) and one ``energy`` making one, plus one energy at
-    set-up, and every product is a ``matvec`` call."""
+    making the s stage products (two, ``Q u`` and ``D (Q u)``, for a
+    composed step: unrelaxed, or relaxed central rk4x2), one
+    ``relaxation_gamma`` making one (relaxed steps only) and one
+    ``energy`` making one, plus one energy at set-up, and every product is
+    a ``matvec`` call."""
     calls, inside = [], []
 
     def counted(name, fn):
@@ -515,10 +522,11 @@ def test_time_loop_enters_each_traced_boundary_once_per_step(monkeypatch, varian
     trace, _ = run_experiment(config)
     steps = len(trace.times) - 1
     relaxed = steps if relaxation else 0
+    composed = not relaxation or (variant, rk) == ("central", "rk4x2")
     assert steps > 3
     assert collections.Counter(calls) == collections.Counter({
         ("rk_step", None): steps,
-        ("matvec", "rk_step"): resolve_method(rk).stages * steps,
+        ("matvec", "rk_step"): (2 if composed else resolve_method(rk).stages) * steps,
         ("relaxation_gamma", None): relaxed,
         ("matvec", "relaxation_gamma"): relaxed,
         ("energy", None): steps + 1,
@@ -826,10 +834,58 @@ def test_relaxed_run_is_bit_identical_with_the_naive_folds(variant, rk):
 # ---------------------------------------------------------------------------
 
 
-def _fresh_array_run(config, step=rk_step):
+def _composes(config):
+    """Whether ``run_experiment`` composes the steps of ``config``'s run:
+    unrelaxed runs, and relaxed ones whose stage estimate vanishes (``M D +
+    D^T M = 0``) at a linearly stable step."""
+    if not config.relaxation:
+        return True
+    g = ops.build_grid(config.n, config.x_min, config.x_max)
+    s = make_scheme(g, config.variant, config.advection_speed)
+    if not solver._estimate_vanishes(s):
+        return False
+    rho, tol = solver._amplification_radius(s, resolve_method(config.rk), config.dt_factor * g.dx)
+    return rho <= 1.0 + tol
+
+
+def _one_shot_composed_step(scheme, method):
+    """The composed step from fresh arrays: ``d = D (Q u)`` in two one-shot
+    matvecs, ``Q`` re-weighted from the run's stencil powers whenever ``dt``
+    changes; returns ``u + d`` and ``d``."""
+    powers = solver._stencil_powers(scheme.D_effective, method.stages)
+    factors = {}
+
+    def step(s, m, u, dt):
+        if dt not in factors:
+            factors.clear()
+            factors[dt] = solver._composed_factor(s, m, dt, powers)
+        d = s.D_effective @ (factors[dt] @ u)
+        return u + d, d
+
+    return step
+
+
+def _fresh_array_run(config, step=rk_step, d_from="difference"):
     """The time loop of ``run_experiment`` with no workspace: every step,
-    gamma and energy makes new arrays, and ``step`` takes the place of
-    ``rk_step``.  Raises what the run raises."""
+    gamma and energy makes new arrays.  Returns the trace, the final state
+    and the run's gamma slack (see below).  Raises what the run raises.
+
+    ``d_from`` says how a step forms its difference ``d``:
+
+    - ``"difference"``: ``step`` (``rk_step`` or a stand-in) gives the
+      update and ``d = u_next - u``, the stage path's own loop;
+    - ``"stages"``: the same stage loop, with ``d = sum_j (dt b_j) k_j``
+      from its stage data;
+    - ``"composed"``: the composed step from one-shot matvecs
+      (:func:`_one_shot_composed_step`), whose ``d`` is ``D (Q u)``.
+
+    The gamma slack bounds how far rounding moves ``t``: each relaxed step
+    adds ``gamma dt``, and ``gamma = -2 u.Md / d.Md`` (``e = 0``) rounds by
+    at most ``4 n eps |u|_M / |d|_M`` plus a few eps, since each dot
+    product of 2n terms rounds by at most ``2n eps sum_i |u_i| |Md_i|``
+    (Higham, Thm. 3.1) and that sum is at most ``|u|_M |d|_M`` for a
+    diagonal ``M`` (Cauchy-Schwarz).  The slack sums ``4 n eps |u|_M /
+    |d|_M dt`` over the relaxed steps of a run that skips the estimate."""
     g = ops.build_grid(config.n, config.x_min, config.x_max)
     s = make_scheme(g, config.variant, config.advection_speed)
     method = resolve_method(config.rk)
@@ -839,20 +895,32 @@ def _fresh_array_run(config, step=rk_step):
     if config.relaxation and solver._estimate_vanishes(s):
         rho, tol = solver._amplification_radius(s, method, dt_nominal)
         skip = rho <= 1.0 + tol
+    if d_from == "composed":
+        step = _one_shot_composed_step(s, method)
     e0 = s.energy(u)
-    times, energies, gammas, t = [0.0], [e0], [1.0], 0.0
+    times, energies, gammas, t, slack = [0.0], [e0], [1.0], 0.0, 0.0
     while config.t_end - t > 1e-9 * dt_nominal:
         dt = min(dt_nominal, config.t_end - t)
-        u_next, stages = step(s, method, u, dt)
+        if d_from == "composed":
+            (u_next, d), stages = step(s, method, u, dt), ()
+        else:
+            u_next, stages = step(s, method, u, dt)
+            d = u_next - u
+            if d_from == "stages":
+                terms = [(dt * st.b) * st.f for st in stages if st.b != 0.0]
+                d = functools.reduce(operator.add, terms)
         gamma = 1.0
         if config.relaxation and dt > 1e-4 * dt_nominal:
-            gamma = _reference_gamma(u, u_next, () if skip else stages, s.M_energy, dt)
+            gamma = _reference_gamma(u, u_next, () if skip else stages, s.M_energy, dt, d)
             if gamma <= 0.0:
                 raise EnergyBlowUpError(
                     f"relaxation parameter became non-positive ({gamma:.3g}) at "
                     f"t = {t:.6g}; the step is likely outside the RK stability region"
                 )
-            u, t = u + gamma * (u_next - u), t + gamma * dt
+            d2 = float(d @ (s.M_energy @ d))
+            if skip and d2 >= 1e-30:  # gamma is 1 below it
+                slack += 4 * config.n * EPS * math.sqrt(s.energy(u) / d2) * dt
+            u, t = u + gamma * d, t + gamma * dt
         else:
             u, t = u_next, t + dt
         energy = s.energy(u)
@@ -863,7 +931,7 @@ def _fresh_array_run(config, step=rk_step):
             raise EnergyBlowUpError(
                 f"energy {energy:.6g} exceeded 1e3 x initial {e0:.6g} at t = {t:.6g}"
             )
-    return EnergyTrace(np.array(times), np.array(energies), np.array(gammas)), u
+    return EnergyTrace(np.array(times), np.array(energies), np.array(gammas)), u, slack
 
 
 @pytest.mark.parametrize(
@@ -874,10 +942,13 @@ def _fresh_array_run(config, step=rk_step):
 @pytest.mark.parametrize("variant", ["central", "upwind"])
 @pytest.mark.parametrize("rk", ["rk4", "ssprk33", "rk4x2"])
 def test_run_is_bit_identical_to_the_fresh_array_loop(rk, variant, relaxation, a, n, t_end):
-    """Every t_end here ends on a clipped step.  A pair that blows up
-    (unstable by design, or at the CFL numbers 1 and 1.25 of a = -2 and
-    2.5) must blow up at the same step with the same message.  At a = +-1
-    the right-hand side makes one scaling pass, elsewhere two."""
+    """Every t_end here ends on a clipped step, but where 2 pi is a whole
+    number of nominal steps and gamma stays close enough to 1.  A pair
+    that blows up (unstable by design, or at the CFL numbers 1 and 1.25 of
+    a = -2 and 2.5) must blow up at the same step with the same message.
+    At a = +-1 the right-hand side makes one scaling pass, elsewhere two.
+    Composed runs are checked as :func:`_assert_run_matches_the_fresh_array_loop`
+    says."""
     config = ExperimentConfig(
         variant=variant, rk=rk, relaxation=relaxation, advection_speed=a, n=n, t_end=t_end
     )
@@ -901,18 +972,64 @@ def test_custom_tableau_run_is_bit_identical_to_the_fresh_array_loop(method, var
 
 
 def _assert_run_matches_the_fresh_array_loop(config, step=rk_step):
+    """A run on the stage path has the bits of the fresh-array loop of
+    ``step``.  A composed run has the bits of the fresh-array composed loop
+    (one-shot ``Q`` and ``D`` matvecs), and lies within ``4 steps eps`` of
+    the stage loop of ``step``, the bound of
+    ``test_skipped_estimate_agrees_with_the_full_estimate``, in the max
+    norm of its state and in its end time.  That stage loop forms ``d =
+    sum_j (dt b_j) k_j``: its ``u_next - u`` cancels to an error of eps
+    |u|, which moves gamma by about ``eps |u|^2 / |d|^2``, far past
+    rounding for small steps (measured 4.6e6 steps eps from an 80-bit loop
+    at n = 8193, a = 1e-3, where the composed run is within 0.3 steps eps).
+
+    The bound was measured at ``|a| dt / dx = 1/2``; a step's rounding
+    grows with ``Z = -a dt D``, so it scales by ``2 |a| dt / dx`` where that
+    is larger (measured 2.2 eps at n = 3, a = -2, in one step).  A step
+    with ``rho > 1`` amplifies the rounding of the steps before it, by
+    ``rho^steps`` at most.  In the subnormal range a rounding errs by up to
+    half the smallest subnormal, whatever the magnitude, so each step
+    allows 16 of those more (measured 5 to 9.25 per step at n = 24).  The
+    end times differ by the rounding of gamma too, which both loops' gamma
+    slack bounds (:func:`_fresh_array_run`); with it the runs may also end
+    a dropped remainder apart, one micro-step more or less.
+
+    A run that blows up raises the fresh-array loop's error, and a composed
+    one blows up where the stage loop does too."""
+    composed = _composes(config)
     try:
-        want_trace, want_u = _fresh_array_run(config, step)
+        want_trace, want_u, want_slack = _fresh_array_run(
+            config, step, "composed" if composed else "difference"
+        )
     except EnergyBlowUpError as exc:
         with pytest.raises(EnergyBlowUpError) as got:
             run_experiment(config)
         assert str(got.value) == str(exc)
+        if composed:
+            with pytest.raises(EnergyBlowUpError):
+                _fresh_array_run(config, step, "stages")
         return
     trace, u = run_experiment(config)
     assert u.tobytes() == want_u.tobytes()
     for name in ("times", "energies", "gammas"):
         assert getattr(trace, name).tobytes() == getattr(want_trace, name).tobytes()
-    assert config.t_end - trace.times[-2] < config.dt_factor * 2 * math.pi / config.n  # clipped
+    g = ops.build_grid(config.n, config.x_min, config.x_max)
+    dt_nominal = config.dt_factor * g.dx
+    if not (config.t_end / dt_nominal).is_integer():
+        # the last step is clipped; at a whole number of steps only gammas
+        # away from 1 clip it
+        assert config.t_end - trace.times[-2] < dt_nominal
+    if composed:
+        stage_trace, stage_u, stage_slack = _fresh_array_run(config, step, "stages")
+        steps = max(len(trace.times), len(stage_trace.times)) - 1
+        scheme = make_scheme(g, config.variant, config.advection_speed)
+        rho, _ = solver._amplification_radius(scheme, resolve_method(config.rk), dt_nominal)
+        per_step = max(1.0, 2 * abs(config.advection_speed) * config.dt_factor) * (
+            4 * EPS * np.abs(stage_u).max() + 16 * np.finfo(float).smallest_subnormal
+        )
+        assert np.abs(u - stage_u).max() <= steps * per_step * max(1.0, rho) ** steps
+        slack = want_slack + stage_slack
+        assert abs(trace.times[-1] - stage_trace.times[-1]) <= 4 * steps * EPS * config.t_end + slack
 
 
 @pytest.mark.parametrize("method", [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES], ids=lambda m: m.name)
@@ -952,8 +1069,8 @@ def test_rk_step_with_a_workspace_writes_its_buffers(method):
     gamma = relaxation_gamma(u, u1, stages, M, 0.3 * g.dx, workspace=ws)
     assert gamma == relaxation_gamma(u, want, want_stages, M, 0.3 * g.dx)
     assert gamma == _reference_gamma(u, want, want_stages, M, 0.3 * g.dx)
-    skipped = relaxation_gamma(u, u1, (), M, 0.3 * g.dx, workspace=ws)
-    assert skipped == _reference_gamma(u, want, (), M, 0.3 * g.dx)
+    with pytest.raises(ValueError, match="its own step's stage list"):
+        relaxation_gamma(u, u1, (), M, 0.3 * g.dx, workspace=ws)  # only composed steps skip it
     assert s.energy(u, ws) == s.energy(u.copy())
 
 
@@ -1060,9 +1177,8 @@ def test_workspace_binds_its_step_and_mass_matvecs():
     u = ws.u  # the workspace's own state, a copy of u0
     assert u is not u0 and u.tobytes() == u0.tobytes()
     assert ws.step.u is u and ws.M_u.u is u and ws.M_u.out is ws.Mu
-    assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md
     assert ws.M_kd.u is ws.kd and ws.M_kd.out is ws.Mkd
-    assert ws.M_d.scratch is ws.M_u.scratch  # M u and M d share scratch arrays
+    assert ws.M_d is None  # M d is a row of the stacked product
     # k_1..k_s and d are the rows of one stack, and so are their products
     assert ws.kd.shape == ws.Mkd.shape == (RK4X2.stages + 1, 2 * g.n)
     for row, want in zip((*(st.f for st in ws.step.stages), ws.d), ws.kd, strict=True):
@@ -1076,29 +1192,44 @@ def test_workspace_binds_its_step_and_mass_matvecs():
     assert out.shape == (RK4X2.stages - 1, 1, 1)
 
 
+@pytest.mark.parametrize("a", [1.0, -1.0, 0.7])
 @pytest.mark.parametrize("variant", ["central", "upwind"])
-def test_workspace_without_the_estimate_has_no_product_stack(variant):
-    """Without the stage estimate only M u and M d are bound, M d into an
-    array of its own: its gamma without stage data has the bits of a
-    workspace that has the stack, and stage data raises."""
-    g = ops.build_grid(16)
-    s = make_scheme(g, variant, 1.0)
+@pytest.mark.parametrize("n", [3, 16, 8200])
+def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
+    """A composed workspace holds no stage data and no stack of products.
+    Its step writes ``d = D (Q u)`` into ``d``, with the bits of one-shot
+    matvecs, and returns ``u + d``; ``Q`` is formed again, and bound again,
+    only when dt changes.  ``M d`` is bound with ``M u``'s scratch, and its
+    gamma has the bits of one from fresh arrays.  Stage data, another
+    update or another state raise."""
+    g = ops.build_grid(n)
+    s = make_scheme(g, variant, a)
     u0 = project_initial(g, solver.default_initial)
-    ws = solver.Workspace.allocate(s, RK4X2, u0, estimate=False)
-    assert ws.Mkd is None and ws.M_kd is None and ws.dots is None
-    assert ws.Md.base is None and ws.Md.shape == (2 * g.n,)
-    assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md
-    assert ws.kd.shape == (RK4X2.stages + 1, 2 * g.n)
-    full = solver.Workspace.allocate(s, RK4X2, u0)
-    u, v, dt, M = ws.u, full.u, 0.3 * g.dx, s.M_energy
-    u1, stages = rk_step(s, RK4X2, u, dt, ws)
-    want, want_stages = rk_step(s, RK4X2, v, dt, full)
-    assert u1.tobytes() == want.tobytes()
-    gamma = relaxation_gamma(u, u1, (), M, dt, workspace=ws)
-    assert gamma == relaxation_gamma(v, want, (), M, dt, workspace=full)
-    assert gamma == _reference_gamma(u, want, (), M, dt)
-    with pytest.raises(ValueError, match="stack of products"):
-        relaxation_gamma(u, u1, stages, M, dt, workspace=ws)
+    ws = solver.Workspace.allocate(s, RK4X2, u0, composed=True)
+    u, M = ws.u, s.M_energy
+    assert u is not u0 and u.tobytes() == u0.tobytes()
+    assert (ws.kd, ws.Mkd, ws.M_kd, ws.dots) == (None, None, None, None)
+    assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md and ws.M_d.scratch is ws.M_u.scratch
+    assert ws.M_u.u is u and ws.step.u is u and ws.step.d is ws.d
+    one_shot = _one_shot_composed_step(s, RK4X2)
+    factors = []
+    for dt in (0.3 * g.dx, 0.3 * g.dx, 0.1 * g.dx):
+        u1, stages = rk_step(s, RK4X2, u, dt, ws)
+        want, want_d = one_shot(s, RK4X2, u.copy(), dt)
+        assert stages == () and u1 is ws.step.update
+        assert (ws.d.tobytes(), u1.tobytes()) == (want_d.tobytes(), want.tobytes())
+        factors.append(ws.step.Q)
+        gamma = relaxation_gamma(u, u1, stages, M, dt, workspace=ws)
+        assert gamma == _reference_gamma(u, want, (), M, dt, want_d)
+        u += 0.125 * np.sin(u)
+    assert factors[0] is factors[1] and factors[1] is not factors[2]
+    with pytest.raises(ValueError, match="no stage data and its own update"):
+        relaxation_gamma(u, u1.copy(), (), M, 0.1 * g.dx, workspace=ws)
+    stage = solver.Stage(b=1.0, y=u, f=ws.d)
+    with pytest.raises(ValueError, match="no stage data and its own update"):
+        relaxation_gamma(u, u1, [stage], M, 0.1 * g.dx, workspace=ws)
+    with pytest.raises(ValueError, match="allocated for another"):
+        rk_step(s, RK4X2, u.copy(), 0.1 * g.dx, ws)
 
 
 @pytest.mark.parametrize(
@@ -1111,16 +1242,18 @@ def test_workspace_without_the_estimate_has_no_product_stack(variant):
     ],
 )
 def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, relaxation):
-    """Every matvec of a run replays a binding made when its workspace is
-    allocated: one binding per stage derivative, then M u, M d and, for
-    relaxed runs that keep the stage estimate, the stacked M k_i and M d,
-    however many steps the run takes.  The full set-up (checks, scratch
-    and layout) runs for the first stage's binding, M u and the stack;
-    the other stages share the first one's and M d shares M u's, and make
-    only their views."""
-    # relaxed central rk4x2 is stable at dt = dx/2 and M D + D^T M = 0: no
-    # estimate; central ssprk33 (rho > 1 there) and upwind runs keep it
-    stacked = relaxation and (variant, rk) != ("central", "rk4x2")
+    """Every matvec of a run replays a binding made once, however many
+    steps the run takes.  A stage run binds each stage derivative, M u
+    and the stacked M k_i and M d; the full set-up (checks, scratch and
+    layout) runs for the first stage's binding, M u and the stack, and
+    the other stages share the first one's and make only their views.  A
+    composed run binds D (Q u), M u and M d, which shares M u's set-up,
+    and Q u once per step size: the nominal one and the clipped last
+    step's."""
+    # relaxed central rk4x2 is stable at dt = dx/2 and M D + D^T M = 0, and
+    # unrelaxed runs read no stage data: both compose their steps; central
+    # ssprk33 (rho > 1 there) and upwind runs keep the stage estimate
+    composed = not relaxation or (variant, rk) == ("central", "rk4x2")
     binds, programs = [], []
     bind, program = ops.BlockCirculantOp.bind, ops.BlockCirculantOp._program
 
@@ -1142,5 +1275,140 @@ def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, re
             ExperimentConfig(variant=variant, rk=rk, relaxation=relaxation, n=16, t_end=t_end)
         )
         assert len(trace.times) > 5
-        assert len(binds) == stages + 2 + stacked
-        assert len(programs) == 2 + stacked
+        if composed:
+            clipped = t_end - trace.times[-2] < 0.5 * 2 * math.pi / 16
+            assert len(binds) == 4 + clipped
+            assert len(programs) == 3 + clipped
+        else:
+            assert len(binds) == stages + 2
+            assert len(programs) == 3
+
+
+# ---------------------------------------------------------------------------
+# the composed step: d = D (Q u)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [1, 4, 8])
+@pytest.mark.parametrize("n", [3, 4, 5, 15, 16])
+@pytest.mark.parametrize("build", [ops.central_D, ops.upwind_D_minus, ops.upwind_D_plus])
+def test_stencil_powers_are_the_exact_operator_powers(build, n, count):
+    """Each row of the stack is the normal form of the stencil's power from
+    the operator algebra, exact integers; offsets that alias at small n
+    are summed, and the offsets are increasing."""
+    D = build(ops.build_grid(n))
+    stencil = ops.BlockCirculantOp(n, D.dx, 1.0, D.blocks)
+    offsets, powers = solver._stencil_powers(D, count)
+    assert list(offsets) == sorted(set(offsets)) and powers.shape == (count, len(offsets), 2, 2)
+    assert all(-(n // 2) <= j < n - n // 2 for j in offsets)
+    want = ops.BlockCirculantOp(n, D.dx, 1.0, {0: np.eye(2)})
+    for row in powers:
+        got = dict(zip(offsets, row))
+        assert all(not got[j].any() for j in got.keys() - want.blocks.keys())
+        for j, block in want.blocks.items():
+            assert got[j].tobytes() == block.tobytes()
+        want = want @ stencil
+    assert np.array_equal(powers, np.round(powers))
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0, 0.7])
+@pytest.mark.parametrize("variant", ["central", "upwind"])
+@pytest.mark.parametrize("n", [3, 4, 16])
+@pytest.mark.parametrize("rk", ["rk4", "ssprk33", "rk4x2"])
+def test_composed_factor_gives_the_step_matrix(rk, n, variant, a):
+    """``D Q`` is ``R(Z) - I`` for the dense ``Z = -a dt D``, to the
+    rounding of Horner's rule on dense matrices, ``p(|Z|)`` times a few eps
+    per stage (as in ``_amplification_radius``)."""
+    g = ops.build_grid(n)
+    scheme, method = make_scheme(g, variant, a), resolve_method(rk)
+    dt = 0.37 * g.dx
+    powers = solver._stencil_powers(scheme.D_effective, method.stages)
+    Q = solver._composed_factor(scheme, method, dt, powers)
+    assert Q.scale == -a * dt
+    Z = (-a * dt) * scheme.D_effective.dense()
+    P, bound = np.zeros_like(Z), 0.0
+    znorm = np.abs(Z).sum(axis=1).max()
+    for c in reversed(solver._stability_coefficients(method)):
+        P, bound = P @ Z + c * np.eye(2 * n), bound * znorm + abs(c)
+    got = scheme.D_effective.dense() @ Q.dense()
+    assert np.abs(got - (P - np.eye(2 * n))).max() <= 16 * method.stages * EPS * bound
+
+
+_LONG = np.longdouble
+
+
+def _apply_long(op, x):
+    """``op`` applied in extended precision: the operand rolled once per block."""
+    cells = x.reshape(-1, 2)
+    y = np.zeros_like(cells)
+    for j, block in op.blocks.items():
+        y += np.roll(cells, -j, axis=0) @ block.T.astype(_LONG)
+    return (y * _LONG(op.scale)).reshape(-1)
+
+
+def _long_double_run(config):
+    """The stage loop of ``run_experiment`` in ``np.longdouble``, with the
+    same float64 initial state, step sizes, operators and tableau: stages
+    over rolled blocks, ``d = sum_i (dt b_i) k_i``, and for relaxed runs
+    ``gamma = -2 u.Md / d.Md`` (``e = 0``: the central estimate vanishes).
+    Returns the final state and time and the step count."""
+    g = ops.build_grid(config.n, config.x_min, config.x_max)
+    s = make_scheme(g, config.variant, config.advection_speed)
+    method = resolve_method(config.rk)
+    a = [[_LONG(x) for x in row] for row in method.a]
+    b = [_LONG(x) for x in method.b]
+    u = project_initial(g, solver.default_initial).astype(_LONG)
+    speed, dt_nominal = _LONG(config.advection_speed), config.dt_factor * g.dx
+    t, t_end, steps = _LONG(0.0), _LONG(config.t_end), 0
+    while t_end - t > _LONG(1e-9 * dt_nominal):
+        dt = min(_LONG(dt_nominal), t_end - t)
+        k = []
+        for row in a:
+            y = u.copy()
+            for a_ij, k_j in zip(row, k):
+                y += (dt * a_ij) * k_j
+            k.append(-speed * _apply_long(s.D_effective, y))
+        d = sum((dt * b_i) * k_i for b_i, k_i in zip(b, k))
+        gamma = _LONG(1.0)
+        if config.relaxation and dt > _LONG(1e-4 * dt_nominal):
+            Md = _apply_long(s.M_energy, d)
+            gamma = -2 * (u @ Md) / (d @ Md)
+        u, t, steps = u + gamma * d, t + gamma * dt, steps + 1
+    return u, t, steps
+
+
+@pytest.mark.skipif(np.finfo(_LONG).eps >= EPS, reason="np.longdouble is float64 here")
+@pytest.mark.parametrize("a", [1.0, -1.0])
+@pytest.mark.parametrize("variant, relaxation", [("central", True), ("upwind", False)])
+def test_composed_run_stays_within_rounding_of_an_extended_precision_run(variant, relaxation, a):
+    """One period of ``rk4x2`` at n = 128 (256 steps), composed, against
+    the 80-bit stage loop: state within ``c steps eps |u|``, time within
+    ``c steps eps t_end``, with ``c = 1/4``.
+
+    Why ``c = 1/4``: the step is non-expanding (rho <= 1; relaxed central
+    runs conserve the M-norm), so each step's rounding is carried, not
+    amplified.  Rounding that recurs with the same sign every step adds
+    linearly, about ``|delta P| |u|`` per step for a perturbation ``delta
+    P`` of the step operator.  Rounding with changing signs adds like a
+    random walk, ``sqrt(steps) sigma``, with ``sigma`` a few eps per
+    entry (the update's ``u + gamma d`` rounds by up to ``eps/2 |u|``, and
+    ``d`` carries the rounding of ``Q u`` through ``Z``); at 256 steps that
+    is ``sigma / 16`` per step, and a max over 256 entries about three
+    times the spread, so ``1/4`` leaves room for ``sigma`` up to about 1.3
+    eps.  The split ``d = D (Q u)`` keeps the recurring part out: ``D``
+    is the exact integer stencil with its own ``1/dx``, and it annihilates
+    the constant part of the rounding of ``Q``'s entries on both the point
+    and the average rows.  One rounded ``P - I`` of 17 blocks lets it in
+    and lands at 0.61-0.71 steps eps (measured at n = 128 and 1200).
+    Measured here: 0.07 and 0.12 (relaxed central), 0.03 and 0.04 (plain
+    upwind); today's stage loop reads 0.09-0.15."""
+    config = ExperimentConfig(
+        variant=variant, rk="rk4x2", relaxation=relaxation, advection_speed=a, n=128
+    )
+    trace, u = run_experiment(config)
+    assert _composes(config)
+    want, t_want, steps = _long_double_run(config)
+    assert len(trace.times) == steps + 1 and steps == 256
+    c = 0.25
+    assert float(np.abs(u - want).max()) <= c * steps * EPS * float(np.abs(want).max())
+    assert abs(float(trace.times[-1] - t_want)) <= c * steps * EPS * config.t_end
