@@ -117,9 +117,10 @@ initial energy.  A relaxed run also checks ``M D + D^T M = 0``
 amplification radius (``_amplification_radius``) on modes ``0..n//2``
 from closed-form eigenvalues, with no 2x2 matrix product.  Measured in
 process at n = 32 and 128 (medians, shared 2-vCPU host): the radius takes
-80-90 us, a stage workspace 120 us and a composed one 180-190 us, of
-which the stencil powers take about 100 us; forming ``Q`` for a step size
-takes about 35 us and binding it 15 us.
+80-90 us and a stage workspace 120 us.  A composed workspace takes about
+as long as a stage one (145-175 against 145-170 us in a busier hour), the
+stencil powers' 100-110 us in place of the stage bindings; forming ``Q``
+for a step size takes 30-45 us and binding it 20 us.
 
 At ``|a| = 1`` the right-hand side ``-a D u`` folds ``-a`` into the scale
 of ``D``, which is exact (:attr:`Scheme.rhs_operator`): one scaling pass
@@ -509,37 +510,38 @@ class _StepProgram:
 
 
 def _stencil_powers(D: BlockCirculantOp, count: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The powers ``D^0 .. D^(count - 1)`` of the unscaled stencil of ``D``, on shared offsets.
+    """The powers ``D^^0 .. D^^(count - 1)`` of the unscaled stencil of ``D``, on shared offsets.
 
-    Returns the offsets, reduced into the normal form's range and
-    increasing, and a ``(count, #offsets, 2, 2)`` stack whose row ``j``
-    holds the blocks of ``D^j`` (zeros where it has none).  Power ``j`` is
-    power ``j - 1`` times the stencil: per block of ``D``, one ``matmul``
-    over all offsets of power ``j - 1``.  Offsets that alias mod ``n`` are
-    summed after that.  An integer
-    stencil thus has exact integer powers while their entries stay below
-    2**53 (row sums of at most 8**(count - 1) for the Active Flux
-    derivatives).  The powers do not depend on ``dt``: a run forms them
-    once and re-weights them for each step size (:func:`_composed_factor`).
+    Returns the offsets of the highest power, increasing and not reduced
+    mod ``n``, and a ``(count, #offsets, 2, 2)`` stack whose row ``j``
+    holds the blocks of ``D^^j`` (zeros where it has none).  Power ``j`` is
+    power ``j - 1`` times the stencil: one ``matmul`` per block of ``D``
+    over the offsets of power ``j - 1``.  Offsets that alias mod ``n``
+    (small n) stay apart; the operator :func:`_composed_factor` builds from
+    them reduces and sums them, as every ``BlockCirculantOp`` does.  An
+    entry of ``D^^j``, and every partial sum that forms it, is at most
+    ``|D^|_inf^j``: 8**j for the central derivative and 12**j for the
+    upwind ones (point rows ``2, -6, 4`` and ``-4, 6, -2``), so the powers
+    are exact integers for up to 18 and 15 stages (measured at n = 3 to
+    80: up to 28 and 27).  Past that they round by eps relative, as ``Q``'s weights and
+    their products do anyway: the composed step's accuracy rests on ``D``'s
+    exact stencil as its last factor, not on exact powers.  The powers do
+    not depend on ``dt``: a run forms them once and re-weights them for
+    each step size.  The operator algebra's ``@`` forms the same powers
+    five times slower (530 against 100 us for ``rk4x2`` at n = 128), which
+    showed in ``perfbench`` ``solve-mix-small`` as 3.6-6.8 % more
+    ``op_p50_s``.
     """
-    shifts, blocks = list(D.blocks), np.array([*D.blocks.values()]).reshape(-1, 2, 2)
-    lo, hi = min([0, *shifts]), max([0, *shifts])
+    lo, hi = min([0, *D.blocks]), max([0, *D.blocks])
     first = (count - 1) * lo
     powers = np.zeros((count, (count - 1) * (hi - lo) + 1, 2, 2))
     powers[0, -first] = np.eye(2)
-    products = np.empty_like(powers[0])
     for j in range(1, count):
         # the blocks of D^(j - 1) lie at offsets (j - 1) lo .. (j - 1) hi
         start, stop = (j - 1) * lo - first, (j - 1) * hi - first + 1
-        for shift, block in zip(shifts, blocks):
-            part = np.matmul(powers[j - 1, start:stop], block, products[: stop - start])
-            powers[j, start + shift : stop + shift] += part
-    n = D.n
-    reduced = (np.arange(first, first + powers.shape[1]) + n // 2) % n - n // 2
-    offsets, where = np.unique(reduced, return_inverse=True)
-    merged = np.zeros((count, len(offsets), 2, 2))
-    np.add.at(merged, (slice(None), where), powers)  # sums offsets that alias (small n)
-    return tuple(offsets.tolist()), merged
+        for shift, block in D.blocks.items():
+            powers[j, start + shift : stop + shift] += powers[j - 1, start:stop] @ block
+    return tuple(range(first, first + powers.shape[1])), powers
 
 
 def _composed_factor(scheme: Scheme, method: RKMethod, dt: float, powers: tuple) -> BlockCirculantOp:
@@ -550,8 +552,9 @@ def _composed_factor(scheme: Scheme, method: RKMethod, dt: float, powers: tuple)
     one step's difference is ``R(Z) u - u = Z Q(Z) u = D (-a dt Q^ u)``
     with ``Q^ = sum_(j < s) c_(j+1) z^j D^^j``.  The blocks are the stencil
     ``powers`` (:func:`_stencil_powers`) times the weights ``c_(j+1)
-    z^j``, summed over ``j`` in order, and ``-a dt`` is the operator's
-    scale, which its matvec applies once.
+    z^j``, summed over ``j`` in order, and then over offsets that alias mod
+    ``n`` by the operator's normal form; ``-a dt`` is the operator's scale,
+    which its matvec applies once.
     """
     D = scheme.D_effective
     scale = -scheme.advection_speed * dt

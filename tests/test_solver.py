@@ -942,10 +942,11 @@ def _fresh_array_run(config, step=rk_step, d_from="difference"):
 @pytest.mark.parametrize("variant", ["central", "upwind"])
 @pytest.mark.parametrize("rk", ["rk4", "ssprk33", "rk4x2"])
 def test_run_is_bit_identical_to_the_fresh_array_loop(rk, variant, relaxation, a, n, t_end):
-    """Every t_end here ends on a clipped step, but where 2 pi is a whole
-    number of nominal steps and gamma stays close enough to 1.  A pair
-    that blows up (unstable by design, or at the CFL numbers 1 and 1.25 of
-    a = -2 and 2.5) must blow up at the same step with the same message.
+    """Every t_end here ends on a clipped step, but a relaxed composed run
+    where 2 pi is a whole number of nominal steps may take its last step in
+    full, its gamma within rounding of 1.  A pair that blows up (unstable
+    by design, or at the CFL numbers 1 and 1.25 of a = -2 and 2.5) must
+    blow up at the same step with the same message.
     At a = +-1 the right-hand side makes one scaling pass, elsewhere two.
     Composed runs are checked as :func:`_assert_run_matches_the_fresh_array_loop`
     says."""
@@ -958,11 +959,15 @@ def test_run_is_bit_identical_to_the_fresh_array_loop(rk, variant, relaxation, a
 @pytest.mark.parametrize("relaxation", [True, False], ids=["relaxed", "plain"])
 @pytest.mark.parametrize("variant", ["central", "upwind"])
 @pytest.mark.parametrize(
-    "method", [_SHARED_PREFIXES, _UPDATE_IS_A_STAGE, _A_STAGE_IS_U], ids=lambda m: m.name
+    "method",
+    [_SHARED_PREFIXES, _UPDATE_IS_A_STAGE, _A_STAGE_IS_U, _chain(32)],
+    ids=lambda m: m.name,
 )
 def test_custom_tableau_run_is_bit_identical_to_the_fresh_array_loop(method, variant, relaxation):
     """The update may be a partial sum of another fold: its buffer then
-    holds the next step's u and is written again during that step."""
+    holds the next step's u and is written again during that step.  A
+    32-stage tableau composes with stencil powers that round, from power 27
+    (upwind) or 29 (central) on."""
     if method is _UPDATE_IS_A_STAGE:
         assert _UPDATE_IS_A_STAGE._folds[1][-1] == (("copy", 2),)  # the update adds no term
     config = ExperimentConfig(
@@ -1015,10 +1020,11 @@ def _assert_run_matches_the_fresh_array_loop(config, step=rk_step):
         assert getattr(trace, name).tobytes() == getattr(want_trace, name).tobytes()
     g = ops.build_grid(config.n, config.x_min, config.x_max)
     dt_nominal = config.dt_factor * g.dx
-    if not (config.t_end / dt_nominal).is_integer():
-        # the last step is clipped; at a whole number of steps only gammas
-        # away from 1 clip it
-        assert config.t_end - trace.times[-2] < dt_nominal
+    # the last step is clipped; a relaxed composed run whose t_end is a whole
+    # number of nominal steps may take it in full, its gammas within rounding
+    # of 1 (n = 16, t_end = 2 pi, a = 1e-3)
+    landing = composed and config.relaxation and (config.t_end / dt_nominal).is_integer()
+    assert config.t_end - trace.times[-2] < dt_nominal + (want_slack if landing else 0.0)
     if composed:
         stage_trace, stage_u, stage_slack = _fresh_array_run(config, step, "stages")
         steps = max(len(trace.times), len(stage_trace.times)) - 1
@@ -1289,36 +1295,37 @@ def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, re
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("count", [1, 4, 8])
+@pytest.mark.parametrize("count", [1, 4, 8, 15])
 @pytest.mark.parametrize("n", [3, 4, 5, 15, 16])
 @pytest.mark.parametrize("build", [ops.central_D, ops.upwind_D_minus, ops.upwind_D_plus])
 def test_stencil_powers_are_the_exact_operator_powers(build, n, count):
-    """Each row of the stack is the normal form of the stencil's power from
-    the operator algebra, exact integers; offsets that alias at small n
-    are summed, and the offsets are increasing."""
+    """Each row of the stack, as an operator (which sums the offsets that
+    alias at small n), is the integer matrix power of the dense stencil, up
+    to 15 stages, where the upwind powers' bound 12**14 is still below the
+    2**53 that keeps them exact; the offsets are increasing and not reduced
+    mod n."""
     D = build(ops.build_grid(n))
-    stencil = ops.BlockCirculantOp(n, D.dx, 1.0, D.blocks)
+    stencil = ops.BlockCirculantOp(n, D.dx, 1.0, D.blocks).dense().astype(np.int64)
     offsets, powers = solver._stencil_powers(D, count)
-    assert list(offsets) == sorted(set(offsets)) and powers.shape == (count, len(offsets), 2, 2)
-    assert all(-(n // 2) <= j < n - n // 2 for j in offsets)
-    want = ops.BlockCirculantOp(n, D.dx, 1.0, {0: np.eye(2)})
-    for row in powers:
-        got = dict(zip(offsets, row))
-        assert all(not got[j].any() for j in got.keys() - want.blocks.keys())
-        for j, block in want.blocks.items():
-            assert got[j].tobytes() == block.tobytes()
-        want = want @ stencil
-    assert np.array_equal(powers, np.round(powers))
+    assert offsets == tuple(range(offsets[0], offsets[0] + len(offsets)))
+    assert powers.shape == (count, len(offsets), 2, 2)
+    for j, row in enumerate(powers):
+        got = ops.BlockCirculantOp(n, D.dx, 1.0, dict(zip(offsets, row))).dense()
+        assert np.array_equal(got, np.linalg.matrix_power(stencil, j).astype(float))
 
 
 @pytest.mark.parametrize("a", [1.0, -1.0, 0.7])
 @pytest.mark.parametrize("variant", ["central", "upwind"])
 @pytest.mark.parametrize("n", [3, 4, 16])
-@pytest.mark.parametrize("rk", ["rk4", "ssprk33", "rk4x2"])
+@pytest.mark.parametrize(
+    "rk", ["rk4", "ssprk33", "rk4x2", _chain(32)], ids=lambda m: getattr(m, "name", m)
+)
 def test_composed_factor_gives_the_step_matrix(rk, n, variant, a):
     """``D Q`` is ``R(Z) - I`` for the dense ``Z = -a dt D``, to the
     rounding of Horner's rule on dense matrices, ``p(|Z|)`` times a few eps
-    per stage (as in ``_amplification_radius``)."""
+    per stage (as in ``_amplification_radius``).  The stencil powers of a
+    32-stage tableau pass 2**53 and, at n = 3 and 16, round from power 27
+    to 29 on, by eps relative, which that bound holds too."""
     g = ops.build_grid(n)
     scheme, method = make_scheme(g, variant, a), resolve_method(rk)
     dt = 0.37 * g.dx
