@@ -36,15 +36,21 @@ form lands 1.3-1.4e-14 (the stage loop 3.1-3.7e-14).
 A run that keeps the stage estimate -- relaxed upwind runs, and relaxed
 central runs whose step is not linearly stable -- steps through the
 stages.  The estimate needs ``M f_i`` for every stage and the rescaling
-needs ``M d``: :func:`relaxation_gamma` forms all of them in one matvec
-call on the stack of the stage derivatives and ``d`` (each row has the
-bits of its own call), so such a step makes ``s + 2`` matvec calls, the
-energy's included: 10 for ``rk4x2`` and 5 for ``ssprk33``.  For the
-central scheme the estimate is zero by construction: the SBP identity ``M
-D + D^T M = 0`` makes every stage term ``<y_i, M f_i>`` vanish, which
-:func:`run_experiment` reads off the operators once per run.
+needs ``M d``: its workspace forms all of them in one matvec call on the
+stack of the stage derivatives and ``d`` (each row has the bits of its own
+call), so such a step makes ``s + 2`` matvec calls, the energy's
+included: 10 for ``rk4x2`` and 5 for ``ssprk33``.  For the central scheme
+the estimate is zero by construction: the SBP identity ``M D + D^T M = 0``
+makes every stage term ``<y_i, M f_i>`` vanish, which
+:func:`run_experiment` reads off the operators once per run.  Composing
+the stage runs too was measured and left out while ``perfbench``'s
+references pin their bits (to 1e-13): with the upwind estimate as one
+quadratic form ``u^T sym(E) u`` the final states land 5e-13 to 1e-8 from
+them at n = 16 to 128 (two ways of forming ``sym(E)``), and composing the
+unstable central ``ssprk33`` step, which is chaotic, lands 4e-14 from them
+at n = 16, 4e-6 at n = 64 and 3e-2 to 1e-1 at n = 96 and 128.
 
-:func:`rk_step` forms each stage state ``y_i = u + (dt a_i1) k_1 + ...``
+A stage step forms each stage state ``y_i = u + (dt a_i1) k_1 + ...``
 and the update ``u + (dt b_1) k_1 + ...`` with the bits of folding their
 nonzero terms into a copy of ``u`` one at a time; :attr:`RKMethod._folds`
 plans the folds once per tableau.  A fold that is an earlier fold of the
@@ -66,49 +72,56 @@ At the benchmark's sizes (n = 16 to 128) a step's time is mostly the fixed
 cost of its numpy calls, not their arithmetic.  A bound matvec of a
 derivative or of ``Q`` makes six: three halo copies, one batched
 ``matmul`` (one BLAS ``dgemm`` per block), one reduction and one scaling;
-one of the diagonal mass makes three.  A relaxed composed step makes 24
-numpy calls: 12 in ``Q u`` and ``D (Q u)``, 1 for ``u + d``, 5 in
-:func:`relaxation_gamma` (``M d`` and two dots), 2 for the relaxed update
-and 4 for the energy.  A relaxed stage step of ``rk4x2`` makes 76 (88 with
-one multiply and one add per fold term): 16 folds, 48 in the stage
-matvecs, 6 in :func:`relaxation_gamma`, 2 for the update and 4 for the
-energy.  The stage estimate's dots ``y_i M f_i`` of stages 2..s are one
-batched ``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n, 1)``, which
-numpy takes row by row to the same ``cblas_ddot``, so a relaxed upwind
-``rk4x2`` step makes 84 numpy calls instead of 102.  Measured in process
-(shared 2-vCPU host, one BLAS thread), a relaxed central ``rk4x2`` run
-takes 237-265 ms instead of 545-580 ms at n = 1200 (one period), and
-8-10 ms instead of 25-29 ms at n = 128.
+one of the diagonal mass makes three.  A relaxed composed step makes 25
+numpy calls: 12 in ``Q u`` and ``D (Q u)``, 1 for ``u + d``, 6 in
+:func:`relaxation_gamma` (``M d`` and three dots, one of them the
+cut-off's ``u.Mu``), 2 for the relaxed update and 4 for the energy.  The
+stage estimate's dots ``y_i M f_i`` of stages 2..s are one batched
+``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n, 1)``, which numpy takes
+row by row to the same ``cblas_ddot``.  Measured in process (shared 2-vCPU
+host, one BLAS thread), a relaxed central ``rk4x2`` run takes 237-265 ms
+instead of the stage loop's 545-580 ms at n = 1200 (one period), and 8-10
+ms instead of 25-29 ms at n = 128.
 
-:func:`run_experiment` allocates one :class:`Workspace` per run, which
-holds the run's state ``u``, and every array operation of its time loop
-writes into it: the matvecs (their halo, window and product buffers
-included), ``Q u`` and ``d`` of a composed step, the scaled terms and
-products of the folds, the stage states and derivatives of a stage step,
-``d`` and the products with ``M``; each new state overwrites the old one.
-The steps allocate no array of the state's size.  A stage workspace runs
-each operation as a call without a workspace does, on the same operands
-in the same order, so its trajectories are the same bits as fresh arrays;
-a composed one has the bits of one-shot ``Q`` and ``D`` matvecs.
+:func:`run_experiment` allocates one :class:`Workspace` per run, of one of
+two kinds: a :class:`_StageStep` or a :class:`_ComposedStep`.  Each holds
+the run's state ``u``, its difference ``d``, ``M d``, ``M u`` and a scaled
+term, and every array and binding its steps use; neither kind leaves a
+field unset.  Every array operation of the time loop writes
+into it: the matvecs (their halo, window and product buffers included),
+``Q u`` and ``d`` of a composed step, the scaled terms and products of the
+folds, the stage states and derivatives of a stage step, and the products
+with ``M``; each new state overwrites the old one.  The steps allocate no
+array of the state's size.  A stage workspace runs each operation as the
+plain stage loop does, on the same operands in the same order, so its
+trajectories are the same bits as fresh arrays; a composed one has the
+bits of one-shot ``Q`` and ``D`` matvecs.
 
 The workspace also does each step's set-up once per run.  A stage
-workspace holds a step program (the folds' numpy calls with their arrays,
-the stage list, and one matvec binding,
-:meth:`~activeflux.operators.BlockCirculantOp.bind`, per stage state and
-derivative pair), and the bindings of ``M u`` and of the stack of ``M
-f_i`` and ``M d``.  The first stage's binding and that of ``M u`` make
-their scratch arrays and layout; the other stages take them and make only
-their own views.  A composed workspace holds the stencil powers, ``Q``
-with its binding (made again when ``dt`` changes), and the bindings of
-``D (Q u)``, ``M u`` and ``M d``, which takes ``M u``'s scratch and layout.
+workspace holds the folds' numpy calls with their arrays, the stage list,
+one matvec binding
+(:meth:`~activeflux.operators.BlockCirculantOp.bind`) per stage state and
+derivative pair, and the bindings of ``M u`` and of the stack of ``M f_i``
+and ``M d``.  The first stage's binding and that of ``M u`` make their
+scratch arrays and layout; the other stages take them and make only their
+own views.  A composed workspace holds the stencil powers, ``Q`` with its
+binding (made again when ``dt`` changes), and the bindings of ``D (Q u)``,
+``M u`` and ``M d``, which takes ``M u``'s scratch and layout.  Each kind
+has a ``run(dt)``, the step, and a ``gamma_terms``, which gives
+:func:`relaxation_gamma` the step's ``d``, ``M d`` and stage dots.
+
 :func:`rk_step`, :func:`relaxation_gamma` and :meth:`Scheme.energy` each
-have two paths.  Without a workspace they run one-shot on new arrays, and
-:func:`rk_step` steps through the stages: the oracle of the composed step.
-With one, they replay its bindings, and take only the workspace's own
-state ``u``, scheme, method, stage list and update: anything else raises
-:class:`ValueError`.  Each step still calls :func:`rk_step`,
-:func:`relaxation_gamma`, :meth:`Scheme.energy` and
-``BlockCirculantOp.matvec``, which are where its time is measured.
+have two paths.  Without a workspace they run on new arrays:
+:func:`rk_step` is then the plain stage loop, naive folds over
+``scheme.rhs(y)`` for any dtype and any object with an ``rhs``, and the
+oracle of both workspace kinds, independent of the fold planner; and
+:func:`relaxation_gamma` makes one ``M @ x`` per product.  With one, they
+replay its bindings, and take only the workspace's own state ``u``,
+scheme, method, stage list and update: anything else raises
+:class:`ValueError`.  Both paths of :func:`relaxation_gamma` share one
+tail.  Each step still calls :func:`rk_step`, :func:`relaxation_gamma`,
+:meth:`Scheme.energy` and ``BlockCirculantOp.matvec``, which are where its
+time is measured.
 
 Before its first step a run builds its grid, scheme and initial state,
 refuses non-finite initial data, allocates its workspace and measures the
@@ -139,7 +152,7 @@ import numpy as np
 
 from . import operators as ops
 from . import spectral
-from .operators import BlockCirculantOp, Grid, MatvecBinding
+from .operators import BlockCirculantOp, Grid
 
 __all__ = [
     "RKMethod",
@@ -161,6 +174,9 @@ __all__ = [
     "default_initial",
     "run_experiment",
 ]
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 class EnergyBlowUpError(RuntimeError):
@@ -423,45 +439,78 @@ def make_scheme(grid: Grid, variant: str, advection_speed: float = 1.0) -> Schem
     return Scheme(variant=variant, advection_speed=a, grid=grid, D_effective=D, M_energy=M)
 
 
-class _StepProgram:
-    """:func:`rk_step` for one method, with its arrays and numpy calls resolved once.
+class Workspace:
+    """The arrays one run's time loop writes, allocated once per run: base of the two step kinds.
 
-    ``stack`` is the product stack of :attr:`RKMethod._folds`, whose row
-    0 holds the state.  Stage states 2..s are the rows of ``Y``, the
-    update is an array of its own (or the array of the fold it repeats),
-    and ``tmp`` holds one scaled term before it is added.  ``dtc`` holds
-    ``dt`` times the method's coefficients for the ``dt`` it was last
-    formed for.  ``plan`` holds one entry per stage and one for the update:
-    its calls ``(function, arguments)``, and for a stage its state ``y`` and
-    its derivative ``k_i`` (a row of ``kd``).
+    ``u`` is the run's state, ``d`` a step's difference and ``Md`` its
+    product with ``M``.  ``tmp`` holds one scaled term, ``(dt c) k_j`` or
+    ``gamma d``, before it is added, and ``Mu`` takes ``M u``, through the
+    binding ``M_u``.  ``update`` is the state ``u + d`` a step returns and
+    ``stages`` the stage list it returns with it.  Each kind's ``run(dt)`` is
+    the step :func:`rk_step` replays on ``u``, and its ``gamma_terms`` gives
+    :func:`relaxation_gamma` what it reads of the step.  The two kinds are
+    :class:`_StageStep` and :class:`_ComposedStep`; each holds every array
+    and binding its runs use, and none of its fields is left unset.
+    """
 
-    Without ``u`` the program owns its state ``u``, row 0 of the stack, and
-    a stage entry also holds the binding of the scheme's right-hand side
-    operator to its pair (the bindings share the first one's scratch and
-    layout).  With ``u``, the one-shot path, each run first copies ``u``
-    into row 0, and each derivative is copied from ``scheme.rhs(y)``, so
-    the scheme needs nothing else.
+    __slots__ = ("scheme", "method", "u", "d", "Md", "tmp", "Mu", "M_u", "update", "stages")
+
+    @staticmethod
+    def allocate(
+        scheme: Scheme, method: RKMethod, u0: np.ndarray, *, composed: bool = False
+    ) -> "Workspace":
+        """A workspace for real states of ``scheme`` stepped by ``method``, starting from ``u0``.
+
+        Its own state ``u`` holds a copy of ``u0``.  A stage workspace
+        (:class:`_StageStep`, the default) holds the stage data and the stack
+        of products of the stage estimate; ``composed=True`` allocates a
+        :class:`_ComposedStep`.
+        """
+        return (_ComposedStep if composed else _StageStep)(scheme, method, u0)
+
+
+class _StageStep(Workspace):
+    """A workspace that steps through the stages, with its arrays and numpy calls resolved once.
+
+    ``stack`` is the product stack of :attr:`RKMethod._folds`, whose row 0
+    is the state ``u``.  Stage states 2..s are the rows of ``Y``, the update
+    is an array of its own (or the array of the fold it repeats), and
+    ``tmp`` holds one scaled term before it is added.  ``kd`` holds the stage
+    derivatives and then ``d`` as the rows of one ``(s + 1, 2n)`` array, and
+    ``Mkd`` their products with ``M``, the ``M f_i`` and then ``Md``, through
+    the binding ``M_kd``.  ``dots`` holds the batched views of the stage
+    estimate: stage states 2..s against their products ``M f_i``, and a
+    ``(s - 1, 1, 1)`` result.
+
+    ``dtc`` holds ``dt`` times the method's coefficients for the ``dt`` it
+    was last formed for.  ``plan`` holds one entry per stage and one for
+    the update: its calls ``(function, arguments)``, and for a stage its
+    state ``y``, its derivative ``k_i`` (a row of ``kd``) and the binding of
+    the scheme's right-hand side operator ``op`` to that pair (the bindings
+    share the first one's scratch and layout).
     """
 
     __slots__ = (
-        "scheme", "method", "u", "stack", "Y", "tmp", "coefficients", "dtc", "dt",
-        "load", "plan", "update", "stages", "op", "factor",
+        "stack", "Y", "kd", "Mkd", "M_kd", "dots",
+        "coefficients", "dtc", "dt", "plan", "op", "factor",
     )
 
-    def __init__(self, scheme, method: RKMethod, kd: np.ndarray, u=None):
+    def __init__(self, scheme: Scheme, method: RKMethod, u0: np.ndarray):
         coefficients, folds = method._folds
-        s, size, dtype = method.stages, kd.shape[1], kd.dtype
+        s, size, M = method.stages, 2 * scheme.grid.n, scheme.M_energy
         rows = max((call[1] for calls in folds for call in calls if call[0] == "sum"), default=0)
-        stack = np.empty((rows + 1, size), dtype)
-        Y = np.empty((s - 1, size), dtype)
-        self.tmp, self.coefficients = np.empty(size, dtype), np.array(coefficients)
+        stack, Y = np.empty((rows + 1, size)), np.empty((s - 1, size))
+        kd, Mkd = np.empty((s + 1, size)), np.empty((s + 1, size))
+        self.scheme, self.method = scheme, method
+        self.stack, self.Y, self.kd, self.Mkd = stack, Y, kd, Mkd
+        self.u, self.d, self.Md = stack[0], kd[s], Mkd[s]
+        self.tmp, self.Mu = np.empty(size), np.empty(size)
+        np.copyto(self.u, u0)
+        self.coefficients = np.array(coefficients)
         self.dtc = np.empty_like(self.coefficients)
-        self.load = None if u is None else (stack[0], u)
-        state = stack[0] if u is None else u
-        results = [state, *Y, np.empty(size, dtype)]
+        results = [self.u, *Y, np.empty(size)]
         k = tuple(kd[:s])
-        bind = u is None
-        self.op, self.factor = scheme.rhs_operator if bind else (None, 1.0)
+        self.op, self.factor = scheme.rhs_operator
         plan, share = [], None
         for i in range(s + 1):
             calls = []
@@ -481,22 +530,21 @@ class _StepProgram:
                     calls.append((np.multiply, (column, kd[j : j + w], stack[r : r + w])))
                 else:
                     calls.append((np.add.reduce, (stack[: call[1] + 1], 0, None, results[i])))
-            y, f, binding = (results[i], k[i], None) if i < s else (None, None, None)
-            if bind and f is not None:
-                binding = share = self.op.bind(y, f, share)
-            plan.append((tuple(calls), y, f, binding))
-        self.scheme, self.method, self.u, self.stack, self.Y = scheme, method, state, stack, Y
-        self.plan, self.update = tuple(plan), results[s]
+            if i < s:
+                share = self.op.bind(results[i], k[i], share)
+                plan.append((tuple(calls), results[i], k[i], share))
+            else:
+                plan.append((tuple(calls), None, None, None))
+        self.plan, self.update, self.dt = tuple(plan), results[s], None
         self.stages = [Stage(b=b, y=y, f=f) for b, (_, y, f, _) in zip(method.b, plan)]
-        self.dt = None
+        self.M_u, self.M_kd = M.bind(self.u, self.Mu), M.bind(kd, Mkd)
+        self.dots = (Y[:, None, :], Mkd[1:s, :, None], np.empty((s - 1, 1, 1)))
 
     def run(self, dt: float) -> tuple[np.ndarray, list[Stage]]:
         if dt != self.dt:
             np.multiply(dt, self.coefficients, self.dtc)
             self.dt = dt
-        if self.load is not None:
-            np.copyto(*self.load)
-        op, factor, scheme = self.op, self.factor, self.scheme
+        op, factor = self.op, self.factor
         for calls, y, f, binding in self.plan:
             for function, args in calls:
                 function(*args)
@@ -504,9 +552,22 @@ class _StepProgram:
                 op.matvec(y, f, binding)
                 if factor != 1.0:
                     f *= factor
-            elif f is not None:
-                np.copyto(f, scheme.rhs(y))
         return self.update, self.stages
+
+    def gamma_terms(self, u, u_next, stage_data, M) -> tuple[np.ndarray, np.ndarray, list]:
+        """``d = u_next - u`` into ``d``, and ``M d`` with every ``M f_i`` in one call into ``Mkd``.
+
+        The dot of stage 1 is ``M f_1`` against ``u``; those of stages 2..s
+        are one batched ``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n,
+        1)``, which numpy takes row by row to the same ``cblas_ddot``.
+        """
+        if u is not self.u or stage_data is not self.stages:
+            raise ValueError("a stage workspace takes its own state and its own step's stage list")
+        d = np.subtract(u_next, u, self.d)
+        M.matvec(self.kd, self.Mkd, self.M_kd)
+        left, right, out = self.dots
+        dots = np.matmul(left, right, out).ravel().tolist()
+        return d, self.Md, [float(self.Mkd[0].dot(u)), *dots]
 
 
 def _stencil_powers(D: BlockCirculantOp, count: int) -> tuple[tuple[int, ...], np.ndarray]:
@@ -567,26 +628,30 @@ def _composed_factor(scheme: Scheme, method: RKMethod, dt: float, powers: tuple)
     return BlockCirculantOp(D.n, D.dx, scale, dict(zip(offsets, blocks)))
 
 
-class _ComposedStep:
-    """:func:`rk_step` on a composed workspace: ``d = D (Q u)``, then ``u + d``.
+class _ComposedStep(Workspace):
+    """A workspace whose step forms ``d = D (Q u)`` in two matvecs, then ``u + d``.
 
     ``Q`` comes from :func:`_composed_factor` and ``D`` is the scheme's
-    derivative with its own ``1/dx`` scale, a second matvec.  ``u`` is the
-    run's state, ``q`` takes ``Q u``, ``d`` the step's difference and
-    ``update`` the state ``u + d``.  ``powers`` are the run's stencil
-    powers; ``Q`` and its binding to ``u`` and ``q`` are made again only
-    when ``dt`` changes (a run's clipped last step).  No stage is formed,
-    so the stage list it returns is empty.
+    derivative with its own ``1/dx`` scale, a second matvec.  ``q`` takes
+    ``Q u``, ``d`` the step's difference and ``update`` the state ``u +
+    d``.  ``powers`` are the run's stencil powers; ``Q`` and its binding
+    ``Q_u`` to ``u`` and ``q`` are made again only when ``dt`` changes (a
+    run's clipped last step).  ``M d`` is bound as ``M_d``, which shares
+    ``M_u``'s scratch.  No stage is formed, so the stage list is empty.
     """
 
-    __slots__ = ("scheme", "method", "u", "q", "d", "update", "tmp", "powers", "D_q", "dt", "Q", "Q_u")
+    __slots__ = ("q", "powers", "D_q", "M_d", "dt", "Q", "Q_u")
 
-    def __init__(self, scheme: Scheme, method: RKMethod, d: np.ndarray):
-        size = d.size
-        self.scheme, self.method, self.d = scheme, method, d
-        self.u, self.q, self.update, self.tmp = (np.empty(size) for _ in range(4))
+    def __init__(self, scheme: Scheme, method: RKMethod, u0: np.ndarray):
+        size, M = 2 * scheme.grid.n, scheme.M_energy
+        self.scheme, self.method, self.stages = scheme, method, ()
+        arrays = (np.empty(size) for _ in range(7))
+        self.u, self.q, self.d, self.update, self.tmp, self.Md, self.Mu = arrays
+        np.copyto(self.u, u0)
         self.powers = _stencil_powers(scheme.D_effective, method.stages)
-        self.D_q = scheme.D_effective.bind(self.q, d)
+        self.D_q = scheme.D_effective.bind(self.q, self.d)
+        self.M_u = M.bind(self.u, self.Mu)
+        self.M_d = M.bind(self.d, self.Md, self.M_u)
         self.dt = self.Q = self.Q_u = None
 
     def run(self, dt: float) -> tuple[np.ndarray, tuple]:
@@ -596,72 +661,13 @@ class _ComposedStep:
             self.dt = dt
         self.Q.matvec(self.u, self.q, self.Q_u)
         self.scheme.D_effective.matvec(self.q, self.d, self.D_q)
-        return np.add(self.u, self.d, self.update), ()
+        return np.add(self.u, self.d, self.update), self.stages
 
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class Workspace:
-    """Every array one run's time loop writes, allocated once per run.
-
-    ``u`` is the run's state, ``d`` the update difference and ``Md`` its
-    product with ``M``.  ``tmp`` holds one scaled term, ``(dt c) k_j`` or
-    ``gamma d``, before it is added, and ``Mu`` takes ``M u``, through the
-    binding ``M_u``.  ``step`` is what :func:`rk_step` replays on ``u``.
-
-    A stage workspace steps through the stages (:class:`_StepProgram`);
-    ``u`` is row 0 of its product stack.  ``kd`` holds the stage
-    derivatives and then ``d`` as the rows of one ``(s + 1, 2n)`` array,
-    and ``Mkd`` their products with ``M``, the ``M f_i`` and then ``Md``,
-    through the binding ``M_kd``.  ``dots`` holds the batched views of the
-    stage estimate: stage states 2..s against their products ``M f_i``,
-    and a ``(s - 1, 1, 1)`` result.
-
-    A composed workspace forms ``d`` in two matvecs (:class:`_ComposedStep`)
-    and binds ``M`` to ``d`` as ``M_d``, which shares ``M_u``'s scratch;
-    ``kd``, ``Mkd``, ``M_kd`` and ``dots`` are None.  A stage workspace has
-    no ``M_d``.
-    """
-
-    u: np.ndarray
-    tmp: np.ndarray
-    d: np.ndarray
-    Md: np.ndarray
-    Mu: np.ndarray
-    M_u: MatvecBinding
-    step: Union[_StepProgram, _ComposedStep]
-    kd: Optional[np.ndarray] = None
-    Mkd: Optional[np.ndarray] = None
-    M_kd: Optional[MatvecBinding] = None
-    M_d: Optional[MatvecBinding] = None
-    dots: Optional[tuple] = None
-
-    @classmethod
-    def allocate(
-        cls, scheme: Scheme, method: RKMethod, u0: np.ndarray, *, composed: bool = False
-    ) -> "Workspace":
-        """Buffers for real states of ``scheme`` stepped by ``method``, starting from ``u0``.
-
-        The workspace's own state ``u`` holds a copy of ``u0``.  A stage
-        workspace (the default) holds the stage data and the stack of
-        products of the stage estimate; ``composed=True`` allocates a
-        composed one.
-        """
-        size, s, M = 2 * scheme.grid.n, method.stages, scheme.M_energy
-        Mu = np.empty(size)
-        if composed:
-            d, Md = np.empty(size), np.empty(size)
-            step = _ComposedStep(scheme, method, d)
-            np.copyto(step.u, u0)
-            M_u = M.bind(step.u, Mu)
-            return cls(step.u, step.tmp, d, Md, Mu, M_u, step, M_d=M.bind(d, Md, M_u))
-        kd, Mkd = np.empty((s + 1, size)), np.empty((s + 1, size))
-        step = _StepProgram(scheme, method, kd)
-        np.copyto(step.u, u0)
-        dots = (step.Y[:, None, :], Mkd[1:s, :, None], np.empty((s - 1, 1, 1)), Mkd[0])
-        return cls(
-            step.u, step.tmp, kd[s], Mkd[s], Mu, M.bind(step.u, Mu), step,
-            kd=kd, Mkd=Mkd, M_kd=M.bind(kd, Mkd), dots=dots,
-        )  # fmt: skip
+    def gamma_terms(self, u, u_next, stage_data, M) -> tuple[np.ndarray, np.ndarray, list]:
+        """The ``d`` that :meth:`run` formed, never ``u_next - u``, and ``M d``; no stage dots."""
+        if u is not self.u or u_next is not self.update or stage_data:
+            raise ValueError("a composed workspace takes its own state and update, no stage data")
+        return self.d, M.matvec(self.d, self.Md, self.M_d), []
 
 
 def rk_step(
@@ -670,40 +676,51 @@ def rk_step(
     u: np.ndarray,
     dt: float,
     workspace: Optional[Workspace] = None,
-) -> tuple[np.ndarray, list[Stage]]:
+) -> tuple[np.ndarray, Sequence[Stage]]:
     """One explicit RK step; returns the update and per-stage data.
 
     The stage data (weights, stage states, stage derivatives) is exactly what
     :func:`relaxation_gamma` needs, so a caller can rescale the update without
-    recomputing any right-hand sides.  The sums are those of folding each
-    stage's terms into a copy of ``u`` one at a time, bit for bit (see the
-    module docstring).  ``u`` is not written to, but the returned arrays
-    may share memory with it and with each other (the first stage state is
-    ``u`` itself), so treat them as read-only.
+    recomputing any right-hand sides.  ``u`` is not written to.
 
-    Without a workspace every returned array is new, and ``scheme`` needs
-    only ``rhs(y)``: its results are copied into arrays of ``u``'s dtype,
-    promoted to float.  This stage-by-stage path is the oracle of the
-    composed one.  With a workspace, ``u`` must be its own state and
-    ``scheme`` and ``method`` those it was allocated for (``is``); any
-    other raises :class:`ValueError`.  A stage workspace replays its step
-    program: the update and the stage states other than ``u`` are the
-    program's arrays, the stage derivatives rows of the workspace's ``kd``,
-    and the stage list is the program's own, the same list every call: the
-    next call overwrites all of them.  The values are the bits of the
-    path without a workspace.  A composed workspace writes ``d = D (Q u)``
-    into its ``d`` (:class:`_ComposedStep`) and returns its update ``u +
-    d`` with an empty stage list; its values agree with the stages' to
+    Without a workspace this is the plain stage loop, the oracle of both
+    workspace kinds: each stage state and the update fold their nonzero
+    terms ``(dt a_ij) k_j`` into a copy of ``u`` one at a time, in an
+    array of ``u``'s dtype promoted to float, and each derivative is a copy
+    of ``scheme.rhs(y)``, so ``scheme`` needs nothing else.  The first stage
+    state is ``u`` itself; every other returned array is new.
+
+    With a workspace, ``u`` must be its own state and ``scheme`` and
+    ``method`` those it was allocated for (``is``); any other raises
+    :class:`ValueError`.  The step is the workspace's ``run(dt)``, and the
+    update and stage list are its own arrays, which the next call
+    overwrites: treat them as read-only.  A stage workspace
+    (:class:`_StageStep`) gives the bits of the plain loop.  A composed one
+    (:class:`_ComposedStep`) writes ``d = D (Q u)`` into its ``d`` and
+    returns ``u + d`` with an empty stage list; it agrees with the stages to
     rounding, not bit for bit.
     """
     ws = workspace
     if ws is None:
-        kd = np.empty((method.stages, np.size(u)), np.promote_types(np.asarray(u).dtype, float))
-        return _StepProgram(scheme, method, kd, u).run(dt)
-    step = ws.step
-    if step.u is not u or step.scheme is not scheme or step.method is not method:
+        dtype = np.promote_types(np.asarray(u).dtype, float)
+        k, stages = [], []
+        for i, b in enumerate(method.b):
+            y = u if i == 0 else _fold(u, method.a[i], k, dt, dtype)
+            k.append(np.array(scheme.rhs(y), dtype))
+            stages.append(Stage(b=b, y=y, f=k[i]))
+        return _fold(u, method.b, k, dt, dtype), stages
+    if ws.u is not u or ws.scheme is not scheme or ws.method is not method:
         raise ValueError("the workspace was allocated for another state, scheme or method")
-    return step.run(dt)
+    return ws.run(dt)
+
+
+def _fold(u, weights, k, dt, dtype) -> np.ndarray:
+    """``u + (dt w_1) k_1 + ...`` over the nonzero weights, added in turn to a copy of ``u``."""
+    y = np.array(u, dtype)
+    for w, k_j in zip(weights, k):
+        if w != 0.0:
+            y += (dt * w) * k_j
+    return y
 
 
 def relaxation_gamma(
@@ -718,52 +735,42 @@ def relaxation_gamma(
     """Step scaling that matches the energy change to the stage estimate.
 
     Solves ``E(u + gamma d) - E(u) = gamma * e`` for the nontrivial root,
-    where ``d = u_next - u`` and ``e = 2 dt sum_i b_i <y_i, f_i>_M`` is the
-    inner-product estimate of the energy change.  Empty ``stage_data`` means
-    ``e = 0``, which holds when ``M D + D^T M = 0`` makes every stage term
-    vanish.  Returns 1 when the update is too small for the quadratic to be
-    meaningful.
+    ``gamma = (e - 2 u.Md) / d.Md``, where ``d = u_next - u`` and ``e = 2 dt
+    sum_i b_i <y_i, f_i>_M`` is the inner-product estimate of the energy
+    change.  Empty ``stage_data`` means ``e = 0``, which holds when ``M D +
+    D^T M = 0`` makes every stage term vanish.
 
-    ``M d`` and every ``M f_i`` come from one matvec call on the stack
-    ``[f_1, ..., f_s, d]`` (a stack of one, ``d`` alone, without stage
-    data).  Each row has the bits of its own call, and each dot product is
-    one ``cblas_ddot`` of its two rows, summed into ``e`` stage by stage.
-    Without a workspace, ``d`` and the products are new arrays.  A stage
-    workspace takes its step program's own stage list: ``d`` goes into its
-    ``d`` row and the call replays ``M_kd`` into the ``Mkd`` stack.
-    Stages 2..s then go through one batched ``matmul`` of ``(s - 1, 1,
-    2n)`` by ``(s - 1, 2n, 1)``, which numpy takes row by row to the same
-    ``cblas_ddot``.  A composed workspace takes no stage data and its own
-    update as ``u_next``: ``d`` is the one :func:`rk_step` formed, never
-    ``u_next - u``, and ``M d`` replays ``M_d``.  Any other stage data or
-    update, or another ``M``, raises :class:`ValueError`.
+    Returns 1 when rounding alone could set gamma: when ``|d|_M <= 8 n eps
+    |u|_M``, tested as ``d.Md <= (8 n eps)^2 u.Mu``.  Each dot product of
+    ``2n`` terms rounds by at most ``2n eps sum_i |x_i| |y_i|`` (Higham,
+    Thm. 3.1), which is at most ``2n eps |x|_M |y|_M`` for a diagonal ``M``
+    (Cauchy-Schwarz).  So ``2 u.Md`` errs by up to ``4n eps |u|_M |d|_M``,
+    and ``e`` by about as much again: its stage states are of the size of
+    ``u``, and ``dt`` times its derivatives of the size of ``d``.  Over
+    ``d.Md = |d|_M^2`` that moves gamma by up to ``8 n eps |u|_M / |d|_M``.
+    At the cut-off that bound reaches 1, and gamma says nothing.  Both sides scale with the square of the data, so
+    the decision does not depend on its size (an absolute cut-off switched
+    relaxation off for data of size 1e-16), and ``d = 0`` or ``u = 0``
+    returns 1 too.
+
+    Without a workspace ``d``, ``M d``, ``M u`` and each ``M f_i`` are new
+    arrays, one ``M @ x`` each, and each dot product one ``cblas_ddot``.
+    With one, its ``gamma_terms`` gives ``d``, ``M d`` and the
+    stage dots with the same bits (a composed workspace gives its own
+    ``d``, never ``u_next - u``), and ``M u`` is read from its ``Mu``, which
+    :meth:`Scheme.energy` wrote when it measured the state: the time loop
+    measures every state before it steps it.  Both paths then share the
+    same tail.
     """
-    ws = workspace
-    if ws is None:
+    if workspace is None:
         d = u_next - u
-        Mf = M @ np.stack([*(st.f for st in stage_data), d])
-        Md = Mf[-1]
-    elif ws.M_d is not None:
-        if stage_data or u_next is not ws.step.update:
-            raise ValueError("a composed workspace takes no stage data and its own update")
-        d = ws.d
-        Md = M.matvec(d, ws.Md, ws.M_d)
-    elif stage_data is ws.step.stages:
-        d = np.subtract(u_next, u, ws.d)
-        M.matvec(ws.kd, ws.Mkd, ws.M_kd)
-        Md = ws.Md
+        Md, Mu = M @ d, M @ u
+        dots = [float(st.y @ (M @ st.f)) for st in stage_data]
     else:
-        raise ValueError("a stage workspace takes its own step's stage list")
+        (d, Md, dots), Mu = workspace.gamma_terms(u, u_next, stage_data, M), workspace.Mu
     d2 = float(d.dot(Md))
-    if d2 < 1e-30:
+    if d2 <= (4 * u.size * _EPS) ** 2 * float(Mu.dot(u)):
         return 1.0
-    if not stage_data:
-        dots = ()
-    elif ws is None:
-        dots = [float(st.y @ Mf_i) for st, Mf_i in zip(stage_data, Mf)]  # stops before M d
-    else:
-        left, right, out, Mf_1 = ws.dots
-        dots = [float(Mf_1.dot(u)), *np.matmul(left, right, out).ravel().tolist()]
     e = 0.0
     for st, dot in zip(stage_data, dots):
         e += st.b * dot
@@ -835,7 +842,7 @@ def _amplification_radius(scheme: Scheme, method: RKMethod, dt: float) -> tuple[
         R += c
         bound = bound * znorm + abs(c)
     rho = float(np.abs(R).max())
-    return rho, 16.0 * method.stages * np.finfo(float).eps * bound
+    return rho, 16.0 * method.stages * _EPS * bound
 
 
 @dataclasses.dataclass(frozen=True)

@@ -207,6 +207,59 @@ def test_relaxation_gamma_degenerate_update_returns_one():
     assert relaxation_gamma(u0, u0, stages, s.M_energy, dt) == 1.0
 
 
+@pytest.mark.parametrize("variant", ["central", "upwind"])
+def test_relaxation_gamma_of_zero_data_is_one(variant):
+    """u = 0 makes ``d.Md`` and its cut-off ``(8 n eps)^2 u.Mu`` both zero."""
+    s, u0, _, stages, dt = _one_step(variant)
+    zero = np.zeros_like(u0)
+    assert relaxation_gamma(zero, zero, [st._replace(f=zero) for st in stages], s.M_energy, dt) == 1.0
+
+
+@pytest.mark.parametrize("ratio, relaxed", [(0.5, False), (2.0, True)])
+@pytest.mark.parametrize("variant", ["central", "upwind"])
+def test_relaxation_gamma_cut_off_is_8n_eps_of_the_state(variant, ratio, relaxed):
+    """gamma is 1 where ``|d|_M`` is half of ``8 n eps |u|_M``, and computed
+    where it is twice that (the update is not a step there, so gamma is far
+    from 1)."""
+    s, u0, _, _, dt = _one_step(variant)
+    M, n = s.M_energy, u0.size // 2
+    v = np.random.default_rng(n).normal(size=u0.size)
+    d = v * (ratio * 8 * n * EPS * math.sqrt(s.energy(u0) / s.energy(v)))
+    gamma = relaxation_gamma(u0, u0 + d, (), M, dt)
+    assert (gamma != 1.0) == relaxed
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-16])
+@pytest.mark.parametrize("variant", ["central", "upwind"])
+def test_relaxation_does_not_depend_on_the_size_of_the_data(variant, scale):
+    """gamma's cut-off is relative to ``u.Mu`` (see ``relaxation_gamma``),
+    so every step of a run from ``1e-16 exp(sin x)`` is relaxed, as from
+    ``exp(sin x)``, and the central energy stays within ``2n eps E0`` (an
+    absolute cut-off of 1e-30 relaxed none of them and let it drift 2e5
+    times that).  Scaling the data by a power of two scales every rounding
+    with it: the run's times and gammas keep their bits, and its energies
+    and state scale exactly."""
+    n = 50
+    dx = 2 * math.pi / n
+    config = ExperimentConfig(
+        variant=variant, n=n, t_end=99.5 * 0.5 * dx, initial=lambda x: scale * np.exp(np.sin(x))
+    )
+    trace, u = run_experiment(config)
+    assert len(trace.times) == 101 and np.all(trace.gammas[1:] != 1.0)
+    bound = 2 * n * EPS * trace.initial_energy
+    if variant == "central":
+        assert trace.max_drift <= bound
+    else:
+        assert trace.max_increment <= bound
+    tiny = 2.0**-60
+    scaled = dataclasses.replace(config, initial=lambda x: tiny * scale * np.exp(np.sin(x)))
+    tiny_trace, tiny_u = run_experiment(scaled)
+    assert tiny_trace.times.tobytes() == trace.times.tobytes()
+    assert tiny_trace.gammas.tobytes() == trace.gammas.tobytes()
+    assert tiny_trace.energies.tobytes() == (tiny**2 * trace.energies).tobytes()
+    assert tiny_u.tobytes() == (tiny * u).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # initial data
 # ---------------------------------------------------------------------------
@@ -424,16 +477,19 @@ def test_estimate_vanishes_for_central_and_not_for_upwind(n):
         assert not solver._estimate_vanishes(make_scheme(g, "upwind", a))
 
 
+def _gamma_cut_off(u, M):
+    """The ``d.Md`` at and below which gamma is 1: ``(8 n eps)^2 u.Mu``."""
+    return (4 * u.size * EPS) ** 2 * float(u @ (M @ u))
+
+
 def _reference_gamma(u, u_next, stages, M, dt, d=None):
-    """``relaxation_gamma`` from fresh arrays: one plain ``M @ x`` per stage
-    derivative and for ``d``, not the stacked product the solver makes, so
-    that the fast path is compared with something other than itself.
+    """``relaxation_gamma`` from fresh arrays, written out on its own.
     ``d`` defaults to ``u_next - u``; a composed step passes its own."""
     if d is None:
         d = u_next - u
     Md = M @ d
     d2 = float(d @ Md)
-    if d2 < 1e-30:
+    if d2 <= _gamma_cut_off(u, M):
         return 1.0
     e = 0.0
     for st in stages:
@@ -759,7 +815,8 @@ def test_shared_prefixes_are_summed_once(method, calls):
     multiplies two runs.  _A_STAGE_IS_U copies u into its second stage."""
     g = ops.build_grid(16)
     ws = solver.Workspace.allocate(make_scheme(g, "central", 1.0), method, np.zeros(2 * g.n))
-    assert sum(len(fold_calls) for fold_calls, *_ in ws.step.plan) == calls
+    assert type(ws) is solver._StageStep
+    assert sum(len(fold_calls) for fold_calls, *_ in ws.plan) == calls
 
 
 @pytest.mark.parametrize("n", [3, 17, 1200])
@@ -810,13 +867,51 @@ def test_batched_stage_dots_are_the_per_row_dots(n, stages):
     g = ops.build_grid(n)
     rng = np.random.default_rng(n + stages)
     ws = solver.Workspace.allocate(make_scheme(g, "upwind", 1.0), _chain(stages), np.zeros(2 * n))
-    left, right, out, _ = ws.dots
+    left, right, out = ws.dots
     assert out.shape == (stages - 1, 1, 1)
-    ws.step.Y[...] = rng.normal(size=ws.step.Y.shape)
+    ws.Y[...] = rng.normal(size=ws.Y.shape)
     ws.Mkd[...] = rng.normal(size=ws.Mkd.shape)
     got = np.matmul(left, right, out).ravel().tolist()
-    want = [float(y @ f) for y, f in zip(ws.step.Y, ws.Mkd[1:stages], strict=True)]
+    want = [float(y @ f) for y, f in zip(ws.Y, ws.Mkd[1:stages], strict=True)]
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128], ids=["int", "real", "complex"])
+@pytest.mark.parametrize("duck", [False, True], ids=["scheme", "duck-typed"])
+@pytest.mark.parametrize(
+    "method",
+    [RK4, SSPRK33, RK4X2, _chain(32), _UPDATE_IS_A_STAGE, _A_STAGE_IS_U, _SHARED_PREFIXES],
+    ids=lambda m: m.name,
+)
+def test_one_shot_rk_step_is_the_plain_stage_loop(method, duck, dtype):
+    """Without a workspace a step needs only ``scheme.rhs``, which may
+    return any array-like; the first stage state is ``u`` itself, every
+    other returned array is new, of ``u``'s dtype promoted to float, and
+    ``u`` is not written.  An integer state steps as its float copy does,
+    and a duck-typed scheme as the scheme whose ``rhs`` it returns as a
+    list, bit for bit."""
+    g = ops.build_grid(17)
+    scheme = make_scheme(g, "upwind", -1.0)
+    rng = np.random.default_rng(17)
+    u = rng.integers(-50, 50, size=2 * g.n).astype(dtype)
+    if dtype is np.complex128:
+        u += 1j * rng.integers(-50, 50, size=2 * g.n)
+    u.setflags(write=False)  # an in-place write to u would raise
+    promoted = np.promote_types(dtype, float)
+    stepped = types.SimpleNamespace(rhs=lambda y: scheme.rhs(y).tolist()) if duck else scheme
+    u_next, stages = rk_step(stepped, method, u, 0.37 * g.dx)
+    assert stages[0].y is u and len(stages) == method.stages
+    arrays = [u_next, *(st.y for st in stages[1:]), *(st.f for st in stages)]
+    for i, x in enumerate(arrays):
+        assert type(x) is np.ndarray and x.dtype == promoted and x.flags.writeable
+        assert not np.shares_memory(x, u)
+        assert not any(np.shares_memory(x, y) for y in arrays[i + 1 :])
+    want_next, want_stages = rk_step(scheme, method, u.astype(promoted), 0.37 * g.dx)
+    assert u_next.tobytes() == want_next.tobytes()
+    for got, want in zip(stages, want_stages, strict=True):
+        assert got.b == want.b
+        assert got.y.astype(promoted).tobytes() == want.y.tobytes()
+        assert got.f.tobytes() == want.f.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -918,7 +1013,7 @@ def _fresh_array_run(config, step=rk_step, d_from="difference"):
                     f"t = {t:.6g}; the step is likely outside the RK stability region"
                 )
             d2 = float(d @ (s.M_energy @ d))
-            if skip and d2 >= 1e-30:  # gamma is 1 below it
+            if skip and d2 > _gamma_cut_off(u, s.M_energy):  # gamma is 1 below it
                 slack += 4 * config.n * EPS * math.sqrt(s.energy(u) / d2) * dt
             u, t = u + gamma * d, t + gamma * dt
         else:
@@ -1053,31 +1148,34 @@ def test_rk_step_without_a_workspace_returns_arrays_no_later_call_writes(method)
 
 @pytest.mark.parametrize("method", [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES], ids=lambda m: m.name)
 def test_rk_step_with_a_workspace_writes_its_buffers(method):
-    """The state is row 0 of the step program's product stack, the update
-    and the stage states other than u are the program's arrays (the stage
-    states rows of ``Y``), the stage derivatives rows of ``kd``; the bits
-    are those of fresh arrays."""
+    """The state is row 0 of the stage workspace's product stack, the update
+    and the stage states other than u are its arrays (the stage states rows
+    of ``Y``), the stage derivatives rows of ``kd``; the bits are those of
+    the plain stage loop."""
     g = ops.build_grid(17)
     s = make_scheme(g, "upwind", -1.0)
     ws = solver.Workspace.allocate(s, method, project_initial(g, solver.default_initial))
     u = ws.u
-    assert u.base is ws.step.stack and u.ctypes.data == ws.step.stack.ctypes.data
+    assert type(ws) is solver._StageStep
+    assert u.base is ws.stack and u.ctypes.data == ws.stack.ctypes.data
     u1, stages = rk_step(s, method, u, 0.3 * g.dx, ws)
     want, want_stages = rk_step(s, method, u, 0.3 * g.dx)
     assert u1.tobytes() == want.tobytes()
-    assert u1 is ws.step.update and stages is ws.step.stages
+    assert u1 is ws.update and stages is ws.stages
     assert stages[0].y is u
     for st, row, want_st in zip(stages, ws.kd, want_stages):
         assert st.f.base is ws.kd and st.f.ctypes.data == row.ctypes.data
-        assert st.y is u or st.y.base is ws.step.Y
+        assert st.y is u or st.y.base is ws.Y
         assert (st.y.tobytes(), st.f.tobytes()) == (want_st.y.tobytes(), want_st.f.tobytes())
     M = s.M_energy
+    assert s.energy(u, ws) == s.energy(u.copy())  # gamma's cut-off reads the energy's M u
     gamma = relaxation_gamma(u, u1, stages, M, 0.3 * g.dx, workspace=ws)
     assert gamma == relaxation_gamma(u, want, want_stages, M, 0.3 * g.dx)
     assert gamma == _reference_gamma(u, want, want_stages, M, 0.3 * g.dx)
     with pytest.raises(ValueError, match="its own step's stage list"):
         relaxation_gamma(u, u1, (), M, 0.3 * g.dx, workspace=ws)  # only composed steps skip it
-    assert s.energy(u, ws) == s.energy(u.copy())
+    with pytest.raises(ValueError, match="its own state"):
+        relaxation_gamma(u.copy(), u1, stages, M, 0.3 * g.dx, workspace=ws)
 
 
 @pytest.mark.parametrize("method", [RK4, SSPRK33, RK4X2], ids=lambda m: m.name)
@@ -1147,24 +1245,29 @@ def test_rhs_folds_the_speed_into_the_scale_only_at_unit_speed(variant, a):
     assert s.rhs(u).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [3, 17, 1200])
 @pytest.mark.parametrize("variant, a", [("central", 1.0), ("upwind", -1.0), ("central", 0.7)])
 @pytest.mark.parametrize(
-    "method", [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES, _UPDATE_IS_A_STAGE], ids=lambda m: m.name
+    "method",
+    [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES, _UPDATE_IS_A_STAGE, _A_STAGE_IS_U, _chain(32)],
+    ids=lambda m: m.name,
 )
-def test_rk_step_replays_its_program_on_new_values_and_time_steps(method, variant, a):
-    """The step program reads the bound operand's values of each call and
-    forms ``dt c`` again when dt changes; each call gives the fresh-array
-    bits."""
-    g = ops.build_grid(17)
+def test_rk_step_replays_its_program_on_new_values_and_time_steps(method, variant, a, n):
+    """A stage workspace reads the bound operand's values of each call and
+    forms ``dt c`` again when dt changes; each call gives the bits of the
+    one-shot path: update, stage data, energy and gamma."""
+    g = ops.build_grid(n)
     s = make_scheme(g, variant, a)
     ws = solver.Workspace.allocate(s, method, project_initial(g, solver.default_initial))
     u = ws.u
+    assert type(ws) is solver._StageStep
     for i, dt in enumerate((0.3, 0.3, 0.1, 0.1, 0.3)):
         if i % 2:
             u += 0.125 * np.sin(u)
+        assert s.energy(u, ws) == s.energy(u.copy())
         u_next, stages = rk_step(s, method, u, dt * g.dx, ws)
         want, want_stages = rk_step(s, method, u.copy(), dt * g.dx)
-        assert stages is ws.step.stages and stages[0].y is u
+        assert stages is ws.stages and stages[0].y is u
         assert u_next.tobytes() == want.tobytes()
         for st, want_st in zip(stages, want_stages, strict=True):
             assert st.b == want_st.b
@@ -1172,7 +1275,6 @@ def test_rk_step_replays_its_program_on_new_values_and_time_steps(method, varian
         gamma = relaxation_gamma(u, u_next, stages, s.M_energy, dt * g.dx, workspace=ws)
         assert gamma == relaxation_gamma(u, want, want_stages, s.M_energy, dt * g.dx)
         assert gamma == _reference_gamma(u, want, want_stages, s.M_energy, dt * g.dx)
-        assert s.energy(u, ws) == s.energy(u.copy())
 
 
 def test_workspace_binds_its_step_and_mass_matvecs():
@@ -1181,58 +1283,67 @@ def test_workspace_binds_its_step_and_mass_matvecs():
     u0 = project_initial(g, solver.default_initial)
     ws = solver.Workspace.allocate(s, RK4X2, u0)
     u = ws.u  # the workspace's own state, a copy of u0
+    assert type(ws) is solver._StageStep
     assert u is not u0 and u.tobytes() == u0.tobytes()
-    assert ws.step.u is u and ws.M_u.u is u and ws.M_u.out is ws.Mu
+    assert ws.M_u.u is u and ws.M_u.out is ws.Mu
     assert ws.M_kd.u is ws.kd and ws.M_kd.out is ws.Mkd
-    assert ws.M_d is None  # M d is a row of the stacked product
+    assert not hasattr(ws, "M_d")  # M d is a row of the stacked product
+    # every field the two kinds share is set
+    assert all(getattr(ws, name) is not None for name in solver.Workspace.__slots__)
     # k_1..k_s and d are the rows of one stack, and so are their products
     assert ws.kd.shape == ws.Mkd.shape == (RK4X2.stages + 1, 2 * g.n)
-    for row, want in zip((*(st.f for st in ws.step.stages), ws.d), ws.kd, strict=True):
+    for row, want in zip((*(st.f for st in ws.stages), ws.d), ws.kd, strict=True):
         assert row.base is ws.kd and row.ctypes.data == want.ctypes.data
     assert ws.Md.base is ws.Mkd and ws.Md.ctypes.data == ws.Mkd[-1].ctypes.data
     # the stage estimate's batched dots: stage states 2..s against M f_2..M f_s
-    left, right, out, Mf_1 = ws.dots
-    assert left.shape == (RK4X2.stages - 1, 1, 2 * g.n) and left.base is ws.step.Y
+    left, right, out = ws.dots
+    assert left.shape == (RK4X2.stages - 1, 1, 2 * g.n) and left.base is ws.Y
     assert right.shape == (RK4X2.stages - 1, 2 * g.n, 1) and right.base is ws.Mkd
-    assert right.ctypes.data == ws.Mkd[1].ctypes.data and Mf_1.ctypes.data == ws.Mkd.ctypes.data
+    assert right.ctypes.data == ws.Mkd[1].ctypes.data
     assert out.shape == (RK4X2.stages - 1, 1, 1)
 
 
 @pytest.mark.parametrize("a", [1.0, -1.0, 0.7])
 @pytest.mark.parametrize("variant", ["central", "upwind"])
-@pytest.mark.parametrize("n", [3, 16, 8200])
+@pytest.mark.parametrize("n", [3, 16, 17, 1200, 8200])
 def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
     """A composed workspace holds no stage data and no stack of products.
     Its step writes ``d = D (Q u)`` into ``d``, with the bits of one-shot
     matvecs, and returns ``u + d``; ``Q`` is formed again, and bound again,
-    only when dt changes.  ``M d`` is bound with ``M u``'s scratch, and its
-    gamma has the bits of one from fresh arrays.  Stage data, another
-    update or another state raise."""
+    only when dt changes.  ``M d`` is bound with ``M u``'s scratch; its
+    energy has the bits of the one-shot path, and its gamma those of one
+    from fresh arrays.  Stage data, another update or another state
+    raise."""
     g = ops.build_grid(n)
     s = make_scheme(g, variant, a)
     u0 = project_initial(g, solver.default_initial)
     ws = solver.Workspace.allocate(s, RK4X2, u0, composed=True)
     u, M = ws.u, s.M_energy
+    assert type(ws) is solver._ComposedStep
     assert u is not u0 and u.tobytes() == u0.tobytes()
-    assert (ws.kd, ws.Mkd, ws.M_kd, ws.dots) == (None, None, None, None)
+    assert not any(hasattr(ws, name) for name in ("kd", "Mkd", "M_kd", "dots", "stack", "Y"))
+    assert all(getattr(ws, name) is not None for name in solver.Workspace.__slots__)
     assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md and ws.M_d.scratch is ws.M_u.scratch
-    assert ws.M_u.u is u and ws.step.u is u and ws.step.d is ws.d
+    assert ws.M_u.u is u and ws.M_u.out is ws.Mu and ws.D_q.out is ws.d
     one_shot = _one_shot_composed_step(s, RK4X2)
     factors = []
     for dt in (0.3 * g.dx, 0.3 * g.dx, 0.1 * g.dx):
+        assert s.energy(u, ws) == s.energy(u.copy())
         u1, stages = rk_step(s, RK4X2, u, dt, ws)
         want, want_d = one_shot(s, RK4X2, u.copy(), dt)
-        assert stages == () and u1 is ws.step.update
+        assert stages == () and u1 is ws.update
         assert (ws.d.tobytes(), u1.tobytes()) == (want_d.tobytes(), want.tobytes())
-        factors.append(ws.step.Q)
+        factors.append(ws.Q)
         gamma = relaxation_gamma(u, u1, stages, M, dt, workspace=ws)
         assert gamma == _reference_gamma(u, want, (), M, dt, want_d)
         u += 0.125 * np.sin(u)
     assert factors[0] is factors[1] and factors[1] is not factors[2]
-    with pytest.raises(ValueError, match="no stage data and its own update"):
+    with pytest.raises(ValueError, match="its own state and update, no stage data"):
         relaxation_gamma(u, u1.copy(), (), M, 0.1 * g.dx, workspace=ws)
+    with pytest.raises(ValueError, match="its own state and update, no stage data"):
+        relaxation_gamma(u.copy(), u1, (), M, 0.1 * g.dx, workspace=ws)
     stage = solver.Stage(b=1.0, y=u, f=ws.d)
-    with pytest.raises(ValueError, match="no stage data and its own update"):
+    with pytest.raises(ValueError, match="its own state and update, no stage data"):
         relaxation_gamma(u, u1, [stage], M, 0.1 * g.dx, workspace=ws)
     with pytest.raises(ValueError, match="allocated for another"):
         rk_step(s, RK4X2, u.copy(), 0.1 * g.dx, ws)
