@@ -21,8 +21,9 @@ blocks landing on one offset (e.g. ``-2`` and ``+1`` at ``n = 3``) are summed
 in insertion order, and zero blocks are dropped, so an operator without
 blocks is exactly the zero operator.
 
-``BlockCirculantOp.matvec`` is the one evaluation kernel.  A plan cached on
-the frozen operator holds the halo width ``h = max |j|``, the transposed
+``BlockCirculantOp.matvec`` is the one evaluation kernel, with two binding
+layouts (see below).  In the per-block layout, a plan cached on the frozen
+operator holds the halo width ``h = max |j|``, the transposed
 blocks stacked in insertion order, and which windows of a halo-extended copy
 of the input (the input with ``h`` wrapped cells on each side) they read.  A
 bound call copies the input into a halo buffer (no copy at all when ``h =
@@ -81,6 +82,48 @@ bits of a one-shot call: the 2x2 products go to BLAS either way, because
 every operand and output view keeps unit stride in its last axis and at
 least two rows (OpenBLAS rounds with fused multiply-adds, which an
 elementwise product or numpy's fallback loop would not).
+
+A binding has one of two layouts, and ``matvec`` replays both with the
+same loop: the halo copies, the ``matmul`` steps (each with its block sum,
+if it has one), and one multiply by ``scale`` from the binding's result
+view into ``out``, which is ``out`` itself in the per-block layout.
+
+- The *per-block* layout is the kernel above, with its bit contract: every
+  one-shot call (``op @ u``, ``Scheme.rhs``, ``checks``, ``spectral``) and
+  every :meth:`BlockCirculantOp.bind`.  The time loop's stage steps use it,
+  since ``perfbench``'s references pin their bits to 1e-13, and so do the
+  mass products of both step kinds, so that the energy and the relaxation
+  parameter keep the same bits on their one-shot and bound paths.
+- The *banded* layout (:meth:`BlockCirculantOp.bind_banded`) serves the
+  composed time step's two factors, ``Q u`` and ``D q``.  ``B`` is the span
+  of the stored offsets, ``max - min + 1``, at most ``n`` in the normal
+  form, and ``A`` the ``(2B, 2)`` stack of the transposed blocks by offset,
+  with zero rows where no block is stored.  Cell ``i``'s result is its
+  window, the ``2B`` doubles of cells ``i + min .. i + max``, times ``A``.
+  The windows of neighbouring cells overlap, and BLAS takes a matrix as it
+  is only if its row stride is at least its row length.  So the cells are
+  grouped by residue mod ``B``: the windows of cells ``r, r + B, r + 2B,
+  ...`` are consecutive rows of ``2B`` doubles in a halo copy of cells
+  ``min, min + 1, ...`` (mod n), a matrix whose row stride equals its row
+  length.  One ``matmul`` of the ``(B, M, 2B)`` strided view of those
+  matrices, ``M = ceil(n / B)``, by ``A`` writes ``(B, M, 2)`` products
+  into a result buffer of ``M B`` cells, padded past ``n`` so that every
+  residue has ``M`` rows, and the scale multiply reads its first ``2n``
+  entries.  There is no product stack and no reduction, and at ``B = 1``
+  (the diagonal mass) a contiguous operand is its own window matrix.  Each
+  result is one ``2B``-term dot in BLAS's order, scaled once, so it lies
+  within ``2B eps |scale| (|A| |u|)_i + eps |result_i|`` of the exact
+  product (Higham 2002, Thm 3.1), but it has not the per-block bits.
+  OpenBLAS's threaded ``dgemm`` splits the rows and columns of a product,
+  not its dots: unrelaxed composed runs at n = 8200 and 1e5 end in the
+  same bits with one and with two threads.  With every matvec
+  banded, relaxed upwind ``rk4x2`` (n = 48, a = -1) landed 1.25e-11 from
+  ``perfbench``'s references and the chaotic relaxed central ``ssprk33``
+  (n = 128) 6.25e-2: the per-block layout stays until those references are
+  re-recorded.  At n = 1200 the composed ``rk4x2`` ``Q`` (B = 15) takes
+  about 18 instead of 48 us per bound call and ``D`` 10 instead of 18 us;
+  at n = 8200, 82 instead of 422 us and 49 instead of 93 us (shared 2-vCPU
+  x86 host, one BLAS thread).
 
 The relaxed time stepper depends on that exactness: its step rescaling
 divides energy estimates that nearly cancel, so a kernel that only
@@ -264,24 +307,30 @@ class MassParams:
 
 
 class MatvecBinding(NamedTuple):
-    """One :meth:`BlockCirculantOp.matvec` call's set-up, from :meth:`BlockCirculantOp.bind`.
+    """One :meth:`BlockCirculantOp.matvec` call's set-up, from :meth:`BlockCirculantOp.bind`
+    or :meth:`BlockCirculantOp.bind_banded`.
 
     A call replays ``copies`` and ``steps`` (see
     ``BlockCirculantOp._program``) through ``scratch`` (see
     ``BlockCirculantOp._scratch``) only when it is a call of ``op`` on
-    ``u`` into ``out``, all three the very objects bound.  ``layout`` is
-    the part of the steps that holds no view of ``u`` or ``out`` (see
+    ``u`` into ``out``, all three the very objects bound, and then
+    multiplies ``result`` by the scale into ``out``.  ``layout`` is the
+    part of the steps that holds no view of ``u`` or ``out`` (see
     ``BlockCirculantOp._layout``), which a binding sharing this one's
-    scratch for the same operator takes as it is.
+    scratch for the same operator takes as it is.  ``result`` is ``out``
+    itself in the per-block layout; a banded binding's ``result`` is the
+    first ``2n`` entries of its padded result buffer, and its ``layout`` is
+    None: it lends nothing.
     """
 
     op: "BlockCirculantOp"
     u: np.ndarray
     out: np.ndarray
     scratch: tuple
-    layout: tuple
+    layout: Optional[tuple]
     copies: tuple
     steps: tuple
+    result: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -433,14 +482,83 @@ class BlockCirculantOp:
         if (
             share is not None
             and share.op is self
+            and share.layout is not None
             and type(u) is type(out) is np.ndarray
             and (u.shape, u.dtype, out.shape, out.dtype)
             == (share.u.shape, share.u.dtype, share.out.shape, share.out.dtype)
         ):
             # share's checks, scratch and layout hold for this call as they are
             copies, steps = self._views(share.layout, u, out)
-            return MatvecBinding(self, u, out, share.scratch, share.layout, copies, steps)
-        return MatvecBinding(self, *self._program(u, out, None if share is None else share.scratch))
+            return MatvecBinding(self, u, out, share.scratch, share.layout, copies, steps, out)
+        return self._program(u, out, None if share is None else share.scratch)
+
+    @functools.cached_property
+    def _band(self) -> tuple[int, int, np.ndarray]:
+        """First offset ``lo``, span ``B`` and the ``(2B, 2)`` stack of the banded layout.
+
+        Rows ``2k`` and ``2k + 1`` of the stack hold ``A_(lo + k)^T``, and
+        zeros where no block is stored; an operator without blocks has
+        ``B = 1`` and a zero stack.  The normal form keeps ``B <= n``.
+        """
+        lo = min(self.blocks, default=0)
+        span = max(self.blocks, default=0) - lo + 1
+        stack = np.zeros((span, 2, 2))
+        for j, a in self.blocks.items():
+            stack[j - lo] = a.T
+        stack = stack.reshape(2 * span, 2)
+        stack.setflags(write=False)
+        return lo, span, stack
+
+    def bind_banded(self, u: np.ndarray, out: np.ndarray) -> MatvecBinding:
+        """A :meth:`matvec` binding of ``u`` into ``out`` in the banded layout: one ``matmul``.
+
+        Cell ``i``'s result is its window, cells ``i + lo .. i + lo + B -
+        1`` (``2B`` doubles), times the ``(2B, 2)`` stack of ``_band``.
+        The cells of one residue mod ``B`` have consecutive windows in a
+        halo copy of the operand, so each residue's ``M = ceil(n / B)``
+        windows are a ``(M, 2B)`` matrix with row stride ``2B``, which BLAS
+        takes as it is; the residues make one ``(B, M, 2B)`` strided view,
+        and one ``matmul`` writes its ``(B, M, 2)`` products into a result
+        buffer of ``M B`` cells (padded past ``n``), whose first ``2n``
+        entries the scale multiply reads.  At ``B = 1`` a C-contiguous
+        operand is its own window matrix and needs no halo copy.
+
+        ``u`` must be a 1-D float64 array of ``2n`` entries and ``out`` one
+        of the same shape and dtype; it may be ``u`` itself.  Each result
+        is one ``2B``-term dot in BLAS's order, scaled once: within
+        ``2B eps |scale| (|A| |u|)_i + eps |result_i|`` of the exact
+        product, not the bits of :meth:`bind`'s per-block layout.
+        """
+        n = self.n
+        if type(u) is not np.ndarray or u.dtype != np.float64:
+            raise ValueError(f"a banded binding takes a float64 array, got {getattr(u, 'dtype', type(u))}")
+        if u.shape != (2 * n,):
+            raise ValueError(f"expected shape ({2 * n},), got {u.shape}")
+        if type(out) is not np.ndarray or out.shape != u.shape or out.dtype != u.dtype:
+            got = f"{out.shape} {out.dtype}" if isinstance(out, np.ndarray) else type(out).__name__
+            raise ValueError(f"out must be a {u.shape} array of float64, got {got}")
+        lo, span, stack = self._band
+        rows = -(-n // span)
+        copies = []
+        if span == 1 and u.flags.c_contiguous:
+            halo = u
+        else:
+            # halo cell k holds operand cell (lo + k) mod n: a few runs of slices
+            cells = (rows + 1) * span - 1
+            halo = np.empty(2 * cells)
+            k, c = 0, lo % n
+            while k < cells:
+                run = min(cells - k, n - c)
+                copies.append((halo[2 * k : 2 * (k + run)], u[2 * c : 2 * (c + run)]))
+                k, c = k + run, 0
+        item = halo.itemsize
+        windows = np.ndarray((span, rows, 2 * span), halo.dtype, halo, 0, (2 * item, 2 * span * item, item))
+        padded = np.empty(2 * rows * span)
+        products = np.ndarray((span, rows, 2), padded.dtype, padded, 0, (2 * item, 2 * span * item, item))
+        steps = ((windows, stack, products, None, None),)
+        # the key fits no per-block call: bind refuses to share this scratch
+        scratch = (("banded", n, span), halo, padded)
+        return MatvecBinding(self, u, out, scratch, None, tuple(copies), steps, padded[: 2 * n])
 
     def _layout(self, scratch: tuple) -> tuple:
         """The steps of a call through ``scratch`` that hold no view of its operand or result.
@@ -510,8 +628,8 @@ class BlockCirculantOp:
             placed.append((windows, a, products, sums, None if span is None else result[..., span]))
         return copies, tuple(placed)
 
-    def _program(self, u, out, scratch: Optional[tuple], direct: bool = False) -> tuple:
-        """``u`` as an array, ``out``, the scratch and layout, and the call's copies and steps.
+    def _program(self, u, out, scratch: Optional[tuple], direct: bool = False) -> MatvecBinding:
+        """The per-block binding of a call on ``u`` (as an array) into ``out``.
 
         ``scratch`` is made unless given, and must then fit the call; the
         layout (``_layout``) is made for it, and the copies and steps
@@ -550,7 +668,7 @@ class BlockCirculantOp:
                 f"fit {(rows, n, h, len(a_t), u.dtype)}"
             )
         layout = self._layout(scratch)
-        return u, out, scratch, layout, *self._views(layout, u, out)
+        return MatvecBinding(self, u, out, scratch, layout, *self._views(layout, u, out), out)
 
     def matvec(
         self,
@@ -584,14 +702,16 @@ class BlockCirculantOp:
         call is one-shot: it checks ``u`` and ``out``, makes its scratch
         arrays, and returns a new array when ``out`` is None.  With a
         ``binding`` from :meth:`bind` for this operator, ``u`` and ``out``,
-        it replays the bound set-up; the kernel is the same.  An operand or
-        ``out`` that does not fit, or a binding made for another call,
-        raises :class:`ValueError`.
+        it replays the bound set-up; the kernel is the same.  A binding
+        from :meth:`bind_banded` replays the banded layout through the
+        same loop, with that layout's rounding instead of the contract
+        above.  An operand or ``out`` that does not fit, or a binding made
+        for another call, raises :class:`ValueError`.
         """
         if binding is None:
-            u, out, _, _, copies, steps = self._program(u, out, None, direct=True)
+            _, _, out, _, _, copies, steps, result = self._program(u, out, None, direct=True)
         else:
-            op, bound_u, bound_out, _, _, copies, steps = binding
+            op, bound_u, bound_out, _, _, copies, steps, result = binding
             if op is not self or bound_u is not u or bound_out is not out:
                 raise ValueError("the binding was made for another operator, operand or out")
         for halo, cells in copies:
@@ -601,7 +721,7 @@ class BlockCirculantOp:
             np.matmul(windows, a_t, products)
             if sums is not None:
                 np.add.reduce(sums, -2, None, part, False, _ZERO)
-        np.multiply(out, self._scale, out)
+        np.multiply(result, self._scale, out)
         return out
 
     def dense(self) -> np.ndarray:

@@ -69,19 +69,32 @@ term's coefficient is a 0-d view of the ``dt c`` array, which numpy takes
 without the conversion a Python float costs on every call.
 
 At the benchmark's sizes (n = 16 to 128) a step's time is mostly the fixed
-cost of its numpy calls, not their arithmetic.  A bound matvec of a
-derivative or of ``Q`` makes six: three halo copies, one batched
+cost of its numpy calls, not their arithmetic.  A stage step's bound
+matvec of a derivative makes six: three halo copies, one batched
 ``matmul`` (one BLAS ``dgemm`` per block), one reduction and one scaling;
-one of the diagonal mass makes three.  A relaxed composed step makes 25
-numpy calls: 12 in ``Q u`` and ``D (Q u)``, 1 for ``u + d``, 6 in
-:func:`relaxation_gamma` (``M d`` and three dots, one of them the
-cut-off's ``u.Mu``), 2 for the relaxed update and 4 for the energy.  The
-stage estimate's dots ``y_i M f_i`` of stages 2..s are one batched
-``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n, 1)``, which numpy takes
-row by row to the same ``cblas_ddot``.  Measured in process (shared 2-vCPU
-host, one BLAS thread), a relaxed central ``rk4x2`` run takes 237-265 ms
-instead of the stage loop's 545-580 ms at n = 1200 (one period), and 8-10
-ms instead of 25-29 ms at n = 128.
+one of the diagonal mass makes three.  A composed step binds ``Q u`` and
+``D (Q u)`` in the banded layout
+(:meth:`~activeflux.operators.BlockCirculantOp.bind_banded`): each makes
+three halo copies (the wrapped cells before 0, the ring, and the wrapped
+and padding cells after it, which take a fourth copy where they pass the
+ring's end again, as for ``rk4x2`` at n = 16), one ``matmul`` of one
+``dgemm`` per residue of the offset span, and one scaling.  At n = 1200 a
+relaxed composed step makes 23 numpy calls: 10 in ``Q u`` and ``D (Q u)``, 1 for
+``u + d``, 6 in :func:`relaxation_gamma` (``M d`` and three dots, one of
+them the cut-off's ``u.Mu``), 2 for the relaxed update and 4 for the
+energy.  The stage estimate's dots ``y_i M f_i`` of stages 2..s are one
+batched ``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n, 1)``, which
+numpy takes row by row to the same ``cblas_ddot``.  Measured in process
+(shared 2-vCPU host, one BLAS thread, the second fastest to the second
+slowest of 8 runs alternating with per-block bindings of ``Q`` and
+``D``), a relaxed central ``rk4x2``
+run of one period takes 135-178 ms instead of 227-293 ms at n = 1200 (the
+stage loop: 545-580 ms), and 6.9-8.6 ms instead of 7.6-9.6 ms at n = 128;
+unrelaxed central and upwind ``rk4x2`` at n = 1200 take 85-92 and 95-130
+ms instead of 157-188 and 149-204 ms.  Banded, the composed ``Q`` of
+``rk4x2`` (15 blocks) writes no 15-row product stack to sum, which at n
+>= 5000 no longer fits in cache: 150 relaxed central steps (medians) take
+42 instead of 95 ms at n = 8200 and 101 instead of 182 ms at n = 20000.
 
 :func:`run_experiment` allocates one :class:`Workspace` per run, of one of
 two kinds: a :class:`_StageStep` or a :class:`_ComposedStep`.  Each holds
@@ -95,7 +108,7 @@ with ``M``; each new state overwrites the old one.  The steps allocate no
 array of the state's size.  A stage workspace runs each operation as the
 plain stage loop does, on the same operands in the same order, so its
 trajectories are the same bits as fresh arrays; a composed one has the
-bits of one-shot ``Q`` and ``D`` matvecs.
+bits of fresh banded bindings of ``Q`` and ``D``.
 
 The workspace also does each step's set-up once per run.  A stage
 workspace holds the folds' numpy calls with their arrays, the stage list,
@@ -105,8 +118,9 @@ derivative pair, and the bindings of ``M u`` and of the stack of ``M f_i``
 and ``M d``.  The first stage's binding and that of ``M u`` make their
 scratch arrays and layout; the other stages take them and make only their
 own views.  A composed workspace holds the stencil powers, ``Q`` with its
-binding (made again when ``dt`` changes), and the bindings of ``D (Q u)``,
-``M u`` and ``M d``, which takes ``M u``'s scratch and layout.  Each kind
+banded binding (made again when ``dt`` changes), the banded binding of
+``D (Q u)``, and the per-block bindings of ``M u`` and ``M d``, which
+takes ``M u``'s scratch and layout.  Each kind
 has a ``run(dt)``, the step, and a ``gamma_terms``, which gives
 :func:`relaxation_gamma` the step's ``d``, ``M d`` and stage dots.
 
@@ -133,7 +147,8 @@ process at n = 32 and 128 (medians, shared 2-vCPU host): the radius takes
 80-90 us and a stage workspace 120 us.  A composed workspace takes about
 as long as a stage one (145-175 against 145-170 us in a busier hour), the
 stencil powers' 100-110 us in place of the stage bindings; forming ``Q``
-for a step size takes 30-45 us and binding it 20 us.
+for a step size takes 23-36 us and its banded binding 13-27 us (the
+per-block one took 31-44 us).
 
 At ``|a| = 1`` the right-hand side ``-a D u`` folds ``-a`` into the scale
 of ``D``, which is exact (:attr:`Scheme.rhs_operator`): one scaling pass
@@ -634,10 +649,12 @@ class _ComposedStep(Workspace):
     ``Q`` comes from :func:`_composed_factor` and ``D`` is the scheme's
     derivative with its own ``1/dx`` scale, a second matvec.  ``q`` takes
     ``Q u``, ``d`` the step's difference and ``update`` the state ``u +
-    d``.  ``powers`` are the run's stencil powers; ``Q`` and its binding
-    ``Q_u`` to ``u`` and ``q`` are made again only when ``dt`` changes (a
-    run's clipped last step).  ``M d`` is bound as ``M_d``, which shares
-    ``M_u``'s scratch.  No stage is formed, so the stage list is empty.
+    d``.  ``powers`` are the run's stencil powers; ``Q`` and its banded
+    binding ``Q_u`` to ``u`` and ``q`` are made again only when ``dt``
+    changes (a run's clipped last step), and ``D_q`` binds ``D`` to ``q``
+    and ``d`` in the banded layout too.  ``M d`` is bound per block as
+    ``M_d``, which shares ``M_u``'s scratch.  No stage is formed, so the
+    stage list is empty.
     """
 
     __slots__ = ("q", "powers", "D_q", "M_d", "dt", "Q", "Q_u")
@@ -649,7 +666,7 @@ class _ComposedStep(Workspace):
         self.u, self.q, self.d, self.update, self.tmp, self.Md, self.Mu = arrays
         np.copyto(self.u, u0)
         self.powers = _stencil_powers(scheme.D_effective, method.stages)
-        self.D_q = scheme.D_effective.bind(self.q, self.d)
+        self.D_q = scheme.D_effective.bind_banded(self.q, self.d)
         self.M_u = M.bind(self.u, self.Mu)
         self.M_d = M.bind(self.d, self.Md, self.M_u)
         self.dt = self.Q = self.Q_u = None
@@ -657,7 +674,7 @@ class _ComposedStep(Workspace):
     def run(self, dt: float) -> tuple[np.ndarray, tuple]:
         if dt != self.dt:
             self.Q = _composed_factor(self.scheme, self.method, dt, self.powers)
-            self.Q_u = self.Q.bind(self.u, self.q)
+            self.Q_u = self.Q.bind_banded(self.u, self.q)
             self.dt = dt
         self.Q.matvec(self.u, self.q, self.Q_u)
         self.scheme.D_effective.matvec(self.q, self.d, self.D_q)

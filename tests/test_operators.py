@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from activeflux import operators as ops
+from activeflux import solver
 from activeflux.operators import BlockCirculantOp, MassParams
 
 
@@ -668,6 +669,145 @@ def test_matvec_refuses_out_and_shared_scratch_that_do_not_fit():
     Dm, out = ops.upwind_D_minus(g), np.empty(32)
     bound = Dm.bind(u, out, D.bind(u, np.empty(32)))
     assert Dm.matvec(u, out, bound).tobytes() == Dm.matvec(u).tobytes()
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _banded_operators(g):
+    """Every builder's operator and the composed ``Q`` of ``rk4``, ``ssprk33``,
+    ``rk4x2`` and a 32-stage chain (its stencil powers round), central at
+    dt = dx/2 and upwind at dx/4."""
+    a = tuple(tuple(0.5 if j == i - 1 else 0.0 for j in range(32)) for i in range(32))
+    chain = solver.RKMethod("chain32", a, (1.0 / 32,) * 32, (0.0,) + (0.5,) * 31)
+    operators = _every_builder(g)[:8]
+    for variant, dt in (("central", 0.5 * g.dx), ("upwind", 0.25 * g.dx)):
+        scheme = solver.make_scheme(g, variant, 1.0)
+        for method in (solver.RK4, solver.SSPRK33, solver.RK4X2, chain):
+            powers = solver._stencil_powers(scheme.D_effective, method.stages)
+            operators.append(solver._composed_factor(scheme, method, dt, powers))
+    return operators
+
+
+def _banded_bound(op, u):
+    """The product ``op u`` in ``np.longdouble`` and the banded layout's
+    rounding bound on each entry, ``2B eps |scale| (|A| |u|)_i + eps
+    |(op u)_i|``: a dot of ``2B`` terms rounds by at most ``gamma_2B``
+    times the sum of their magnitudes, about ``B eps`` (Higham 2002, Thm
+    3.1), and the scale multiply by ``eps/2`` relative."""
+    x = u.astype(np.longdouble).reshape(op.n, 2)
+    exact, sizes = np.zeros_like(x), np.zeros_like(x)
+    for j, a in op.blocks.items():
+        exact += np.roll(x, -j, axis=0) @ a.T.astype(np.longdouble)
+        sizes += np.abs(np.roll(x, -j, axis=0)) @ np.abs(a.T).astype(np.longdouble)
+    exact = np.longdouble(op.scale) * exact.ravel()
+    span = op._band[1]
+    bound = 2 * span * _EPS * abs(op.scale) * sizes.ravel() + _EPS * np.abs(exact)
+    return exact, bound
+
+
+def _within(got, exact, bound):
+    return bool((np.abs(got.astype(np.longdouble) - exact) <= bound).all())
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= _EPS, reason="np.longdouble is float64 here")
+@pytest.mark.parametrize("n", [3, 4, 5, 16, 17, 1200, _C + 1])
+def test_banded_binding_is_within_rounding_of_the_exact_product(n):
+    """A banded binding gives every entry within its rounding bound of the
+    product in extended precision (and of ``dense() @ u``, which rounds
+    too, within twice it), into ``out`` or in place, reading the operand's
+    values at each call.  An entry moved by twice its bound is caught.  At
+    n = 3, 4 and 5 offsets alias and ``B = n``; at B = 1 (the diagonal
+    mass) the operand is its own window matrix and is not copied."""
+    rng = np.random.default_rng(n)
+    g = ops.build_grid(n)
+    for op in _banded_operators(g):
+        lo, span, stack = op._band
+        assert span <= n and stack.shape == (2 * span, 2)
+        u = rng.normal(size=2 * n)
+        out = np.full(2 * n, np.nan)
+        bound = op.bind_banded(u, out)
+        assert (bound.op, bound.u, bound.out, bound.layout) == (op, u, out, None)
+        assert len(bound.steps) == 1 and (span == 1) == (not bound.copies)
+        assert len(bound.copies) <= 4 and np.shares_memory(bound.result, bound.scratch[2])
+        for _ in range(2):
+            assert op.matvec(u, out, bound) is out
+            exact, tol = _banded_bound(op, u)
+            assert _within(out, exact, tol)
+            if n <= ops.DENSE_LIMIT:
+                np.testing.assert_array_less(np.abs(out - op.dense() @ u), 2 * tol.astype(float) + 1e-300)
+            fresh = np.empty(2 * n)
+            assert out.tobytes() == op.matvec(u, fresh, op.bind_banded(u, fresh)).tobytes()
+            u *= -1.5  # in place: the next call reads the new values
+        # a fault of twice the bound at the entry where the bound is largest
+        i = int(np.argmax(tol))
+        faulty = out.copy()
+        faulty[i] = float(exact[i] + 2 * tol[i])
+        assert tol[i] > 0 and not _within(faulty, exact, tol)
+        # in place: out is the operand
+        v = u.copy()
+        in_place = op.bind_banded(v, v)
+        assert op.matvec(v, v, in_place) is v
+        assert v.tobytes() == op.matvec(u, out, bound).tobytes()
+
+
+def test_banded_binding_pads_and_wraps_its_halo():
+    """The halo holds operand cells ``lo, lo + 1, ...`` mod n for ``M + 1``
+    windows of ``B`` cells less one, and the result buffer ``M B`` cells:
+    at n = 17 the ``rk4x2`` central ``Q`` (offsets -7..7, B = 15) has
+    ``M = 2`` and 13 padding cells.  The diagonal mass (B = 1) copies
+    nothing, unless its operand is strided."""
+    g = ops.build_grid(17)
+    scheme = solver.make_scheme(g, "central", 1.0)
+    powers = solver._stencil_powers(scheme.D_effective, solver.RK4X2.stages)
+    Q = solver._composed_factor(scheme, solver.RK4X2, 0.5 * g.dx, powers)
+    assert Q._band[:2] == (-7, 15)
+    u, q = np.arange(34.0), np.empty(34)
+    bound = Q.bind_banded(u, q)
+    _, halo, padded = bound.scratch
+    assert halo.shape == (2 * (3 * 15 - 1),) and padded.shape == (2 * 2 * 15,)
+    for dest, cells in bound.copies:
+        dest[...] = cells
+    assert halo.reshape(-1, 2)[:, 0].tolist() == [(2 * ((k - 7) % 17)) for k in range(44)]
+    M = ops.diagonal_mass(g)
+    assert M._band[1] == 1 and M.bind_banded(u, q).copies == ()
+    spread = np.arange(68.0)[::2]
+    bound = M.bind_banded(spread, q)
+    assert len(bound.copies) == 1
+    assert M.matvec(spread, q, bound).tobytes() == M.matvec(spread).tobytes()
+
+
+def test_banded_binding_refuses_what_does_not_fit():
+    """Only a 1-D float64 array of 2n entries, into one of the same shape
+    and dtype; a replay refuses another operator, operand or out, as a
+    per-block binding does, and no per-block binding shares its scratch."""
+    g = ops.build_grid(16)
+    D, u, out = ops.central_D(g), np.ones(32), np.empty(32)
+    for bad in (np.ones(32, complex), np.ones(32, np.float32), np.ones(32, int), [1.0] * 32):
+        with pytest.raises(ValueError, match="takes a float64 array"):
+            D.bind_banded(bad, out)
+    for bad in (np.ones(31), np.ones((1, 32)), np.ones((3, 32)), np.ones(64)):
+        with pytest.raises(ValueError, match="expected shape"):
+            D.bind_banded(bad, np.empty_like(bad))
+    for bad_out in (np.empty(31), np.empty(32, complex), np.empty((1, 32)), None, [0.0] * 32):
+        with pytest.raises(ValueError, match="out must be"):
+            D.bind_banded(u, bad_out)
+    bound = D.bind_banded(u, out)
+    twin = BlockCirculantOp(16, D.dx, 2.0 * D.scale, D.blocks)
+    for call in (
+        lambda: D.matvec(u.copy(), out, bound),
+        lambda: D.matvec(u, np.empty(32), bound),
+        lambda: D.matvec(u, None, bound),
+        lambda: twin.matvec(u, out, bound),
+        lambda: ops.upwind_D_plus(g).matvec(u, out, bound),
+    ):
+        with pytest.raises(ValueError, match="another operator, operand or out"):
+            call()
+    for op in (D, ops.upwind_D_plus(g)):
+        with pytest.raises(ValueError, match="does not fit"):
+            op.bind(u, np.empty(32), bound)
+    # a per-block binding multiplies into out itself
+    assert D.bind(u, out).result is out
 
 
 def test_norm_inf_matches_dense():

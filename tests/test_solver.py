@@ -943,10 +943,16 @@ def _composes(config):
     return rho <= 1.0 + tol
 
 
+def _banded_matvec(op, u):
+    """``op u`` into a new array through a fresh banded binding."""
+    out = np.empty_like(u)
+    return op.matvec(u, out, op.bind_banded(u, out))
+
+
 def _one_shot_composed_step(scheme, method):
-    """The composed step from fresh arrays: ``d = D (Q u)`` in two one-shot
-    matvecs, ``Q`` re-weighted from the run's stencil powers whenever ``dt``
-    changes; returns ``u + d`` and ``d``."""
+    """The composed step from fresh arrays: ``d = D (Q u)`` in two matvecs,
+    each through a fresh banded binding, ``Q`` re-weighted from the run's
+    stencil powers whenever ``dt`` changes; returns ``u + d`` and ``d``."""
     powers = solver._stencil_powers(scheme.D_effective, method.stages)
     factors = {}
 
@@ -954,7 +960,7 @@ def _one_shot_composed_step(scheme, method):
         if dt not in factors:
             factors.clear()
             factors[dt] = solver._composed_factor(s, m, dt, powers)
-        d = s.D_effective @ (factors[dt] @ u)
+        d = _banded_matvec(s.D_effective, _banded_matvec(factors[dt], u))
         return u + d, d
 
     return step
@@ -971,7 +977,7 @@ def _fresh_array_run(config, step=rk_step, d_from="difference"):
       update and ``d = u_next - u``, the stage path's own loop;
     - ``"stages"``: the same stage loop, with ``d = sum_j (dt b_j) k_j``
       from its stage data;
-    - ``"composed"``: the composed step from one-shot matvecs
+    - ``"composed"``: the composed step from fresh banded bindings
       (:func:`_one_shot_composed_step`), whose ``d`` is ``D (Q u)``.
 
     The gamma slack bounds how far rounding moves ``t``: each relaxed step
@@ -1074,7 +1080,7 @@ def test_custom_tableau_run_is_bit_identical_to_the_fresh_array_loop(method, var
 def _assert_run_matches_the_fresh_array_loop(config, step=rk_step):
     """A run on the stage path has the bits of the fresh-array loop of
     ``step``.  A composed run has the bits of the fresh-array composed loop
-    (one-shot ``Q`` and ``D`` matvecs), and lies within ``4 steps eps`` of
+    (fresh banded ``Q`` and ``D`` bindings), and lies within ``4 steps eps`` of
     the stage loop of ``step``, the bound of
     ``test_skipped_estimate_agrees_with_the_full_estimate``, in the max
     norm of its state and in its end time.  That stage loop forms ``d =
@@ -1308,8 +1314,8 @@ def test_workspace_binds_its_step_and_mass_matvecs():
 @pytest.mark.parametrize("n", [3, 16, 17, 1200, 8200])
 def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
     """A composed workspace holds no stage data and no stack of products.
-    Its step writes ``d = D (Q u)`` into ``d``, with the bits of one-shot
-    matvecs, and returns ``u + d``; ``Q`` is formed again, and bound again,
+    Its step writes ``d = D (Q u)`` into ``d``, with the bits of fresh
+    banded bindings, and returns ``u + d``; ``Q`` is formed again, and bound again,
     only when dt changes.  ``M d`` is bound with ``M u``'s scratch; its
     energy has the bits of the one-shot path, and its gamma those of one
     from fresh arrays.  Stage data, another update or another state
@@ -1325,6 +1331,7 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
     assert all(getattr(ws, name) is not None for name in solver.Workspace.__slots__)
     assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md and ws.M_d.scratch is ws.M_u.scratch
     assert ws.M_u.u is u and ws.M_u.out is ws.Mu and ws.D_q.out is ws.d
+    assert ws.D_q.layout is None and ws.M_u.layout is not None  # D (Q u) is banded, M u per block
     one_shot = _one_shot_composed_step(s, RK4X2)
     factors = []
     for dt in (0.3 * g.dx, 0.3 * g.dx, 0.1 * g.dx):
@@ -1334,6 +1341,7 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
         assert stages == () and u1 is ws.update
         assert (ws.d.tobytes(), u1.tobytes()) == (want_d.tobytes(), want.tobytes())
         factors.append(ws.Q)
+        assert ws.Q_u.layout is None and ws.Q_u.u is u and ws.Q_u.out is ws.q
         gamma = relaxation_gamma(u, u1, stages, M, dt, workspace=ws)
         assert gamma == _reference_gamma(u, want, (), M, dt, want_d)
         u += 0.125 * np.sin(u)
@@ -1364,15 +1372,16 @@ def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, re
     and the stacked M k_i and M d; the full set-up (checks, scratch and
     layout) runs for the first stage's binding, M u and the stack, and
     the other stages share the first one's and make only their views.  A
-    composed run binds D (Q u), M u and M d, which shares M u's set-up,
-    and Q u once per step size: the nominal one and the clipped last
-    step's."""
+    composed run binds M u and M d, which shares M u's set-up, and makes
+    banded bindings of D (Q u) and of Q u, the latter once per step size:
+    the nominal one and the clipped last step's."""
     # relaxed central rk4x2 is stable at dt = dx/2 and M D + D^T M = 0, and
     # unrelaxed runs read no stage data: both compose their steps; central
     # ssprk33 (rho > 1 there) and upwind runs keep the stage estimate
     composed = not relaxation or (variant, rk) == ("central", "rk4x2")
-    binds, programs = [], []
-    bind, program = ops.BlockCirculantOp.bind, ops.BlockCirculantOp._program
+    binds, programs, banded = [], [], []
+    Op = ops.BlockCirculantOp
+    bind, program, bind_banded = Op.bind, Op._program, Op.bind_banded
 
     def counted_bind(op, *args):
         binds.append(op)
@@ -1382,22 +1391,28 @@ def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, re
         programs.append(op)
         return program(op, *args)
 
-    monkeypatch.setattr(ops.BlockCirculantOp, "bind", counted_bind)
-    monkeypatch.setattr(ops.BlockCirculantOp, "_program", counted_program)
+    def counted_bind_banded(op, *args):
+        banded.append(op)
+        return bind_banded(op, *args)
+
+    monkeypatch.setattr(Op, "bind", counted_bind)
+    monkeypatch.setattr(Op, "_program", counted_program)
+    monkeypatch.setattr(Op, "bind_banded", counted_bind_banded)
     stages = resolve_method(rk).stages
     for t_end in (1.0, 3.0):
         binds.clear()
         programs.clear()
+        banded.clear()
         trace, _ = run_experiment(
             ExperimentConfig(variant=variant, rk=rk, relaxation=relaxation, n=16, t_end=t_end)
         )
         assert len(trace.times) > 5
         if composed:
             clipped = t_end - trace.times[-2] < 0.5 * 2 * math.pi / 16
-            assert len(binds) == 4 + clipped
-            assert len(programs) == 3 + clipped
+            assert len(binds) == 2 and len(programs) == 1
+            assert len(banded) == 2 + clipped
         else:
-            assert len(binds) == stages + 2
+            assert len(binds) == stages + 2 and not banded
             assert len(programs) == 3
 
 
