@@ -25,16 +25,17 @@ blocks is exactly the zero operator.
 layouts (see below).  In the per-block layout, a plan cached on the frozen
 operator holds the halo width ``h = max |j|``, the transposed
 blocks stacked in insertion order, and which windows of a halo-extended copy
-of the input (the input with ``h`` wrapped cells on each side) they read.  A
-bound call copies the input into a halo buffer (no copy at all when ``h =
-0``), whose ``2h + 1`` windows of ``n`` cells are one strided ``(2h + 1, n,
-2)`` view.  A one-shot call reads the windows of each chunk of cells (see
-below) that does not wrap across the seam straight from the input, through
-the same kind of view, and copies a halo only for the chunks that wrap: at
-three chunks or more, the first and the last.  It copies the whole halo
-when ``out`` shares memory with the input, whose cells the results would
-overwrite before later chunks read them, or when the input is not
-C-contiguous (a strided view, which BLAS would not take as it is).  One batched ``matmul`` then
+of the input (the input with ``h`` wrapped cells on each side) they read.
+The ``2h + 1`` windows of a run of cells are one strided ``(2h + 1, cells,
+2)`` view.  A call reads the windows of each chunk of cells (see below)
+that does not wrap across the seam straight from the input, through that
+kind of view, and copies a halo only for the chunks that wrap: at three
+chunks or more, the first and the last, and at ``h = 0`` none.  It copies
+the whole halo when ``out`` shares memory with the input, whose cells the
+results would overwrite before later chunks read them, or when the input
+is not C-contiguous (a strided view, which BLAS would not take as it is).
+Which windows a call reads from the input changes neither the kernel nor
+the chunk edges nor the products.  One batched ``matmul`` then
 forms every block's ``(cells, 2) @ (2, 2)`` product into a product stack
 (one ``matmul`` per block where the windows are not consecutive),
 ``np.add.reduce`` sums the products over the blocks, in insertion order
@@ -61,23 +62,24 @@ A 1-D operand is a stack of one, and a stack of one runs without the
 leading axis.  The relaxed time stepper forms ``M d`` and every ``M f_i``
 in one such call.
 
-A one-shot call makes its own scratch arrays: the halo buffers, their
-window views and the product stack.  A caller that applies an operator to
-the same arrays many times, like the time loop, binds the call once
-instead: ``BlockCirculantOp.bind(u, out)`` checks the operand and ``out``,
-makes the scratch arrays and the views of the halo copies and the windows,
-and returns them as a ``MatvecBinding``.  ``matvec(u, out, binding)`` on that
-very operator, ``u`` and ``out`` (``is``) replays the views, reading
-whatever ``u`` holds then; a binding made for any other call raises.
-Bindings whose calls never overlap can share one set of scratch arrays
-(``bind(u, out, share=other)``), whose fit is checked when binding.  A
-binding that shares one of the same operator, for an operand and ``out``
-of the same shapes and dtypes, also takes its layout (the halo copies'
-destinations and the window views) and makes only the views of its own
-operand and ``out``: the time stepper's stage bindings share the first
-stage's.  The kernel's scalars, the ``+0.0`` of the sums and ``scale``,
-are numpy scalars made once, which spares each call a conversion.  Both
-modes run one kernel body on the same operands, so a bound call gives the
+A caller that applies an operator to the same arrays many times, like the
+time loop, binds the call once: ``BlockCirculantOp.bind(u, out)`` checks
+the operand and ``out``, makes the scratch arrays (the halo buffers and
+the product stack) with the steps over them, its *layout*, and the views
+of ``u`` and ``out``, and returns them as a ``MatvecBinding``.
+``matvec(u, out, binding)`` on that very operator, ``u`` and ``out``
+(``is``) replays the views, reading whatever ``u`` holds then; a binding
+made for any other call raises.  A one-shot call is a binding made and
+replayed once.  ``bind(u, out, share=other)`` takes ``other``'s layout
+and makes only the views of its own operand and ``out``: ``other`` must
+be a per-block binding of the same operator on arrays of the same shapes
+and dtypes, whose operand is C-contiguous and apart from its ``out``
+exactly when ``u`` is (so that the same chunks read their windows from
+the operand), and whose calls never overlap this one's; anything else
+raises.  The time stepper's stage bindings take the first stage's layout,
+and ``M d`` takes ``M u``'s.  The kernel's scalars, the ``+0.0`` of the
+sums and ``scale``, are numpy scalars made once, which spares each call a
+conversion.  Every call runs one kernel body, so a bound call gives the
 bits of a one-shot call: the 2x2 products go to BLAS either way, because
 every operand and output view keeps unit stride in its last axis and at
 least two rows (OpenBLAS rounds with fused multiply-adds, which an
@@ -204,6 +206,16 @@ def _windows(x: np.ndarray, cells: int, h: int) -> np.ndarray:
     return np.ndarray(shape, x.dtype, buffer=x, strides=strides)
 
 
+def _reads_operand(u: np.ndarray, out: np.ndarray) -> bool:
+    """Whether a per-block call on ``u`` into ``out`` reads its unwrapped windows from ``u`` itself.
+
+    ``u`` must be C-contiguous, a layout BLAS takes as it is, and ``out``
+    must not overlap it, or results would overwrite cells that later
+    chunks read.
+    """
+    return u.flags.c_contiguous and not np.may_share_memory(u, out)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a`` itself, made read-only: the grid owns the arrays it is built from."""
     a.setflags(write=False)
@@ -311,22 +323,21 @@ class MatvecBinding(NamedTuple):
     or :meth:`BlockCirculantOp.bind_banded`.
 
     A call replays ``copies`` and ``steps`` (see
-    ``BlockCirculantOp._program``) through ``scratch`` (see
-    ``BlockCirculantOp._scratch``) only when it is a call of ``op`` on
+    ``BlockCirculantOp._program``) only when it is a call of ``op`` on
     ``u`` into ``out``, all three the very objects bound, and then
-    multiplies ``result`` by the scale into ``out``.  ``layout`` is the
-    part of the steps that holds no view of ``u`` or ``out`` (see
-    ``BlockCirculantOp._layout``), which a binding sharing this one's
-    scratch for the same operator takes as it is.  ``result`` is ``out``
-    itself in the per-block layout; a banded binding's ``result`` is the
-    first ``2n`` entries of its padded result buffer, and its ``layout`` is
-    None: it lends nothing.
+    multiplies ``result`` by the scale into ``out``.  ``layout`` holds the
+    scratch arrays and the part of the steps that holds no view of ``u``
+    or ``out`` (see ``BlockCirculantOp._layout``), which a binding of the
+    same operator on arrays that fit takes as it is
+    (:meth:`BlockCirculantOp.bind`).  ``result`` is ``out`` itself in the
+    per-block layout; a banded binding's ``result`` is the first ``2n``
+    entries of its padded result buffer, and its ``layout`` is None: it
+    lends nothing.
     """
 
     op: "BlockCirculantOp"
     u: np.ndarray
     out: np.ndarray
-    scratch: tuple
     layout: Optional[tuple]
     copies: tuple
     steps: tuple
@@ -415,51 +426,6 @@ class BlockCirculantOp:
         a_t = np.array([a.T for a in self.blocks.values()]).reshape(-1, 2, 2)
         return h, select, a_t
 
-    def _scratch(self, dtype: np.dtype, rows: int, direct: bool = False) -> tuple:
-        """Scratch arrays for a call on a stack of ``rows`` operands of ``dtype``.
-
-        Returns ``(key, halos, chunks)``.  ``key`` is ``(rows, n, h,
-        #blocks, operand dtype)``.  Every array below has a leading axis of
-        ``rows`` operands, except for a single operand (a 1-D operand is a
-        stack of one).  ``chunks`` lists each chunk's first and end cell
-        with two views of the ``(#blocks, min(n, chunk + 1), 2)`` product
-        stack: the chunk's ``(#blocks, cells, 2)`` products, and the same
-        memory as ``(#blocks, 2 cells)`` rows, which sum straight into the
-        flat result.  ``halos`` lists the halo copies ``(first, end, x)``:
-        ``x`` holds cells ``first - h .. end + h - 1`` of the operand
-        (mod n), for the chunks from cell ``first`` to ``end``.  Without
-        ``direct`` one copy serves every chunk (none when ``h = 0``); with
-        ``direct``, a chunk whose windows lie inside the operand reads them
-        there, and only runs of chunks whose windows wrap across the seam
-        get a copy.
-        """
-        h, _, a_t = self._plan
-        n = self.n
-        stack = (rows,) if rows > 1 else ()  # a stack of one runs as its 1-D row
-        blocks = len(a_t)
-        # the largest power of two whose chunks, the last one's lone cell
-        # included, keep the stack within #blocks * (_CHUNK + 1) cells, but
-        # never a one-cell chunk (see below)
-        chunk = _CHUNK
-        while chunk > 2 and rows * (chunk + 1) > _CHUNK + 1:
-            chunk //= 2
-        products = np.empty((*stack, blocks, min(n, chunk + 1), 2), np.promote_types(dtype, float))
-        # no one-cell chunk: numpy sends a one-row product to BLAS's vector
-        # kernel, which rounds complex products differently; the last chunk
-        # takes that cell instead
-        edges = [*range(0, n - 1, chunk), n]
-        chunks, spans = [], []
-        for c, stop in zip(edges, edges[1:]):
-            part = products[..., : stop - c, :]
-            chunks.append((c, stop, part, part.reshape(*stack, blocks, 2 * (stop - c))))
-            if h and not (direct and h <= c and stop + h <= n):
-                if spans and spans[-1][1] == c:
-                    spans[-1][1] = stop
-                else:
-                    spans.append([c, stop])
-        halos = tuple((c, stop, np.empty((*stack, 2 * (stop - c + 2 * h)), dtype)) for c, stop in spans)
-        return (rows, n, h, blocks, dtype), halos, tuple(chunks)
-
     def bind(
         self,
         u: np.ndarray,
@@ -469,28 +435,32 @@ class BlockCirculantOp:
         """The set-up of a :meth:`matvec` call on ``u`` into ``out``, done once.
 
         ``u`` and ``out`` are checked as a call checks them, and the call's
-        scratch arrays and steps are made.  A call of this operator with
-        the binding and this very ``u`` and ``out`` (``is``, not equality)
-        replays the steps, reading whatever ``u`` holds then.  ``share``, a
-        binding whose calls never overlap this one's, lends its scratch
-        arrays instead; they must fit this call (the same number of operand
-        rows, ``n``, halo width, number of blocks and operand dtype), or
-        :class:`ValueError` is raised.  A ``share`` of this very operator
-        also lends its layout: the halo copies' destinations and the window
-        views, so that only the views of ``u`` and ``out`` are made again.
+        scratch arrays and steps are made (``_program``).  A call of this
+        operator with the binding and this very ``u`` and ``out`` (``is``,
+        not equality) replays the steps, reading whatever ``u`` holds then.
+        ``share``, a per-block binding of this operator whose calls never
+        overlap this one's, lends its layout instead (``_layout``: the
+        scratch arrays, the halo copies' destinations and the window
+        views), so that only the views of ``u`` and ``out`` are made.  It
+        must have been made for arrays of ``u``'s and ``out``'s shapes and
+        dtypes and with the same direct-read eligibility (``_reads_operand``);
+        any other ``share`` raises :class:`ValueError`.
         """
-        if (
-            share is not None
-            and share.op is self
+        if share is None:
+            return self._program(u, out)
+        if not (
+            share.op is self
             and share.layout is not None
             and type(u) is type(out) is np.ndarray
             and (u.shape, u.dtype, out.shape, out.dtype)
             == (share.u.shape, share.u.dtype, share.out.shape, share.out.dtype)
+            and _reads_operand(u, out) == _reads_operand(share.u, share.out)
         ):
-            # share's checks, scratch and layout hold for this call as they are
-            copies, steps = self._views(share.layout, u, out)
-            return MatvecBinding(self, u, out, share.scratch, share.layout, copies, steps, out)
-        return self._program(u, out, None if share is None else share.scratch)
+            raise ValueError(
+                "the shared binding does not fit: it must be a per-block binding of this operator "
+                "for arrays of the same shapes and dtypes, with the same direct-read eligibility"
+            )
+        return MatvecBinding(self, u, out, share.layout, *self._views(share.layout, u, out), out)
 
     @functools.cached_property
     def _band(self) -> tuple[int, int, np.ndarray]:
@@ -556,30 +526,57 @@ class BlockCirculantOp:
         padded = np.empty(2 * rows * span)
         products = np.ndarray((span, rows, 2), padded.dtype, padded, 0, (2 * item, 2 * span * item, item))
         steps = ((windows, stack, products, None, None),)
-        # the key fits no per-block call: bind refuses to share this scratch
-        scratch = (("banded", n, span), halo, padded)
-        return MatvecBinding(self, u, out, scratch, None, tuple(copies), steps, padded[: 2 * n])
+        return MatvecBinding(self, u, out, None, tuple(copies), steps, padded[: 2 * n])
 
-    def _layout(self, scratch: tuple) -> tuple:
-        """The steps of a call through ``scratch`` that hold no view of its operand or result.
+    def _layout(self, dtype: np.dtype, rows: int, direct: bool) -> tuple:
+        """The scratch arrays and steps of a call on a stack of ``rows`` operands of ``dtype``.
 
-        Returns ``(pieces, steps)``.  ``pieces`` are the halo copies ``(x,
-        entries)``: the ``entries`` (a slice) of the operand's rows go into
-        ``x``, a view of a halo copy.  ``steps`` are the product steps
-        ``(windows, A^T, products, sums, span)``.  ``windows`` is a strided
-        view of the halo copy that holds the chunk, or ``(select, cells)``
-        where the chunk reads the operand's own windows
-        (``BlockCirculantOp._scratch``).  The last product step of a chunk
-        also sums the products, as ``sums``, into the result's entries
-        ``span``, a slice (the others carry ``None``).  Windows selected by a slice
+        Returns ``(pieces, steps)``, which hold no view of the call's
+        operand or result.  Every array below has a leading axis of
+        ``rows`` operands, except for a single operand (a 1-D operand is a
+        stack of one).  ``pieces`` are the halo copies ``(x, entries)``:
+        the ``entries`` (a slice) of the operand's rows go into ``x``, a
+        view of a halo copy that holds cells ``first - h .. end + h - 1``
+        (mod n) for a run of chunks from cell ``first`` to ``end``.  One
+        copy serves every chunk (none when ``h = 0``); with ``direct``, a
+        chunk whose windows lie inside the operand reads them there, and
+        only runs of chunks whose windows wrap across the seam get a copy.
+        ``steps`` are the product steps ``(windows, A^T, products, sums,
+        span)``.  ``windows`` is a strided view of the halo copy that holds
+        the chunk, or ``(select, cells)`` where the chunk reads the
+        operand's own windows.  ``products`` is the chunk's part of the
+        ``(#blocks, min(n, chunk + 1), 2)`` product stack.  The last product
+        step of a chunk also sums the products, as ``sums`` (the same memory
+        as ``(#blocks, 2 cells)`` rows), into the result's entries ``span``,
+        a slice (the others carry ``None``).  Windows selected by a slice
         make one batched product per chunk; by an index array, one product
         per block, since a gathered copy would not see the next operand.
         """
         h, select, a_t = self._plan
         n = self.n
-        _, halos, chunks = scratch
-        pieces, sources, held = [], [], 0
-        for c0, stop0, x in halos:
+        stack = (rows,) if rows > 1 else ()  # a stack of one runs as its 1-D row
+        blocks = len(a_t)
+        # the largest power of two whose chunks, the last one's lone cell
+        # included, keep the stack within #blocks * (_CHUNK + 1) cells, but
+        # never a one-cell chunk (see below)
+        chunk = _CHUNK
+        while chunk > 2 and rows * (chunk + 1) > _CHUNK + 1:
+            chunk //= 2
+        products = np.empty((*stack, blocks, min(n, chunk + 1), 2), np.promote_types(dtype, float))
+        # no one-cell chunk: numpy sends a one-row product to BLAS's vector
+        # kernel, which rounds complex products differently; the last chunk
+        # takes that cell instead
+        edges = [*range(0, n - 1, chunk), n]
+        chunks, spans = [*zip(edges, edges[1:])], []
+        for c, stop in chunks:
+            if h and not (direct and h <= c and stop + h <= n):
+                if spans and spans[-1][1] == c:
+                    spans[-1][1] = stop
+                else:
+                    spans.append([c, stop])
+        pieces, sources = [], []
+        for c0, stop0 in spans:
+            x = np.empty((*stack, 2 * (stop0 - c0 + 2 * h)), dtype)
             # x holds cells lo .. hi - 1 of the operand, mod n: the wrapped
             # cells before 0, the cells inside, the wrapped cells from n on
             lo, hi = c0 - h, stop0 + h
@@ -588,22 +585,22 @@ class BlockCirculantOp:
                     dest = x[..., 2 * (start - lo) : 2 * (stop - lo)]
                     pieces.append((dest, slice(2 * (start + shift), 2 * (stop + shift))))
             sources.append((c0, stop0, _windows(x, stop0 - c0, h)))
-            held += stop0 - c0
-        if held < n:  # the chunks that no halo holds read the operand
-            sources.append((h, n - h, None))
+        sources.append((h, n - h, None))  # the chunks that no halo holds read the operand
         steps = []
-        for c, stop, products, sums in chunks:
+        for c, stop in chunks:
             for c0, stop0, windows in sources:
                 if c0 <= c and stop <= stop0:
                     break
+            part = products[..., : stop - c, :]
+            sums = part.reshape(*stack, blocks, 2 * (stop - c))
             cells, span = slice(c - c0, stop - c0), slice(2 * c, 2 * stop)
             if isinstance(select, slice):
                 view = (select, cells) if windows is None else windows[..., select, cells, :]
-                steps.append((view, a_t, products, sums, span))
+                steps.append((view, a_t, part, sums, span))
                 continue
             for i, s in enumerate(select.tolist()):
                 view = (s, cells) if windows is None else windows[..., s, cells, :]
-                steps.append((view, a_t[i], products[..., i, :, :], None, None))
+                steps.append((view, a_t[i], part[..., i, :, :], None, None))
             steps[-1] = (*steps[-1][:3], sums, span)
         return tuple(pieces), tuple(steps)
 
@@ -628,27 +625,24 @@ class BlockCirculantOp:
             placed.append((windows, a, products, sums, None if span is None else result[..., span]))
         return copies, tuple(placed)
 
-    def _program(self, u, out, scratch: Optional[tuple], direct: bool = False) -> MatvecBinding:
-        """The per-block binding of a call on ``u`` (as an array) into ``out``.
+    def _program(self, u, out) -> MatvecBinding:
+        """The per-block binding of ``u`` (as an array) into ``out``, for ``bind`` and one-shot calls.
 
-        ``scratch`` is made unless given, and must then fit the call; the
-        layout (``_layout``) is made for it, and the copies and steps
-        (``_views``) for ``u`` and ``out``.  A chunk's windows are a
-        strided view of the halo copy that holds it, or of the operand
-        itself (``_scratch``): ``direct`` asks for the latter where the
-        windows do not wrap, granted when ``out`` shares no memory with
-        ``u`` and ``u`` is C-contiguous (BLAS then multiplies these windows
-        as it does a copy's).  For a stack, each view holds every operand
-        row along a leading axis; a stack of one runs as its 1-D row.  All
-        of them are views, valid as long as ``u``, ``out`` and the scratch
-        arrays are.
+        ``u`` and ``out`` are checked, the layout (``_layout``) is made, and
+        the copies and steps (``_views``) for ``u`` and ``out``.  A chunk's
+        windows are a strided view of the halo copy that holds it, or of
+        the operand itself where they do not wrap across the seam, ``u``
+        is C-contiguous and ``out`` does not overlap ``u``
+        (``_reads_operand``): BLAS then multiplies these windows as it does
+        a copy's, and the kernel, the chunk edges and the products are the
+        same.  For a stack, each view holds every operand row along a
+        leading axis; a stack of one runs as its 1-D row.  All of them are
+        views, valid as long as ``u``, ``out`` and the scratch arrays are.
         """
         u = np.asarray(u)
         n = self.n
         if u.shape != (2 * n,) and (u.ndim != 2 or u.shape[1] != 2 * n or not len(u)):
             raise ValueError(f"expected shape ({2 * n},) or (rows, {2 * n}), got {u.shape}")
-        rows = len(u) if u.ndim == 2 else 1
-        h, _, a_t = self._plan
         dtype = np.promote_types(u.dtype, float)
         # the result before the scratch arrays: it outlives them, and large
         # scratch arrays freed above it leave the heap less fragmented
@@ -658,17 +652,8 @@ class BlockCirculantOp:
             raise ValueError(
                 f"out must be a {u.shape} array of {dtype}, got {out.shape} {out.dtype}"
             )
-        elif direct:
-            direct = not np.may_share_memory(u, out)
-        if scratch is None:
-            scratch = self._scratch(u.dtype, rows, direct and u.flags.c_contiguous)
-        elif scratch[0] != (rows, n, h, len(a_t), u.dtype):
-            raise ValueError(
-                f"shared scratch for (rows, n, halo, blocks, dtype) = {scratch[0]} does not "
-                f"fit {(rows, n, h, len(a_t), u.dtype)}"
-            )
-        layout = self._layout(scratch)
-        return MatvecBinding(self, u, out, scratch, layout, *self._views(layout, u, out), out)
+        layout = self._layout(u.dtype, len(u) if u.ndim == 2 else 1, _reads_operand(u, out))
+        return MatvecBinding(self, u, out, layout, *self._views(layout, u, out), out)
 
     def matvec(
         self,
@@ -699,19 +684,19 @@ class BlockCirculantOp:
 
         ``out`` (of ``u``'s shape and the result dtype) receives the result
         and is returned; it may be ``u`` itself.  Without ``binding`` the
-        call is one-shot: it checks ``u`` and ``out``, makes its scratch
-        arrays, and returns a new array when ``out`` is None.  With a
-        ``binding`` from :meth:`bind` for this operator, ``u`` and ``out``,
-        it replays the bound set-up; the kernel is the same.  A binding
+        call is one-shot: a binding made (``_program``, as :meth:`bind`
+        makes it) and replayed once, with a new array when ``out`` is
+        None.  With a ``binding`` from :meth:`bind` for this operator,
+        ``u`` and ``out``, it replays the bound set-up.  A binding
         from :meth:`bind_banded` replays the banded layout through the
         same loop, with that layout's rounding instead of the contract
         above.  An operand or ``out`` that does not fit, or a binding made
         for another call, raises :class:`ValueError`.
         """
         if binding is None:
-            _, _, out, _, _, copies, steps, result = self._program(u, out, None, direct=True)
+            _, _, out, _, copies, steps, result = self._program(u, out)
         else:
-            op, bound_u, bound_out, _, _, copies, steps, result = binding
+            op, bound_u, bound_out, _, copies, steps, result = binding
             if op is not self or bound_u is not u or bound_out is not out:
                 raise ValueError("the binding was made for another operator, operand or out")
         for halo, cells in copies:

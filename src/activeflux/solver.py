@@ -116,11 +116,12 @@ one matvec binding
 (:meth:`~activeflux.operators.BlockCirculantOp.bind`) per stage state and
 derivative pair, and the bindings of ``M u`` and of the stack of ``M f_i``
 and ``M d``.  The first stage's binding and that of ``M u`` make their
-scratch arrays and layout; the other stages take them and make only their
-own views.  A composed workspace holds the stencil powers, ``Q`` with its
-banded binding (made again when ``dt`` changes), the banded binding of
-``D (Q u)``, and the per-block bindings of ``M u`` and ``M d``, which
-takes ``M u``'s scratch and layout.  Each kind
+layout, the scratch arrays and the steps over them; the other stages,
+bindings of the same operator on arrays of the same shapes, take the
+first stage's and make only their own views.  A composed workspace holds
+the stencil powers, ``Q`` with its banded binding (made again when ``dt``
+changes), the banded binding of ``D (Q u)``, and the per-block bindings
+of ``M u`` and ``M d``, which takes ``M u``'s layout.  Each kind
 has a ``run(dt)``, the step, and a ``gamma_terms``, which gives
 :func:`relaxation_gamma` the step's ``d``, ``M d`` and stage dots.
 
@@ -198,9 +199,10 @@ class EnergyBlowUpError(RuntimeError):
     """Raised when a run goes unstable.
 
     Either the traced energy exceeded 1e3 times its initial value, or the
-    relaxation parameter became non-positive — which happens when the base
+    relaxation parameter is not positive — which happens when the base
     step amplifies energy faster than its own stage estimate, i.e. the time
-    step is outside the method's stability region.
+    step is outside the method's stability region — or is NaN, when the
+    step overflows.
     """
 
 
@@ -502,7 +504,7 @@ class _StageStep(Workspace):
     the update: its calls ``(function, arguments)``, and for a stage its
     state ``y``, its derivative ``k_i`` (a row of ``kd``) and the binding of
     the scheme's right-hand side operator ``op`` to that pair (the bindings
-    share the first one's scratch and layout).
+    take the first one's layout).
     """
 
     __slots__ = (
@@ -653,7 +655,7 @@ class _ComposedStep(Workspace):
     binding ``Q_u`` to ``u`` and ``q`` are made again only when ``dt``
     changes (a run's clipped last step), and ``D_q`` binds ``D`` to ``q``
     and ``d`` in the banded layout too.  ``M d`` is bound per block as
-    ``M_d``, which shares ``M_u``'s scratch.  No stage is formed, so the
+    ``M_d``, which takes ``M_u``'s layout.  No stage is formed, so the
     stage list is empty.
     """
 
@@ -827,16 +829,23 @@ def _amplification_radius(scheme: Scheme, method: RKMethod, dt: float) -> tuple[
 
     One unrelaxed step maps the mode coefficients ``fft(u.reshape(n, 2),
     axis=0)[k]`` to ``P_k = R(Z_k)`` times them, with ``Z_k = -a dt
-    B_k(D)``.  By the spectral mapping theorem the eigenvalues of ``P_k``
-    are ``R(lambda)`` for the eigenvalues ``lambda`` of ``Z_k``, so no
-    matrix is formed: the closed-form roots of ``spectral._eig_roots`` go
-    through Horner's rule for ``R`` as complex numbers.  Only the modes
+    B_k(D) = z B^_k``, ``B^_k`` the symbol of the derivative's unscaled
+    stencil and ``z = -a dt / dx``.  By the spectral mapping theorem the
+    eigenvalues of ``P_k`` are ``R(lambda)`` for the eigenvalues
+    ``lambda`` of ``Z_k``, so no matrix is formed: the closed-form roots
+    of ``spectral._eig_roots`` go through Horner's rule for ``R`` as
+    complex numbers.  They are the roots of ``B^_k``, whose entries are a
+    few units, times ``z``: the roots of ``Z_k`` itself overflow in their
+    quotient ``det / lambda_1`` once ``|z|`` is subnormal (a speed of
+    1e-310), and those of ``B_k`` in their squares on a domain of 1e-200,
+    either way giving NaN.  Only the modes
     ``k = 0..n//2`` are evaluated: ``Z_{n-k} = conj(Z_k)`` (the blocks are
     real), whose eigenvalues are the conjugates, and ``R`` has real
     coefficients, so mode ``n - k`` has the same radius.
 
-    Tolerance ``16 s eps p(max_k |Z_k|)``, with ``p(x) = sum_j |c_j| x^j``
-    and ``|Z_k|`` the infinity norm.  The symbols and the closed form give
+    Tolerance ``16 s eps p(|z| max_k |B^_k|)``, with ``p(x) = sum_j |c_j|
+    x^j`` and ``|B^_k|`` the infinity norm, so ``|z| |B^_k|`` is ``|Z_k|``
+    up to rounding.  The symbols and the closed form give
     each ``lambda`` to a few eps times ``|Z_k|`` times the conditioning of
     its eigenvector basis (sqrt(3) for the central symbols, which are skew
     in the ``M_k`` inner product); an error ``delta`` in ``lambda`` moves
@@ -847,11 +856,13 @@ def _amplification_radius(scheme: Scheme, method: RKMethod, dt: float) -> tuple[
     to 1200, dt = dx/4 and dx/2: ``rho - 1 <= 2.2e-16`` against tolerances
     of 5e-14 to 8e-12; the unstable ones sit at ``rho - 1 >= 0.19``.
     """
-    stack = spectral._Stack.of(scheme.D_effective)
-    Z = spectral._stacked(*spectral._half_symbols(stack))[0]
-    Z *= -scheme.advection_speed * dt
-    znorm = float(np.abs(Z).sum(axis=2).max())
-    lam = np.stack(spectral._eig_roots(Z))
+    D = scheme.D_effective
+    stencil = spectral._Stack.of(BlockCirculantOp(D.n, D.dx, 1.0, D.blocks))
+    B = spectral._stacked(*spectral._half_symbols(stencil))[0]
+    z = -scheme.advection_speed * dt * D.scale
+    znorm = abs(z) * float(np.abs(B).sum(axis=2).max())
+    lam = np.stack(spectral._eig_roots(B))
+    lam *= z
     coeffs = _stability_coefficients(method)
     R, bound = np.full_like(lam, coeffs[-1]), abs(coeffs[-1])
     for c in reversed(coeffs[:-1]):
@@ -1039,9 +1050,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
         # each new state overwrites the old one, which nothing reads after it
         if relaxation and dt > shortest_relaxed:
             gamma = relaxation_gamma(u, u_next, stage_data, M, dt, workspace=ws)
-            if gamma <= 0.0:
+            if not gamma > 0.0:  # NaN too
                 raise EnergyBlowUpError(
-                    f"relaxation parameter became non-positive ({gamma:.3g}) at "
+                    f"relaxation parameter is not positive ({gamma:.3g}) at "
                     f"t = {t:.6g}; the step is likely outside the RK stability region"
                 )
             np.add(u, np.multiply(gamma, d, tmp), u)

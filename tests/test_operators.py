@@ -448,8 +448,8 @@ def test_matvec_into_out_is_bit_identical(n):
 
 @pytest.mark.parametrize("n", [3, 16, _C + 1, 2 * _C + 1])
 def test_a_binding_that_shares_one_of_its_operator_takes_its_layout(n):
-    """Sharing a binding of the same operator lends its scratch and its
-    layout (halo destinations, window views): only the views of the new
+    """Sharing a binding of the same operator lends its layout (scratch
+    arrays, halo destinations, window views): only the views of the new
     operand and ``out`` are made, and calls keep the bits of a one-shot
     call, for single operands, stacks of one and stacks of rows."""
     rng = np.random.default_rng(n)
@@ -460,7 +460,8 @@ def test_a_binding_that_shares_one_of_its_operator_takes_its_layout(n):
                 u = rng.normal(size=shape).astype(dtype)
                 out = np.full(shape, np.nan, np.promote_types(dtype, float))
                 bound = op.bind(u, out, first)
-                assert bound.layout is first.layout and bound.scratch is first.scratch
+                assert bound.layout is first.layout
+                assert all(a[2] is b[2] for a, b in zip(bound.steps, first.steps, strict=True))
                 assert bound.u is u and bound.out is out
                 assert op.matvec(u, out, bound) is out
                 assert out.tobytes() == op.matvec(u.copy()).tobytes()
@@ -498,6 +499,18 @@ def test_bound_matvec_reads_the_operand_of_each_call(n):
                     call()
 
 
+def _chunk_reads(binding, u):
+    """Each chunk's first and end cell, and whether its windows are read from ``u``.
+
+    A chunk's last step sums its products into the result's entries
+    ``span`` (a slice in the binding's layout), and its windows view
+    either ``u`` or a halo copy, a separate array.
+    """
+    last = [(step, span) for step, (*_, span) in zip(binding.steps, binding.layout[1]) if span]
+    cells = [(span.start // 2, span.stop // 2) for _, span in last]
+    return cells, [np.may_share_memory(step[0], u) for step, _ in last]
+
+
 @pytest.mark.parametrize("n", [3 * _C, 3 * _C + 1, 4 * _C + 5])
 def test_one_shot_matvec_reads_interior_windows_from_the_operand(n):
     """At three chunks or more a one-shot call copies only the halos of the
@@ -510,10 +523,14 @@ def test_one_shot_matvec_reads_interior_windows_from_the_operand(n):
     real = rng.normal(size=2 * n)
     for op in _every_builder(ops.build_grid(n)):
         h = op._plan[0]
-        halos = op._scratch(np.dtype(float), 1, direct=True)[1]
         if 0 < h < _C:
-            (first, first_end, _), (last, last_end, _) = halos
-            assert (first, first_end, last_end) == (0, _C, n) and last - first_end >= _C
+            cells, reads = _chunk_reads(op._program(real, None), real)
+            assert reads == [h <= c and stop + h <= n for c, stop in cells]
+            assert not reads[0] and not reads[-1] and reads[1]
+        spread = np.repeat(real, 2)[::2]  # the operand with stride 2
+        for u, out in ((real, real), (real, real[::-1]), (spread, None)):
+            windows = [step[0] for step in op._program(u, out).steps]
+            assert h == 0 or not any(np.shares_memory(w, u) for w in windows)
         for u in (real, real + 1j * rng.normal(size=2 * n)):
             want = _rolled_matvec(op, u)
             assert op.matvec(u).tobytes() == want.tobytes()
@@ -528,6 +545,70 @@ def test_one_shot_matvec_reads_interior_windows_from_the_operand(n):
         got = op.matvec(stack)
         for r, row in zip(got, stack, strict=True):
             assert r.tobytes() == _rolled_matvec(op, row).tobytes()
+
+
+@pytest.mark.parametrize("n, rows, chunks", [(3 * _C + 1, 1, 3), (1025, 9, 2), (2000, 9, 4)])
+def test_a_bound_call_reads_the_windows_that_do_not_wrap_from_the_operand(n, rows, chunks):
+    """A binding, like a one-shot call, reads a chunk's windows from the
+    operand exactly where they do not wrap across the seam (every chunk
+    without a halo, h = 0), and has the one-shot call's bits: a single
+    row of three chunks, and the ``(9, 2n)`` stack of ``rk4x2``'s stage
+    derivatives and ``d``, whose chunks are 512 cells: two at n = 1025,
+    both wrapping, and four at n = 2000."""
+    rng = np.random.default_rng(n)
+    shape = (rows, 2 * n) if rows > 1 else (2 * n,)
+    for op in _every_builder(ops.build_grid(n)):
+        h = op._plan[0]
+        u, out = rng.normal(size=shape), np.empty(shape)
+        bound = op.bind(u, out)
+        cells, reads = _chunk_reads(bound, u)
+        assert len(cells) == chunks
+        # the operator without blocks reads nothing
+        assert reads == [bool(op.blocks) and (h == 0 or h <= c and stop + h <= n) for c, stop in cells]
+        if 0 < h < 512:
+            assert reads == [False, *[True] * (chunks - 2), False]
+        for _ in range(2):
+            assert op.matvec(u, out, bound) is out
+            assert out.tobytes() == op.matvec(u.copy()).tobytes()
+            u *= -1.5  # in place: the next call reads the new values
+
+
+@pytest.mark.parametrize("n", [16, 3 * _C + 1])
+def test_bind_takes_a_layout_only_from_a_binding_that_fits(n):
+    """``share`` lends its layout only when it is a per-block binding of
+    this operator for arrays of the same shapes and dtypes, with the same
+    direct-read eligibility (a C-contiguous operand that ``out`` does not
+    overlap, or not, both ways).  Anything else raises; a share that fits
+    gives the bits of a one-shot call, for either eligibility."""
+    g = ops.build_grid(n)
+    D, size = ops.central_D(g), 2 * n
+    u, out = np.random.default_rng(n).normal(size=size), np.empty(size)
+    spread = np.repeat(u, 2)[::2]  # the operand with stride 2
+    in_place = u.copy()
+    for share in (
+        BlockCirculantOp(n, D.dx, D.scale, D.blocks).bind(u, np.empty(size)),  # an equal operator
+        ops.upwind_D_minus(g).bind(u, np.empty(size)),  # another operator of the same shape
+        D.bind_banded(u, np.empty(size)),  # a banded binding
+        D.bind(np.ones((2, size)), np.empty((2, size))),  # other shapes
+        D.bind(u + 0j, np.empty(size, complex)),  # other dtypes
+        D.bind(u.astype(np.float32), np.empty(size)),  # another operand dtype, the same out
+        D.bind(spread, np.empty(size)),  # a strided operand
+        D.bind(in_place, in_place),  # out overlaps the operand
+    ):
+        with pytest.raises(ValueError, match="does not fit"):
+            D.bind(u, out, share)
+    with pytest.raises(ValueError, match="does not fit"):
+        D.bind(list(u), out, D.bind(u, np.empty(size)))
+    for a, b in ((spread, out), (in_place, in_place)):
+        with pytest.raises(ValueError, match="does not fit"):
+            D.bind(a, b, D.bind(u, np.empty(size)))
+    want = D.matvec(u).tobytes()
+    other = np.repeat(u, 2)[::2]
+    bound = D.bind(spread, out, D.bind(other, np.empty(size)))
+    assert D.matvec(spread, out, bound).tobytes() == want
+    v, w = u.copy(), np.zeros(size)
+    bound = D.bind(v, v, D.bind(w, w))
+    assert bound.layout is not None and D.matvec(v, v, bound).tobytes() == want
 
 
 def _stack_operands(rng, n, rows):
@@ -587,16 +668,17 @@ def test_stacked_matvec_chunks_keep_the_product_stack_to_one_chunk():
     cells: no chunk is a lone cell."""
     op = ops.upwind_mass(ops.build_grid(_C + 8))
     for rows in (1, 2, 3, 9, 100):
-        chunks = op._scratch(np.dtype(float), rows)[2]
-        cells = [stop - c for c, stop, _, _ in chunks]
+        steps = op._layout(np.dtype(float), rows, False)[1]
+        cells = [(span.stop - span.start) // 2 for _, _, _, _, span in steps]
         chunk = cells[0]
         assert chunk & (chunk - 1) == 0 and rows * (chunk + 1) <= _C + 1 < rows * (2 * chunk + 1)
         assert sum(cells) == op.n and min(cells) > 1
-        products = chunks[0][2]
+        products = steps[0][2]
         assert products.base.size <= len(op.blocks) * (_C + 1) * 2
     # past (_CHUNK + 1) / 3 rows the chunk stops at two cells
     small = ops.upwind_mass(ops.build_grid(9))
-    assert [stop - c for c, stop, _, _ in small._scratch(np.dtype(float), 4000)[2]] == [2, 2, 2, 3]
+    spans = [span for _, _, _, _, span in small._layout(np.dtype(float), 4000, False)[1]]
+    assert [(span.stop - span.start) // 2 for span in spans] == [2, 2, 2, 3]
     stack = np.random.default_rng(9).normal(size=(4000, 18))
     for got, row in zip(small.matvec(stack), stack, strict=True):
         assert got.tobytes() == small.matvec(row.copy()).tobytes()
@@ -616,7 +698,7 @@ def test_stacked_matvec_refuses_what_does_not_fit():
             D.matvec(stack, out=bad_out)
     with pytest.raises(ValueError, match="out must be"):
         D.matvec(np.ones(32), out=np.empty((1, 32)))
-    for rows in (1, 2, 4):  # scratch for another number of rows
+    for rows in (1, 2, 4):  # a layout for another number of rows
         other = D.bind(np.ones((rows, 32)), np.empty((rows, 32)))
         with pytest.raises(ValueError, match="does not fit"):
             D.bind(stack, out, other)
@@ -625,9 +707,11 @@ def test_stacked_matvec_refuses_what_does_not_fit():
         D.bind(np.ones(32), np.empty(32), three)
     with pytest.raises(ValueError, match="does not fit"):
         D.bind(stack + 0j, np.empty((3, 32), complex), three)
-    # a stack of one shares the scratch of a 1-D operand
+    # a stack of one runs as its 1-D row, but takes no 1-D operand's layout
     one, one_out = stack[:1], np.empty((1, 32))
-    bound = D.bind(one, one_out, D.bind(stack[0], np.empty(32)))
+    with pytest.raises(ValueError, match="does not fit"):
+        D.bind(one, one_out, D.bind(stack[0], np.empty(32)))
+    bound = D.bind(one, one_out, D.bind(np.zeros((1, 32)), np.empty((1, 32))))
     assert D.matvec(one, one_out, bound).tobytes() == D.matvec(stack[0]).tobytes()
 
 
@@ -665,10 +749,10 @@ def test_matvec_refuses_out_and_shared_scratch_that_do_not_fit():
             D.matvec(u, out=out)
     strided = np.empty(64)[::2]
     assert D.matvec(u, out=strided).tobytes() == D.matvec(u).tobytes()
-    # scratch is only scratch: another operator of the same shape may share it
-    Dm, out = ops.upwind_D_minus(g), np.empty(32)
-    bound = Dm.bind(u, out, D.bind(u, np.empty(32)))
-    assert Dm.matvec(u, out, bound).tobytes() == Dm.matvec(u).tobytes()
+    # another operator of the same shape lends no layout
+    Dm = ops.upwind_D_minus(g)
+    with pytest.raises(ValueError, match="does not fit"):
+        Dm.bind(u, np.empty(32), D.bind(u, np.empty(32)))
 
 
 _EPS = float(np.finfo(float).eps)
@@ -729,7 +813,7 @@ def test_banded_binding_is_within_rounding_of_the_exact_product(n):
         bound = op.bind_banded(u, out)
         assert (bound.op, bound.u, bound.out, bound.layout) == (op, u, out, None)
         assert len(bound.steps) == 1 and (span == 1) == (not bound.copies)
-        assert len(bound.copies) <= 4 and np.shares_memory(bound.result, bound.scratch[2])
+        assert len(bound.copies) <= 4 and bound.result.base is bound.steps[0][2].base
         for _ in range(2):
             assert op.matvec(u, out, bound) is out
             exact, tol = _banded_bound(op, u)
@@ -764,7 +848,7 @@ def test_banded_binding_pads_and_wraps_its_halo():
     assert Q._band[:2] == (-7, 15)
     u, q = np.arange(34.0), np.empty(34)
     bound = Q.bind_banded(u, q)
-    _, halo, padded = bound.scratch
+    halo, padded = bound.steps[0][0].base, bound.result.base
     assert halo.shape == (2 * (3 * 15 - 1),) and padded.shape == (2 * 2 * 15,)
     for dest, cells in bound.copies:
         dest[...] = cells
@@ -780,7 +864,7 @@ def test_banded_binding_pads_and_wraps_its_halo():
 def test_banded_binding_refuses_what_does_not_fit():
     """Only a 1-D float64 array of 2n entries, into one of the same shape
     and dtype; a replay refuses another operator, operand or out, as a
-    per-block binding does, and no per-block binding shares its scratch."""
+    per-block binding does, and no per-block binding takes its layout."""
     g = ops.build_grid(16)
     D, u, out = ops.central_D(g), np.ones(32), np.empty(32)
     for bad in (np.ones(32, complex), np.ones(32, np.float32), np.ones(32, int), [1.0] * 32):

@@ -7,6 +7,7 @@ import json
 import math
 import operator
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -337,8 +338,51 @@ def test_upwind_classical_rk4_at_half_cfl_blows_up():
 
 
 def test_relaxation_flags_unstable_base_step():
-    with pytest.raises(EnergyBlowUpError, match="non-positive"):
+    with pytest.raises(EnergyBlowUpError, match="not positive"):
         run_experiment(ExperimentConfig(variant="upwind", rk="ssprk33", relaxation=True))
+
+
+@pytest.mark.parametrize("speed", [1e100, 1e300, -1e300])
+def test_a_nan_relaxation_parameter_is_refused_before_its_step(speed):
+    """At these speeds the first step overflows and gamma is NaN, which
+    ``gamma <= 0`` would let through; the run refuses it at t = 0, before
+    applying it, and names it.  The overflow is the point of the run, so
+    its floating-point warnings are silenced here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EnergyBlowUpError, match=r"parameter is not positive \(nan\) at t = 0;"):
+            run_experiment(ExperimentConfig(n=16, advection_speed=speed, t_end=0.5))
+
+
+@pytest.mark.parametrize(
+    "speed, x_max",
+    [(1e-310, 2 * math.pi), (-1e-320, 2 * math.pi), (5e-324, 2 * math.pi), (1.0, 1e-200)],
+)
+def test_relaxed_central_rk4x2_composes_at_extreme_scales(monkeypatch, speed, x_max):
+    """With ``|a| dt / dx`` subnormal, or on a domain of 1e-200, the radius
+    is 1, not NaN: its roots are those of the unscaled stencil's symbols,
+    times ``z = -a dt / dx``, so neither ``z`` nor ``1/dx`` enters the
+    closed form.  The run composes its steps, as at every stable step, and
+    raises no warning."""
+    kinds = []
+    allocate = solver.Workspace.allocate
+
+    def spy(*args, **kwargs):
+        ws = allocate(*args, **kwargs)
+        kinds.append(type(ws))
+        return ws
+
+    monkeypatch.setattr(solver.Workspace, "allocate", staticmethod(spy))
+    g = ops.build_grid(50, 0.0, x_max)
+    rho, tol = solver._amplification_radius(make_scheme(g, "central", speed), RK4X2, 0.5 * g.dx)
+    assert abs(rho - 1.0) <= tol
+    t_end = x_max / 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace, u = run_experiment(
+            ExperimentConfig(n=50, x_max=x_max, advection_speed=speed, t_end=t_end)
+        )
+    assert kinds == [solver._ComposedStep]
+    assert abs(trace.times[-1] - t_end) <= 1e-14 * t_end and np.isfinite(u).all()
 
 
 def test_oversized_step_trips_energy_guard():
@@ -640,11 +684,19 @@ def _amplification_symbols(scheme, method, dt):
 
 
 def _all_mode_radius(scheme, method, dt):
-    """The radius and tolerance from every mode's step matrix, ``16 s eps
-    max_k p(|Z_k|)``: the decision the half-mode radius must reproduce."""
-    P, bound = _amplification_symbols(scheme, method, dt)
+    """The radius from every mode's step matrix and the tolerance ``16 s eps
+    p(|z| max_k |B^_k|)``, ``B^_k`` the symbols of the unscaled stencil and
+    ``z = -a dt / dx``, formed as the half-mode radius forms it: the
+    decision the half-mode radius must reproduce."""
+    P, _ = _amplification_symbols(scheme, method, dt)
     rho = float(np.abs(spectral._eig_pairs(P)).max())
-    return rho, 16.0 * method.stages * EPS * float(bound.max())
+    D = scheme.D_effective
+    stencil = spectral._all_symbols(ops.BlockCirculantOp(D.n, D.dx, 1.0, D.blocks))
+    znorm = abs(-scheme.advection_speed * dt * D.scale) * float(np.abs(stencil).sum(axis=2).max())
+    bound = 0.0
+    for c in reversed(solver._stability_coefficients(method)):
+        bound = bound * znorm + abs(c)
+    return rho, 16.0 * method.stages * EPS * bound
 
 
 @pytest.mark.parametrize("a", [1.0, -1.0])
@@ -1013,9 +1065,9 @@ def _fresh_array_run(config, step=rk_step, d_from="difference"):
         gamma = 1.0
         if config.relaxation and dt > 1e-4 * dt_nominal:
             gamma = _reference_gamma(u, u_next, () if skip else stages, s.M_energy, dt, d)
-            if gamma <= 0.0:
+            if not gamma > 0.0:
                 raise EnergyBlowUpError(
-                    f"relaxation parameter became non-positive ({gamma:.3g}) at "
+                    f"relaxation parameter is not positive ({gamma:.3g}) at "
                     f"t = {t:.6g}; the step is likely outside the RK stability region"
                 )
             d2 = float(d @ (s.M_energy @ d))
@@ -1316,7 +1368,7 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
     """A composed workspace holds no stage data and no stack of products.
     Its step writes ``d = D (Q u)`` into ``d``, with the bits of fresh
     banded bindings, and returns ``u + d``; ``Q`` is formed again, and bound again,
-    only when dt changes.  ``M d`` is bound with ``M u``'s scratch; its
+    only when dt changes.  ``M d`` is bound with ``M u``'s layout; its
     energy has the bits of the one-shot path, and its gamma those of one
     from fresh arrays.  Stage data, another update or another state
     raise."""
@@ -1329,7 +1381,7 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
     assert u is not u0 and u.tobytes() == u0.tobytes()
     assert not any(hasattr(ws, name) for name in ("kd", "Mkd", "M_kd", "dots", "stack", "Y"))
     assert all(getattr(ws, name) is not None for name in solver.Workspace.__slots__)
-    assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md and ws.M_d.scratch is ws.M_u.scratch
+    assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md and ws.M_d.layout is ws.M_u.layout
     assert ws.M_u.u is u and ws.M_u.out is ws.Mu and ws.D_q.out is ws.d
     assert ws.D_q.layout is None and ws.M_u.layout is not None  # D (Q u) is banded, M u per block
     one_shot = _one_shot_composed_step(s, RK4X2)
