@@ -27,13 +27,15 @@ operator holds the halo width ``h = max |j|``, the transposed
 blocks stacked in insertion order, and which windows of a halo-extended copy
 of the input (the input with ``h`` wrapped cells on each side) they read.
 The ``2h + 1`` windows of a run of cells are one strided ``(2h + 1, cells,
-2)`` view.  A call reads the windows of each chunk of cells (see below)
-that does not wrap across the seam straight from the input, through that
-kind of view, and copies a halo only for the chunks that wrap: at three
-chunks or more, the first and the last, and at ``h = 0`` none.  It copies
-the whole halo when ``out`` shares memory with the input, whose cells the
-results would overwrite before later chunks read them, or when the input
-is not C-contiguous (a strided view, which BLAS would not take as it is).
+2)`` view.  Each chunk of cells (see below) reads its windows straight
+from the input, through that kind of view, where they do not wrap across
+the seam, and otherwise from a halo of its own: cells ``c - h .. stop + h
+- 1`` (mod n) of the input, copied in runs of slices by one rule
+(``_halo``).  At three chunks or more only the first and the last chunk
+wrap, and at ``h = 0`` none.  Every chunk copies its own halo when
+``out`` shares memory with the input, whose cells the results would
+overwrite before later chunks read them, or when the input is not
+C-contiguous (a strided view, which BLAS would not take as it is).
 Which windows a call reads from the input changes neither the kernel nor
 the chunk edges nor the products.  One batched ``matmul`` then
 forms every block's ``(cells, 2) @ (2, 2)`` product into a product stack
@@ -206,6 +208,22 @@ def _windows(x: np.ndarray, cells: int, h: int) -> np.ndarray:
     return np.ndarray(shape, x.dtype, buffer=x, strides=strides)
 
 
+def _halo(first: int, count: int, n: int) -> list[tuple[slice, slice]]:
+    """The copies that fill a halo with operand cells ``first .. first + count - 1`` (mod n).
+
+    Each run is a ``(halo entries, operand entries)`` pair of slices of
+    interleaved arrays: halo cell ``k`` gets operand cell ``(first + k) mod
+    n``, and a new run starts wherever the cells pass the ring's end.
+    """
+    runs, k = [], 0
+    while k < count:
+        c = (first + k) % n
+        run = min(count - k, n - c)
+        runs.append((slice(2 * k, 2 * (k + run)), slice(2 * c, 2 * (c + run))))
+        k += run
+    return runs
+
+
 def _reads_operand(u: np.ndarray, out: np.ndarray) -> bool:
     """Whether a per-block call on ``u`` into ``out`` reads its unwrapped windows from ``u`` itself.
 
@@ -322,14 +340,15 @@ class MatvecBinding(NamedTuple):
     """One :meth:`BlockCirculantOp.matvec` call's set-up, from :meth:`BlockCirculantOp.bind`
     or :meth:`BlockCirculantOp.bind_banded`.
 
-    A call replays ``copies`` and ``steps`` (see
-    ``BlockCirculantOp._program``) only when it is a call of ``op`` on
-    ``u`` into ``out``, all three the very objects bound, and then
-    multiplies ``result`` by the scale into ``out``.  ``layout`` holds the
-    scratch arrays and the part of the steps that holds no view of ``u``
-    or ``out`` (see ``BlockCirculantOp._layout``), which a binding of the
-    same operator on arrays that fit takes as it is
-    (:meth:`BlockCirculantOp.bind`).  ``result`` is ``out`` itself in the
+    A call replays ``copies``, the halo copies ``(destination, source)``,
+    and ``steps``, the products ``(windows, A^T, products, sums, part)``,
+    only when it is a call of ``op`` on ``u`` into ``out``, all three the
+    very objects bound, and then multiplies ``result`` by the scale into
+    ``out``.  ``layout`` holds the scratch arrays and the part of the
+    steps that holds no view of ``u`` or ``out`` (see
+    ``BlockCirculantOp._layout``), which a binding of the same operator on
+    arrays that fit takes as it is (:meth:`BlockCirculantOp.bind`).
+    ``result`` is ``out`` itself in the
     per-block layout; a banded binding's ``result`` is the first ``2n``
     entries of its padded result buffer, and its ``layout`` is None: it
     lends nothing.
@@ -429,26 +448,36 @@ class BlockCirculantOp:
     def bind(
         self,
         u: np.ndarray,
-        out: np.ndarray,
+        out: Optional[np.ndarray] = None,
         share: Optional[MatvecBinding] = None,
     ) -> MatvecBinding:
         """The set-up of a :meth:`matvec` call on ``u`` into ``out``, done once.
 
-        ``u`` and ``out`` are checked as a call checks them, and the call's
-        scratch arrays and steps are made (``_program``).  A call of this
-        operator with the binding and this very ``u`` and ``out`` (``is``,
-        not equality) replays the steps, reading whatever ``u`` holds then.
+        ``u`` and ``out`` are checked as a call checks them (``out`` None
+        makes a new array), the call's layout is made (``_layout``: the
+        scratch arrays, the halo copies' destinations and the halo
+        windows), and then the views of ``u`` and ``out`` in it: the
+        sources of the halo copies, the windows of the chunks that read the
+        operand itself, and each chunk's part of ``out``.  A chunk reads
+        its windows from the operand where they do not wrap across the
+        seam, ``u`` is C-contiguous and ``out`` does not overlap ``u``
+        (``_reads_operand``): BLAS then multiplies these windows as it does
+        a halo's, and the kernel, the chunk edges and the products are the
+        same.  For a stack, each view holds every operand row along a
+        leading axis; a stack of one runs as its 1-D row.  All of them are
+        views, valid as long as ``u``, ``out`` and the scratch arrays are.
+        A call of this operator with the binding and this very ``u`` and
+        ``out`` (``is``, not equality) replays the steps, reading whatever
+        ``u`` holds then.
+
         ``share``, a per-block binding of this operator whose calls never
-        overlap this one's, lends its layout instead (``_layout``: the
-        scratch arrays, the halo copies' destinations and the window
-        views), so that only the views of ``u`` and ``out`` are made.  It
-        must have been made for arrays of ``u``'s and ``out``'s shapes and
-        dtypes and with the same direct-read eligibility (``_reads_operand``);
-        any other ``share`` raises :class:`ValueError`.
+        overlap this one's, lends its layout instead, so that only the
+        views of ``u`` and ``out`` are made.  It must have been made for
+        arrays of ``u``'s and ``out``'s shapes and dtypes and with the same
+        direct-read eligibility (``_reads_operand``); any other ``share``
+        raises :class:`ValueError`.
         """
-        if share is None:
-            return self._program(u, out)
-        if not (
+        if share is not None and not (
             share.op is self
             and share.layout is not None
             and type(u) is type(out) is np.ndarray
@@ -460,7 +489,32 @@ class BlockCirculantOp:
                 "the shared binding does not fit: it must be a per-block binding of this operator "
                 "for arrays of the same shapes and dtypes, with the same direct-read eligibility"
             )
-        return MatvecBinding(self, u, out, share.layout, *self._views(share.layout, u, out), out)
+        u = np.asarray(u)
+        n = self.n
+        if u.shape != (2 * n,) and (u.ndim != 2 or u.shape[1] != 2 * n or not len(u)):
+            raise ValueError(f"expected shape ({2 * n},) or (rows, {2 * n}), got {u.shape}")
+        dtype = np.promote_types(u.dtype, float)
+        # the result before the scratch arrays: it outlives them, and large
+        # scratch arrays freed above it leave the heap less fragmented
+        if out is None:
+            out = np.empty(u.shape, dtype)
+        elif out.shape != u.shape or out.dtype != dtype:
+            raise ValueError(
+                f"out must be a {u.shape} array of {dtype}, got {out.shape} {out.dtype}"
+            )
+        rows = len(u) if u.ndim == 2 else 1
+        layout = share.layout if share is not None else self._layout(u.dtype, rows, _reads_operand(u, out))
+        operand, result = (u[0], out[0]) if u.ndim == 2 and rows == 1 else (u, out)
+        pieces, steps = layout
+        copies = tuple([(x, operand[..., cells]) for x, cells in pieces])
+        h, own, placed = self._plan[0], None, []
+        for windows, a, products, sums, span in steps:
+            if type(windows) is tuple:  # (select, cells) of the operand's own windows
+                if own is None:
+                    own = _windows(operand, n - 2 * h, h)
+                windows = own[..., windows[0], windows[1], :]
+            placed.append((windows, a, products, sums, None if span is None else result[..., span]))
+        return MatvecBinding(self, u, out, layout, copies, tuple(placed), out)
 
     @functools.cached_property
     def _band(self) -> tuple[int, int, np.ndarray]:
@@ -509,24 +563,19 @@ class BlockCirculantOp:
             raise ValueError(f"out must be a {u.shape} array of float64, got {got}")
         lo, span, stack = self._band
         rows = -(-n // span)
-        copies = []
         if span == 1 and u.flags.c_contiguous:
-            halo = u
+            halo, copies = u, ()
         else:
-            # halo cell k holds operand cell (lo + k) mod n: a few runs of slices
+            # halo cell k holds operand cell (lo + k) mod n
             cells = (rows + 1) * span - 1
             halo = np.empty(2 * cells)
-            k, c = 0, lo % n
-            while k < cells:
-                run = min(cells - k, n - c)
-                copies.append((halo[2 * k : 2 * (k + run)], u[2 * c : 2 * (c + run)]))
-                k, c = k + run, 0
+            copies = tuple([(halo[into], u[entries]) for into, entries in _halo(lo, cells, n)])
         item = halo.itemsize
         windows = np.ndarray((span, rows, 2 * span), halo.dtype, halo, 0, (2 * item, 2 * span * item, item))
         padded = np.empty(2 * rows * span)
         products = np.ndarray((span, rows, 2), padded.dtype, padded, 0, (2 * item, 2 * span * item, item))
         steps = ((windows, stack, products, None, None),)
-        return MatvecBinding(self, u, out, None, tuple(copies), steps, padded[: 2 * n])
+        return MatvecBinding(self, u, out, None, copies, steps, padded[: 2 * n])
 
     def _layout(self, dtype: np.dtype, rows: int, direct: bool) -> tuple:
         """The scratch arrays and steps of a call on a stack of ``rows`` operands of ``dtype``.
@@ -534,23 +583,23 @@ class BlockCirculantOp:
         Returns ``(pieces, steps)``, which hold no view of the call's
         operand or result.  Every array below has a leading axis of
         ``rows`` operands, except for a single operand (a 1-D operand is a
-        stack of one).  ``pieces`` are the halo copies ``(x, entries)``:
-        the ``entries`` (a slice) of the operand's rows go into ``x``, a
-        view of a halo copy that holds cells ``first - h .. end + h - 1``
-        (mod n) for a run of chunks from cell ``first`` to ``end``.  One
-        copy serves every chunk (none when ``h = 0``); with ``direct``, a
-        chunk whose windows lie inside the operand reads them there, and
-        only runs of chunks whose windows wrap across the seam get a copy.
-        ``steps`` are the product steps ``(windows, A^T, products, sums,
-        span)``.  ``windows`` is a strided view of the halo copy that holds
-        the chunk, or ``(select, cells)`` where the chunk reads the
-        operand's own windows.  ``products`` is the chunk's part of the
-        ``(#blocks, min(n, chunk + 1), 2)`` product stack.  The last product
-        step of a chunk also sums the products, as ``sums`` (the same memory
-        as ``(#blocks, 2 cells)`` rows), into the result's entries ``span``,
-        a slice (the others carry ``None``).  Windows selected by a slice
-        make one batched product per chunk; by an index array, one product
-        per block, since a gathered copy would not see the next operand.
+        stack of one).  A chunk of cells ``c .. stop - 1`` reads its
+        windows from the operand at ``h = 0``, and with ``direct`` where
+        they lie inside it (``h <= c`` and ``stop + h <= n``); any other
+        chunk reads them from a halo of its own that holds cells ``c - h ..
+        stop + h - 1`` (mod n).  ``pieces`` are the halo copies ``(x,
+        entries)`` (``_halo``): the ``entries`` (a slice) of the operand's
+        rows go into ``x``, a view of a halo.  ``steps`` are the product
+        steps ``(windows, A^T, products, sums, span)``.  ``windows`` is a
+        strided view of the chunk's halo, or ``(select, cells)`` where the
+        chunk reads the operand's own windows.  ``products`` is the chunk's
+        part of the ``(#blocks, min(n, chunk + 1), 2)`` product stack.  The
+        last product step of a chunk also sums the products, as ``sums``
+        (the same memory as ``(#blocks, 2 cells)`` rows), into the result's
+        entries ``span``, a slice (the others carry ``None``).  Windows
+        selected by a slice make one batched product per chunk; by an index
+        array, one product per block, since a gathered copy would not see
+        the next operand.
         """
         h, select, a_t = self._plan
         n = self.n
@@ -567,33 +616,17 @@ class BlockCirculantOp:
         # kernel, which rounds complex products differently; the last chunk
         # takes that cell instead
         edges = [*range(0, n - 1, chunk), n]
-        chunks, spans = [*zip(edges, edges[1:])], []
-        for c, stop in chunks:
-            if h and not (direct and h <= c and stop + h <= n):
-                if spans and spans[-1][1] == c:
-                    spans[-1][1] = stop
-                else:
-                    spans.append([c, stop])
-        pieces, sources = [], []
-        for c0, stop0 in spans:
-            x = np.empty((*stack, 2 * (stop0 - c0 + 2 * h)), dtype)
-            # x holds cells lo .. hi - 1 of the operand, mod n: the wrapped
-            # cells before 0, the cells inside, the wrapped cells from n on
-            lo, hi = c0 - h, stop0 + h
-            for start, stop, shift in ((lo, min(hi, 0), n), (max(lo, 0), min(hi, n), 0), (max(lo, n), hi, -n)):
-                if start < stop:
-                    dest = x[..., 2 * (start - lo) : 2 * (stop - lo)]
-                    pieces.append((dest, slice(2 * (start + shift), 2 * (stop + shift))))
-            sources.append((c0, stop0, _windows(x, stop0 - c0, h)))
-        sources.append((h, n - h, None))  # the chunks that no halo holds read the operand
-        steps = []
-        for c, stop in chunks:
-            for c0, stop0, windows in sources:
-                if c0 <= c and stop <= stop0:
-                    break
+        pieces, steps = [], []
+        for c, stop in zip(edges, edges[1:]):
+            if not h or direct and h <= c and stop + h <= n:
+                windows, cells = None, slice(c - h, stop - h)
+            else:
+                x = np.empty((*stack, 2 * (stop - c + 2 * h)), dtype)
+                pieces += [(x[..., into], cells) for into, cells in _halo(c - h, stop - c + 2 * h, n)]
+                windows, cells = _windows(x, stop - c, h), slice(None)
             part = products[..., : stop - c, :]
             sums = part.reshape(*stack, blocks, 2 * (stop - c))
-            cells, span = slice(c - c0, stop - c0), slice(2 * c, 2 * stop)
+            span = slice(2 * c, 2 * stop)
             if isinstance(select, slice):
                 view = (select, cells) if windows is None else windows[..., select, cells, :]
                 steps.append((view, a_t, part, sums, span))
@@ -603,57 +636,6 @@ class BlockCirculantOp:
                 steps.append((view, a_t[i], part[..., i, :, :], None, None))
             steps[-1] = (*steps[-1][:3], sums, span)
         return tuple(pieces), tuple(steps)
-
-    def _views(self, layout: tuple, u: np.ndarray, out: np.ndarray) -> tuple:
-        """The copies and steps of a call on ``u`` into ``out`` through ``layout``.
-
-        The copies are ``(destination, source)`` pairs of views, and the
-        steps ``(windows, A^T, products, sums, part)``: ``_layout``'s steps
-        with the operand's windows and, as ``part``, the chunk's part of
-        ``out`` put in.  A stack of one runs as its 1-D row.
-        """
-        n, h = self.n, self._plan[0]
-        operand, result = (u[0], out[0]) if u.ndim == 2 and len(u) == 1 else (u, out)
-        pieces, steps = layout
-        copies = tuple([(x, operand[..., cells]) for x, cells in pieces])
-        own, placed = None, []
-        for windows, a, products, sums, span in steps:
-            if type(windows) is tuple:
-                if own is None:
-                    own = _windows(operand, n - 2 * h, h)
-                windows = own[..., windows[0], windows[1], :]
-            placed.append((windows, a, products, sums, None if span is None else result[..., span]))
-        return copies, tuple(placed)
-
-    def _program(self, u, out) -> MatvecBinding:
-        """The per-block binding of ``u`` (as an array) into ``out``, for ``bind`` and one-shot calls.
-
-        ``u`` and ``out`` are checked, the layout (``_layout``) is made, and
-        the copies and steps (``_views``) for ``u`` and ``out``.  A chunk's
-        windows are a strided view of the halo copy that holds it, or of
-        the operand itself where they do not wrap across the seam, ``u``
-        is C-contiguous and ``out`` does not overlap ``u``
-        (``_reads_operand``): BLAS then multiplies these windows as it does
-        a copy's, and the kernel, the chunk edges and the products are the
-        same.  For a stack, each view holds every operand row along a
-        leading axis; a stack of one runs as its 1-D row.  All of them are
-        views, valid as long as ``u``, ``out`` and the scratch arrays are.
-        """
-        u = np.asarray(u)
-        n = self.n
-        if u.shape != (2 * n,) and (u.ndim != 2 or u.shape[1] != 2 * n or not len(u)):
-            raise ValueError(f"expected shape ({2 * n},) or (rows, {2 * n}), got {u.shape}")
-        dtype = np.promote_types(u.dtype, float)
-        # the result before the scratch arrays: it outlives them, and large
-        # scratch arrays freed above it leave the heap less fragmented
-        if out is None:
-            out = np.empty(u.shape, dtype)
-        elif out.shape != u.shape or out.dtype != dtype:
-            raise ValueError(
-                f"out must be a {u.shape} array of {dtype}, got {out.shape} {out.dtype}"
-            )
-        layout = self._layout(u.dtype, len(u) if u.ndim == 2 else 1, _reads_operand(u, out))
-        return MatvecBinding(self, u, out, layout, *self._views(layout, u, out), out)
 
     def matvec(
         self,
@@ -666,14 +648,14 @@ class BlockCirculantOp:
         Bit-exactness contract: the result equals, bit for bit, rolling the
         operand once per block (``np.roll(x, -j) @ A_j^T``), accumulating
         into zeros in block insertion order and multiplying by ``scale``
-        once.  The windows of the operand are a strided view of it, or of a
-        halo copy where they wrap (see the module docstring); per chunk of
-        ``_CHUNK`` cells, one
-        batched ``matmul`` forms every block's product into the product
-        stack and ``np.add.reduce`` over the block axis, from
-        ``initial=0.0``, adds them in insertion order (the ``+0.0`` start
-        turns a ``-0.0`` first product into ``+0.0``, as zeros do).  See
-        the module docstring for why no reassociating kernel (CSR) is used.
+        once.  The windows of each chunk of ``_CHUNK`` cells are a strided
+        view of the operand, or of the chunk's halo copy where they wrap
+        (see the module docstring); per chunk, one batched ``matmul`` forms
+        every block's product into the product stack and ``np.add.reduce``
+        over the block axis, from ``initial=0.0``, adds them in insertion
+        order (the ``+0.0`` start turns a ``-0.0`` first product into
+        ``+0.0``, as zeros do).  See the module docstring for why no
+        reassociating kernel (CSR) is used.
         Windows that are not consecutive in insertion order are multiplied
         block by block, with the same 2x2 products.
 
@@ -684,17 +666,16 @@ class BlockCirculantOp:
 
         ``out`` (of ``u``'s shape and the result dtype) receives the result
         and is returned; it may be ``u`` itself.  Without ``binding`` the
-        call is one-shot: a binding made (``_program``, as :meth:`bind`
-        makes it) and replayed once, with a new array when ``out`` is
-        None.  With a ``binding`` from :meth:`bind` for this operator,
-        ``u`` and ``out``, it replays the bound set-up.  A binding
-        from :meth:`bind_banded` replays the banded layout through the
-        same loop, with that layout's rounding instead of the contract
-        above.  An operand or ``out`` that does not fit, or a binding made
-        for another call, raises :class:`ValueError`.
+        call is one-shot: ``bind(u, out)`` replayed once, with a new
+        array when ``out`` is None.  With a ``binding`` from :meth:`bind`
+        for this operator, ``u`` and ``out``, it replays the bound set-up.
+        A binding from :meth:`bind_banded` replays the banded layout
+        through the same loop, with that layout's rounding instead of the
+        contract above.  An operand or ``out`` that does not fit, or a
+        binding made for another call, raises :class:`ValueError`.
         """
         if binding is None:
-            _, _, out, _, copies, steps, result = self._program(u, out)
+            _, _, out, _, copies, steps, result = self.bind(u, out)
         else:
             op, bound_u, bound_out, _, copies, steps, result = binding
             if op is not self or bound_u is not u or bound_out is not out:

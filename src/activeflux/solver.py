@@ -202,7 +202,8 @@ class EnergyBlowUpError(RuntimeError):
     relaxation parameter is not positive — which happens when the base
     step amplifies energy faster than its own stage estimate, i.e. the time
     step is outside the method's stability region — or is NaN, when the
-    step overflows.
+    step overflows.  The overflow itself raises no floating-point warning:
+    the run takes it as a value and refuses the result.
     """
 
 
@@ -865,10 +866,11 @@ def _amplification_radius(scheme: Scheme, method: RKMethod, dt: float) -> tuple[
     lam *= z
     coeffs = _stability_coefficients(method)
     R, bound = np.full_like(lam, coeffs[-1]), abs(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        R *= lam
-        R += c
-        bound = bound * znorm + abs(c)
+    with np.errstate(over="ignore", invalid="ignore"):  # rho = inf or NaN fails rho <= 1 + tol
+        for c in reversed(coeffs[:-1]):
+            R *= lam
+            R += c
+            bound = bound * znorm + abs(c)
     rho = float(np.abs(R).max())
     return rho, 16.0 * method.stages * _EPS * bound
 
@@ -974,7 +976,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     0.5`` has ``rho = 1.2``) keeps the stage estimate and is not refused,
     so its chaotic trajectory stays that of the full estimate.  Raises
     :class:`EnergyBlowUpError` if the energy exceeds 1e3 times its initial
-    value.  Non-finite or non-positive
+    value or is not finite, or if gamma is not positive (NaN included); a
+    step that overflows (a speed of 1e100 at n = 16) ends there, with no
+    floating-point warning.  Non-finite or non-positive
     ``t_end``/``dt_factor``, a non-finite advection speed, a nominal step
     that is zero or makes ``t_end / dt`` overflow, and a step count
     ``ceil(t_end / dt)`` past :data:`MAX_STEPS` raise :class:`ValueError`
@@ -1044,35 +1048,37 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     # dropped, and relaxation is skipped on steps below 1e-4 of it: there the
     # gamma quadratic is a ratio of O(dt^2) quantities swamped by rounding,
     # while a plain micro-step perturbs the energy only at O(dt).
-    while t_end - t > stop:
-        dt = min(dt_nominal, t_end - t)
-        u_next, stage_data = rk_step(scheme, method, u, dt, ws)
-        # each new state overwrites the old one, which nothing reads after it
-        if relaxation and dt > shortest_relaxed:
-            gamma = relaxation_gamma(u, u_next, stage_data, M, dt, workspace=ws)
-            if not gamma > 0.0:  # NaN too
+    # an overflow gives a non-finite gamma or energy, which the loop refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t_end - t > stop:
+            dt = min(dt_nominal, t_end - t)
+            u_next, stage_data = rk_step(scheme, method, u, dt, ws)
+            # each new state overwrites the old one, which nothing reads after it
+            if relaxation and dt > shortest_relaxed:
+                gamma = relaxation_gamma(u, u_next, stage_data, M, dt, workspace=ws)
+                if not gamma > 0.0:  # NaN too
+                    raise EnergyBlowUpError(
+                        f"relaxation parameter is not positive ({gamma:.3g}) at "
+                        f"t = {t:.6g}; the step is likely outside the RK stability region"
+                    )
+                np.add(u, np.multiply(gamma, d, tmp), u)
+                t += gamma * dt
+            else:
+                gamma = 1.0
+                # u_next belongs to the workspace, which the next step writes again
+                np.copyto(u, u_next)
+                t += dt
+            energy = scheme.energy(u, ws)
+            times.append(t)
+            energies.append(energy)
+            gammas.append(gamma)
+            if not math.isfinite(energy) or energy > guard:
                 raise EnergyBlowUpError(
-                    f"relaxation parameter is not positive ({gamma:.3g}) at "
-                    f"t = {t:.6g}; the step is likely outside the RK stability region"
+                    f"energy {energy:.6g} exceeded 1e3 x initial {e0:.6g} at t = {t:.6g}"
                 )
-            np.add(u, np.multiply(gamma, d, tmp), u)
-            t += gamma * dt
-        else:
-            gamma = 1.0
-            # u_next belongs to the workspace, which the next step writes again
-            np.copyto(u, u_next)
-            t += dt
-        energy = scheme.energy(u, ws)
-        times.append(t)
-        energies.append(energy)
-        gammas.append(gamma)
-        if not math.isfinite(energy) or energy > guard:
-            raise EnergyBlowUpError(
-                f"energy {energy:.6g} exceeded 1e3 x initial {e0:.6g} at t = {t:.6g}"
-            )
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError("time loop exceeded the step budget; check dt_factor")
+            steps += 1
+            if steps > max_steps:
+                raise RuntimeError("time loop exceeded the step budget; check dt_factor")
     trace = EnergyTrace(
         times=np.asarray(times), energies=np.asarray(energies), gammas=np.asarray(gammas)
     )

@@ -517,19 +517,19 @@ def test_one_shot_matvec_reads_interior_windows_from_the_operand(n):
     two chunks whose windows wrap across the seam, and reads every other
     chunk's windows from the operand: the rolled kernel's bits, for single
     operands, read-only operands and stacks.  An ``out`` that overlaps the
-    operand, and an operand with a non-unit stride, go through one full
-    halo copy instead, with the same bits."""
+    operand, and an operand with a non-unit stride, give every chunk a
+    halo copy of its own instead, with the same bits."""
     rng = np.random.default_rng(n)
     real = rng.normal(size=2 * n)
     for op in _every_builder(ops.build_grid(n)):
         h = op._plan[0]
         if 0 < h < _C:
-            cells, reads = _chunk_reads(op._program(real, None), real)
+            cells, reads = _chunk_reads(op.bind(real), real)
             assert reads == [h <= c and stop + h <= n for c, stop in cells]
             assert not reads[0] and not reads[-1] and reads[1]
         spread = np.repeat(real, 2)[::2]  # the operand with stride 2
         for u, out in ((real, real), (real, real[::-1]), (spread, None)):
-            windows = [step[0] for step in op._program(u, out).steps]
+            windows = [step[0] for step in op.bind(u, out).steps]
             assert h == 0 or not any(np.shares_memory(w, u) for w in windows)
         for u in (real, real + 1j * rng.normal(size=2 * n)):
             want = _rolled_matvec(op, u)
@@ -547,30 +547,68 @@ def test_one_shot_matvec_reads_interior_windows_from_the_operand(n):
             assert r.tobytes() == _rolled_matvec(op, row).tobytes()
 
 
-@pytest.mark.parametrize("n, rows, chunks", [(3 * _C + 1, 1, 3), (1025, 9, 2), (2000, 9, 4)])
+def _halos(binding):
+    """The distinct halo arrays a per-block binding copies into."""
+    return list({id(dest.base): dest.base for dest, _ in binding.copies}.values())
+
+
+@pytest.mark.parametrize(
+    "n, rows, chunks", [(_C + 4097, 1, 2), (3 * _C + 1, 1, 3), (1025, 9, 2), (2000, 9, 4)]
+)
 def test_a_bound_call_reads_the_windows_that_do_not_wrap_from_the_operand(n, rows, chunks):
     """A binding, like a one-shot call, reads a chunk's windows from the
     operand exactly where they do not wrap across the seam (every chunk
-    without a halo, h = 0), and has the one-shot call's bits: a single
-    row of three chunks, and the ``(9, 2n)`` stack of ``rk4x2``'s stage
+    without a halo, h = 0), and copies a halo of ``stop - c + 2h`` cells
+    for each other chunk ``c .. stop - 1``.  An ``out`` that is the
+    operand, or a strided operand, reads no window from the operand at h
+    > 0: every chunk copies its own halo.  Every call has the bits of a
+    direct one-shot call and of the rolled kernel: single rows of two and
+    three chunks, and the ``(9, 2n)`` stack of ``rk4x2``'s stage
     derivatives and ``d``, whose chunks are 512 cells: two at n = 1025,
     both wrapping, and four at n = 2000."""
     rng = np.random.default_rng(n)
     shape = (rows, 2 * n) if rows > 1 else (2 * n,)
     for op in _every_builder(ops.build_grid(n)):
         h = op._plan[0]
-        u, out = rng.normal(size=shape), np.empty(shape)
-        bound = op.bind(u, out)
-        cells, reads = _chunk_reads(bound, u)
-        assert len(cells) == chunks
-        # the operator without blocks reads nothing
-        assert reads == [bool(op.blocks) and (h == 0 or h <= c and stop + h <= n) for c, stop in cells]
-        if 0 < h < 512:
-            assert reads == [False, *[True] * (chunks - 2), False]
-        for _ in range(2):
-            assert op.matvec(u, out, bound) is out
-            assert out.tobytes() == op.matvec(u.copy()).tobytes()
-            u *= -1.5  # in place: the next call reads the new values
+        u = rng.normal(size=shape)
+        for got, row in zip(op.matvec(u).reshape(rows, -1), u.reshape(rows, -1), strict=True):
+            assert got.tobytes() == _rolled_matvec(op, row).tobytes()
+        v, spread = u.copy(), np.repeat(u, 2, axis=-1)[..., ::2]  # stride 2
+        calls = ((u.copy(), np.empty(shape), True), (v, v, False), (spread, np.empty(shape), False))
+        for a, b, direct in calls:
+            bound = op.bind(a, b)
+            cells, reads = _chunk_reads(bound, a)
+            assert len(cells) == chunks
+            # the operator without blocks reads nothing
+            wraps = [not (h == 0 or direct and h <= c and stop + h <= n) for c, stop in cells]
+            assert reads == [bool(op.blocks) and not w for w in wraps]
+            if direct and 0 < h < 512:
+                assert wraps == [True, *[False] * (chunks - 2), True]
+            want = [(*shape[:-1], 2 * (stop - c + 2 * h)) for (c, stop), w in zip(cells, wraps) if w]
+            assert sorted(x.shape for x in _halos(bound)) == sorted(want)
+            for x in (u, -1.5 * u):  # the second call reads the new values
+                a[...] = x
+                assert op.matvec(a, b, bound) is b
+                assert b.tobytes() == op.matvec(x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "first, count, n, runs",
+    [
+        (-3, 10, 16, 2),  # starts before cell 0
+        (12, 10, 16, 2),  # ends past cell n - 1
+        (-7, 44, 16, 4),  # longer than the ring: the banded halo of rk4x2's Q at n = 16
+    ],
+)
+def test_halo_copies_a_run_of_cells_mod_n(first, count, n, runs):
+    """``_halo`` fills halo cell ``k`` with operand cell ``(first + k) mod
+    n``, in one run per pass over the ring."""
+    u, halo = np.arange(2.0 * n), np.full(2 * count, np.nan)
+    copies = ops._halo(first, count, n)
+    assert len(copies) == runs
+    for into, cells in copies:
+        halo[into] = u[cells]
+    assert halo.tolist() == u.reshape(n, 2)[np.arange(first, first + count) % n].ravel().tolist()
 
 
 @pytest.mark.parametrize("n", [16, 3 * _C + 1])

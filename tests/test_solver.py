@@ -342,15 +342,31 @@ def test_relaxation_flags_unstable_base_step():
         run_experiment(ExperimentConfig(variant="upwind", rk="ssprk33", relaxation=True))
 
 
-@pytest.mark.parametrize("speed", [1e100, 1e300, -1e300])
-def test_a_nan_relaxation_parameter_is_refused_before_its_step(speed):
-    """At these speeds the first step overflows and gamma is NaN, which
-    ``gamma <= 0`` would let through; the run refuses it at t = 0, before
-    applying it, and names it.  The overflow is the point of the run, so
-    its floating-point warnings are silenced here."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(EnergyBlowUpError, match=r"parameter is not positive \(nan\) at t = 0;"):
-            run_experiment(ExperimentConfig(n=16, advection_speed=speed, t_end=0.5))
+@pytest.mark.parametrize(
+    "variant, relaxation, speed",
+    [
+        ("central", True, 1e100),
+        ("central", True, 1e300),
+        ("central", True, -1e300),
+        ("upwind", True, 1e100),
+        ("central", False, 1e300),
+        ("upwind", False, -1e300),
+    ],
+)
+def test_a_nan_relaxation_parameter_is_refused_before_its_step(variant, relaxation, speed):
+    """At these speeds the first step overflows.  A relaxed run gets gamma
+    = NaN, which ``gamma <= 0`` would let through, and refuses it at t = 0,
+    before applying it, and names it; an unrelaxed run refuses the NaN
+    energy of its first step.  Neither raises a floating-point warning
+    (the suite makes them errors): the radius and the time loop take the
+    overflow as a value, and the guards refuse it."""
+    want = r"parameter is not positive \(nan\) at t = 0;" if relaxation else r"energy nan exceeded"
+    with pytest.raises(EnergyBlowUpError, match=want):
+        run_experiment(
+            ExperimentConfig(
+                variant=variant, relaxation=relaxation, n=16, advection_speed=speed, t_end=0.5
+            )
+        )
 
 
 @pytest.mark.parametrize(
@@ -1421,39 +1437,40 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
 def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, relaxation):
     """Every matvec of a run replays a binding made once, however many
     steps the run takes.  A stage run binds each stage derivative, M u
-    and the stacked M k_i and M d; the full set-up (checks, scratch and
-    layout) runs for the first stage's binding, M u and the stack, and
-    the other stages share the first one's and make only their views.  A
-    composed run binds M u and M d, which shares M u's set-up, and makes
+    and the stacked M k_i and M d; a layout (the scratch arrays and the
+    steps over them, ``_layout``) is made for the first stage's binding,
+    M u and the stack, and the other stages share the first one's and make
+    only their views.  A composed run binds M u and M d, which shares
+    M u's layout, and makes
     banded bindings of D (Q u) and of Q u, the latter once per step size:
     the nominal one and the clipped last step's."""
     # relaxed central rk4x2 is stable at dt = dx/2 and M D + D^T M = 0, and
     # unrelaxed runs read no stage data: both compose their steps; central
     # ssprk33 (rho > 1 there) and upwind runs keep the stage estimate
     composed = not relaxation or (variant, rk) == ("central", "rk4x2")
-    binds, programs, banded = [], [], []
+    binds, layouts, banded = [], [], []
     Op = ops.BlockCirculantOp
-    bind, program, bind_banded = Op.bind, Op._program, Op.bind_banded
+    bind, layout, bind_banded = Op.bind, Op._layout, Op.bind_banded
 
     def counted_bind(op, *args):
         binds.append(op)
         return bind(op, *args)
 
-    def counted_program(op, *args):
-        programs.append(op)
-        return program(op, *args)
+    def counted_layout(op, *args):
+        layouts.append(op)
+        return layout(op, *args)
 
     def counted_bind_banded(op, *args):
         banded.append(op)
         return bind_banded(op, *args)
 
     monkeypatch.setattr(Op, "bind", counted_bind)
-    monkeypatch.setattr(Op, "_program", counted_program)
+    monkeypatch.setattr(Op, "_layout", counted_layout)
     monkeypatch.setattr(Op, "bind_banded", counted_bind_banded)
     stages = resolve_method(rk).stages
     for t_end in (1.0, 3.0):
         binds.clear()
-        programs.clear()
+        layouts.clear()
         banded.clear()
         trace, _ = run_experiment(
             ExperimentConfig(variant=variant, rk=rk, relaxation=relaxation, n=16, t_end=t_end)
@@ -1461,11 +1478,11 @@ def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, re
         assert len(trace.times) > 5
         if composed:
             clipped = t_end - trace.times[-2] < 0.5 * 2 * math.pi / 16
-            assert len(binds) == 2 and len(programs) == 1
+            assert len(binds) == 2 and len(layouts) == 1
             assert len(banded) == 2 + clipped
         else:
             assert len(binds) == stages + 2 and not banded
-            assert len(programs) == 3
+            assert len(layouts) == 3
 
 
 # ---------------------------------------------------------------------------
