@@ -20,8 +20,8 @@ bits of every row, and a normalization tiles it into the operand for
 numpy's pairwise sum.  Exactness forms its samples in the operand and its
 residuals in place in the result.  The dissipation spectrum reads the
 eigenvalue pairs of modes ``0..n//2`` (mode ``n - k`` holds their
-conjugates), and the three definiteness checks classify their masses in
-one stacked pass.  Every report is bit for bit that of the full-size
+conjugates), and the three definiteness checks classify one mass at a
+time.  Every report is bit for bit that of the full-size
 formulas.  At n = 1e6 a ``verify`` call takes 0.31-0.35 s (0.48-0.57 s
 with full-size temporaries) and peaks at 56 MB under tracemalloc (105 MB),
 grid included (shared 2-vCPU x86 host, Python 3.11, numpy 2.4).
@@ -316,18 +316,15 @@ def _nullspace_report(
     )
 
 
-def _definiteness_reports(grid: Grid, masses) -> list[CheckReport]:
+def _definiteness_reports(masses) -> list[CheckReport]:
     """``definiteness_<name>`` for each ``(name, M, kind, multiplicity)`` of ``masses``.
 
-    The masses share their offsets, in order, and the scale ``dx``, so one
-    :func:`spectral.classify_stack` pass classifies them, bit for bit as one
-    :func:`spectral.hermitian_classify` call each.
+    Each mass is classified alone, by one :func:`spectral.hermitian_classify`
+    call, so the per-mode arrays of one mass are freed before the next.
     """
-    offsets = tuple(masses[0][1].blocks)
-    blocks = np.array([[M.blocks[j] for _, M, _, _ in masses] for j in offsets])
-    classes = spectral.classify_stack(grid.n, grid.dx, offsets, blocks)
     reports = []
-    for (name, _, kind, mult), cls in zip(masses, classes):
+    for name, M, kind, mult in masses:
+        cls = spectral.hermitian_classify(M)
         ok = cls.kind == kind and (mult is None or cls.zero_multiplicity == mult)
         reports.append(_report(
             f"definiteness_{name}",
@@ -602,10 +599,10 @@ def run_all(
     sym_defect = (K - K.T).norm_inf() / max(K.norm_inf(), 1e-300)
     reports.append(_report("dissipation_symmetry", sym_defect, 1e-13, n=grid.n))
     reports.append(_dissipation_spectrum_report(K, u))
-    del u  # the stacked classification's chunks come on top of the waves
+    del u  # each classification's chunks come on top of the waves
 
     edge = ops.banded_mass(grid, MassParams(m_v=1.0, m_p=2.0 / 9.0))
-    reports += _definiteness_reports(grid, (
+    reports += _definiteness_reports((
         ("inside_window", banded, "positive_definite", None),
         ("window_edge", edge, "positive_semidefinite", 1),
         ("upwind_mass", upw, "positive_semidefinite", 1),

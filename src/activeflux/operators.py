@@ -66,21 +66,17 @@ in one such call.
 
 A caller that applies an operator to the same arrays many times, like the
 time loop, binds the call once: ``BlockCirculantOp.bind(u, out)`` checks
-the operand and ``out``, makes the scratch arrays (the halo buffers and
-the product stack) with the steps over them, its *layout*, and the views
-of ``u`` and ``out``, and returns them as a ``MatvecBinding``.
-``matvec(u, out, binding)`` on that very operator, ``u`` and ``out``
-(``is``) replays the views, reading whatever ``u`` holds then; a binding
-made for any other call raises.  A one-shot call is a binding made and
-replayed once.  ``bind(u, out, share=other)`` takes ``other``'s layout
-and makes only the views of its own operand and ``out``: ``other`` must
-be a per-block binding of the same operator on arrays of the same shapes
-and dtypes, whose operand is C-contiguous and apart from its ``out``
-exactly when ``u`` is (so that the same chunks read their windows from
-the operand), and whose calls never overlap this one's; anything else
-raises.  The time stepper's stage bindings take the first stage's layout,
-and ``M d`` takes ``M u``'s.  The kernel's scalars, the ``+0.0`` of the
-sums and ``scale``, are numpy scalars made once, which spares each call a
+the operand and ``out`` and makes, in one pass over the chunks and
+straight from ``u`` and ``out``, the scratch arrays (each chunk's halo and
+the product stack) and the steps over them: the halo copies, the windows
+and the products, each with its part of ``out``.  It returns them as a
+``MatvecBinding``.  ``matvec(u, out, binding)`` on that very operator,
+``u`` and ``out`` (``is``) replays the steps, reading whatever ``u`` holds
+then; a binding made for any other call raises.  A one-shot call is a
+binding made and replayed once.  Every binding makes its own scratch
+arrays and lends them to none, so bindings of one operator may be
+replayed in any order.  The kernel's scalars, the ``+0.0`` of the sums
+and ``scale``, are numpy scalars made once, which spares each call a
 conversion.  Every call runs one kernel body, so a bound call gives the
 bits of a one-shot call: the 2x2 products go to BLAS either way, because
 every operand and output view keeps unit stride in its last axis and at
@@ -113,8 +109,7 @@ view into ``out``, which is ``out`` itself in the per-block layout.
   matrices, ``M = ceil(n / B)``, by ``A`` writes ``(B, M, 2)`` products
   into a result buffer of ``M B`` cells, padded past ``n`` so that every
   residue has ``M`` rows, and the scale multiply reads its first ``2n``
-  entries.  There is no product stack and no reduction, and at ``B = 1``
-  (the diagonal mass) a contiguous operand is its own window matrix.  Each
+  entries.  There is no product stack and no reduction.  Each
   result is one ``2B``-term dot in BLAS's order, scaled once, so it lies
   within ``2B eps |scale| (|A| |u|)_i + eps |result_i|`` of the exact
   product (Higham 2002, Thm 3.1), but it has not the per-block bits.
@@ -222,16 +217,6 @@ def _halo(first: int, count: int, n: int) -> list[tuple[slice, slice]]:
         runs.append((slice(2 * k, 2 * (k + run)), slice(2 * c, 2 * (c + run))))
         k += run
     return runs
-
-
-def _reads_operand(u: np.ndarray, out: np.ndarray) -> bool:
-    """Whether a per-block call on ``u`` into ``out`` reads its unwrapped windows from ``u`` itself.
-
-    ``u`` must be C-contiguous, a layout BLAS takes as it is, and ``out``
-    must not overlap it, or results would overwrite cells that later
-    chunks read.
-    """
-    return u.flags.c_contiguous and not np.may_share_memory(u, out)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -344,20 +329,15 @@ class MatvecBinding(NamedTuple):
     and ``steps``, the products ``(windows, A^T, products, sums, part)``,
     only when it is a call of ``op`` on ``u`` into ``out``, all three the
     very objects bound, and then multiplies ``result`` by the scale into
-    ``out``.  ``layout`` holds the scratch arrays and the part of the
-    steps that holds no view of ``u`` or ``out`` (see
-    ``BlockCirculantOp._layout``), which a binding of the same operator on
-    arrays that fit takes as it is (:meth:`BlockCirculantOp.bind`).
-    ``result`` is ``out`` itself in the
+    ``out``.  The halos and the product stack are the binding's own: no
+    other binding writes them.  ``result`` is ``out`` itself in the
     per-block layout; a banded binding's ``result`` is the first ``2n``
-    entries of its padded result buffer, and its ``layout`` is None: it
-    lends nothing.
+    entries of its padded result buffer.
     """
 
     op: "BlockCirculantOp"
     u: np.ndarray
     out: np.ndarray
-    layout: Optional[tuple]
     copies: tuple
     steps: tuple
     result: np.ndarray
@@ -445,50 +425,36 @@ class BlockCirculantOp:
         a_t = np.array([a.T for a in self.blocks.values()]).reshape(-1, 2, 2)
         return h, select, a_t
 
-    def bind(
-        self,
-        u: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        share: Optional[MatvecBinding] = None,
-    ) -> MatvecBinding:
-        """The set-up of a :meth:`matvec` call on ``u`` into ``out``, done once.
+    def bind(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> MatvecBinding:
+        """The set-up of a :meth:`matvec` call on ``u`` into ``out``, done once, in one pass.
 
         ``u`` and ``out`` are checked as a call checks them (``out`` None
-        makes a new array), the call's layout is made (``_layout``: the
-        scratch arrays, the halo copies' destinations and the halo
-        windows), and then the views of ``u`` and ``out`` in it: the
-        sources of the halo copies, the windows of the chunks that read the
-        operand itself, and each chunk's part of ``out``.  A chunk reads
-        its windows from the operand where they do not wrap across the
-        seam, ``u`` is C-contiguous and ``out`` does not overlap ``u``
-        (``_reads_operand``): BLAS then multiplies these windows as it does
-        a halo's, and the kernel, the chunk edges and the products are the
-        same.  For a stack, each view holds every operand row along a
-        leading axis; a stack of one runs as its 1-D row.  All of them are
-        views, valid as long as ``u``, ``out`` and the scratch arrays are.
-        A call of this operator with the binding and this very ``u`` and
-        ``out`` (``is``, not equality) replays the steps, reading whatever
-        ``u`` holds then.
-
-        ``share``, a per-block binding of this operator whose calls never
-        overlap this one's, lends its layout instead, so that only the
-        views of ``u`` and ``out`` are made.  It must have been made for
-        arrays of ``u``'s and ``out``'s shapes and dtypes and with the same
-        direct-read eligibility (``_reads_operand``); any other ``share``
-        raises :class:`ValueError`.
+        makes a new array).  Then one pass over the chunks makes, straight
+        from ``u`` and ``out``, each chunk's halo and its copies
+        (``_halo``), its windows and its product steps, each with its part
+        of ``out``.  A chunk of cells ``c .. stop - 1`` reads its windows
+        from the operand itself at ``h = 0``, and where they do not wrap
+        across the seam (``h <= c`` and ``stop + h <= n``) when ``u`` is
+        C-contiguous, a layout BLAS takes as it is, and ``out`` does not
+        overlap ``u``, whose cells the results would overwrite before
+        later chunks read them; any other chunk reads them from a halo of
+        its own that holds cells ``c - h .. stop + h - 1`` (mod n).  Either
+        way BLAS multiplies the same windows, and the kernel, the chunk
+        edges and the products are the same.  Every array below has a
+        leading axis of ``rows`` operands, except for a single operand: a
+        stack of one runs as its 1-D row.  A chunk's steps write its part
+        of the ``(#blocks, min(n, chunk + 1), 2)`` product stack; the last
+        one also sums the products, as ``sums`` (the same memory as
+        ``(#blocks, 2 cells)`` rows), into the chunk's entries of ``out``.
+        Windows selected by a slice make one batched product per chunk; by
+        an index array, one product per block, since a gathered copy would
+        not see the next operand.  The halos and the product stack are
+        new arrays, which no other binding shares.  All the steps' arrays
+        are views, valid as long as ``u``, ``out`` and the scratch arrays
+        are.  A call of this operator with the binding and this very ``u``
+        and ``out`` (``is``, not equality) replays the steps, reading
+        whatever ``u`` holds then.
         """
-        if share is not None and not (
-            share.op is self
-            and share.layout is not None
-            and type(u) is type(out) is np.ndarray
-            and (u.shape, u.dtype, out.shape, out.dtype)
-            == (share.u.shape, share.u.dtype, share.out.shape, share.out.dtype)
-            and _reads_operand(u, out) == _reads_operand(share.u, share.out)
-        ):
-            raise ValueError(
-                "the shared binding does not fit: it must be a per-block binding of this operator "
-                "for arrays of the same shapes and dtypes, with the same direct-read eligibility"
-            )
         u = np.asarray(u)
         n = self.n
         if u.shape != (2 * n,) and (u.ndim != 2 or u.shape[1] != 2 * n or not len(u)):
@@ -503,18 +469,43 @@ class BlockCirculantOp:
                 f"out must be a {u.shape} array of {dtype}, got {out.shape} {out.dtype}"
             )
         rows = len(u) if u.ndim == 2 else 1
-        layout = share.layout if share is not None else self._layout(u.dtype, rows, _reads_operand(u, out))
         operand, result = (u[0], out[0]) if u.ndim == 2 and rows == 1 else (u, out)
-        pieces, steps = layout
-        copies = tuple([(x, operand[..., cells]) for x, cells in pieces])
-        h, own, placed = self._plan[0], None, []
-        for windows, a, products, sums, span in steps:
-            if type(windows) is tuple:  # (select, cells) of the operand's own windows
+        stack = (rows,) if rows > 1 else ()
+        h, select, a_t = self._plan
+        blocks = len(a_t)
+        # the largest power of two whose chunks, the last one's lone cell
+        # included, keep the stack within #blocks * (_CHUNK + 1) cells, but
+        # never a one-cell chunk (see below)
+        chunk = _CHUNK
+        while chunk > 2 and rows * (chunk + 1) > _CHUNK + 1:
+            chunk //= 2
+        products = np.empty((*stack, blocks, min(n, chunk + 1), 2), dtype)
+        # no one-cell chunk: numpy sends a one-row product to BLAS's vector
+        # kernel, which rounds complex products differently; the last chunk
+        # takes that cell instead
+        edges = [*range(0, n - 1, chunk), n]
+        direct = u.flags.c_contiguous and not np.may_share_memory(u, out)
+        own, copies, steps = None, [], []
+        for c, stop in zip(edges, edges[1:]):
+            if not h or direct and h <= c and stop + h <= n:
                 if own is None:
                     own = _windows(operand, n - 2 * h, h)
-                windows = own[..., windows[0], windows[1], :]
-            placed.append((windows, a, products, sums, None if span is None else result[..., span]))
-        return MatvecBinding(self, u, out, layout, copies, tuple(placed), out)
+                windows, cells = own, slice(c - h, stop - h)
+            else:
+                x = np.empty((*stack, 2 * (stop - c + 2 * h)), u.dtype)
+                runs = _halo(c - h, stop - c + 2 * h, n)
+                copies += [(x[..., into], operand[..., entries]) for into, entries in runs]
+                windows, cells = _windows(x, stop - c, h), slice(None)
+            part = products[..., : stop - c, :]
+            sums = part.reshape(*stack, blocks, 2 * (stop - c))
+            entries = result[..., 2 * c : 2 * stop]
+            if isinstance(select, slice):
+                steps.append((windows[..., select, cells, :], a_t, part, sums, entries))
+                continue
+            for i, s in enumerate(select.tolist()):
+                steps.append((windows[..., s, cells, :], a_t[i], part[..., i, :, :], None, None))
+            steps[-1] = (*steps[-1][:3], sums, entries)
+        return MatvecBinding(self, u, out, tuple(copies), tuple(steps), out)
 
     @functools.cached_property
     def _band(self) -> tuple[int, int, np.ndarray]:
@@ -544,8 +535,8 @@ class BlockCirculantOp:
         takes as it is; the residues make one ``(B, M, 2B)`` strided view,
         and one ``matmul`` writes its ``(B, M, 2)`` products into a result
         buffer of ``M B`` cells (padded past ``n``), whose first ``2n``
-        entries the scale multiply reads.  At ``B = 1`` a C-contiguous
-        operand is its own window matrix and needs no halo copy.
+        entries the scale multiply reads.  Every binding copies the
+        operand into its own halo, at ``B = 1`` too.
 
         ``u`` must be a 1-D float64 array of ``2n`` entries and ``out`` one
         of the same shape and dtype; it may be ``u`` itself.  Each result
@@ -563,79 +554,16 @@ class BlockCirculantOp:
             raise ValueError(f"out must be a {u.shape} array of float64, got {got}")
         lo, span, stack = self._band
         rows = -(-n // span)
-        if span == 1 and u.flags.c_contiguous:
-            halo, copies = u, ()
-        else:
-            # halo cell k holds operand cell (lo + k) mod n
-            cells = (rows + 1) * span - 1
-            halo = np.empty(2 * cells)
-            copies = tuple([(halo[into], u[entries]) for into, entries in _halo(lo, cells, n)])
+        # halo cell k holds operand cell (lo + k) mod n
+        cells = (rows + 1) * span - 1
+        halo = np.empty(2 * cells)
+        copies = tuple([(halo[into], u[entries]) for into, entries in _halo(lo, cells, n)])
         item = halo.itemsize
         windows = np.ndarray((span, rows, 2 * span), halo.dtype, halo, 0, (2 * item, 2 * span * item, item))
         padded = np.empty(2 * rows * span)
         products = np.ndarray((span, rows, 2), padded.dtype, padded, 0, (2 * item, 2 * span * item, item))
         steps = ((windows, stack, products, None, None),)
-        return MatvecBinding(self, u, out, None, copies, steps, padded[: 2 * n])
-
-    def _layout(self, dtype: np.dtype, rows: int, direct: bool) -> tuple:
-        """The scratch arrays and steps of a call on a stack of ``rows`` operands of ``dtype``.
-
-        Returns ``(pieces, steps)``, which hold no view of the call's
-        operand or result.  Every array below has a leading axis of
-        ``rows`` operands, except for a single operand (a 1-D operand is a
-        stack of one).  A chunk of cells ``c .. stop - 1`` reads its
-        windows from the operand at ``h = 0``, and with ``direct`` where
-        they lie inside it (``h <= c`` and ``stop + h <= n``); any other
-        chunk reads them from a halo of its own that holds cells ``c - h ..
-        stop + h - 1`` (mod n).  ``pieces`` are the halo copies ``(x,
-        entries)`` (``_halo``): the ``entries`` (a slice) of the operand's
-        rows go into ``x``, a view of a halo.  ``steps`` are the product
-        steps ``(windows, A^T, products, sums, span)``.  ``windows`` is a
-        strided view of the chunk's halo, or ``(select, cells)`` where the
-        chunk reads the operand's own windows.  ``products`` is the chunk's
-        part of the ``(#blocks, min(n, chunk + 1), 2)`` product stack.  The
-        last product step of a chunk also sums the products, as ``sums``
-        (the same memory as ``(#blocks, 2 cells)`` rows), into the result's
-        entries ``span``, a slice (the others carry ``None``).  Windows
-        selected by a slice make one batched product per chunk; by an index
-        array, one product per block, since a gathered copy would not see
-        the next operand.
-        """
-        h, select, a_t = self._plan
-        n = self.n
-        stack = (rows,) if rows > 1 else ()  # a stack of one runs as its 1-D row
-        blocks = len(a_t)
-        # the largest power of two whose chunks, the last one's lone cell
-        # included, keep the stack within #blocks * (_CHUNK + 1) cells, but
-        # never a one-cell chunk (see below)
-        chunk = _CHUNK
-        while chunk > 2 and rows * (chunk + 1) > _CHUNK + 1:
-            chunk //= 2
-        products = np.empty((*stack, blocks, min(n, chunk + 1), 2), np.promote_types(dtype, float))
-        # no one-cell chunk: numpy sends a one-row product to BLAS's vector
-        # kernel, which rounds complex products differently; the last chunk
-        # takes that cell instead
-        edges = [*range(0, n - 1, chunk), n]
-        pieces, steps = [], []
-        for c, stop in zip(edges, edges[1:]):
-            if not h or direct and h <= c and stop + h <= n:
-                windows, cells = None, slice(c - h, stop - h)
-            else:
-                x = np.empty((*stack, 2 * (stop - c + 2 * h)), dtype)
-                pieces += [(x[..., into], cells) for into, cells in _halo(c - h, stop - c + 2 * h, n)]
-                windows, cells = _windows(x, stop - c, h), slice(None)
-            part = products[..., : stop - c, :]
-            sums = part.reshape(*stack, blocks, 2 * (stop - c))
-            span = slice(2 * c, 2 * stop)
-            if isinstance(select, slice):
-                view = (select, cells) if windows is None else windows[..., select, cells, :]
-                steps.append((view, a_t, part, sums, span))
-                continue
-            for i, s in enumerate(select.tolist()):
-                view = (s, cells) if windows is None else windows[..., s, cells, :]
-                steps.append((view, a_t[i], part[..., i, :, :], None, None))
-            steps[-1] = (*steps[-1][:3], sums, span)
-        return tuple(pieces), tuple(steps)
+        return MatvecBinding(self, u, out, copies, steps, padded[: 2 * n])
 
     def matvec(
         self,
@@ -675,9 +603,9 @@ class BlockCirculantOp:
         binding made for another call, raises :class:`ValueError`.
         """
         if binding is None:
-            _, _, out, _, copies, steps, result = self.bind(u, out)
+            _, _, out, copies, steps, result = self.bind(u, out)
         else:
-            op, bound_u, bound_out, _, copies, steps, result = binding
+            op, bound_u, bound_out, copies, steps, result = binding
             if op is not self or bound_u is not u or bound_out is not out:
                 raise ValueError("the binding was made for another operator, operand or out")
         for halo, cells in copies:

@@ -115,13 +115,10 @@ workspace holds the folds' numpy calls with their arrays, the stage list,
 one matvec binding
 (:meth:`~activeflux.operators.BlockCirculantOp.bind`) per stage state and
 derivative pair, and the bindings of ``M u`` and of the stack of ``M f_i``
-and ``M d``.  The first stage's binding and that of ``M u`` make their
-layout, the scratch arrays and the steps over them; the other stages,
-bindings of the same operator on arrays of the same shapes, take the
-first stage's and make only their own views.  A composed workspace holds
-the stencil powers, ``Q`` with its banded binding (made again when ``dt``
-changes), the banded binding of ``D (Q u)``, and the per-block bindings
-of ``M u`` and ``M d``, which takes ``M u``'s layout.  Each kind
+and ``M d``; each binding makes its own scratch arrays.  A composed
+workspace holds the stencil powers, ``Q`` with its banded binding (made
+again when ``dt`` changes), the banded binding of ``D (Q u)``, and the
+per-block bindings of ``M u`` and ``M d``.  Each kind
 has a ``run(dt)``, the step, and a ``gamma_terms``, which gives
 :func:`relaxation_gamma` the step's ``d``, ``M d`` and stage dots.
 
@@ -504,8 +501,7 @@ class _StageStep(Workspace):
     was last formed for.  ``plan`` holds one entry per stage and one for
     the update: its calls ``(function, arguments)``, and for a stage its
     state ``y``, its derivative ``k_i`` (a row of ``kd``) and the binding of
-    the scheme's right-hand side operator ``op`` to that pair (the bindings
-    take the first one's layout).
+    the scheme's right-hand side operator ``op`` to that pair.
     """
 
     __slots__ = (
@@ -529,7 +525,7 @@ class _StageStep(Workspace):
         results = [self.u, *Y, np.empty(size)]
         k = tuple(kd[:s])
         self.op, self.factor = scheme.rhs_operator
-        plan, share = [], None
+        plan = []
         for i in range(s + 1):
             calls = []
             for call in folds[i - 1] if i else ():
@@ -549,8 +545,7 @@ class _StageStep(Workspace):
                 else:
                     calls.append((np.add.reduce, (stack[: call[1] + 1], 0, None, results[i])))
             if i < s:
-                share = self.op.bind(results[i], k[i], share)
-                plan.append((tuple(calls), results[i], k[i], share))
+                plan.append((tuple(calls), results[i], k[i], self.op.bind(results[i], k[i])))
             else:
                 plan.append((tuple(calls), None, None, None))
         self.plan, self.update, self.dt = tuple(plan), results[s], None
@@ -655,9 +650,9 @@ class _ComposedStep(Workspace):
     d``.  ``powers`` are the run's stencil powers; ``Q`` and its banded
     binding ``Q_u`` to ``u`` and ``q`` are made again only when ``dt``
     changes (a run's clipped last step), and ``D_q`` binds ``D`` to ``q``
-    and ``d`` in the banded layout too.  ``M d`` is bound per block as
-    ``M_d``, which takes ``M_u``'s layout.  No stage is formed, so the
-    stage list is empty.
+    and ``d`` in the banded layout too.  ``M u`` and ``M d`` are bound per
+    block as ``M_u`` and ``M_d``.  No stage is formed, so the stage list
+    is empty.
     """
 
     __slots__ = ("q", "powers", "D_q", "M_d", "dt", "Q", "Q_u")
@@ -671,7 +666,7 @@ class _ComposedStep(Workspace):
         self.powers = _stencil_powers(scheme.D_effective, method.stages)
         self.D_q = scheme.D_effective.bind_banded(self.q, self.d)
         self.M_u = M.bind(self.u, self.Mu)
-        self.M_d = M.bind(self.d, self.Md, self.M_u)
+        self.M_d = M.bind(self.d, self.Md)
         self.dt = self.Q = self.Q_u = None
 
     def run(self, dt: float) -> tuple[np.ndarray, tuple]:
@@ -1073,9 +1068,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
             energies.append(energy)
             gammas.append(gamma)
             if not math.isfinite(energy) or energy > guard:
-                raise EnergyBlowUpError(
-                    f"energy {energy:.6g} exceeded 1e3 x initial {e0:.6g} at t = {t:.6g}"
-                )
+                why = f"exceeded 1e3 x initial {e0:.6g}" if math.isfinite(energy) else "is not finite"
+                raise EnergyBlowUpError(f"energy {energy:.6g} {why} at t = {t:.6g}")
             steps += 1
             if steps > max_steps:
                 raise RuntimeError("time loop exceeded the step budget; check dt_factor")

@@ -446,27 +446,36 @@ def test_matvec_into_out_is_bit_identical(n):
             assert v.tobytes() == want.tobytes()
 
 
+def _scratch(binding):
+    """The scratch arrays a per-block binding writes: its halos and its product stack."""
+    return [dest for dest, _ in binding.copies] + [step[2] for step in binding.steps]
+
+
 @pytest.mark.parametrize("n", [3, 16, _C + 1, 2 * _C + 1])
-def test_a_binding_that_shares_one_of_its_operator_takes_its_layout(n):
-    """Sharing a binding of the same operator lends its layout (scratch
-    arrays, halo destinations, window views): only the views of the new
-    operand and ``out`` are made, and calls keep the bits of a one-shot
-    call, for single operands, stacks of one and stacks of rows."""
+def test_bindings_of_one_operator_share_no_scratch(n):
+    """Bindings of one operator on arrays of the same shapes and dtypes
+    (two into ``out`` arrays of their own, one in place) each make their
+    own halos and product stack: no two share memory.  Interleaved replays
+    give each binding the bits of a one-shot call on its operand, for
+    single operands, stacks of one and stacks of rows."""
     rng = np.random.default_rng(n)
     for op in _every_builder(ops.build_grid(n)):
         for shape in ((2 * n,), (1, 2 * n), (3, 2 * n)):
             for dtype in (float, complex):
-                first = op.bind(np.zeros(shape, dtype), np.empty(shape, np.promote_types(dtype, float)))
-                u = rng.normal(size=shape).astype(dtype)
-                out = np.full(shape, np.nan, np.promote_types(dtype, float))
-                bound = op.bind(u, out, first)
-                assert bound.layout is first.layout
-                assert all(a[2] is b[2] for a, b in zip(bound.steps, first.steps, strict=True))
-                assert bound.u is u and bound.out is out
-                assert op.matvec(u, out, bound) is out
-                assert out.tobytes() == op.matvec(u.copy()).tobytes()
-                u *= -0.5  # the next call reads the new values
-                assert op.matvec(u, out, bound).tobytes() == op.matvec(u.copy()).tobytes()
+                u, v, w = (rng.normal(size=shape).astype(dtype) for _ in range(3))
+                calls = ((u, np.empty_like(u)), (v, np.empty_like(v)), (w, w))
+                bindings = [op.bind(a, b) for a, b in calls]
+                scratch = [_scratch(bound) for bound in bindings]
+                for i, mine in enumerate(scratch):
+                    for theirs in scratch[i + 1 :]:
+                        assert not any(np.may_share_memory(x, y) for x in mine for y in theirs)
+                for _ in range(2):
+                    for (a, b), bound in zip(calls, bindings):
+                        want = op.matvec(a.copy())
+                        assert op.matvec(a, b, bound) is b
+                        assert b.tobytes() == want.tobytes()
+                        if a is not b:
+                            a *= -0.5  # the next replay reads the new values
 
 
 @pytest.mark.parametrize("n", [3, 16, _C + 1, 2 * _C + 1])
@@ -502,13 +511,16 @@ def test_bound_matvec_reads_the_operand_of_each_call(n):
 def _chunk_reads(binding, u):
     """Each chunk's first and end cell, and whether its windows are read from ``u``.
 
-    A chunk's last step sums its products into the result's entries
-    ``span`` (a slice in the binding's layout), and its windows view
-    either ``u`` or a halo copy, a separate array.
+    A chunk's last step sums its products into its part of ``out``, a view
+    whose offset in ``out`` gives the chunk's first cell, and its windows
+    view either ``u`` or a halo copy, a separate array.
     """
-    last = [(step, span) for step, (*_, span) in zip(binding.steps, binding.layout[1]) if span]
-    cells = [(span.start // 2, span.stop // 2) for _, span in last]
-    return cells, [np.may_share_memory(step[0], u) for step, _ in last]
+    last = [step for step in binding.steps if step[4] is not None]
+    cells = []
+    for *_, part in last:
+        c = (part.ctypes.data - binding.out.ctypes.data) // (2 * part.strides[-1])
+        cells.append((c, c + part.shape[-1] // 2))
+    return cells, [np.may_share_memory(step[0], u) for step in last]
 
 
 @pytest.mark.parametrize("n", [3 * _C, 3 * _C + 1, 4 * _C + 5])
@@ -611,44 +623,6 @@ def test_halo_copies_a_run_of_cells_mod_n(first, count, n, runs):
     assert halo.tolist() == u.reshape(n, 2)[np.arange(first, first + count) % n].ravel().tolist()
 
 
-@pytest.mark.parametrize("n", [16, 3 * _C + 1])
-def test_bind_takes_a_layout_only_from_a_binding_that_fits(n):
-    """``share`` lends its layout only when it is a per-block binding of
-    this operator for arrays of the same shapes and dtypes, with the same
-    direct-read eligibility (a C-contiguous operand that ``out`` does not
-    overlap, or not, both ways).  Anything else raises; a share that fits
-    gives the bits of a one-shot call, for either eligibility."""
-    g = ops.build_grid(n)
-    D, size = ops.central_D(g), 2 * n
-    u, out = np.random.default_rng(n).normal(size=size), np.empty(size)
-    spread = np.repeat(u, 2)[::2]  # the operand with stride 2
-    in_place = u.copy()
-    for share in (
-        BlockCirculantOp(n, D.dx, D.scale, D.blocks).bind(u, np.empty(size)),  # an equal operator
-        ops.upwind_D_minus(g).bind(u, np.empty(size)),  # another operator of the same shape
-        D.bind_banded(u, np.empty(size)),  # a banded binding
-        D.bind(np.ones((2, size)), np.empty((2, size))),  # other shapes
-        D.bind(u + 0j, np.empty(size, complex)),  # other dtypes
-        D.bind(u.astype(np.float32), np.empty(size)),  # another operand dtype, the same out
-        D.bind(spread, np.empty(size)),  # a strided operand
-        D.bind(in_place, in_place),  # out overlaps the operand
-    ):
-        with pytest.raises(ValueError, match="does not fit"):
-            D.bind(u, out, share)
-    with pytest.raises(ValueError, match="does not fit"):
-        D.bind(list(u), out, D.bind(u, np.empty(size)))
-    for a, b in ((spread, out), (in_place, in_place)):
-        with pytest.raises(ValueError, match="does not fit"):
-            D.bind(a, b, D.bind(u, np.empty(size)))
-    want = D.matvec(u).tobytes()
-    other = np.repeat(u, 2)[::2]
-    bound = D.bind(spread, out, D.bind(other, np.empty(size)))
-    assert D.matvec(spread, out, bound).tobytes() == want
-    v, w = u.copy(), np.zeros(size)
-    bound = D.bind(v, v, D.bind(w, w))
-    assert bound.layout is not None and D.matvec(v, v, bound).tobytes() == want
-
-
 def _stack_operands(rng, n, rows):
     """``rows`` operand rows: normal entries, then rows of signed zeros and
     of subnormals, and normal rows with some entries of each kind."""
@@ -706,18 +680,18 @@ def test_stacked_matvec_chunks_keep_the_product_stack_to_one_chunk():
     cells: no chunk is a lone cell."""
     op = ops.upwind_mass(ops.build_grid(_C + 8))
     for rows in (1, 2, 3, 9, 100):
-        steps = op._layout(np.dtype(float), rows, False)[1]
-        cells = [(span.stop - span.start) // 2 for _, _, _, _, span in steps]
+        u = np.zeros((rows, 2 * op.n))
+        bound = op.bind(u)
+        cells = [stop - c for c, stop in _chunk_reads(bound, u)[0]]
         chunk = cells[0]
         assert chunk & (chunk - 1) == 0 and rows * (chunk + 1) <= _C + 1 < rows * (2 * chunk + 1)
         assert sum(cells) == op.n and min(cells) > 1
-        products = steps[0][2]
+        products = bound.steps[0][2]
         assert products.base.size <= len(op.blocks) * (_C + 1) * 2
     # past (_CHUNK + 1) / 3 rows the chunk stops at two cells
     small = ops.upwind_mass(ops.build_grid(9))
-    spans = [span for _, _, _, _, span in small._layout(np.dtype(float), 4000, False)[1]]
-    assert [(span.stop - span.start) // 2 for span in spans] == [2, 2, 2, 3]
     stack = np.random.default_rng(9).normal(size=(4000, 18))
+    assert [stop - c for c, stop in _chunk_reads(small.bind(stack), stack)[0]] == [2, 2, 2, 3]
     for got, row in zip(small.matvec(stack), stack, strict=True):
         assert got.tobytes() == small.matvec(row.copy()).tobytes()
 
@@ -736,20 +710,9 @@ def test_stacked_matvec_refuses_what_does_not_fit():
             D.matvec(stack, out=bad_out)
     with pytest.raises(ValueError, match="out must be"):
         D.matvec(np.ones(32), out=np.empty((1, 32)))
-    for rows in (1, 2, 4):  # a layout for another number of rows
-        other = D.bind(np.ones((rows, 32)), np.empty((rows, 32)))
-        with pytest.raises(ValueError, match="does not fit"):
-            D.bind(stack, out, other)
-    three = D.bind(stack, out)
-    with pytest.raises(ValueError, match="does not fit"):
-        D.bind(np.ones(32), np.empty(32), three)
-    with pytest.raises(ValueError, match="does not fit"):
-        D.bind(stack + 0j, np.empty((3, 32), complex), three)
-    # a stack of one runs as its 1-D row, but takes no 1-D operand's layout
+    # a stack of one runs as its 1-D row
     one, one_out = stack[:1], np.empty((1, 32))
-    with pytest.raises(ValueError, match="does not fit"):
-        D.bind(one, one_out, D.bind(stack[0], np.empty(32)))
-    bound = D.bind(one, one_out, D.bind(np.zeros((1, 32)), np.empty((1, 32))))
+    bound = D.bind(one, one_out)
     assert D.matvec(one, one_out, bound).tobytes() == D.matvec(stack[0]).tobytes()
 
 
@@ -760,8 +723,6 @@ def test_bound_matvec_refuses_what_a_call_refuses():
         D.bind(np.ones(31), out)
     with pytest.raises(ValueError, match="out must be"):
         D.bind(u, np.empty(32, complex))
-    with pytest.raises(ValueError, match="does not fit"):
-        D.bind(u, out, ops.upwind_D_plus(g).bind(u, np.empty(32)))
     bound = D.bind(u, out)
     for other in (ops.extended_mass(g, MassParams(1.0, 0.4, 0.0, 0.1, 0.05)), ops.upwind_D_plus(g)):
         with pytest.raises(ValueError, match="another operator"):
@@ -770,27 +731,16 @@ def test_bound_matvec_refuses_what_a_call_refuses():
         D.matvec(u + 0j, np.empty(32, complex), bound)
 
 
-def test_matvec_refuses_out_and_shared_scratch_that_do_not_fit():
+def test_matvec_refuses_out_that_does_not_fit():
+    """``out`` must have the operand's shape and the result dtype; a
+    strided one of that shape gets the bits of a call without ``out``."""
     g = ops.build_grid(16)
     D, u = ops.central_D(g), np.ones(32)
-    for other, operand in (
-        (ops.central_D(ops.build_grid(17)), np.ones(34)),  # another n
-        (ops.extended_mass(g, MassParams(1.0, 0.4, 0.0, 0.1, 0.05)), u),  # halo 2
-        (ops.upwind_D_plus(g), u),  # two blocks, not three
-        (D, u + 0j),  # another operand dtype
-    ):
-        share = other.bind(operand, None)
-        with pytest.raises(ValueError, match="does not fit"):
-            D.bind(u, np.empty(32), share)
     for out in (np.empty(31), np.empty(32, complex), np.empty((16, 2))):
         with pytest.raises(ValueError, match="out must be"):
             D.matvec(u, out=out)
     strided = np.empty(64)[::2]
     assert D.matvec(u, out=strided).tobytes() == D.matvec(u).tobytes()
-    # another operator of the same shape lends no layout
-    Dm = ops.upwind_D_minus(g)
-    with pytest.raises(ValueError, match="does not fit"):
-        Dm.bind(u, np.empty(32), D.bind(u, np.empty(32)))
 
 
 _EPS = float(np.finfo(float).eps)
@@ -839,8 +789,8 @@ def test_banded_binding_is_within_rounding_of_the_exact_product(n):
     product in extended precision (and of ``dense() @ u``, which rounds
     too, within twice it), into ``out`` or in place, reading the operand's
     values at each call.  An entry moved by twice its bound is caught.  At
-    n = 3, 4 and 5 offsets alias and ``B = n``; at B = 1 (the diagonal
-    mass) the operand is its own window matrix and is not copied."""
+    n = 3, 4 and 5 offsets alias and ``B = n``.  Every binding copies the
+    operand into its halo, at B = 1 (the diagonal mass) too."""
     rng = np.random.default_rng(n)
     g = ops.build_grid(n)
     for op in _banded_operators(g):
@@ -849,9 +799,9 @@ def test_banded_binding_is_within_rounding_of_the_exact_product(n):
         u = rng.normal(size=2 * n)
         out = np.full(2 * n, np.nan)
         bound = op.bind_banded(u, out)
-        assert (bound.op, bound.u, bound.out, bound.layout) == (op, u, out, None)
-        assert len(bound.steps) == 1 and (span == 1) == (not bound.copies)
-        assert len(bound.copies) <= 4 and bound.result.base is bound.steps[0][2].base
+        assert (bound.op, bound.u, bound.out) == (op, u, out)
+        assert len(bound.steps) == 1 and 1 <= len(bound.copies) <= 4
+        assert bound.result.base is bound.steps[0][2].base
         for _ in range(2):
             assert op.matvec(u, out, bound) is out
             exact, tol = _banded_bound(op, u)
@@ -877,8 +827,9 @@ def test_banded_binding_pads_and_wraps_its_halo():
     """The halo holds operand cells ``lo, lo + 1, ...`` mod n for ``M + 1``
     windows of ``B`` cells less one, and the result buffer ``M B`` cells:
     at n = 17 the ``rk4x2`` central ``Q`` (offsets -7..7, B = 15) has
-    ``M = 2`` and 13 padding cells.  The diagonal mass (B = 1) copies
-    nothing, unless its operand is strided."""
+    ``M = 2`` and 13 padding cells.  The diagonal mass (B = 1) copies its
+    operand, contiguous or strided, in one run, and gets the per-block
+    bits: each result is one two-term dot either way."""
     g = ops.build_grid(17)
     scheme = solver.make_scheme(g, "central", 1.0)
     powers = solver._stencil_powers(scheme.D_effective, solver.RK4X2.stages)
@@ -892,17 +843,17 @@ def test_banded_binding_pads_and_wraps_its_halo():
         dest[...] = cells
     assert halo.reshape(-1, 2)[:, 0].tolist() == [(2 * ((k - 7) % 17)) for k in range(44)]
     M = ops.diagonal_mass(g)
-    assert M._band[1] == 1 and M.bind_banded(u, q).copies == ()
-    spread = np.arange(68.0)[::2]
-    bound = M.bind_banded(spread, q)
-    assert len(bound.copies) == 1
-    assert M.matvec(spread, q, bound).tobytes() == M.matvec(spread).tobytes()
+    assert M._band[1] == 1
+    for operand in (u, np.arange(68.0)[::2]):
+        bound = M.bind_banded(operand, q)
+        assert len(bound.copies) == 1
+        assert M.matvec(operand, q, bound).tobytes() == M.matvec(operand).tobytes()
 
 
 def test_banded_binding_refuses_what_does_not_fit():
     """Only a 1-D float64 array of 2n entries, into one of the same shape
     and dtype; a replay refuses another operator, operand or out, as a
-    per-block binding does, and no per-block binding takes its layout."""
+    per-block binding does."""
     g = ops.build_grid(16)
     D, u, out = ops.central_D(g), np.ones(32), np.empty(32)
     for bad in (np.ones(32, complex), np.ones(32, np.float32), np.ones(32, int), [1.0] * 32):
@@ -925,9 +876,6 @@ def test_banded_binding_refuses_what_does_not_fit():
     ):
         with pytest.raises(ValueError, match="another operator, operand or out"):
             call()
-    for op in (D, ops.upwind_D_plus(g)):
-        with pytest.raises(ValueError, match="does not fit"):
-            op.bind(u, np.empty(32), bound)
     # a per-block binding multiplies into out itself
     assert D.bind(u, out).result is out
 

@@ -357,10 +357,10 @@ def test_a_nan_relaxation_parameter_is_refused_before_its_step(variant, relaxati
     """At these speeds the first step overflows.  A relaxed run gets gamma
     = NaN, which ``gamma <= 0`` would let through, and refuses it at t = 0,
     before applying it, and names it; an unrelaxed run refuses the NaN
-    energy of its first step.  Neither raises a floating-point warning
-    (the suite makes them errors): the radius and the time loop take the
-    overflow as a value, and the guards refuse it."""
-    want = r"parameter is not positive \(nan\) at t = 0;" if relaxation else r"energy nan exceeded"
+    energy of its first step as not finite.  Neither raises a
+    floating-point warning (the suite makes them errors): the radius and
+    the time loop take the overflow as a value, and the guards refuse it."""
+    want = r"parameter is not positive \(nan\) at t = 0;" if relaxation else "energy nan is not finite at t = "
     with pytest.raises(EnergyBlowUpError, match=want):
         run_experiment(
             ExperimentConfig(
@@ -1097,9 +1097,8 @@ def _fresh_array_run(config, step=rk_step, d_from="difference"):
         energies.append(energy)
         gammas.append(gamma)
         if not math.isfinite(energy) or energy > 1e3 * max(e0, 1e-300):
-            raise EnergyBlowUpError(
-                f"energy {energy:.6g} exceeded 1e3 x initial {e0:.6g} at t = {t:.6g}"
-            )
+            why = f"exceeded 1e3 x initial {e0:.6g}" if math.isfinite(energy) else "is not finite"
+            raise EnergyBlowUpError(f"energy {energy:.6g} {why} at t = {t:.6g}")
     return EnergyTrace(np.array(times), np.array(energies), np.array(gammas)), u, slack
 
 
@@ -1384,10 +1383,10 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
     """A composed workspace holds no stage data and no stack of products.
     Its step writes ``d = D (Q u)`` into ``d``, with the bits of fresh
     banded bindings, and returns ``u + d``; ``Q`` is formed again, and bound again,
-    only when dt changes.  ``M d`` is bound with ``M u``'s layout; its
-    energy has the bits of the one-shot path, and its gamma those of one
-    from fresh arrays.  Stage data, another update or another state
-    raise."""
+    only when dt changes.  ``M d`` and ``M u`` are bound per block, each
+    with scratch arrays of its own; its energy has the bits of the
+    one-shot path, and its gamma those of one from fresh arrays.  Stage
+    data, another update or another state raise."""
     g = ops.build_grid(n)
     s = make_scheme(g, variant, a)
     u0 = project_initial(g, solver.default_initial)
@@ -1397,9 +1396,12 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
     assert u is not u0 and u.tobytes() == u0.tobytes()
     assert not any(hasattr(ws, name) for name in ("kd", "Mkd", "M_kd", "dots", "stack", "Y"))
     assert all(getattr(ws, name) is not None for name in solver.Workspace.__slots__)
-    assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md and ws.M_d.layout is ws.M_u.layout
+    assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md
+    scratch = [[x for x, _ in b.copies] + [step[2] for step in b.steps] for b in (ws.M_d, ws.M_u)]
+    assert not any(np.may_share_memory(x, y) for x in scratch[0] for y in scratch[1])
     assert ws.M_u.u is u and ws.M_u.out is ws.Mu and ws.D_q.out is ws.d
-    assert ws.D_q.layout is None and ws.M_u.layout is not None  # D (Q u) is banded, M u per block
+    # D (Q u) is banded, with a padded result buffer; M u is per block, into Mu itself
+    assert ws.D_q.result is not ws.d and ws.M_u.result is ws.Mu
     one_shot = _one_shot_composed_step(s, RK4X2)
     factors = []
     for dt in (0.3 * g.dx, 0.3 * g.dx, 0.1 * g.dx):
@@ -1409,7 +1411,7 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
         assert stages == () and u1 is ws.update
         assert (ws.d.tobytes(), u1.tobytes()) == (want_d.tobytes(), want.tobytes())
         factors.append(ws.Q)
-        assert ws.Q_u.layout is None and ws.Q_u.u is u and ws.Q_u.out is ws.q
+        assert ws.Q_u.result is not ws.q and ws.Q_u.u is u and ws.Q_u.out is ws.q
         gamma = relaxation_gamma(u, u1, stages, M, dt, workspace=ws)
         assert gamma == _reference_gamma(u, want, (), M, dt, want_d)
         u += 0.125 * np.sin(u)
@@ -1436,41 +1438,33 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
 )
 def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, relaxation):
     """Every matvec of a run replays a binding made once, however many
-    steps the run takes.  A stage run binds each stage derivative, M u
-    and the stacked M k_i and M d; a layout (the scratch arrays and the
-    steps over them, ``_layout``) is made for the first stage's binding,
-    M u and the stack, and the other stages share the first one's and make
-    only their views.  A composed run binds M u and M d, which shares
-    M u's layout, and makes
-    banded bindings of D (Q u) and of Q u, the latter once per step size:
-    the nominal one and the clipped last step's."""
+    steps the run takes: a one-shot matvec would call ``bind`` too, so the
+    ``bind`` calls count every per-block set-up.  A stage run binds each
+    stage derivative, M u and the stacked M k_i and M d.  A composed run
+    binds M u and M d, and makes banded bindings of D (Q u) and of Q u,
+    the latter once per step size: the nominal one and the clipped last
+    step's."""
     # relaxed central rk4x2 is stable at dt = dx/2 and M D + D^T M = 0, and
     # unrelaxed runs read no stage data: both compose their steps; central
     # ssprk33 (rho > 1 there) and upwind runs keep the stage estimate
     composed = not relaxation or (variant, rk) == ("central", "rk4x2")
-    binds, layouts, banded = [], [], []
+    binds, banded = [], []
     Op = ops.BlockCirculantOp
-    bind, layout, bind_banded = Op.bind, Op._layout, Op.bind_banded
+    bind, bind_banded = Op.bind, Op.bind_banded
 
     def counted_bind(op, *args):
         binds.append(op)
         return bind(op, *args)
-
-    def counted_layout(op, *args):
-        layouts.append(op)
-        return layout(op, *args)
 
     def counted_bind_banded(op, *args):
         banded.append(op)
         return bind_banded(op, *args)
 
     monkeypatch.setattr(Op, "bind", counted_bind)
-    monkeypatch.setattr(Op, "_layout", counted_layout)
     monkeypatch.setattr(Op, "bind_banded", counted_bind_banded)
     stages = resolve_method(rk).stages
     for t_end in (1.0, 3.0):
         binds.clear()
-        layouts.clear()
         banded.clear()
         trace, _ = run_experiment(
             ExperimentConfig(variant=variant, rk=rk, relaxation=relaxation, n=16, t_end=t_end)
@@ -1478,11 +1472,10 @@ def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, re
         assert len(trace.times) > 5
         if composed:
             clipped = t_end - trace.times[-2] < 0.5 * 2 * math.pi / 16
-            assert len(binds) == 2 and len(layouts) == 1
+            assert len(binds) == 2
             assert len(banded) == 2 + clipped
         else:
             assert len(binds) == stages + 2 and not banded
-            assert len(layouts) == 3
 
 
 # ---------------------------------------------------------------------------
