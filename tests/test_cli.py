@@ -281,6 +281,29 @@ def test_solve_unstable_combination_fails_cleanly(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--speed", "1e300"), ("--variant", "upwind", "--speed", "-1e300")],
+    ids=["central", "upwind"],
+)
+def test_solve_refuses_a_nan_energy_as_not_finite(argv, tmp_path, capsys):
+    """An unrelaxed run whose first step overflows exits 1 with one
+    ``error:`` line that names its NaN energy as not finite (not as having
+    exceeded the initial energy), with no warning and no output file."""
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(
+            "solve", "--no-relaxation", *argv, "--n", "16", "--t-end", "0.5", "--output", str(out)
+        )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: energy nan is not finite at t = ")
+    assert "exceeded" not in lines[0]
+
+
 def test_solve_custom_tableau(tmp_path, capsys):
     path = tmp_path / "rk4.json"
     path.write_text(
