@@ -142,6 +142,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import numbers
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
@@ -219,6 +220,19 @@ def _halo(first: int, count: int, n: int) -> list[tuple[slice, slice]]:
     return runs
 
 
+def _norm_inf(parts: np.ndarray) -> np.ndarray:
+    """Largest absolute row sum of each operator with scaled blocks ``parts[:, b]``.
+
+    The rows of the blocks are added in block order from ``+0.0``: the one
+    kernel of :meth:`BlockCirculantOp.norm_inf` and of the stacked norms
+    and defects of ``spectral``.
+    """
+    row = np.zeros(parts.shape[1:3])
+    for r in np.abs(parts).sum(axis=3):
+        row += r
+    return row.max(axis=1, initial=0.0)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a`` itself, made read-only: the grid owns the arrays it is built from."""
     a.setflags(write=False)
@@ -245,17 +259,10 @@ class Grid:
         return self.x_max - self.x_min
 
 
-def build_grid(n: int, x_min: float = 0.0, x_max: float = 2.0 * math.pi) -> Grid:
-    """Build a uniform periodic grid with ``n >= 3`` cells.
-
-    ``n < 3`` is rejected: the three-cell stencils would make distinct
-    entries collide on the same dof.  The domain ends and length must be
-    finite, and so must ``32/dx``: a sum of operators whose prefactors
-    differ folds ``+-1/dx`` into its blocks, and the largest row sum the
-    battery and the spectra form, of ``D_+ - D_-``, is ``|-2| + |6| + |-8|
-    + |6| + |-2| = 24`` over ``dx``.  32 is a power of two, so ``32/dx``
-    overflows exactly when ``32 * (1/dx)`` does.
-    """
+def _grid_spacing(n: int, x_min: float, x_max: float) -> tuple[int, float, float, float]:
+    """``n``, ``x_min``, ``x_max`` and ``dx`` of the grid :func:`build_grid`
+    builds, checked by its rules, with nothing of size ``n`` allocated: a
+    run is refused by its step count before its grid is built."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise TypeError(f"n must be an integer, got {n!r}")
     n = int(n)
@@ -272,6 +279,21 @@ def build_grid(n: int, x_min: float = 0.0, x_max: float = 2.0 * math.pi) -> Grid
         raise ValueError(
             f"cells too small: dx = {dx} on [{x_min}, {x_max}] with n={n}, so 32/dx is not finite"
         )
+    return n, x_min, x_max, dx
+
+
+def build_grid(n: int, x_min: float = 0.0, x_max: float = 2.0 * math.pi) -> Grid:
+    """Build a uniform periodic grid with ``n >= 3`` cells.
+
+    ``n < 3`` is rejected: the three-cell stencils would make distinct
+    entries collide on the same dof.  The domain ends and length must be
+    finite, and so must ``32/dx``: a sum of operators whose prefactors
+    differ folds ``+-1/dx`` into its blocks, and the largest row sum the
+    battery and the spectra form, of ``D_+ - D_-``, is ``|-2| + |6| + |-8|
+    + |6| + |-2| = 24`` over ``dx``.  32 is a power of two, so ``32/dx``
+    overflows exactly when ``32 * (1/dx)`` does.
+    """
+    n, x_min, x_max, dx = _grid_spacing(n, x_min, x_max)
     # x_min + i dx and x_min + (i + 0.5) dx, formed in place (addition commutes)
     i = np.arange(n)
     interfaces = i * dx
@@ -349,13 +371,17 @@ class BlockCirculantOp:
 
     ``blocks[j]`` acts on cell ``i + j`` from block row ``i`` and is stored
     unscaled, in the normal form of the module docstring; the effective
-    matrix is ``scale * circulant(blocks)``.
+    matrix is ``scale * circulant(blocks)``.  ``stack`` is the stored
+    blocks in insertion order, one read-only ``(#blocks, 2, 2)`` array of
+    which the values of ``blocks`` are views; every reader of the whole
+    normal form reads it.
     """
 
     n: int
     dx: float
     scale: float
     blocks: Mapping[int, np.ndarray]
+    stack: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -382,9 +408,11 @@ class BlockCirculantOp:
             offsets, stack = [*merged], np.array([*merged.values()])
         # the blocks are read-only views of one array; any() counts NaN as
         # nonzero and -0.0 as zero
-        keep = [i for i, row in enumerate(stack.reshape(-1, 4).tolist()) if any(row)]
+        keep = stack.reshape(-1, 4).any(axis=1)
+        stack = stack[keep]
         stack.setflags(write=False)
-        object.__setattr__(self, "blocks", {offsets[i]: stack[i] for i in keep})
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "blocks", dict(zip(itertools.compress(offsets, keep), stack)))
 
     # -- structure ---------------------------------------------------------
 
@@ -422,8 +450,7 @@ class BlockCirculantOp:
         first = starts[0] if starts else 0
         consecutive = starts == list(range(first, first + len(starts)))
         select = slice(first, first + len(starts)) if consecutive else np.array(starts)
-        a_t = np.array([a.T for a in self.blocks.values()]).reshape(-1, 2, 2)
-        return h, select, a_t
+        return h, select, self.stack.transpose(0, 2, 1).copy()
 
     def bind(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> MatvecBinding:
         """The set-up of a :meth:`matvec` call on ``u`` into ``out``, done once, in one pass.
@@ -518,8 +545,7 @@ class BlockCirculantOp:
         lo = min(self.blocks, default=0)
         span = max(self.blocks, default=0) - lo + 1
         stack = np.zeros((span, 2, 2))
-        for j, a in self.blocks.items():
-            stack[j - lo] = a.T
+        stack[[j - lo for j in self.blocks]] = self.stack.transpose(0, 2, 1)
         stack = stack.reshape(2 * span, 2)
         stack.setflags(write=False)
         return lo, span, stack
@@ -632,10 +658,7 @@ class BlockCirculantOp:
 
     def norm_inf(self) -> float:
         """Matrix infinity norm (maximum absolute row sum)."""
-        row = np.zeros(2)
-        for a in self.blocks.values():
-            row += np.abs(self.scale * a).sum(axis=1)
-        return float(row.max(initial=0.0))
+        return float(_norm_inf(self.scale * self.stack[:, None])[0])
 
     # -- algebra -----------------------------------------------------------
 

@@ -53,20 +53,20 @@ at n = 16, 4e-6 at n = 64 and 3e-2 to 1e-1 at n = 96 and 128.
 A stage step forms each stage state ``y_i = u + (dt a_i1) k_1 + ...``
 and the update ``u + (dt b_1) k_1 + ...`` with the bits of folding their
 nonzero terms into a copy of ``u`` one at a time; :attr:`RKMethod._folds`
-plans the folds once per tableau.  A fold that is an earlier fold of the
-step plus one term continues from that fold's result: one multiply, one
-add.  A fold of two terms or more is one product and one reduction: one
-``np.multiply`` of its column of ``dt`` coefficients by consecutive rows of
-the stage derivatives, into rows ``1..m`` of a product stack whose row 0
-holds ``u``, then one ``np.add.reduce`` over the stack's first ``m + 1``
-rows.  A reduction over the outer axis adds the rows one after another,
-the fold's own order.  Rows that still hold an earlier fold's products are
-kept: ``rk4x2``'s update multiplies only its second half step's four
-terms, and its reduction adds the first half's four products again.  A
-step's folds make 16 numpy calls for ``rk4x2`` (28 as one multiply and one
-add per term), 8 for ``rk4`` (14) and 6 for ``ssprk33`` (12).  A lone
-term's coefficient is a 0-d view of the ``dt c`` array, which numpy takes
-without the conversion a Python float costs on every call.
+plans the folds once per tableau, in two kinds.  A fold that is an earlier
+fold of the step plus one term continues from that fold's result: one
+multiply, one add.  Any other fold is products and one reduction: one
+``np.multiply`` per run of consecutive stage derivatives, of its column of
+``dt`` coefficients by those rows, into rows ``1..m`` of a product stack
+whose row 0 holds ``u``, then one ``np.add.reduce`` over the stack's first
+``m + 1`` rows (row 0 alone for a fold without terms, a copy of ``u``).  A
+reduction over the outer axis adds the rows one after another, the fold's
+own order.  Every fold writes its own array: ``rk4x2``'s update multiplies
+all eight of its terms in one call.  A step's folds make 16 numpy calls
+for ``rk4x2`` (28 as one multiply and one add per term), 8 for ``rk4``
+(14) and 6 for ``ssprk33`` (12).  A lone term's coefficient is a 0-d view
+of the ``dt c`` array, which numpy takes without the conversion a Python
+float costs on every call.
 
 At the benchmark's sizes (n = 16 to 128) a step's time is mostly the fixed
 cost of its numpy calls, not their arithmetic.  A stage step's bound
@@ -245,54 +245,41 @@ class RKMethod:
 
         Returns ``(coefficients, plan)``.  Fold ``i`` is stage ``i``'s state
         for ``i < s`` and the update for ``i = s``; fold 0 is ``u`` itself.
-        ``plan[i - 1]`` lists fold ``i``'s calls, on fold numbers and rows:
+        ``plan[i - 1]`` lists fold ``i``'s calls, on fold numbers and rows,
+        of one of two kinds:
 
-        - ``("copy", g)``: its terms are fold ``g``'s, so it copies that
-          result (the update instead takes fold ``g``'s array);
-        - ``("axpy", g, p, j)``: one term more than fold ``g``, the longest
-          earlier fold whose terms start its own, added as
-          ``(dt coefficients[p]) k_j`` through one scaled term;
-        - ``("mul", p, j, w, r)`` calls then ``("sum", m)``: two terms or
-          more.  Rows ``1..m`` of the product stack, whose row 0 holds
+        - ``("axpy", g, p, j)``: its terms are those of an earlier fold
+          ``g`` plus one, added to fold ``g``'s result as ``(dt
+          coefficients[p]) k_j`` through one scaled term;
+        - ``("mul", p, j, w, r)`` calls then ``("sum", m)``: any other
+          fold.  Rows ``1..m`` of the product stack, whose row 0 holds
           ``u``, take the fold's ``m`` products: per run of ``w``
           consecutive ``j``, rows ``r..r + w - 1`` are ``dt
           coefficients[p..p + w - 1]`` times ``k_j..k_{j + w - 1}``, in one
-          multiply.  Rows that still hold the same products from an earlier
-          fold of the step are kept.  One reduction over the stack's first
-          ``m + 1`` rows then sums them from ``u`` in row order.
+          multiply.  One reduction over the stack's first ``m + 1`` rows
+          then sums them from ``u`` in row order; a fold without terms
+          reduces row 0 alone, a copy of ``u``.
 
-        Every path adds the same terms to ``u`` one after another, so each
-        result has the bits of folding its terms into a copy of ``u``.
+        Either kind adds the same terms to ``u`` one after another, so each
+        result has the bits of folding its terms into a copy of ``u``, and
+        each fold writes its own array.
         """
         folds = [tuple((j, c) for j, c in enumerate(row) if c != 0.0) for row in (*self.a, self.b)]
-        coefficients, plan, rows = [], [], []
+        coefficients, plan = [], []
         for i, terms in enumerate(folds[1:], 1):
-            g = max(
-                (g for g in range(i) if terms[: len(folds[g])] == folds[g]),
-                key=lambda g: len(folds[g]),
-            )
-            extra = terms[len(folds[g]) :]
-            if not extra:
-                plan.append((("copy", g),))
+            if terms and terms[:-1] in folds[:i]:
+                coefficients.append(terms[-1][1])
+                plan.append((("axpy", folds.index(terms[:-1]), len(coefficients) - 1, terms[-1][0]),))
                 continue
-            if len(extra) == 1:
-                coefficients.append(extra[0][1])
-                plan.append((("axpy", g, len(coefficients) - 1, extra[0][0]),))
-                continue
-            keep = 0
-            while keep < min(len(rows), len(terms)) and rows[keep] == terms[keep]:
-                keep += 1
-            calls = []
-            for r in range(keep, len(terms)):
-                j, c = terms[r]
-                coefficients.append(c)
-                if r > keep and terms[r - 1][0] == j - 1:  # the run goes on
-                    _, p, j0, w, r0 = calls[-1]
-                    calls[-1] = ("mul", p, j0, w + 1, r0)
+            p = len(coefficients)
+            coefficients += [c for _, c in terms]
+            runs = []  # [p, j, w, r]: w products of consecutive k_j into rows r..
+            for r, (j, _) in enumerate(terms, 1):
+                if runs and runs[-1][1] + runs[-1][2] == j:
+                    runs[-1][2] += 1
                 else:
-                    calls.append(("mul", len(coefficients) - 1, j, 1, r + 1))
-            rows[: len(terms)] = terms
-            plan.append((*calls, ("sum", len(terms))))
+                    runs.append([p + r - 1, j, 1, r])
+            plan.append((*(("mul", *run) for run in runs), ("sum", len(terms))))
         return tuple(coefficients), tuple(plan)
 
     @classmethod
@@ -489,7 +476,7 @@ class _StageStep(Workspace):
 
     ``stack`` is the product stack of :attr:`RKMethod._folds`, whose row 0
     is the state ``u``.  Stage states 2..s are the rows of ``Y``, the update
-    is an array of its own (or the array of the fold it repeats), and
+    is an array of its own, and
     ``tmp`` holds one scaled term before it is added.  ``kd`` holds the stage
     derivatives and then ``d`` as the rows of one ``(s + 1, 2n)`` array, and
     ``Mkd`` their products with ``M``, the ``M f_i`` and then ``Md``, through
@@ -526,26 +513,21 @@ class _StageStep(Workspace):
         k = tuple(kd[:s])
         self.op, self.factor = scheme.rhs_operator
         plan = []
-        for i in range(s + 1):
+        for i, y in enumerate(results):
             calls = []
-            for call in folds[i - 1] if i else ():
-                kind = call[0]
-                if kind == "copy" and i == s:
-                    results[s] = results[call[1]]
-                elif kind == "copy":
-                    calls.append((np.copyto, (results[i], results[call[1]])))
-                elif kind == "axpy":
-                    _, g, p, j = call
+            for kind, *args in folds[i - 1] if i else ():
+                if kind == "axpy":
+                    g, p, j = args
                     calls.append((np.multiply, (self.dtc[p, ...], k[j], self.tmp)))
-                    calls.append((np.add, (results[g], self.tmp, results[i])))
+                    calls.append((np.add, (results[g], self.tmp, y)))
                 elif kind == "mul":
-                    _, p, j, w, r = call
+                    p, j, w, r = args
                     column = self.dtc[p : p + w, None]
                     calls.append((np.multiply, (column, kd[j : j + w], stack[r : r + w])))
                 else:
-                    calls.append((np.add.reduce, (stack[: call[1] + 1], 0, None, results[i])))
+                    calls.append((np.add.reduce, (stack[: args[0] + 1], 0, None, y)))
             if i < s:
-                plan.append((tuple(calls), results[i], k[i], self.op.bind(results[i], k[i])))
+                plan.append((tuple(calls), y, k[i], self.op.bind(y, k[i])))
             else:
                 plan.append((tuple(calls), None, None, None))
         self.plan, self.update, self.dt = tuple(plan), results[s], None
@@ -853,7 +835,7 @@ def _amplification_radius(scheme: Scheme, method: RKMethod, dt: float) -> tuple[
     of 5e-14 to 8e-12; the unstable ones sit at ``rho - 1 >= 0.19``.
     """
     D = scheme.D_effective
-    stencil = spectral._Stack.of(BlockCirculantOp(D.n, D.dx, 1.0, D.blocks))
+    stencil = spectral._Stack(D.n, tuple(D.blocks), D.stack[:, None], np.ones(1))
     B = spectral._stacked(*spectral._half_symbols(stencil))[0]
     z = -scheme.advection_speed * dt * D.scale
     znorm = abs(z) * float(np.abs(B).sum(axis=2).max())
@@ -892,7 +874,8 @@ class EnergyTrace:
 
     @property
     def max_increment(self) -> float:
-        return float(np.diff(self.energies).max())
+        """The largest one-step energy change; 0.0 for a run that takes no step."""
+        return float(np.diff(self.energies).max()) if len(self.energies) > 1 else 0.0
 
 
 def default_initial(x):
@@ -977,9 +960,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     ``t_end``/``dt_factor``, a non-finite advection speed, a nominal step
     that is zero or makes ``t_end / dt`` overflow, and a step count
     ``ceil(t_end / dt)`` past :data:`MAX_STEPS` raise :class:`ValueError`
-    before any work is done; so do initial data whose projection holds NaN
-    or infinity and initial data whose energy overflows, before the first
-    step.  The returned state is the run's workspace state.
+    before any work is done, before the grid's O(n) arrays too; so do
+    initial data whose projection holds NaN or infinity and initial data
+    whose energy overflows, before the first step.  The returned state is
+    the run's workspace state.
     """
     for name in ("t_end", "dt_factor"):
         value = float(getattr(config, name))
@@ -987,9 +971,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
             raise ValueError(f"{name} must be finite and positive, got {value}")
     if not math.isfinite(config.advection_speed):
         raise ValueError(f"advection_speed must be finite, got {config.advection_speed}")
-    grid = ops.build_grid(config.n, config.x_min, config.x_max)
+    # the grid's arrays are O(n): the step count is refused before they are built
+    n, x_min, x_max, dx = ops._grid_spacing(config.n, config.x_min, config.x_max)
     t_end = float(config.t_end)
-    dt_nominal = config.dt_factor * grid.dx
+    dt_nominal = config.dt_factor * dx
     if dt_nominal == 0.0 or not math.isfinite(t_end / dt_nominal):
         raise ValueError(
             f"time step dt = dt_factor * dx = {dt_nominal} is too small for t_end = {t_end}: "
@@ -1001,6 +986,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
             f"t_end = {t_end} takes {t_end / dt_nominal:.6g} steps of dt = dt_factor * dx = "
             f"{dt_nominal}, past the cap MAX_STEPS = {MAX_STEPS}"
         )
+    grid = ops.build_grid(n, x_min, x_max)
     scheme = make_scheme(grid, config.variant, config.advection_speed)
     method = resolve_method(config.rk)
     f0 = config.initial if config.initial is not None else default_initial

@@ -70,7 +70,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .operators import BlockCirculantOp
+from .operators import BlockCirculantOp, _norm_inf
 
 __all__ = [
     "DefectiveSymbolError",
@@ -129,18 +129,6 @@ def _waves(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _norm_inf(parts: np.ndarray) -> np.ndarray:
-    """Largest absolute row sum of each operator with scaled blocks ``parts[:, b]``.
-
-    The rows of the blocks are added in block order from ``+0.0``, as
-    ``BlockCirculantOp.norm_inf`` adds them.
-    """
-    row = np.zeros(parts.shape[1:3])
-    for r in np.abs(parts).sum(axis=3):
-        row += r
-    return row.max(axis=1, initial=0.0)
-
-
 class _Stack:
     """Operators on one ring, their blocks stacked per offset.
 
@@ -156,10 +144,8 @@ class _Stack:
 
     @classmethod
     def of(cls, op: BlockCirculantOp) -> "_Stack":
-        """The stack of one operator, by its own stored offsets."""
-        offsets = tuple(op.blocks)
-        blocks = np.array([op.blocks[j] for j in offsets]).reshape(len(offsets), 1, 2, 2)
-        return cls(op.n, offsets, blocks, np.array([op.scale], dtype=float))
+        """The stack of one operator, by its own stored offsets: a view of ``op.stack``."""
+        return cls(op.n, tuple(op.blocks), op.stack[:, None], np.array([op.scale], dtype=float))
 
     @functools.cached_property
     def _terms(self) -> list:
@@ -578,8 +564,7 @@ def hermitian_classify(op: BlockCirculantOp) -> Definiteness:
     ``k = 0`` and, for even ``n``, ``k = n/2``, which are their own mirrors
     and count once.
 
-    This is :func:`classify_stack` on the operator's stack of one, by its
-    own stored offsets.
+    It runs :func:`classify_stack`'s check and kernel on the operator's
+    stack of one (``_Stack.of``), by its own stored offsets.
     """
-    stack = _Stack.of(op)
-    return classify_stack(op.n, op.scale, stack.offsets, stack.blocks)[0]
+    return _classify_stack(*_checked(_Stack.of(op)))[0]

@@ -421,6 +421,22 @@ def test_step_counts_past_the_cap_are_refused_before_any_work(monkeypatch):
             run_experiment(ExperimentConfig(n=16, t_end=t_end))
 
 
+def test_a_step_count_past_the_cap_is_refused_before_the_grid_is_built():
+    """At n = 6e6 one period takes 1.2e7 steps of dx/2: the refusal comes
+    before the grid's O(n) arrays (96 MB of them), within 1 MB of traced
+    memory."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="past the cap MAX_STEPS"):
+            run_experiment(ExperimentConfig(n=6_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(t_end=0.0))
@@ -505,6 +521,14 @@ def test_energy_trace_properties():
     assert tr.max_drift == pytest.approx(0.5)
     assert tr.total_change == pytest.approx(0.2)
     assert tr.max_increment == pytest.approx(0.5)
+
+
+def test_a_run_that_takes_no_step_has_no_energy_increment():
+    """``t_end`` below the dropped remainder of 1e-9 dt: the trace holds the
+    initial energy alone, and every statistic of it is 0."""
+    trace, _ = run_experiment(ExperimentConfig(n=16, t_end=1e-300))
+    assert len(trace.energies) == 1
+    assert (trace.max_increment, trace.max_drift, trace.total_change) == (0.0, 0.0, 0.0)
 
 
 def test_reversed_wind_still_dissipates():
@@ -849,8 +873,8 @@ _SHARED_PREFIXES = RKMethod(
 )
 
 
-#: b equals the last row of A, so the update is stage 3's state and no fold
-#: of its own forms it.
+#: b equals the last row of A, so the update has stage 3's terms; it sums
+#: them again, into an array of its own.
 _UPDATE_IS_A_STAGE = RKMethod(
     name="update-is-a-stage",
     a=((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.25, 0.75, 0.0)),
@@ -869,18 +893,19 @@ _A_STAGE_IS_U = RKMethod(
 
 @pytest.mark.parametrize(
     "method, calls",
-    [(RK4, 8), (SSPRK33, 6), (RK4X2, 16), (_SHARED_PREFIXES, 11), (_UPDATE_IS_A_STAGE, 4),
+    [(RK4, 8), (SSPRK33, 6), (RK4X2, 16), (_SHARED_PREFIXES, 11), (_UPDATE_IS_A_STAGE, 6),
      (_A_STAGE_IS_U, 5)],
     ids=lambda m: getattr(m, "name", None),
 )
 def test_shared_prefixes_are_summed_once(method, calls):
     """numpy calls of one step's folds: one multiply and one add per lone
     term, one multiply per run of consecutive products and one reduction
-    per longer fold.  rk4x2 sums its first half step once: stages 6-8
-    continue from it, and the update's stack keeps its four products.
-    _SHARED_PREFIXES continues stage 4 and the update from stage 3's and
-    stage 4's states; its stage 5 keeps the stack's first product and
-    multiplies two runs.  _A_STAGE_IS_U copies u into its second stage."""
+    per other fold.  rk4x2 sums its first half step once: stages 6-8
+    continue from it, and the update multiplies its eight terms in one
+    call.  _SHARED_PREFIXES continues stage 4 and the update from stage 3's
+    and stage 4's states; its stage 5 multiplies two runs.
+    _UPDATE_IS_A_STAGE sums the update's two terms again, and _A_STAGE_IS_U
+    reduces row 0 alone, a copy of u, into its second stage."""
     g = ops.build_grid(16)
     ws = solver.Workspace.allocate(make_scheme(g, "central", 1.0), method, np.zeros(2 * g.n))
     assert type(ws) is solver._StageStep
@@ -924,6 +949,33 @@ def _chain(s):
     """An s-stage tableau, each stage half a step from the one before."""
     a = tuple(tuple(0.5 if j == i - 1 else 0.0 for j in range(s)) for i in range(s))
     return RKMethod(f"chain{s}", a, (1.0 / s,) * s, (0.0,) + (0.5,) * (s - 1))
+
+
+@pytest.mark.parametrize(
+    "method",
+    [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES, _UPDATE_IS_A_STAGE, _A_STAGE_IS_U, _chain(32)],
+    ids=lambda m: m.name,
+)
+def test_every_fold_is_an_axpy_or_a_reduction_into_its_own_array(method):
+    """The planner has two kinds: one ``axpy`` from an earlier fold that
+    has all its terms but the last, or ``mul`` calls and one ``sum``.  Each
+    fold's last call writes its own array (stage i's state, or the update),
+    no two of them share memory, and the update is none of the stage
+    states."""
+    _, plan = method._folds
+    assert len(plan) == method.stages
+    for fold in plan:
+        kinds = [call[0] for call in fold]
+        assert kinds == ["axpy"] or (set(kinds[:-1]) <= {"mul"} and kinds[-1] == "sum")
+    g = ops.build_grid(16)
+    ws = solver.Workspace.allocate(make_scheme(g, "upwind", 1.0), method, np.zeros(2 * g.n))
+    outputs = [ws.u, *(y for _, y, _, _ in ws.plan[1:-1]), ws.update]
+    for i, (calls, *_) in enumerate(ws.plan[1:], 1):
+        function, args = calls[-1]
+        assert args[2 if function is np.add else 3] is outputs[i]
+    for i, x in enumerate(outputs):
+        assert not any(np.shares_memory(x, y) for y in outputs[i + 1 :])
+    assert not any(np.shares_memory(ws.update, st.y) for st in ws.stages)
 
 
 @pytest.mark.parametrize("stages", [2, 4, 10])
@@ -1132,12 +1184,12 @@ def test_run_is_bit_identical_to_the_fresh_array_loop(rk, variant, relaxation, a
     ids=lambda m: m.name,
 )
 def test_custom_tableau_run_is_bit_identical_to_the_fresh_array_loop(method, variant, relaxation):
-    """The update may be a partial sum of another fold: its buffer then
-    holds the next step's u and is written again during that step.  A
-    32-stage tableau composes with stencil powers that round, from power 27
-    (upwind) or 29 (central) on."""
+    """The update may have the terms of another fold: it sums them again,
+    into its own array.  A 32-stage tableau composes with stencil powers
+    that round, from power 27 (upwind) or 29 (central) on."""
     if method is _UPDATE_IS_A_STAGE:
-        assert _UPDATE_IS_A_STAGE._folds[1][-1] == (("copy", 2),)  # the update adds no term
+        # the update multiplies its two terms and reduces them from u
+        assert _UPDATE_IS_A_STAGE._folds[1][-1] == (("mul", 3, 0, 2, 1), ("sum", 2))
     config = ExperimentConfig(
         variant=variant, rk=method, relaxation=relaxation, n=16, t_end=0.5, dt_factor=0.1
     )
