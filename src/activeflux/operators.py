@@ -22,33 +22,33 @@ in insertion order, and zero blocks are dropped, so an operator without
 blocks is exactly the zero operator.
 
 ``BlockCirculantOp.matvec`` is the one evaluation kernel, with two binding
-layouts (see below).  In the per-block layout, a plan cached on the frozen
-operator holds the halo width ``h = max |j|``, the transposed
-blocks stacked in insertion order, and which windows of a halo-extended copy
-of the input (the input with ``h`` wrapped cells on each side) they read.
-The ``2h + 1`` windows of a run of cells are one strided ``(2h + 1, cells,
-2)`` view.  Each chunk of cells (see below) reads its windows straight
-from the input, through that kind of view, where they do not wrap across
-the seam, and otherwise from a halo of its own: cells ``c - h .. stop + h
-- 1`` (mod n) of the input, copied in runs of slices by one rule
-(``_halo``).  At three chunks or more only the first and the last chunk
-wrap, and at ``h = 0`` none.  Every chunk copies its own halo when
-``out`` shares memory with the input, whose cells the results would
-overwrite before later chunks read them, or when the input is not
-C-contiguous (a strided view, which BLAS would not take as it is).
-Which windows a call reads from the input changes neither the kernel nor
-the chunk edges nor the products.  One batched ``matmul`` then
-forms every block's ``(cells, 2) @ (2, 2)`` product into a product stack
-(one ``matmul`` per block where the windows are not consecutive),
-``np.add.reduce`` sums the products over the blocks, in insertion order
-and starting from ``+0.0``, and the sum is multiplied by ``scale`` once.
-Each product row is the two-term dot product a per-block product
-computes, and a reduction over the block axis adds the products one after
-another, so results are bit-for-bit those of rolling the operand once per
-block and accumulating into zeros.  Cells go through
-in chunks of ``_CHUNK`` (the last one may take one cell more), so the
-product stack holds at most ``#blocks * (_CHUNK + 1)`` cells whatever ``n``
-is, and a large operand needs no per-block temporary of its size.
+layouts and one pass over the chunks behind both (see below).  In the
+per-block layout, a plan cached on the frozen operator holds the halo width
+``h = max |j|``, the transposed blocks stacked in insertion order, and
+which windows of a halo-extended copy of the input (the input with ``h``
+wrapped cells on each side) they read.  The ``2h + 1`` windows of a run of
+cells are one strided ``(2h + 1, cells, 2)`` view (``_windows``).  Each
+chunk of cells (see below) reads its windows straight from the input,
+through that kind of view, where they do not wrap across the seam, and
+otherwise from a halo of its own: cells ``c - h .. stop + h - 1`` (mod n)
+of the input, copied in runs of slices by one rule (``_halo``).  At three
+chunks or more only the first and the last chunk wrap, and at ``h = 0``
+none.  Every chunk copies its own halo when ``out`` shares memory with the
+input, whose cells the results would overwrite before later chunks read
+them, or when the input is not C-contiguous (a strided view, which BLAS
+would not take as it is).  Which windows a call reads from the input changes
+neither the kernel nor the chunk edges nor the products.  One batched
+``matmul`` then forms every block's ``(cells, 2) @ (2, 2)`` product into a
+product stack (one ``matmul`` per block where the windows are not
+consecutive), ``np.add.reduce`` sums the products over the blocks, in
+insertion order and starting from ``+0.0``, and the sum is multiplied by
+``scale`` once.  Each product row is the two-term dot product a per-block
+product computes, and a reduction over the block axis adds the products one
+after another, so results are bit-for-bit those of rolling the operand once
+per block and accumulating into zeros.  Cells go through in chunks of
+``_CHUNK`` (the last one may take one cell more), so the product stack
+holds at most ``#blocks * (_CHUNK + 1)`` cells whatever ``n`` is, and a
+large operand needs no per-block temporary of its size.
 
 The operand may also be a stack of ``rows`` operands, shape ``(rows,
 2n)``, and the kernel is the same with one more leading axis: ``(rows,
@@ -66,27 +66,36 @@ in one such call.
 
 A caller that applies an operator to the same arrays many times, like the
 time loop, binds the call once: ``BlockCirculantOp.bind(u, out)`` checks
-the operand and ``out`` and makes, in one pass over the chunks and
-straight from ``u`` and ``out``, the scratch arrays (each chunk's halo and
-the product stack) and the steps over them: the halo copies, the windows
+the operand and ``out`` and makes, in one pass over the chunks and straight
+from ``u`` and ``out``, the scratch arrays (each wrapping chunk's halo and
+one product buffer) and the steps over them: the halo copies, the windows
 and the products, each with its part of ``out``.  It returns them as a
 ``MatvecBinding``.  ``matvec(u, out, binding)`` on that very operator,
 ``u`` and ``out`` (``is``) replays the steps, reading whatever ``u`` holds
 then; a binding made for any other call raises.  A one-shot call is a
-binding made and replayed once.  Every binding makes its own scratch
-arrays and lends them to none, so bindings of one operator may be
-replayed in any order.  The kernel's scalars, the ``+0.0`` of the sums
-and ``scale``, are numpy scalars made once, which spares each call a
-conversion.  Every call runs one kernel body, so a bound call gives the
-bits of a one-shot call: the 2x2 products go to BLAS either way, because
-every operand and output view keeps unit stride in its last axis and at
-least two rows (OpenBLAS rounds with fused multiply-adds, which an
-elementwise product or numpy's fallback loop would not).
+binding made and replayed once.  Every binding makes its own scratch arrays
+and lends them to none, so bindings of one operator may be replayed in any
+order.  The kernel's scalars, the ``+0.0`` of the sums and ``scale``, are
+numpy scalars made once, which spares each call a conversion.  Every call
+runs one kernel body, so a bound call gives the bits of a one-shot call:
+the 2x2 products go to BLAS either way, because every operand and output
+view keeps unit stride in its last axis and at least two rows (OpenBLAS
+rounds with fused multiply-adds, which an elementwise product or numpy's
+fallback loop would not).
 
-A binding has one of two layouts, and ``matvec`` replays both with the
-same loop: the halo copies, the ``matmul`` steps (each with its block sum,
-if it has one), and one multiply by ``scale`` from the binding's result
-view into ``out``, which is ``out`` itself in the per-block layout.
+Both layouts make their bindings in that one pass
+(``BlockCirculantOp._bind``), and ``matvec`` replays both with one loop.
+A BLAS row is a window of ``w`` cells times ``A``: ``w = 1`` and ``A`` a
+block per-block, ``w = B`` and ``A`` the band's stack banded.  A chunk of
+``m = ceil(cells / w)`` rows reads ``(m + 1) w + span - w - 1`` cells from
+its first cell plus the lowest offset, from the input where they do not
+wrap and from a halo of its own where they do; the last chunk takes a tail
+of ``w`` cells or fewer, so that no chunk is one row (numpy sends a
+one-row product to BLAS's vector kernel, which rounds differently).  Each
+binding has one product buffer, sized for its largest chunk, and each
+chunk's last step multiplies its result by ``scale`` into its entries of
+``out``: the block sums, already in ``out``, per block, and the product
+buffer banded.
 
 - The *per-block* layout is the kernel above, with its bit contract: every
   one-shot call (``op @ u``, ``Scheme.rhs``, ``checks``, ``spectral``) and
@@ -101,18 +110,23 @@ view into ``out``, which is ``out`` itself in the per-block layout.
   with zero rows where no block is stored.  Cell ``i``'s result is its
   window, the ``2B`` doubles of cells ``i + min .. i + max``, times ``A``.
   The windows of neighbouring cells overlap, and BLAS takes a matrix as it
-  is only if its row stride is at least its row length.  So the cells are
-  grouped by residue mod ``B``: the windows of cells ``r, r + B, r + 2B,
-  ...`` are consecutive rows of ``2B`` doubles in a halo copy of cells
-  ``min, min + 1, ...`` (mod n), a matrix whose row stride equals its row
-  length.  One ``matmul`` of the ``(B, M, 2B)`` strided view of those
-  matrices, ``M = ceil(n / B)``, by ``A`` writes ``(B, M, 2)`` products
-  into a result buffer of ``M B`` cells, padded past ``n`` so that every
-  residue has ``M`` rows, and the scale multiply reads its first ``2n``
-  entries.  There is no product stack and no reduction.  Each
+  is only if its row stride is at least its row length.  So a chunk's
+  cells are grouped by residue mod ``B``: the windows of cells ``c + r, c
+  + r + B, ...`` are consecutive rows of ``2B`` doubles in the input or
+  the chunk's halo, a matrix whose row stride equals its row length.  One
+  ``matmul`` of the ``(B, m, 2B)`` strided view of those matrices by ``A``
+  writes ``(B, m, 2)`` products, in cell order, into the product buffer of
+  ``m B`` cells (each residue has ``m`` rows, so the last may pass the
+  chunk's end), and the scale multiply reads the chunk's cells from it.
+  There is no product stack and no reduction.  The banded chunk does not
+  shrink as ``rows`` grows: a residue's rows are one ``dgemm``, whose bits
+  follow the chunk's edges (halving them moved ``Q``'s results by
+  rounding), so each row of a stack keeps its one-row call's bits.  Each
   result is one ``2B``-term dot in BLAS's order, scaled once, so it lies
   within ``2B eps |scale| (|A| |u|)_i + eps |result_i|`` of the exact
-  product (Higham 2002, Thm 3.1), but it has not the per-block bits.
+  product (Higham 2002, Thm 3.1), but it has not the per-block bits, and
+  past one chunk (n > ``_CHUNK`` + B) not those of one ``dgemm`` over the
+  whole ring either.
   OpenBLAS's threaded ``dgemm`` splits the rows and columns of a product,
   not its dots: unrelaxed composed runs at n = 8200 and 1e5 end in the
   same bits with one and with two threads.  With every matvec
@@ -191,17 +205,21 @@ _CHUNK = 8192
 _ZERO = np.float64(0.0)
 
 
-def _windows(x: np.ndarray, cells: int, h: int) -> np.ndarray:
-    """The ``2h + 1`` windows of ``cells`` cells of flat interleaved ``x``, a strided view.
+def _windows(x: np.ndarray, first: int, shape: tuple[int, int, int], w: int) -> np.ndarray:
+    """A strided view of flat interleaved ``x``: ``shape`` is ``(span, rows, entries)``.
 
-    Window ``s`` is cells ``s .. s + cells - 1`` of each row of ``x``.  At
-    ``h > 0`` ``x`` must be C-contiguous.
+    Entry ``(s, k, e)`` of each row of ``x`` is entry ``e`` counted from
+    cell ``first + s + k w``: ``span`` runs that start at consecutive
+    cells, each ``rows`` rows of ``entries`` values, ``w`` cells apart.
+    ``x`` must be C-contiguous, except for a view of one plain run of
+    cells (``span`` 1, ``entries`` ``2w``), which reshapes any ``x``.
     """
-    if not h:
-        return x.reshape(*x.shape[:-1], 1, cells, 2)
+    span, rows, entries = shape
+    if span == 1 and entries == 2 * w:
+        return x[..., 2 * first : 2 * (first + rows * w)].reshape(*x.shape[:-1], *shape)
     item = x.itemsize
-    shape, strides = (*x.shape[:-1], 2 * h + 1, cells, 2), (*x.strides[:-1], 2 * item, 2 * item, item)
-    return np.ndarray(shape, x.dtype, buffer=x, strides=strides)
+    strides = (*x.strides[:-1], 2 * item, 2 * w * item, item)
+    return np.ndarray((*x.shape[:-1], *shape), x.dtype, x, 2 * first * item, strides)
 
 
 def _halo(first: int, count: int, n: int) -> list[tuple[slice, slice]]:
@@ -348,13 +366,13 @@ class MatvecBinding(NamedTuple):
     or :meth:`BlockCirculantOp.bind_banded`.
 
     A call replays ``copies``, the halo copies ``(destination, source)``,
-    and ``steps``, the products ``(windows, A^T, products, sums, part)``,
-    only when it is a call of ``op`` on ``u`` into ``out``, all three the
-    very objects bound, and then multiplies ``result`` by the scale into
-    ``out``.  The halos and the product stack are the binding's own: no
-    other binding writes them.  ``result`` is ``out`` itself in the
-    per-block layout; a banded binding's ``result`` is the first ``2n``
-    entries of its padded result buffer.
+    and ``steps``, the products ``(windows, A, products, sums, scaled,
+    part)`` of each chunk, only when it is a call of ``op`` on ``u`` into
+    ``out``, all three the very objects bound.  A chunk's last step
+    multiplies ``scaled`` by the scale into ``part``, its entries of
+    ``out``: the block sums in ``out`` itself in the per-block layout, the
+    product buffer in the banded one.  The halos and the product buffer
+    are the binding's own: no other binding writes them.
     """
 
     op: "BlockCirculantOp"
@@ -362,7 +380,6 @@ class MatvecBinding(NamedTuple):
     out: np.ndarray
     copies: tuple
     steps: tuple
-    result: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -453,34 +470,32 @@ class BlockCirculantOp:
         return h, select, self.stack.transpose(0, 2, 1).copy()
 
     def bind(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> MatvecBinding:
-        """The set-up of a :meth:`matvec` call on ``u`` into ``out``, done once, in one pass.
+        """The set-up of a :meth:`matvec` call on ``u`` into ``out`` in the per-block layout.
+
+        A window is one cell, and the ``2h + 1`` windows around a cell hold
+        every block's operand; each block's products go to the product
+        stack, whose block sum goes to ``out``.  Windows selected by a
+        slice make one batched product per chunk; by an index array, one
+        product per block, since a gathered copy would not see the next
+        operand.  See :meth:`_bind`.
+        """
+        h, select, a_t = self._plan
+        return self._bind(u, out, -h, 2 * h + 1, 1, select, a_t)
+
+    def _bind(self, u, out, lo, span, w, select, a_t) -> MatvecBinding:
+        """The one pass over the chunks behind :meth:`bind` and :meth:`bind_banded`.
 
         ``u`` and ``out`` are checked as a call checks them (``out`` None
-        makes a new array).  Then one pass over the chunks makes, straight
-        from ``u`` and ``out``, each chunk's halo and its copies
-        (``_halo``), its windows and its product steps, each with its part
-        of ``out``.  A chunk of cells ``c .. stop - 1`` reads its windows
-        from the operand itself at ``h = 0``, and where they do not wrap
-        across the seam (``h <= c`` and ``stop + h <= n``) when ``u`` is
-        C-contiguous, a layout BLAS takes as it is, and ``out`` does not
-        overlap ``u``, whose cells the results would overwrite before
-        later chunks read them; any other chunk reads them from a halo of
-        its own that holds cells ``c - h .. stop + h - 1`` (mod n).  Either
-        way BLAS multiplies the same windows, and the kernel, the chunk
-        edges and the products are the same.  Every array below has a
-        leading axis of ``rows`` operands, except for a single operand: a
-        stack of one runs as its 1-D row.  A chunk's steps write its part
-        of the ``(#blocks, min(n, chunk + 1), 2)`` product stack; the last
-        one also sums the products, as ``sums`` (the same memory as
-        ``(#blocks, 2 cells)`` rows), into the chunk's entries of ``out``.
-        Windows selected by a slice make one batched product per chunk; by
-        an index array, one product per block, since a gathered copy would
-        not see the next operand.  The halos and the product stack are
-        new arrays, which no other binding shares.  All the steps' arrays
-        are views, valid as long as ``u``, ``out`` and the scratch arrays
-        are.  A call of this operator with the binding and this very ``u``
-        and ``out`` (``is``, not equality) replays the steps, reading
-        whatever ``u`` holds then.
+        makes a new array).  Row ``k`` of a chunk from cell ``c`` multiplies
+        window ``s < span``, the ``w`` cells from ``c + lo + s + k w``, by
+        ``A``; the module docstring has the rest.  A chunk reads its cells
+        from the operand where they do not wrap, if ``u`` is C-contiguous
+        and ``out`` does not overlap it, and always at span 1 from ``lo =
+        0``; any other chunk reads them from a halo of its own.  ``select``
+        None is the banded layout: one product per chunk, no block sum, and
+        a chunk that does not shrink with the rows.  The steps' arrays are
+        views, valid as long as ``u``, ``out``, the halos and the product
+        buffer are; no other binding shares the latter two.
         """
         u = np.asarray(u)
         n = self.n
@@ -491,48 +506,51 @@ class BlockCirculantOp:
         # scratch arrays freed above it leave the heap less fragmented
         if out is None:
             out = np.empty(u.shape, dtype)
-        elif out.shape != u.shape or out.dtype != dtype:
-            raise ValueError(
-                f"out must be a {u.shape} array of {dtype}, got {out.shape} {out.dtype}"
-            )
+        elif not isinstance(out, np.ndarray) or out.shape != u.shape or out.dtype != dtype:
+            got = f"{out.shape} {out.dtype}" if isinstance(out, np.ndarray) else type(out).__name__
+            raise ValueError(f"out must be a {u.shape} array of {dtype}, got {got}")
         rows = len(u) if u.ndim == 2 else 1
         operand, result = (u[0], out[0]) if u.ndim == 2 and rows == 1 else (u, out)
         stack = (rows,) if rows > 1 else ()
-        h, select, a_t = self._plan
-        blocks = len(a_t)
-        # the largest power of two whose chunks, the last one's lone cell
-        # included, keep the stack within #blocks * (_CHUNK + 1) cells, but
-        # never a one-cell chunk (see below)
+        # per block, the largest power of two whose chunks, the last one's
+        # lone cell included, keep the stack within #blocks * (_CHUNK + 1)
+        # cells, but never a one-cell chunk
         chunk = _CHUNK
-        while chunk > 2 and rows * (chunk + 1) > _CHUNK + 1:
+        while select is not None and chunk > 2 and rows * (chunk + 1) > _CHUNK + 1:
             chunk //= 2
-        products = np.empty((*stack, blocks, min(n, chunk + 1), 2), dtype)
-        # no one-cell chunk: numpy sends a one-row product to BLAS's vector
-        # kernel, which rounds complex products differently; the last chunk
-        # takes that cell instead
-        edges = [*range(0, n - 1, chunk), n]
+        # the last chunk takes a tail of w cells or fewer: no one-row product,
+        # which numpy sends to BLAS's vector kernel, which rounds differently
+        edges = [0, *range(chunk, n - w, chunk), n]
+        # the product buffer of the largest chunk: the banded products of
+        # its rows of w cells, or the per-block stack of its cells
+        most = -(-min(n, chunk + w) // w)
+        shape = (2 * w * most,) if select is None else (len(a_t), most, 2)
+        products = np.empty((*stack, *shape), dtype)
         direct = u.flags.c_contiguous and not np.may_share_memory(u, out)
-        own, copies, steps = None, [], []
+        copies, steps = [], []
         for c, stop in zip(edges, edges[1:]):
-            if not h or direct and h <= c and stop + h <= n:
-                if own is None:
-                    own = _windows(operand, n - 2 * h, h)
-                windows, cells = own, slice(c - h, stop - h)
+            m = -(-(stop - c) // w)
+            first, count = c + lo, (m + 1) * w + span - w - 1
+            if span == 1 and not lo or direct and 0 <= first and first + count <= n:
+                x = operand
             else:
-                x = np.empty((*stack, 2 * (stop - c + 2 * h)), u.dtype)
-                runs = _halo(c - h, stop - c + 2 * h, n)
-                copies += [(x[..., into], operand[..., entries]) for into, entries in runs]
-                windows, cells = _windows(x, stop - c, h), slice(None)
-            part = products[..., : stop - c, :]
-            sums = part.reshape(*stack, blocks, 2 * (stop - c))
+                x, first = np.empty((*stack, 2 * count), u.dtype), 0
+                copies += [(x[..., into], operand[..., cells]) for into, cells in _halo(c + lo, count, n)]
+            windows = _windows(x, first, (span, m, 2 * w), w)
             entries = result[..., 2 * c : 2 * stop]
+            if select is None:
+                prods = _windows(products, 0, (span, m, 2), w)
+                steps.append((windows, a_t, prods, None, products[..., : 2 * (stop - c)], entries))
+                continue
+            part = products[..., :m, :]
+            sums = part.reshape(*stack, len(a_t), 2 * m)
             if isinstance(select, slice):
-                steps.append((windows[..., select, cells, :], a_t, part, sums, entries))
+                steps.append((windows[..., select, :, :], a_t, part, sums, entries, entries))
                 continue
             for i, s in enumerate(select.tolist()):
-                steps.append((windows[..., s, cells, :], a_t[i], part[..., i, :, :], None, None))
-            steps[-1] = (*steps[-1][:3], sums, entries)
-        return MatvecBinding(self, u, out, tuple(copies), tuple(steps), out)
+                steps.append((windows[..., s, :, :], a_t[i], part[..., i, :, :], None, None, None))
+            steps[-1] = (*steps[-1][:3], sums, entries, entries)
+        return MatvecBinding(self, u, out, tuple(copies), tuple(steps))
 
     @functools.cached_property
     def _band(self) -> tuple[int, int, np.ndarray]:
@@ -550,46 +568,20 @@ class BlockCirculantOp:
         stack.setflags(write=False)
         return lo, span, stack
 
-    def bind_banded(self, u: np.ndarray, out: np.ndarray) -> MatvecBinding:
-        """A :meth:`matvec` binding of ``u`` into ``out`` in the banded layout: one ``matmul``.
+    def bind_banded(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> MatvecBinding:
+        """The set-up of a :meth:`matvec` call on ``u`` into ``out`` in the banded layout.
 
         Cell ``i``'s result is its window, cells ``i + lo .. i + lo + B -
-        1`` (``2B`` doubles), times the ``(2B, 2)`` stack of ``_band``.
-        The cells of one residue mod ``B`` have consecutive windows in a
-        halo copy of the operand, so each residue's ``M = ceil(n / B)``
-        windows are a ``(M, 2B)`` matrix with row stride ``2B``, which BLAS
-        takes as it is; the residues make one ``(B, M, 2B)`` strided view,
-        and one ``matmul`` writes its ``(B, M, 2)`` products into a result
-        buffer of ``M B`` cells (padded past ``n``), whose first ``2n``
-        entries the scale multiply reads.  Every binding copies the
-        operand into its own halo, at ``B = 1`` too.
-
-        ``u`` must be a 1-D float64 array of ``2n`` entries and ``out`` one
-        of the same shape and dtype; it may be ``u`` itself.  Each result
-        is one ``2B``-term dot in BLAS's order, scaled once: within
+        1``, times the ``(2B, 2)`` stack of ``_band``, so ``w`` is the span
+        ``B``: a chunk's residues mod ``B`` are one ``(B, m, 2B)`` strided
+        view and one ``matmul`` (see the module docstring and
+        :meth:`_bind`).  ``u`` and ``out`` are those of :meth:`bind`.  Each
+        result is one ``2B``-term dot in BLAS's order, scaled once: within
         ``2B eps |scale| (|A| |u|)_i + eps |result_i|`` of the exact
         product, not the bits of :meth:`bind`'s per-block layout.
         """
-        n = self.n
-        if type(u) is not np.ndarray or u.dtype != np.float64:
-            raise ValueError(f"a banded binding takes a float64 array, got {getattr(u, 'dtype', type(u))}")
-        if u.shape != (2 * n,):
-            raise ValueError(f"expected shape ({2 * n},), got {u.shape}")
-        if type(out) is not np.ndarray or out.shape != u.shape or out.dtype != u.dtype:
-            got = f"{out.shape} {out.dtype}" if isinstance(out, np.ndarray) else type(out).__name__
-            raise ValueError(f"out must be a {u.shape} array of float64, got {got}")
         lo, span, stack = self._band
-        rows = -(-n // span)
-        # halo cell k holds operand cell (lo + k) mod n
-        cells = (rows + 1) * span - 1
-        halo = np.empty(2 * cells)
-        copies = tuple([(halo[into], u[entries]) for into, entries in _halo(lo, cells, n)])
-        item = halo.itemsize
-        windows = np.ndarray((span, rows, 2 * span), halo.dtype, halo, 0, (2 * item, 2 * span * item, item))
-        padded = np.empty(2 * rows * span)
-        products = np.ndarray((span, rows, 2), padded.dtype, padded, 0, (2 * item, 2 * span * item, item))
-        steps = ((windows, stack, products, None, None),)
-        return MatvecBinding(self, u, out, copies, steps, padded[: 2 * n])
+        return self._bind(u, out, lo, span, span, None, stack)
 
     def matvec(
         self,
@@ -629,19 +621,20 @@ class BlockCirculantOp:
         binding made for another call, raises :class:`ValueError`.
         """
         if binding is None:
-            _, _, out, copies, steps, result = self.bind(u, out)
+            _, _, out, copies, steps = self.bind(u, out)
         else:
-            op, bound_u, bound_out, copies, steps, result = binding
+            op, bound_u, bound_out, copies, steps = binding
             if op is not self or bound_u is not u or bound_out is not out:
                 raise ValueError("the binding was made for another operator, operand or out")
         for halo, cells in copies:
             halo[...] = cells
         # positional out: the same ufunc loops, with less argument parsing
-        for windows, a_t, products, sums, part in steps:
+        for windows, a_t, products, sums, scaled, part in steps:
             np.matmul(windows, a_t, products)
             if sums is not None:
-                np.add.reduce(sums, -2, None, part, False, _ZERO)
-        np.multiply(result, self._scale, out)
+                np.add.reduce(sums, -2, None, scaled, False, _ZERO)
+            if scaled is not None:
+                np.multiply(scaled, self._scale, part)
         return out
 
     def dense(self) -> np.ndarray:

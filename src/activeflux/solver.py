@@ -74,11 +74,15 @@ matvec of a derivative makes six: three halo copies, one batched
 ``matmul`` (one BLAS ``dgemm`` per block), one reduction and one scaling;
 one of the diagonal mass makes three.  A composed step binds ``Q u`` and
 ``D (Q u)`` in the banded layout
-(:meth:`~activeflux.operators.BlockCirculantOp.bind_banded`): each makes
-three halo copies (the wrapped cells before 0, the ring, and the wrapped
-and padding cells after it, which take a fourth copy where they pass the
-ring's end again, as for ``rk4x2`` at n = 16), one ``matmul`` of one
-``dgemm`` per residue of the offset span, and one scaling.  At n = 1200 a
+(:meth:`~activeflux.operators.BlockCirculantOp.bind_banded`): up to n =
+8192 + B, one chunk, each makes three halo copies (the wrapped cells
+before 0, the ring, and the wrapped and padding cells after it, which take
+a fourth copy where they pass the ring's end again, as for ``rk4x2`` at n
+= 16), one ``matmul`` of one ``dgemm`` per residue of the offset span, and
+one scaling.  Past one chunk only the first and the last chunk copy
+halos, the chunks between read ``u`` or ``q`` directly, and each chunk
+is one ``matmul`` and one scaling: neither binding holds scratch of the
+state's size.  At n = 1200 a
 relaxed composed step makes 23 numpy calls: 10 in ``Q u`` and ``D (Q u)``, 1 for
 ``u + d``, 6 in :func:`relaxation_gamma` (``M d`` and three dots, one of
 them the cut-off's ``u.Mu``), 2 for the relaxed update and 4 for the

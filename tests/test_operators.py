@@ -747,12 +747,14 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _banded_operators(g):
-    """Every builder's operator and the composed ``Q`` of ``rk4``, ``ssprk33``,
-    ``rk4x2`` and a 32-stage chain (its stencil powers round), central at
-    dt = dx/2 and upwind at dx/4."""
+    """Every builder's operator, a shift by three cells (one block, ``B =
+    1`` from ``lo = 3``, whose last chunk wraps), and the composed ``Q`` of
+    ``rk4``, ``ssprk33``, ``rk4x2`` and a 32-stage chain (its stencil powers
+    round), central at dt = dx/2 and upwind at dx/4."""
     a = tuple(tuple(0.5 if j == i - 1 else 0.0 for j in range(32)) for i in range(32))
     chain = solver.RKMethod("chain32", a, (1.0 / 32,) * 32, (0.0,) + (0.5,) * 31)
     operators = _every_builder(g)[:8]
+    operators.append(BlockCirculantOp(g.n, g.dx, 0.5, {3: [[1.5, -2.0], [0.25, 3.0]]}))
     for variant, dt in (("central", 0.5 * g.dx), ("upwind", 0.25 * g.dx)):
         scheme = solver.make_scheme(g, variant, 1.0)
         for method in (solver.RK4, solver.SSPRK33, solver.RK4X2, chain):
@@ -782,26 +784,45 @@ def _within(got, exact, bound):
     return bool((np.abs(got.astype(np.longdouble) - exact) <= bound).all())
 
 
+def _banded_chunks(op, n):
+    """The chunks ``c .. stop - 1`` of a single-operand banded binding: every
+    ``_CHUNK`` cells, the last taking a tail of ``B`` cells or fewer."""
+    edges = [0, *range(_C, n - op._band[1], _C), n]
+    return list(zip(edges, edges[1:]))
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= _EPS, reason="np.longdouble is float64 here")
-@pytest.mark.parametrize("n", [3, 4, 5, 16, 17, 1200, _C + 1])
+@pytest.mark.parametrize("n", [3, 4, 5, 16, 17, 1200, _C + 1, 2 * _C + 2, 20000, 100000])
 def test_banded_binding_is_within_rounding_of_the_exact_product(n):
     """A banded binding gives every entry within its rounding bound of the
     product in extended precision (and of ``dense() @ u``, which rounds
     too, within twice it), into ``out`` or in place, reading the operand's
     values at each call.  An entry moved by twice its bound is caught.  At
-    n = 3, 4 and 5 offsets alias and ``B = n``.  Every binding copies the
-    operand into its halo, at B = 1 (the diagonal mass) too."""
+    n = 3, 4 and 5 offsets alias and ``B = n``.  Past one chunk (n >
+    _CHUNK + B, with ``rk4x2``'s ``Q`` of B = 15 among the spans) every
+    chunk has one step, and the windows of the chunks that do not wrap are
+    read from the operand (for ``Q`` at n = 20000 and 1e5, every chunk but
+    the first and the last); with ``out`` the operand every chunk copies a
+    halo of its own."""
     rng = np.random.default_rng(n)
     g = ops.build_grid(n)
-    for op in _banded_operators(g):
+    operators = _banded_operators(g)
+    assert n < 15 or 15 in [op._band[1] for op in operators]
+    for op in operators:
         lo, span, stack = op._band
         assert span <= n and stack.shape == (2 * span, 2)
         u = rng.normal(size=2 * n)
         out = np.full(2 * n, np.nan)
         bound = op.bind_banded(u, out)
         assert (bound.op, bound.u, bound.out) == (op, u, out)
-        assert len(bound.steps) == 1 and 1 <= len(bound.copies) <= 4
-        assert bound.result.base is bound.steps[0][2].base
+        cells, reads = _chunk_reads(bound, u)
+        assert cells == _banded_chunks(op, n) and len(bound.steps) == len(cells)
+        rows = [-(-(stop - c) // span) for c, stop in cells]
+        wraps = [not (span == 1 and lo == 0 or 0 <= c + lo and c + lo + (m + 1) * span - 1 <= n)
+                 for (c, stop), m in zip(cells, rows)]
+        assert reads == [not w for w in wraps]
+        if span == 15 and n >= 20000:  # rk4x2's Q: every chunk between the ends reads u
+            assert len(cells) >= 3 and all(reads[1:-1])
         for _ in range(2):
             assert op.matvec(u, out, bound) is out
             exact, tol = _banded_bound(op, u)
@@ -816,19 +837,46 @@ def test_banded_binding_is_within_rounding_of_the_exact_product(n):
         faulty = out.copy()
         faulty[i] = float(exact[i] + 2 * tol[i])
         assert tol[i] > 0 and not _within(faulty, exact, tol)
-        # in place: out is the operand
+        # in place: out is the operand, and no chunk reads it
         v = u.copy()
         in_place = op.bind_banded(v, v)
+        assert not any(_chunk_reads(in_place, v)[1]) or span == 1 and lo == 0
         assert op.matvec(v, v, in_place) is v
         assert v.tobytes() == op.matvec(u, out, bound).tobytes()
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= _EPS, reason="np.longdouble is float64 here")
+@pytest.mark.parametrize("n", [3, 16, 1200, 2 * _C + 2])
+def test_banded_binding_takes_stacks_and_complex_operands(n):
+    """A banded binding takes what a per-block one takes: a ``(3, 2n)``
+    stack, each of whose rows gets the bits of its one-row call, and a
+    complex operand, whose real and imaginary parts each lie within the
+    rounding bound of their exact products (``A`` is real, so each part
+    is a real dot of ``2B`` terms)."""
+    rng = np.random.default_rng(n)
+    for op in _banded_operators(ops.build_grid(n)):
+        stack = rng.normal(size=(3, 2 * n))
+        bound = op.bind_banded(stack)
+        got = op.matvec(stack, bound.out, bound)
+        assert got.shape == stack.shape
+        for r, row in zip(got, stack, strict=True):
+            one = op.bind_banded(row)
+            assert r.tobytes() == op.matvec(row, one.out, one).tobytes()
+            assert _within(r, *_banded_bound(op, row))
+        z = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+        bound = op.bind_banded(z)
+        got = op.matvec(z, bound.out, bound)
+        assert got.dtype == complex
+        assert _within(got.real, *_banded_bound(op, z.real))
+        assert _within(got.imag, *_banded_bound(op, z.imag))
+
+
 def test_banded_binding_pads_and_wraps_its_halo():
     """The halo holds operand cells ``lo, lo + 1, ...`` mod n for ``M + 1``
-    windows of ``B`` cells less one, and the result buffer ``M B`` cells:
+    windows of ``B`` cells less one, and the product buffer ``M B`` cells:
     at n = 17 the ``rk4x2`` central ``Q`` (offsets -7..7, B = 15) has
-    ``M = 2`` and 13 padding cells.  The diagonal mass (B = 1) copies its
-    operand, contiguous or strided, in one run, and gets the per-block
+    ``M = 2`` and 13 padding cells.  The diagonal mass (B = 1) reads its
+    operand, contiguous or strided, without a copy, and gets the per-block
     bits: each result is one two-term dot either way."""
     g = ops.build_grid(17)
     scheme = solver.make_scheme(g, "central", 1.0)
@@ -837,7 +885,7 @@ def test_banded_binding_pads_and_wraps_its_halo():
     assert Q._band[:2] == (-7, 15)
     u, q = np.arange(34.0), np.empty(34)
     bound = Q.bind_banded(u, q)
-    halo, padded = bound.steps[0][0].base, bound.result.base
+    halo, padded = bound.steps[0][0].base, bound.steps[0][2].base
     assert halo.shape == (2 * (3 * 15 - 1),) and padded.shape == (2 * 2 * 15,)
     for dest, cells in bound.copies:
         dest[...] = cells
@@ -846,23 +894,20 @@ def test_banded_binding_pads_and_wraps_its_halo():
     assert M._band[1] == 1
     for operand in (u, np.arange(68.0)[::2]):
         bound = M.bind_banded(operand, q)
-        assert len(bound.copies) == 1
+        assert not bound.copies and np.shares_memory(bound.steps[0][0], operand)
         assert M.matvec(operand, q, bound).tobytes() == M.matvec(operand).tobytes()
 
 
 def test_banded_binding_refuses_what_does_not_fit():
-    """Only a 1-D float64 array of 2n entries, into one of the same shape
-    and dtype; a replay refuses another operator, operand or out, as a
-    per-block binding does."""
+    """The operand and ``out`` of a per-block binding, and nothing else; a
+    replay refuses another operator, operand or out, as a per-block
+    binding does."""
     g = ops.build_grid(16)
     D, u, out = ops.central_D(g), np.ones(32), np.empty(32)
-    for bad in (np.ones(32, complex), np.ones(32, np.float32), np.ones(32, int), [1.0] * 32):
-        with pytest.raises(ValueError, match="takes a float64 array"):
-            D.bind_banded(bad, out)
-    for bad in (np.ones(31), np.ones((1, 32)), np.ones((3, 32)), np.ones(64)):
+    for bad in (np.ones(31), np.ones((0, 32)), np.ones((1, 3, 32)), np.ones(64)):
         with pytest.raises(ValueError, match="expected shape"):
             D.bind_banded(bad, np.empty_like(bad))
-    for bad_out in (np.empty(31), np.empty(32, complex), np.empty((1, 32)), None, [0.0] * 32):
+    for bad_out in (np.empty(31), np.empty(32, complex), np.empty((1, 32)), [0.0] * 32):
         with pytest.raises(ValueError, match="out must be"):
             D.bind_banded(u, bad_out)
     bound = D.bind_banded(u, out)
@@ -876,8 +921,10 @@ def test_banded_binding_refuses_what_does_not_fit():
     ):
         with pytest.raises(ValueError, match="another operator, operand or out"):
             call()
-    # a per-block binding multiplies into out itself
-    assert D.bind(u, out).result is out
+    # a per-block binding sums into out and scales it there; a banded one
+    # scales its product buffer into out
+    assert all(step[4] is step[5] for step in D.bind(u, out).steps)
+    assert not any(np.shares_memory(step[4], out) for step in bound.steps)
 
 
 def test_norm_inf_matches_dense():

@@ -1428,6 +1428,37 @@ def test_workspace_binds_its_step_and_mass_matvecs():
     assert out.shape == (RK4X2.stages - 1, 1, 1)
 
 
+@pytest.mark.parametrize("variant", ["central", "upwind"])
+def test_a_composed_workspace_holds_no_scratch_of_the_state_size(variant):
+    """A composed workspace's bindings chunk their cells: each holds at most
+    two halos (its first and last chunk, which wrap) and one product
+    buffer, each of about one chunk of cells, and a per-block product
+    stack of ``#blocks`` chunks, whatever n is.  At n = 2e5, after one
+    step, tracemalloc finds no more than those arrays beyond the seven
+    state arrays: 1.0 MB central and 1.9 MB upwind, where banded bindings
+    that copy the whole ring and pad their result held 13.1 and 14.0 MB.
+    No scratch array holds more than its binding's chunks."""
+    import tracemalloc
+
+    n = 200_000
+    g = ops.build_grid(n)
+    s = make_scheme(g, variant, 1.0)
+    u0 = project_initial(g, solver.default_initial)
+    tracemalloc.start()
+    try:
+        ws = solver.Workspace.allocate(s, RK4X2, u0, composed=True)
+        rk_step(s, RK4X2, ws.u, 0.3 * g.dx, ws)
+        held = tracemalloc.get_traced_memory()[0] - 7 * ws.u.nbytes
+    finally:
+        tracemalloc.stop()
+    chunk = 16 * (ops._CHUNK + 32)  # bytes of one chunk of cells, with a halo's or a tail's cells
+    blocks = len(s.M_energy.blocks)
+    assert held <= (2 * 3 + 2 * (2 + blocks)) * chunk
+    for b, per_chunk in ((ws.Q_u, 1), (ws.D_q, 1), (ws.M_u, blocks), (ws.M_d, blocks)):
+        for x in [dest.base for dest, _ in b.copies] + [step[2].base for step in b.steps]:
+            assert x.nbytes <= per_chunk * chunk
+
+
 @pytest.mark.parametrize("a", [1.0, -1.0, 0.7])
 @pytest.mark.parametrize("variant", ["central", "upwind"])
 @pytest.mark.parametrize("n", [3, 16, 17, 1200, 8200])
@@ -1452,8 +1483,10 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
     scratch = [[x for x, _ in b.copies] + [step[2] for step in b.steps] for b in (ws.M_d, ws.M_u)]
     assert not any(np.may_share_memory(x, y) for x in scratch[0] for y in scratch[1])
     assert ws.M_u.u is u and ws.M_u.out is ws.Mu and ws.D_q.out is ws.d
-    # D (Q u) is banded, with a padded result buffer; M u is per block, into Mu itself
-    assert ws.D_q.result is not ws.d and ws.M_u.result is ws.Mu
+    # D (Q u) is banded and scales its product buffer into d; M u is per
+    # block and sums and scales into Mu itself
+    assert not any(np.shares_memory(step[4], ws.d) for step in ws.D_q.steps)
+    assert all(step[4] is step[5] for step in ws.M_u.steps)
     one_shot = _one_shot_composed_step(s, RK4X2)
     factors = []
     for dt in (0.3 * g.dx, 0.3 * g.dx, 0.1 * g.dx):
@@ -1463,7 +1496,8 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
         assert stages == () and u1 is ws.update
         assert (ws.d.tobytes(), u1.tobytes()) == (want_d.tobytes(), want.tobytes())
         factors.append(ws.Q)
-        assert ws.Q_u.result is not ws.q and ws.Q_u.u is u and ws.Q_u.out is ws.q
+        assert not any(np.shares_memory(step[4], ws.q) for step in ws.Q_u.steps)
+        assert ws.Q_u.u is u and ws.Q_u.out is ws.q
         gamma = relaxation_gamma(u, u1, stages, M, dt, workspace=ws)
         assert gamma == _reference_gamma(u, want, (), M, dt, want_d)
         u += 0.125 * np.sin(u)
