@@ -50,6 +50,21 @@ per block and accumulating into zeros.  Cells go through in chunks of
 holds at most ``#blocks * (_CHUNK + 1)`` cells whatever ``n`` is, and a
 large operand needs no per-block temporary of its size.
 
+A *diagonal* operator -- one block at offset 0 with zero off-diagonals,
+such as the diagonal mass -- is bound by its own rule in the same pass:
+per chunk, one multiply of the input's cells by the block's diagonal,
+tiled over one chunk of cells in an array the binding holds, and one by
+``scale``.  No window, halo, product stack or ``matmul``: at n = 1200 the
+bound product takes about 2.6 instead of 6 us.  The bits are the
+per-block ones, because the 2x2 product of a diagonal block is
+``round(c x + 0 y)``, and ``0 y`` is an exact zero, so with or without a
+fused multiply-add that is ``round(c x)``, the elementwise product; the
+sum from ``+0.0`` over one block adds nothing else.  Two exceptions: the
+sign of a zero result (the per-block sum turns ``-0.0`` into ``+0.0``,
+the elementwise product keeps it, before ``scale``), and a cell whose
+other entry ``y`` is infinite or NaN, which the 2x2 product spreads as
+``0 y = NaN`` and the diagonal rule does not.
+
 The operand may also be a stack of ``rows`` operands, shape ``(rows,
 2n)``, and the kernel is the same with one more leading axis: ``(rows,
 cells + 2h, 2)`` halos filled by the same copies, ``(rows, 2h + 1, cells,
@@ -60,6 +75,7 @@ single-operand call, so it gets that call's bits.  The chunk shrinks by
 powers of two as ``rows`` grows, to the largest whose stack stays within
 ``#blocks * (_CHUNK + 1)`` cells (never below two cells), so its edges
 still fall where a BLAS product over all ``n`` cells ends its row blocks.
+The diagonal rule holds no product stack, so its chunk does not shrink.
 A 1-D operand is a stack of one, and a stack of one runs without the
 leading axis.  The relaxed time stepper forms ``M d`` and every ``M f_i``
 in one such call.
@@ -68,34 +84,33 @@ A caller that applies an operator to the same arrays many times, like the
 time loop, binds the call once: ``BlockCirculantOp.bind(u, out)`` checks
 the operand and ``out`` and makes, in one pass over the chunks and straight
 from ``u`` and ``out``, the scratch arrays (each wrapping chunk's halo and
-one product buffer) and the steps over them: the halo copies, the windows
-and the products, each with its part of ``out``.  It returns them as a
-``MatvecBinding``.  ``matvec(u, out, binding)`` on that very operator,
-``u`` and ``out`` (``is``) replays the steps, reading whatever ``u`` holds
-then; a binding made for any other call raises.  A one-shot call is a
-binding made and replayed once.  Every binding makes its own scratch arrays
-and lends them to none, so bindings of one operator may be replayed in any
-order.  The kernel's scalars, the ``+0.0`` of the sums and ``scale``, are
-numpy scalars made once, which spares each call a conversion.  Every call
-runs one kernel body, so a bound call gives the bits of a one-shot call:
-the 2x2 products go to BLAS either way, because every operand and output
-view keeps unit stride in its last axis and at least two rows (OpenBLAS
-rounds with fused multiply-adds, which an elementwise product or numpy's
-fallback loop would not).
+one product buffer, or the tiled diagonal) and the steps over them: the
+halo copies, the windows and the products, each with its part of ``out``.
+It returns them as a ``MatvecBinding``.  ``matvec(u, out, binding)`` on
+that very operator, ``u`` and ``out`` (``is``) replays the steps, reading
+whatever ``u`` holds then; a binding made for any other call raises.  A
+one-shot call is a binding made and replayed once.  Every binding makes
+its own scratch arrays and lends them to none, so bindings of one operator
+may be replayed in any order.  The kernel's scalars, the ``+0.0`` of the
+sums and ``scale``, are numpy scalars made once, which spares each call a
+conversion, and a scale of exactly 1 makes no multiply at all, since ``x *
+1`` is ``x`` bit for bit.  Every call runs one kernel body, so a bound call
+gives the bits of a one-shot call: the 2x2 products go to BLAS either way,
+because every operand and output view keeps unit stride in its last axis
+and at least two rows (OpenBLAS rounds with fused multiply-adds, which an
+elementwise product or numpy's fallback loop would not).
 
 Both layouts make their bindings in that one pass
 (``BlockCirculantOp._bind``), and ``matvec`` replays both with one loop.
 A BLAS row is a window of ``w`` cells times ``A``: ``w = 1`` and ``A`` a
 block per-block, ``w = B`` and ``A`` the band's stack banded.  A chunk of
 ``m = ceil(cells / w)`` rows reads ``(m + 1) w + span - w - 1`` cells from
-its first cell plus the lowest offset, from the input where they do not
-wrap and from a halo of its own where they do; the last chunk takes a tail
-of ``w`` cells or fewer, so that no chunk is one row (numpy sends a
-one-row product to BLAS's vector kernel, which rounds differently).  Each
-binding has one product buffer, sized for its largest chunk, and each
-chunk's last step multiplies its result by ``scale`` into its entries of
-``out``: the block sums, already in ``out``, per block, and the product
-buffer banded.
+its first cell plus the lowest offset; the last chunk takes a tail of
+``w`` cells or fewer, so that no chunk is one row (numpy sends a one-row
+product to BLAS's vector kernel, which rounds differently).  Per block, a
+chunk reads its cells from the input where they do not wrap and from a
+halo of its own where they do, sums its products into its entries of
+``out`` and multiplies them there by ``scale``.
 
 - The *per-block* layout is the kernel above, with its bit contract: every
   one-shot call (``op @ u``, ``Scheme.rhs``, ``checks``, ``spectral``) and
@@ -104,21 +119,30 @@ buffer banded.
   mass products of both step kinds, so that the energy and the relaxation
   parameter keep the same bits on their one-shot and bound paths.
 - The *banded* layout (:meth:`BlockCirculantOp.bind_banded`) serves the
-  composed time step's two factors, ``Q u`` and ``D q``.  ``B`` is the span
-  of the stored offsets, ``max - min + 1``, at most ``n`` in the normal
-  form, and ``A`` the ``(2B, 2)`` stack of the transposed blocks by offset,
-  with zero rows where no block is stored.  Cell ``i``'s result is its
-  window, the ``2B`` doubles of cells ``i + min .. i + max``, times ``A``.
-  The windows of neighbouring cells overlap, and BLAS takes a matrix as it
-  is only if its row stride is at least its row length.  So a chunk's
-  cells are grouped by residue mod ``B``: the windows of cells ``c + r, c
-  + r + B, ...`` are consecutive rows of ``2B`` doubles in the input or
-  the chunk's halo, a matrix whose row stride equals its row length.  One
-  ``matmul`` of the ``(B, m, 2B)`` strided view of those matrices by ``A``
-  writes ``(B, m, 2)`` products, in cell order, into the product buffer of
-  ``m B`` cells (each residue has ``m`` rows, so the last may pass the
-  chunk's end), and the scale multiply reads the chunk's cells from it.
-  There is no product stack and no reduction.  The banded chunk does not
+  composed time step's two factors, ``Q u`` and ``D^ q``.  ``B`` is the
+  span of the stored offsets, ``max - min + 1``, at most ``n`` in the
+  normal form, and ``A`` the ``(2B, 2)`` stack of the transposed blocks by
+  offset, with zero rows where no block is stored.  Cell ``i``'s result is
+  its window, the ``2B`` doubles of cells ``i + min .. i + max``, times
+  ``A``.  The windows of neighbouring cells overlap, and BLAS takes a
+  matrix as it is only if its row stride is at least its row length.  So a
+  chunk's cells are grouped by residue mod ``B``: the windows of cells ``c
+  + r, c + r + B, ...`` are consecutive rows of ``2B`` doubles, a matrix
+  whose row stride equals its row length.  Its operand and ``out`` are
+  *ghost-celled*: arrays that hold the ring's cells with margins around
+  them (``_ghost_cells``), ``-min`` cells before it and ``min + 2B - 2``
+  after it to read (each residue's last row reads up to ``B - 1`` cells
+  past the chunk), of which ``B - 1`` also take the products of the last
+  residues' rows past the ring.  A call first refreshes the operand's
+  margins from its ring, one copy per side (more where a margin passes the
+  ring's end again, at small n).  Then each chunk is one ``matmul`` of the
+  ``(B, m, 2B)`` strided view of the operand itself by ``A``, whose ``(B,
+  m, 2)`` products go, in cell order, straight into a strided view of
+  ``out`` from the chunk's first cell (each residue has ``m`` rows, so the
+  last may pass the chunk's end, into cells the next chunk writes again).
+  There is no halo, no product buffer, no product stack and no reduction,
+  and the scale multiply reads ``out``'s own entries (none at scale 1:
+  the composed step's factors have scale 1).  The banded chunk does not
   shrink as ``rows`` grows: a residue's rows are one ``dgemm``, whose bits
   follow the chunk's edges (halving them moved ``Q``'s results by
   rounding), so each row of a stack keeps its one-row call's bits.  Each
@@ -128,28 +152,29 @@ buffer banded.
   past one chunk (n > ``_CHUNK`` + B) not those of one ``dgemm`` over the
   whole ring either.
   OpenBLAS's threaded ``dgemm`` splits the rows and columns of a product,
-  not its dots: unrelaxed composed runs at n = 8200 and 1e5 end in the
-  same bits with one and with two threads.  With every matvec
+  not its dots: composed runs at n = 1200, 8200 and 1e5 end in the same
+  bits with one and with two threads.  With every matvec
   banded, relaxed upwind ``rk4x2`` (n = 48, a = -1) landed 1.25e-11 from
   ``perfbench``'s references and the chaotic relaxed central ``ssprk33``
   (n = 128) 6.25e-2: the per-block layout stays until those references are
   re-recorded.  At n = 1200 the composed ``rk4x2`` ``Q`` (B = 15) takes
-  about 18 instead of 48 us per bound call and ``D`` 10 instead of 18 us;
-  at n = 8200, 82 instead of 422 us and 49 instead of 93 us (shared 2-vCPU
-  x86 host, one BLAS thread).
+  about 7 instead of 48 us per bound call (per block) and ``D^`` about 4
+  instead of 18 us (shared 2-vCPU x86 host, one BLAS thread).
 
-The relaxed time stepper depends on that exactness: its step rescaling
-divides energy estimates that nearly cancel, so a kernel that only
-reassociates the sums (a CSR matrix, or ``scale`` folded into the entries)
-moves relaxed trajectories by far more than rounding.  Folding ``scale`` in
-would also break the exactly-zero integer row sums the consistency checks
-rely on.  A factor applied after the matvec is another matter:
-``(x * scale) * c`` and ``x * (scale * c)`` are the same bits whenever
-multiplying by ``c`` is exact.  At ``c = -1`` it always is, since rounding
-is symmetric, so the solver folds ``-a`` into the scale at ``|a| = 1``.  At
-other powers of two it is exact only while nothing is subnormal: a
-subnormal ``x * scale`` has already lost bits that ``x * (2 scale)``
-keeps, so there both roundings stay.
+The relaxed time stepper depends on the per-block layout's exactness: its
+step rescaling divides energy estimates that nearly cancel, so a kernel
+that only reassociates the sums (a CSR matrix, or ``scale`` folded into
+the entries) moves relaxed trajectories by far more than rounding.
+Folding ``scale`` in would also break the exactly-zero integer row sums
+the consistency checks rely on.  (The composed step's ``Q`` is another
+matter: it is banded, with a rounding bound and no bit contract, and
+takes ``-a dt / dx`` into its blocks.)  A factor applied after the matvec
+is another matter too: ``(x * scale) * c`` and ``x * (scale * c)`` are
+the same bits whenever multiplying by ``c`` is exact.  At ``c = -1`` it
+always is, since rounding is symmetric, so the solver folds ``-a`` into
+the scale at ``|a| = 1``.  At other powers of two it is exact only while
+nothing is subnormal: a subnormal ``x * scale`` has already lost bits that
+``x * (2 scale)`` keeps, so there both roundings stay.
 """
 
 from __future__ import annotations
@@ -236,6 +261,17 @@ def _halo(first: int, count: int, n: int) -> list[tuple[slice, slice]]:
         runs.append((slice(2 * k, 2 * (k + run)), slice(2 * c, 2 * (c + run))))
         k += run
     return runs
+
+
+def _ghost_cells(lo: int, span: int) -> tuple[int, int]:
+    """Cells a ghost-celled array holds before and after its ring, for a band of ``span`` from ``lo``.
+
+    A banded chunk reads the windows of its residues' ``m`` rows, up to
+    ``B - 1`` cells past its last row, and writes ``m B`` rows, up to ``B -
+    1`` cells past its end.  So the operand reads ``-lo`` cells before the
+    ring and ``lo + 2B - 2`` after it, and ``out`` takes ``B - 1`` after it.
+    """
+    return max(0, -lo), max(span - 1, lo + 2 * span - 2)
 
 
 def _norm_inf(parts: np.ndarray) -> np.ndarray:
@@ -365,14 +401,19 @@ class MatvecBinding(NamedTuple):
     """One :meth:`BlockCirculantOp.matvec` call's set-up, from :meth:`BlockCirculantOp.bind`
     or :meth:`BlockCirculantOp.bind_banded`.
 
-    A call replays ``copies``, the halo copies ``(destination, source)``,
-    and ``steps``, the products ``(windows, A, products, sums, scaled,
-    part)`` of each chunk, only when it is a call of ``op`` on ``u`` into
-    ``out``, all three the very objects bound.  A chunk's last step
-    multiplies ``scaled`` by the scale into ``part``, its entries of
-    ``out``: the block sums in ``out`` itself in the per-block layout, the
-    product buffer in the banded one.  The halos and the product buffer
-    are the binding's own: no other binding writes them.
+    A call replays ``copies``, the copies ``(destination, source)`` into
+    the halos (per block) or the operand's margins (banded), and
+    ``steps``, ``(product, x, A, products, sums, summed, scaled)`` per
+    chunk, only when it is a call of ``op`` on ``u`` into ``out``, all
+    three the very objects bound.  A step calls ``product(x, A,
+    products)``: ``np.matmul`` of the windows ``x``, into the product stack
+    (per block) or a strided view of ``out`` (banded), or ``np.multiply``
+    of the chunk's cells by the tiled diagonal into its entries of ``out``
+    (the diagonal rule).  Per block, the chunk's last step reduces
+    ``sums`` into ``summed``, its entries of ``out``.  ``scaled``, those
+    entries, is then multiplied by the scale in place, unless the scale is
+    1 (``scaled`` None).  The halos, the product stack and the tiled
+    diagonal are the binding's own: no other binding writes them.
     """
 
     op: "BlockCirculantOp"
@@ -451,6 +492,16 @@ class BlockCirculantOp:
         return scale
 
     @functools.cached_property
+    def _diagonal(self) -> Optional[np.ndarray]:
+        """The block's diagonal ``(point, average)`` when the operator is one
+        block at offset 0 with zero off-diagonals, which :meth:`bind` applies
+        elementwise; None for any other operator."""
+        a = self.blocks.get(0)
+        if len(self.blocks) != 1 or a is None or a[0, 1] != 0.0 or a[1, 0] != 0.0:
+            return None
+        return a.diagonal().copy()
+
+    @functools.cached_property
     def _plan(self) -> tuple[int, slice | np.ndarray, np.ndarray]:
         """Halo width ``h = max |j|``, window selector and stacked ``A_j^T``.
 
@@ -469,38 +520,13 @@ class BlockCirculantOp:
         select = slice(first, first + len(starts)) if consecutive else np.array(starts)
         return h, select, self.stack.transpose(0, 2, 1).copy()
 
-    def bind(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> MatvecBinding:
-        """The set-up of a :meth:`matvec` call on ``u`` into ``out`` in the per-block layout.
-
-        A window is one cell, and the ``2h + 1`` windows around a cell hold
-        every block's operand; each block's products go to the product
-        stack, whose block sum goes to ``out``.  Windows selected by a
-        slice make one batched product per chunk; by an index array, one
-        product per block, since a gathered copy would not see the next
-        operand.  See :meth:`_bind`.
-        """
-        h, select, a_t = self._plan
-        return self._bind(u, out, -h, 2 * h + 1, 1, select, a_t)
-
-    def _bind(self, u, out, lo, span, w, select, a_t) -> MatvecBinding:
-        """The one pass over the chunks behind :meth:`bind` and :meth:`bind_banded`.
-
-        ``u`` and ``out`` are checked as a call checks them (``out`` None
-        makes a new array).  Row ``k`` of a chunk from cell ``c`` multiplies
-        window ``s < span``, the ``w`` cells from ``c + lo + s + k w``, by
-        ``A``; the module docstring has the rest.  A chunk reads its cells
-        from the operand where they do not wrap, if ``u`` is C-contiguous
-        and ``out`` does not overlap it, and always at span 1 from ``lo =
-        0``; any other chunk reads them from a halo of its own.  ``select``
-        None is the banded layout: one product per chunk, no block sum, and
-        a chunk that does not shrink with the rows.  The steps' arrays are
-        views, valid as long as ``u``, ``out``, the halos and the product
-        buffer are; no other binding shares the latter two.
-        """
+    def _operands(self, u, out, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """``u`` as an array of shape ``(size,)`` or ``(rows, size)``, and
+        ``out`` of its shape and the result dtype (None makes a new one);
+        anything else raises :class:`ValueError`."""
         u = np.asarray(u)
-        n = self.n
-        if u.shape != (2 * n,) and (u.ndim != 2 or u.shape[1] != 2 * n or not len(u)):
-            raise ValueError(f"expected shape ({2 * n},) or (rows, {2 * n}), got {u.shape}")
+        if u.shape != (size,) and (u.ndim != 2 or u.shape[1] != size or not len(u)):
+            raise ValueError(f"expected shape ({size},) or (rows, {size}), got {u.shape}")
         dtype = np.promote_types(u.dtype, float)
         # the result before the scratch arrays: it outlives them, and large
         # scratch arrays freed above it leave the heap less fragmented
@@ -509,6 +535,46 @@ class BlockCirculantOp:
         elif not isinstance(out, np.ndarray) or out.shape != u.shape or out.dtype != dtype:
             got = f"{out.shape} {out.dtype}" if isinstance(out, np.ndarray) else type(out).__name__
             raise ValueError(f"out must be a {u.shape} array of {dtype}, got {got}")
+        return u, out
+
+    def bind(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> MatvecBinding:
+        """The set-up of a :meth:`matvec` call on ``u`` into ``out`` in the per-block layout.
+
+        A window is one cell, and the ``2h + 1`` windows around a cell hold
+        every block's operand; each block's products go to the product
+        stack, whose block sum goes to ``out``.  Windows selected by a
+        slice make one batched product per chunk; by an index array, one
+        product per block, since a gathered copy would not see the next
+        operand.  A diagonal operator (:attr:`_diagonal`) is two multiplies
+        per chunk instead, with the same bits.  See :meth:`_bind`.
+        """
+        u, out = self._operands(u, out, 2 * self.n)
+        if self._diagonal is not None:
+            return self._bind(u, out, 0, 1, 1, None, self._diagonal)
+        h, select, a_t = self._plan
+        return self._bind(u, out, -h, 2 * h + 1, 1, select, a_t)
+
+    def _bind(self, u, out, lo, span, w, select, a_t, ghosts=None) -> MatvecBinding:
+        """The one pass over the chunks behind :meth:`bind` and :meth:`bind_banded`.
+
+        ``u`` and ``out`` come checked (:meth:`_operands`).  Row ``k`` of a
+        chunk from cell ``c`` multiplies window ``s < span``, the ``w``
+        cells from ``c + lo + s + k w``, by ``A``; the module docstring has
+        the rest.  ``ghosts`` an int is the banded layout on ghost-celled
+        arrays: the ring starts at cell ``ghosts`` of both, every chunk
+        reads its windows from ``u`` and writes its products into ``out``,
+        and the steps begin by refreshing ``u``'s margins.  Otherwise
+        ``select`` None is the diagonal rule, ``A`` the block's diagonal:
+        each chunk multiplies its cells by the diagonal, tiled over the
+        largest chunk's cells, and by ``scale``.  Any other call is per
+        block: a chunk reads its cells from the operand where they do not
+        wrap, if ``u`` is C-contiguous and ``out`` does not overlap it, and
+        always at span 1 from ``lo = 0``; any other chunk reads them from a
+        halo of its own.  A scale of exactly 1 makes no multiply: ``x * 1``
+        is ``x``, bit for bit.  The steps' arrays are views, valid as long
+        as ``u``, ``out`` and the binding's own scratch arrays are.
+        """
+        n = self.n
         rows = len(u) if u.ndim == 2 else 1
         operand, result = (u[0], out[0]) if u.ndim == 2 and rows == 1 else (u, out)
         stack = (rows,) if rows > 1 else ()
@@ -521,35 +587,49 @@ class BlockCirculantOp:
         # the last chunk takes a tail of w cells or fewer: no one-row product,
         # which numpy sends to BLAS's vector kernel, which rounds differently
         edges = [0, *range(chunk, n - w, chunk), n]
-        # the product buffer of the largest chunk: the banded products of
-        # its rows of w cells, or the per-block stack of its cells
-        most = -(-min(n, chunk + w) // w)
-        shape = (2 * w * most,) if select is None else (len(a_t), most, 2)
-        products = np.empty((*stack, *shape), dtype)
+        most = -(-min(n, chunk + w) // w)  # rows of the largest chunk
+        copies, steps, g = [], [], ghosts or 0
+        if ghosts is not None:
+            before, after = _ghost_cells(lo, span)
+            # the margins: cells -before..-1 and n..n + after - 1 of the ring
+            ring = operand[..., 2 * g : 2 * (g + n)]
+            for first, count in ((-before, before), (n, after)):
+                margin = operand[..., 2 * (g + first) :]
+                copies += [(margin[..., to], ring[..., cells]) for to, cells in _halo(first, count, n)]
+        elif select is None:
+            a_t = np.tile(a_t, most)
+        else:
+            products = np.empty((*stack, len(a_t), most, 2), result.dtype)
         direct = u.flags.c_contiguous and not np.may_share_memory(u, out)
-        copies, steps = [], []
         for c, stop in zip(edges, edges[1:]):
             m = -(-(stop - c) // w)
-            first, count = c + lo, (m + 1) * w + span - w - 1
+            entries = result[..., 2 * (g + c) : 2 * (g + stop)]
+            scaled = None if self.scale == 1.0 else entries
+            if ghosts is not None:
+                windows = _windows(operand, g + c + lo, (span, m, 2 * w), w)
+                prods = _windows(result, g + c, (span, m, 2), w)
+                steps.append((np.matmul, windows, a_t, prods, None, None, scaled))
+                continue
+            if select is None:
+                cells = operand[..., 2 * c : 2 * stop]
+                steps.append((np.multiply, cells, a_t[: 2 * (stop - c)], entries, None, None, scaled))
+                continue
+            first, count = c + lo, m + span - 1
             if span == 1 and not lo or direct and 0 <= first and first + count <= n:
                 x = operand
             else:
                 x, first = np.empty((*stack, 2 * count), u.dtype), 0
                 copies += [(x[..., into], operand[..., cells]) for into, cells in _halo(c + lo, count, n)]
-            windows = _windows(x, first, (span, m, 2 * w), w)
-            entries = result[..., 2 * c : 2 * stop]
-            if select is None:
-                prods = _windows(products, 0, (span, m, 2), w)
-                steps.append((windows, a_t, prods, None, products[..., : 2 * (stop - c)], entries))
-                continue
+            windows = _windows(x, first, (span, m, 2), 1)
             part = products[..., :m, :]
             sums = part.reshape(*stack, len(a_t), 2 * m)
             if isinstance(select, slice):
-                steps.append((windows[..., select, :, :], a_t, part, sums, entries, entries))
+                steps.append((np.matmul, windows[..., select, :, :], a_t, part, sums, entries, scaled))
                 continue
             for i, s in enumerate(select.tolist()):
-                steps.append((windows[..., s, :, :], a_t[i], part[..., i, :, :], None, None, None))
-            steps[-1] = (*steps[-1][:3], sums, entries, entries)
+                product = (np.matmul, windows[..., s, :, :], a_t[i], part[..., i, :, :])
+                steps.append((*product, None, None, None))
+            steps[-1] = (*steps[-1][:4], sums, entries, scaled)
         return MatvecBinding(self, u, out, tuple(copies), tuple(steps))
 
     @functools.cached_property
@@ -568,20 +648,61 @@ class BlockCirculantOp:
         stack.setflags(write=False)
         return lo, span, stack
 
-    def bind_banded(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> MatvecBinding:
-        """The set-up of a :meth:`matvec` call on ``u`` into ``out`` in the banded layout.
+    @classmethod
+    def _from_band(cls, n: int, dx: float, lo: int, band: np.ndarray) -> "BlockCirculantOp":
+        """The operator of scale 1 whose banded layout multiplies by ``band``, built without a dict.
+
+        ``band`` is a C-contiguous ``(B, 2, 2)`` stack of the transposed
+        blocks at offsets ``lo .. lo + B - 1``, all in the normal form's
+        range ``[-n//2, n - n//2)``: the caller has summed the offsets that
+        alias.  It becomes :attr:`_band` as it is, zero rows included, and
+        ``blocks`` and ``stack`` hold its nonzero blocks by increasing
+        offset, the normal form of the same operator.
+        """
+        span = len(band)
+        if lo < -(n // 2) or lo + span > n - n // 2:
+            raise ValueError(f"offsets {lo}..{lo + span - 1} are not reduced mod n = {n}")
+        band.setflags(write=False)
+        keep = band.reshape(span, 4).any(axis=1)
+        stack = band.transpose(0, 2, 1)[keep]
+        stack.setflags(write=False)
+        op = object.__new__(cls)
+        blocks = dict(zip(itertools.compress(range(lo, lo + span), keep), stack))
+        for name, value in zip(("n", "dx", "scale", "blocks", "stack"), (n, dx, 1.0, blocks, stack)):
+            object.__setattr__(op, name, value)
+        op.__dict__["_band"] = (lo, span, band.reshape(2 * span, 2))
+        return op
+
+    def bind_banded(self, u: np.ndarray, out: np.ndarray, ghosts: int) -> MatvecBinding:
+        """The set-up of a :meth:`matvec` call on ghost-celled ``u`` and ``out`` in the banded layout.
 
         Cell ``i``'s result is its window, cells ``i + lo .. i + lo + B -
         1``, times the ``(2B, 2)`` stack of ``_band``, so ``w`` is the span
         ``B``: a chunk's residues mod ``B`` are one ``(B, m, 2B)`` strided
-        view and one ``matmul`` (see the module docstring and
-        :meth:`_bind`).  ``u`` and ``out`` are those of :meth:`bind`.  Each
-        result is one ``2B``-term dot in BLAS's order, scaled once: within
-        ``2B eps |scale| (|A| |u|)_i + eps |result_i|`` of the exact
-        product, not the bits of :meth:`bind`'s per-block layout.
+        view of ``u`` and one ``matmul`` into a strided view of ``out`` (see
+        the module docstring and :meth:`_bind`).  ``u`` and ``out`` are
+        ghost-celled: of one shape, ``(size,)`` or ``(rows, size)``, with
+        the ring's ``2n`` entries from cell ``ghosts`` on and at least the
+        cells :func:`_ghost_cells` gives before and after it.  Both are
+        C-contiguous and do not overlap.  Each call first refreshes ``u``'s
+        margins from its ring, and writes ``out``'s ring and the cells after
+        it.  Each result is one ``2B``-term dot in BLAS's order, scaled
+        once: within ``2B eps |scale| (|A| |u|)_i + eps |result_i|`` of the
+        exact product, not the bits of :meth:`bind`'s per-block layout.
         """
         lo, span, stack = self._band
-        return self._bind(u, out, lo, span, span, None, stack)
+        before, after = _ghost_cells(lo, span)
+        size = np.shape(u)[-1] if np.ndim(u) else 0
+        fits = isinstance(ghosts, int) and ghosts >= before and size % 2 == 0
+        if not (fits and size // 2 - ghosts - self.n >= after):
+            raise ValueError(
+                f"a banded operand holds at least {before} ghost cells before its {self.n} "
+                f"and {after} after them, got {ghosts} before in {size} entries"
+            )
+        u, out = self._operands(u, out, size)
+        if not (u.flags.c_contiguous and out.flags.c_contiguous) or np.may_share_memory(u, out):
+            raise ValueError("a banded operand and out must be C-contiguous and must not overlap")
+        return self._bind(u, out, lo, span, span, None, stack, ghosts)
 
     def matvec(
         self,
@@ -603,7 +724,10 @@ class BlockCirculantOp:
         ``+0.0``, as zeros do).  See the module docstring for why no
         reassociating kernel (CSR) is used.
         Windows that are not consecutive in insertion order are multiplied
-        block by block, with the same 2x2 products.
+        block by block, with the same 2x2 products.  A diagonal operator is
+        applied elementwise, with the same bits but for two exceptions (see
+        the module docstring): the sign of a zero result, and a non-finite
+        neighbour entry, which the 2x2 product spreads as NaN.
 
         ``u`` may be a stack of operands, shape ``(rows, 2n)``: the result
         has its shape, and each row is the call on that row alone, bit for
@@ -615,10 +739,11 @@ class BlockCirculantOp:
         call is one-shot: ``bind(u, out)`` replayed once, with a new
         array when ``out`` is None.  With a ``binding`` from :meth:`bind`
         for this operator, ``u`` and ``out``, it replays the bound set-up.
-        A binding from :meth:`bind_banded` replays the banded layout
-        through the same loop, with that layout's rounding instead of the
-        contract above.  An operand or ``out`` that does not fit, or a
-        binding made for another call, raises :class:`ValueError`.
+        A binding from :meth:`bind_banded` replays the banded layout on its
+        ghost-celled arrays through the same loop, with that layout's
+        rounding instead of the contract above.  An operand or ``out`` that
+        does not fit, or a binding made for another call, raises
+        :class:`ValueError`.
         """
         if binding is None:
             _, _, out, copies, steps = self.bind(u, out)
@@ -629,12 +754,12 @@ class BlockCirculantOp:
         for halo, cells in copies:
             halo[...] = cells
         # positional out: the same ufunc loops, with less argument parsing
-        for windows, a_t, products, sums, scaled, part in steps:
-            np.matmul(windows, a_t, products)
+        for product, x, a, products, sums, summed, scaled in steps:
+            product(x, a, products)
             if sums is not None:
-                np.add.reduce(sums, -2, None, scaled, False, _ZERO)
+                np.add.reduce(sums, -2, None, summed, False, _ZERO)
             if scaled is not None:
-                np.multiply(scaled, self._scale, part)
+                np.multiply(scaled, self._scale, scaled)
         return out
 
     def dense(self) -> np.ndarray:
@@ -864,9 +989,15 @@ def upwind_mass(grid: Grid, m_v: float = 1.0) -> BlockCirculantOp:
     """The unique pentadiagonal mass matrix adjoint-pairing the one-sided operators.
 
     Equals :func:`banded_mass` at ``m_p = 2 m_v / 3``, ``m_vv = 0`` (hence
-    ``m_vp = -m_v/2``, ``m_pp = m_v/6``).  Positive semidefinite for
-    ``m_v > 0`` with one zero eigenvalue, eigenvector ``1``; every row sums
-    to zero.
+    ``m_vp = -m_v/2``, ``m_pp = m_v/6``).  In exact arithmetic it is
+    positive semidefinite for ``m_v > 0`` with one zero eigenvalue,
+    eigenvector ``1``, and every row sums to zero.  The stored
+    coefficients are not exact: ``1/6`` and ``2/3`` round, so at ``m_v =
+    1`` the stored point row ``(1/6, -1/2, 2/3, -1/2, 1/6)`` sums to
+    ``-2**-54`` (-5.6e-17) exactly and to -8.3e-17 as the matvec adds it,
+    ``M @ 1`` has point entries of -8.3e-17 dx (the average rows sum to
+    zero), and ``1^T M 1`` is -5.2e-16 on ``[0, 2 pi]`` at every n: in
+    float64 the stored mass is indefinite.
     """
     m_v = float(m_v)
     return banded_mass(grid, MassParams(m_v=m_v, m_p=2.0 * m_v / 3.0))

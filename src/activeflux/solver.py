@@ -12,26 +12,28 @@ is a fixed polynomial of ``Z = -a dt D``: ``u_next = R(Z) u`` with ``R(z) =
 sum_j c_j z^j`` (:func:`_stability_coefficients`).  A run whose loop reads
 no stage data -- every unrelaxed run, and a relaxed one whose stage
 estimate vanishes at a linearly stable step -- composes its steps: it
-forms the difference ``d = R(Z) u - u = Z Q(Z) u`` in two matvecs, ``d = D
-(Q u)``, with ``Q = -a dt sum_(j < s) c_(j+1) z^j D^^j``, ``D^`` the
-derivative's exact integer stencil and ``z = -a dt / dx``.  The powers
-``D^^j`` are formed once per run (:func:`_stencil_powers`); each step size
-re-weights them into one operator (:func:`_composed_factor`), so a clipped
-last step forms no new powers.  ``d`` is written as it is, never as
-``u_next - u``, which cancels to an error of eps ``|u|`` and, for small
-steps, moves the relaxation parameter far past rounding.  A composed step
-makes 4 matvec calls relaxed (``Q u``, ``D (Q u)``, ``M d`` and the energy's
-``M u``) and 3 unrelaxed, where the stages made ``s + 2`` and ``s + 1``: 10
-and 9 for ``rk4x2``.
+forms the difference ``d = R(Z) u - u = Z Q^(Z) u`` in two matvecs, ``d =
+D^ (Q u)``, with ``D^`` the derivative's exact integer stencil, ``z = -a
+dt / dx`` and ``Q = z sum_(j < s) c_(j+1) z^j D^^j``: ``z`` lives in
+``Q``'s blocks, and both factors have scale 1, so neither matvec
+multiplies by a scale.  The powers ``D^^j`` are formed once per run
+(:func:`_stencil_powers`); each step size re-weights them into one
+operator (:func:`_composed_factor`), so a clipped last step forms no new
+powers.  ``d`` is written as it is, never as ``u_next - u``, which
+cancels to an error of eps ``|u|`` and, for small steps, moves the
+relaxation parameter far past rounding.  A composed step makes 4 matvec
+calls relaxed (``Q u``, ``D^ q``, ``M d`` and the energy's ``M u``) and 3
+unrelaxed, where the stages made ``s + 2`` and ``s + 1``: 10 and 9 for
+``rk4x2``.
 
-``D`` stays a factor of its own, with its own ``1/dx`` scale.  Rounding
-``Q``'s entries perturbs ``Q`` by a few eps relative, and the exact stencil
-annihilates the constant part of that perturbation on the point rows and
-the average rows alike, so the errors do not pile up from step to step.
-One rounded ``P - I = sum_(j >= 1) c_j Z^j`` of 17 blocks lets them pile
-up: over one period of relaxed central ``rk4x2`` at n = 1200 it lands
-2.3-3.8e-13 from an 80-bit run (two ways of forming it), where the split
-form lands 1.3-1.4e-14 (the stage loop 3.1-3.7e-14).
+``D^`` stays a factor of its own.  Rounding ``Q``'s entries perturbs
+``Q`` by a few eps relative, and the exact stencil annihilates the
+constant part of that perturbation on the point rows and the average rows
+alike, so the errors do not pile up from step to step.  One rounded ``P -
+I = sum_(j >= 1) c_j Z^j`` of 17 blocks lets them pile up: over one period
+of relaxed central ``rk4x2`` at n = 1200 it lands 2.3-3.8e-13 from an
+80-bit run (two ways of forming it), where the split form lands
+1.0-1.1e-14 (the stage loop 3.1-3.7e-14).
 
 A run that keeps the stage estimate -- relaxed upwind runs, and relaxed
 central runs whose step is not linearly stable -- steps through the
@@ -72,33 +74,29 @@ At the benchmark's sizes (n = 16 to 128) a step's time is mostly the fixed
 cost of its numpy calls, not their arithmetic.  A stage step's bound
 matvec of a derivative makes six: three halo copies, one batched
 ``matmul`` (one BLAS ``dgemm`` per block), one reduction and one scaling;
-one of the diagonal mass makes three.  A composed step binds ``Q u`` and
-``D (Q u)`` in the banded layout
-(:meth:`~activeflux.operators.BlockCirculantOp.bind_banded`): up to n =
-8192 + B, one chunk, each makes three halo copies (the wrapped cells
-before 0, the ring, and the wrapped and padding cells after it, which take
-a fourth copy where they pass the ring's end again, as for ``rk4x2`` at n
-= 16), one ``matmul`` of one ``dgemm`` per residue of the offset span, and
-one scaling.  Past one chunk only the first and the last chunk copy
-halos, the chunks between read ``u`` or ``q`` directly, and each chunk
-is one ``matmul`` and one scaling: neither binding holds scratch of the
-state's size.  At n = 1200 a
-relaxed composed step makes 23 numpy calls: 10 in ``Q u`` and ``D (Q u)``, 1 for
-``u + d``, 6 in :func:`relaxation_gamma` (``M d`` and three dots, one of
-them the cut-off's ``u.Mu``), 2 for the relaxed update and 4 for the
-energy.  The stage estimate's dots ``y_i M f_i`` of stages 2..s are one
-batched ``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n, 1)``, which
-numpy takes row by row to the same ``cblas_ddot``.  Measured in process
-(shared 2-vCPU host, one BLAS thread, the second fastest to the second
-slowest of 8 runs alternating with per-block bindings of ``Q`` and
-``D``), a relaxed central ``rk4x2``
-run of one period takes 135-178 ms instead of 227-293 ms at n = 1200 (the
-stage loop: 545-580 ms), and 6.9-8.6 ms instead of 7.6-9.6 ms at n = 128;
-unrelaxed central and upwind ``rk4x2`` at n = 1200 take 85-92 and 95-130
-ms instead of 157-188 and 149-204 ms.  Banded, the composed ``Q`` of
-``rk4x2`` (15 blocks) writes no 15-row product stack to sum, which at n
->= 5000 no longer fits in cache: 150 relaxed central steps (medians) take
-42 instead of 95 ms at n = 8200 and 101 instead of 182 ms at n = 20000.
+one of the diagonal mass makes two multiplies (its elementwise rule).  A
+composed step binds ``Q u`` and ``D^ q`` in the banded layout
+(:meth:`~activeflux.operators.BlockCirculantOp.bind_banded`), on the
+ghost-celled arrays of ``u``, ``q`` and ``d``: up to n = 8192 + B, one
+chunk, each refreshes its operand's margins in two copies (a third where
+the cells after the ring pass its end again, as for ``rk4x2`` at n = 16)
+and makes one ``matmul`` of one ``dgemm`` per residue of the offset span,
+straight from the operand into ``q`` or ``d``.  Past one chunk each chunk
+is one more ``matmul``.  Neither binding holds a halo, a product buffer
+or a scale multiply.  At n = 1200 a relaxed composed step makes 16 numpy
+calls, where it made 23 with halos, product buffers, scaled factors and a
+per-block diagonal mass: 6 in ``Q u`` and ``D^ q``, 1 for ``u + d``, 4 in
+:func:`relaxation_gamma` (``M d`` in two multiplies and two dots: the
+cut-off's ``u.Mu`` is the energy's own dot, read from the workspace), 2
+for the relaxed update and 3 for the energy (``M u`` and one dot).  The
+stage estimate's dots ``y_i M f_i`` of stages 2..s are one batched
+``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n, 1)``, which numpy takes
+row by row to the same ``cblas_ddot``.  Measured in process (shared 2-vCPU
+x86 host, one BLAS thread, medians of three processes per side
+alternating with the halo-copying code), a relaxed central ``rk4x2`` step
+takes 25.7 instead of 38.4 us at n = 1200, 20.8 instead of 31.1 us at n
+= 128 and 128 instead of 184 us at n = 8200; at n = 1200 the energy 3.6
+instead of 7.1 us and :func:`relaxation_gamma` 5.8 instead of 10.0 us.
 
 :func:`run_experiment` allocates one :class:`Workspace` per run, of one of
 two kinds: a :class:`_StageStep` or a :class:`_ComposedStep`.  Each holds
@@ -112,7 +110,7 @@ with ``M``; each new state overwrites the old one.  The steps allocate no
 array of the state's size.  A stage workspace runs each operation as the
 plain stage loop does, on the same operands in the same order, so its
 trajectories are the same bits as fresh arrays; a composed one has the
-bits of fresh banded bindings of ``Q`` and ``D``.
+bits of fresh banded bindings of ``Q`` and ``D^``.
 
 The workspace also does each step's set-up once per run.  A stage
 workspace holds the folds' numpy calls with their arrays, the stage list,
@@ -120,9 +118,10 @@ one matvec binding
 (:meth:`~activeflux.operators.BlockCirculantOp.bind`) per stage state and
 derivative pair, and the bindings of ``M u`` and of the stack of ``M f_i``
 and ``M d``; each binding makes its own scratch arrays.  A composed
-workspace holds the stencil powers, ``Q`` with its banded binding (made
-again when ``dt`` changes), the banded binding of ``D (Q u)``, and the
-per-block bindings of ``M u`` and ``M d``.  Each kind
+workspace holds the stencil powers, the ghost-celled arrays of ``u``,
+``q`` and ``d``, ``Q`` with its banded binding (made again when ``dt``
+changes), ``D^`` with its banded binding, and the bindings of ``M u`` and
+``M d``.  Each kind
 has a ``run(dt)``, the step, and a ``gamma_terms``, which gives
 :func:`relaxation_gamma` the step's ``d``, ``M d`` and stage dots.
 
@@ -149,8 +148,9 @@ process at n = 32 and 128 (medians, shared 2-vCPU host): the radius takes
 80-90 us and a stage workspace 120 us.  A composed workspace takes about
 as long as a stage one (145-175 against 145-170 us in a busier hour), the
 stencil powers' 100-110 us in place of the stage bindings; forming ``Q``
-for a step size takes 23-36 us and its banded binding 13-27 us (the
-per-block one took 31-44 us).
+for a step size takes about 19 us at n = 128 to 8200 (28 us when it went
+through the operator's constructor and restacked its band) and its
+banded binding about 11 us.
 
 At ``|a| = 1`` the right-hand side ``-a D u`` folds ``-a`` into the scale
 of ``D``, which is exact (:attr:`Scheme.rhs_operator`): one scaling pass
@@ -414,14 +414,16 @@ class Scheme:
         return f
 
     def energy(self, u: np.ndarray, workspace: Optional["Workspace"] = None) -> float:
-        """``u^T M u``; with a workspace, ``M u`` goes into its ``Mu`` buffer.
+        """``u^T M u``; with a workspace, ``M u`` goes into its ``Mu`` buffer
+        and the energy into its ``uMu``, which :func:`relaxation_gamma` reads.
 
         A workspace takes only its own state ``u``: the binding of ``M u``
         refuses any other array with :class:`ValueError`.
         """
         if workspace is None:
             return float(u @ (self.M_energy @ u))
-        return float(self.M_energy.matvec(u, workspace.Mu, workspace.M_u).dot(u))
+        workspace.uMu = float(self.M_energy.matvec(u, workspace.Mu, workspace.M_u).dot(u))
+        return workspace.uMu
 
 
 def make_scheme(grid: Grid, variant: str, advection_speed: float = 1.0) -> Scheme:
@@ -451,7 +453,8 @@ class Workspace:
     ``u`` is the run's state, ``d`` a step's difference and ``Md`` its
     product with ``M``.  ``tmp`` holds one scaled term, ``(dt c) k_j`` or
     ``gamma d``, before it is added, and ``Mu`` takes ``M u``, through the
-    binding ``M_u``.  ``update`` is the state ``u + d`` a step returns and
+    binding ``M_u``; ``uMu`` is the energy ``u.Mu`` of the state last
+    measured (NaN before the first).  ``update`` is the state ``u + d`` a step returns and
     ``stages`` the stage list it returns with it.  Each kind's ``run(dt)`` is
     the step :func:`rk_step` replays on ``u``, and its ``gamma_terms`` gives
     :func:`relaxation_gamma` what it reads of the step.  The two kinds are
@@ -459,7 +462,7 @@ class Workspace:
     and binding its runs use, and none of its fields is left unset.
     """
 
-    __slots__ = ("scheme", "method", "u", "d", "Md", "tmp", "Mu", "M_u", "update", "stages")
+    __slots__ = ("scheme", "method", "u", "d", "Md", "tmp", "Mu", "uMu", "M_u", "update", "stages")
 
     @staticmethod
     def allocate(
@@ -511,6 +514,7 @@ class _StageStep(Workspace):
         self.u, self.d, self.Md = stack[0], kd[s], Mkd[s]
         self.tmp, self.Mu = np.empty(size), np.empty(size)
         np.copyto(self.u, u0)
+        self.uMu = math.nan
         self.coefficients = np.array(coefficients)
         self.dtc = np.empty_like(self.coefficients)
         results = [self.u, *Y, np.empty(size)]
@@ -577,8 +581,8 @@ def _stencil_powers(D: BlockCirculantOp, count: int) -> tuple[tuple[int, ...], n
     holds the blocks of ``D^^j`` (zeros where it has none).  Power ``j`` is
     power ``j - 1`` times the stencil: one ``matmul`` per block of ``D``
     over the offsets of power ``j - 1``.  Offsets that alias mod ``n``
-    (small n) stay apart; the operator :func:`_composed_factor` builds from
-    them reduces and sums them, as every ``BlockCirculantOp`` does.  An
+    (small n) stay apart; :func:`_composed_factor` folds them, as every
+    ``BlockCirculantOp``'s normal form does.  An
     entry of ``D^^j``, and every partial sum that forms it, is at most
     ``|D^|_inf^j``: 8**j for the central derivative and 12**j for the
     upwind ones (point rows ``2, -6, 4`` and ``-4, 6, -2``), so the powers
@@ -604,64 +608,98 @@ def _stencil_powers(D: BlockCirculantOp, count: int) -> tuple[tuple[int, ...], n
     return tuple(range(first, first + powers.shape[1])), powers
 
 
+def _composed_band(offsets: Sequence[int], n: int) -> tuple[int, int]:
+    """First offset and span of the band of ``Q`` at ``n`` cells, from the stencil powers' ``offsets``.
+
+    The offsets themselves where they lie in the normal form's range
+    ``[-n//2, n - n//2)``; otherwise (n <= 14 for ``rk4x2``) that whole
+    range, into which :func:`_composed_factor` folds them.
+    """
+    lo, span = offsets[0], len(offsets)
+    if -(n // 2) <= lo and lo + span <= n - n // 2:
+        return lo, span
+    return -(n // 2), n
+
+
 def _composed_factor(scheme: Scheme, method: RKMethod, dt: float, powers: tuple) -> BlockCirculantOp:
-    """``Q`` of one step ``d = D (Q u)`` of size ``dt``: ``sum_j c_(j+1) Z^j``, scaled by ``-a dt``.
+    """``Q`` of one step ``d = D^ (Q u)`` of size ``dt``: ``z sum_j c_(j+1) z^j D^^j``, of scale 1.
 
     With ``Z = -a dt D = z D^`` (``D^`` the unscaled stencil, ``z = -a dt
     / dx``) and ``R(z) = sum_j c_j z^j`` (:func:`_stability_coefficients`),
-    one step's difference is ``R(Z) u - u = Z Q(Z) u = D (-a dt Q^ u)``
-    with ``Q^ = sum_(j < s) c_(j+1) z^j D^^j``.  The blocks are the stencil
-    ``powers`` (:func:`_stencil_powers`) times the weights ``c_(j+1)
-    z^j``, summed over ``j`` in order, and then over offsets that alias mod
-    ``n`` by the operator's normal form; ``-a dt`` is the operator's scale,
-    which its matvec applies once.
+    one step's difference is ``R(Z) u - u = Z Q^(Z) u = D^ (z Q^ u)`` with
+    ``Q^ = sum_(j < s) c_(j+1) z^j D^^j``.  The blocks of ``Q^`` are the
+    stencil ``powers`` (:func:`_stencil_powers`) times the weights
+    ``c_(j+1) z^j``, summed over ``j`` in order; where the offsets leave
+    the normal form's range (:func:`_composed_band`), they fold mod ``n``,
+    each sum in increasing offset order, as the normal form sums them.
+    ``z`` then multiplies the blocks, so ``D^`` has scale 1 and neither
+    matvec multiplies by a scale.  The transposed blocks go straight into
+    the band of ``Q``, with no dict of blocks on the way
+    (:meth:`~activeflux.operators.BlockCirculantOp._from_band`).
     """
     D = scheme.D_effective
-    scale = -scheme.advection_speed * dt
-    z, zj, weights = scale * D.scale, 1.0, []
+    z = -scheme.advection_speed * dt * D.scale
+    zj, weights = 1.0, []
     for c in _stability_coefficients(method)[1:]:
         weights.append(c * zj)
         zj *= z
     offsets, stack = powers
     blocks = np.add.reduce(np.multiply(np.array(weights)[:, None, None, None], stack), 0)
-    return BlockCirculantOp(D.n, D.dx, scale, dict(zip(offsets, blocks)))
+    n, (lo, span) = D.n, _composed_band(offsets, D.n)
+    band = np.empty((span, 2, 2))
+    if span == len(offsets) and lo == offsets[0]:
+        return BlockCirculantOp._from_band(n, D.dx, lo, np.multiply(z, blocks.transpose(0, 2, 1), band))
+    # consecutive offsets: the first n hold each residue's first term
+    ring = np.zeros((n, 2, 2))
+    for k, (j, a) in enumerate(zip(offsets, blocks.transpose(0, 2, 1))):
+        r = (j - lo) % n
+        ring[r] = a if k < n else ring[r] + a
+    return BlockCirculantOp._from_band(n, D.dx, lo, np.multiply(z, ring, band))
 
 
 class _ComposedStep(Workspace):
-    """A workspace whose step forms ``d = D (Q u)`` in two matvecs, then ``u + d``.
+    """A workspace whose step forms ``d = D^ (Q u)`` in two banded matvecs, then ``u + d``.
 
-    ``Q`` comes from :func:`_composed_factor` and ``D`` is the scheme's
-    derivative with its own ``1/dx`` scale, a second matvec.  ``q`` takes
-    ``Q u``, ``d`` the step's difference and ``update`` the state ``u +
+    ``Q`` comes from :func:`_composed_factor`, with ``-a dt / dx`` in its
+    blocks, and ``stencil`` is ``D^``, the scheme's derivative with scale
+    1.  ``u``, ``q`` (``Q u``) and ``d`` are the rings of the three
+    ghost-celled arrays ``ghosted``, each with ``ghosts`` cells before the
+    ring and enough after it for both bands (:func:`operators._ghost_cells`):
+    ``Q`` reads ``u`` and writes ``q``, ``D^`` reads ``q`` and writes
+    ``d``, straight from and into those arrays.  ``update`` takes ``u +
     d``.  ``powers`` are the run's stencil powers; ``Q`` and its banded
-    binding ``Q_u`` to ``u`` and ``q`` are made again only when ``dt``
-    changes (a run's clipped last step), and ``D_q`` binds ``D`` to ``q``
-    and ``d`` in the banded layout too.  ``M u`` and ``M d`` are bound per
-    block as ``M_u`` and ``M_d``.  No stage is formed, so the stage list
-    is empty.
+    binding ``Q_u`` are made again only when ``dt`` changes (a run's
+    clipped last step), and ``D_q`` binds ``D^`` once.  ``M u`` and ``M
+    d`` are bound per block as ``M_u`` and ``M_d`` (the diagonal mass by
+    its elementwise rule).  No stage is formed, so the stage list is empty.
     """
 
-    __slots__ = ("q", "powers", "D_q", "M_d", "dt", "Q", "Q_u")
+    __slots__ = ("q", "ghosted", "ghosts", "powers", "stencil", "D_q", "M_d", "dt", "Q", "Q_u")
 
     def __init__(self, scheme: Scheme, method: RKMethod, u0: np.ndarray):
-        size, M = 2 * scheme.grid.n, scheme.M_energy
-        self.scheme, self.method, self.stages = scheme, method, ()
-        arrays = (np.empty(size) for _ in range(7))
-        self.u, self.q, self.d, self.update, self.tmp, self.Md, self.Mu = arrays
+        n, M, D = scheme.grid.n, scheme.M_energy, scheme.D_effective
+        self.scheme, self.method, self.stages, self.uMu = scheme, method, (), math.nan
+        self.powers = _stencil_powers(D, method.stages)
+        self.stencil = BlockCirculantOp(n, D.dx, 1.0, D.blocks)
+        bands = (_composed_band(self.powers[0], n), self.stencil._band[:2])
+        before, after = (max(cells) for cells in zip(*(ops._ghost_cells(*b) for b in bands)))
+        self.ghosted = tuple(np.zeros(2 * (before + n + after)) for _ in range(3))
+        self.u, self.q, self.d = (x[2 * before : 2 * (before + n)] for x in self.ghosted)
+        self.update, self.tmp, self.Md, self.Mu = (np.empty(2 * n) for _ in range(4))
         np.copyto(self.u, u0)
-        self.powers = _stencil_powers(scheme.D_effective, method.stages)
-        self.D_q = scheme.D_effective.bind_banded(self.q, self.d)
-        self.M_u = M.bind(self.u, self.Mu)
-        self.M_d = M.bind(self.d, self.Md)
+        self.ghosts = before
+        self.D_q = self.stencil.bind_banded(*self.ghosted[1:], before)
+        self.M_u, self.M_d = M.bind(self.u, self.Mu), M.bind(self.d, self.Md)
         self.dt = self.Q = self.Q_u = None
 
     def run(self, dt: float) -> tuple[np.ndarray, tuple]:
+        u, q, d = self.ghosted
         if dt != self.dt:
             self.Q = _composed_factor(self.scheme, self.method, dt, self.powers)
-            self.Q_u = self.Q.bind_banded(self.u, self.q)
+            self.Q_u = self.Q.bind_banded(u, q, self.ghosts)
             self.dt = dt
-        self.Q.matvec(self.u, self.q, self.Q_u)
-        self.scheme.D_effective.matvec(self.q, self.d, self.D_q)
+        self.Q.matvec(u, q, self.Q_u)
+        self.stencil.matvec(q, d, self.D_q)
         return np.add(self.u, self.d, self.update), self.stages
 
     def gamma_terms(self, u, u_next, stage_data, M) -> tuple[np.ndarray, np.ndarray, list]:
@@ -697,7 +735,7 @@ def rk_step(
     update and stage list are its own arrays, which the next call
     overwrites: treat them as read-only.  A stage workspace
     (:class:`_StageStep`) gives the bits of the plain loop.  A composed one
-    (:class:`_ComposedStep`) writes ``d = D (Q u)`` into its ``d`` and
+    (:class:`_ComposedStep`) writes ``d = D^ (Q u)`` into its ``d`` and
     returns ``u + d`` with an empty stage list; it agrees with the stages to
     rounding, not bit for bit.
     """
@@ -758,19 +796,19 @@ def relaxation_gamma(
     arrays, one ``M @ x`` each, and each dot product one ``cblas_ddot``.
     With one, its ``gamma_terms`` gives ``d``, ``M d`` and the
     stage dots with the same bits (a composed workspace gives its own
-    ``d``, never ``u_next - u``), and ``M u`` is read from its ``Mu``, which
-    :meth:`Scheme.energy` wrote when it measured the state: the time loop
-    measures every state before it steps it.  Both paths then share the
-    same tail.
+    ``d``, never ``u_next - u``), and ``u.Mu`` is read from its ``uMu``,
+    the dot :meth:`Scheme.energy` formed, with the same bits, when it
+    measured the state: the time loop measures every state before it steps
+    it.  Both paths then share the same tail.
     """
     if workspace is None:
         d = u_next - u
-        Md, Mu = M @ d, M @ u
+        Md, uMu = M @ d, float((M @ u).dot(u))
         dots = [float(st.y @ (M @ st.f)) for st in stage_data]
     else:
-        (d, Md, dots), Mu = workspace.gamma_terms(u, u_next, stage_data, M), workspace.Mu
+        (d, Md, dots), uMu = workspace.gamma_terms(u, u_next, stage_data, M), workspace.uMu
     d2 = float(d.dot(Md))
-    if d2 <= (4 * u.size * _EPS) ** 2 * float(Mu.dot(u)):
+    if d2 <= (4 * u.size * _EPS) ** 2 * uMu:
         return 1.0
     e = 0.0
     for st, dot in zip(stage_data, dots):

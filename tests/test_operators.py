@@ -329,6 +329,23 @@ def _rolled_matvec(op, u):
     return op.scale * out.reshape(-1)
 
 
+def _assert_rolled_bits(op, u, got, want):
+    """``got`` has the bits of the rolled kernel's ``want``.  The diagonal
+    rule (one block at offset 0 with zero off-diagonals) multiplies each
+    entry by its diagonal coefficient, then by ``scale``: the same bits
+    but for the contract's two exceptions, the sign of a zero result (the
+    rolled sum from ``+0.0`` turns ``-0.0`` into ``+0.0``) and a cell whose
+    other entry is not finite (the 2x2 product's ``0 * inf`` is NaN)."""
+    if op._diagonal is None:
+        assert got.tobytes() == want.tobytes()
+        return
+    other = np.asarray(u).reshape(-1, 2)[:, ::-1].reshape(-1)
+    same = (want != 0) & np.isfinite(other)
+    assert got[same].tobytes() == want[same].tobytes()
+    assert (got[want == 0] == 0).all()
+    assert got.tobytes() == ((u * np.tile(op._diagonal, op.n)) * op.scale).tobytes()
+
+
 def _every_builder(g):
     Dm, Dp, M = ops.upwind_D_minus(g), ops.upwind_D_plus(g), ops.upwind_mass(g)
     return [
@@ -383,10 +400,57 @@ def test_matvec_is_bit_identical_to_rolled_kernel(n):
             with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf give NaN
                 got, want = op @ u, _rolled_matvec(op, u)
             assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
             # signed zeros and NaN bits too (the empty operator with
-            # negative scale gives -0.0)
-            assert got.tobytes() == want.tobytes()
+            # negative scale gives -0.0), but for the diagonal rule's exceptions
+            _assert_rolled_bits(op, u, got, want)
+
+
+def _wide_operands(rng, shape):
+    """Entries of magnitude 1e-310 to 1e300 and either sign, about a fifth
+    of them ``+0.0`` and a tenth ``-0.0``."""
+    x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-310, 300, size=shape)
+    x[rng.random(shape) < 0.2] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("n", [3, 16, 1200, _C + 1, _C + 8])
+def test_the_diagonal_rule_has_the_per_block_bits(n):
+    """A diagonal operator (one block at offset 0, zero off-diagonals, a
+    ``-0.0`` one included) is two multiplies per chunk, by its diagonal
+    tiled over one chunk of cells and by ``scale`` (none at scale 1): no
+    ``matmul``, no halo and no product stack, and a chunk that does not
+    shrink as the rows grow.  Every entry has the bits of the ``np.roll``
+    per-block reference but the sign of a zero result, for data of
+    magnitude 1e-310 to 1e300 (products that round to subnormals and to
+    zero) with signed zeros: single operands and ``(rows, 2n)`` stacks,
+    one-shot, bound and in place, within one chunk and past it (n = 8193
+    and 8200)."""
+    rng = np.random.default_rng(n)
+    g = ops.build_grid(n)
+    operators = [
+        ops.diagonal_mass(g),
+        BlockCirculantOp(n, g.dx, -3.0, {0: [[0.5, -0.0], [0.0, -2.0]]}),
+        BlockCirculantOp(n, g.dx, 1.0, {n: [[0.0, 0.0], [0.0, 7.0]]}),
+    ]
+    chunks = len(range(0, n - 1, _C))
+    for op in operators:
+        assert op._diagonal is not None
+        for shape in ((2 * n,), (1, 2 * n), (3, 2 * n)):
+            u = _wide_operands(rng, shape)
+            out = np.full(shape, np.nan)
+            bound = op.bind(u, out)
+            v = u.copy()
+            in_place = op.bind(v, v)
+            for b in (bound, in_place):
+                assert not b.copies and len(b.steps) == chunks
+                assert all(step[0] is np.multiply for step in b.steps)
+                assert all((step[6] is None) == (op.scale == 1.0) for step in b.steps)
+                assert b.steps[0][2].base.size <= 2 * (_C + 1)
+            results = (op.matvec(u), op.matvec(u, out, bound), op.matvec(v, v, in_place))
+            for got in results:
+                for row, r in zip(u.reshape(-1, 2 * n), got.reshape(-1, 2 * n), strict=True):
+                    _assert_rolled_bits(op, row, r, _rolled_matvec(op, row))
 
 
 def test_matvec_selects_windows_by_slice_or_by_index():
@@ -447,8 +511,10 @@ def test_matvec_into_out_is_bit_identical(n):
 
 
 def _scratch(binding):
-    """The scratch arrays a per-block binding writes: its halos and its product stack."""
-    return [dest for dest, _ in binding.copies] + [step[2] for step in binding.steps]
+    """The scratch arrays a binding writes or holds: its halos, and per step
+    its product stack (per block) or its tiled diagonal (the diagonal rule)."""
+    held = [step[2] if step[0] is np.multiply else step[3] for step in binding.steps]
+    return [dest for dest, _ in binding.copies] + held
 
 
 @pytest.mark.parametrize("n", [3, 16, _C + 1, 2 * _C + 1])
@@ -511,16 +577,18 @@ def test_bound_matvec_reads_the_operand_of_each_call(n):
 def _chunk_reads(binding, u):
     """Each chunk's first and end cell, and whether its windows are read from ``u``.
 
-    A chunk's last step sums its products into its part of ``out``, a view
-    whose offset in ``out`` gives the chunk's first cell, and its windows
-    view either ``u`` or a halo copy, a separate array.
+    A chunk's last step writes its part of ``out``, a view whose offset in
+    ``out`` gives the chunk's first cell: per block it sums its products
+    there, and its windows view either ``u`` or a halo copy, a separate
+    array; by the diagonal rule it multiplies ``u``'s cells into it.
     """
-    last = [step for step in binding.steps if step[4] is not None]
+    last = [step for step in binding.steps if step[4] is not None or step[0] is np.multiply]
     cells = []
-    for *_, part in last:
+    for step in last:
+        part = step[3] if step[0] is np.multiply else step[5]
         c = (part.ctypes.data - binding.out.ctypes.data) // (2 * part.strides[-1])
         cells.append((c, c + part.shape[-1] // 2))
-    return cells, [np.may_share_memory(step[0], u) for step in last]
+    return cells, [np.may_share_memory(step[1], u) for step in last]
 
 
 @pytest.mark.parametrize("n", [3 * _C, 3 * _C + 1, 4 * _C + 5])
@@ -541,11 +609,11 @@ def test_one_shot_matvec_reads_interior_windows_from_the_operand(n):
             assert not reads[0] and not reads[-1] and reads[1]
         spread = np.repeat(real, 2)[::2]  # the operand with stride 2
         for u, out in ((real, real), (real, real[::-1]), (spread, None)):
-            windows = [step[0] for step in op.bind(u, out).steps]
+            windows = [step[1] for step in op.bind(u, out).steps]
             assert h == 0 or not any(np.shares_memory(w, u) for w in windows)
         for u in (real, real + 1j * rng.normal(size=2 * n)):
             want = _rolled_matvec(op, u)
-            assert op.matvec(u).tobytes() == want.tobytes()
+            _assert_rolled_bits(op, u, op.matvec(u), want)
             v = u.copy()
             assert op.matvec(v, out=v).tobytes() == want.tobytes()
             spread = np.repeat(u, 2)[::2]  # the operand with stride 2
@@ -556,7 +624,7 @@ def test_one_shot_matvec_reads_interior_windows_from_the_operand(n):
         stack = _stack_operands(rng, n, 3)
         got = op.matvec(stack)
         for r, row in zip(got, stack, strict=True):
-            assert r.tobytes() == _rolled_matvec(op, row).tobytes()
+            _assert_rolled_bits(op, row, r, _rolled_matvec(op, row))
 
 
 def _halos(binding):
@@ -590,7 +658,8 @@ def test_a_bound_call_reads_the_windows_that_do_not_wrap_from_the_operand(n, row
         for a, b, direct in calls:
             bound = op.bind(a, b)
             cells, reads = _chunk_reads(bound, a)
-            assert len(cells) == chunks
+            # the diagonal rule holds no product stack, so its chunk does not shrink
+            assert len(cells) == (chunks if op._diagonal is None else len(range(0, n - 1, _C)))
             # the operator without blocks reads nothing
             wraps = [not (h == 0 or direct and h <= c and stop + h <= n) for c, stop in cells]
             assert reads == [bool(op.blocks) and not w for w in wraps]
@@ -686,7 +755,7 @@ def test_stacked_matvec_chunks_keep_the_product_stack_to_one_chunk():
         chunk = cells[0]
         assert chunk & (chunk - 1) == 0 and rows * (chunk + 1) <= _C + 1 < rows * (2 * chunk + 1)
         assert sum(cells) == op.n and min(cells) > 1
-        products = bound.steps[0][2]
+        products = bound.steps[0][3]
         assert products.base.size <= len(op.blocks) * (_C + 1) * 2
     # past (_CHUNK + 1) / 3 rows the chunk stops at two cells
     small = ops.upwind_mass(ops.build_grid(9))
@@ -784,26 +853,60 @@ def _within(got, exact, bound):
     return bool((np.abs(got.astype(np.longdouble) - exact) <= bound).all())
 
 
+def _ghosted(op, u, fill=np.nan):
+    """``u``'s ring in a ghost-celled array for ``op``'s band, with the
+    fewest cells ``_ghost_cells`` allows before and after it, the margins
+    holding ``fill``; returns that array, an ``out`` of its shape filled
+    the same way, and the number of cells before the ring."""
+    before, after = ops._ghost_cells(*op._band[:2])
+    u = np.asarray(u)
+    x = np.full((*u.shape[:-1], 2 * (before + op.n + after)), fill, dtype=u.dtype)
+    x[..., 2 * before : 2 * (before + op.n)] = u
+    return x, np.full(x.shape, fill, np.promote_types(u.dtype, float)), before
+
+
+def _ring(x, ghosts, n):
+    return x[..., 2 * ghosts : 2 * (ghosts + n)]
+
+
+def _banded_matvec(op, u):
+    """``op u`` as a new array, through a fresh banded binding on ghost-celled copies."""
+    x, y, g = _ghosted(op, u)
+    return _ring(op.matvec(x, y, op.bind_banded(x, y, g)), g, op.n).copy()
+
+
 def _banded_chunks(op, n):
-    """The chunks ``c .. stop - 1`` of a single-operand banded binding: every
-    ``_CHUNK`` cells, the last taking a tail of ``B`` cells or fewer."""
+    """The chunks ``c .. stop - 1`` of a banded binding: every ``_CHUNK``
+    cells, the last taking a tail of ``B`` cells or fewer."""
     edges = [0, *range(_C, n - op._band[1], _C), n]
     return list(zip(edges, edges[1:]))
+
+
+def _banded_steps(binding, ghosts):
+    """Each step's chunk ``(c, stop)``, from where its products, a strided
+    view of ``out``, start (a chunk stops where the next one starts, the
+    last at the ring's end); and whether its windows view the operand and
+    its products ``out``."""
+    firsts, views = [], []
+    for _, windows, _, products, *_ in binding.steps:
+        firsts.append((products.ctypes.data - binding.out.ctypes.data) // (2 * products.strides[-1]) - ghosts)
+        views.append(np.shares_memory(windows, binding.u) and np.shares_memory(products, binding.out))
+    return list(zip(firsts, [*firsts[1:], binding.op.n])), views
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= _EPS, reason="np.longdouble is float64 here")
 @pytest.mark.parametrize("n", [3, 4, 5, 16, 17, 1200, _C + 1, 2 * _C + 2, 20000, 100000])
 def test_banded_binding_is_within_rounding_of_the_exact_product(n):
-    """A banded binding gives every entry within its rounding bound of the
-    product in extended precision (and of ``dense() @ u``, which rounds
-    too, within twice it), into ``out`` or in place, reading the operand's
-    values at each call.  An entry moved by twice its bound is caught.  At
-    n = 3, 4 and 5 offsets alias and ``B = n``.  Past one chunk (n >
-    _CHUNK + B, with ``rk4x2``'s ``Q`` of B = 15 among the spans) every
-    chunk has one step, and the windows of the chunks that do not wrap are
-    read from the operand (for ``Q`` at n = 20000 and 1e5, every chunk but
-    the first and the last); with ``out`` the operand every chunk copies a
-    halo of its own."""
+    """A banded binding on ghost-celled arrays gives every entry of the
+    ring within its rounding bound of the product in extended precision
+    (and of ``dense() @ u``, which rounds too, within twice it), reading
+    the operand's values at each call.  An entry moved by twice its bound
+    is caught.  At n = 3, 4 and 5 offsets alias and ``B = n``.  Every
+    chunk, past one chunk too (n > _CHUNK + B, with ``rk4x2``'s ``Q`` of B
+    = 15 among the spans), is one step that reads its windows from the
+    operand and writes its products into ``out``: there is no halo and no
+    product buffer.  The copies refresh the operand's margins, which start
+    as NaN, so a cell read unrefreshed would show."""
     rng = np.random.default_rng(n)
     g = ops.build_grid(n)
     operators = _banded_operators(g)
@@ -812,119 +915,119 @@ def test_banded_binding_is_within_rounding_of_the_exact_product(n):
         lo, span, stack = op._band
         assert span <= n and stack.shape == (2 * span, 2)
         u = rng.normal(size=2 * n)
-        out = np.full(2 * n, np.nan)
-        bound = op.bind_banded(u, out)
-        assert (bound.op, bound.u, bound.out) == (op, u, out)
-        cells, reads = _chunk_reads(bound, u)
-        assert cells == _banded_chunks(op, n) and len(bound.steps) == len(cells)
-        rows = [-(-(stop - c) // span) for c, stop in cells]
-        wraps = [not (span == 1 and lo == 0 or 0 <= c + lo and c + lo + (m + 1) * span - 1 <= n)
-                 for (c, stop), m in zip(cells, rows)]
-        assert reads == [not w for w in wraps]
-        if span == 15 and n >= 20000:  # rk4x2's Q: every chunk between the ends reads u
-            assert len(cells) >= 3 and all(reads[1:-1])
+        x, y, ghosts = _ghosted(op, u)
+        bound = op.bind_banded(x, y, ghosts)
+        assert (bound.op, bound.u, bound.out) == (op, x, y)
+        chunks, views = _banded_steps(bound, ghosts)
+        assert chunks == _banded_chunks(op, n) and all(views)
+        assert all(step[4] is None for step in bound.steps)
+        assert all(dest.base is x and source.base is x for dest, source in bound.copies)
         for _ in range(2):
-            assert op.matvec(u, out, bound) is out
+            assert op.matvec(x, y, bound) is y
+            out = _ring(y, ghosts, n)
             exact, tol = _banded_bound(op, u)
             assert _within(out, exact, tol)
             if n <= ops.DENSE_LIMIT:
                 np.testing.assert_array_less(np.abs(out - op.dense() @ u), 2 * tol.astype(float) + 1e-300)
-            fresh = np.empty(2 * n)
-            assert out.tobytes() == op.matvec(u, fresh, op.bind_banded(u, fresh)).tobytes()
-            u *= -1.5  # in place: the next call reads the new values
+            assert out.tobytes() == _banded_matvec(op, u).tobytes()
+            u *= -1.5
+            _ring(x, ghosts, n)[:] = u  # in place: the next call reads the new values
         # a fault of twice the bound at the entry where the bound is largest
         i = int(np.argmax(tol))
         faulty = out.copy()
         faulty[i] = float(exact[i] + 2 * tol[i])
         assert tol[i] > 0 and not _within(faulty, exact, tol)
-        # in place: out is the operand, and no chunk reads it
-        v = u.copy()
-        in_place = op.bind_banded(v, v)
-        assert not any(_chunk_reads(in_place, v)[1]) or span == 1 and lo == 0
-        assert op.matvec(v, v, in_place) is v
-        assert v.tobytes() == op.matvec(u, out, bound).tobytes()
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= _EPS, reason="np.longdouble is float64 here")
 @pytest.mark.parametrize("n", [3, 16, 1200, 2 * _C + 2])
 def test_banded_binding_takes_stacks_and_complex_operands(n):
-    """A banded binding takes what a per-block one takes: a ``(3, 2n)``
-    stack, each of whose rows gets the bits of its one-row call, and a
-    complex operand, whose real and imaginary parts each lie within the
-    rounding bound of their exact products (``A`` is real, so each part
-    is a real dot of ``2B`` terms)."""
+    """A banded binding takes a ``(3, size)`` stack of ghost-celled rows,
+    each of whose rows gets the bits of its one-row call, and a complex
+    operand, whose real and imaginary parts each lie within the rounding
+    bound of their exact products (``A`` is real, so each part is a real
+    dot of ``2B`` terms)."""
     rng = np.random.default_rng(n)
     for op in _banded_operators(ops.build_grid(n)):
         stack = rng.normal(size=(3, 2 * n))
-        bound = op.bind_banded(stack)
-        got = op.matvec(stack, bound.out, bound)
+        x, y, ghosts = _ghosted(op, stack)
+        got = _ring(op.matvec(x, y, op.bind_banded(x, y, ghosts)), ghosts, n)
         assert got.shape == stack.shape
         for r, row in zip(got, stack, strict=True):
-            one = op.bind_banded(row)
-            assert r.tobytes() == op.matvec(row, one.out, one).tobytes()
+            assert r.tobytes() == _banded_matvec(op, row).tobytes()
             assert _within(r, *_banded_bound(op, row))
         z = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
-        bound = op.bind_banded(z)
-        got = op.matvec(z, bound.out, bound)
+        got = _banded_matvec(op, z)
         assert got.dtype == complex
         assert _within(got.real, *_banded_bound(op, z.real))
         assert _within(got.imag, *_banded_bound(op, z.imag))
 
 
-def test_banded_binding_pads_and_wraps_its_halo():
-    """The halo holds operand cells ``lo, lo + 1, ...`` mod n for ``M + 1``
-    windows of ``B`` cells less one, and the product buffer ``M B`` cells:
-    at n = 17 the ``rk4x2`` central ``Q`` (offsets -7..7, B = 15) has
-    ``M = 2`` and 13 padding cells.  The diagonal mass (B = 1) reads its
-    operand, contiguous or strided, without a copy, and gets the per-block
-    bits: each result is one two-term dot either way."""
+def test_banded_binding_refreshes_the_margins_and_writes_into_out():
+    """At n = 17 the ``rk4x2`` central ``Q`` (offsets -7..7, B = 15) reads
+    7 cells before the ring and 7 + 14 after it, cells ``-7 .. 37`` mod n:
+    one copy before the ring and two after it, since 21 cells pass the
+    ring's end again.  Its one chunk has ``m = 2`` rows per residue, so its
+    products fill 30 cells of ``out``, 13 past the ring.  The diagonal mass
+    (B = 1) needs no ghost cells, copies nothing and gets the per-block
+    bits, each result one two-term dot either way."""
     g = ops.build_grid(17)
     scheme = solver.make_scheme(g, "central", 1.0)
     powers = solver._stencil_powers(scheme.D_effective, solver.RK4X2.stages)
     Q = solver._composed_factor(scheme, solver.RK4X2, 0.5 * g.dx, powers)
-    assert Q._band[:2] == (-7, 15)
-    u, q = np.arange(34.0), np.empty(34)
-    bound = Q.bind_banded(u, q)
-    halo, padded = bound.steps[0][0].base, bound.steps[0][2].base
-    assert halo.shape == (2 * (3 * 15 - 1),) and padded.shape == (2 * 2 * 15,)
-    for dest, cells in bound.copies:
-        dest[...] = cells
-    assert halo.reshape(-1, 2)[:, 0].tolist() == [(2 * ((k - 7) % 17)) for k in range(44)]
+    assert Q._band[:2] == (-7, 15) and ops._ghost_cells(-7, 15) == (7, 21)
+    x, y, ghosts = _ghosted(Q, np.arange(34.0))
+    bound = Q.bind_banded(x, y, ghosts)
+    assert [dest.size // 2 for dest, _ in bound.copies] == [7, 17, 4]
+    Q.matvec(x, y, bound)
+    assert x.reshape(-1, 2)[:, 0].tolist() == [2 * ((k - 7) % 17) for k in range(45)]
+    written = ~np.isnan(y.reshape(-1, 2)).any(axis=1)
+    assert written.tolist() == [False] * ghosts + [True] * 30 + [False] * (len(written) - ghosts - 30)
     M = ops.diagonal_mass(g)
-    assert M._band[1] == 1
-    for operand in (u, np.arange(68.0)[::2]):
-        bound = M.bind_banded(operand, q)
-        assert not bound.copies and np.shares_memory(bound.steps[0][0], operand)
-        assert M.matvec(operand, q, bound).tobytes() == M.matvec(operand).tobytes()
+    assert ops._ghost_cells(*M._band[:2]) == (0, 0)
+    u, q = np.arange(34.0), np.empty(34)
+    bound = M.bind_banded(u, q, 0)
+    assert not bound.copies and np.shares_memory(bound.steps[0][1], u)
+    assert M.matvec(u, q, bound).tobytes() == M.matvec(u).tobytes()
 
 
 def test_banded_binding_refuses_what_does_not_fit():
-    """The operand and ``out`` of a per-block binding, and nothing else; a
-    replay refuses another operator, operand or out, as a per-block
-    binding does."""
+    """Ghost-celled arrays of one shape with room for the band's margins,
+    C-contiguous and apart; a replay refuses another operator, operand or
+    out, as a per-block binding does."""
     g = ops.build_grid(16)
-    D, u, out = ops.central_D(g), np.ones(32), np.empty(32)
-    for bad in (np.ones(31), np.ones((0, 32)), np.ones((1, 3, 32)), np.ones(64)):
-        with pytest.raises(ValueError, match="expected shape"):
-            D.bind_banded(bad, np.empty_like(bad))
-    for bad_out in (np.empty(31), np.empty(32, complex), np.empty((1, 32)), [0.0] * 32):
+    D = ops.central_D(g)
+    assert ops._ghost_cells(*D._band[:2]) == (1, 3)
+    u, out = np.ones(2 * 20), np.empty(2 * 20)
+    for bad, ghosts in ((np.ones(38), 1), (np.ones(40), 0), (np.ones(40), 2), (np.ones(41), 1), (u, 1.0)):
+        with pytest.raises(ValueError, match="ghost cells"):
+            D.bind_banded(bad, np.empty_like(bad), ghosts)
+    for bad in (np.ones((0, 40)), np.ones((1, 3, 40)), np.ones(())):
+        with pytest.raises(ValueError, match="expected shape|ghost cells"):
+            D.bind_banded(bad, np.empty_like(bad), 1)
+    for bad_out in (np.empty(38), np.empty(40, complex), np.empty((1, 40)), [0.0] * 40):
         with pytest.raises(ValueError, match="out must be"):
-            D.bind_banded(u, bad_out)
-    bound = D.bind_banded(u, out)
+            D.bind_banded(u, bad_out, 1)
+    wide = np.ones(80)
+    for a, b in ((u, u), (wide[::2], out), (u, np.empty(80)[::2]), (wide[:40], wide[38:78])):
+        with pytest.raises(ValueError, match="C-contiguous and must not overlap"):
+            D.bind_banded(a, b, 1)
+    bound = D.bind_banded(u, out, 1)
     twin = BlockCirculantOp(16, D.dx, 2.0 * D.scale, D.blocks)
     for call in (
         lambda: D.matvec(u.copy(), out, bound),
-        lambda: D.matvec(u, np.empty(32), bound),
+        lambda: D.matvec(u, np.empty(40), bound),
         lambda: D.matvec(u, None, bound),
         lambda: twin.matvec(u, out, bound),
         lambda: ops.upwind_D_plus(g).matvec(u, out, bound),
     ):
         with pytest.raises(ValueError, match="another operator, operand or out"):
             call()
-    # a per-block binding sums into out and scales it there; a banded one
-    # scales its product buffer into out
-    assert all(step[4] is step[5] for step in D.bind(u, out).steps)
-    assert not any(np.shares_memory(step[4], out) for step in bound.steps)
+    # D's scale 1/dx is one multiply of out's ring after the product; a
+    # scale of exactly 1 makes none
+    assert [step[6] is not None for step in bound.steps] == [True]
+    stencil = BlockCirculantOp(16, D.dx, 1.0, D.blocks)
+    assert [step[6] for step in stencil.bind_banded(u, out, 1).steps] == [None]
 
 
 def test_norm_inf_matches_dense():

@@ -3,9 +3,12 @@
 import collections
 import dataclasses
 import functools
+import importlib.util
 import json
 import math
 import operator
+import pathlib
+import sys
 import types
 import warnings
 
@@ -1064,23 +1067,30 @@ def _composes(config):
 
 
 def _banded_matvec(op, u):
-    """``op u`` into a new array through a fresh banded binding."""
-    out = np.empty_like(u)
-    return op.matvec(u, out, op.bind_banded(u, out))
+    """``op u`` into a new array through a fresh banded binding, on
+    ghost-celled copies with the fewest ghost cells the band allows."""
+    before, after = ops._ghost_cells(*op._band[:2])
+    x, y = np.zeros(2 * (before + op.n + after)), np.zeros(2 * (before + op.n + after))
+    ring = slice(2 * before, 2 * (before + op.n))
+    x[ring] = u
+    return op.matvec(x, y, op.bind_banded(x, y, before))[ring].copy()
 
 
 def _one_shot_composed_step(scheme, method):
-    """The composed step from fresh arrays: ``d = D (Q u)`` in two matvecs,
-    each through a fresh banded binding, ``Q`` re-weighted from the run's
-    stencil powers whenever ``dt`` changes; returns ``u + d`` and ``d``."""
+    """The composed step from fresh arrays: ``d = D^ (Q u)`` in two
+    matvecs, each through a fresh banded binding, ``Q`` re-weighted from
+    the run's stencil powers whenever ``dt`` changes and ``D^`` the
+    derivative with scale 1; returns ``u + d`` and ``d``."""
     powers = solver._stencil_powers(scheme.D_effective, method.stages)
+    D = scheme.D_effective
+    stencil = ops.BlockCirculantOp(D.n, D.dx, 1.0, D.blocks)
     factors = {}
 
     def step(s, m, u, dt):
         if dt not in factors:
             factors.clear()
             factors[dt] = solver._composed_factor(s, m, dt, powers)
-        d = _banded_matvec(s.D_effective, _banded_matvec(factors[dt], u))
+        d = _banded_matvec(stencil, _banded_matvec(factors[dt], u))
         return u + d, d
 
     return step
@@ -1428,16 +1438,28 @@ def test_workspace_binds_its_step_and_mass_matvecs():
     assert out.shape == (RK4X2.stages - 1, 1, 1)
 
 
+def _reads_and_writes_in_place(binding):
+    """Whether a banded binding holds no halo and no product buffer: its
+    copies refresh the operand's margins from its ring, and each step reads
+    its windows from the operand and writes its products into ``out``."""
+    copies = all(dest.base is binding.u and cells.base is binding.u for dest, cells in binding.copies)
+    return copies and all(
+        step[0] is np.matmul and step[1].base is binding.u and step[3].base is binding.out
+        for step in binding.steps
+    )
+
+
 @pytest.mark.parametrize("variant", ["central", "upwind"])
 def test_a_composed_workspace_holds_no_scratch_of_the_state_size(variant):
-    """A composed workspace's bindings chunk their cells: each holds at most
-    two halos (its first and last chunk, which wrap) and one product
-    buffer, each of about one chunk of cells, and a per-block product
-    stack of ``#blocks`` chunks, whatever n is.  At n = 2e5, after one
-    step, tracemalloc finds no more than those arrays beyond the seven
-    state arrays: 1.0 MB central and 1.9 MB upwind, where banded bindings
-    that copy the whole ring and pad their result held 13.1 and 14.0 MB.
-    No scratch array holds more than its binding's chunks."""
+    """A composed workspace's banded bindings hold no scratch at all: they
+    read and write its three ghost-celled arrays.  The diagonal mass
+    (central) holds its diagonal tiled over one chunk per binding; the
+    upwind mass, bound per block, at most two halos and a ``#blocks``-chunk
+    product stack per binding.  At n = 2e5, after one step, tracemalloc
+    finds no more than those arrays beyond the three ghost-celled arrays
+    and the four state-sized ones: 0.32 MB central, where banded bindings
+    that copied halos and held product buffers, with the diagonal mass
+    bound per block, held 1.0 MB."""
     import tracemalloc
 
     n = 200_000
@@ -1448,15 +1470,23 @@ def test_a_composed_workspace_holds_no_scratch_of_the_state_size(variant):
     try:
         ws = solver.Workspace.allocate(s, RK4X2, u0, composed=True)
         rk_step(s, RK4X2, ws.u, 0.3 * g.dx, ws)
-        held = tracemalloc.get_traced_memory()[0] - 7 * ws.u.nbytes
+        held = tracemalloc.get_traced_memory()[0] - sum(x.nbytes for x in ws.ghosted) - 4 * ws.u.nbytes
     finally:
         tracemalloc.stop()
     chunk = 16 * (ops._CHUNK + 32)  # bytes of one chunk of cells, with a halo's or a tail's cells
+    assert _reads_and_writes_in_place(ws.Q_u) and _reads_and_writes_in_place(ws.D_q)
+    if variant == "central":
+        for b in (ws.M_u, ws.M_d):
+            assert all(step[0] is np.multiply and step[2].base.nbytes <= chunk for step in b.steps)
+        # two tiled diagonals, and about 55 KB of views, tuples and small
+        # arrays: the bindings' per-chunk steps, the stencil powers and Q
+        assert held <= 3 * chunk
+        return
     blocks = len(s.M_energy.blocks)
-    assert held <= (2 * 3 + 2 * (2 + blocks)) * chunk
-    for b, per_chunk in ((ws.Q_u, 1), (ws.D_q, 1), (ws.M_u, blocks), (ws.M_d, blocks)):
-        for x in [dest.base for dest, _ in b.copies] + [step[2].base for step in b.steps]:
-            assert x.nbytes <= per_chunk * chunk
+    assert held <= 2 * (2 + blocks) * chunk
+    for b in (ws.M_u, ws.M_d):
+        for x in [dest.base for dest, _ in b.copies] + [step[3].base for step in b.steps]:
+            assert x.nbytes <= blocks * chunk
 
 
 @pytest.mark.parametrize("a", [1.0, -1.0, 0.7])
@@ -1464,10 +1494,13 @@ def test_a_composed_workspace_holds_no_scratch_of_the_state_size(variant):
 @pytest.mark.parametrize("n", [3, 16, 17, 1200, 8200])
 def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
     """A composed workspace holds no stage data and no stack of products.
-    Its step writes ``d = D (Q u)`` into ``d``, with the bits of fresh
-    banded bindings, and returns ``u + d``; ``Q`` is formed again, and bound again,
-    only when dt changes.  ``M d`` and ``M u`` are bound per block, each
-    with scratch arrays of its own; its energy has the bits of the
+    Its state ``u``, ``q = Q u`` and ``d`` are the rings of three
+    ghost-celled arrays, which its two banded bindings read and write in
+    place.  Its step writes ``d = D^ (Q u)`` into ``d``, with the bits of
+    fresh banded bindings, and returns ``u + d``; ``Q`` is formed again,
+    and bound again, only when dt changes.  ``M d`` and ``M u`` are bound
+    per block, each with scratch arrays of its own (the diagonal mass: two
+    multiplies per chunk, no matmul); its energy has the bits of the
     one-shot path, and its gamma those of one from fresh arrays.  Stage
     data, another update or another state raise."""
     g = ops.build_grid(n)
@@ -1479,25 +1512,24 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
     assert u is not u0 and u.tobytes() == u0.tobytes()
     assert not any(hasattr(ws, name) for name in ("kd", "Mkd", "M_kd", "dots", "stack", "Y"))
     assert all(getattr(ws, name) is not None for name in solver.Workspace.__slots__)
-    assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md
-    scratch = [[x for x, _ in b.copies] + [step[2] for step in b.steps] for b in (ws.M_d, ws.M_u)]
+    ring = slice(2 * ws.ghosts, 2 * (ws.ghosts + n))
+    for x, ghosted in zip((u, ws.q, ws.d), ws.ghosted, strict=True):
+        assert x.base is ghosted and x.ctypes.data == ghosted[ring].ctypes.data and x.size == 2 * n
+    assert ws.M_d.u is ws.d and ws.M_d.out is ws.Md and ws.M_u.u is u and ws.M_u.out is ws.Mu
+    scratch = [[x for x, _ in b.copies] + [step[3] for step in b.steps] for b in (ws.M_d, ws.M_u)]
     assert not any(np.may_share_memory(x, y) for x in scratch[0] for y in scratch[1])
-    assert ws.M_u.u is u and ws.M_u.out is ws.Mu and ws.D_q.out is ws.d
-    # D (Q u) is banded and scales its product buffer into d; M u is per
-    # block and sums and scales into Mu itself
-    assert not any(np.shares_memory(step[4], ws.d) for step in ws.D_q.steps)
-    assert all(step[4] is step[5] for step in ws.M_u.steps)
+    assert (ws.D_q.u, ws.D_q.out) == ws.ghosted[1:] and _reads_and_writes_in_place(ws.D_q)
+    assert all((step[0] is np.multiply) == (variant == "central") for step in ws.M_u.steps)
     one_shot = _one_shot_composed_step(s, RK4X2)
     factors = []
     for dt in (0.3 * g.dx, 0.3 * g.dx, 0.1 * g.dx):
-        assert s.energy(u, ws) == s.energy(u.copy())
+        assert s.energy(u, ws) == s.energy(u.copy()) == ws.uMu
         u1, stages = rk_step(s, RK4X2, u, dt, ws)
         want, want_d = one_shot(s, RK4X2, u.copy(), dt)
         assert stages == () and u1 is ws.update
         assert (ws.d.tobytes(), u1.tobytes()) == (want_d.tobytes(), want.tobytes())
         factors.append(ws.Q)
-        assert not any(np.shares_memory(step[4], ws.q) for step in ws.Q_u.steps)
-        assert ws.Q_u.u is u and ws.Q_u.out is ws.q
+        assert (ws.Q_u.u, ws.Q_u.out) == ws.ghosted[:2] and _reads_and_writes_in_place(ws.Q_u)
         gamma = relaxation_gamma(u, u1, stages, M, dt, workspace=ws)
         assert gamma == _reference_gamma(u, want, (), M, dt, want_d)
         u += 0.125 * np.sin(u)
@@ -1511,6 +1543,23 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
         relaxation_gamma(u, u1, [stage], M, 0.1 * g.dx, workspace=ws)
     with pytest.raises(ValueError, match="allocated for another"):
         rk_step(s, RK4X2, u.copy(), 0.1 * g.dx, ws)
+
+
+def test_a_relaxed_central_composed_step_makes_no_matmul_for_the_mass(monkeypatch):
+    """The diagonal mass is applied elementwise: a relaxed central ``rk4x2``
+    run makes two ``matmul`` calls per step, ``Q u`` and ``D^ q``, and
+    none for ``M u`` or ``M d``."""
+    calls = []
+    matmul = np.matmul
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return matmul(*args)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    trace, _ = run_experiment(ExperimentConfig(variant="central", rk="rk4x2", n=16, t_end=1.0))
+    steps = len(trace.times) - 1
+    assert steps > 2 and len(calls) == 2 * steps
 
 
 @pytest.mark.parametrize(
@@ -1595,24 +1644,42 @@ def test_stencil_powers_are_the_exact_operator_powers(build, n, count):
     "rk", ["rk4", "ssprk33", "rk4x2", _chain(32)], ids=lambda m: getattr(m, "name", m)
 )
 def test_composed_factor_gives_the_step_matrix(rk, n, variant, a):
-    """``D Q`` is ``R(Z) - I`` for the dense ``Z = -a dt D``, to the
-    rounding of Horner's rule on dense matrices, ``p(|Z|)`` times a few eps
-    per stage (as in ``_amplification_radius``).  The stencil powers of a
-    32-stage tableau pass 2**53 and, at n = 3 and 16, round from power 27
-    to 29 on, by eps relative, which that bound holds too."""
+    """``D^ Q``, with ``D^`` the unscaled stencil and ``Q`` of scale 1, is
+    ``R(Z) - I`` for the dense ``Z = -a dt D``, to the rounding of Horner's
+    rule on dense matrices, ``p(|Z|)`` times a few eps per stage (as in
+    ``_amplification_radius``).  The stencil powers of a 32-stage tableau
+    pass 2**53 and, at n = 3 and 16, round from power 27 to 29 on, by eps
+    relative, which that bound holds too.  ``Q``'s band is the normal
+    form's: its rows are, bit for bit, ``z`` times the blocks the operator
+    constructor gives the weighted powers (summing the offsets that alias
+    at n = 3 and 4), and zeros (of either sign) where it stores none."""
     g = ops.build_grid(n)
     scheme, method = make_scheme(g, variant, a), resolve_method(rk)
-    dt = 0.37 * g.dx
-    powers = solver._stencil_powers(scheme.D_effective, method.stages)
+    D, dt = scheme.D_effective, 0.37 * g.dx
+    powers = solver._stencil_powers(D, method.stages)
     Q = solver._composed_factor(scheme, method, dt, powers)
-    assert Q.scale == -a * dt
-    Z = (-a * dt) * scheme.D_effective.dense()
+    assert Q.scale == 1.0
+    Z = (-a * dt) * D.dense()
     P, bound = np.zeros_like(Z), 0.0
     znorm = np.abs(Z).sum(axis=1).max()
     for c in reversed(solver._stability_coefficients(method)):
         P, bound = P @ Z + c * np.eye(2 * n), bound * znorm + abs(c)
-    got = scheme.D_effective.dense() @ Q.dense()
+    got = (D.dense() / D.scale) @ Q.dense()
     assert np.abs(got - (P - np.eye(2 * n))).max() <= 16 * method.stages * EPS * bound
+    z, zj, weights = -a * dt * D.scale, 1.0, []
+    for c in solver._stability_coefficients(method)[1:]:
+        weights.append(c * zj)
+        zj *= z
+    offsets, stack = powers
+    weighted = np.add.reduce(np.array(weights)[:, None, None, None] * stack, 0)
+    normal = ops.BlockCirculantOp(n, D.dx, 1.0, dict(zip(offsets, weighted)))
+    lo, span, band = Q._band
+    assert (lo, span) == solver._composed_band(offsets, n)
+    for k, block in enumerate(band.reshape(span, 2, 2)):
+        if lo + k in normal.blocks:
+            assert block.T.tobytes() == (z * normal.blocks[lo + k]).tobytes()
+        else:
+            assert not block.any()
 
 
 _LONG = np.longdouble
@@ -1681,8 +1748,9 @@ def test_composed_run_stays_within_rounding_of_an_extended_precision_run(variant
     the constant part of the rounding of ``Q``'s entries on both the point
     and the average rows.  One rounded ``P - I`` of 17 blocks lets it in
     and lands at 0.61-0.71 steps eps (measured at n = 128 and 1200).
-    Measured here: 0.07 and 0.12 (relaxed central), 0.03 and 0.04 (plain
-    upwind); today's stage loop reads 0.09-0.15."""
+    Measured here: 0.08 and 0.07 (relaxed central), 0.04 and 0.03 (plain
+    upwind), where ``Q`` with ``-a dt`` as its scale and ``D`` with
+    ``1/dx`` read 0.07-0.10 and 0.04; the stage loop reads 0.09-0.15."""
     config = ExperimentConfig(
         variant=variant, rk="rk4x2", relaxation=relaxation, advection_speed=a, n=128
     )
@@ -1693,3 +1761,37 @@ def test_composed_run_stays_within_rounding_of_an_extended_precision_run(variant
     c = 0.25
     assert float(np.abs(u - want).max()) <= c * steps * EPS * float(np.abs(want).max())
     assert abs(float(trace.times[-1] - t_want)) <= c * steps * EPS * config.t_end
+
+
+def _perfbench_workloads():
+    """``perfbench/workloads.py``, loaded by path: the benchmark's reference
+    configurations, the key of each in ``refs.npz``, and its checks."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name while they are made
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _perfbench_workloads()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [c for c in _WORKLOADS.reference_configs() if _composes(c)],
+    ids=_WORKLOADS.config_key,
+)
+def test_composed_runs_stay_within_the_benchmark_references(config):
+    """Every ``perfbench`` reference configuration whose steps compose
+    (relaxed central ``rk4x2`` at n = 1200 among them) ends within the
+    benchmark's ``STATE_RTOL`` of its state in ``refs.npz``, relative in
+    the max norm, and passes the benchmark's energy check.  The composed
+    step's rounding moves these states, not the benchmark's references."""
+    w = _WORKLOADS
+    trace, u = run_experiment(config)
+    with np.load(w.REFS_FILE) as refs:
+        ref = refs[w.config_key(config)]
+    assert w._rel_err(u, ref) <= w.STATE_RTOL
+    assert w.energy_outcome(config.variant, config.relaxation, trace.energies, config.n) == ""
