@@ -51,8 +51,9 @@ holds at most ``#blocks * (_CHUNK + 1)`` cells whatever ``n`` is, and a
 large operand needs no per-block temporary of its size.
 
 A *diagonal* operator -- one block at offset 0 with zero off-diagonals,
-such as the diagonal mass -- is bound by its own rule in the same pass:
-per chunk, one multiply of the input's cells by the block's diagonal,
+such as the diagonal mass -- is bound by its own rule in the same pass,
+in either layout below (the operator decides, not the caller): per
+chunk, one multiply of the input's cells by the block's diagonal,
 tiled over one chunk of cells in an array the binding holds, and one by
 ``scale``.  No window, halo, product stack or ``matmul``: at n = 1200 the
 bound product takes about 2.6 instead of 6 us.  The bits are the
@@ -114,12 +115,13 @@ halo of its own where they do, sums its products into its entries of
 
 - The *per-block* layout is the kernel above, with its bit contract: every
   one-shot call (``op @ u``, ``Scheme.rhs``, ``checks``, ``spectral``) and
-  every :meth:`BlockCirculantOp.bind`.  The time loop's stage steps use it,
-  since ``perfbench``'s references pin their bits to 1e-13, and so do the
-  mass products of both step kinds, so that the energy and the relaxation
-  parameter keep the same bits on their one-shot and bound paths.
-- The *banded* layout (:meth:`BlockCirculantOp.bind_banded`) serves the
-  composed time step's two factors, ``Q u`` and ``D^ q``.  ``B`` is the
+  every :meth:`BlockCirculantOp.bind`.  Of the time loop, only the stage
+  steps use it, their mass products included, since ``perfbench``'s
+  references pin their bits to 1e-13.
+- The *banded* layout (:meth:`BlockCirculantOp.bind_banded`) serves every
+  product of the composed time step: its two factors, ``Q u`` and ``D^
+  q``, and the mass products ``M u`` and ``M d`` (for the diagonal mass,
+  the diagonal rule, whose bits are the per-block ones).  ``B`` is the
   span of the stored offsets, ``max - min + 1``, at most ``n`` in the
   normal form, and ``A`` the ``(2B, 2)`` stack of the transposed blocks by
   offset, with zero rows where no block is stored.  Cell ``i``'s result is
@@ -154,12 +156,14 @@ halo of its own where they do, sums its products into its entries of
   OpenBLAS's threaded ``dgemm`` splits the rows and columns of a product,
   not its dots: composed runs at n = 1200, 8200 and 1e5 end in the same
   bits with one and with two threads.  With every matvec
-  banded, relaxed upwind ``rk4x2`` (n = 48, a = -1) landed 1.25e-11 from
-  ``perfbench``'s references and the chaotic relaxed central ``ssprk33``
-  (n = 128) 6.25e-2: the per-block layout stays until those references are
-  re-recorded.  At n = 1200 the composed ``rk4x2`` ``Q`` (B = 15) takes
-  about 7 instead of 48 us per bound call (per block) and ``D^`` about 4
-  instead of 18 us (shared 2-vCPU x86 host, one BLAS thread).
+  banded, the stage steps too, relaxed upwind ``rk4x2`` (n = 48, a = -1)
+  landed 1.25e-11 from ``perfbench``'s references and the chaotic relaxed
+  central ``ssprk33`` (n = 128) 6.25e-2: the per-block layout stays for
+  the stage steps until those references are re-recorded.  At n = 1200
+  the composed ``rk4x2`` ``Q`` (B = 15) takes about 7 instead of 48 us per
+  bound call (per block) and ``D^`` about 4 instead of 18 us; the upwind
+  mass (B = 3) 5.1 instead of 9.9 us, and 24.7 instead of 55.8 us at n =
+  8200 (shared 2-vCPU x86 host, one BLAS thread).
 
 The relaxed time stepper depends on the per-block layout's exactness: its
 step rescaling divides energy estimates that nearly cancel, so a kernel
@@ -409,8 +413,8 @@ class MatvecBinding(NamedTuple):
     products)``: ``np.matmul`` of the windows ``x``, into the product stack
     (per block) or a strided view of ``out`` (banded), or ``np.multiply``
     of the chunk's cells by the tiled diagonal into its entries of ``out``
-    (the diagonal rule).  Per block, the chunk's last step reduces
-    ``sums`` into ``summed``, its entries of ``out``.  ``scaled``, those
+    (the diagonal rule, in either layout).  Per block, the chunk's last
+    step reduces ``sums`` into ``summed``, its entries of ``out``.  ``scaled``, those
     entries, is then multiplied by the scale in place, unless the scale is
     1 (``scaled`` None).  The halos, the product stack and the tiled
     diagonal are the binding's own: no other binding writes them.
@@ -494,8 +498,8 @@ class BlockCirculantOp:
     @functools.cached_property
     def _diagonal(self) -> Optional[np.ndarray]:
         """The block's diagonal ``(point, average)`` when the operator is one
-        block at offset 0 with zero off-diagonals, which :meth:`bind` applies
-        elementwise; None for any other operator."""
+        block at offset 0 with zero off-diagonals, which either layout applies
+        elementwise (:meth:`_bind`); None for any other operator."""
         a = self.blocks.get(0)
         if len(self.blocks) != 1 or a is None or a[0, 1] != 0.0 or a[1, 0] != 0.0:
             return None
@@ -545,12 +549,10 @@ class BlockCirculantOp:
         stack, whose block sum goes to ``out``.  Windows selected by a
         slice make one batched product per chunk; by an index array, one
         product per block, since a gathered copy would not see the next
-        operand.  A diagonal operator (:attr:`_diagonal`) is two multiplies
-        per chunk instead, with the same bits.  See :meth:`_bind`.
+        operand.  A diagonal operator is two multiplies per chunk instead,
+        with the same bits (see :meth:`_bind`).
         """
         u, out = self._operands(u, out, 2 * self.n)
-        if self._diagonal is not None:
-            return self._bind(u, out, 0, 1, 1, None, self._diagonal)
         h, select, a_t = self._plan
         return self._bind(u, out, -h, 2 * h + 1, 1, select, a_t)
 
@@ -561,20 +563,24 @@ class BlockCirculantOp:
         chunk from cell ``c`` multiplies window ``s < span``, the ``w``
         cells from ``c + lo + s + k w``, by ``A``; the module docstring has
         the rest.  ``ghosts`` an int is the banded layout on ghost-celled
-        arrays: the ring starts at cell ``ghosts`` of both, every chunk
-        reads its windows from ``u`` and writes its products into ``out``,
-        and the steps begin by refreshing ``u``'s margins.  Otherwise
-        ``select`` None is the diagonal rule, ``A`` the block's diagonal:
+        arrays: the ring starts at cell ``ghosts`` of both, and the steps
+        begin by refreshing ``u``'s margins.  A diagonal operator
+        (:attr:`_diagonal`) takes the diagonal rule in either layout, at
+        ``lo = 0`` and ``span = w = 1`` (so it has no margins to refresh):
         each chunk multiplies its cells by the diagonal, tiled over the
-        largest chunk's cells, and by ``scale``.  Any other call is per
-        block: a chunk reads its cells from the operand where they do not
-        wrap, if ``u`` is C-contiguous and ``out`` does not overlap it, and
-        always at span 1 from ``lo = 0``; any other chunk reads them from a
-        halo of its own.  A scale of exactly 1 makes no multiply: ``x * 1``
-        is ``x``, bit for bit.  The steps' arrays are views, valid as long
-        as ``u``, ``out`` and the binding's own scratch arrays are.
+        largest chunk's cells, and by ``scale``.  Any other banded call
+        reads every chunk's windows from ``u`` and writes its products into
+        ``out``.  Any other call is per block: a chunk reads its cells from
+        the operand where they do not wrap, if ``u`` is C-contiguous and
+        ``out`` does not overlap it, and always at span 1 from ``lo = 0``;
+        any other chunk reads them from a halo of its own.  A scale of
+        exactly 1 makes no multiply: ``x * 1`` is ``x``, bit for bit.  The
+        steps' arrays are views, valid as long as ``u``, ``out`` and the
+        binding's own scratch arrays are.
         """
-        n = self.n
+        n, diagonal = self.n, self._diagonal
+        if diagonal is not None:  # a banded Q may store zero blocks around it
+            lo, span, w = 0, 1, 1
         rows = len(u) if u.ndim == 2 else 1
         operand, result = (u[0], out[0]) if u.ndim == 2 and rows == 1 else (u, out)
         stack = (rows,) if rows > 1 else ()
@@ -582,7 +588,7 @@ class BlockCirculantOp:
         # lone cell included, keep the stack within #blocks * (_CHUNK + 1)
         # cells, but never a one-cell chunk
         chunk = _CHUNK
-        while select is not None and chunk > 2 and rows * (chunk + 1) > _CHUNK + 1:
+        while ghosts is None and diagonal is None and chunk > 2 and rows * (chunk + 1) > _CHUNK + 1:
             chunk //= 2
         # the last chunk takes a tail of w cells or fewer: no one-row product,
         # which numpy sends to BLAS's vector kernel, which rounds differently
@@ -596,23 +602,23 @@ class BlockCirculantOp:
             for first, count in ((-before, before), (n, after)):
                 margin = operand[..., 2 * (g + first) :]
                 copies += [(margin[..., to], ring[..., cells]) for to, cells in _halo(first, count, n)]
-        elif select is None:
-            a_t = np.tile(a_t, most)
-        else:
+        if diagonal is not None:
+            a_t = np.tile(diagonal, most)
+        elif ghosts is None:
             products = np.empty((*stack, len(a_t), most, 2), result.dtype)
         direct = u.flags.c_contiguous and not np.may_share_memory(u, out)
         for c, stop in zip(edges, edges[1:]):
             m = -(-(stop - c) // w)
             entries = result[..., 2 * (g + c) : 2 * (g + stop)]
             scaled = None if self.scale == 1.0 else entries
+            if diagonal is not None:
+                cells = operand[..., 2 * (g + c) : 2 * (g + stop)]
+                steps.append((np.multiply, cells, a_t[: 2 * (stop - c)], entries, None, None, scaled))
+                continue
             if ghosts is not None:
                 windows = _windows(operand, g + c + lo, (span, m, 2 * w), w)
                 prods = _windows(result, g + c, (span, m, 2), w)
                 steps.append((np.matmul, windows, a_t, prods, None, None, scaled))
-                continue
-            if select is None:
-                cells = operand[..., 2 * c : 2 * stop]
-                steps.append((np.multiply, cells, a_t[: 2 * (stop - c)], entries, None, None, scaled))
                 continue
             first, count = c + lo, m + span - 1
             if span == 1 and not lo or direct and 0 <= first and first + count <= n:

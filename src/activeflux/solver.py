@@ -75,31 +75,34 @@ cost of its numpy calls, not their arithmetic.  A stage step's bound
 matvec of a derivative makes six: three halo copies, one batched
 ``matmul`` (one BLAS ``dgemm`` per block), one reduction and one scaling;
 one of the diagonal mass makes two multiplies (its elementwise rule).  A
-composed step binds ``Q u`` and ``D^ q`` in the banded layout
+composed step binds every product in the banded layout
 (:meth:`~activeflux.operators.BlockCirculantOp.bind_banded`), on the
-ghost-celled arrays of ``u``, ``q`` and ``d``: up to n = 8192 + B, one
-chunk, each refreshes its operand's margins in two copies (a third where
-the cells after the ring pass its end again, as for ``rk4x2`` at n = 16)
-and makes one ``matmul`` of one ``dgemm`` per residue of the offset span,
-straight from the operand into ``q`` or ``d``.  Past one chunk each chunk
-is one more ``matmul``.  Neither binding holds a halo, a product buffer
-or a scale multiply.  At n = 1200 a relaxed composed step makes 16 numpy
-calls, where it made 23 with halos, product buffers, scaled factors and a
-per-block diagonal mass: 6 in ``Q u`` and ``D^ q``, 1 for ``u + d``, 4 in
-:func:`relaxation_gamma` (``M d`` in two multiplies and two dots: the
-cut-off's ``u.Mu`` is the energy's own dot, read from the workspace), 2
-for the relaxed update and 3 for the energy (``M u`` and one dot).  The
-stage estimate's dots ``y_i M f_i`` of stages 2..s are one batched
-``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n, 1)``, which numpy takes
-row by row to the same ``cblas_ddot``.  Measured in process (shared 2-vCPU
-x86 host, one BLAS thread, medians of three processes per side
-alternating with the halo-copying code), a relaxed central ``rk4x2`` step
-takes 25.7 instead of 38.4 us at n = 1200, 20.8 instead of 31.1 us at n
-= 128 and 128 instead of 184 us at n = 8200; at n = 1200 the energy 3.6
-instead of 7.1 us and :func:`relaxation_gamma` 5.8 instead of 10.0 us.
+ghost-celled arrays of ``u``, ``q``, ``d``, ``M u`` and ``M d``: ``M u``
+and ``M d`` by the diagonal rule for the diagonal mass, as one ``matmul``
+per chunk for the upwind mass.  ``Q u`` and ``D^ q``, up to n = 8192 + B,
+one chunk, each refresh their operand's margins in two copies (a third
+where the cells after the ring pass its end again, as for ``rk4x2`` at n =
+16) and make one ``matmul`` of one ``dgemm`` per residue of the offset
+span, straight from the operand into ``q`` or ``d``.  Past one chunk each
+chunk is one more ``matmul``.  No binding holds a halo, a product buffer
+or a per-block product stack, and only the mass has a scale multiply.  At
+n = 1200 a relaxed composed step makes 16 numpy calls, where it made 23
+with halos, product buffers, scaled factors and a per-block diagonal mass:
+6 in ``Q u`` and ``D^ q``, 1 for ``u + d``, 4 in :func:`relaxation_gamma`
+(``M d`` in two multiplies and two dots: the cut-off's ``u.Mu`` is the
+energy's own dot, read from the workspace), 2 for the relaxed update and 3
+for the energy (``M u`` and one dot).  The stage estimate's dots ``y_i M
+f_i`` of stages 2..s are one batched ``matmul`` of ``(s - 1, 1, 2n)`` by
+``(s - 1, 2n, 1)``, which numpy takes row by row to the same
+``cblas_ddot``.  Measured in process (shared 2-vCPU x86 host, one BLAS
+thread, medians of three processes per side alternating with the
+halo-copying code), a relaxed central ``rk4x2`` step takes 25.7 instead of
+38.4 us at n = 1200, 20.8 instead of 31.1 us at n = 128 and 128 instead of
+184 us at n = 8200; at n = 1200 the energy 3.6 instead of 7.1 us and
+:func:`relaxation_gamma` 5.8 instead of 10.0 us.
 
-:func:`run_experiment` allocates one :class:`Workspace` per run, of one of
-two kinds: a :class:`_StageStep` or a :class:`_ComposedStep`.  Each holds
+:func:`run_experiment` constructs one :class:`Workspace` per run, of one
+of two kinds: a :class:`_StageStep` or a :class:`_ComposedStep`.  Each holds
 the run's state ``u``, its difference ``d``, ``M d``, ``M u`` and a scaled
 term, and every array and binding its steps use; neither kind leaves a
 field unset.  Every array operation of the time loop writes
@@ -110,7 +113,8 @@ with ``M``; each new state overwrites the old one.  The steps allocate no
 array of the state's size.  A stage workspace runs each operation as the
 plain stage loop does, on the same operands in the same order, so its
 trajectories are the same bits as fresh arrays; a composed one has the
-bits of fresh banded bindings of ``Q`` and ``D^``.
+bits of fresh banded bindings of ``Q``, ``D^`` and ``M``.  So each step
+kind has one layout: the stage step per block, the composed step banded.
 
 The workspace also does each step's set-up once per run.  A stage
 workspace holds the folds' numpy calls with their arrays, the stage list,
@@ -118,9 +122,9 @@ one matvec binding
 (:meth:`~activeflux.operators.BlockCirculantOp.bind`) per stage state and
 derivative pair, and the bindings of ``M u`` and of the stack of ``M f_i``
 and ``M d``; each binding makes its own scratch arrays.  A composed
-workspace holds the stencil powers, the ghost-celled arrays of ``u``,
-``q`` and ``d``, ``Q`` with its banded binding (made again when ``dt``
-changes), ``D^`` with its banded binding, and the bindings of ``M u`` and
+workspace holds the stencil powers, the five ghost-celled arrays of
+``u``, ``q``, ``d``, ``M u`` and ``M d``, and four banded bindings: ``Q``'s
+(made again when ``dt`` changes), ``D^``'s, and ``M``'s of ``M u`` and
 ``M d``.  Each kind
 has a ``run(dt)``, the step, and a ``gamma_terms``, which gives
 :func:`relaxation_gamma` the step's ``d``, ``M d`` and stage dots.
@@ -139,7 +143,7 @@ tail.  Each step still calls :func:`rk_step`, :func:`relaxation_gamma`,
 time is measured.
 
 Before its first step a run builds its grid, scheme and initial state,
-refuses non-finite initial data, allocates its workspace and measures the
+refuses non-finite initial data, constructs its workspace and measures the
 initial energy.  A relaxed run also checks ``M D + D^T M = 0``
 (``_estimate_vanishes``), and a relaxed central run computes the
 amplification radius (``_amplification_radius``) on modes ``0..n//2``
@@ -417,12 +421,20 @@ class Scheme:
         """``u^T M u``; with a workspace, ``M u`` goes into its ``Mu`` buffer
         and the energy into its ``uMu``, which :func:`relaxation_gamma` reads.
 
-        A workspace takes only its own state ``u``: the binding of ``M u``
-        refuses any other array with :class:`ValueError`.
+        With a workspace the call replays its binding ``M_u`` on the
+        binding's own arrays: per block on ``u`` for a stage workspace,
+        banded on the ghost-celled state for a composed one, whose energy
+        then has the banded layout's rounding (the diagonal mass's bits are
+        the same in both layouts).  A workspace measures only its own
+        state ``u``: any other array raises :class:`ValueError`.
         """
         if workspace is None:
             return float(u @ (self.M_energy @ u))
-        workspace.uMu = float(self.M_energy.matvec(u, workspace.Mu, workspace.M_u).dot(u))
+        if u is not workspace.u:
+            raise ValueError("a workspace measures only its own state")
+        _, x, Mx, _, _ = bound = workspace.M_u  # the binding's own operand and out
+        self.M_energy.matvec(x, Mx, bound)
+        workspace.uMu = float(workspace.Mu.dot(u))
         return workspace.uMu
 
 
@@ -453,8 +465,9 @@ class Workspace:
     ``u`` is the run's state, ``d`` a step's difference and ``Md`` its
     product with ``M``.  ``tmp`` holds one scaled term, ``(dt c) k_j`` or
     ``gamma d``, before it is added, and ``Mu`` takes ``M u``, through the
-    binding ``M_u``; ``uMu`` is the energy ``u.Mu`` of the state last
-    measured (NaN before the first).  ``update`` is the state ``u + d`` a step returns and
+    binding ``M_u``, which :meth:`Scheme.energy` replays on its own
+    arrays; ``uMu`` is the energy ``u.Mu`` of the state last measured (NaN
+    before the first).  ``update`` is the state ``u + d`` a step returns and
     ``stages`` the stage list it returns with it.  Each kind's ``run(dt)`` is
     the step :func:`rk_step` replays on ``u``, and its ``gamma_terms`` gives
     :func:`relaxation_gamma` what it reads of the step.  The two kinds are
@@ -463,19 +476,6 @@ class Workspace:
     """
 
     __slots__ = ("scheme", "method", "u", "d", "Md", "tmp", "Mu", "uMu", "M_u", "update", "stages")
-
-    @staticmethod
-    def allocate(
-        scheme: Scheme, method: RKMethod, u0: np.ndarray, *, composed: bool = False
-    ) -> "Workspace":
-        """A workspace for real states of ``scheme`` stepped by ``method``, starting from ``u0``.
-
-        Its own state ``u`` holds a copy of ``u0``.  A stage workspace
-        (:class:`_StageStep`, the default) holds the stage data and the stack
-        of products of the stage estimate; ``composed=True`` allocates a
-        :class:`_ComposedStep`.
-        """
-        return (_ComposedStep if composed else _StageStep)(scheme, method, u0)
 
 
 class _StageStep(Workspace):
@@ -662,16 +662,19 @@ class _ComposedStep(Workspace):
 
     ``Q`` comes from :func:`_composed_factor`, with ``-a dt / dx`` in its
     blocks, and ``stencil`` is ``D^``, the scheme's derivative with scale
-    1.  ``u``, ``q`` (``Q u``) and ``d`` are the rings of the three
+    1.  ``u``, ``q`` (``Q u``) and ``d`` are the rings of the first three
     ghost-celled arrays ``ghosted``, each with ``ghosts`` cells before the
-    ring and enough after it for both bands (:func:`operators._ghost_cells`):
+    ring and enough after it for every band (:func:`operators._ghost_cells`):
     ``Q`` reads ``u`` and writes ``q``, ``D^`` reads ``q`` and writes
     ``d``, straight from and into those arrays.  ``update`` takes ``u +
     d``.  ``powers`` are the run's stencil powers; ``Q`` and its banded
     binding ``Q_u`` are made again only when ``dt`` changes (a run's
-    clipped last step), and ``D_q`` binds ``D^`` once.  ``M u`` and ``M
-    d`` are bound per block as ``M_u`` and ``M_d`` (the diagonal mass by
-    its elementwise rule).  No stage is formed, so the stage list is empty.
+    clipped last step), and ``D_q`` binds ``D^`` once.  ``Mu`` and ``Md``
+    are the rings of two more ghost-celled arrays, into which ``M_u`` and
+    ``M_d`` bind ``M`` banded (the diagonal mass by its elementwise rule).
+    The ghost widths cover the bands of ``Q``, ``D^`` and ``M`` alike.  No
+    stage is formed, so the stage list is empty, and no binding is per
+    block.
     """
 
     __slots__ = ("q", "ghosted", "ghosts", "powers", "stencil", "D_q", "M_d", "dt", "Q", "Q_u")
@@ -681,19 +684,19 @@ class _ComposedStep(Workspace):
         self.scheme, self.method, self.stages, self.uMu = scheme, method, (), math.nan
         self.powers = _stencil_powers(D, method.stages)
         self.stencil = BlockCirculantOp(n, D.dx, 1.0, D.blocks)
-        bands = (_composed_band(self.powers[0], n), self.stencil._band[:2])
+        bands = (_composed_band(self.powers[0], n), self.stencil._band[:2], M._band[:2])
         before, after = (max(cells) for cells in zip(*(ops._ghost_cells(*b) for b in bands)))
-        self.ghosted = tuple(np.zeros(2 * (before + n + after)) for _ in range(3))
-        self.u, self.q, self.d = (x[2 * before : 2 * (before + n)] for x in self.ghosted)
-        self.update, self.tmp, self.Md, self.Mu = (np.empty(2 * n) for _ in range(4))
+        self.ghosted = tuple(np.zeros(2 * (before + n + after)) for _ in range(5))
+        self.u, self.q, self.d, self.Mu, self.Md = (x[2 * before : 2 * (before + n)] for x in self.ghosted)
+        self.update, self.tmp, self.ghosts = np.empty(2 * n), np.empty(2 * n), before
         np.copyto(self.u, u0)
-        self.ghosts = before
-        self.D_q = self.stencil.bind_banded(*self.ghosted[1:], before)
-        self.M_u, self.M_d = M.bind(self.u, self.Mu), M.bind(self.d, self.Md)
+        self.D_q = self.stencil.bind_banded(*self.ghosted[1:3], before)
+        pairs = zip(self.ghosted[:3:2], self.ghosted[3:])  # u into M u, d into M d
+        self.M_u, self.M_d = (M.bind_banded(x, Mx, before) for x, Mx in pairs)
         self.dt = self.Q = self.Q_u = None
 
     def run(self, dt: float) -> tuple[np.ndarray, tuple]:
-        u, q, d = self.ghosted
+        u, q, d = self.ghosted[:3]
         if dt != self.dt:
             self.Q = _composed_factor(self.scheme, self.method, dt, self.powers)
             self.Q_u = self.Q.bind_banded(u, q, self.ghosts)
@@ -703,10 +706,12 @@ class _ComposedStep(Workspace):
         return np.add(self.u, self.d, self.update), self.stages
 
     def gamma_terms(self, u, u_next, stage_data, M) -> tuple[np.ndarray, np.ndarray, list]:
-        """The ``d`` that :meth:`run` formed, never ``u_next - u``, and ``M d``; no stage dots."""
+        """The ``d`` that :meth:`run` formed, never ``u_next - u``, and ``M d``
+        from the banded binding ``M_d``; no stage dots."""
         if u is not self.u or u_next is not self.update or stage_data:
             raise ValueError("a composed workspace takes its own state and update, no stage data")
-        return self.d, M.matvec(self.d, self.Md, self.M_d), []
+        M.matvec(self.M_d.u, self.M_d.out, self.M_d)  # the binding's own operand and out
+        return self.d, self.Md, []
 
 
 def rk_step(
@@ -1047,7 +1052,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     if config.relaxation and _estimate_vanishes(scheme):
         rho, tol = _amplification_radius(scheme, method, dt_nominal)
         composed = rho <= 1.0 + tol
-    ws = Workspace.allocate(scheme, method, u0, composed=composed)
+    ws = (_ComposedStep if composed else _StageStep)(scheme, method, u0)
     u = ws.u
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         e0 = scheme.energy(u, ws)
