@@ -23,8 +23,9 @@ blocks is exactly the zero operator.
 
 ``BlockCirculantOp.matvec`` is the one evaluation kernel, with two binding
 layouts and one pass over the chunks behind both (see below).  In the
-per-block layout, a plan cached on the frozen operator holds the halo width
-``h = max |j|``, the transposed blocks stacked in insertion order, and
+per-block layout, a plan cached on the frozen operator holds the first
+window ``-h`` and the window count ``2h + 1`` of the halo width ``h = max
+|j|``, the transposed blocks stacked in insertion order, and
 which windows of a halo-extended copy of the input (the input with ``h``
 wrapped cells on each side) they read.  The ``2h + 1`` windows of a run of
 cells are one strided ``(2h + 1, cells, 2)`` view (``_windows``).  Each
@@ -85,12 +86,15 @@ A caller that applies an operator to the same arrays many times, like the
 time loop, binds the call once: ``BlockCirculantOp.bind(u, out)`` checks
 the operand and ``out`` and makes, in one pass over the chunks and straight
 from ``u`` and ``out``, the scratch arrays (each wrapping chunk's halo and
-one product buffer, or the tiled diagonal) and the steps over them: the
-halo copies, the windows and the products, each with its part of ``out``.
-It returns them as a ``MatvecBinding``.  ``matvec(u, out, binding)`` on
-that very operator, ``u`` and ``out`` (``is``) replays the steps, reading
-whatever ``u`` holds then; a binding made for any other call raises.  A
-one-shot call is a binding made and replayed once.  Every binding makes
+one product buffer, or the tiled diagonal) and one flat list of the numpy
+calls over them, ``(function, args)`` in order: the halo copies, then per
+chunk its products, block sum and scale multiply, each with its part of
+``out``.  It returns them as a ``MatvecBinding``.  ``matvec(u, out,
+binding)`` on that very operator, ``u`` and ``out`` (``is``) replays the
+calls in one loop, reading whatever ``u`` holds then; a binding made for
+any other call raises.  A one-shot call makes the same calls
+(``BlockCirculantOp._calls``) and replays them once, with no binding
+around them.  Every binding makes
 its own scratch arrays and lends them to none, so bindings of one operator
 may be replayed in any order.  The kernel's scalars, the ``+0.0`` of the
 sums and ``scale``, are numpy scalars made once, which spares each call a
@@ -102,7 +106,7 @@ and at least two rows (OpenBLAS rounds with fused multiply-adds, which an
 elementwise product or numpy's fallback loop would not).
 
 Both layouts make their bindings in that one pass
-(``BlockCirculantOp._bind``), and ``matvec`` replays both with one loop.
+(``BlockCirculantOp._calls``), and ``matvec`` replays both with one loop.
 A BLAS row is a window of ``w`` cells times ``A``: ``w = 1`` and ``A`` a
 block per-block, ``w = B`` and ``A`` the band's stack banded.  A chunk of
 ``m = ceil(cells / w)`` rows reads ``(m + 1) w + span - w - 1`` cells from
@@ -120,8 +124,8 @@ halo of its own where they do, sums its products into its entries of
   references pin their bits to 1e-13.
 - The *banded* layout (:meth:`BlockCirculantOp.bind_banded`) serves every
   product of the composed time step: its two factors, ``Q u`` and ``D^
-  q``, and the mass products ``M u`` and ``M d`` (for the diagonal mass,
-  the diagonal rule, whose bits are the per-block ones).  ``B`` is the
+  q``, and for the upwind energy the mass's integer root, ``W u`` and ``W
+  d`` (the composed step applies no mass).  ``B`` is the
   span of the stored offsets, ``max - min + 1``, at most ``n`` in the
   normal form, and ``A`` the ``(2B, 2)`` stack of the transposed blocks by
   offset, with zero rows where no block is stored.  Cell ``i``'s result is
@@ -163,7 +167,8 @@ halo of its own where they do, sums its products into its entries of
   the composed ``rk4x2`` ``Q`` (B = 15) takes about 7 instead of 48 us per
   bound call (per block) and ``D^`` about 4 instead of 18 us; the upwind
   mass (B = 3) 5.1 instead of 9.9 us, and 24.7 instead of 55.8 us at n =
-  8200 (shared 2-vCPU x86 host, one BLAS thread).
+  8200, and its root ``W`` (B = 2) 3.3 and 15 us (shared 2-vCPU x86 host,
+  one BLAS thread).
 
 The relaxed time stepper depends on the per-block layout's exactness: its
 step rescaling divides energy estimates that nearly cancel, so a kernel
@@ -405,26 +410,25 @@ class MatvecBinding(NamedTuple):
     """One :meth:`BlockCirculantOp.matvec` call's set-up, from :meth:`BlockCirculantOp.bind`
     or :meth:`BlockCirculantOp.bind_banded`.
 
-    A call replays ``copies``, the copies ``(destination, source)`` into
-    the halos (per block) or the operand's margins (banded), and
-    ``steps``, ``(product, x, A, products, sums, summed, scaled)`` per
-    chunk, only when it is a call of ``op`` on ``u`` into ``out``, all
-    three the very objects bound.  A step calls ``product(x, A,
-    products)``: ``np.matmul`` of the windows ``x``, into the product stack
-    (per block) or a strided view of ``out`` (banded), or ``np.multiply``
-    of the chunk's cells by the tiled diagonal into its entries of ``out``
-    (the diagonal rule, in either layout).  Per block, the chunk's last
-    step reduces ``sums`` into ``summed``, its entries of ``out``.  ``scaled``, those
-    entries, is then multiplied by the scale in place, unless the scale is
-    1 (``scaled`` None).  The halos, the product stack and the tiled
-    diagonal are the binding's own: no other binding writes them.
+    ``calls`` is the call's numpy calls, ``(function, args)`` in order,
+    which ``matvec`` replays only when it is a call of ``op`` on ``u`` into
+    ``out``, all three the very objects bound: first the copies into the
+    halos (per block) or the operand's margins (banded), each a
+    ``__setitem__`` of its destination, then per chunk its products
+    (``np.matmul`` of the windows into the product stack, per block, or
+    into a strided view of ``out``, banded; ``np.multiply`` of the chunk's
+    cells by the tiled diagonal into its entries of ``out``, by the
+    diagonal rule in either layout), per block the ``np.add.reduce`` of the
+    product stack into the chunk's entries of ``out``, and the multiply of
+    those entries by the scale, unless the scale is 1.  The halos, the
+    product stack and the tiled diagonal are the binding's own: no other
+    binding writes them.
     """
 
     op: "BlockCirculantOp"
     u: np.ndarray
     out: np.ndarray
-    copies: tuple
-    steps: tuple
+    calls: tuple
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -499,15 +503,16 @@ class BlockCirculantOp:
     def _diagonal(self) -> Optional[np.ndarray]:
         """The block's diagonal ``(point, average)`` when the operator is one
         block at offset 0 with zero off-diagonals, which either layout applies
-        elementwise (:meth:`_bind`); None for any other operator."""
+        elementwise (:meth:`_calls`); None for any other operator."""
         a = self.blocks.get(0)
         if len(self.blocks) != 1 or a is None or a[0, 1] != 0.0 or a[1, 0] != 0.0:
             return None
         return a.diagonal().copy()
 
     @functools.cached_property
-    def _plan(self) -> tuple[int, slice | np.ndarray, np.ndarray]:
-        """Halo width ``h = max |j|``, window selector and stacked ``A_j^T``.
+    def _plan(self) -> tuple[int, int, slice | np.ndarray, np.ndarray]:
+        """First window ``-h`` and window count ``2h + 1`` for the halo width ``h = max |j|``,
+        window selector and stacked ``A_j^T``.
 
         Block ``i`` in insertion order reads the operand window that starts
         at cell ``h + j_i`` of the halo-extended copy.  The selector picks
@@ -522,7 +527,7 @@ class BlockCirculantOp:
         first = starts[0] if starts else 0
         consecutive = starts == list(range(first, first + len(starts)))
         select = slice(first, first + len(starts)) if consecutive else np.array(starts)
-        return h, select, self.stack.transpose(0, 2, 1).copy()
+        return -h, 2 * h + 1, select, self.stack.transpose(0, 2, 1).copy()
 
     def _operands(self, u, out, size: int) -> tuple[np.ndarray, np.ndarray]:
         """``u`` as an array of shape ``(size,)`` or ``(rows, size)``, and
@@ -550,20 +555,20 @@ class BlockCirculantOp:
         slice make one batched product per chunk; by an index array, one
         product per block, since a gathered copy would not see the next
         operand.  A diagonal operator is two multiplies per chunk instead,
-        with the same bits (see :meth:`_bind`).
+        with the same bits (see :meth:`_calls`).
         """
         u, out = self._operands(u, out, 2 * self.n)
-        h, select, a_t = self._plan
-        return self._bind(u, out, -h, 2 * h + 1, 1, select, a_t)
+        return MatvecBinding(self, u, out, self._calls(u, out))
 
-    def _bind(self, u, out, lo, span, w, select, a_t, ghosts=None) -> MatvecBinding:
-        """The one pass over the chunks behind :meth:`bind` and :meth:`bind_banded`.
+    def _calls(self, u, out, ghosts=None) -> tuple:
+        """The calls of a binding: the one pass over the chunks behind :meth:`bind`,
+        :meth:`bind_banded` and every one-shot :meth:`matvec`.
 
         ``u`` and ``out`` come checked (:meth:`_operands`).  Row ``k`` of a
         chunk from cell ``c`` multiplies window ``s < span``, the ``w``
         cells from ``c + lo + s + k w``, by ``A``; the module docstring has
         the rest.  ``ghosts`` an int is the banded layout on ghost-celled
-        arrays: the ring starts at cell ``ghosts`` of both, and the steps
+        arrays: the ring starts at cell ``ghosts`` of both, and the calls
         begin by refreshing ``u``'s margins.  A diagonal operator
         (:attr:`_diagonal`) takes the diagonal rule in either layout, at
         ``lo = 0`` and ``span = w = 1`` (so it has no margins to refresh):
@@ -575,12 +580,16 @@ class BlockCirculantOp:
         ``out`` does not overlap it, and always at span 1 from ``lo = 0``;
         any other chunk reads them from a halo of its own.  A scale of
         exactly 1 makes no multiply: ``x * 1`` is ``x``, bit for bit.  The
-        steps' arrays are views, valid as long as ``u``, ``out`` and the
+        calls' arrays are views, valid as long as ``u``, ``out`` and the
         binding's own scratch arrays are.
         """
         n, diagonal = self.n, self._diagonal
-        if diagonal is not None:  # a banded Q may store zero blocks around it
+        if diagonal is not None:  # either layout; a banded Q may store zero blocks around it
             lo, span, w = 0, 1, 1
+        elif ghosts is None:  # per block: a window is one cell
+            (lo, span, select, a_t), w = self._plan, 1
+        else:  # banded: a window is the band's span of cells
+            (lo, span, a_t), w = self._band, self._band[1]
         rows = len(u) if u.ndim == 2 else 1
         operand, result = (u[0], out[0]) if u.ndim == 2 and rows == 1 else (u, out)
         stack = (rows,) if rows > 1 else ()
@@ -594,49 +603,48 @@ class BlockCirculantOp:
         # which numpy sends to BLAS's vector kernel, which rounds differently
         edges = [0, *range(chunk, n - w, chunk), n]
         most = -(-min(n, chunk + w) // w)  # rows of the largest chunk
-        copies, steps, g = [], [], ghosts or 0
+        copies, calls, g = [], [], ghosts or 0
         if ghosts is not None:
             before, after = _ghost_cells(lo, span)
             # the margins: cells -before..-1 and n..n + after - 1 of the ring
             ring = operand[..., 2 * g : 2 * (g + n)]
             for first, count in ((-before, before), (n, after)):
                 margin = operand[..., 2 * (g + first) :]
-                copies += [(margin[..., to], ring[..., cells]) for to, cells in _halo(first, count, n)]
+                copies += [(margin[..., to].__setitem__, (..., ring[..., c])) for to, c in _halo(first, count, n)]
         if diagonal is not None:
             a_t = np.tile(diagonal, most)
         elif ghosts is None:
             products = np.empty((*stack, len(a_t), most, 2), result.dtype)
-        direct = u.flags.c_contiguous and not np.may_share_memory(u, out)
         for c, stop in zip(edges, edges[1:]):
             m = -(-(stop - c) // w)
             entries = result[..., 2 * (g + c) : 2 * (g + stop)]
-            scaled = None if self.scale == 1.0 else entries
             if diagonal is not None:
                 cells = operand[..., 2 * (g + c) : 2 * (g + stop)]
-                steps.append((np.multiply, cells, a_t[: 2 * (stop - c)], entries, None, None, scaled))
-                continue
-            if ghosts is not None:
+                calls.append((np.multiply, (cells, a_t[: 2 * (stop - c)], entries)))
+            elif ghosts is not None:
                 windows = _windows(operand, g + c + lo, (span, m, 2 * w), w)
-                prods = _windows(result, g + c, (span, m, 2), w)
-                steps.append((np.matmul, windows, a_t, prods, None, None, scaled))
-                continue
-            first, count = c + lo, m + span - 1
-            if span == 1 and not lo or direct and 0 <= first and first + count <= n:
-                x = operand
+                calls.append((np.matmul, (windows, a_t, _windows(result, g + c, (span, m, 2), w))))
             else:
-                x, first = np.empty((*stack, 2 * count), u.dtype), 0
-                copies += [(x[..., into], operand[..., cells]) for into, cells in _halo(c + lo, count, n)]
-            windows = _windows(x, first, (span, m, 2), 1)
-            part = products[..., :m, :]
-            sums = part.reshape(*stack, len(a_t), 2 * m)
-            if isinstance(select, slice):
-                steps.append((np.matmul, windows[..., select, :, :], a_t, part, sums, entries, scaled))
-                continue
-            for i, s in enumerate(select.tolist()):
-                product = (np.matmul, windows[..., s, :, :], a_t[i], part[..., i, :, :])
-                steps.append((*product, None, None, None))
-            steps[-1] = (*steps[-1][:4], sums, entries, scaled)
-        return MatvecBinding(self, u, out, tuple(copies), tuple(steps))
+                first, count = c + lo, m + span - 1
+                inside = 0 <= first and first + count <= n  # windows that do not wrap
+                if span == 1 and not lo or inside and u.flags.c_contiguous and not np.may_share_memory(u, out):
+                    x = operand
+                else:
+                    x, first = np.empty((*stack, 2 * count), u.dtype), 0
+                    runs = _halo(c + lo, count, n)
+                    copies += [(x[..., into].__setitem__, (..., operand[..., cells])) for into, cells in runs]
+                windows = _windows(x, first, (span, m, 2), 1)
+                part = products[..., :m, :]
+                if isinstance(select, slice):
+                    calls.append((np.matmul, (windows[..., select, :, :], a_t, part)))
+                else:
+                    for i, s in enumerate(select.tolist()):
+                        calls.append((np.matmul, (windows[..., s, :, :], a_t[i], part[..., i, :, :])))
+                sums = part.reshape(*stack, len(a_t), 2 * m)
+                calls.append((np.add.reduce, (sums, -2, None, entries, False, _ZERO)))
+            if self.scale != 1.0:
+                calls.append((np.multiply, (entries, self._scale, entries)))
+        return (*copies, *calls)
 
     @functools.cached_property
     def _band(self) -> tuple[int, int, np.ndarray]:
@@ -686,7 +694,7 @@ class BlockCirculantOp:
         1``, times the ``(2B, 2)`` stack of ``_band``, so ``w`` is the span
         ``B``: a chunk's residues mod ``B`` are one ``(B, m, 2B)`` strided
         view of ``u`` and one ``matmul`` into a strided view of ``out`` (see
-        the module docstring and :meth:`_bind`).  ``u`` and ``out`` are
+        the module docstring and :meth:`_calls`).  ``u`` and ``out`` are
         ghost-celled: of one shape, ``(size,)`` or ``(rows, size)``, with
         the ring's ``2n`` entries from cell ``ghosts`` on and at least the
         cells :func:`_ghost_cells` gives before and after it.  Both are
@@ -696,7 +704,7 @@ class BlockCirculantOp:
         once: within ``2B eps |scale| (|A| |u|)_i + eps |result_i|`` of the
         exact product, not the bits of :meth:`bind`'s per-block layout.
         """
-        lo, span, stack = self._band
+        lo, span, _ = self._band
         before, after = _ghost_cells(lo, span)
         size = np.shape(u)[-1] if np.ndim(u) else 0
         fits = isinstance(ghosts, int) and ghosts >= before and size % 2 == 0
@@ -708,7 +716,7 @@ class BlockCirculantOp:
         u, out = self._operands(u, out, size)
         if not (u.flags.c_contiguous and out.flags.c_contiguous) or np.may_share_memory(u, out):
             raise ValueError("a banded operand and out must be C-contiguous and must not overlap")
-        return self._bind(u, out, lo, span, span, None, stack, ghosts)
+        return MatvecBinding(self, u, out, self._calls(u, out, ghosts))
 
     def matvec(
         self,
@@ -742,9 +750,10 @@ class BlockCirculantOp:
 
         ``out`` (of ``u``'s shape and the result dtype) receives the result
         and is returned; it may be ``u`` itself.  Without ``binding`` the
-        call is one-shot: ``bind(u, out)`` replayed once, with a new
-        array when ``out`` is None.  With a ``binding`` from :meth:`bind`
-        for this operator, ``u`` and ``out``, it replays the bound set-up.
+        call is one-shot: the calls ``bind(u, out)`` would hold, made and
+        replayed once, with a new array when ``out`` is None.  With a
+        ``binding`` from :meth:`bind` for this operator, ``u`` and ``out``,
+        it replays the bound calls.
         A binding from :meth:`bind_banded` replays the banded layout on its
         ghost-celled arrays through the same loop, with that layout's
         rounding instead of the contract above.  An operand or ``out`` that
@@ -752,20 +761,14 @@ class BlockCirculantOp:
         :class:`ValueError`.
         """
         if binding is None:
-            _, _, out, copies, steps = self.bind(u, out)
+            u, out = self._operands(u, out, 2 * self.n)
+            calls = self._calls(u, out)
         else:
-            op, bound_u, bound_out, copies, steps = binding
+            op, bound_u, bound_out, calls = binding
             if op is not self or bound_u is not u or bound_out is not out:
                 raise ValueError("the binding was made for another operator, operand or out")
-        for halo, cells in copies:
-            halo[...] = cells
-        # positional out: the same ufunc loops, with less argument parsing
-        for product, x, a, products, sums, summed, scaled in steps:
-            product(x, a, products)
-            if sums is not None:
-                np.add.reduce(sums, -2, None, summed, False, _ZERO)
-            if scaled is not None:
-                np.multiply(scaled, self._scale, scaled)
+        for function, args in calls:
+            function(*args)
         return out
 
     def dense(self) -> np.ndarray:

@@ -21,10 +21,10 @@ multiplies by a scale.  The powers ``D^^j`` are formed once per run
 operator (:func:`_composed_factor`), so a clipped last step forms no new
 powers.  ``d`` is written as it is, never as ``u_next - u``, which
 cancels to an error of eps ``|u|`` and, for small steps, moves the
-relaxation parameter far past rounding.  A composed step makes 4 matvec
-calls relaxed (``Q u``, ``D^ q``, ``M d`` and the energy's ``M u``) and 3
-unrelaxed, where the stages made ``s + 2`` and ``s + 1``: 10 and 9 for
-``rk4x2``.
+relaxation parameter far past rounding.  A composed step makes 2 matvec
+calls, ``Q u`` and ``D^ q`` (and for the upwind mass one ``W`` product
+per energy and per gamma), where the stages made ``s + 2`` relaxed and
+``s + 1`` unrelaxed: 10 and 9 for ``rk4x2``.
 
 ``D^`` stays a factor of its own.  Rounding ``Q``'s entries perturbs
 ``Q`` by a few eps relative, and the exact stencil annihilates the
@@ -75,46 +75,55 @@ cost of its numpy calls, not their arithmetic.  A stage step's bound
 matvec of a derivative makes six: three halo copies, one batched
 ``matmul`` (one BLAS ``dgemm`` per block), one reduction and one scaling;
 one of the diagonal mass makes two multiplies (its elementwise rule).  A
-composed step binds every product in the banded layout
-(:meth:`~activeflux.operators.BlockCirculantOp.bind_banded`), on the
-ghost-celled arrays of ``u``, ``q``, ``d``, ``M u`` and ``M d``: ``M u``
-and ``M d`` by the diagonal rule for the diagonal mass, as one ``matmul``
-per chunk for the upwind mass.  ``Q u`` and ``D^ q``, up to n = 8192 + B,
-one chunk, each refresh their operand's margins in two copies (a third
-where the cells after the ring pass its end again, as for ``rk4x2`` at n =
-16) and make one ``matmul`` of one ``dgemm`` per residue of the offset
-span, straight from the operand into ``q`` or ``d``.  Past one chunk each
-chunk is one more ``matmul``.  No binding holds a halo, a product buffer
-or a per-block product stack, and only the mass has a scale multiply.  At
-n = 1200 a relaxed composed step makes 16 numpy calls, where it made 23
-with halos, product buffers, scaled factors and a per-block diagonal mass:
-6 in ``Q u`` and ``D^ q``, 1 for ``u + d``, 4 in :func:`relaxation_gamma`
-(``M d`` in two multiplies and two dots: the cut-off's ``u.Mu`` is the
-energy's own dot, read from the workspace), 2 for the relaxed update and 3
-for the energy (``M u`` and one dot).  The stage estimate's dots ``y_i M
-f_i`` of stages 2..s are one batched ``matmul`` of ``(s - 1, 1, 2n)`` by
-``(s - 1, 2n, 1)``, which numpy takes row by row to the same
-``cblas_ddot``.  Measured in process (shared 2-vCPU x86 host, one BLAS
-thread, medians of three processes per side alternating with the
-halo-copying code), a relaxed central ``rk4x2`` step takes 25.7 instead of
-38.4 us at n = 1200, 20.8 instead of 31.1 us at n = 128 and 128 instead of
-184 us at n = 8200; at n = 1200 the energy 3.6 instead of 7.1 us and
-:func:`relaxation_gamma` 5.8 instead of 10.0 us.
+composed step binds its products in the banded layout
+(:meth:`~activeflux.operators.BlockCirculantOp.bind_banded`), on
+ghost-celled arrays.  ``Q u`` and ``D^ q``, up to n = 8192 + B, one chunk,
+each refresh their operand's margins in two copies (a third where the
+cells after the ring pass its end again, as for ``rk4x2`` at n = 16) and
+make one ``matmul`` of one ``dgemm`` per residue of the offset span,
+straight from the operand into ``q`` or ``d``.  Past one chunk each chunk
+is one more ``matmul``.  No binding holds a halo, a product buffer or a
+per-block product stack, and none has a scale multiply.  The composed step
+applies no mass: its energy and gamma's dots are weighted sums of squares
+(:func:`_energy_form`), ``(w o u) . u`` with the diagonal mass's
+weights, and ``(lambda o W u) . W u`` with ``W u`` one banded product of
+the upwind mass's integer root ``W`` (:data:`_UPWIND_ROOT`), whose
+rounding stays relative to the energy where ``u . (M u)`` cancels (the
+upwind energy of smooth data is about ``n^-2`` of ``|u|^2``).  Nor does it
+form an update: ``u += d`` unrelaxed, ``u += gamma d`` relaxed.  At n =
+1200 a relaxed central composed step makes 13 numpy calls: 6 in ``Q u``
+and ``D^ q``, 3 in :func:`relaxation_gamma` (``w o d`` and two dots: the
+cut-off's ``u.Mu`` is the energy, read from the workspace), 2 for the
+relaxed update and 2 for the energy (``w o u`` and one dot).  It made 16
+with ``M u`` and ``M d`` as matvecs and an unused ``u + d``, and 23 with
+halos, product buffers, scaled factors and a per-block diagonal mass.  An
+unrelaxed step makes 9 (11 before): 6, ``u += d`` and the energy's 2; for
+the upwind mass 11, ``W u`` adding a margin copy and a ``matmul``.  The
+stage estimate's dots ``y_i M f_i`` of stages 2..s are one batched
+``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n, 1)``, which numpy takes
+row by row to the same ``cblas_ddot``.  Measured in process (shared
+2-vCPU x86 host, one BLAS thread, medians of three processes per side
+alternating with the code that applied the mass), a relaxed central
+``rk4x2`` step takes 24.1 instead of 29.5 us at n = 1200, 13.1 instead of
+16.4 us at n = 128 and 111 instead of 129 us at n = 8200; at n = 1200 the
+energy 2.9 instead of 3.9 us, :func:`relaxation_gamma` 4.3 instead of 5.8
+us and the composed ``run(dt)`` 11.9 instead of 14.5 us.
 
 :func:`run_experiment` constructs one :class:`Workspace` per run, of one
 of two kinds: a :class:`_StageStep` or a :class:`_ComposedStep`.  Each holds
-the run's state ``u``, its difference ``d``, ``M d``, ``M u`` and a scaled
-term, and every array and binding its steps use; neither kind leaves a
-field unset.  Every array operation of the time loop writes
-into it: the matvecs (their halo, window and product buffers included),
-``Q u`` and ``d`` of a composed step, the scaled terms and products of the
-folds, the stage states and derivatives of a stage step, and the products
-with ``M``; each new state overwrites the old one.  The steps allocate no
-array of the state's size.  A stage workspace runs each operation as the
-plain stage loop does, on the same operands in the same order, so its
+the run's state ``u``, its difference ``d`` and a scaled term, and every
+array and binding its steps use; neither kind leaves a field unset.  Every
+array operation of the time loop writes into it: the matvecs (their halo,
+window and product buffers included), ``Q u`` and ``d`` of a composed step
+and its weighted vectors, the scaled terms and products of the folds, the
+stage states and derivatives of a stage step, and its products with
+``M``; each new state overwrites the old one.  The steps allocate no array
+of the state's size.  A stage workspace runs each operation as the plain
+stage loop does, on the same operands in the same order, so its
 trajectories are the same bits as fresh arrays; a composed one has the
-bits of fresh banded bindings of ``Q``, ``D^`` and ``M``.  So each step
-kind has one layout: the stage step per block, the composed step banded.
+bits of fresh banded bindings of ``Q``, ``D^`` and ``W`` and of its
+weighted sums on new arrays.  So each step kind has one layout: the stage
+step per block, the composed step banded.
 
 The workspace also does each step's set-up once per run.  A stage
 workspace holds the folds' numpy calls with their arrays, the stage list,
@@ -122,25 +131,28 @@ one matvec binding
 (:meth:`~activeflux.operators.BlockCirculantOp.bind`) per stage state and
 derivative pair, and the bindings of ``M u`` and of the stack of ``M f_i``
 and ``M d``; each binding makes its own scratch arrays.  A composed
-workspace holds the stencil powers, the five ghost-celled arrays of
-``u``, ``q``, ``d``, ``M u`` and ``M d``, and four banded bindings: ``Q``'s
-(made again when ``dt`` changes), ``D^``'s, and ``M``'s of ``M u`` and
-``M d``.  Each kind
-has a ``run(dt)``, the step, and a ``gamma_terms``, which gives
-:func:`relaxation_gamma` the step's ``d``, ``M d`` and stage dots.
+workspace holds the stencil powers, the ghost-celled arrays of ``u``,
+``q`` and ``d`` (and of ``W u`` and ``W d`` for the upwind mass), the
+tiled weights, and its banded bindings: ``Q``'s (made again when ``dt``
+changes), ``D^``'s, and, upwind, ``W``'s of ``W u`` and ``W d``.  Each
+kind has a ``run(dt)``, the step, an ``energy()``, an ``advance`` call to
+the unrelaxed update and a ``gamma_terms``, which gives
+:func:`relaxation_gamma` the step's dots.
 
 :func:`rk_step`, :func:`relaxation_gamma` and :meth:`Scheme.energy` each
 have two paths.  Without a workspace they run on new arrays:
 :func:`rk_step` is then the plain stage loop, naive folds over
 ``scheme.rhs(y)`` for any dtype and any object with an ``rhs``, and the
-oracle of both workspace kinds, independent of the fold planner; and
-:func:`relaxation_gamma` makes one ``M @ x`` per product.  With one, they
-replay its bindings, and take only the workspace's own state ``u``,
-scheme, method, stage list and update: anything else raises
-:class:`ValueError`.  Both paths of :func:`relaxation_gamma` share one
-tail.  Each step still calls :func:`rk_step`, :func:`relaxation_gamma`,
-:meth:`Scheme.energy` and ``BlockCirculantOp.matvec``, which are where its
-time is measured.
+oracle of both workspace kinds, independent of the fold planner;
+:func:`relaxation_gamma` makes one ``M @ x`` per product, and
+:meth:`Scheme.energy` is ``u . (M @ u)``.  With one, they replay its
+bindings, and take only the workspace's own state ``u``, scheme, method,
+stage list and update (a composed workspace: its difference): anything
+else raises :class:`ValueError`.  Both paths of :func:`relaxation_gamma`
+share one tail.  Each step still calls :func:`rk_step`,
+:func:`relaxation_gamma` (relaxed), :meth:`Scheme.energy` and, for every
+product, ``BlockCirculantOp.matvec``, which are where its time is
+measured.
 
 Before its first step a run builds its grid, scheme and initial state,
 refuses non-finite initial data, constructs its workspace and measures the
@@ -418,23 +430,23 @@ class Scheme:
         return f
 
     def energy(self, u: np.ndarray, workspace: Optional["Workspace"] = None) -> float:
-        """``u^T M u``; with a workspace, ``M u`` goes into its ``Mu`` buffer
-        and the energy into its ``uMu``, which :func:`relaxation_gamma` reads.
+        """``u^T M u``; with a workspace, the workspace's own form of it,
+        stored in its ``uMu``, which :func:`relaxation_gamma` reads.
 
-        With a workspace the call replays its binding ``M_u`` on the
-        binding's own arrays: per block on ``u`` for a stage workspace,
-        banded on the ghost-celled state for a composed one, whose energy
-        then has the banded layout's rounding (the diagonal mass's bits are
-        the same in both layouts).  A workspace measures only its own
-        state ``u``: any other array raises :class:`ValueError`.
+        Without a workspace it is ``u . (M @ u)``, the oracle.  A stage
+        workspace replays its per-block binding ``M_u`` into its ``Mu`` and
+        dots that with ``u``: the oracle's bits.  A composed workspace sums
+        weighted squares (:func:`_energy_form`): ``(w o u) . u`` for the
+        diagonal mass and ``(lambda o W u) . W u`` for the upwind one, with
+        ``W u`` one banded product.  A workspace measures only its own
+        state ``u``, for its own scheme: anything else raises
+        :class:`ValueError`.
         """
         if workspace is None:
             return float(u @ (self.M_energy @ u))
-        if u is not workspace.u:
-            raise ValueError("a workspace measures only its own state")
-        _, x, Mx, _, _ = bound = workspace.M_u  # the binding's own operand and out
-        self.M_energy.matvec(x, Mx, bound)
-        workspace.uMu = float(workspace.Mu.dot(u))
+        if u is not workspace.u or workspace.scheme is not self:
+            raise ValueError("a workspace measures only its own state, for its own scheme")
+        workspace.uMu = workspace.energy()
         return workspace.uMu
 
 
@@ -462,20 +474,20 @@ def make_scheme(grid: Grid, variant: str, advection_speed: float = 1.0) -> Schem
 class Workspace:
     """The arrays one run's time loop writes, allocated once per run: base of the two step kinds.
 
-    ``u`` is the run's state, ``d`` a step's difference and ``Md`` its
-    product with ``M``.  ``tmp`` holds one scaled term, ``(dt c) k_j`` or
-    ``gamma d``, before it is added, and ``Mu`` takes ``M u``, through the
-    binding ``M_u``, which :meth:`Scheme.energy` replays on its own
-    arrays; ``uMu`` is the energy ``u.Mu`` of the state last measured (NaN
-    before the first).  ``update`` is the state ``u + d`` a step returns and
-    ``stages`` the stage list it returns with it.  Each kind's ``run(dt)`` is
-    the step :func:`rk_step` replays on ``u``, and its ``gamma_terms`` gives
-    :func:`relaxation_gamma` what it reads of the step.  The two kinds are
-    :class:`_StageStep` and :class:`_ComposedStep`; each holds every array
-    and binding its runs use, and none of its fields is left unset.
+    ``u`` is the run's state and ``d`` a step's difference.  ``tmp`` holds
+    one scaled term, ``(dt c) k_j`` or ``gamma d``, before it is added, or
+    a weighted vector of the energy or of gamma; ``uMu`` is the energy of
+    the state last measured (NaN before the first).  ``stages`` is the
+    stage list a step returns.  ``advance()`` moves ``u`` to a step's
+    unrelaxed update.  Each kind's ``run(dt)`` is the step :func:`rk_step`
+    replays on ``u``, its ``energy()`` the energy :meth:`Scheme.energy`
+    measures, and its ``gamma_terms`` gives :func:`relaxation_gamma` what
+    it reads of the step.  The two kinds are :class:`_StageStep` and
+    :class:`_ComposedStep`; each holds every array and binding its runs
+    use, and none of the fields above is left unset.
     """
 
-    __slots__ = ("scheme", "method", "u", "d", "Md", "tmp", "Mu", "uMu", "M_u", "update", "stages")
+    __slots__ = ("scheme", "method", "u", "d", "tmp", "uMu", "stages", "advance")
 
 
 class _StageStep(Workspace):
@@ -483,8 +495,10 @@ class _StageStep(Workspace):
 
     ``stack`` is the product stack of :attr:`RKMethod._folds`, whose row 0
     is the state ``u``.  Stage states 2..s are the rows of ``Y``, the update
-    is an array of its own, and
-    ``tmp`` holds one scaled term before it is added.  ``kd`` holds the stage
+    is an array of its own, ``update``, which ``advance`` copies into
+    ``u``, and ``tmp`` holds one scaled term before it is added.  ``Mu``
+    takes the energy's ``M u`` through the per-block binding ``M_u``.
+    ``kd`` holds the stage
     derivatives and then ``d`` as the rows of one ``(s + 1, 2n)`` array, and
     ``Mkd`` their products with ``M``, the ``M f_i`` and then ``Md``, through
     the binding ``M_kd``.  ``dots`` holds the batched views of the stage
@@ -492,15 +506,17 @@ class _StageStep(Workspace):
     ``(s - 1, 1, 1)`` result.
 
     ``dtc`` holds ``dt`` times the method's coefficients for the ``dt`` it
-    was last formed for.  ``plan`` holds one entry per stage and one for
-    the update: its calls ``(function, arguments)``, and for a stage its
-    state ``y``, its derivative ``k_i`` (a row of ``kd``) and the binding of
-    the scheme's right-hand side operator ``op`` to that pair.
+    was last formed for.  ``calls`` is the step as one flat list of
+    ``(function, arguments)``, which :meth:`run` replays in one loop: per
+    stage its fold's calls, then the matvec of the scheme's right-hand side
+    operator on its state ``y`` into its derivative ``k_i`` (a row of
+    ``kd``), through a binding made once, and the multiply by the
+    right-hand side's factor unless it is 1; then the update's fold.
     """
 
     __slots__ = (
-        "stack", "Y", "kd", "Mkd", "M_kd", "dots",
-        "coefficients", "dtc", "dt", "plan", "op", "factor",
+        "stack", "Y", "kd", "Mkd", "Md", "Mu", "M_u", "M_kd", "dots", "update",
+        "coefficients", "dtc", "dt", "calls",
     )
 
     def __init__(self, scheme: Scheme, method: RKMethod, u0: np.ndarray):
@@ -519,10 +535,9 @@ class _StageStep(Workspace):
         self.dtc = np.empty_like(self.coefficients)
         results = [self.u, *Y, np.empty(size)]
         k = tuple(kd[:s])
-        self.op, self.factor = scheme.rhs_operator
-        plan = []
+        op, factor = scheme.rhs_operator
+        calls = []
         for i, y in enumerate(results):
-            calls = []
             for kind, *args in folds[i - 1] if i else ():
                 if kind == "axpy":
                     g, p, j = args
@@ -535,11 +550,12 @@ class _StageStep(Workspace):
                 else:
                     calls.append((np.add.reduce, (stack[: args[0] + 1], 0, None, y)))
             if i < s:
-                plan.append((tuple(calls), y, k[i], self.op.bind(y, k[i])))
-            else:
-                plan.append((tuple(calls), None, None, None))
-        self.plan, self.update, self.dt = tuple(plan), results[s], None
-        self.stages = [Stage(b=b, y=y, f=f) for b, (_, y, f, _) in zip(method.b, plan)]
+                calls.append((op.matvec, (y, k[i], op.bind(y, k[i]))))
+            if i < s and factor != 1.0:
+                calls.append((np.multiply, (k[i], np.array(factor), k[i])))
+        self.calls, self.update, self.dt = tuple(calls), results[s], None
+        self.advance = functools.partial(np.copyto, self.u, self.update)
+        self.stages = [Stage(b=b, y=y, f=f) for b, y, f in zip(method.b, results, k)]
         self.M_u, self.M_kd = M.bind(self.u, self.Mu), M.bind(kd, Mkd)
         self.dots = (Y[:, None, :], Mkd[1:s, :, None], np.empty((s - 1, 1, 1)))
 
@@ -547,18 +563,17 @@ class _StageStep(Workspace):
         if dt != self.dt:
             np.multiply(dt, self.coefficients, self.dtc)
             self.dt = dt
-        op, factor = self.op, self.factor
-        for calls, y, f, binding in self.plan:
-            for function, args in calls:
-                function(*args)
-            if binding is not None:
-                op.matvec(y, f, binding)
-                if factor != 1.0:
-                    f *= factor
+        for function, args in self.calls:
+            function(*args)
         return self.update, self.stages
 
-    def gamma_terms(self, u, u_next, stage_data, M) -> tuple[np.ndarray, np.ndarray, list]:
-        """``d = u_next - u`` into ``d``, and ``M d`` with every ``M f_i`` in one call into ``Mkd``.
+    def energy(self) -> float:
+        """``u . M u``, with ``M u`` from the per-block binding ``M_u`` into ``Mu``."""
+        self.scheme.M_energy.matvec(self.u, self.Mu, self.M_u)
+        return float(self.Mu.dot(self.u))
+
+    def gamma_terms(self, u, u_next, stage_data, M) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """``d = u_next - u`` into ``d``, ``M d`` with every ``M f_i`` in one call into ``Mkd``, and ``u``.
 
         The dot of stage 1 is ``M f_1`` against ``u``; those of stages 2..s
         are one batched ``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n,
@@ -570,7 +585,7 @@ class _StageStep(Workspace):
         M.matvec(self.kd, self.Mkd, self.M_kd)
         left, right, out = self.dots
         dots = np.matmul(left, right, out).ravel().tolist()
-        return d, self.Md, [float(self.Mkd[0].dot(u)), *dots]
+        return d, self.Md, u, [float(self.Mkd[0].dot(u)), *dots]
 
 
 def _stencil_powers(D: BlockCirculantOp, count: int) -> tuple[tuple[int, ...], np.ndarray]:
@@ -657,8 +672,37 @@ def _composed_factor(scheme: Scheme, method: RKMethod, dt: float, powers: tuple)
     return BlockCirculantOp._from_band(n, D.dx, lo, np.multiply(z, ring, band))
 
 
+#: The upwind mass as weighted squares, ``M_+ = dx W^T Lambda W``: ``W`` is
+#: this integer stencil of two blocks and ``Lambda = diag(1/4, 1/12)``
+#: weighs each cell's two entries of ``W u``: ``2 (a - (p + p_+) / 2)`` and
+#: ``p_+ - p``, with ``p``, ``p_+`` the cell's interface values and ``a``
+#: its average.
+_UPWIND_ROOT = {0: ((-1.0, 2.0), (-1.0, 0.0)), 1: ((-1.0, 0.0), (1.0, 0.0))}
+
+
+def _energy_form(scheme: Scheme) -> tuple[Optional[BlockCirculantOp], np.ndarray]:
+    """The scheme's mass as weighted squares, ``M = W^T diag(w) W``: ``W``, and ``w`` over one cell.
+
+    The diagonal mass is its own weights, ``w = scale (1/4, 3/4)`` (the
+    mass's stored diagonal times its scale) with ``W`` the identity, given
+    as None.  Any other mass is :func:`make_scheme`'s upwind mass, whose
+    ``W`` is :data:`_UPWIND_ROOT`, of scale 1, with ``w = scale (1/4,
+    1/12)``.  Its entries are integers, so a banded ``W u`` rounds only in
+    its sums: an entry ``p_+ - p`` is one subtraction, within eps/2 of
+    itself, and ``2 a - p - p_+`` is two.
+    The energy of smooth data then keeps its relative accuracy, where
+    ``u . M u`` cancels: a smooth state lies near ``M_+``'s kernel, which
+    amplifies the rounding of ``M``'s entries and of ``M u`` by ``|u|^2 /
+    E``, about ``n^2``.
+    """
+    M = scheme.M_energy
+    if M._diagonal is not None:
+        return None, np.multiply(M.scale, M._diagonal)
+    return BlockCirculantOp(M.n, M.dx, 1.0, _UPWIND_ROOT), np.multiply(M.scale, (0.25, 1.0 / 12.0))
+
+
 class _ComposedStep(Workspace):
-    """A workspace whose step forms ``d = D^ (Q u)`` in two banded matvecs, then ``u + d``.
+    """A workspace whose step forms ``d = D^ (Q u)`` in two banded matvecs, measured by weighted squares.
 
     ``Q`` comes from :func:`_composed_factor`, with ``-a dt / dx`` in its
     blocks, and ``stencil`` is ``D^``, the scheme's derivative with scale
@@ -666,33 +710,45 @@ class _ComposedStep(Workspace):
     ghost-celled arrays ``ghosted``, each with ``ghosts`` cells before the
     ring and enough after it for every band (:func:`operators._ghost_cells`):
     ``Q`` reads ``u`` and writes ``q``, ``D^`` reads ``q`` and writes
-    ``d``, straight from and into those arrays.  ``update`` takes ``u +
-    d``.  ``powers`` are the run's stencil powers; ``Q`` and its banded
-    binding ``Q_u`` are made again only when ``dt`` changes (a run's
-    clipped last step), and ``D_q`` binds ``D^`` once.  ``Mu`` and ``Md``
-    are the rings of two more ghost-celled arrays, into which ``M_u`` and
-    ``M_d`` bind ``M`` banded (the diagonal mass by its elementwise rule).
-    The ghost widths cover the bands of ``Q``, ``D^`` and ``M`` alike.  No
-    stage is formed, so the stage list is empty, and no binding is per
-    block.
+    ``d``, straight from and into those arrays.  No update is formed: the
+    loop adds ``d`` to ``u`` in place, through ``advance`` (``u += d``) or
+    relaxed (``u += gamma d``).  ``powers`` are the run's stencil powers;
+    ``Q`` and its banded binding ``Q_u`` are made again only when ``dt``
+    changes (a run's clipped last step), and ``D_q`` binds ``D^`` once.
+
+    The mass is never applied.  The energy and gamma's dots are weighted
+    sums of ``W u`` and ``W d`` (:func:`_energy_form`), with ``weights``
+    the form's ``w`` tiled over the ring.  For the diagonal mass ``W`` is
+    None and ``Wu``, ``Wd`` are ``u`` and ``d`` themselves; for the upwind
+    mass ``Wu`` and ``Wd`` are the rings of two more ghost-celled arrays,
+    into which the banded bindings ``W_u`` and ``W_d`` write.  The ghost
+    widths cover the bands of ``Q``, ``D^`` and ``W`` alike.  No stage is
+    formed, so the stage list is empty, and no binding is per block.
     """
 
-    __slots__ = ("q", "ghosted", "ghosts", "powers", "stencil", "D_q", "M_d", "dt", "Q", "Q_u")
+    __slots__ = (
+        "q", "ghosted", "ghosts", "powers", "stencil", "D_q", "dt", "Q", "Q_u",
+        "W", "W_u", "W_d", "Wu", "Wd", "weights",
+    )
 
     def __init__(self, scheme: Scheme, method: RKMethod, u0: np.ndarray):
-        n, M, D = scheme.grid.n, scheme.M_energy, scheme.D_effective
+        n, D = scheme.grid.n, scheme.D_effective
         self.scheme, self.method, self.stages, self.uMu = scheme, method, (), math.nan
         self.powers = _stencil_powers(D, method.stages)
         self.stencil = BlockCirculantOp(n, D.dx, 1.0, D.blocks)
-        bands = (_composed_band(self.powers[0], n), self.stencil._band[:2], M._band[:2])
+        W, weights = _energy_form(scheme)
+        bands = [_composed_band(self.powers[0], n), self.stencil._band[:2], *([W._band[:2]] if W else [])]
         before, after = (max(cells) for cells in zip(*(ops._ghost_cells(*b) for b in bands)))
-        self.ghosted = tuple(np.zeros(2 * (before + n + after)) for _ in range(5))
-        self.u, self.q, self.d, self.Mu, self.Md = (x[2 * before : 2 * (before + n)] for x in self.ghosted)
-        self.update, self.tmp, self.ghosts = np.empty(2 * n), np.empty(2 * n), before
+        self.ghosted = tuple(np.zeros(2 * (before + n + after)) for _ in range(3 if W is None else 5))
+        rings = [x[2 * before : 2 * (before + n)] for x in self.ghosted]
+        self.u, self.q, self.d = rings[:3]
+        self.Wu, self.Wd = rings[3:] or (self.u, self.d)
+        self.tmp, self.ghosts, self.weights = np.empty(2 * n), before, np.tile(weights, n)
         np.copyto(self.u, u0)
         self.D_q = self.stencil.bind_banded(*self.ghosted[1:3], before)
-        pairs = zip(self.ghosted[:3:2], self.ghosted[3:])  # u into M u, d into M d
-        self.M_u, self.M_d = (M.bind_banded(x, Mx, before) for x, Mx in pairs)
+        pairs = zip(self.ghosted[:3:2], self.ghosted[3:])  # u into W u, d into W d
+        self.W, (self.W_u, self.W_d) = W, [W.bind_banded(x, Wx, before) for x, Wx in pairs] or (None, None)
+        self.advance = functools.partial(np.add, self.u, self.d, self.u)
         self.dt = self.Q = self.Q_u = None
 
     def run(self, dt: float) -> tuple[np.ndarray, tuple]:
@@ -703,15 +759,27 @@ class _ComposedStep(Workspace):
             self.dt = dt
         self.Q.matvec(u, q, self.Q_u)
         self.stencil.matvec(q, d, self.D_q)
-        return np.add(self.u, self.d, self.update), self.stages
+        return self.d, self.stages
 
-    def gamma_terms(self, u, u_next, stage_data, M) -> tuple[np.ndarray, np.ndarray, list]:
-        """The ``d`` that :meth:`run` formed, never ``u_next - u``, and ``M d``
-        from the banded binding ``M_d``; no stage dots."""
-        if u is not self.u or u_next is not self.update or stage_data:
-            raise ValueError("a composed workspace takes its own state and update, no stage data")
-        M.matvec(self.M_d.u, self.M_d.out, self.M_d)  # the binding's own operand and out
-        return self.d, self.Md, []
+    def energy(self) -> float:
+        """``(w o W u) . W u``, ``W u`` from the binding ``W_u`` (``u`` itself for the diagonal mass)."""
+        if self.W is not None:
+            self.W.matvec(self.W_u.u, self.W_u.out, self.W_u)
+        return float(np.multiply(self.weights, self.Wu, self.tmp).dot(self.Wu))
+
+    def gamma_terms(self, u, d, stage_data, M) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """``W d``, ``w o W d`` and ``W u`` for the step's own ``d``, never ``u_next - u``; no stage dots.
+
+        ``W u`` is formed again with ``W d``, so gamma does not depend on
+        when ``u`` was last measured (for the diagonal mass both are ``u``
+        and ``d`` themselves).
+        """
+        if u is not self.u or d is not self.d or stage_data or M is not self.scheme.M_energy:
+            raise ValueError("a composed workspace takes its own state, difference and mass, no stage data")
+        if self.W is not None:
+            self.W.matvec(self.W_u.u, self.W_u.out, self.W_u)
+            self.W.matvec(self.W_d.u, self.W_d.out, self.W_d)
+        return self.Wd, np.multiply(self.weights, self.Wd, self.tmp), self.Wu, []
 
 
 def rk_step(
@@ -721,7 +789,7 @@ def rk_step(
     dt: float,
     workspace: Optional[Workspace] = None,
 ) -> tuple[np.ndarray, Sequence[Stage]]:
-    """One explicit RK step; returns the update and per-stage data.
+    """One explicit RK step; returns the update (a composed workspace: the difference) and per-stage data.
 
     The stage data (weights, stage states, stage derivatives) is exactly what
     :func:`relaxation_gamma` needs, so a caller can rescale the update without
@@ -736,13 +804,16 @@ def rk_step(
 
     With a workspace, ``u`` must be its own state and ``scheme`` and
     ``method`` those it was allocated for (``is``); any other raises
-    :class:`ValueError`.  The step is the workspace's ``run(dt)``, and the
-    update and stage list are its own arrays, which the next call
-    overwrites: treat them as read-only.  A stage workspace
-    (:class:`_StageStep`) gives the bits of the plain loop.  A composed one
-    (:class:`_ComposedStep`) writes ``d = D^ (Q u)`` into its ``d`` and
-    returns ``u + d`` with an empty stage list; it agrees with the stages to
-    rounding, not bit for bit.
+    :class:`ValueError`.  The step is the workspace's ``run(dt)``, and what
+    it returns are its own arrays, which the next call overwrites: treat
+    them as read-only.  A stage workspace (:class:`_StageStep`) returns the
+    update and the stage list, with the bits of the plain loop.  A composed
+    one (:class:`_ComposedStep`) forms no update: it writes ``d = D^ (Q
+    u)`` into its ``d`` and returns that difference, ``R(Z) u - u`` to
+    rounding (not bit for bit the stages'), with an empty stage list.  The
+    caller advances ``u`` by it in place, ``u += d`` (the workspace's
+    ``advance``) or ``u += gamma d``, and passes it to
+    :func:`relaxation_gamma` in place of the update.
     """
     ws = workspace
     if ws is None:
@@ -779,7 +850,9 @@ def relaxation_gamma(
     """Step scaling that matches the energy change to the stage estimate.
 
     Solves ``E(u + gamma d) - E(u) = gamma * e`` for the nontrivial root,
-    ``gamma = (e - 2 u.Md) / d.Md``, where ``d = u_next - u`` and ``e = 2 dt
+    ``gamma = (e - 2 u.Md) / d.Md``, where ``d = u_next - u`` (with a
+    composed workspace, ``u_next`` is the difference :func:`rk_step`
+    returned, ``d`` itself) and ``e = 2 dt
     sum_i b_i <y_i, f_i>_M`` is the inner-product estimate of the energy
     change.  Empty ``stage_data`` means ``e = 0``, which holds when ``M D +
     D^T M = 0`` makes every stage term vanish.
@@ -797,29 +870,33 @@ def relaxation_gamma(
     relaxation off for data of size 1e-16), and ``d = 0`` or ``u = 0``
     returns 1 too.
 
-    Without a workspace ``d``, ``M d``, ``M u`` and each ``M f_i`` are new
-    arrays, one ``M @ x`` each, and each dot product one ``cblas_ddot``.
-    With one, its ``gamma_terms`` gives ``d``, ``M d`` and the
-    stage dots with the same bits (a composed workspace gives its own
-    ``d``, never ``u_next - u``), and ``u.Mu`` is read from its ``uMu``,
-    the dot :meth:`Scheme.energy` formed, with the same bits, when it
-    measured the state: the time loop measures every state before it steps
-    it.  Both paths then share the same tail.
+    The tail reads three arrays ``x``, ``y`` and ``v`` with ``d.Md =
+    x.y`` and ``u.Md = y.v``, and the stage dots.  Without a workspace
+    they are ``d``, ``M d`` and ``u``, with ``d``, ``M d``, ``M u`` and
+    each ``M f_i`` new arrays, one ``M @ x`` each, and each dot product one
+    ``cblas_ddot``.  With one, its ``gamma_terms`` gives them: a stage
+    workspace ``d``, ``M d`` and ``u``, with the same bits, and a composed
+    one its weighted squares, ``W d``, ``w o W d`` and ``W u``
+    (:func:`_energy_form`; ``d`` and ``u`` for the diagonal mass), from
+    its own ``d``, never ``u_next - u``.  ``u.Mu`` is then read from the
+    workspace's ``uMu``, the energy :meth:`Scheme.energy` formed when it
+    measured the state: the time loop measures every state before it
+    steps it.  Both paths then share the same tail.
     """
     if workspace is None:
-        d = u_next - u
-        Md, uMu = M @ d, float((M @ u).dot(u))
+        x, v = u_next - u, u
+        y, uMu = M @ x, float((M @ u).dot(u))
         dots = [float(st.y @ (M @ st.f)) for st in stage_data]
     else:
-        (d, Md, dots), uMu = workspace.gamma_terms(u, u_next, stage_data, M), workspace.uMu
-    d2 = float(d.dot(Md))
+        (x, y, v, dots), uMu = workspace.gamma_terms(u, u_next, stage_data, M), workspace.uMu
+    d2 = float(x.dot(y))
     if d2 <= (4 * u.size * _EPS) ** 2 * uMu:
         return 1.0
     e = 0.0
     for st, dot in zip(stage_data, dots):
         e += st.b * dot
     e *= 2.0 * dt
-    return (e - 2.0 * float(Md.dot(u))) / d2
+    return (e - 2.0 * float(y.dot(v))) / d2
 
 
 def _estimate_vanishes(scheme: Scheme) -> bool:
@@ -1069,7 +1146,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
     t = 0.0
     max_steps = 10 * steps_nominal + 1000
     steps = 0
-    relaxation, M, d, tmp = config.relaxation, scheme.M_energy, ws.d, ws.tmp
+    relaxation, M, d, tmp, advance = config.relaxation, scheme.M_energy, ws.d, ws.tmp, ws.advance
     stop, shortest_relaxed = 1e-9 * dt_nominal, 1e-4 * dt_nominal
     # Relaxed steps advance time by gamma*dt, so the loop usually ends with a
     # clipped partial step.  Remainders below 1e-9 of the nominal step are
@@ -1093,8 +1170,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[EnergyTrace, np.ndarray]:
                 t += gamma * dt
             else:
                 gamma = 1.0
-                # u_next belongs to the workspace, which the next step writes again
-                np.copyto(u, u_next)
+                # u = u_next, or u += d: both read the workspace's own arrays
+                advance()
                 t += dt
             energy = scheme.energy(u, ws)
             times.append(t)

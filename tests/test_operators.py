@@ -320,6 +320,27 @@ def test_matvec_shape_check():
         ops.central_D(g) @ np.zeros(9)
 
 
+def _calls(binding, kind):
+    """The arguments of a binding's calls of one ``kind``, in order:
+    ``"copy"`` (a ``__setitem__`` of a halo or margin, as ``(destination,
+    source)``), ``"product"`` (a ``matmul``, or the diagonal rule's
+    multiply by the tiled diagonal), ``"sum"`` (a block sum) or
+    ``"scale"`` (the multiply by the operator's scale)."""
+    found = []
+    for function, args in binding.calls:
+        if getattr(function, "__name__", None) == "__setitem__":
+            found_kind, args = "copy", (function.__self__, args[1])
+        elif function == np.add.reduce:
+            found_kind = "sum"
+        elif function is np.multiply and args[1] is binding.op._scale:
+            found_kind = "scale"
+        else:
+            found_kind = "product"
+        if found_kind == kind:
+            found.append(args)
+    return found
+
+
 def _rolled_matvec(op, u):
     """Reference kernel: one rolled operand copy per block, in insertion order."""
     x = np.asarray(u).reshape(op.n, 2)
@@ -443,10 +464,10 @@ def test_the_diagonal_rule_has_the_per_block_bits(n):
             v = u.copy()
             in_place = op.bind(v, v)
             for b in (bound, in_place):
-                assert not b.copies and len(b.steps) == chunks
-                assert all(step[0] is np.multiply for step in b.steps)
-                assert all((step[6] is None) == (op.scale == 1.0) for step in b.steps)
-                assert b.steps[0][2].base.size <= 2 * (_C + 1)
+                assert not _calls(b, "copy") and len(_calls(b, "product")) == chunks
+                assert all(function is np.multiply for function, _ in b.calls)
+                assert len(_calls(b, "scale")) == (0 if op.scale == 1.0 else chunks)
+                assert _calls(b, "product")[0][1].base.size <= 2 * (_C + 1)
             results = (op.matvec(u), op.matvec(u, out, bound), op.matvec(v, v, in_place))
             for got in results:
                 for row, r in zip(u.reshape(-1, 2 * n), got.reshape(-1, 2 * n), strict=True):
@@ -460,8 +481,8 @@ def test_matvec_selects_windows_by_slice_or_by_index():
     a, b = [[1.0, 2.0], [3.0, 4.0]], [[-0.5, 0.0], [0.25, 1.0]]
     consecutive = BlockCirculantOp(g.n, g.dx, 0.5, {-1: a, 0: b, 1: a})
     scattered = BlockCirculantOp(g.n, g.dx, 0.5, {2: a, -1: b, 0: a})
-    assert consecutive._plan[1] == slice(0, 3)
-    assert scattered._plan[1].tolist() == [4, 1, 2]
+    assert consecutive._plan[2] == slice(0, 3)
+    assert scattered._plan[2].tolist() == [4, 1, 2]
     u = np.random.default_rng(9).normal(size=2 * g.n)
     for op in (consecutive, scattered):
         assert (op @ u).tobytes() == _rolled_matvec(op, u).tobytes()
@@ -511,10 +532,12 @@ def test_matvec_into_out_is_bit_identical(n):
 
 
 def _scratch(binding):
-    """The scratch arrays a binding writes or holds: its halos, and per step
-    its product stack (per block) or its tiled diagonal (the diagonal rule)."""
-    held = [step[2] if step[0] is np.multiply else step[3] for step in binding.steps]
-    return [dest for dest, _ in binding.copies] + held
+    """The scratch arrays a binding writes or holds: its halos, and per
+    product its product stack (per block) or its tiled diagonal (the
+    diagonal rule)."""
+    diagonal = binding.op._diagonal is not None
+    held = [args[1] if diagonal else args[2] for args in _calls(binding, "product")]
+    return [dest for dest, _ in _calls(binding, "copy")] + held
 
 
 @pytest.mark.parametrize("n", [3, 16, _C + 1, 2 * _C + 1])
@@ -577,18 +600,25 @@ def test_bound_matvec_reads_the_operand_of_each_call(n):
 def _chunk_reads(binding, u):
     """Each chunk's first and end cell, and whether its windows are read from ``u``.
 
-    A chunk's last step writes its part of ``out``, a view whose offset in
-    ``out`` gives the chunk's first cell: per block it sums its products
-    there, and its windows view either ``u`` or a halo copy, a separate
-    array; by the diagonal rule it multiplies ``u``'s cells into it.
+    Per block, a chunk's block sum writes its part of ``out``, a view
+    whose offset in ``out`` gives the chunk's first cell, and the windows
+    of the product before it view either ``u`` or a halo copy, a separate
+    array; by the diagonal rule the chunk's product multiplies ``u``'s
+    cells into its part of ``out``.
     """
-    last = [step for step in binding.steps if step[4] is not None or step[0] is np.multiply]
+    parts, windows = [], None
+    for function, args in binding.calls:
+        if function is np.matmul:
+            windows = args[0]
+        elif function == np.add.reduce:
+            parts.append((args[3], windows))
+        elif function is np.multiply and args[1] is not binding.op._scale:
+            parts.append((args[2], args[0]))
     cells = []
-    for step in last:
-        part = step[3] if step[0] is np.multiply else step[5]
+    for part, _ in parts:
         c = (part.ctypes.data - binding.out.ctypes.data) // (2 * part.strides[-1])
         cells.append((c, c + part.shape[-1] // 2))
-    return cells, [np.may_share_memory(step[1], u) for step in last]
+    return cells, [np.may_share_memory(x, u) for _, x in parts]
 
 
 @pytest.mark.parametrize("n", [3 * _C, 3 * _C + 1, 4 * _C + 5])
@@ -602,14 +632,14 @@ def test_one_shot_matvec_reads_interior_windows_from_the_operand(n):
     rng = np.random.default_rng(n)
     real = rng.normal(size=2 * n)
     for op in _every_builder(ops.build_grid(n)):
-        h = op._plan[0]
+        h = -op._plan[0]
         if 0 < h < _C:
             cells, reads = _chunk_reads(op.bind(real), real)
             assert reads == [h <= c and stop + h <= n for c, stop in cells]
             assert not reads[0] and not reads[-1] and reads[1]
         spread = np.repeat(real, 2)[::2]  # the operand with stride 2
         for u, out in ((real, real), (real, real[::-1]), (spread, None)):
-            windows = [step[1] for step in op.bind(u, out).steps]
+            windows = [args[0] for args in _calls(op.bind(u, out), "product")]
             assert h == 0 or not any(np.shares_memory(w, u) for w in windows)
         for u in (real, real + 1j * rng.normal(size=2 * n)):
             want = _rolled_matvec(op, u)
@@ -629,7 +659,7 @@ def test_one_shot_matvec_reads_interior_windows_from_the_operand(n):
 
 def _halos(binding):
     """The distinct halo arrays a per-block binding copies into."""
-    return list({id(dest.base): dest.base for dest, _ in binding.copies}.values())
+    return list({id(dest.base): dest.base for dest, _ in _calls(binding, "copy")}.values())
 
 
 @pytest.mark.parametrize(
@@ -649,7 +679,7 @@ def test_a_bound_call_reads_the_windows_that_do_not_wrap_from_the_operand(n, row
     rng = np.random.default_rng(n)
     shape = (rows, 2 * n) if rows > 1 else (2 * n,)
     for op in _every_builder(ops.build_grid(n)):
-        h = op._plan[0]
+        h = -op._plan[0]
         u = rng.normal(size=shape)
         for got, row in zip(op.matvec(u).reshape(rows, -1), u.reshape(rows, -1), strict=True):
             assert got.tobytes() == _rolled_matvec(op, row).tobytes()
@@ -716,7 +746,7 @@ def test_every_row_of_a_stacked_matvec_is_the_call_on_that_row(n):
     the chunk sizes 8192, 2048 and 512."""
     rng = np.random.default_rng(n)
     operators = _every_builder(ops.build_grid(n))
-    assert any(isinstance(op._plan[1], np.ndarray) for op in operators)
+    assert any(isinstance(op._plan[2], np.ndarray) for op in operators)
     assert any(op._plan[0] == 0 for op in operators)
     for rows in range(1, 10) if n < _C else (1, 3, 9):
         stack = _stack_operands(rng, n, rows)
@@ -755,7 +785,7 @@ def test_stacked_matvec_chunks_keep_the_product_stack_to_one_chunk():
         chunk = cells[0]
         assert chunk & (chunk - 1) == 0 and rows * (chunk + 1) <= _C + 1 < rows * (2 * chunk + 1)
         assert sum(cells) == op.n and min(cells) > 1
-        products = bound.steps[0][3]
+        products = _calls(bound, "product")[0][2]
         assert products.base.size <= len(op.blocks) * (_C + 1) * 2
     # past (_CHUNK + 1) / 3 rows the chunk stops at two cells
     small = ops.upwind_mass(ops.build_grid(9))
@@ -883,12 +913,12 @@ def _banded_chunks(op, n):
 
 
 def _banded_steps(binding, ghosts):
-    """Each step's chunk ``(c, stop)``, from where its products, a strided
-    view of ``out``, start (a chunk stops where the next one starts, the
-    last at the ring's end); and whether its windows view the operand and
-    its products ``out``."""
+    """Each product's chunk ``(c, stop)``, from where its products, a
+    strided view of ``out``, start (a chunk stops where the next one
+    starts, the last at the ring's end); and whether its windows view the
+    operand and its products ``out``."""
     firsts, views = [], []
-    for _, windows, _, products, *_ in binding.steps:
+    for windows, _, products in _calls(binding, "product"):
         firsts.append((products.ctypes.data - binding.out.ctypes.data) // (2 * products.strides[-1]) - ghosts)
         views.append(np.shares_memory(windows, binding.u) and np.shares_memory(products, binding.out))
     return list(zip(firsts, [*firsts[1:], binding.op.n])), views
@@ -920,8 +950,8 @@ def test_banded_binding_is_within_rounding_of_the_exact_product(n):
         assert (bound.op, bound.u, bound.out) == (op, x, y)
         chunks, views = _banded_steps(bound, ghosts)
         assert chunks == _banded_chunks(op, n) and all(views)
-        assert all(step[4] is None for step in bound.steps)
-        assert all(dest.base is x and source.base is x for dest, source in bound.copies)
+        assert not _calls(bound, "sum")
+        assert all(dest.base is x and source.base is x for dest, source in _calls(bound, "copy"))
         for _ in range(2):
             assert op.matvec(x, y, bound) is y
             out = _ring(y, ghosts, n)
@@ -978,7 +1008,7 @@ def test_banded_binding_refreshes_the_margins_and_writes_into_out():
     assert Q._band[:2] == (-7, 15) and ops._ghost_cells(-7, 15) == (7, 21)
     x, y, ghosts = _ghosted(Q, np.arange(34.0))
     bound = Q.bind_banded(x, y, ghosts)
-    assert [dest.size // 2 for dest, _ in bound.copies] == [7, 17, 4]
+    assert [dest.size // 2 for dest, _ in _calls(bound, "copy")] == [7, 17, 4]
     Q.matvec(x, y, bound)
     assert x.reshape(-1, 2)[:, 0].tolist() == [2 * ((k - 7) % 17) for k in range(45)]
     written = ~np.isnan(y.reshape(-1, 2)).any(axis=1)
@@ -987,7 +1017,7 @@ def test_banded_binding_refreshes_the_margins_and_writes_into_out():
     assert ops._ghost_cells(*M._band[:2]) == (0, 0)
     u, q = np.arange(34.0), np.empty(34)
     bound = M.bind_banded(u, q, 0)
-    assert not bound.copies and np.shares_memory(bound.steps[0][1], u)
+    assert not _calls(bound, "copy") and np.shares_memory(_calls(bound, "product")[0][0], u)
     assert M.matvec(u, q, bound).tobytes() == M.matvec(u).tobytes()
 
 
@@ -1025,9 +1055,12 @@ def test_banded_binding_refuses_what_does_not_fit():
             call()
     # D's scale 1/dx is one multiply of out's ring after the product; a
     # scale of exactly 1 makes none
-    assert [step[6] is not None for step in bound.steps] == [True]
+    assert [len(_calls(bound, kind)) for kind in ("product", "scale")] == [1, 1]
+    function, (entries, scale, into) = bound.calls[-1]
+    assert function is np.multiply and scale is D._scale and into is entries
+    assert entries.ctypes.data == _ring(out, 1, 16).ctypes.data and entries.size == 32
     stencil = BlockCirculantOp(16, D.dx, 1.0, D.blocks)
-    assert [step[6] for step in stencil.bind_banded(u, out, 1).steps] == [None]
+    assert not _calls(stencil.bind_banded(u, out, 1), "scale")
 
 
 def test_norm_inf_matches_dense():
