@@ -107,15 +107,18 @@ elementwise product or numpy's fallback loop would not).
 
 Both layouts make their bindings in that one pass
 (``BlockCirculantOp._calls``), and ``matvec`` replays both with one loop.
-A BLAS row is a window of ``w`` cells times ``A``: ``w = 1`` and ``A`` a
-block per-block, ``w = B`` and ``A`` the band's stack banded.  A chunk of
-``m = ceil(cells / w)`` rows reads ``(m + 1) w + span - w - 1`` cells from
-its first cell plus the lowest offset; the last chunk takes a tail of
-``w`` cells or fewer, so that no chunk is one row (numpy sends a one-row
-product to BLAS's vector kernel, which rounds differently).  Per block, a
-chunk reads its cells from the input where they do not wrap and from a
-halo of its own where they do, sums its products into its entries of
-``out`` and multiplies them there by ``scale``.
+A BLAS row is a window of ``w`` cells times ``A`` and gives ``K`` cells:
+``w = K = 1`` and ``A`` a block per-block, ``w = P K`` and ``A`` the band's
+grouped stack banded.  A chunk from cell ``c`` has ``span`` runs of rows
+that start ``K`` cells apart (per block one for each block, banded one for
+each residue), each of ``m = ceil(cells / w)`` rows ``w`` cells apart, and
+reads ``m w + (span - 1) K`` cells from ``c`` plus the lowest offset; the
+last chunk takes a tail of ``w`` cells or fewer, so that a run is one row
+only where the whole ring is no more than ``w`` cells (numpy sends a
+one-row product to BLAS's vector kernel, which rounds differently).  Per
+block, a chunk reads its cells from the input where they do not wrap and
+from a halo of its own where they do, sums its products into its entries
+of ``out`` and multiplies them there by ``scale``.
 
 - The *per-block* layout is the kernel above, with its bit contract: every
   one-shot call (``op @ u``, ``Scheme.rhs``, ``checks``, ``spectral``) and
@@ -125,50 +128,63 @@ halo of its own where they do, sums its products into its entries of
 - The *banded* layout (:meth:`BlockCirculantOp.bind_banded`) serves every
   product of the composed time step: its two factors, ``Q u`` and ``D^
   q``, and for the upwind energy the mass's integer root, ``W u`` and ``W
-  d`` (the composed step applies no mass).  ``B`` is the
-  span of the stored offsets, ``max - min + 1``, at most ``n`` in the
-  normal form, and ``A`` the ``(2B, 2)`` stack of the transposed blocks by
-  offset, with zero rows where no block is stored.  Cell ``i``'s result is
-  its window, the ``2B`` doubles of cells ``i + min .. i + max``, times
-  ``A``.  The windows of neighbouring cells overlap, and BLAS takes a
-  matrix as it is only if its row stride is at least its row length.  So a
-  chunk's cells are grouped by residue mod ``B``: the windows of cells ``c
-  + r, c + r + B, ...`` are consecutive rows of ``2B`` doubles, a matrix
-  whose row stride equals its row length.  Its operand and ``out`` are
-  *ghost-celled*: arrays that hold the ring's cells with margins around
-  them (``_ghost_cells``), ``-min`` cells before it and ``min + 2B - 2``
-  after it to read (each residue's last row reads up to ``B - 1`` cells
-  past the chunk), of which ``B - 1`` also take the products of the last
-  residues' rows past the ring.  A call first refreshes the operand's
-  margins from its ring, one copy per side (more where a margin passes the
-  ring's end again, at small n).  Then each chunk is one ``matmul`` of the
-  ``(B, m, 2B)`` strided view of the operand itself by ``A``, whose ``(B,
-  m, 2)`` products go, in cell order, straight into a strided view of
-  ``out`` from the chunk's first cell (each residue has ``m`` rows, so the
-  last may pass the chunk's end, into cells the next chunk writes again).
-  There is no halo, no product buffer, no product stack and no reduction,
-  and the scale multiply reads ``out``'s own entries (none at scale 1:
-  the composed step's factors have scale 1).  The banded chunk does not
+  d`` (the composed step applies no mass).  ``B`` is the span of the
+  stored offsets, ``max - min + 1``, at most ``n`` in the normal form.
+  Cell ``i``'s result is the ``2B`` doubles of cells ``i + min .. i + max``
+  times the transposed blocks by offset.  A BLAS row gives ``K = 4``
+  consecutive cells (one at ``B = 1``: :func:`_grouping`), whose results
+  read ``K + B - 1`` cells: its window is ``P K`` cells, ``P = ceil((K + B
+  - 1) / K)``, times ``A``, the ``(2 P K, 2 K)`` block-Toeplitz
+  expansion of the band (:func:`_grouped`): block ``(b + s, b)`` holds
+  ``A_(min + s)^T``, and every other entry is an exact zero.  The windows
+  of neighbouring rows overlap, and BLAS takes a matrix as it is only if
+  its row stride is at least its row length.  So a chunk's groups of ``K``
+  cells are split by residue mod ``P``: the windows of groups ``r, r + P,
+  ...`` are consecutive rows of ``2 P K`` doubles, a matrix whose row
+  stride equals its row length.  Its operand and ``out`` are *ghost-celled*: arrays that
+  hold the ring's cells with margins around them (``_ghost_cells``),
+  ``-min`` cells before it and ``min + 2 P K - K - 1`` after it to read
+  (a chunk's last row reads that far past its end), of which ``P K - 1``
+  also take the products of the last residues' rows past the ring.  A
+  call first refreshes the operand's margins from its ring, one copy per
+  side (more where a margin passes the ring's end again, at small n).
+  Then each chunk is one ``matmul`` of the ``(P, m, 2 P K)`` strided view
+  of the operand itself by ``A``, whose ``(P, m, 2 K)`` products go, in
+  cell order, straight into a strided view of ``out`` from the chunk's
+  first cell (each residue has ``m`` rows, so the last may pass the
+  chunk's end, into cells the next chunk writes again).  That is ``P``
+  ``dgemm`` calls of ``2 K`` columns per chunk: 5 for ``rk4x2``'s central
+  ``Q`` (B = 15) and 2 for ``D^`` (B = 3), where the residues of single
+  cells (``K = 1``, ``P = B``) made ``B`` calls of two columns, OpenBLAS's
+  narrowest kernel, each paying the per-call cost again.  There is no
+  halo, no product buffer, no product stack and no reduction, and the
+  scale multiply reads ``out``'s own entries (none at scale 1: the
+  composed step's factors have scale 1).  The banded chunk does not
   shrink as ``rows`` grows: a residue's rows are one ``dgemm``, whose bits
   follow the chunk's edges (halving them moved ``Q``'s results by
   rounding), so each row of a stack keeps its one-row call's bits.  Each
-  result is one ``2B``-term dot in BLAS's order, scaled once, so it lies
-  within ``2B eps |scale| (|A| |u|)_i + eps |result_i|`` of the exact
-  product (Higham 2002, Thm 3.1), but it has not the per-block bits, and
-  past one chunk (n > ``_CHUNK`` + B) not those of one ``dgemm`` over the
-  whole ring either.
+  result is one ``2 P K``-term dot in BLAS's order, scaled once.  All but
+  ``2B`` of its terms are exact zeros, which leave every partial sum as it
+  is, in any order, so it lies within ``2B eps |scale| (|A| |u|)_i + eps
+  |result_i|`` of the exact product (Higham 2002, Thm 3.1), but it has not
+  the per-block bits, and past one chunk (n > ``_CHUNK`` + P K) not those
+  of one ``dgemm`` over the whole ring either.  A non-finite operand entry
+  spreads, as ``0 inf = NaN``, to the results of every row whose window
+  holds it, not only to the cells its band reaches.
   OpenBLAS's threaded ``dgemm`` splits the rows and columns of a product,
   not its dots: composed runs at n = 1200, 8200 and 1e5 end in the same
-  bits with one and with two threads.  With every matvec
-  banded, the stage steps too, relaxed upwind ``rk4x2`` (n = 48, a = -1)
-  landed 1.25e-11 from ``perfbench``'s references and the chaotic relaxed
-  central ``ssprk33`` (n = 128) 6.25e-2: the per-block layout stays for
-  the stage steps until those references are re-recorded.  At n = 1200
-  the composed ``rk4x2`` ``Q`` (B = 15) takes about 7 instead of 48 us per
-  bound call (per block) and ``D^`` about 4 instead of 18 us; the upwind
-  mass (B = 3) 5.1 instead of 9.9 us, and 24.7 instead of 55.8 us at n =
-  8200, and its root ``W`` (B = 2) 3.3 and 15 us (shared 2-vCPU x86 host,
-  one BLAS thread).
+  bits with one and with two threads.  With every matvec banded (by
+  residues of single cells), the stage steps too, relaxed upwind
+  ``rk4x2`` (n = 48, a = -1) landed 1.25e-11 from ``perfbench``'s
+  references and the chaotic relaxed central ``ssprk33`` (n = 128)
+  6.25e-2: the per-block layout stays for the stage steps until those
+  references are re-recorded.  A bound call at n = 1200 takes 5.5 us for
+  the central ``rk4x2`` ``Q`` (8.3 by residues of single cells), 3.2 us
+  for ``D^`` (4.3) and 3.0 us for the upwind root ``W`` (B = 2; 3.6); at
+  n = 8200, 35, 17 and 17 us (48, 27 and 17); at n = 128, 2.3, 1.8 and
+  1.5 us (3.9, 2.0 and 1.8).  Medians of 11 alternating rounds in one
+  process, shared 2-vCPU x86 host, one BLAS thread (OpenBLAS 0.3.31,
+  SkylakeX kernels).
 
 The relaxed time stepper depends on the per-block layout's exactness: its
 step rescaling divides energy estimates that nearly cancel, so a kernel
@@ -238,13 +254,16 @@ _CHUNK = 8192
 #: float ``initial`` costs ``np.add.reduce`` a conversion on every call.
 _ZERO = np.float64(0.0)
 
+#: Cells per BLAS row of the banded layout, ``K`` of :func:`_grouping`.
+_GROUP = 4
 
-def _windows(x: np.ndarray, first: int, shape: tuple[int, int, int], w: int) -> np.ndarray:
+
+def _windows(x: np.ndarray, first: int, shape: tuple[int, int, int], step: int, w: int) -> np.ndarray:
     """A strided view of flat interleaved ``x``: ``shape`` is ``(span, rows, entries)``.
 
     Entry ``(s, k, e)`` of each row of ``x`` is entry ``e`` counted from
-    cell ``first + s + k w``: ``span`` runs that start at consecutive
-    cells, each ``rows`` rows of ``entries`` values, ``w`` cells apart.
+    cell ``first + s step + k w``: ``span`` runs that start ``step`` cells
+    apart, each ``rows`` rows of ``entries`` values, ``w`` cells apart.
     ``x`` must be C-contiguous, except for a view of one plain run of
     cells (``span`` 1, ``entries`` ``2w``), which reshapes any ``x``.
     """
@@ -252,7 +271,7 @@ def _windows(x: np.ndarray, first: int, shape: tuple[int, int, int], w: int) -> 
     if span == 1 and entries == 2 * w:
         return x[..., 2 * first : 2 * (first + rows * w)].reshape(*x.shape[:-1], *shape)
     item = x.itemsize
-    strides = (*x.strides[:-1], 2 * item, 2 * w * item, item)
+    strides = (*x.strides[:-1], 2 * step * item, 2 * w * item, item)
     return np.ndarray((*x.shape[:-1], *shape), x.dtype, x, 2 * first * item, strides)
 
 
@@ -272,15 +291,52 @@ def _halo(first: int, count: int, n: int) -> list[tuple[slice, slice]]:
     return runs
 
 
+def _grouping(span: int) -> tuple[int, int]:
+    """Cells ``K`` per BLAS row and row groups ``P`` of the banded layout of ``span`` (B) offsets.
+
+    A row of ``K`` cells reads a window of ``P K`` cells with ``P =
+    ceil((K + B - 1) / K)``, the fewest whole groups that hold the ``K + B
+    - 1`` cells its results need.  ``K`` is :data:`_GROUP`, but 1 for a
+    band of one offset: ``P`` is 1 either way, and single cells read no
+    margin past the offset's own reach (none at offset 0).
+    """
+    group = _GROUP if span > 1 else 1
+    return group, -(-(group + span - 1) // group)
+
+
 def _ghost_cells(lo: int, span: int) -> tuple[int, int]:
     """Cells a ghost-celled array holds before and after its ring, for a band of ``span`` from ``lo``.
 
-    A banded chunk reads the windows of its residues' ``m`` rows, up to
-    ``B - 1`` cells past its last row, and writes ``m B`` rows, up to ``B -
-    1`` cells past its end.  So the operand reads ``-lo`` cells before the
-    ring and ``lo + 2B - 2`` after it, and ``out`` takes ``B - 1`` after it.
+    A banded chunk of ``m`` rows per residue writes ``m P`` groups of
+    ``K`` cells (:func:`_grouping`), up to ``P K - 1`` cells past its end,
+    and its last row reads ``P K`` cells from ``lo + (m P - 1) K`` past the
+    chunk's first cell, up to ``lo + 2 P K - K - 1`` past its end.  So the
+    operand reads ``-lo`` cells before the ring and ``lo + 2 P K - K - 1``
+    after it, and ``out`` takes ``P K - 1`` after it.
     """
-    return max(0, -lo), max(span - 1, lo + 2 * span - 2)
+    group, rows = _grouping(span)
+    return max(0, -lo), max(rows * group - 1, lo + (2 * rows - 1) * group - 1)
+
+
+def _grouped(band: np.ndarray) -> np.ndarray:
+    """The ``(2 P K, 2 K)`` banded-layout stack of a ``(B, 2, 2)`` band of transposed blocks.
+
+    Block ``(b + s, b)`` of the stack is ``band[s]``, for ``b < K`` and ``s
+    < B``, and every other entry is an exact zero (:func:`_grouping` gives
+    ``K`` and ``P``): row ``t`` of the stack meets cell ``t`` of a row's
+    window, column pair ``b`` gives that row's cell ``b``.  The band goes in
+    by one assignment, broadcast over a strided view of the stack's ``K``
+    block diagonals, read-only.
+    """
+    span = len(band)
+    group, rows = _grouping(span)
+    stack = np.zeros((2 * rows * group, 2 * group))
+    item = stack.itemsize
+    # column pair b from row pair b on: entry (b, s, i, j) at 2K (2 (b + s) + i) + 2b + j
+    strides = ((4 * group + 2) * item, 4 * group * item, 2 * group * item, item)
+    np.ndarray((group, span, 2, 2), float, stack, 0, strides)[...] = band
+    stack.setflags(write=False)
+    return stack
 
 
 def _norm_inf(parts: np.ndarray) -> np.ndarray:
@@ -564,9 +620,9 @@ class BlockCirculantOp:
         """The calls of a binding: the one pass over the chunks behind :meth:`bind`,
         :meth:`bind_banded` and every one-shot :meth:`matvec`.
 
-        ``u`` and ``out`` come checked (:meth:`_operands`).  Row ``k`` of a
-        chunk from cell ``c`` multiplies window ``s < span``, the ``w``
-        cells from ``c + lo + s + k w``, by ``A``; the module docstring has
+        ``u`` and ``out`` come checked (:meth:`_operands`).  Row ``k`` of
+        run ``s`` of a chunk from cell ``c`` multiplies the window of ``w``
+        cells from ``c + lo + s K + k w`` by ``A``; the module docstring has
         the rest.  ``ghosts`` an int is the banded layout on ghost-celled
         arrays: the ring starts at cell ``ghosts`` of both, and the calls
         begin by refreshing ``u``'s margins.  A diagonal operator
@@ -586,10 +642,12 @@ class BlockCirculantOp:
         n, diagonal = self.n, self._diagonal
         if diagonal is not None:  # either layout; a banded Q may store zero blocks around it
             lo, span, w = 0, 1, 1
-        elif ghosts is None:  # per block: a window is one cell
-            (lo, span, select, a_t), w = self._plan, 1
-        else:  # banded: a window is the band's span of cells
-            (lo, span, a_t), w = self._band, self._band[1]
+        elif ghosts is None:  # per block: a run for each block, of windows of one cell
+            (lo, runs, select, a_t), w = self._plan, 1
+        else:  # banded: a row gives K cells from a window of P K, a run for each residue mod P
+            lo, span, a_t = self._band
+            group, runs = _grouping(span)
+            w = runs * group
         rows = len(u) if u.ndim == 2 else 1
         operand, result = (u[0], out[0]) if u.ndim == 2 and rows == 1 else (u, out)
         stack = (rows,) if rows > 1 else ()
@@ -622,18 +680,19 @@ class BlockCirculantOp:
                 cells = operand[..., 2 * (g + c) : 2 * (g + stop)]
                 calls.append((np.multiply, (cells, a_t[: 2 * (stop - c)], entries)))
             elif ghosts is not None:
-                windows = _windows(operand, g + c + lo, (span, m, 2 * w), w)
-                calls.append((np.matmul, (windows, a_t, _windows(result, g + c, (span, m, 2), w))))
+                windows = _windows(operand, g + c + lo, (runs, m, 2 * w), group, w)
+                products = _windows(result, g + c, (runs, m, 2 * group), group, w)
+                calls.append((np.matmul, (windows, a_t, products)))
             else:
-                first, count = c + lo, m + span - 1
+                first, count = c + lo, m + runs - 1
                 inside = 0 <= first and first + count <= n  # windows that do not wrap
-                if span == 1 and not lo or inside and u.flags.c_contiguous and not np.may_share_memory(u, out):
+                if runs == 1 and not lo or inside and u.flags.c_contiguous and not np.may_share_memory(u, out):
                     x = operand
                 else:
                     x, first = np.empty((*stack, 2 * count), u.dtype), 0
-                    runs = _halo(c + lo, count, n)
-                    copies += [(x[..., into].__setitem__, (..., operand[..., cells])) for into, cells in runs]
-                windows = _windows(x, first, (span, m, 2), 1)
+                    halo = _halo(c + lo, count, n)
+                    copies += [(x[..., into].__setitem__, (..., operand[..., cells])) for into, cells in halo]
+                windows = _windows(x, first, (runs, m, 2), 1, 1)
                 part = products[..., :m, :]
                 if isinstance(select, slice):
                     calls.append((np.matmul, (windows[..., select, :, :], a_t, part)))
@@ -648,19 +707,18 @@ class BlockCirculantOp:
 
     @functools.cached_property
     def _band(self) -> tuple[int, int, np.ndarray]:
-        """First offset ``lo``, span ``B`` and the ``(2B, 2)`` stack of the banded layout.
+        """First offset ``lo``, span ``B`` and the ``(2 P K, 2 K)`` stack of the banded layout.
 
-        Rows ``2k`` and ``2k + 1`` of the stack hold ``A_(lo + k)^T``, and
-        zeros where no block is stored; an operator without blocks has
-        ``B = 1`` and a zero stack.  The normal form keeps ``B <= n``.
+        The stack is :func:`_grouped` of the band whose entry ``k`` is
+        ``A_(lo + k)^T``, zero where no block is stored; an operator without
+        blocks has ``B = 1`` and a zero stack.  The normal form keeps ``B <=
+        n``.
         """
         lo = min(self.blocks, default=0)
         span = max(self.blocks, default=0) - lo + 1
-        stack = np.zeros((span, 2, 2))
-        stack[[j - lo for j in self.blocks]] = self.stack.transpose(0, 2, 1)
-        stack = stack.reshape(2 * span, 2)
-        stack.setflags(write=False)
-        return lo, span, stack
+        band = np.zeros((span, 2, 2))
+        band[[j - lo for j in self.blocks]] = self.stack.transpose(0, 2, 1)
+        return lo, span, _grouped(band)
 
     @classmethod
     def _from_band(cls, n: int, dx: float, lo: int, band: np.ndarray) -> "BlockCirculantOp":
@@ -669,7 +727,7 @@ class BlockCirculantOp:
         ``band`` is a C-contiguous ``(B, 2, 2)`` stack of the transposed
         blocks at offsets ``lo .. lo + B - 1``, all in the normal form's
         range ``[-n//2, n - n//2)``: the caller has summed the offsets that
-        alias.  It becomes :attr:`_band` as it is, zero rows included, and
+        alias.  :attr:`_band` groups it as it is, zero blocks included, and
         ``blocks`` and ``stack`` hold its nonzero blocks by increasing
         offset, the normal form of the same operator.
         """
@@ -684,25 +742,28 @@ class BlockCirculantOp:
         blocks = dict(zip(itertools.compress(range(lo, lo + span), keep), stack))
         for name, value in zip(("n", "dx", "scale", "blocks", "stack"), (n, dx, 1.0, blocks, stack)):
             object.__setattr__(op, name, value)
-        op.__dict__["_band"] = (lo, span, band.reshape(2 * span, 2))
+        op.__dict__["_band"] = (lo, span, _grouped(band))
         return op
 
     def bind_banded(self, u: np.ndarray, out: np.ndarray, ghosts: int) -> MatvecBinding:
         """The set-up of a :meth:`matvec` call on ghost-celled ``u`` and ``out`` in the banded layout.
 
-        Cell ``i``'s result is its window, cells ``i + lo .. i + lo + B -
-        1``, times the ``(2B, 2)`` stack of ``_band``, so ``w`` is the span
-        ``B``: a chunk's residues mod ``B`` are one ``(B, m, 2B)`` strided
-        view of ``u`` and one ``matmul`` into a strided view of ``out`` (see
-        the module docstring and :meth:`_calls`).  ``u`` and ``out`` are
-        ghost-celled: of one shape, ``(size,)`` or ``(rows, size)``, with
-        the ring's ``2n`` entries from cell ``ghosts`` on and at least the
-        cells :func:`_ghost_cells` gives before and after it.  Both are
+        A row of ``K`` cells from cell ``i`` is its window, cells ``i + lo
+        .. i + lo + P K - 1``, times the ``(2 P K, 2 K)`` stack of
+        ``_band`` (:func:`_grouping`, :func:`_grouped`), so ``w`` is ``P
+        K``: a chunk's groups of ``K`` cells by residue mod ``P`` are one
+        ``(P, m, 2 P K)`` strided view of ``u`` and one ``matmul`` into a
+        ``(P, m, 2 K)`` strided view of ``out`` (see the module docstring
+        and :meth:`_calls`).  ``u`` and ``out`` are ghost-celled: of one
+        shape, ``(size,)`` or ``(rows, size)``, with the ring's ``2n``
+        entries from cell ``ghosts`` on and at least the cells
+        :func:`_ghost_cells` gives before and after it.  Both are
         C-contiguous and do not overlap.  Each call first refreshes ``u``'s
         margins from its ring, and writes ``out``'s ring and the cells after
-        it.  Each result is one ``2B``-term dot in BLAS's order, scaled
-        once: within ``2B eps |scale| (|A| |u|)_i + eps |result_i|`` of the
-        exact product, not the bits of :meth:`bind`'s per-block layout.
+        it.  Each result is one ``2 P K``-term dot in BLAS's order, all
+        but ``2B`` of whose terms are exact zeros, scaled once: within
+        ``2B eps |scale| (|A| |u|)_i + eps |result_i|`` of the exact
+        product, not the bits of :meth:`bind`'s per-block layout.
         """
         lo, span, _ = self._band
         before, after = _ghost_cells(lo, span)

@@ -77,11 +77,12 @@ matvec of a derivative makes six: three halo copies, one batched
 one of the diagonal mass makes two multiplies (its elementwise rule).  A
 composed step binds its products in the banded layout
 (:meth:`~activeflux.operators.BlockCirculantOp.bind_banded`), on
-ghost-celled arrays.  ``Q u`` and ``D^ q``, up to n = 8192 + B, one chunk,
-each refresh their operand's margins in two copies (a third where the
-cells after the ring pass its end again, as for ``rk4x2`` at n = 16) and
-make one ``matmul`` of one ``dgemm`` per residue of the offset span,
-straight from the operand into ``q`` or ``d``.  Past one chunk each chunk
+ghost-celled arrays.  ``Q u`` and ``D^ q``, up to n = 8192 + P K, one
+chunk, each refresh their operand's margins in two copies (a third where
+the cells after the ring pass its end again, as for ``rk4x2`` at n = 16)
+and make one ``matmul`` of one ``dgemm`` per residue mod ``P`` of the
+groups of ``K`` cells, straight from the operand into ``q`` or ``d``: 5
+for central ``rk4x2``'s ``Q`` and 2 for ``D^``.  Past one chunk each chunk
 is one more ``matmul``.  No binding holds a halo, a product buffer or a
 per-block product stack, and none has a scale multiply.  The composed step
 applies no mass: its energy and gamma's dots are weighted sums of squares
@@ -591,11 +592,16 @@ class _StageStep(Workspace):
 def _stencil_powers(D: BlockCirculantOp, count: int) -> tuple[tuple[int, ...], np.ndarray]:
     """The powers ``D^^0 .. D^^(count - 1)`` of the unscaled stencil of ``D``, on shared offsets.
 
-    Returns the offsets of the highest power, increasing and not reduced
-    mod ``n``, and a ``(count, #offsets, 2, 2)`` stack whose row ``j``
-    holds the blocks of ``D^^j`` (zeros where it has none).  Power ``j`` is
-    power ``j - 1`` times the stencil: one ``matmul`` per block of ``D``
-    over the offsets of power ``j - 1``.  Offsets that alias mod ``n``
+    Returns the offsets where some power has a nonzero block, increasing
+    and not reduced mod ``n``, and a ``(count, #offsets, 2, 2)`` stack
+    whose row ``j`` holds the blocks of ``D^^j`` (zeros where it has none).
+    Power ``j`` is power ``j - 1`` times the stencil: one ``matmul`` per
+    block of ``D`` over the offsets of power ``j - 1``.  The offsets at
+    either end where every power's block is zero are dropped, so ``Q``'s
+    band is no wider than its blocks: ``D_-``'s block at +1 squares to
+    zero, so its powers up to ``j`` reach only -j..1, not -j..j (``rk4x2``'s
+    ``Q`` spans 9 offsets, not 15).  The powers are exact integers there,
+    so the test for zero is exact.  Offsets that alias mod ``n``
     (small n) stay apart; :func:`_composed_factor` folds them, as every
     ``BlockCirculantOp``'s normal form does.  An
     entry of ``D^^j``, and every partial sum that forms it, is at most
@@ -620,7 +626,9 @@ def _stencil_powers(D: BlockCirculantOp, count: int) -> tuple[tuple[int, ...], n
         start, stop = (j - 1) * lo - first, (j - 1) * hi - first + 1
         for shift, block in D.blocks.items():
             powers[j, start + shift : stop + shift] += powers[j - 1, start:stop] @ block
-    return tuple(range(first, first + powers.shape[1])), powers
+    kept = np.flatnonzero(powers.any(axis=(0, 2, 3)))  # offset 0 always: D^^0 = I
+    a, b = kept[0], kept[-1] + 1
+    return tuple(range(first + a, first + b)), powers[:, a:b]
 
 
 def _composed_band(offsets: Sequence[int], n: int) -> tuple[int, int]:

@@ -905,10 +905,16 @@ def _banded_matvec(op, u):
     return _ring(op.matvec(x, y, op.bind_banded(x, y, g)), g, op.n).copy()
 
 
+def _row_window(op):
+    """The cells ``w`` of a banded row's window: ``P K`` of the grouped
+    stack, one for the diagonal rule."""
+    return 1 if op._diagonal is not None else len(op._band[2]) // 2
+
+
 def _banded_chunks(op, n):
     """The chunks ``c .. stop - 1`` of a banded binding: every ``_CHUNK``
-    cells, the last taking a tail of ``B`` cells or fewer."""
-    edges = [0, *range(_C, n - op._band[1], _C), n]
+    cells, the last taking a tail of a row's window or fewer."""
+    edges = [0, *range(_C, n - _row_window(op), _C), n]
     return list(zip(edges, edges[1:]))
 
 
@@ -932,8 +938,8 @@ def test_banded_binding_is_within_rounding_of_the_exact_product(n):
     (and of ``dense() @ u``, which rounds too, within twice it), reading
     the operand's values at each call.  An entry moved by twice its bound
     is caught.  At n = 3, 4 and 5 offsets alias and ``B = n``.  Every
-    chunk, past one chunk too (n > _CHUNK + B, with ``rk4x2``'s ``Q`` of B
-    = 15 among the spans), is one step that reads its windows from the
+    chunk, past one chunk too (n > _CHUNK + P K, with ``rk4x2``'s ``Q`` of
+    B = 15 among the spans), is one step that reads its windows from the
     operand and writes its products into ``out``: there is no halo and no
     product buffer.  The copies refresh the operand's margins, which start
     as NaN, so a cell read unrefreshed would show."""
@@ -943,7 +949,8 @@ def test_banded_binding_is_within_rounding_of_the_exact_product(n):
     assert n < 15 or 15 in [op._band[1] for op in operators]
     for op in operators:
         lo, span, stack = op._band
-        assert span <= n and stack.shape == (2 * span, 2)
+        group, rows = ops._grouping(span)
+        assert span <= n and stack.shape == (2 * rows * group, 2 * group)
         u = rng.normal(size=2 * n)
         x, y, ghosts = _ghosted(op, u)
         bound = op.bind_banded(x, y, ghosts)
@@ -993,29 +1000,120 @@ def test_banded_binding_takes_stacks_and_complex_operands(n):
         assert _within(got.imag, *_banded_bound(op, z.imag))
 
 
+def _assert_grouped_banded(op, rng):
+    """``op``'s grouped stack holds its band's blocks bit for bit and
+    exact zeros elsewhere, and a banded binding of a ring, of a ``(3,
+    size)`` stack of rings and of a complex ring gives every entry within
+    its rounding bound, each stacked row with its one-row call's bits;
+    returns the rows per residue of the last chunk."""
+    n, (lo, span, stack) = op.n, op._band
+    group, rows = ops._grouping(span)
+    width = rows * group
+    assert stack.shape == (2 * width, 2 * group) and not stack.flags.writeable
+    cells = stack.reshape(width, 2, group, 2)
+    for t in range(width):
+        for b in range(group):
+            block, s = cells[t, :, b, :], t - b
+            if lo + s in op.blocks and 0 <= s < span:
+                assert block.tobytes() == op.blocks[lo + s].T.tobytes()
+            elif 0 <= s < span:  # a zero block the band holds (of either sign)
+                assert not block.any()
+            else:
+                assert block.tobytes() == bytes(32)
+    u = rng.normal(size=2 * n)
+    x, y, ghosts = _ghosted(op, u)
+    bound = op.bind_banded(x, y, ghosts)
+    chunks, views = _banded_steps(bound, ghosts)
+    assert chunks == _banded_chunks(op, n) and all(views)
+    assert _within(_ring(op.matvec(x, y, bound), ghosts, n), *_banded_bound(op, u))
+    stack = rng.normal(size=(3, 2 * n))
+    x, y, ghosts = _ghosted(op, stack)
+    got = _ring(op.matvec(x, y, op.bind_banded(x, y, ghosts)), ghosts, n)
+    for r, row in zip(got, stack, strict=True):
+        assert r.tobytes() == _banded_matvec(op, row).tobytes()
+        assert _within(r, *_banded_bound(op, row))
+    z = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+    got = _banded_matvec(op, z)
+    assert _within(got.real, *_banded_bound(op, z.real))
+    assert _within(got.imag, *_banded_bound(op, z.imag))
+    c, stop = chunks[-1]
+    m = -(-(stop - c) // _row_window(op))
+    if op._diagonal is None:
+        assert _calls(bound, "product")[-1][2].shape == (rows, m, 2 * group)
+    return m
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= _EPS, reason="np.longdouble is float64 here")
+@pytest.mark.parametrize("n", range(3, 41))
+def test_the_grouped_banded_layout_on_small_rings(n):
+    """Every operator of :func:`_banded_operators` at n = 3 to 40 (see
+    :func:`_assert_grouped_banded`), among them rings of fewer cells than
+    a row's window, where a residue has a single row: ``rk4x2``'s ``Q``
+    (P K = 20) up to n = 20 and the 32-stage chain's (P K = 68) at every
+    n here.  The composed ``rk4x2`` ``Q``, B = 15, makes one ``matmul`` of
+    P = 5 ``dgemm`` batches, not 15: a ``(5, m, 40)`` view by the ``(40,
+    8)`` stack, and ``D^`` (B = 3) one of P = 2."""
+    rng = np.random.default_rng(n)
+    g = ops.build_grid(n)
+    single = [_assert_grouped_banded(op, rng) == 1 for op in _banded_operators(g)]
+    assert any(single) and (n <= 20 or not all(single))
+    for variant in ("central", "upwind"):
+        ws = solver._ComposedStep(solver.make_scheme(g, variant, 1.0), solver.RK4X2, np.ones(2 * n))
+        ws.run(0.5 * g.dx)
+        for op, binding in ((ws.Q, ws.Q_u), (ws.stencil, ws.D_q)):
+            (windows, stack, _), = _calls(binding, "product")
+            group, rows = ops._grouping(op._band[1])
+            assert windows.shape[0] == rows and stack.shape == (2 * rows * group, 2 * group)
+            assert rows < op._band[1] or op._band[1] == 1
+        if variant == "central" and n >= 15:
+            assert (ws.Q._band[1], _calls(ws.Q_u, "product")[0][0].shape[0]) == (15, 5)
+            assert _calls(ws.D_q, "product")[0][0].shape[0] == 2
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= _EPS, reason="np.longdouble is float64 here")
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_the_grouped_banded_layout_around_one_chunk(d):
+    """Each operator of :func:`_banded_operators` at n = _CHUNK + w + d,
+    ``w`` its row's window: one chunk whose last row ends mid-group (d =
+    -1), one chunk of ``_CHUNK + w`` cells (d = 0) and two chunks, the
+    last of ``w + 1`` cells (d = 1); see :func:`_assert_grouped_banded`."""
+    rng = np.random.default_rng(100 + d)
+    widths = sorted({_row_window(op) for op in _banded_operators(ops.build_grid(_C))})
+    assert widths == [1, 8, 12, 20, 36, 68]
+    for w in widths:
+        n = _C + w + d
+        for op in _banded_operators(ops.build_grid(n)):
+            if _row_window(op) == w:
+                _assert_grouped_banded(op, rng)
+                assert len(_banded_chunks(op, n)) == 1 + (d == 1)
+
+
 def test_banded_binding_refreshes_the_margins_and_writes_into_out():
-    """At n = 17 the ``rk4x2`` central ``Q`` (offsets -7..7, B = 15) reads
-    7 cells before the ring and 7 + 14 after it, cells ``-7 .. 37`` mod n:
-    one copy before the ring and two after it, since 21 cells pass the
-    ring's end again.  Its one chunk has ``m = 2`` rows per residue, so its
-    products fill 30 cells of ``out``, 13 past the ring.  The diagonal mass
-    (B = 1) needs no ghost cells, copies nothing and gets the per-block
-    bits, each result one two-term dot either way."""
-    g = ops.build_grid(17)
+    """At n = 25 the ``rk4x2`` central ``Q`` (offsets -7..7, B = 15) has
+    rows of K = 4 cells with windows of P K = 20 (P = 5), so it reads 7
+    cells before the ring and -7 + 2 P K - K - 1 = 28 after it, cells ``-7
+    .. 52`` mod n: one copy before the ring and two after it, since 28
+    cells pass the ring's end again.  Its one chunk has ``m = 2`` rows per
+    residue, so its products fill 2 P K = 40 cells of ``out``, 15 past the
+    ring.  The diagonal mass (B = 1) needs no ghost cells, copies nothing
+    and gets the per-block bits, each result one two-term dot either way."""
+    g = ops.build_grid(25)
     scheme = solver.make_scheme(g, "central", 1.0)
     powers = solver._stencil_powers(scheme.D_effective, solver.RK4X2.stages)
     Q = solver._composed_factor(scheme, solver.RK4X2, 0.5 * g.dx, powers)
-    assert Q._band[:2] == (-7, 15) and ops._ghost_cells(-7, 15) == (7, 21)
-    x, y, ghosts = _ghosted(Q, np.arange(34.0))
+    assert Q._band[:2] == (-7, 15) and ops._grouping(15) == (4, 5) and ops._ghost_cells(-7, 15) == (7, 28)
+    x, y, ghosts = _ghosted(Q, np.arange(50.0))
     bound = Q.bind_banded(x, y, ghosts)
-    assert [dest.size // 2 for dest, _ in _calls(bound, "copy")] == [7, 17, 4]
+    assert [dest.size // 2 for dest, _ in _calls(bound, "copy")] == [7, 25, 3]
+    [(windows, _, products)] = _calls(bound, "product")
+    assert windows.shape == (5, 2, 40) and products.shape == (5, 2, 8)
     Q.matvec(x, y, bound)
-    assert x.reshape(-1, 2)[:, 0].tolist() == [2 * ((k - 7) % 17) for k in range(45)]
+    assert x.reshape(-1, 2)[:, 0].tolist() == [2 * ((k - 7) % 25) for k in range(60)]
     written = ~np.isnan(y.reshape(-1, 2)).any(axis=1)
-    assert written.tolist() == [False] * ghosts + [True] * 30 + [False] * (len(written) - ghosts - 30)
+    assert written.tolist() == [False] * ghosts + [True] * 40 + [False] * (len(written) - ghosts - 40)
     M = ops.diagonal_mass(g)
     assert ops._ghost_cells(*M._band[:2]) == (0, 0)
-    u, q = np.arange(34.0), np.empty(34)
+    u, q = np.arange(50.0), np.empty(50)
     bound = M.bind_banded(u, q, 0)
     assert not _calls(bound, "copy") and np.shares_memory(_calls(bound, "product")[0][0], u)
     assert M.matvec(u, q, bound).tobytes() == M.matvec(u).tobytes()
@@ -1027,26 +1125,30 @@ def test_banded_binding_refuses_what_does_not_fit():
     out, as a per-block binding does."""
     g = ops.build_grid(16)
     D = ops.central_D(g)
-    assert ops._ghost_cells(*D._band[:2]) == (1, 3)
-    u, out = np.ones(2 * 20), np.empty(2 * 20)
-    for bad, ghosts in ((np.ones(38), 1), (np.ones(40), 0), (np.ones(40), 2), (np.ones(41), 1), (u, 1.0)):
+    # B = 3: K = 4, P = 2, and -1 + 2 P K - K - 1 = 10 cells after the ring
+    assert ops._ghost_cells(*D._band[:2]) == (1, 10)
+    size = 2 * (1 + 16 + 10)
+    u, out = np.ones(size), np.empty(size)
+    shorts = ((np.ones(size - 2), 1), (u, 0), (u, 2), (np.ones(size + 1), 1), (u, 1.0))
+    for bad, ghosts in shorts:
         with pytest.raises(ValueError, match="ghost cells"):
             D.bind_banded(bad, np.empty_like(bad), ghosts)
-    for bad in (np.ones((0, 40)), np.ones((1, 3, 40)), np.ones(())):
+    for bad in (np.ones((0, size)), np.ones((1, 3, size)), np.ones(())):
         with pytest.raises(ValueError, match="expected shape|ghost cells"):
             D.bind_banded(bad, np.empty_like(bad), 1)
-    for bad_out in (np.empty(38), np.empty(40, complex), np.empty((1, 40)), [0.0] * 40):
+    for bad_out in (np.empty(size - 2), np.empty(size, complex), np.empty((1, size)), [0.0] * size):
         with pytest.raises(ValueError, match="out must be"):
             D.bind_banded(u, bad_out, 1)
-    wide = np.ones(80)
-    for a, b in ((u, u), (wide[::2], out), (u, np.empty(80)[::2]), (wide[:40], wide[38:78])):
+    wide = np.ones(2 * size)
+    overlaps = ((u, u), (wide[::2], out), (u, np.empty(2 * size)[::2]), (wide[:size], wide[size - 2 : 2 * size - 2]))
+    for a, b in overlaps:
         with pytest.raises(ValueError, match="C-contiguous and must not overlap"):
             D.bind_banded(a, b, 1)
     bound = D.bind_banded(u, out, 1)
     twin = BlockCirculantOp(16, D.dx, 2.0 * D.scale, D.blocks)
     for call in (
         lambda: D.matvec(u.copy(), out, bound),
-        lambda: D.matvec(u, np.empty(40), bound),
+        lambda: D.matvec(u, np.empty(size), bound),
         lambda: D.matvec(u, None, bound),
         lambda: twin.matvec(u, out, bound),
         lambda: ops.upwind_D_plus(g).matvec(u, out, bound),

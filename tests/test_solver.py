@@ -1972,16 +1972,41 @@ def test_stencil_powers_are_the_exact_operator_powers(build, n, count):
     """Each row of the stack, as an operator (which sums the offsets that
     alias at small n), is the integer matrix power of the dense stencil, up
     to 15 stages, where the upwind powers' bound 12**14 is still below the
-    2**53 that keeps them exact; the offsets are increasing and not reduced
-    mod n."""
+    2**53 that keeps them exact; the offsets are increasing, not reduced
+    mod n, and span only what some power reaches."""
     D = build(ops.build_grid(n))
     stencil = ops.BlockCirculantOp(n, D.dx, 1.0, D.blocks).dense().astype(np.int64)
     offsets, powers = solver._stencil_powers(D, count)
     assert offsets == tuple(range(offsets[0], offsets[0] + len(offsets)))
     assert powers.shape == (count, len(offsets), 2, 2)
+    # no offset at either end where every power's block is zero: D_-'s
+    # powers reach -j..1, since its block at +1 squares to zero
+    assert powers[:, 0].any() and powers[:, -1].any()
+    reach = {ops.central_D: (1 - count, count - 1), ops.upwind_D_minus: (1 - count, min(1, count - 1))}
+    assert (offsets[0], offsets[-1]) == reach.get(build, (0, count - 1))
     for j, row in enumerate(powers):
         got = ops.BlockCirculantOp(n, D.dx, 1.0, dict(zip(offsets, row))).dense()
         assert np.array_equal(got, np.linalg.matrix_power(stencil, j).astype(float))
+
+
+def test_upwind_composed_bands_span_only_their_nonzero_blocks():
+    """Upwind ``Q`` at a > 0 reaches offsets -(s - 1)..1, not -(s - 1)..s
+    - 1: ``rk4`` at n = 6 stores 5 offsets and ``rk4x2`` at n = 14 stores
+    9, in the normal form's range, where the untrimmed powers (7 and 15
+    offsets) folded over the whole ring; at n >= s + 2 the band's end
+    blocks are nonzero for every tableau, variant and sign."""
+    for rk, n, band in (("rk4", 6, (-3, 5)), ("rk4x2", 14, (-7, 9))):
+        scheme, method = make_scheme(ops.build_grid(n), "upwind", 1.0), resolve_method(rk)
+        powers = solver._stencil_powers(scheme.D_effective, method.stages)
+        assert solver._composed_factor(scheme, method, 0.5 * scheme.grid.dx, powers)._band[:2] == band
+    tableaux = [(rk, v, a) for rk in ("rk4", "ssprk33", "rk4x2") for v in ("central", "upwind") for a in (1.0, -1.0)]
+    for rk, variant, a in tableaux:
+        method = resolve_method(rk)
+        scheme = make_scheme(ops.build_grid(2 * method.stages + 2), variant, a)
+        powers = solver._stencil_powers(scheme.D_effective, method.stages)
+        Q = solver._composed_factor(scheme, method, 0.5 * scheme.grid.dx, powers)
+        lo, span, _ = Q._band
+        assert {lo, lo + span - 1} <= set(Q.blocks)
 
 
 @pytest.mark.parametrize("a", [1.0, -1.0, 0.7])
@@ -2020,9 +2045,10 @@ def test_composed_factor_gives_the_step_matrix(rk, n, variant, a):
     offsets, stack = powers
     weighted = np.add.reduce(np.array(weights)[:, None, None, None] * stack, 0)
     normal = ops.BlockCirculantOp(n, D.dx, 1.0, dict(zip(offsets, weighted)))
-    lo, span, band = Q._band
+    lo, span, stack = Q._band
     assert (lo, span) == solver._composed_band(offsets, n)
-    for k, block in enumerate(band.reshape(span, 2, 2)):
+    # the grouped stack's first column pair is the band, A_(lo + k)^T in row pair k
+    for k, block in enumerate(stack[: 2 * span, :2].reshape(span, 2, 2)):
         if lo + k in normal.blocks:
             assert block.T.tobytes() == (z * normal.blocks[lo + k]).tobytes()
         else:
