@@ -123,12 +123,13 @@ of ``out`` and multiplies them there by ``scale``.
 - The *per-block* layout is the kernel above, with its bit contract: every
   one-shot call (``op @ u``, ``Scheme.rhs``, ``checks``, ``spectral``) and
   every :meth:`BlockCirculantOp.bind`.  Of the time loop, only the stage
-  steps use it, their mass products included, since ``perfbench``'s
-  references pin their bits to 1e-13.
+  steps use it, for their derivatives and gamma's mass products, since
+  ``perfbench``'s references pin their bits to 1e-13.
 - The *banded* layout (:meth:`BlockCirculantOp.bind_banded`) serves every
-  product of the composed time step: its two factors, ``Q u`` and ``D^
-  q``, and for the upwind energy the mass's integer root, ``W u`` and ``W
-  d`` (the composed step applies no mass).  ``B`` is the span of the
+  product of the composed time step, its two factors, ``Q u`` and ``D^
+  q`` (the composed step applies no mass), and, for the upwind energy of
+  either step kind, the mass's integer root, ``W u`` and ``W d``.  ``B``
+  is the span of the
   stored offsets, ``max - min + 1``, at most ``n`` in the normal form.
   Cell ``i``'s result is the ``2B`` doubles of cells ``i + min .. i + max``
   times the transposed blocks by offset.  A BLAS row gives ``K = 4``
@@ -154,9 +155,9 @@ of ``out`` and multiplies them there by ``scale``.
   first cell (each residue has ``m`` rows, so the last may pass the
   chunk's end, into cells the next chunk writes again).  That is ``P``
   ``dgemm`` calls of ``2 K`` columns per chunk: 5 for ``rk4x2``'s central
-  ``Q`` (B = 15) and 2 for ``D^`` (B = 3), where the residues of single
-  cells (``K = 1``, ``P = B``) made ``B`` calls of two columns, OpenBLAS's
-  narrowest kernel, each paying the per-call cost again.  There is no
+  ``Q`` (B = 15) and 2 for ``D^`` (B = 3).  Rows of ``K`` cells, not
+  single cells, keep OpenBLAS off its narrowest, two-column kernel and
+  pay the per-call cost ``P`` times per chunk, not ``B`` times.  There is no
   halo, no product buffer, no product stack and no reduction, and the
   scale multiply reads ``out``'s own entries (none at scale 1: the
   composed step's factors have scale 1).  The banded chunk does not
@@ -173,18 +174,16 @@ of ``out`` and multiplies them there by ``scale``.
   holds it, not only to the cells its band reaches.
   OpenBLAS's threaded ``dgemm`` splits the rows and columns of a product,
   not its dots: composed runs at n = 1200, 8200 and 1e5 end in the same
-  bits with one and with two threads.  With every matvec banded (by
-  residues of single cells), the stage steps too, relaxed upwind
-  ``rk4x2`` (n = 48, a = -1) landed 1.25e-11 from ``perfbench``'s
-  references and the chaotic relaxed central ``ssprk33`` (n = 128)
-  6.25e-2: the per-block layout stays for the stage steps until those
-  references are re-recorded.  A bound call at n = 1200 takes 5.5 us for
-  the central ``rk4x2`` ``Q`` (8.3 by residues of single cells), 3.2 us
-  for ``D^`` (4.3) and 3.0 us for the upwind root ``W`` (B = 2; 3.6); at
-  n = 8200, 35, 17 and 17 us (48, 27 and 17); at n = 128, 2.3, 1.8 and
-  1.5 us (3.9, 2.0 and 1.8).  Medians of 11 alternating rounds in one
-  process, shared 2-vCPU x86 host, one BLAS thread (OpenBLAS 0.3.31,
-  SkylakeX kernels).
+  bits with one and with two threads.  With every matvec banded, the
+  stage steps too, relaxed upwind ``rk4x2`` (n = 48, a = -1) landed
+  1.25e-11 from ``perfbench``'s references and the chaotic relaxed central
+  ``ssprk33`` (n = 128) 6.25e-2: the per-block layout stays for the stage
+  steps' derivatives and mass products until those references are
+  re-recorded.  A bound call at n = 1200 takes 5.5 us for the central
+  ``rk4x2`` ``Q``, 3.2 us for ``D^`` and 3.0 us for the upwind root ``W``
+  (B = 2); at n = 8200, 35, 17 and 17 us; at n = 128, 2.3, 1.8 and 1.5
+  us.  Medians of 11 rounds in one process, shared 2-vCPU x86 host, one
+  BLAS thread (OpenBLAS 0.3.31, SkylakeX kernels).
 
 The relaxed time stepper depends on the per-block layout's exactness: its
 step rescaling divides energy estimates that nearly cancel, so a kernel
@@ -719,31 +718,6 @@ class BlockCirculantOp:
         band = np.zeros((span, 2, 2))
         band[[j - lo for j in self.blocks]] = self.stack.transpose(0, 2, 1)
         return lo, span, _grouped(band)
-
-    @classmethod
-    def _from_band(cls, n: int, dx: float, lo: int, band: np.ndarray) -> "BlockCirculantOp":
-        """The operator of scale 1 whose banded layout multiplies by ``band``, built without a dict.
-
-        ``band`` is a C-contiguous ``(B, 2, 2)`` stack of the transposed
-        blocks at offsets ``lo .. lo + B - 1``, all in the normal form's
-        range ``[-n//2, n - n//2)``: the caller has summed the offsets that
-        alias.  :attr:`_band` groups it as it is, zero blocks included, and
-        ``blocks`` and ``stack`` hold its nonzero blocks by increasing
-        offset, the normal form of the same operator.
-        """
-        span = len(band)
-        if lo < -(n // 2) or lo + span > n - n // 2:
-            raise ValueError(f"offsets {lo}..{lo + span - 1} are not reduced mod n = {n}")
-        band.setflags(write=False)
-        keep = band.reshape(span, 4).any(axis=1)
-        stack = band.transpose(0, 2, 1)[keep]
-        stack.setflags(write=False)
-        op = object.__new__(cls)
-        blocks = dict(zip(itertools.compress(range(lo, lo + span), keep), stack))
-        for name, value in zip(("n", "dx", "scale", "blocks", "stack"), (n, dx, 1.0, blocks, stack)):
-            object.__setattr__(op, name, value)
-        op.__dict__["_band"] = (lo, span, _grouped(band))
-        return op
 
     def bind_banded(self, u: np.ndarray, out: np.ndarray, ghosts: int) -> MatvecBinding:
         """The set-up of a :meth:`matvec` call on ghost-celled ``u`` and ``out`` in the banded layout.

@@ -16,15 +16,15 @@ forms the difference ``d = R(Z) u - u = Z Q^(Z) u`` in two matvecs, ``d =
 D^ (Q u)``, with ``D^`` the derivative's exact integer stencil, ``z = -a
 dt / dx`` and ``Q = z sum_(j < s) c_(j+1) z^j D^^j``: ``z`` lives in
 ``Q``'s blocks, and both factors have scale 1, so neither matvec
-multiplies by a scale.  The powers ``D^^j`` are formed once per run
-(:func:`_stencil_powers`); each step size re-weights them into one
-operator (:func:`_composed_factor`), so a clipped last step forms no new
-powers.  ``d`` is written as it is, never as ``u_next - u``, which
-cancels to an error of eps ``|u|`` and, for small steps, moves the
-relaxation parameter far past rounding.  A composed step makes 2 matvec
-calls, ``Q u`` and ``D^ q`` (and for the upwind mass one ``W`` product
-per energy and per gamma), where the stages made ``s + 2`` relaxed and
-``s + 1`` unrelaxed: 10 and 9 for ``rk4x2``.
+multiplies by a scale.  The powers ``D^^j`` depend on neither ``n`` nor
+``dt``: they are formed once per stencil and stage count
+(:func:`_stencil_powers`), and each step size re-weights them into one
+operator, through the operator's constructor (:func:`_composed_factor`).
+``d`` is written as it is, never as ``u_next - u``, which cancels to an
+error of eps ``|u|`` and, for small steps, moves the relaxation parameter
+far past rounding.  A composed step makes 2 matvec calls, ``Q u`` and
+``D^ q`` (and for the upwind mass one ``W`` product per energy and two
+per gamma), where a stage step makes ``s + 1``: 9 for ``rk4x2``.
 
 ``D^`` stays a factor of its own.  Rounding ``Q``'s entries perturbs
 ``Q`` by a few eps relative, and the exact stencil annihilates the
@@ -40,8 +40,9 @@ central runs whose step is not linearly stable -- steps through the
 stages.  The estimate needs ``M f_i`` for every stage and the rescaling
 needs ``M d``: its workspace forms all of them in one matvec call on the
 stack of the stage derivatives and ``d`` (each row has the bits of its own
-call), so such a step makes ``s + 2`` matvec calls, the energy's
-included: 10 for ``rk4x2`` and 5 for ``ssprk33``.  For the central scheme
+call), so such a step makes ``s + 1`` matvec calls, and one more for the
+upwind energy's ``W u``: 10 for upwind ``rk4x2`` and 4 for central
+``ssprk33``.  For the central scheme
 the estimate is zero by construction: the SBP identity ``M D + D^T M = 0``
 makes every stage term ``<y_i, M f_i>`` vanish, which
 :func:`run_experiment` reads off the operators once per run.  Composing
@@ -65,8 +66,8 @@ whose row 0 holds ``u``, then one ``np.add.reduce`` over the stack's first
 reduction over the outer axis adds the rows one after another, the fold's
 own order.  Every fold writes its own array: ``rk4x2``'s update multiplies
 all eight of its terms in one call.  A step's folds make 16 numpy calls
-for ``rk4x2`` (28 as one multiply and one add per term), 8 for ``rk4``
-(14) and 6 for ``ssprk33`` (12).  A lone term's coefficient is a 0-d view
+for ``rk4x2``, 8 for ``rk4`` and 6 for ``ssprk33``, where one multiply
+and one add per term make 28, 14 and 12.  A lone term's coefficient is a 0-d view
 of the ``dt c`` array, which numpy takes without the conversion a Python
 float costs on every call.
 
@@ -84,36 +85,29 @@ and make one ``matmul`` of one ``dgemm`` per residue mod ``P`` of the
 groups of ``K`` cells, straight from the operand into ``q`` or ``d``: 5
 for central ``rk4x2``'s ``Q`` and 2 for ``D^``.  Past one chunk each chunk
 is one more ``matmul``.  No binding holds a halo, a product buffer or a
-per-block product stack, and none has a scale multiply.  The composed step
-applies no mass: its energy and gamma's dots are weighted sums of squares
-(:func:`_energy_form`), ``(w o u) . u`` with the diagonal mass's
-weights, and ``(lambda o W u) . W u`` with ``W u`` one banded product of
-the upwind mass's integer root ``W`` (:data:`_UPWIND_ROOT`), whose
-rounding stays relative to the energy where ``u . (M u)`` cancels (the
-upwind energy of smooth data is about ``n^-2`` of ``|u|^2``).  Nor does it
-form an update: ``u += d`` unrelaxed, ``u += gamma d`` relaxed.  At n =
-1200 a relaxed central composed step makes 13 numpy calls: 6 in ``Q u``
-and ``D^ q``, 3 in :func:`relaxation_gamma` (``w o d`` and two dots: the
-cut-off's ``u.Mu`` is the energy, read from the workspace), 2 for the
-relaxed update and 2 for the energy (``w o u`` and one dot).  It made 16
-with ``M u`` and ``M d`` as matvecs and an unused ``u + d``, and 23 with
-halos, product buffers, scaled factors and a per-block diagonal mass.  An
-unrelaxed step makes 9 (11 before): 6, ``u += d`` and the energy's 2; for
-the upwind mass 11, ``W u`` adding a margin copy and a ``matmul``.  The
-stage estimate's dots ``y_i M f_i`` of stages 2..s are one batched
-``matmul`` of ``(s - 1, 1, 2n)`` by ``(s - 1, 2n, 1)``, which numpy takes
-row by row to the same ``cblas_ddot``.  Measured in process (shared
-2-vCPU x86 host, one BLAS thread, medians of three processes per side
-alternating with the code that applied the mass), a relaxed central
-``rk4x2`` step takes 24.1 instead of 29.5 us at n = 1200, 13.1 instead of
-16.4 us at n = 128 and 111 instead of 129 us at n = 8200; at n = 1200 the
-energy 2.9 instead of 3.9 us, :func:`relaxation_gamma` 4.3 instead of 5.8
-us and the composed ``run(dt)`` 11.9 instead of 14.5 us.
+per-block product stack, and none has a scale multiply.  Both step
+kinds measure the energy the same way, by weighted sums of squares
+(:func:`_energy_form`, :meth:`Workspace.energy`): ``(w o u) . u`` with the
+diagonal mass's weights, and ``(lambda o W u) . W u`` with ``W u`` one
+banded product of the upwind mass's integer root ``W``
+(:data:`_UPWIND_ROOT`), whose rounding stays relative to the energy where
+``u . (M u)`` cancels (the upwind energy of smooth data is about ``n^-2``
+of ``|u|^2``).  The composed step applies no mass at all: gamma's dots
+are weighted sums too.  Nor does it form an update: ``u += d``
+unrelaxed, ``u += gamma d`` relaxed.  At n = 1200 a relaxed central
+composed step makes 13 numpy calls: 6 in ``Q u`` and ``D^ q``, 3 in
+:func:`relaxation_gamma` (``w o d`` and two dots: the cut-off's ``u.Mu``
+is the energy, read from the workspace), 2 for the relaxed update and 2
+for the energy (``w o u`` and one dot).  An unrelaxed step makes 9: 6,
+``u += d`` and the energy's 2; for the upwind mass 11, ``W u`` adding a
+margin copy and a ``matmul``.  The stage estimate's dots ``y_i M f_i`` of
+stages 2..s are one batched ``matmul`` of ``(s - 1, 1, 2n)`` by ``(s -
+1, 2n, 1)``, which numpy takes row by row to the same ``cblas_ddot``.
 
 :func:`run_experiment` constructs one :class:`Workspace` per run, of one
 of two kinds: a :class:`_StageStep` or a :class:`_ComposedStep`.  Each holds
 the run's state ``u``, its difference ``d`` and a scaled term, and every
-array and binding its steps use; neither kind leaves a field unset.  Every
+array and binding its steps use.  Every
 array operation of the time loop writes into it: the matvecs (their halo,
 window and product buffers included), ``Q u`` and ``d`` of a composed step
 and its weighted vectors, the scaled terms and products of the folds, the
@@ -122,23 +116,25 @@ stage states and derivatives of a stage step, and its products with
 of the state's size.  A stage workspace runs each operation as the plain
 stage loop does, on the same operands in the same order, so its
 trajectories are the same bits as fresh arrays; a composed one has the
-bits of fresh banded bindings of ``Q``, ``D^`` and ``W`` and of its
-weighted sums on new arrays.  So each step kind has one layout: the stage
-step per block, the composed step banded.
+bits of fresh banded bindings of ``Q``, ``D^`` and ``W``.  Either kind's
+energy has the bits of the weighted sums on new arrays.  The stage step's
+matvecs are per block but for its energy's ``W u``; the composed step's
+are banded.
 
 The workspace also does each step's set-up once per run.  A stage
 workspace holds the folds' numpy calls with their arrays, the stage list,
 one matvec binding
 (:meth:`~activeflux.operators.BlockCirculantOp.bind`) per stage state and
-derivative pair, and the bindings of ``M u`` and of the stack of ``M f_i``
-and ``M d``; each binding makes its own scratch arrays.  A composed
-workspace holds the stencil powers, the ghost-celled arrays of ``u``,
-``q`` and ``d`` (and of ``W u`` and ``W d`` for the upwind mass), the
-tiled weights, and its banded bindings: ``Q``'s (made again when ``dt``
-changes), ``D^``'s, and, upwind, ``W``'s of ``W u`` and ``W d``.  Each
-kind has a ``run(dt)``, the step, an ``energy()``, an ``advance`` call to
-the unrelaxed update and a ``gamma_terms``, which gives
-:func:`relaxation_gamma` the step's dots.
+derivative pair, the binding of the stack of ``M f_i`` and ``M d``, and
+for the upwind mass the banded binding of ``W u``; each binding makes its
+own scratch arrays.  A composed workspace holds the stencil powers, the
+ghost-celled arrays of ``u``, ``q`` and ``d`` (and of ``W u`` and ``W d``
+for the upwind mass), the tiled weights, and its banded bindings:
+``Q``'s (made again when ``dt`` changes), ``D^``'s, and, upwind, ``W``'s
+of ``W u`` and ``W d``.  Each kind has a ``run(dt)``, the step, an
+``advance`` call to the unrelaxed update and a ``gamma_terms``, which
+gives :func:`relaxation_gamma` the step's dots; the base's ``energy()``
+measures either.
 
 :func:`rk_step`, :func:`relaxation_gamma` and :meth:`Scheme.energy` each
 have two paths.  Without a workspace they run on new arrays:
@@ -161,13 +157,12 @@ initial energy.  A relaxed run also checks ``M D + D^T M = 0``
 (``_estimate_vanishes``), and a relaxed central run computes the
 amplification radius (``_amplification_radius``) on modes ``0..n//2``
 from closed-form eigenvalues, with no 2x2 matrix product.  Measured in
-process at n = 32 and 128 (medians, shared 2-vCPU host): the radius takes
-80-90 us and a stage workspace 120 us.  A composed workspace takes about
-as long as a stage one (145-175 against 145-170 us in a busier hour), the
-stencil powers' 100-110 us in place of the stage bindings; forming ``Q``
-for a step size takes about 19 us at n = 128 to 8200 (28 us when it went
-through the operator's constructor and restacked its band) and its
-banded binding about 11 us.
+process at n = 32 and 128 (medians, shared 2-vCPU host, whose speed
+drifts by up to 2x between rounds): the radius takes 80-90 us, the
+stencil powers 60-80 us the first time for a stencil and stage count and
+1 us from the cache after it, a composed workspace 90-230 us and a stage
+one 140-260 us; forming ``Q`` for a step size takes 25-45 us at n = 128
+and its banded binding 11-21 us.
 
 At ``|a| = 1`` the right-hand side ``-a D u`` folds ``-a`` into the scale
 of ``D``, which is exact (:attr:`Scheme.rhs_operator`): one scaling pass
@@ -431,17 +426,15 @@ class Scheme:
         return f
 
     def energy(self, u: np.ndarray, workspace: Optional["Workspace"] = None) -> float:
-        """``u^T M u``; with a workspace, the workspace's own form of it,
-        stored in its ``uMu``, which :func:`relaxation_gamma` reads.
+        """``u^T M u``; with a workspace, as weighted squares, stored in
+        its ``uMu``, which :func:`relaxation_gamma` reads.
 
-        Without a workspace it is ``u . (M @ u)``, the oracle.  A stage
-        workspace replays its per-block binding ``M_u`` into its ``Mu`` and
-        dots that with ``u``: the oracle's bits.  A composed workspace sums
-        weighted squares (:func:`_energy_form`): ``(w o u) . u`` for the
-        diagonal mass and ``(lambda o W u) . W u`` for the upwind one, with
-        ``W u`` one banded product.  A workspace measures only its own
-        state ``u``, for its own scheme: anything else raises
-        :class:`ValueError`.
+        Without a workspace it is ``u . (M @ u)``, the oracle.  Either
+        workspace kind sums weighted squares (:meth:`Workspace.energy`,
+        :func:`_energy_form`): ``(w o u) . u`` for the diagonal mass and
+        ``(lambda o W u) . W u`` for the upwind one, with ``W u`` one
+        banded product.  A workspace measures only its own state ``u``,
+        for its own scheme: anything else raises :class:`ValueError`.
         """
         if workspace is None:
             return float(u @ (self.M_energy @ u))
@@ -481,30 +474,43 @@ class Workspace:
     the state last measured (NaN before the first).  ``stages`` is the
     stage list a step returns.  ``advance()`` moves ``u`` to a step's
     unrelaxed update.  Each kind's ``run(dt)`` is the step :func:`rk_step`
-    replays on ``u``, its ``energy()`` the energy :meth:`Scheme.energy`
-    measures, and its ``gamma_terms`` gives :func:`relaxation_gamma` what
-    it reads of the step.  The two kinds are :class:`_StageStep` and
+    replays on ``u``, and its ``gamma_terms`` gives :func:`relaxation_gamma`
+    what it reads of the step.  The two kinds are :class:`_StageStep` and
     :class:`_ComposedStep`; each holds every array and binding its runs
-    use, and none of the fields above is left unset.
+    use.
+
+    Both kinds measure ``u`` alike (:meth:`energy`), by the weighted
+    squares of :func:`_energy_form`, with ``weights`` the form's ``w``
+    tiled over the ring.  For the diagonal mass ``W`` and ``W_u`` are None
+    and ``Wu`` is ``u`` itself.  For the upwind mass ``u`` is the ring of a
+    ghost-celled array and ``Wu`` that of another, into which the banded
+    binding ``W_u`` of ``W`` writes.  No other field is left unset.
     """
 
-    __slots__ = ("scheme", "method", "u", "d", "tmp", "uMu", "stages", "advance")
+    __slots__ = ("scheme", "method", "u", "d", "tmp", "uMu", "stages", "advance", "W", "W_u", "Wu", "weights")
+
+    def energy(self) -> float:
+        """``(w o W u) . W u``, ``W u`` from the binding ``W_u`` (``u`` itself for the diagonal mass)."""
+        if self.W is not None:
+            self.W.matvec(self.W_u.u, self.W_u.out, self.W_u)
+        return float(np.multiply(self.weights, self.Wu, self.tmp).dot(self.Wu))
 
 
 class _StageStep(Workspace):
     """A workspace that steps through the stages, with its arrays and numpy calls resolved once.
 
     ``stack`` is the product stack of :attr:`RKMethod._folds`, whose row 0
-    is the state ``u``.  Stage states 2..s are the rows of ``Y``, the update
-    is an array of its own, ``update``, which ``advance`` copies into
-    ``u``, and ``tmp`` holds one scaled term before it is added.  ``Mu``
-    takes the energy's ``M u`` through the per-block binding ``M_u``.
-    ``kd`` holds the stage
-    derivatives and then ``d`` as the rows of one ``(s + 1, 2n)`` array, and
-    ``Mkd`` their products with ``M``, the ``M f_i`` and then ``Md``, through
-    the binding ``M_kd``.  ``dots`` holds the batched views of the stage
-    estimate: stage states 2..s against their products ``M f_i``, and a
-    ``(s - 1, 1, 1)`` result.
+    is the state ``u``.  Its rows are the rings of the ghost-celled rows of
+    ``ghosted``, with the upwind root's ghost cells (none for the diagonal
+    mass), so that ``W`` reads ``u`` where it is.  Stage states 2..s are
+    the rows of ``Y``, the update is an array of its own, ``update``, which
+    ``advance`` copies into ``u``, and ``tmp`` holds one scaled term before
+    it is added.  ``kd`` holds the stage derivatives and then ``d`` as the
+    rows of one ``(s + 1, 2n)`` array, and ``Mkd`` their products with
+    ``M``, the ``M f_i`` and then ``Md``, through the per-block binding
+    ``M_kd``.  ``dots`` holds the batched views of the stage estimate:
+    stage states 2..s against their products ``M f_i``, and a ``(s - 1, 1,
+    1)`` result.
 
     ``dtc`` holds ``dt`` times the method's coefficients for the ``dt`` it
     was last formed for.  ``calls`` is the step as one flat list of
@@ -516,22 +522,26 @@ class _StageStep(Workspace):
     """
 
     __slots__ = (
-        "stack", "Y", "kd", "Mkd", "Md", "Mu", "M_u", "M_kd", "dots", "update",
-        "coefficients", "dtc", "dt", "calls",
+        "ghosted", "stack", "Y", "kd", "Mkd", "Md", "M_kd", "dots", "update", "coefficients", "dtc", "dt", "calls",
     )
 
     def __init__(self, scheme: Scheme, method: RKMethod, u0: np.ndarray):
         coefficients, folds = method._folds
-        s, size, M = method.stages, 2 * scheme.grid.n, scheme.M_energy
+        n, s, size, M = scheme.grid.n, method.stages, 2 * scheme.grid.n, scheme.M_energy
+        W, weights = _energy_form(scheme)
+        before, after = ops._ghost_cells(*W._band[:2]) if W else (0, 0)
         rows = max((call[1] for calls in folds for call in calls if call[0] == "sum"), default=0)
-        stack, Y = np.empty((rows + 1, size)), np.empty((s - 1, size))
+        self.ghosted = np.zeros((rows + 1 + bool(W), 2 * (before + n + after)))  # the stack's rows, W u
+        stack, Y = self.ghosted[: rows + 1, 2 * before : 2 * before + size], np.empty((s - 1, size))
         kd, Mkd = np.empty((s + 1, size)), np.empty((s + 1, size))
         self.scheme, self.method = scheme, method
         self.stack, self.Y, self.kd, self.Mkd = stack, Y, kd, Mkd
-        self.u, self.d, self.Md = stack[0], kd[s], Mkd[s]
-        self.tmp, self.Mu = np.empty(size), np.empty(size)
+        self.u, self.d, self.Md, self.tmp = stack[0], kd[s], Mkd[s], np.empty(size)
         np.copyto(self.u, u0)
         self.uMu = math.nan
+        self.W, self.weights = W, np.tile(weights, n)
+        self.W_u = W.bind_banded(self.ghosted[0], self.ghosted[-1], before) if W else None
+        self.Wu = self.ghosted[-1, 2 * before : 2 * before + size] if W else self.u
         self.coefficients = np.array(coefficients)
         self.dtc = np.empty_like(self.coefficients)
         results = [self.u, *Y, np.empty(size)]
@@ -557,7 +567,7 @@ class _StageStep(Workspace):
         self.calls, self.update, self.dt = tuple(calls), results[s], None
         self.advance = functools.partial(np.copyto, self.u, self.update)
         self.stages = [Stage(b=b, y=y, f=f) for b, y, f in zip(method.b, results, k)]
-        self.M_u, self.M_kd = M.bind(self.u, self.Mu), M.bind(kd, Mkd)
+        self.M_kd = M.bind(kd, Mkd)
         self.dots = (Y[:, None, :], Mkd[1:s, :, None], np.empty((s - 1, 1, 1)))
 
     def run(self, dt: float) -> tuple[np.ndarray, list[Stage]]:
@@ -567,11 +577,6 @@ class _StageStep(Workspace):
         for function, args in self.calls:
             function(*args)
         return self.update, self.stages
-
-    def energy(self) -> float:
-        """``u . M u``, with ``M u`` from the per-block binding ``M_u`` into ``Mu``."""
-        self.scheme.M_energy.matvec(self.u, self.Mu, self.M_u)
-        return float(self.Mu.dot(self.u))
 
     def gamma_terms(self, u, u_next, stage_data, M) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
         """``d = u_next - u`` into ``d``, ``M d`` with every ``M f_i`` in one call into ``Mkd``, and ``u``.
@@ -593,55 +598,49 @@ def _stencil_powers(D: BlockCirculantOp, count: int) -> tuple[tuple[int, ...], n
     """The powers ``D^^0 .. D^^(count - 1)`` of the unscaled stencil of ``D``, on shared offsets.
 
     Returns the offsets where some power has a nonzero block, increasing
-    and not reduced mod ``n``, and a ``(count, #offsets, 2, 2)`` stack
-    whose row ``j`` holds the blocks of ``D^^j`` (zeros where it has none).
-    Power ``j`` is power ``j - 1`` times the stencil: one ``matmul`` per
-    block of ``D`` over the offsets of power ``j - 1``.  The offsets at
+    and not reduced mod ``n``, and a read-only ``(count, #offsets, 2, 2)``
+    stack whose row ``j`` holds the blocks of ``D^^j`` (zeros where it has
+    none).  Power ``j`` is power ``j - 1`` times the stencil: one ``matmul``
+    per block of ``D`` over the offsets of power ``j - 1``.  The offsets at
     either end where every power's block is zero are dropped, so ``Q``'s
     band is no wider than its blocks: ``D_-``'s block at +1 squares to
     zero, so its powers up to ``j`` reach only -j..1, not -j..j (``rk4x2``'s
     ``Q`` spans 9 offsets, not 15).  The powers are exact integers there,
-    so the test for zero is exact.  Offsets that alias mod ``n``
-    (small n) stay apart; :func:`_composed_factor` folds them, as every
-    ``BlockCirculantOp``'s normal form does.  An
-    entry of ``D^^j``, and every partial sum that forms it, is at most
+    so the test for zero is exact.  Offsets that alias mod ``n`` (small n)
+    stay apart; ``Q``'s constructor folds them (:func:`_composed_factor`).
+    An entry of ``D^^j``, and every partial sum that forms it, is at most
     ``|D^|_inf^j``: 8**j for the central derivative and 12**j for the
     upwind ones (point rows ``2, -6, 4`` and ``-4, 6, -2``), so the powers
     are exact integers for up to 18 and 15 stages (measured at n = 3 to
-    80: up to 28 and 27).  Past that they round by eps relative, as ``Q``'s weights and
-    their products do anyway: the composed step's accuracy rests on ``D``'s
-    exact stencil as its last factor, not on exact powers.  The powers do
-    not depend on ``dt``: a run forms them once and re-weights them for
-    each step size.  The operator algebra's ``@`` forms the same powers
-    five times slower (530 against 100 us for ``rk4x2`` at n = 128), which
-    showed in ``perfbench`` ``solve-mix-small`` as 3.6-6.8 % more
-    ``op_p50_s``.
+    80: up to 28 and 27).  Past that they round by eps relative, as ``Q``'s
+    weights and their products do anyway: the composed step's accuracy
+    rests on ``D``'s exact stencil as its last factor, not on exact powers.
+    The powers depend on neither ``n`` nor ``dt``, so they are cached per
+    stencil and stage count, and each step size re-weights them.  The
+    operator algebra's ``@`` forms the same powers five times slower.
     """
-    lo, hi = min([0, *D.blocks]), max([0, *D.blocks])
+    return _powers(tuple(D.blocks), D.stack.tobytes(), count)
+
+
+@functools.lru_cache(maxsize=16)
+def _powers(offsets: tuple[int, ...], entries: bytes, count: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """:func:`_stencil_powers` of the stencil whose blocks at ``offsets``
+    are the ``(#blocks, 2, 2)`` stack ``entries``, its bytes."""
+    lo, hi = min([0, *offsets]), max([0, *offsets])
     first = (count - 1) * lo
     powers = np.zeros((count, (count - 1) * (hi - lo) + 1, 2, 2))
     powers[0, -first] = np.eye(2)
+    blocks = tuple(zip(offsets, np.frombuffer(entries).reshape(-1, 2, 2)))
     for j in range(1, count):
         # the blocks of D^(j - 1) lie at offsets (j - 1) lo .. (j - 1) hi
         start, stop = (j - 1) * lo - first, (j - 1) * hi - first + 1
-        for shift, block in D.blocks.items():
+        for shift, block in blocks:
             powers[j, start + shift : stop + shift] += powers[j - 1, start:stop] @ block
     kept = np.flatnonzero(powers.any(axis=(0, 2, 3)))  # offset 0 always: D^^0 = I
     a, b = kept[0], kept[-1] + 1
-    return tuple(range(first + a, first + b)), powers[:, a:b]
-
-
-def _composed_band(offsets: Sequence[int], n: int) -> tuple[int, int]:
-    """First offset and span of the band of ``Q`` at ``n`` cells, from the stencil powers' ``offsets``.
-
-    The offsets themselves where they lie in the normal form's range
-    ``[-n//2, n - n//2)``; otherwise (n <= 14 for ``rk4x2``) that whole
-    range, into which :func:`_composed_factor` folds them.
-    """
-    lo, span = offsets[0], len(offsets)
-    if -(n // 2) <= lo and lo + span <= n - n // 2:
-        return lo, span
-    return -(n // 2), n
+    stack = powers[:, a:b]
+    stack.setflags(write=False)
+    return tuple(range(first + a, first + b)), stack
 
 
 def _composed_factor(scheme: Scheme, method: RKMethod, dt: float, powers: tuple) -> BlockCirculantOp:
@@ -652,13 +651,13 @@ def _composed_factor(scheme: Scheme, method: RKMethod, dt: float, powers: tuple)
     one step's difference is ``R(Z) u - u = Z Q^(Z) u = D^ (z Q^ u)`` with
     ``Q^ = sum_(j < s) c_(j+1) z^j D^^j``.  The blocks of ``Q^`` are the
     stencil ``powers`` (:func:`_stencil_powers`) times the weights
-    ``c_(j+1) z^j``, summed over ``j`` in order; where the offsets leave
-    the normal form's range (:func:`_composed_band`), they fold mod ``n``,
-    each sum in increasing offset order, as the normal form sums them.
-    ``z`` then multiplies the blocks, so ``D^`` has scale 1 and neither
-    matvec multiplies by a scale.  The transposed blocks go straight into
-    the band of ``Q``, with no dict of blocks on the way
-    (:meth:`~activeflux.operators.BlockCirculantOp._from_band`).
+    ``c_(j+1) z^j``, summed over ``j`` in order, and ``z`` then multiplies
+    them, so ``D^`` has scale 1 and neither matvec multiplies by a scale.
+    The operator's constructor takes them by offset: where offsets alias
+    mod ``n`` (n <= 14 for ``rk4x2``), its normal form sums them in
+    increasing offset order, and it drops blocks that are zero, so ``Q``'s
+    band may be narrower than the powers' (a block of ``z^s`` underflows
+    at a speed of 1e-45).
     """
     D = scheme.D_effective
     z = -scheme.advection_speed * dt * D.scale
@@ -668,16 +667,7 @@ def _composed_factor(scheme: Scheme, method: RKMethod, dt: float, powers: tuple)
         zj *= z
     offsets, stack = powers
     blocks = np.add.reduce(np.multiply(np.array(weights)[:, None, None, None], stack), 0)
-    n, (lo, span) = D.n, _composed_band(offsets, D.n)
-    band = np.empty((span, 2, 2))
-    if span == len(offsets) and lo == offsets[0]:
-        return BlockCirculantOp._from_band(n, D.dx, lo, np.multiply(z, blocks.transpose(0, 2, 1), band))
-    # consecutive offsets: the first n hold each residue's first term
-    ring = np.zeros((n, 2, 2))
-    for k, (j, a) in enumerate(zip(offsets, blocks.transpose(0, 2, 1))):
-        r = (j - lo) % n
-        ring[r] = a if k < n else ring[r] + a
-    return BlockCirculantOp._from_band(n, D.dx, lo, np.multiply(z, ring, band))
+    return BlockCirculantOp(D.n, D.dx, 1.0, dict(zip(offsets, np.multiply(z, blocks, blocks))))
 
 
 #: The upwind mass as weighted squares, ``M_+ = dx W^T Lambda W``: ``W`` is
@@ -725,19 +715,22 @@ class _ComposedStep(Workspace):
     changes (a run's clipped last step), and ``D_q`` binds ``D^`` once.
 
     The mass is never applied.  The energy and gamma's dots are weighted
-    sums of ``W u`` and ``W d`` (:func:`_energy_form`), with ``weights``
-    the form's ``w`` tiled over the ring.  For the diagonal mass ``W`` is
-    None and ``Wu``, ``Wd`` are ``u`` and ``d`` themselves; for the upwind
-    mass ``Wu`` and ``Wd`` are the rings of two more ghost-celled arrays,
-    into which the banded bindings ``W_u`` and ``W_d`` write.  The ghost
-    widths cover the bands of ``Q``, ``D^`` and ``W`` alike.  No stage is
-    formed, so the stage list is empty, and no binding is per block.
+    sums of ``W u`` and ``W d`` (:func:`_energy_form`).  For the diagonal
+    mass ``Wd`` is ``d`` itself and ``W_d`` None; for the upwind mass
+    ``Wu`` and ``Wd`` are the rings of two more ghost-celled arrays, into
+    which the banded bindings ``W_u`` and ``W_d`` write.  The ghost widths
+    cover the bands of ``D^`` and ``W``, and every band ``Q`` can have:
+    that of its powers' offsets in the normal form, or any narrower one,
+    where its end blocks are zero at some ``dt``.  A band from ``lo + k``
+    of ``span - k - l`` offsets needs no more cells before the ring, and
+    at most ``K - 1`` more after it (:func:`operators._ghost_cells`: ``lo
+    + (2 P - 1) K - 1`` grows by ``k`` and falls by ``2 K`` with each
+    group ``P`` loses, and it keeps ``P`` only while ``k + l < K``).  No
+    stage is formed, so the stage list is empty, and no binding is per
+    block.
     """
 
-    __slots__ = (
-        "q", "ghosted", "ghosts", "powers", "stencil", "D_q", "dt", "Q", "Q_u",
-        "W", "W_u", "W_d", "Wu", "Wd", "weights",
-    )
+    __slots__ = ("q", "ghosted", "ghosts", "powers", "stencil", "D_q", "dt", "Q", "Q_u", "W_d", "Wd")
 
     def __init__(self, scheme: Scheme, method: RKMethod, u0: np.ndarray):
         n, D = scheme.grid.n, scheme.D_effective
@@ -745,8 +738,11 @@ class _ComposedStep(Workspace):
         self.powers = _stencil_powers(D, method.stages)
         self.stencil = BlockCirculantOp(n, D.dx, 1.0, D.blocks)
         W, weights = _energy_form(scheme)
-        bands = [_composed_band(self.powers[0], n), self.stencil._band[:2], *([W._band[:2]] if W else [])]
+        # the widest Q: a nonzero block at each of the powers' offsets, in the normal form
+        widest = BlockCirculantOp(n, D.dx, 1.0, dict.fromkeys(self.powers[0], np.ones((2, 2))))
+        bands = [widest._band[:2], self.stencil._band[:2], *([W._band[:2]] if W else [])]
         before, after = (max(cells) for cells in zip(*(ops._ghost_cells(*b) for b in bands)))
+        after += ops._GROUP - 1  # a narrower Q
         self.ghosted = tuple(np.zeros(2 * (before + n + after)) for _ in range(3 if W is None else 5))
         rings = [x[2 * before : 2 * (before + n)] for x in self.ghosted]
         self.u, self.q, self.d = rings[:3]
@@ -768,12 +764,6 @@ class _ComposedStep(Workspace):
         self.Q.matvec(u, q, self.Q_u)
         self.stencil.matvec(q, d, self.D_q)
         return self.d, self.stages
-
-    def energy(self) -> float:
-        """``(w o W u) . W u``, ``W u`` from the binding ``W_u`` (``u`` itself for the diagonal mass)."""
-        if self.W is not None:
-            self.W.matvec(self.W_u.u, self.W_u.out, self.W_u)
-        return float(np.multiply(self.weights, self.Wu, self.tmp).dot(self.Wu))
 
     def gamma_terms(self, u, d, stage_data, M) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
         """``W d``, ``w o W d`` and ``W u`` for the step's own ``d``, never ``u_next - u``; no stage dots.
@@ -887,9 +877,11 @@ def relaxation_gamma(
     one its weighted squares, ``W d``, ``w o W d`` and ``W u``
     (:func:`_energy_form`; ``d`` and ``u`` for the diagonal mass), from
     its own ``d``, never ``u_next - u``.  ``u.Mu`` is then read from the
-    workspace's ``uMu``, the energy :meth:`Scheme.energy` formed when it
-    measured the state: the time loop measures every state before it
-    steps it.  Both paths then share the same tail.
+    workspace's ``uMu``, the weighted squares :meth:`Scheme.energy` formed
+    when it measured the state (the time loop measures every state before
+    it steps it), so the cut-off alone may decide otherwise than without a
+    workspace, and only within rounding of its threshold.  Both paths then
+    share the same tail.
     """
     if workspace is None:
         x, v = u_next - u, u

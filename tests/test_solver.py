@@ -642,19 +642,18 @@ def test_the_weighted_squares_are_the_masses_exactly():
     assert np.count_nonzero(central.M_energy.dense()) == 2 * g.n
 
 
-def _gamma_cut_off(u, M):
-    """The ``d.Md`` at and below which gamma is 1: ``(8 n eps)^2 u.Mu``."""
-    return (4 * u.size * EPS) ** 2 * float(u @ (M @ u))
-
-
-def _reference_gamma(u, u_next, stages, M, dt, d=None):
+def _reference_gamma(u, u_next, stages, M, dt, d=None, uMu=None):
     """``relaxation_gamma`` from fresh arrays, written out on its own.
-    ``d`` defaults to ``u_next - u``; a composed step passes its own."""
+    ``d`` defaults to ``u_next - u``; a composed step passes its own.
+    Gamma is 1 where ``d.Md <= (8 n eps)^2 u.Mu``, with ``u.Mu`` the
+    energy a workspace measured, ``uMu``, or by default ``u.(M u)``."""
     if d is None:
         d = u_next - u
     Md = M @ d
     d2 = float(d @ Md)
-    if d2 <= _gamma_cut_off(u, M):
+    if uMu is None:
+        uMu = float(u @ (M @ u))
+    if d2 <= (4 * u.size * EPS) ** 2 * uMu:
         return 1.0
     e = 0.0
     for st in stages:
@@ -686,15 +685,17 @@ def _full_estimate_run(config):
         ("central", "rk4x2", 0, 2),
         ("central", "rk4", 0, 2),
         ("upwind", "rk4x2", 1, 10),
-        ("central", "ssprk33", 1, 5),
+        ("central", "ssprk33", 0, 4),
     ],
 )
 def test_relaxed_matvecs_per_step(monkeypatch, variant, rk, initial, per_step):
     """A composed step makes Q u and D (Q u), for any tableau, and its
     energy and gamma, weighted sums of the diagonal mass, make none.  A
     step that keeps the estimate (upwind, and the linearly unstable
-    central ssprk33) makes its stages, M d stacked with every M f_i, and
-    the energy's M u, and so does the initial energy."""
+    central ssprk33) makes its stages and M d stacked with every M f_i;
+    its energy, weighted squares as a composed step's, makes the upwind
+    root's W u and nothing for the diagonal mass, and so does the initial
+    energy."""
     calls = []
     matvec = ops.BlockCirculantOp.matvec
     def counted(op, u, *args, **kwargs):
@@ -721,9 +722,9 @@ def test_time_loop_enters_each_traced_boundary_once_per_step(monkeypatch, varian
     composed step: unrelaxed, or relaxed central rk4x2), one
     ``relaxation_gamma`` (relaxed steps only) and one ``energy``, plus one
     energy at set-up, and every product is a ``matvec`` call.  A stage
-    step's gamma and energy make one product with ``M`` each; a composed
-    step's make one with the upwind root ``W`` each, and none for the
-    diagonal mass, whose weighted sums need no product."""
+    step's gamma makes one product with ``M``, and a composed step's one
+    with the upwind root ``W``.  Either kind's energy makes one with ``W``,
+    and none for the diagonal mass, whose weighted sums need no product."""
     calls, inside = [], []
 
     def counted(name, fn):
@@ -755,7 +756,7 @@ def test_time_loop_enters_each_traced_boundary_once_per_step(monkeypatch, varian
         ("relaxation_gamma", None): relaxed,
         ("matvec", "relaxation_gamma"): mass * relaxed,
         ("energy", None): steps + 1,
-        ("matvec", "energy"): mass * (steps + 1),
+        ("matvec", "energy"): (variant == "upwind") * (steps + 1),
     })
 
 
@@ -1177,20 +1178,19 @@ def _banded_matvec(op, u):
 
 
 class _Mass:
-    """The stage path's energy ``u.(M u)``, ``d.(M d)`` and gamma
-    (:func:`_reference_gamma`), from new arrays."""
+    """The stage path's energy, the weighted squares of a composed run
+    (:class:`_WeightedSquares`), and its ``d.(M d)`` and gamma
+    (:func:`_reference_gamma`, cut off against that energy), from new
+    arrays."""
 
-    def __init__(self, M):
-        self.M = M
-
-    def energy(self, u):
-        return float(u @ (self.M @ u))
+    def __init__(self, scheme):
+        self.M, self.energy = scheme.M_energy, _WeightedSquares(scheme).energy
 
     def norm2(self, d):
         return float(d @ (self.M @ d))
 
     def gamma(self, u, u_next, stages, dt, d):
-        return _reference_gamma(u, u_next, stages, self.M, dt, d)
+        return _reference_gamma(u, u_next, stages, self.M, dt, d, self.energy(u))
 
 
 #: The upwind mass's root: ``M_+ = dx W^T diag(1/4, 1/12) W`` per cell.
@@ -1289,7 +1289,7 @@ def _fresh_array_run(config, step=rk_step, d_from="difference", d_error=0.0):
     if config.relaxation and solver._estimate_vanishes(s):
         rho, tol = solver._amplification_radius(s, method, dt_nominal)
         skip = rho <= 1.0 + tol
-    mass = _Mass(s.M_energy)
+    mass = _Mass(s)
     if d_from == "composed":
         step, mass = _one_shot_composed_step(s, method), _WeightedSquares(s)
     energy = mass.energy
@@ -1381,7 +1381,7 @@ def _step_rounding(scheme, method, dt):
     of size ``dt``, and the step's majorant ``p(x)``; see
     :func:`_assert_run_matches_the_fresh_array_loop` for the argument."""
     s, D = method.stages, scheme.D_effective
-    span_q = solver._composed_band(solver._stencil_powers(D, s)[0], D.n)[1]
+    span_q = min(len(solver._stencil_powers(D, s)[0]), D.n)  # Q's widest band
     composed = 2 * s + 2 + 2 * span_q + 2 * D._band[1] + 5 * (s - 1)
     stage = s * (s + 9) + 2 * (s + 3)
     stencil = ops.BlockCirculantOp(D.n, D.dx, 1.0, D.blocks)
@@ -1526,16 +1526,17 @@ def test_rk_step_without_a_workspace_returns_arrays_no_later_call_writes(method)
 
 @pytest.mark.parametrize("method", [RK4, SSPRK33, RK4X2, _SHARED_PREFIXES], ids=lambda m: m.name)
 def test_rk_step_with_a_workspace_writes_its_buffers(method):
-    """The state is row 0 of the stage workspace's product stack, the update
-    and the stage states other than u are its arrays (the stage states rows
-    of ``Y``), the stage derivatives rows of ``kd``; the bits are those of
-    the plain stage loop."""
+    """The state is row 0 of the stage workspace's product stack, whose rows
+    are the rings of the ghost-celled ``ghosted``, the update and the stage
+    states other than u are its arrays (the stage states rows of ``Y``),
+    the stage derivatives rows of ``kd``; the bits are those of the plain
+    stage loop, and the energy's those of the weighted squares."""
     g = ops.build_grid(17)
     s = make_scheme(g, "upwind", -1.0)
     ws = solver._StageStep(s, method, project_initial(g, solver.default_initial))
     u = ws.u
     assert type(ws) is solver._StageStep
-    assert u.base is ws.stack and u.ctypes.data == ws.stack.ctypes.data
+    assert u.base is ws.stack.base is ws.ghosted and u.ctypes.data == ws.stack.ctypes.data
     u1, stages = rk_step(s, method, u, 0.3 * g.dx, ws)
     want, want_stages = rk_step(s, method, u, 0.3 * g.dx)
     assert u1.tobytes() == want.tobytes()
@@ -1546,10 +1547,10 @@ def test_rk_step_with_a_workspace_writes_its_buffers(method):
         assert st.y is u or st.y.base is ws.Y
         assert (st.y.tobytes(), st.f.tobytes()) == (want_st.y.tobytes(), want_st.f.tobytes())
     M = s.M_energy
-    assert s.energy(u, ws) == s.energy(u.copy())  # gamma's cut-off reads the energy's M u
+    assert s.energy(u, ws) == _WeightedSquares(s).energy(u.copy())  # gamma's cut-off reads it
     gamma = relaxation_gamma(u, u1, stages, M, 0.3 * g.dx, workspace=ws)
     assert gamma == relaxation_gamma(u, want, want_stages, M, 0.3 * g.dx)
-    assert gamma == _reference_gamma(u, want, want_stages, M, 0.3 * g.dx)
+    assert gamma == _reference_gamma(u, want, want_stages, M, 0.3 * g.dx, uMu=ws.uMu)
     with pytest.raises(ValueError, match="its own step's stage list"):
         relaxation_gamma(u, u1, (), M, 0.3 * g.dx, workspace=ws)  # only composed steps skip it
     with pytest.raises(ValueError, match="its own state"):
@@ -1633,7 +1634,8 @@ def test_rhs_folds_the_speed_into_the_scale_only_at_unit_speed(variant, a):
 def test_rk_step_replays_its_program_on_new_values_and_time_steps(method, variant, a, n):
     """A stage workspace reads the bound operand's values of each call and
     forms ``dt c`` again when dt changes; each call gives the bits of the
-    one-shot path: update, stage data, energy and gamma."""
+    one-shot path: update, stage data and gamma, and the energy has those
+    of the weighted squares from new arrays (:class:`_WeightedSquares`)."""
     g = ops.build_grid(n)
     s = make_scheme(g, variant, a)
     ws = solver._StageStep(s, method, project_initial(g, solver.default_initial))
@@ -1642,7 +1644,7 @@ def test_rk_step_replays_its_program_on_new_values_and_time_steps(method, varian
     for i, dt in enumerate((0.3, 0.3, 0.1, 0.1, 0.3)):
         if i % 2:
             u += 0.125 * np.sin(u)
-        assert s.energy(u, ws) == s.energy(u.copy())
+        assert s.energy(u, ws) == _WeightedSquares(s).energy(u.copy()) == ws.uMu
         u_next, stages = rk_step(s, method, u, dt * g.dx, ws)
         want, want_stages = rk_step(s, method, u.copy(), dt * g.dx)
         assert stages is ws.stages and stages[0].y is u
@@ -1652,7 +1654,7 @@ def test_rk_step_replays_its_program_on_new_values_and_time_steps(method, varian
             assert (st.y.tobytes(), st.f.tobytes()) == (want_st.y.tobytes(), want_st.f.tobytes())
         gamma = relaxation_gamma(u, u_next, stages, s.M_energy, dt * g.dx, workspace=ws)
         assert gamma == relaxation_gamma(u, want, want_stages, s.M_energy, dt * g.dx)
-        assert gamma == _reference_gamma(u, want, want_stages, s.M_energy, dt * g.dx)
+        assert gamma == _reference_gamma(u, want, want_stages, s.M_energy, dt * g.dx, uMu=ws.uMu)
 
 
 def test_workspace_binds_its_step_and_mass_matvecs():
@@ -1663,11 +1665,15 @@ def test_workspace_binds_its_step_and_mass_matvecs():
     u = ws.u  # the workspace's own state, a copy of u0
     assert type(ws) is solver._StageStep
     assert u is not u0 and u.tobytes() == u0.tobytes()
-    assert ws.M_u.u is u and ws.M_u.out is ws.Mu
     assert ws.M_kd.u is ws.kd and ws.M_kd.out is ws.Mkd
-    assert not hasattr(ws, "M_d")  # M d is a row of the stacked product
-    # every field the two kinds share is set
-    assert all(getattr(ws, name) is not None for name in solver.Workspace.__slots__)
+    assert not any(hasattr(ws, name) for name in ("M_u", "Mu", "M_d"))  # M d is a row of the stacked product
+    # the energy is the diagonal mass's weighted sum of u itself; every other field the two kinds share is set
+    assert ws.W is ws.W_u is None and ws.Wu is u and ws.weights.size == 2 * g.n
+    assert all(getattr(ws, name) is not None for name in set(solver.Workspace.__slots__) - {"W", "W_u"})
+    # upwind, W u is one banded product from the stack's ghost-celled row 0 into the last row of ghosted
+    up = solver._StageStep(make_scheme(g, "upwind", 1.0), RK4X2, u0)
+    rows = [x.__array_interface__["data"] for x in (up.W_u.u, up.W_u.out, up.ghosted[0], up.ghosted[-1])]
+    assert rows[:2] == rows[2:] and up.u.base is up.Wu.base is up.ghosted
     # k_1..k_s and d are the rows of one stack, and so are their products
     assert ws.kd.shape == ws.Mkd.shape == (RK4X2.stages + 1, 2 * g.n)
     for row, want in zip((*(st.f for st in ws.stages), ws.d), ws.kd, strict=True):
@@ -1755,7 +1761,8 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
     assert u is not u0 and u.tobytes() == u0.tobytes()
     absent = ("kd", "Mkd", "M_kd", "dots", "stack", "Y", "update", "Mu", "Md", "M_u", "M_d")
     assert not any(hasattr(ws, name) for name in absent)
-    assert all(getattr(ws, name) is not None for name in solver.Workspace.__slots__)
+    unset = {"W", "W_u"} if variant == "central" else set()  # no root for the diagonal mass
+    assert all(getattr(ws, name) is not None for name in set(solver.Workspace.__slots__) - unset)
     ring = slice(2 * ws.ghosts, 2 * (ws.ghosts + n))
     rings = (u, ws.q, ws.d) if variant == "central" else (u, ws.q, ws.d, ws.Wu, ws.Wd)
     for x, ghosted in zip(rings, ws.ghosted, strict=True):
@@ -1926,8 +1933,9 @@ def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, re
     """Every matvec of a run replays a binding made once, however many
     steps the run takes: a one-shot matvec makes its calls too
     (``BlockCirculantOp._calls``), so those count every set-up, per block
-    (no ghost cells) or banded.  A stage run binds each stage derivative, M
-    u and the stacked M k_i and M d per block.  A composed run, central or
+    (no ghost cells) or banded.  A stage run binds each stage derivative
+    and the stacked M k_i and M d per block, and, upwind, the root W on u
+    banded.  A composed run, central or
     upwind, relaxed or not, makes no per-block set-up: it binds D (Q u)
     banded, Q u once per step size, the nominal one and the clipped last
     step's, and, upwind, the root W on u and on d."""
@@ -1957,7 +1965,7 @@ def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, re
             assert not binds
             assert len(banded) == 2 + clipped + 2 * (variant == "upwind")
         else:
-            assert len(binds) == stages + 2 and not banded
+            assert len(binds) == stages + 1 and len(banded) == (variant == "upwind")
 
 
 # ---------------------------------------------------------------------------
@@ -2009,9 +2017,44 @@ def test_upwind_composed_bands_span_only_their_nonzero_blocks():
         assert {lo, lo + span - 1} <= set(Q.blocks)
 
 
+@pytest.mark.parametrize("n", [3, 14, 15, 16, 17, 64])
+@pytest.mark.parametrize("variant, a", [("central", 1.0), ("upwind", 1.0), ("upwind", -1.0)])
+@pytest.mark.parametrize("rk", ["rk4", "ssprk33", "rk4x2"])
+def test_composed_ghost_cells_cover_every_narrower_band_of_q(rk, variant, a, n):
+    """``Q``'s constructor drops zero blocks, so its band at some ``dt``
+    may be narrower than at another: at a speed of 2e-45 the weight
+    ``c_s z^s`` of the upwind ``rk4x2`` ``Q``'s end block underflows, and
+    its band is (-6, 8) instead of (-7, 9) at a > 0 and (0, 7) instead of
+    (0, 8) at a < 0.  A narrower band reads more cells after the ring
+    (``_ghost_cells``: (-6, 8) reads 13 against 12), so a composed
+    workspace's ghost cells cover every band within ``Q``'s band at the
+    nominal step, whose end blocks are nonzero.  Such a run composes, with
+    the bits of fresh banded bindings on the fewest ghost cells of each
+    band, and raises no warning."""
+    g = ops.build_grid(n)
+    scheme, method = make_scheme(g, variant, a), resolve_method(rk)
+    ws = solver._ComposedStep(scheme, method, project_initial(g, solver.default_initial))
+    rk_step(scheme, method, ws.u, 0.5 * g.dx, ws)
+    lo, span, _ = ws.Q._band
+    after = ws.ghosted[0].size // 2 - ws.ghosts - n
+    for first in range(lo, lo + span):
+        for width in range(1, lo + span - first + 1):
+            before_needed, after_needed = ops._ghost_cells(first, width)
+            assert before_needed <= ws.ghosts and after_needed <= after
+    if (rk, n) != ("rk4x2", 64) or variant != "upwind":
+        return
+    tiny = make_scheme(g, variant, 2e-45 * a)
+    Q = solver._composed_factor(tiny, method, 0.5 * g.dx, solver._stencil_powers(tiny.D_effective, method.stages))
+    assert (lo, span) == ((-7, 9) if a > 0 else (0, 8)) and Q._band[:2] == ((-6, 8) if a > 0 else (0, 7))
+    config = ExperimentConfig(variant=variant, rk=rk, relaxation=False, advection_speed=2e-45 * a, n=n, t_end=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_run_matches_the_fresh_array_loop(config)
+
+
 @pytest.mark.parametrize("a", [1.0, -1.0, 0.7])
 @pytest.mark.parametrize("variant", ["central", "upwind"])
-@pytest.mark.parametrize("n", [3, 4, 16])
+@pytest.mark.parametrize("n", [3, 4, 15, 16])
 @pytest.mark.parametrize(
     "rk", ["rk4", "ssprk33", "rk4x2", _chain(32)], ids=lambda m: getattr(m, "name", m)
 )
@@ -2019,12 +2062,14 @@ def test_composed_factor_gives_the_step_matrix(rk, n, variant, a):
     """``D^ Q``, with ``D^`` the unscaled stencil and ``Q`` of scale 1, is
     ``R(Z) - I`` for the dense ``Z = -a dt D``, to the rounding of Horner's
     rule on dense matrices, ``p(|Z|)`` times a few eps per stage (as in
-    ``_amplification_radius``).  The stencil powers of a 32-stage tableau
-    pass 2**53 and, at n = 3 and 16, round from power 27 to 29 on, by eps
-    relative, which that bound holds too.  ``Q``'s band is the normal
-    form's: its rows are, bit for bit, ``z`` times the blocks the operator
-    constructor gives the weighted powers (summing the offsets that alias
-    at n = 3 and 4), and zeros (of either sign) where it stores none."""
+    ``_amplification_radius``), at every n.  The stencil powers of a
+    32-stage tableau pass 2**53 and, at n = 3 and 16, round from power 27
+    to 29 on, by eps relative, which that bound holds too.  Where no
+    offsets of the powers alias mod n (n >= 15 for ``rk4x2``), ``Q``'s band
+    spans the powers' offsets, and its rows are, bit for bit, ``z`` times
+    the weighted powers summed in order, with zeros where it stores no
+    block; where they alias, the constructor folds them (``z`` multiplies
+    before the fold)."""
     g = ops.build_grid(n)
     scheme, method = make_scheme(g, variant, a), resolve_method(rk)
     D, dt = scheme.D_effective, 0.37 * g.dx
@@ -2043,16 +2088,17 @@ def test_composed_factor_gives_the_step_matrix(rk, n, variant, a):
         weights.append(c * zj)
         zj *= z
     offsets, stack = powers
-    weighted = np.add.reduce(np.array(weights)[:, None, None, None] * stack, 0)
-    normal = ops.BlockCirculantOp(n, D.dx, 1.0, dict(zip(offsets, weighted)))
+    if not (-(n // 2) <= offsets[0] and offsets[-1] < n - n // 2):
+        return
+    weighted = z * np.add.reduce(np.array(weights)[:, None, None, None] * stack, 0)
     lo, span, stack = Q._band
-    assert (lo, span) == solver._composed_band(offsets, n)
+    assert (lo, span) == (offsets[0], len(offsets))
     # the grouped stack's first column pair is the band, A_(lo + k)^T in row pair k
     for k, block in enumerate(stack[: 2 * span, :2].reshape(span, 2, 2)):
-        if lo + k in normal.blocks:
-            assert block.T.tobytes() == (z * normal.blocks[lo + k]).tobytes()
+        if lo + k in Q.blocks:
+            assert block.T.tobytes() == weighted[k].tobytes()
         else:
-            assert not block.any()
+            assert not block.any() and not weighted[k].any()
 
 
 _LONG = np.longdouble
@@ -2142,13 +2188,41 @@ def test_composed_run_stays_within_rounding_of_an_extended_precision_run(variant
     assert abs(float(trace.times[-1] - t_want)) <= c * steps * EPS * config.t_end
 
 
+def _upwind_mass_mismatch(scheme):
+    """``|M_+ - M~|``, entry by entry, as an operator: ``M_+ = W^T diag(w)
+    W`` the mass of the weighted squares, with their float weights ``w``,
+    and ``M~`` the stored upwind mass times its scale, in exact rational
+    arithmetic, rounded up."""
+    g, M = scheme.grid, scheme.M_energy
+    W, w = solver._energy_form(scheme)
+    F = fractions.Fraction
+    root = _rational(W.blocks)
+    Lambda = {0: [[F(float(w[0])), 0], [0, F(float(w[1]))]]}
+    transposed = {-j: [list(col) for col in zip(*a)] for j, a in root.items()}
+    form = _rational_product(transposed, _rational_product(Lambda, root))
+    stored = _rational(M.blocks)
+    blocks = {}
+    for j in form.keys() | stored.keys():
+        a, b = form.get(j, [[0, 0], [0, 0]]), stored.get(j, [[0, 0], [0, 0]])
+        blocks[j] = [[float(abs(a[r][c] - F(M.scale) * b[r][c])) * (1 + EPS) for c in range(2)] for r in range(2)]
+    return ops.BlockCirculantOp(g.n, g.dx, 1.0, blocks)
+
+
+def _gamma_k(k):
+    """Higham's ``gamma_k = k u / (1 - k u)``, ``u = eps/2``."""
+    return k * EPS / 2 / (1 - k * EPS / 2)
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS, reason="np.longdouble is float64 here")
+@pytest.mark.parametrize("relaxation", [False, True], ids=["plain", "relaxed"])
 @pytest.mark.parametrize("n", [8200, 50000])
-def test_unrelaxed_upwind_energy_rises_by_no_more_than_its_rounding(n):
-    """Twenty unrelaxed upwind ``rk4x2`` steps of dt = dx/2 from the
-    projected ``exp(sin x)``: no traced energy rises by more than ``c eps
-    E`` in one step, with ``c`` derived here from the rounding of ``W u``
-    and of the weighted sum, and not fitted.
+def test_upwind_energy_rises_by_no_more_than_its_rounding(n, relaxation):
+    """Twenty upwind ``rk4x2`` steps of dt = dx/2 from the projected
+    ``exp(sin x)``, unrelaxed (composed) and relaxed (stage steps, whose
+    clipped last step is a micro-step): no traced energy rises by more
+    than ``c eps E`` in one step, with ``c`` derived here from the rounding
+    of ``W u``, of the weighted sum and, relaxed, of gamma and the update,
+    and not fitted.  Both step kinds measure by the same weighted squares.
 
     The traced energy is ``E^ = fl(sum_i fl(w_i y^_i) y^_i)`` with ``y^ =
     fl(W u)`` (``solver._energy_form``).  ``W``'s entries are 0, +-1 and 2,
@@ -2168,28 +2242,55 @@ def test_unrelaxed_upwind_energy_rises_by_no_more_than_its_rounding(n):
     the exact change: ``c = 2 (n + 2) + h_k + h_(k+1) + eps (g_k +
     g_(k+1))`` relative to the larger energy, about ``2n + 12`` here,
     since ``h`` is about 3.9 at every n (``y_even``, ``E`` and ``H`` all
-    scale like ``dx^2``) and ``eps g`` below 1e-5.  The dot's worst case
-    dominates: the readings are at most 4 eps E at n = 50000 and fall
-    every step at n = 8200.
+    scale like ``dx^2``) and ``eps g`` below 1e-5.
 
-    The exact change is the premise: the computed states do not raise
-    the exact energy.  It is checked in 80-bit arithmetic, where ``W u``
-    is exact and the sum rounds by ``(2n + 2) u_80`` relative, and that
-    slack is added to the float bound.  ``u . (M u)``, the oracle's form
-    and the composed step's before the weighted squares, cancels (smooth
+    Unrelaxed, the exact change is the premise: the computed states do
+    not raise the exact energy.  Relaxed, it is bounded.  With ``A = u^T
+    M_+ d`` and ``B = d^T M_+ d`` in the weighted squares' own mass ``M_+
+    = W^T diag(w) W``, and ``A^``, ``B^`` gamma's computed ``u.(M~ d)``
+    and ``d.(M~ d)`` with the stored mass ``M~``, gamma's subtraction and
+    division give ``gamma B^ = (e^ - 2 A^)(1 + t)``, ``|t| <= gamma_2``,
+    so the exact change of ``u + gamma d`` is ``2 gamma A + gamma^2 B =
+    gamma e^ + gamma (2 (A - A^) + gamma (B - B^) + t gamma B^ / (1 +
+    t))``.  The computed estimate ``e^`` enters as it is, so its rounding
+    needs no bound: its term ``gamma e^`` (the dissipation, negative) is
+    read, and counted if it is positive.  ``|A - A^| <= |u|^T |M_+ - M~|
+    |d| + gamma_5 |u|^T |M~| |d| + gamma_(2n) |u|^T |fl(M~ d)|``: the
+    stored entries against the weighted squares' (exact, from fractions,
+    :func:`_upwind_mass_mismatch`), the per-block matvec (a point row's
+    2x2 product, block sum and scale: five roundings on its longest
+    chain), and the dot of 2n terms; ``B^`` likewise.  The update ``u' =
+    fl(u + fl(gamma d))`` moves each entry by at most ``gamma_1 (|u'| +
+    |gamma d|)``, which moves the energy by at most ``2 gamma_1 sum_i w_i
+    |y'_i| (|W| (|u'| + |gamma d|))_i``.  Gamma's share of ``c`` is then
+    about ``29 n`` at both sizes, almost all from the matvec's ``gamma_5
+    |u|^T |M~| |d|``: ``|M~| |d|`` does not cancel, where ``M~ d`` of the
+    smooth ``d`` does.  The readings are at most 28 eps E at n = 8200 and
+    471 at n = 50000, against ``c`` of 2.5e5 and 1.5e6 (``31 n``).
+
+    The exact changes are checked in 80-bit arithmetic, where ``W u`` is
+    exact and the sum rounds by ``(2n + 2) u_80`` relative, and that slack
+    is added to the float bound.  ``u . (M u)``, the oracle's form and
+    that of every step before the weighted squares, cancels (smooth
     states lie near ``M_+``'s kernel) and breaks the bound on the same
-    states: measured 3.8e5 eps E at n = 8200 and 7.0e6 eps E at n = 50000
-    against ``c`` of 1.6e4 and 1.0e5."""
+    states: unrelaxed 3.3e5 and 6.4e6 eps E at n = 8200 and 50000 against
+    ``c`` of 1.6e4 and 1.0e5, relaxed 3.0e5 and 7.0e6 eps E against 2.5e5
+    and 1.5e6 (the first by only 1.2 times, so the test asserts it at n =
+    50000)."""
     g = ops.build_grid(n)
     steps, dt = 20, 0.5 * g.dx
-    config = ExperimentConfig(variant="upwind", rk="rk4x2", relaxation=False, n=n, t_end=steps * dt)
+    config = ExperimentConfig(variant="upwind", rk="rk4x2", relaxation=relaxation, n=n, t_end=steps * dt)
     trace, u_end = run_experiment(config)
-    assert len(trace.times) == steps + 1
+    steps = len(trace.times) - 1
+    assert steps == 20 + relaxation  # relaxed: a micro-step to t_end
     s = make_scheme(g, "upwind", 1.0)
-    ws = solver._ComposedStep(s, RK4X2, project_initial(g, solver.default_initial))
+    M = s.M_energy
+    kind = solver._StageStep if relaxation else solver._ComposedStep
+    ws = kind(s, RK4X2, project_initial(g, solver.default_initial))
     w = np.multiply(g.dx, (0.25, 1.0 / 12.0))
+    mismatch, size_M, size_W = _upwind_mass_mismatch(s), _absolute(M), _absolute(ws.W)
     u80 = float(np.finfo(_LONG).eps) / 2
-    traced, bounds, exact, slack, old = [], [], [], [], []
+    traced, bounds, exact, slack, old, moved = [], [], [], [], [], []
     for k in range(steps + 1):
         # the run's own states: the workspace replays its steps bit for bit
         u = ws.u
@@ -2205,18 +2306,49 @@ def test_unrelaxed_upwind_energy_rises_by_no_more_than_its_rounding(n):
         P, A, P1 = (x.astype(_LONG) for x in (p, a, p1))
         exact.append(np.sum(_LONG(w[0]) * (2 * A - P - P1) ** 2) + np.sum(_LONG(w[1]) * (P1 - P) ** 2))
         slack.append((2 * n + 2) * u80 * float(exact[-1]))
-        old.append(float(u @ (s.M_energy @ u)))
-        if k < steps:  # the run's step sizes: its last one is clipped by rounding
-            rk_step(s, RK4X2, u, min(dt, config.t_end - trace.times[k]), ws)
+        old.append(float(u @ (M @ u)))
+        if k == steps:
+            break
+        # the run's step sizes: its last one is clipped
+        h = min(dt, config.t_end - trace.times[k])
+        u_next, stages = rk_step(s, RK4X2, u, h, ws)
+        if not (relaxation and h > 1e-4 * dt):
             ws.advance()
+            moved.append(0.0)
+            continue
+        gamma = relaxation_gamma(u, u_next, stages, M, h, workspace=ws)
+        assert gamma == trace.gammas[k + 1]
+        d, Md, _, dots = ws.gamma_terms(u, u_next, stages, M)
+        e = 0.0
+        for st, dot in zip(stages, dots):
+            e += st.b * dot
+        e *= 2.0 * h
+        rounded = []
+        for x in (u, d):
+            size_x, Mx = np.abs(x), np.abs(Md)
+            rounded.append(
+                float(size_x @ (mismatch @ np.abs(d)))
+                + _gamma_k(5) * float(size_x @ (size_M @ np.abs(d)))
+                + _gamma_k(2 * n) * float(size_x @ Mx)
+            )
+        gamma_d = gamma * d
+        np.add(u, gamma_d, u)  # the run's relaxed update
+        step = np.abs(u) + np.abs(gamma_d)
+        update = 2 * _gamma_k(1) * float(np.tile(w, n) @ (np.abs(ws.W @ u) * (size_W @ step)))
+        moved.append(
+            max(0.0, gamma * e)
+            + gamma * (2 * rounded[0] + gamma * rounded[1] + _gamma_k(2) * gamma * abs(float(d @ Md)))
+            + update
+        )
     assert ws.u.tobytes() == u_end.tobytes()
     premise = [float(exact[k + 1] - exact[k]) for k in range(steps)]
-    assert all(rise <= slack[k] + slack[k + 1] for k, rise in enumerate(premise))
-    allowed = [bounds[k] + bounds[k + 1] + slack[k] + slack[k + 1] for k in range(steps)]
+    assert all(rise <= moved[k] + slack[k] + slack[k + 1] for k, rise in enumerate(premise))
+    allowed = [bounds[k] + bounds[k + 1] + moved[k] + slack[k] + slack[k + 1] for k in range(steps)]
     assert all(traced[k + 1] - traced[k] <= allowed[k] for k in range(steps))
-    c = max((bounds[k] + bounds[k + 1]) / (EPS * max(traced[k : k + 2])) for k in range(steps))
-    assert 2 * n + 4 < c < 2 * n + 20
-    assert max(old[k + 1] - old[k] - allowed[k] for k in range(steps)) > 0
+    c = max((bounds[k] + bounds[k + 1] + moved[k]) / (EPS * max(traced[k : k + 2])) for k in range(steps))
+    assert 2 * n + 4 < c < (32 * n if relaxation else 2 * n + 20)
+    if not relaxation or n == 50000:
+        assert max(old[k + 1] - old[k] - allowed[k] for k in range(steps)) > 0
 
 
 def _perfbench_workloads():
