@@ -128,7 +128,10 @@ of ``out`` and multiplies them there by ``scale``.
 - The *banded* layout (:meth:`BlockCirculantOp.bind_banded`) serves every
   product of the composed time step, its two factors, ``Q u`` and ``D^
   q`` (the composed step applies no mass), and, for the upwind energy of
-  either step kind, the mass's integer root, ``W u`` and ``W d``.  ``B``
+  either step kind, the mass's integer root, ``W u`` and ``W d``.  ``Q``
+  is bound once per run through ``BlockCirculantOp._bind_band``, on
+  ``D^``'s ring with a stack the time step owns and re-weights in place
+  for each step size, so no operator is built for it.  ``B``
   is the span of the
   stored offsets, ``max - min + 1``, at most ``n`` in the normal form.
   Cell ``i``'s result is the ``2B`` doubles of cells ``i + min .. i + max``
@@ -324,18 +327,29 @@ def _grouped(band: np.ndarray) -> np.ndarray:
     < B``, and every other entry is an exact zero (:func:`_grouping` gives
     ``K`` and ``P``): row ``t`` of the stack meets cell ``t`` of a row's
     window, column pair ``b`` gives that row's cell ``b``.  The band goes in
-    by one assignment, broadcast over a strided view of the stack's ``K``
-    block diagonals, read-only.
+    by one assignment, broadcast over the stack's ``K`` block diagonals
+    (:func:`_diagonals`), read-only.
     """
     span = len(band)
     group, rows = _grouping(span)
     stack = np.zeros((2 * rows * group, 2 * group))
-    item = stack.itemsize
-    # column pair b from row pair b on: entry (b, s, i, j) at 2K (2 (b + s) + i) + 2b + j
-    strides = ((4 * group + 2) * item, 4 * group * item, 2 * group * item, item)
-    np.ndarray((group, span, 2, 2), float, stack, 0, strides)[...] = band
+    _diagonals(stack, span)[...] = band
     stack.setflags(write=False)
     return stack
+
+
+def _diagonals(stack: np.ndarray, span: int) -> np.ndarray:
+    """The ``(K, span, 2, 2)`` strided view of a banded-layout stack's ``K`` block diagonals.
+
+    Entry ``(b, s)`` is block ``(b + s, b)`` of the ``(2 P K, 2 K)``
+    ``stack`` (:func:`_grouped`), where a band of ``span`` offsets puts
+    its ``s``-th transposed block.  The view writes into ``stack`` if
+    ``stack`` is writable.
+    """
+    group, item = stack.shape[1] // 2, stack.itemsize
+    # column pair b from row pair b on: entry (b, s, i, j) at 2K (2 (b + s) + i) + 2b + j
+    strides = ((4 * group + 2) * item, 4 * group * item, 2 * group * item, item)
+    return np.ndarray((group, span, 2, 2), stack.dtype, stack, 0, strides)
 
 
 def _norm_inf(parts: np.ndarray) -> np.ndarray:
@@ -615,16 +629,17 @@ class BlockCirculantOp:
         u, out = self._operands(u, out, 2 * self.n)
         return MatvecBinding(self, u, out, self._calls(u, out))
 
-    def _calls(self, u, out, ghosts=None) -> tuple:
+    def _calls(self, u, out, ghosts=None, band=None) -> tuple:
         """The calls of a binding: the one pass over the chunks behind :meth:`bind`,
-        :meth:`bind_banded` and every one-shot :meth:`matvec`.
+        :meth:`bind_banded`, :meth:`_bind_band` and every one-shot :meth:`matvec`.
 
         ``u`` and ``out`` come checked (:meth:`_operands`).  Row ``k`` of
         run ``s`` of a chunk from cell ``c`` multiplies the window of ``w``
         cells from ``c + lo + s K + k w`` by ``A``; the module docstring has
         the rest.  ``ghosts`` an int is the banded layout on ghost-celled
         arrays: the ring starts at cell ``ghosts`` of both, and the calls
-        begin by refreshing ``u``'s margins.  A diagonal operator
+        begin by refreshing ``u``'s margins; its band is ``band``, or None
+        for the operator's own (:attr:`_band`).  A diagonal operator
         (:attr:`_diagonal`) takes the diagonal rule in either layout, at
         ``lo = 0`` and ``span = w = 1`` (so it has no margins to refresh):
         each chunk multiplies its cells by the diagonal, tiled over the
@@ -638,13 +653,13 @@ class BlockCirculantOp:
         calls' arrays are views, valid as long as ``u``, ``out`` and the
         binding's own scratch arrays are.
         """
-        n, diagonal = self.n, self._diagonal
-        if diagonal is not None:  # either layout; a banded Q may store zero blocks around it
+        n, diagonal = self.n, self._diagonal if band is None else None
+        if diagonal is not None:  # either layout
             lo, span, w = 0, 1, 1
         elif ghosts is None:  # per block: a run for each block, of windows of one cell
             (lo, runs, select, a_t), w = self._plan, 1
         else:  # banded: a row gives K cells from a window of P K, a run for each residue mod P
-            lo, span, a_t = self._band
+            lo, span, a_t = band or self._band
             group, runs = _grouping(span)
             w = runs * group
         rows = len(u) if u.ndim == 2 else 1
@@ -739,7 +754,20 @@ class BlockCirculantOp:
         ``2B eps |scale| (|A| |u|)_i + eps |result_i|`` of the exact
         product, not the bits of :meth:`bind`'s per-block layout.
         """
-        lo, span, _ = self._band
+        return self._bind_band(u, out, ghosts)
+
+    def _bind_band(self, u: np.ndarray, out: np.ndarray, ghosts: int, band=None) -> MatvecBinding:
+        """:meth:`bind_banded` of ``band``, ``(lo, span, stack)`` as :attr:`_band` gives them,
+        on this operator's ring and at its scale; None is the operator's own band.
+
+        The caller owns ``band``'s stack, a writable ``(2 P K, 2 K)``
+        array of :func:`_grouped`'s layout for ``span`` offsets, and may
+        rewrite its entries between replays, which read them as they are
+        then.  The composed time step binds its ``Q`` so, once per run, on
+        the ring of its ``D^`` (scale 1), and re-weights the stack in place
+        whenever the step size changes.
+        """
+        lo, span, _ = band or self._band
         before, after = _ghost_cells(lo, span)
         size = np.shape(u)[-1] if np.ndim(u) else 0
         fits = isinstance(ghosts, int) and ghosts >= before and size % 2 == 0
@@ -751,7 +779,7 @@ class BlockCirculantOp:
         u, out = self._operands(u, out, size)
         if not (u.flags.c_contiguous and out.flags.c_contiguous) or np.may_share_memory(u, out):
             raise ValueError("a banded operand and out must be C-contiguous and must not overlap")
-        return MatvecBinding(self, u, out, self._calls(u, out, ghosts))
+        return MatvecBinding(self, u, out, self._calls(u, out, ghosts, band))
 
     def matvec(
         self,

@@ -18,9 +18,10 @@ dt / dx`` and ``Q = z sum_(j < s) c_(j+1) z^j D^^j``: ``z`` lives in
 ``Q``'s blocks, and both factors have scale 1, so neither matvec
 multiplies by a scale.  The powers ``D^^j`` depend on neither ``n`` nor
 ``dt``: they are formed once per stencil and stage count
-(:func:`_stencil_powers`), and each step size re-weights them into one
-operator, through the operator's constructor (:func:`_composed_factor`).
-``d`` is written as it is, never as ``u_next - u``, which cancels to an
+(:func:`_stencil_powers`), and each step size re-weights them in place
+into the banded stack of ``Q`` that the run's workspace owns and has bound
+once (:meth:`_ComposedStep._weigh`), with the bits of ``Q`` built through
+the operator's constructor.  ``d`` is written as it is, never as ``u_next - u``, which cancels to an
 error of eps ``|u|`` and, for small steps, moves the relaxation parameter
 far past rounding.  A composed step makes 2 matvec calls, ``Q u`` and
 ``D^ q`` (and for the upwind mass one ``W`` product per energy and two
@@ -129,12 +130,12 @@ derivative pair, the binding of the stack of ``M f_i`` and ``M d``, and
 for the upwind mass the banded binding of ``W u``; each binding makes its
 own scratch arrays.  A composed workspace holds the stencil powers, the
 ghost-celled arrays of ``u``, ``q`` and ``d`` (and of ``W u`` and ``W d``
-for the upwind mass), the tiled weights, and its banded bindings:
-``Q``'s (made again when ``dt`` changes), ``D^``'s, and, upwind, ``W``'s
-of ``W u`` and ``W d``.  Each kind has a ``run(dt)``, the step, an
-``advance`` call to the unrelaxed update and a ``gamma_terms``, which
-gives :func:`relaxation_gamma` the step's dots; the base's ``energy()``
-measures either.
+for the upwind mass), the tiled weights, ``Q``'s banded stack, and its
+banded bindings: ``Q``'s and ``D^``'s, both on ``D^``'s ring, and,
+upwind, ``W``'s of ``W u`` and ``W d``.  Each kind has a ``run(dt)``,
+the step, an ``advance`` call to the unrelaxed update and a
+``gamma_terms``, which gives :func:`relaxation_gamma` the step's dots;
+the base's ``energy()`` measures either.
 
 :func:`rk_step`, :func:`relaxation_gamma` and :meth:`Scheme.energy` each
 have two paths.  Without a workspace they run on new arrays:
@@ -151,18 +152,33 @@ share one tail.  Each step still calls :func:`rk_step`,
 product, ``BlockCirculantOp.matvec``, which are where its time is
 measured.
 
-Before its first step a run builds its grid, scheme and initial state,
-refuses non-finite initial data, constructs its workspace and measures the
-initial energy.  A relaxed run also checks ``M D + D^T M = 0``
-(``_estimate_vanishes``), and a relaxed central run computes the
-amplification radius (``_amplification_radius``) on modes ``0..n//2``
-from closed-form eigenvalues, with no 2x2 matrix product.  Measured in
-process at n = 32 and 128 (medians, shared 2-vCPU host, whose speed
-drifts by up to 2x between rounds): the radius takes 80-90 us, the
-stencil powers 60-80 us the first time for a stencil and stage count and
-1 us from the cache after it, a composed workspace 90-230 us and a stage
-one 140-260 us; forming ``Q`` for a step size takes 25-45 us at n = 128
-and its banded binding 11-21 us.
+A run's set-up is done where it changes, and no sooner or later:
+
+- per stencil and stage count, cached: the stencil powers (60-80 us the
+  first time, about 1 us after it);
+- per stencil and ring, cached by value (:func:`_unscaled`): the
+  operators of scale 1 a workspace binds, ``D^`` and the upwind root
+  ``W``, with their banded stacks;
+- per run's inputs, memoized by value in one LRU of 128 entries
+  (:data:`_MEMO`, :func:`_memo_key`): the step-kind decision, ``M D +
+  D^T M = 0`` (``_estimate_vanishes``) for a relaxed run and, for a
+  relaxed central one, the amplification radius
+  (``_amplification_radius``) on modes ``0..n//2`` from closed-form
+  eigenvalues, keyed by ``n``, the offsets and bytes of the blocks of
+  ``D`` and ``M``, ``z`` and the tableau;
+- per run: the grid, scheme and initial state, the refusal of
+  non-finite initial data, the workspace (its arrays, tiled weights and
+  bindings) and the initial energy;
+- per step size: a composed run re-weighs ``Q``'s stack in place, with no
+  operator built and nothing bound, and a stage run forms ``dt`` times
+  its coefficients.
+
+Measured in process (thread CPU time, medians of 401 runs interleaved
+with the former set-up, shared 2-vCPU host, one BLAS thread), a relaxed
+central ``rk4x2`` run at n = 48 of one nominal step and one clipped step
+takes 258 us with its memo and caches warm and 551 us cold, where
+building ``Q`` per step size and the radius and the algebra per run took
+568 and 647 us.
 
 At ``|a| = 1`` the right-hand side ``-a D u`` folds ``-a`` into the scale
 of ``D``, which is exact (:attr:`Scheme.rhs_operator`): one scaling pass
@@ -607,7 +623,8 @@ def _stencil_powers(D: BlockCirculantOp, count: int) -> tuple[tuple[int, ...], n
     zero, so its powers up to ``j`` reach only -j..1, not -j..j (``rk4x2``'s
     ``Q`` spans 9 offsets, not 15).  The powers are exact integers there,
     so the test for zero is exact.  Offsets that alias mod ``n`` (small n)
-    stay apart; ``Q``'s constructor folds them (:func:`_composed_factor`).
+    stay apart; the composed workspace folds them as ``Q``'s constructor
+    would (:meth:`_ComposedStep._weigh`).
     An entry of ``D^^j``, and every partial sum that forms it, is at most
     ``|D^|_inf^j``: 8**j for the central derivative and 12**j for the
     upwind ones (point rows ``2, -6, 4`` and ``-4, 6, -2``), so the powers
@@ -643,33 +660,6 @@ def _powers(offsets: tuple[int, ...], entries: bytes, count: int) -> tuple[tuple
     return tuple(range(first + a, first + b)), stack
 
 
-def _composed_factor(scheme: Scheme, method: RKMethod, dt: float, powers: tuple) -> BlockCirculantOp:
-    """``Q`` of one step ``d = D^ (Q u)`` of size ``dt``: ``z sum_j c_(j+1) z^j D^^j``, of scale 1.
-
-    With ``Z = -a dt D = z D^`` (``D^`` the unscaled stencil, ``z = -a dt
-    / dx``) and ``R(z) = sum_j c_j z^j`` (:func:`_stability_coefficients`),
-    one step's difference is ``R(Z) u - u = Z Q^(Z) u = D^ (z Q^ u)`` with
-    ``Q^ = sum_(j < s) c_(j+1) z^j D^^j``.  The blocks of ``Q^`` are the
-    stencil ``powers`` (:func:`_stencil_powers`) times the weights
-    ``c_(j+1) z^j``, summed over ``j`` in order, and ``z`` then multiplies
-    them, so ``D^`` has scale 1 and neither matvec multiplies by a scale.
-    The operator's constructor takes them by offset: where offsets alias
-    mod ``n`` (n <= 14 for ``rk4x2``), its normal form sums them in
-    increasing offset order, and it drops blocks that are zero, so ``Q``'s
-    band may be narrower than the powers' (a block of ``z^s`` underflows
-    at a speed of 1e-45).
-    """
-    D = scheme.D_effective
-    z = -scheme.advection_speed * dt * D.scale
-    zj, weights = 1.0, []
-    for c in _stability_coefficients(method)[1:]:
-        weights.append(c * zj)
-        zj *= z
-    offsets, stack = powers
-    blocks = np.add.reduce(np.multiply(np.array(weights)[:, None, None, None], stack), 0)
-    return BlockCirculantOp(D.n, D.dx, 1.0, dict(zip(offsets, np.multiply(z, blocks, blocks))))
-
-
 #: The upwind mass as weighted squares, ``M_+ = dx W^T Lambda W``: ``W`` is
 #: this integer stencil of two blocks and ``Lambda = diag(1/4, 1/12)``
 #: weighs each cell's two entries of ``W u``: ``2 (a - (p + p_+) / 2)`` and
@@ -678,16 +668,34 @@ def _composed_factor(scheme: Scheme, method: RKMethod, dt: float, powers: tuple)
 _UPWIND_ROOT = {0: ((-1.0, 2.0), (-1.0, 0.0)), 1: ((-1.0, 0.0), (1.0, 0.0))}
 
 
+#: The key of :data:`_UPWIND_ROOT` for :func:`_unscaled`: its offsets and the bytes of its blocks.
+_ROOT_KEY = (tuple(_UPWIND_ROOT), np.array([*_UPWIND_ROOT.values()]).tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _unscaled(n: int, dx: float, offsets: tuple[int, ...], entries: bytes) -> BlockCirculantOp:
+    """The operator of scale 1 whose blocks at ``offsets`` are the ``(#blocks, 2, 2)`` stack ``entries``, its bytes.
+
+    A run's ``D^`` and the upwind root ``W`` are such operators, on the
+    run's ring of ``n`` cells of width ``dx``.  They are cached by value,
+    so runs on one ring and stencil share one operator and its banded
+    stack (:attr:`~activeflux.operators.BlockCirculantOp._band`), and
+    each workspace makes only its own bindings.  An entry holds blocks
+    and one ``(2 P K, 2 K)`` stack, nothing of the ring's size.
+    """
+    return BlockCirculantOp(n, dx, 1.0, dict(zip(offsets, np.frombuffer(entries).reshape(-1, 2, 2))))
+
+
 def _energy_form(scheme: Scheme) -> tuple[Optional[BlockCirculantOp], np.ndarray]:
     """The scheme's mass as weighted squares, ``M = W^T diag(w) W``: ``W``, and ``w`` over one cell.
 
     The diagonal mass is its own weights, ``w = scale (1/4, 3/4)`` (the
     mass's stored diagonal times its scale) with ``W`` the identity, given
     as None.  Any other mass is :func:`make_scheme`'s upwind mass, whose
-    ``W`` is :data:`_UPWIND_ROOT`, of scale 1, with ``w = scale (1/4,
-    1/12)``.  Its entries are integers, so a banded ``W u`` rounds only in
-    its sums: an entry ``p_+ - p`` is one subtraction, within eps/2 of
-    itself, and ``2 a - p - p_+`` is two.
+    ``W`` is :data:`_UPWIND_ROOT`, of scale 1 (:func:`_unscaled`), with
+    ``w = scale (1/4, 1/12)``.  Its entries are integers, so a banded ``W
+    u`` rounds only in its sums: an entry ``p_+ - p`` is one subtraction,
+    within eps/2 of itself, and ``2 a - p - p_+`` is two.
     The energy of smooth data then keeps its relative accuracy, where
     ``u . M u`` cancels: a smooth state lies near ``M_+``'s kernel, which
     amplifies the rounding of ``M``'s entries and of ``M u`` by ``|u|^2 /
@@ -696,72 +704,104 @@ def _energy_form(scheme: Scheme) -> tuple[Optional[BlockCirculantOp], np.ndarray
     M = scheme.M_energy
     if M._diagonal is not None:
         return None, np.multiply(M.scale, M._diagonal)
-    return BlockCirculantOp(M.n, M.dx, 1.0, _UPWIND_ROOT), np.multiply(M.scale, (0.25, 1.0 / 12.0))
+    return _unscaled(M.n, M.dx, *_ROOT_KEY), np.multiply(M.scale, (0.25, 1.0 / 12.0))
 
 
 class _ComposedStep(Workspace):
     """A workspace whose step forms ``d = D^ (Q u)`` in two banded matvecs, measured by weighted squares.
 
-    ``Q`` comes from :func:`_composed_factor`, with ``-a dt / dx`` in its
-    blocks, and ``stencil`` is ``D^``, the scheme's derivative with scale
-    1.  ``u``, ``q`` (``Q u``) and ``d`` are the rings of the first three
-    ghost-celled arrays ``ghosted``, each with ``ghosts`` cells before the
-    ring and enough after it for every band (:func:`operators._ghost_cells`):
-    ``Q`` reads ``u`` and writes ``q``, ``D^`` reads ``q`` and writes
-    ``d``, straight from and into those arrays.  No update is formed: the
-    loop adds ``d`` to ``u`` in place, through ``advance`` (``u += d``) or
-    relaxed (``u += gamma d``).  ``powers`` are the run's stencil powers;
-    ``Q`` and its banded binding ``Q_u`` are made again only when ``dt``
-    changes (a run's clipped last step), and ``D_q`` binds ``D^`` once.
+    ``stencil`` is ``D^``, the scheme's derivative with scale 1
+    (:func:`_unscaled`).  ``u``, ``q`` (``Q u``) and ``d`` are the rings
+    of the first three ghost-celled arrays ``ghosted``, each with
+    ``ghosts`` cells before the ring and enough after it for every band
+    (:func:`operators._ghost_cells`): ``Q`` reads ``u`` and writes ``q``,
+    ``D^`` reads ``q`` and writes ``d``, straight from and into those
+    arrays.  No update is formed: the loop adds ``d`` to ``u`` in place,
+    through ``advance`` (``u += d``) or relaxed (``u += gamma d``).
+
+    ``Q`` is ``Q``'s band as :attr:`~activeflux.operators.BlockCirculantOp._band`
+    gives an operator's, ``(lo, span, stack)``, with a ``(2 P K, 2 K)``
+    stack that the workspace owns.  The band is ``Q``'s widest:
+    the offsets of the stencil ``powers`` reduced mod ``n``, as the normal
+    form stores them.  Both bindings are made once, on ``D^``'s ring:
+    ``Q_u`` of that band
+    (:meth:`~activeflux.operators.BlockCirculantOp._bind_band`) and
+    ``D_q`` of ``D^``.  When ``dt`` changes, :meth:`_weigh` rewrites the
+    stack in place; no operator is built and nothing is bound again.  A
+    block of ``Q`` that is zero at some ``dt`` stays in the band as exact
+    zeros, which leave every sum of the banded product as it is.
 
     The mass is never applied.  The energy and gamma's dots are weighted
     sums of ``W u`` and ``W d`` (:func:`_energy_form`).  For the diagonal
     mass ``Wd`` is ``d`` itself and ``W_d`` None; for the upwind mass
     ``Wu`` and ``Wd`` are the rings of two more ghost-celled arrays, into
-    which the banded bindings ``W_u`` and ``W_d`` write.  The ghost widths
-    cover the bands of ``D^`` and ``W``, and every band ``Q`` can have:
-    that of its powers' offsets in the normal form, or any narrower one,
-    where its end blocks are zero at some ``dt``.  A band from ``lo + k``
-    of ``span - k - l`` offsets needs no more cells before the ring, and
-    at most ``K - 1`` more after it (:func:`operators._ghost_cells`: ``lo
-    + (2 P - 1) K - 1`` grows by ``k`` and falls by ``2 K`` with each
-    group ``P`` loses, and it keeps ``P`` only while ``k + l < K``).  No
-    stage is formed, so the stage list is empty, and no binding is per
-    block.
+    which the banded bindings ``W_u`` and ``W_d`` write.  No stage is
+    formed, so the stage list is empty, and no binding is per block.
     """
 
-    __slots__ = ("q", "ghosted", "ghosts", "powers", "stencil", "D_q", "dt", "Q", "Q_u", "W_d", "Wd")
+    __slots__ = ("q", "ghosted", "ghosts", "powers", "folds", "stencil", "D_q", "dt", "Q", "Q_u", "W_d", "Wd")
 
     def __init__(self, scheme: Scheme, method: RKMethod, u0: np.ndarray):
         n, D = scheme.grid.n, scheme.D_effective
-        self.scheme, self.method, self.stages, self.uMu = scheme, method, (), math.nan
-        self.powers = _stencil_powers(D, method.stages)
-        self.stencil = BlockCirculantOp(n, D.dx, 1.0, D.blocks)
+        self.scheme, self.method, self.stages, self.uMu, self.dt = scheme, method, (), math.nan, None
+        offsets, self.powers = _stencil_powers(D, method.stages)
+        self.stencil = _unscaled(n, D.dx, tuple(D.blocks), D.stack.tobytes())
         W, weights = _energy_form(scheme)
-        # the widest Q: a nonzero block at each of the powers' offsets, in the normal form
-        widest = BlockCirculantOp(n, D.dx, 1.0, dict.fromkeys(self.powers[0], np.ones((2, 2))))
-        bands = [widest._band[:2], self.stencil._band[:2], *([W._band[:2]] if W else [])]
+        reduced = (np.array(offsets) + n // 2) % n - n // 2  # the normal form's offsets
+        lo, span = int(reduced.min()), int(reduced.max() - reduced.min()) + 1
+        bands = [(lo, span), self.stencil._band[:2], *([W._band[:2]] if W else [])]
         before, after = (max(cells) for cells in zip(*(ops._ghost_cells(*b) for b in bands)))
-        after += ops._GROUP - 1  # a narrower Q
         self.ghosted = tuple(np.zeros(2 * (before + n + after)) for _ in range(3 if W is None else 5))
         rings = [x[2 * before : 2 * (before + n)] for x in self.ghosted]
         self.u, self.q, self.d = rings[:3]
         self.Wu, self.Wd = rings[3:] or (self.u, self.d)
         self.tmp, self.ghosts, self.weights = np.empty(2 * n), before, np.tile(weights, n)
         np.copyto(self.u, u0)
+        # the powers' offsets are consecutive, so any n of them in a row
+        # reduce to distinct offsets: fold k takes offsets k n .. k n + n - 1
+        self.folds = tuple((reduced[k : k + n] - lo, slice(k, k + n)) for k in range(0, len(offsets), n))
+        self.Q = lo, span, np.array(ops._grouped(np.zeros((span, 2, 2))))  # a writable copy, zeros
+        self.Q_u = self.stencil._bind_band(*self.ghosted[:2], before, self.Q)
         self.D_q = self.stencil.bind_banded(*self.ghosted[1:3], before)
         pairs = zip(self.ghosted[:3:2], self.ghosted[3:])  # u into W u, d into W d
         self.W, (self.W_u, self.W_d) = W, [W.bind_banded(x, Wx, before) for x, Wx in pairs] or (None, None)
         self.advance = functools.partial(np.add, self.u, self.d, self.u)
-        self.dt = self.Q = self.Q_u = None
+
+    def _weigh(self, dt: float) -> None:
+        """Rewrite ``Q``'s stack in place for steps of ``dt``: ``z sum_j c_(j+1) z^j D^^j``.
+
+        With ``Z = -a dt D = z D^`` (``D^`` the unscaled stencil, ``z = -a
+        dt / dx``) and ``R(z) = sum_j c_j z^j`` (:func:`_stability_coefficients`),
+        one step's difference is ``R(Z) u - u = Z Q^(Z) u = D^ (z Q^ u)``
+        with ``Q^ = sum_(j < s) c_(j+1) z^j D^^j``.  The stencil powers'
+        blocks (:func:`_stencil_powers`) are weighted by ``c_(j+1) z^j``,
+        summed over ``j`` in order and multiplied by ``z``, so ``D^`` has
+        scale 1 and neither matvec multiplies by a scale.  Then they go
+        into the stack by normal-form offset, transposed, in ``folds``:
+        the first power offset of each offset is assigned, and where
+        offsets alias mod ``n`` (n <= 14 for ``rk4x2``) each further one
+        is added in increasing offset order, as the operator's constructor
+        sums them.  So the stack holds, bit for bit, the blocks the
+        constructor would store, and exact zeros wherever it would store
+        none.
+        """
+        z = -self.scheme.advection_speed * dt * self.scheme.D_effective.scale
+        zj, weights = 1.0, []
+        for c in _stability_coefficients(self.method)[1:]:
+            weights.append(c * zj)
+            zj *= z
+        band = z * np.add.reduce(np.multiply(np.array(weights)[:, None, None, None], self.powers), 0)
+        blocks, ((at, of), *rest) = ops._diagonals(self.Q[2], self.Q[1]), self.folds
+        blocks[:, at] = band[of].transpose(0, 2, 1)
+        for at, of in rest:
+            blocks[:, at] += band[of].transpose(0, 2, 1)
 
     def run(self, dt: float) -> tuple[np.ndarray, tuple]:
         u, q, d = self.ghosted[:3]
         if dt != self.dt:
-            self.Q = _composed_factor(self.scheme, self.method, dt, self.powers)
-            self.Q_u = self.Q.bind_banded(u, q, self.ghosts)
+            self._weigh(dt)
             self.dt = dt
-        self.Q.matvec(u, q, self.Q_u)
+        self.stencil.matvec(u, q, self.Q_u)  # Q's band, bound on D^'s ring
         self.stencil.matvec(q, d, self.D_q)
         return self.d, self.stages
 
@@ -899,6 +939,47 @@ def relaxation_gamma(
     return (e - 2.0 * float(y.dot(v))) / d2
 
 
+#: The memo of the step-kind decision: one LRU of at most 128 entries,
+#: each a key of :func:`_memo_key` and a bool or two floats, in a dict in
+#: the order of their last use.
+_MEMO, _MEMO_SIZE = {}, 128
+
+
+def _memo_key(scheme: Scheme, method: Optional[RKMethod] = None, dt: Optional[float] = None) -> tuple:
+    """All that :func:`_estimate_vanishes` and :func:`_amplification_radius` read, by value.
+
+    ``n``, the offsets and the bytes of the stored blocks of the derivative
+    and of the mass, ``z = -a dt / dx`` and the tableau, by the
+    coefficients of its stability polynomial, all the radius reads of it
+    (both None without ``dt``): O(1) in size, nothing of the ring's.  The operators are in
+    normal form, so equal operators have equal keys however their offsets
+    were written.  The scales are left out: ``M D + D^T M`` has one scale
+    in both terms, so its blocks decide, and the radius reads ``D`` only
+    through its unscaled stencil and ``z``.
+    """
+    D, M = scheme.D_effective, scheme.M_energy
+    z, R = (None, None) if dt is None else (-scheme.advection_speed * dt * D.scale, _stability_coefficients(method))
+    return D.n, tuple(D.blocks), D.stack.tobytes(), tuple(M.blocks), M.stack.tobytes(), z, R
+
+
+def _memoized(function: Callable) -> Callable:
+    """``function(scheme, *args)``, memoized in :data:`_MEMO` under its name and :func:`_memo_key`."""
+
+    @functools.wraps(function)
+    def memoized(scheme: Scheme, *args):
+        key = (function.__name__, *_memo_key(scheme, *args))
+        value = _MEMO.pop(key, None)
+        if value is None:
+            value = function(scheme, *args)
+        _MEMO[key] = value  # the most recently used, last
+        if len(_MEMO) > _MEMO_SIZE:
+            del _MEMO[next(iter(_MEMO))]
+        return value
+
+    return memoized
+
+
+@_memoized
 def _estimate_vanishes(scheme: Scheme) -> bool:
     """True when ``M D + D^T M`` has no blocks, so ``<y, M D y> = 0`` for every y.
 
@@ -906,10 +987,14 @@ def _estimate_vanishes(scheme: Scheme) -> bool:
     blocks summed, zero blocks dropped), so no blocks means the zero
     operator however the offsets of ``D`` were written.  The blocks of the
     two terms cancel exactly or not at all: the central pair cancels, the
-    upwind pairs leave their dissipation.
+    upwind pairs leave their dissipation.  The sum is one construction:
+    ``(M D)^T``'s block ``A_j^T`` goes in at offset ``2n - j``, past every
+    normal-form offset, which the normal form reduces to ``-j`` and adds
+    to ``M D``'s block there, as ``MD + MD.T`` would.
     """
     MD = scheme.M_energy @ scheme.D_effective
-    return not (MD + MD.T).blocks
+    both = {**MD.blocks, **{2 * MD.n - j: a.T for j, a in MD.blocks.items()}}
+    return not BlockCirculantOp(MD.n, MD.dx, 1.0, both).blocks
 
 
 @functools.lru_cache(maxsize=16)
@@ -926,6 +1011,7 @@ def _stability_coefficients(method: RKMethod) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
+@_memoized
 def _amplification_radius(scheme: Scheme, method: RKMethod, dt: float) -> tuple[float, float]:
     """``rho = max_k rho(P_k)`` over the per-mode step matrices, and the tolerance of ``rho <= 1``.
 

@@ -11,6 +11,7 @@ import pytest
 from activeflux import operators as ops
 from activeflux import solver
 from activeflux.operators import BlockCirculantOp, MassParams
+from oracles import composed_factor
 
 
 def test_build_grid_basic():
@@ -857,8 +858,7 @@ def _banded_operators(g):
     for variant, dt in (("central", 0.5 * g.dx), ("upwind", 0.25 * g.dx)):
         scheme = solver.make_scheme(g, variant, 1.0)
         for method in (solver.RK4, solver.SSPRK33, solver.RK4X2, chain):
-            powers = solver._stencil_powers(scheme.D_effective, method.stages)
-            operators.append(solver._composed_factor(scheme, method, dt, powers))
+            operators.append(composed_factor(scheme, method, dt))
     return operators
 
 
@@ -1060,13 +1060,13 @@ def test_the_grouped_banded_layout_on_small_rings(n):
     for variant in ("central", "upwind"):
         ws = solver._ComposedStep(solver.make_scheme(g, variant, 1.0), solver.RK4X2, np.ones(2 * n))
         ws.run(0.5 * g.dx)
-        for op, binding in ((ws.Q, ws.Q_u), (ws.stencil, ws.D_q)):
+        for band, binding in ((ws.Q, ws.Q_u), (ws.stencil._band, ws.D_q)):
             (windows, stack, _), = _calls(binding, "product")
-            group, rows = ops._grouping(op._band[1])
+            group, rows = ops._grouping(band[1])
             assert windows.shape[0] == rows and stack.shape == (2 * rows * group, 2 * group)
-            assert rows < op._band[1] or op._band[1] == 1
+            assert rows < band[1] or band[1] == 1
         if variant == "central" and n >= 15:
-            assert (ws.Q._band[1], _calls(ws.Q_u, "product")[0][0].shape[0]) == (15, 5)
+            assert (ws.Q[1], _calls(ws.Q_u, "product")[0][0].shape[0]) == (15, 5)
             assert _calls(ws.D_q, "product")[0][0].shape[0] == 2
 
 
@@ -1099,8 +1099,7 @@ def test_banded_binding_refreshes_the_margins_and_writes_into_out():
     and gets the per-block bits, each result one two-term dot either way."""
     g = ops.build_grid(25)
     scheme = solver.make_scheme(g, "central", 1.0)
-    powers = solver._stencil_powers(scheme.D_effective, solver.RK4X2.stages)
-    Q = solver._composed_factor(scheme, solver.RK4X2, 0.5 * g.dx, powers)
+    Q = composed_factor(scheme, solver.RK4X2, 0.5 * g.dx)
     assert Q._band[:2] == (-7, 15) and ops._grouping(15) == (4, 5) and ops._ghost_cells(-7, 15) == (7, 28)
     x, y, ghosts = _ghosted(Q, np.arange(50.0))
     bound = Q.bind_banded(x, y, ghosts)

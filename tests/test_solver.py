@@ -34,6 +34,7 @@ from activeflux.solver import (
     rk_step,
     run_experiment,
 )
+from oracles import composed_factor
 
 
 def _r4(z):
@@ -585,6 +586,130 @@ def test_estimate_vanishes_for_central_and_not_for_upwind(n):
         assert solver._estimate_vanishes(dataclasses.replace(central, D_effective=shifted))
     for a in (1.0, -1.0):
         assert not solver._estimate_vanishes(make_scheme(g, "upwind", a))
+
+
+def _memo_pairs():
+    """Calls of the two memoized step-kind functions, in pairs that differ
+    in exactly one input, and whose answers differ: the sign of a (the
+    upwind ``D_-`` at a = -1, against the wind, has rho > 1), ``dt_factor``
+    by one ulp (the radius's tolerance moves), the tableau, and ``D``
+    (through ``dataclasses.replace``): its blocks, ``D_-``'s at the central
+    ``D``'s offsets, and its offsets, the central ``D`` shifted by one
+    cell.  Neither keeps ``M D + D^T M = 0``, and the shift moves the
+    radius."""
+    g = ops.build_grid(16)
+    dt, ulp = 0.5 * g.dx, np.nextafter(0.5, 1.0) * g.dx
+    central, upwind = make_scheme(g, "central", 1.0), make_scheme(g, "upwind", 1.0)
+    D = central.D_effective
+    shifted = dataclasses.replace(
+        central, D_effective=ops.BlockCirculantOp(g.n, D.dx, D.scale, {j + 1: a for j, a in D.blocks.items()})
+    )
+    radius, vanishes = solver._amplification_radius, solver._estimate_vanishes
+    against = dataclasses.replace(upwind, advection_speed=-1.0)
+    minus = dataclasses.replace(central, D_effective=upwind.D_effective)
+    assert tuple(minus.D_effective.blocks) == tuple(D.blocks)
+    return {
+        "sign of a": ((radius, upwind, RK4X2, dt), (radius, against, RK4X2, dt)),
+        "dt_factor": ((radius, central, RK4X2, dt), (radius, central, RK4X2, ulp)),
+        "tableau": ((radius, central, RK4X2, dt), (radius, central, SSPRK33, dt)),
+        "D's blocks": ((vanishes, central), (vanishes, minus)),
+        "D's offsets": ((vanishes, central), (vanishes, shifted)),
+        "D's offsets, radius": ((radius, central, RK4X2, dt), (radius, shifted, RK4X2, dt)),
+    }
+
+
+def _memo_answers(first, second):
+    """``second``'s answer from a cleared memo, ``first``'s, and
+    ``second``'s right after ``first``'s."""
+    solver._MEMO.clear()
+    cold = second[0](*second[1:])
+    solver._MEMO.clear()
+    return cold, first[0](*first[1:]), second[0](*second[1:])
+
+
+def test_the_step_kind_memo_gives_what_a_cleared_memo_gives():
+    """``_estimate_vanishes`` and ``_amplification_radius`` are memoized
+    by value (``solver._memo_key``): after one call, a call that differs
+    in exactly one input gets what it gets from a cleared memo, and a
+    ``D`` whose offsets are shifted by multiples of n, stored in the same
+    normal form, finds the first call's entry.  After one run, runs that
+    differ in the sign of a, in ``dt_factor`` by one ulp or in the tableau
+    (relaxed central ``ssprk33`` at dx/2 keeps the stage estimate) end in
+    the bits they end in from a cleared memo.  No entry holds an array of
+    the ring's size."""
+    for first, second in _memo_pairs().values():
+        cold, other, warm = _memo_answers(first, second)
+        assert warm == cold != other
+    g = ops.build_grid(16)
+    central = make_scheme(g, "central", 1.0)
+    D = central.D_effective
+    solver._MEMO.clear()
+    assert solver._estimate_vanishes(central)
+    for q in (-2, -1, 1, 2):
+        wrapped = ops.BlockCirculantOp(g.n, D.dx, D.scale, {j + q * g.n: a for j, a in D.blocks.items()})
+        assert solver._estimate_vanishes(dataclasses.replace(central, D_effective=wrapped))
+        assert len(solver._MEMO) == 1
+    base = ExperimentConfig(variant="central", rk="rk4x2", n=16, t_end=1.0)
+    for config in (
+        dataclasses.replace(base, advection_speed=-1.0),
+        dataclasses.replace(base, dt_factor=float(np.nextafter(0.5, 1.0))),
+        dataclasses.replace(base, rk="ssprk33"),
+    ):
+        solver._MEMO.clear()
+        cold = run_experiment(config)
+        solver._MEMO.clear()
+        run_experiment(base)
+        warm = run_experiment(config)
+        for got, want in zip((*warm[0].__dict__.values(), warm[1]), (*cold[0].__dict__.values(), cold[1])):
+            assert got.tobytes() == want.tobytes()
+    # (name, n, D's offsets and bytes, M's offsets and bytes, z, R's coefficients): 32 bytes a block
+    assert 0 < len(solver._MEMO) <= solver._MEMO_SIZE
+    # least recently used out first: dt_1 goes, dt_0, used again, stays
+    solver._MEMO.clear()
+    dts = [(0.5 - k / 1024) * g.dx for k in range(solver._MEMO_SIZE + 1)]
+    for dt in (*dts[:-1], dts[0], dts[-1]):
+        solver._amplification_radius(central, RK4X2, dt)
+    held = [("_amplification_radius", *solver._memo_key(central, RK4X2, dt)) in solver._MEMO for dt in dts]
+    assert len(solver._MEMO) == solver._MEMO_SIZE and held == [True, False] + [True] * (len(dts) - 2)
+    for (_, n, *stencils, z, coefficients), value in solver._MEMO.items():
+        assert n == 16 and len(stencils[1]) == 32 * len(stencils[0]) and len(stencils[3]) == 32 * len(stencils[2])
+        assert type(value) is bool or all(isinstance(x, float) for x in value)
+
+
+def _dropping(index, keep):
+    """``solver._memo_key`` with its entry at ``index`` replaced by
+    ``keep`` of it: a key that drops an input."""
+    key = solver._memo_key
+
+    def dropped(*args):
+        k = list(key(*args))
+        k[index] = keep(k[index])
+        return tuple(k)
+
+    return dropped
+
+
+@pytest.mark.parametrize(
+    "name, index, keep",
+    [
+        ("sign of a", 5, abs),  # z = -a dt / dx without its sign
+        ("dt_factor", 5, lambda z: math.copysign(1.0, z)),  # z without its size
+        ("tableau", 6, lambda coefficients: None),
+        ("D's blocks", 2, lambda entries: None),
+        ("D's offsets", 1, lambda offsets: None),
+        ("D's offsets, radius", 1, lambda offsets: None),
+    ],
+)
+def test_a_memo_key_that_drops_an_input_fails(monkeypatch, name, index, keep):
+    """The check above fails for every input the memo's key could drop:
+    after the first call of the pair, the second finds its entry and gets
+    its answer, not its own."""
+    monkeypatch.setattr(solver, "_memo_key", _dropping(index, keep))
+    try:
+        cold, other, warm = _memo_answers(*_memo_pairs()[name])
+    finally:
+        solver._MEMO.clear()
+    assert warm == other != cold
 
 
 def _rational(blocks):
@@ -1234,10 +1359,10 @@ class _WeightedSquares:
 
 def _one_shot_composed_step(scheme, method):
     """The composed step from fresh arrays: ``d = D^ (Q u)`` in two
-    matvecs, each through a fresh banded binding, ``Q`` re-weighted from
-    the run's stencil powers whenever ``dt`` changes and ``D^`` the
-    derivative with scale 1; returns ``u + d`` and ``d``."""
-    powers = solver._stencil_powers(scheme.D_effective, method.stages)
+    matvecs, each through a fresh banded binding, ``Q`` built through the
+    operator's constructor (:func:`oracles.composed_factor`) whenever
+    ``dt`` changes and ``D^`` the derivative with scale 1; returns ``u +
+    d`` and ``d``."""
     D = scheme.D_effective
     stencil = ops.BlockCirculantOp(D.n, D.dx, 1.0, D.blocks)
     factors = {}
@@ -1245,7 +1370,7 @@ def _one_shot_composed_step(scheme, method):
     def step(s, m, u, dt):
         if dt not in factors:
             factors.clear()
-            factors[dt] = solver._composed_factor(s, m, dt, powers)
+            factors[dt] = composed_factor(s, m, dt)
         d = _banded_matvec(stencil, _banded_matvec(factors[dt], u))
         return u + d, d
 
@@ -1395,6 +1520,45 @@ def _step_rounding(scheme, method, dt):
     return composed, stage, p
 
 
+def _assert_run_has_the_oracle_bits(config, step=rk_step, d_error=0.0):
+    """``run_experiment(config)`` has the bits of the fresh-array loop
+    (:func:`_fresh_array_run`): the composed one, with ``Q`` from the
+    operator's constructor and fresh bindings, if the run composes, else
+    the stage loop of ``step``.  Returns the run's trace and state and the
+    oracle's gamma slack, or None for a run that raises the oracle's
+    :class:`EnergyBlowUpError`, with its message."""
+    try:
+        want_trace, want_u, want_slack = _fresh_array_run(
+            config, step, "composed" if _composes(config) else "difference", d_error
+        )
+    except EnergyBlowUpError as exc:
+        with pytest.raises(EnergyBlowUpError) as got:
+            run_experiment(config)
+        assert str(got.value) == str(exc)
+        return None
+    trace, u = run_experiment(config)
+    assert u.tobytes() == want_u.tobytes()
+    for name in ("times", "energies", "gammas"):
+        assert getattr(trace, name).tobytes() == getattr(want_trace, name).tobytes()
+    return trace, u, want_slack
+
+
+def test_clipped_steps_of_new_sizes_have_the_oracle_bits():
+    """Runs one after another in one process, each ending on a clipped
+    step of a size no run before it took: relaxed central ``rk4x2`` and
+    ``rk4`` and unrelaxed upwind ``rk4x2`` compose, and each clipped step
+    re-weighs ``Q`` in place, with the bits of ``Q`` built for it."""
+    runs = (("central", "rk4x2", True), ("central", "rk4", True), ("upwind", "rk4x2", False))
+    for k in range(4):
+        for variant, rk, relaxation in runs:
+            config = ExperimentConfig(
+                variant=variant, rk=rk, relaxation=relaxation, n=24, t_end=1.0 + 0.0137 * k, dt_factor=0.4
+            )
+            assert _composes(config)
+            trace, _, _ = _assert_run_has_the_oracle_bits(config)
+            assert trace.times[-1] - trace.times[-2] < 0.99 * 0.4 * 2 * math.pi / 24
+
+
 def _assert_run_matches_the_fresh_array_loop(config, step=rk_step):
     """A run on the stage path has the bits of the fresh-array loop of
     ``step``.  A composed run has the bits of the fresh-array composed loop
@@ -1454,22 +1618,13 @@ def _assert_run_matches_the_fresh_array_loop(config, step=rk_step):
     scheme, method = make_scheme(g, config.variant, config.advection_speed), resolve_method(config.rk)
     dt_nominal = config.dt_factor * g.dx
     chain_c, chain_s, majorant = _step_rounding(scheme, method, dt_nominal)
-    try:
-        want_trace, want_u, want_slack = _fresh_array_run(
-            config, step, "composed" if composed else "difference", chain_c * majorant * EPS
-        )
-    except EnergyBlowUpError as exc:
-        with pytest.raises(EnergyBlowUpError) as got:
-            run_experiment(config)
-        assert str(got.value) == str(exc)
+    got = _assert_run_has_the_oracle_bits(config, step, chain_c * majorant * EPS)
+    if got is None:
         if composed:
             with pytest.raises(EnergyBlowUpError):
                 _fresh_array_run(config, step, "stages")
         return
-    trace, u = run_experiment(config)
-    assert u.tobytes() == want_u.tobytes()
-    for name in ("times", "energies", "gammas"):
-        assert getattr(trace, name).tobytes() == getattr(want_trace, name).tobytes()
+    trace, u, want_slack = got
     # the last step is clipped; a relaxed composed run whose t_end is a whole
     # number of nominal steps may take it in full, its gammas within rounding
     # of 1 (n = 16, t_end = 2 pi, a = 1e-3)
@@ -1744,9 +1899,9 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
     ``d`` are the rings of three ghost-celled arrays, and, upwind, ``W u``
     and ``W d`` of two more, which its banded bindings read and write in
     place.  Its step writes ``d = D^ (Q u)`` into ``d``, with the bits of
-    fresh banded bindings, and returns ``d``; ``Q`` is formed again, and
-    bound again, only when dt changes.  ``advance`` adds ``d`` to ``u`` in
-    place, the bits of ``u + d``.  Its energy and its gamma have the bits
+    fresh banded bindings, and returns ``d``; ``Q``'s stack is re-weighted
+    in place only when dt changes, and its binding is made once.
+    ``advance`` adds ``d`` to ``u`` in place, the bits of ``u + d``.  Its energy and its gamma have the bits
     of the weighted squares from new arrays (:class:`_WeightedSquares`),
     and lie within rounding of ``u.(M u)`` and of the oracle's gamma;
     gamma does not read a ``W u`` the energy formed for an older state.
@@ -1779,7 +1934,7 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
     function, args = ws.advance.func, ws.advance.args
     assert function is np.add and args[0] is u and args[1] is ws.d and args[2] is u
     one_shot, squares = _one_shot_composed_step(s, RK4X2), _WeightedSquares(s)
-    factors = []
+    factors, binding = [], ws.Q_u
     for dt in (0.3 * g.dx, 0.3 * g.dx, 0.1 * g.dx):
         want_energy = squares.energy(u)
         assert s.energy(u, ws) == want_energy == ws.uMu
@@ -1794,7 +1949,8 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
         want, want_d = one_shot(s, RK4X2, u.copy(), dt)
         assert stages == () and d is ws.d
         assert d.tobytes() == want_d.tobytes()
-        factors.append(ws.Q)
+        factors.append(ws.Q[2].tobytes())
+        assert ws.Q_u is binding
         assert (ws.Q_u.u, ws.Q_u.out) == (ghosted_u, ghosted_q) and _reads_and_writes_in_place(ws.Q_u)
         gamma = relaxation_gamma(u, d, stages, M, dt, workspace=ws)
         assert gamma == squares.gamma(u, want, (), dt, want_d)
@@ -1808,7 +1964,7 @@ def test_a_composed_workspace_forms_d_in_two_matvecs(n, variant, a):
         ws.advance()
         assert u.tobytes() == want.tobytes() and want.tobytes() == (v + want_d).tobytes()
         u += 0.125 * np.sin(u)
-    assert factors[0] is factors[1] and factors[1] is not factors[2]
+    assert factors[0] == factors[1] != factors[2]
     # u has changed since the last energy: gamma forms W u again
     d, _ = rk_step(s, RK4X2, u, 0.1 * g.dx, ws)
     gamma = relaxation_gamma(u, d, (), M, 0.1 * g.dx, workspace=ws)
@@ -1918,54 +2074,77 @@ def test_a_composed_step_makes_the_fewest_numpy_calls(monkeypatch, variant, rela
     assert set(np.diff(entries)[1:].tolist()) == {per_step}
 
 
+def _set_up_log(monkeypatch):
+    """A list that records, in order, each binding made (``"bind"`` per
+    block; ``"banded"`` through ``BlockCirculantOp._bind_band``, which
+    ``bind_banded`` calls), each set-up of a matvec's calls, a binding's or
+    a one-shot matvec's (``"calls"``), each operator constructed
+    (``"op"``), and each ``rk_step``'s entry and exit (``"step"``,
+    ``"stepped"``)."""
+    log, Op = [], ops.BlockCirculantOp
+
+    def logging(kind, function):
+        def logged(*args, **kwargs):
+            log.append(kind)
+            return function(*args, **kwargs)
+
+        return logged
+
+    for kind, name in (("bind", "bind"), ("banded", "_bind_band"), ("op", "__post_init__"), ("calls", "_calls")):
+        monkeypatch.setattr(Op, name, logging(kind, getattr(Op, name)))
+    step = solver.rk_step
+
+    def stepped(*args, **kwargs):
+        log.append("step")
+        try:
+            return step(*args, **kwargs)
+        finally:
+            log.append("stepped")
+
+    monkeypatch.setattr(solver, "rk_step", stepped)
+    return log
+
+
 @pytest.mark.parametrize(
-    "variant, rk, relaxation",
-    [
-        ("central", "rk4x2", True),
-        ("upwind", "rk4x2", True),
-        ("central", "ssprk33", True),
-        ("upwind", "rk4", False),
-        ("central", "rk4x2", False),
-        ("upwind", "rk4x2", False),
-    ],
+    "variant, rk",
+    [("central", "rk4x2"), ("upwind", "rk4x2"), ("central", "ssprk33"), ("central", "rk4"), ("upwind", "rk4")],
 )
-def test_time_loop_matvecs_skip_the_per_call_set_up(monkeypatch, variant, rk, relaxation):
-    """Every matvec of a run replays a binding made once, however many
-    steps the run takes: a one-shot matvec makes its calls too
-    (``BlockCirculantOp._calls``), so those count every set-up, per block
-    (no ghost cells) or banded.  A stage run binds each stage derivative
-    and the stacked M k_i and M d per block, and, upwind, the root W on u
-    banded.  A composed run, central or
-    upwind, relaxed or not, makes no per-block set-up: it binds D (Q u)
-    banded, Q u once per step size, the nominal one and the clipped last
-    step's, and, upwind, the root W on u and on d."""
-    # relaxed central rk4x2 is stable at dt = dx/2 and M D + D^T M = 0, and
-    # unrelaxed runs read no stage data: both compose their steps; central
-    # ssprk33 (rho > 1 there) and upwind runs keep the stage estimate
-    composed = not relaxation or (variant, rk) == ("central", "rk4x2")
-    binds, banded = [], []
-    Op = ops.BlockCirculantOp
-    calls = Op._calls
-
-    def counted_calls(op, u, out, ghosts=None):
-        (binds if ghosts is None else banded).append(op)
-        return calls(op, u, out, ghosts)
-
-    monkeypatch.setattr(Op, "_calls", counted_calls)
-    stages = resolve_method(rk).stages
-    for t_end in (1.0, 3.0):
-        binds.clear()
-        banded.clear()
-        trace, _ = run_experiment(
-            ExperimentConfig(variant=variant, rk=rk, relaxation=relaxation, n=16, t_end=t_end)
-        )
-        assert len(trace.times) > 5
-        if composed:
-            clipped = t_end - trace.times[-2] < 0.5 * 2 * math.pi / 16
-            assert not binds
-            assert len(banded) == 2 + clipped + 2 * (variant == "upwind")
-        else:
-            assert len(binds) == stages + 1 and len(banded) == (variant == "upwind")
+def test_a_run_sets_up_before_its_first_step_and_never_again(monkeypatch, variant, rk):
+    """The set-up contract, for relaxed and unrelaxed runs that end on a
+    clipped step and on a whole one: every binding is made before the
+    first step, and from the first step to the end of the last no binding
+    is made, no one-shot matvec sets up its calls and no operator is
+    constructed.  A composed run binds four banded products, ``Q u``,
+    ``D^ q`` and, upwind, the root ``W`` on ``u`` and on ``d``, whatever
+    its step sizes: a relaxed run whose last step is clipped makes the
+    bindings of an unrelaxed one.  A stage run binds each stage derivative
+    and the stacked ``M k_i`` and ``M d`` per block, and, upwind, ``W`` on
+    ``u`` banded.  Unrelaxed runs and relaxed central ``rk4x2`` and
+    ``rk4`` compose; relaxed upwind runs, and relaxed central ``ssprk33``
+    (``rho > 1`` at dt = dx/2), step through the stages; unrelaxed upwind
+    ``rk4`` blows up there, so it runs at dt = dx/4."""
+    log = _set_up_log(monkeypatch)
+    method = resolve_method(rk)
+    counts = {}
+    for relaxation in (False, True):
+        composed = not relaxation or variant == "central" and rk != "ssprk33"
+        for t_end in (1.0, 3.0, 2 * math.pi):
+            log.clear()
+            dt_factor = 0.25 if (variant, rk) == ("upwind", "rk4") else 0.5
+            config = ExperimentConfig(variant, 16, t_end=t_end, rk=rk, relaxation=relaxation, dt_factor=dt_factor)
+            trace, _ = run_experiment(config)
+            first, last = log.index("step"), len(log) - log[::-1].index("stepped")
+            assert len(trace.times) > 5 and set(log[first:last]) == {"step", "stepped"}
+            binds = collections.Counter(log[:first])
+            counts[relaxation, t_end] = binds["bind"], binds["banded"]
+            if composed:
+                assert counts[relaxation, t_end] == (0, 2 + 2 * (variant == "upwind"))
+            else:
+                assert counts[relaxation, t_end] == (method.stages + 1, variant == "upwind")
+            if t_end != 2 * math.pi:  # the last step is clipped
+                assert trace.times[-1] - trace.times[-2] < 0.99 * config.dt_factor * 2 * math.pi / 16
+    if variant == "central" and rk != "ssprk33":
+        assert len(set(counts.values())) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -2002,50 +2181,83 @@ def test_upwind_composed_bands_span_only_their_nonzero_blocks():
     - 1: ``rk4`` at n = 6 stores 5 offsets and ``rk4x2`` at n = 14 stores
     9, in the normal form's range, where the untrimmed powers (7 and 15
     offsets) folded over the whole ring; at n >= s + 2 the band's end
-    blocks are nonzero for every tableau, variant and sign."""
+    blocks are nonzero for every tableau, variant and sign.  A composed
+    workspace binds that band, the constructor's (:func:`oracles.composed_factor`)."""
     for rk, n, band in (("rk4", 6, (-3, 5)), ("rk4x2", 14, (-7, 9))):
         scheme, method = make_scheme(ops.build_grid(n), "upwind", 1.0), resolve_method(rk)
-        powers = solver._stencil_powers(scheme.D_effective, method.stages)
-        assert solver._composed_factor(scheme, method, 0.5 * scheme.grid.dx, powers)._band[:2] == band
+        ws = solver._ComposedStep(scheme, method, np.zeros(2 * n))
+        assert ws.Q[:2] == composed_factor(scheme, method, 0.5 * scheme.grid.dx)._band[:2] == band
     tableaux = [(rk, v, a) for rk in ("rk4", "ssprk33", "rk4x2") for v in ("central", "upwind") for a in (1.0, -1.0)]
     for rk, variant, a in tableaux:
         method = resolve_method(rk)
         scheme = make_scheme(ops.build_grid(2 * method.stages + 2), variant, a)
-        powers = solver._stencil_powers(scheme.D_effective, method.stages)
-        Q = solver._composed_factor(scheme, method, 0.5 * scheme.grid.dx, powers)
+        Q = composed_factor(scheme, method, 0.5 * scheme.grid.dx)
         lo, span, _ = Q._band
         assert {lo, lo + span - 1} <= set(Q.blocks)
+        assert solver._ComposedStep(scheme, method, np.zeros(2 * scheme.grid.n)).Q[:2] == (lo, span)
+
+
+def _stored_blocks(ws):
+    """The blocks a composed workspace's ``Q`` stack holds, by normal-form
+    offset: its first block diagonal, transposed back."""
+    lo, span, stack = ws.Q
+    return {lo + k: block.T for k, block in enumerate(ops._diagonals(stack, span)[0])}
+
+
+def _assert_stack_holds_the_constructor_blocks(ws, Q):
+    """Every block of the workspace's band is the oracle ``Q``'s stored
+    block, bit for bit, or zeros where ``Q`` stores none (an exact zero may
+    carry either sign; it adds nothing to a sum), and every other entry of
+    the stack is +0."""
+    blocks = _stored_blocks(ws)
+    assert set(Q.blocks) <= set(blocks)
+    for j, block in blocks.items():
+        if j in Q.blocks:
+            assert block.tobytes() == Q.blocks[j].tobytes()
+        else:
+            assert not block.any()
+    outside = ws.Q[2].copy()
+    ops._diagonals(outside, ws.Q[1])[...] = 0.0
+    assert not np.signbit(outside).any() and not outside.any()
 
 
 @pytest.mark.parametrize("n", [3, 14, 15, 16, 17, 64])
 @pytest.mark.parametrize("variant, a", [("central", 1.0), ("upwind", 1.0), ("upwind", -1.0)])
 @pytest.mark.parametrize("rk", ["rk4", "ssprk33", "rk4x2"])
-def test_composed_ghost_cells_cover_every_narrower_band_of_q(rk, variant, a, n):
-    """``Q``'s constructor drops zero blocks, so its band at some ``dt``
-    may be narrower than at another: at a speed of 2e-45 the weight
-    ``c_s z^s`` of the upwind ``rk4x2`` ``Q``'s end block underflows, and
-    its band is (-6, 8) instead of (-7, 9) at a > 0 and (0, 7) instead of
-    (0, 8) at a < 0.  A narrower band reads more cells after the ring
-    (``_ghost_cells``: (-6, 8) reads 13 against 12), so a composed
-    workspace's ghost cells cover every band within ``Q``'s band at the
-    nominal step, whose end blocks are nonzero.  Such a run composes, with
-    the bits of fresh banded bindings on the fewest ghost cells of each
-    band, and raises no warning."""
+def test_composed_q_keeps_its_widest_band_at_every_step_size(rk, variant, a, n):
+    """A composed workspace binds ``Q`` once, at its widest band: the
+    normal form of a block at each of the stencil powers' offsets, which
+    its ghost cells cover.  Each step size rewrites the stack in place,
+    with the blocks the operator's constructor stores for that step, bit
+    for bit, and zeros where it stores none; the binding stays.  The
+    constructor drops zero blocks, so its band may be narrower: at a speed
+    of 2e-45 the weight ``c_s z^s`` of the upwind ``rk4x2`` ``Q``'s end
+    block underflows, and its band is (-6, 8) instead of (-7, 9) at a > 0
+    and (0, 7) instead of (0, 8) at a < 0.  The workspace keeps (-7, 9)
+    and (0, 8), whose exact zero blocks leave every sum of the banded
+    product as it is: such a run composes with the bits of fresh banded
+    bindings of the narrower band, and raises no warning."""
     g = ops.build_grid(n)
     scheme, method = make_scheme(g, variant, a), resolve_method(rk)
     ws = solver._ComposedStep(scheme, method, project_initial(g, solver.default_initial))
-    rk_step(scheme, method, ws.u, 0.5 * g.dx, ws)
-    lo, span, _ = ws.Q._band
+    offsets, _ = solver._stencil_powers(scheme.D_effective, method.stages)
+    widest = ops.BlockCirculantOp(n, g.dx, 1.0, dict.fromkeys(offsets, np.ones((2, 2))))
+    assert ws.Q[:2] == widest._band[:2]
     after = ws.ghosted[0].size // 2 - ws.ghosts - n
-    for first in range(lo, lo + span):
-        for width in range(1, lo + span - first + 1):
-            before_needed, after_needed = ops._ghost_cells(first, width)
-            assert before_needed <= ws.ghosts and after_needed <= after
+    assert ops._ghost_cells(*ws.Q[:2]) <= (ws.ghosts, after)
+    binding = ws.Q_u
+    for dt in (0.5 * g.dx, 0.123 * g.dx, 0.5 * g.dx):
+        rk_step(scheme, method, ws.u, dt, ws)
+        _assert_stack_holds_the_constructor_blocks(ws, composed_factor(scheme, method, dt))
+        assert ws.Q_u is binding
     if (rk, n) != ("rk4x2", 64) or variant != "upwind":
         return
     tiny = make_scheme(g, variant, 2e-45 * a)
-    Q = solver._composed_factor(tiny, method, 0.5 * g.dx, solver._stencil_powers(tiny.D_effective, method.stages))
-    assert (lo, span) == ((-7, 9) if a > 0 else (0, 8)) and Q._band[:2] == ((-6, 8) if a > 0 else (0, 7))
+    Q = composed_factor(tiny, method, 0.5 * g.dx)
+    assert ws.Q[:2] == ((-7, 9) if a > 0 else (0, 8)) and Q._band[:2] == ((-6, 8) if a > 0 else (0, 7))
+    ws = solver._ComposedStep(tiny, method, project_initial(g, solver.default_initial))
+    rk_step(tiny, method, ws.u, 0.5 * g.dx, ws)
+    _assert_stack_holds_the_constructor_blocks(ws, Q)
     config = ExperimentConfig(variant=variant, rk=rk, relaxation=False, advection_speed=2e-45 * a, n=n, t_end=0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -2062,19 +2274,22 @@ def test_composed_factor_gives_the_step_matrix(rk, n, variant, a):
     """``D^ Q``, with ``D^`` the unscaled stencil and ``Q`` of scale 1, is
     ``R(Z) - I`` for the dense ``Z = -a dt D``, to the rounding of Horner's
     rule on dense matrices, ``p(|Z|)`` times a few eps per stage (as in
-    ``_amplification_radius``), at every n.  The stencil powers of a
+    ``_amplification_radius``), at every n, for the constructor's ``Q``
+    (:func:`oracles.composed_factor`) and for a composed workspace's stack,
+    which holds the same blocks.  The stencil powers of a
     32-stage tableau pass 2**53 and, at n = 3 and 16, round from power 27
     to 29 on, by eps relative, which that bound holds too.  Where no
     offsets of the powers alias mod n (n >= 15 for ``rk4x2``), ``Q``'s band
-    spans the powers' offsets, and its rows are, bit for bit, ``z`` times
-    the weighted powers summed in order, with zeros where it stores no
-    block; where they alias, the constructor folds them (``z`` multiplies
-    before the fold)."""
+    spans the powers' offsets, and its blocks are, bit for bit, ``z`` times
+    the weighted powers summed in order; where they alias, they are folded
+    after ``z`` multiplies them."""
     g = ops.build_grid(n)
     scheme, method = make_scheme(g, variant, a), resolve_method(rk)
     D, dt = scheme.D_effective, 0.37 * g.dx
-    powers = solver._stencil_powers(D, method.stages)
-    Q = solver._composed_factor(scheme, method, dt, powers)
+    Q = composed_factor(scheme, method, dt)
+    ws = solver._ComposedStep(scheme, method, np.zeros(2 * n))
+    ws.run(dt)
+    _assert_stack_holds_the_constructor_blocks(ws, Q)
     assert Q.scale == 1.0
     Z = (-a * dt) * D.dense()
     P, bound = np.zeros_like(Z), 0.0
@@ -2087,18 +2302,80 @@ def test_composed_factor_gives_the_step_matrix(rk, n, variant, a):
     for c in solver._stability_coefficients(method)[1:]:
         weights.append(c * zj)
         zj *= z
-    offsets, stack = powers
+    offsets, stack = solver._stencil_powers(D, method.stages)
     if not (-(n // 2) <= offsets[0] and offsets[-1] < n - n // 2):
         return
     weighted = z * np.add.reduce(np.array(weights)[:, None, None, None] * stack, 0)
-    lo, span, stack = Q._band
-    assert (lo, span) == (offsets[0], len(offsets))
-    # the grouped stack's first column pair is the band, A_(lo + k)^T in row pair k
-    for k, block in enumerate(stack[: 2 * span, :2].reshape(span, 2, 2)):
-        if lo + k in Q.blocks:
-            assert block.T.tobytes() == weighted[k].tobytes()
-        else:
-            assert not block.any() and not weighted[k].any()
+    assert ws.Q[:2] == (offsets[0], len(offsets))
+    assert np.array(list(_stored_blocks(ws).values())).tobytes() == weighted.tobytes()
+
+
+def _weighted_powers(ws, dt):
+    """``z`` and the workspace's stencil powers weighted and summed over
+    ``j`` as ``_ComposedStep._weigh`` sums them, before ``z`` multiplies
+    them."""
+    z = -ws.scheme.advection_speed * dt * ws.scheme.D_effective.scale
+    zj, weights = 1.0, []
+    for c in solver._stability_coefficients(ws.method)[1:]:
+        weights.append(c * zj)
+        zj *= z
+    return z, np.add.reduce(np.array(weights)[:, None, None, None] * ws.powers, 0)
+
+
+def _weigh_with_z_after_the_fold(ws, dt):
+    """``_ComposedStep._weigh`` with ``z`` multiplying the folded blocks:
+    ``z (a + b)`` in place of the constructor's ``z a + z b``."""
+    z, band = _weighted_powers(ws, dt)
+    blocks, ((at, of), *rest) = ops._diagonals(ws.Q[2], ws.Q[1]), ws.folds
+    blocks[:, at] = band[of].transpose(0, 2, 1)
+    for at, of in rest:
+        blocks[:, at] += band[of].transpose(0, 2, 1)
+    np.multiply(z, blocks, blocks)
+
+
+def _weigh_folding_in_reverse(ws, dt):
+    """``_ComposedStep._weigh`` with the power offsets that alias added in
+    decreasing offset order."""
+    z, band = _weighted_powers(ws, dt)
+    band *= z
+    blocks, seen = ops._diagonals(ws.Q[2], ws.Q[1]), np.zeros(ws.Q[1], bool)
+    for at, of in reversed(ws.folds):
+        first = ~seen[at]
+        blocks[:, at[first]] = band[of][first].transpose(0, 2, 1)
+        blocks[:, at[~first]] += band[of][~first].transpose(0, 2, 1)
+        seen[at] = True
+
+
+@pytest.mark.parametrize(
+    "n, weigh",
+    [(14, _weigh_with_z_after_the_fold), (3, _weigh_with_z_after_the_fold), (3, _weigh_folding_in_reverse)],
+)
+def test_the_bit_check_catches_another_fold_order(monkeypatch, n, weigh):
+    """Where the stencil powers' offsets alias (n <= 14 for central
+    ``rk4x2``), the stack must fold them as the constructor does: ``z``
+    multiplies each power offset's weighted sum, and then the aliased ones
+    are added in increasing offset order.  With ``z`` multiplying the
+    folded sums instead, or the sums added in decreasing order (at n = 3,
+    where five power offsets share each block; at n = 14 only two do, and
+    their sum does not depend on the order), the stack's blocks leave the
+    constructor's, which the stack check catches.  At n = 3 the run's bits
+    leave the oracle's too.  At n = 14 only the end blocks of ``z^7
+    D^^7`` fold, about 1e-7 of ``Q``'s largest: no run of central
+    ``rk4x2`` there (a = +-1, 0.7, 1.3 and -0.3, dt = dx/10 to dx/2,
+    relaxed or not) moved by a bit, so the stack check is the one that
+    catches it."""
+    g = ops.build_grid(n)
+    scheme = make_scheme(g, "central", 1.0)
+    monkeypatch.setattr(solver._ComposedStep, "_weigh", weigh)
+    ws = solver._ComposedStep(scheme, RK4X2, np.zeros(2 * n))
+    ws.run(0.37 * g.dx)  # a z that is not a power of two, whose products round
+    with pytest.raises(AssertionError):
+        _assert_stack_holds_the_constructor_blocks(ws, composed_factor(scheme, RK4X2, 0.37 * g.dx))
+    if n == 3:
+        with pytest.raises(AssertionError):
+            _assert_run_matches_the_fresh_array_loop(
+                ExperimentConfig(variant="central", rk="rk4x2", relaxation=False, n=n, t_end=1.0)
+            )
 
 
 _LONG = np.longdouble
@@ -2364,6 +2641,29 @@ def _perfbench_workloads():
 
 
 _WORKLOADS = _perfbench_workloads()
+
+
+def _small_ring_configs():
+    """``perfbench``'s drawable triples at both signs of a on the small
+    rings n = 3, 5, 7, 14 and 15, where ``Q``'s offsets alias (up to n =
+    14 for central ``rk4x2``) or just fit (n = 15)."""
+    for variant, rk, relaxation in _WORKLOADS.SMALL_SCHEMES:
+        for speed in (1.0, -1.0):
+            for n in (3, 5, 7, 14, 15):
+                yield ExperimentConfig(variant=variant, n=n, rk=rk, relaxation=relaxation, advection_speed=speed)
+
+
+@pytest.mark.parametrize(
+    "config", [*_WORKLOADS.reference_configs(), *_small_ring_configs()], ids=_WORKLOADS.config_key
+)
+def test_reference_configurations_have_the_oracle_bits(config):
+    """Every configuration of ``perfbench``'s references, and its triples
+    on small rings (:func:`_small_ring_configs`): traces and final states
+    have the bits of the fresh-array loop, composed runs those of ``Q``
+    built through the operator's constructor and bound fresh
+    (:func:`_assert_run_has_the_oracle_bits`).  A run that blows up must
+    raise the oracle's error."""
+    _assert_run_has_the_oracle_bits(config)
 
 
 @pytest.mark.parametrize("config", list(_WORKLOADS.reference_configs()), ids=_WORKLOADS.config_key)
